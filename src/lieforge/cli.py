@@ -27,6 +27,7 @@ from .extensions import (
 from .fileio import (
     ParseError,
     ReportDocument,
+    _scalar_at,
     parse_algebra,
     parse_form_inline,
     parse_map_inline,
@@ -187,7 +188,7 @@ def _assemble_dz(base: Matrix, dz_spec: str) -> Matrix:
         raise ParseError("--dz needs 'w1,..,wn:s'", 0, "dz")
     n = len(base)
     w = parse_vector_inline(w_str, n)
-    s = scalar(s_str)
+    s = _scalar_at(s_str, 0, "dz")
     rows = [tuple(base[i]) + (w[i],) for i in range(n)]
     rows.append((Fraction(0),) * n + (s,))
     return tuple(rows)
@@ -319,9 +320,9 @@ def _parse_fix(spec: str, g: LieAlgebra, b: Builtin | None):
         if lam_str == "alpha":
             lam = Fraction(1)
         elif lam_str.endswith("*alpha"):
-            lam = scalar(lam_str[: -len("*alpha")])
+            lam = _scalar_at(lam_str[: -len("*alpha")], 0, "fix")
         else:
-            lam = scalar(lam_str)
+            lam = _scalar_at(lam_str, 0, "fix")
         return FormEigen(parse_form_inline(form_str, g.dim), lam)
     if spec.startswith("commute:"):
         return Commute(_get_map(spec[len("commute:") :], g.dim, b))
@@ -477,7 +478,7 @@ def _cmd_construct(args) -> tuple[ReportDocument, int]:
         if theta is None:
             raise ParseError("need --two-form", 0, "two-form")
         d = _extension_map(args, g, b, on_central=True)
-        c = scalar(args.w_scale) if args.w_scale else None
+        c = _scalar_at(args.w_scale, 0, "w-scale") if args.w_scale else None
         params = solve_double_extension_params(g, s, theta, d, c)
         ext, report, structure = sasakian_double_extension(g, s, theta, d, params)
         notes = _extension_notes(ext) + (

@@ -82,6 +82,10 @@ def _scalar_at(token: str, offset: int, fieldname: str) -> Fraction:
         raise ParseError(f"bad rational {token!r}", offset, fieldname)
 
 
+def _vector_at(tokens: list[str], offset: int, fieldname: str) -> Vector:
+    return tuple(_scalar_at(t, offset, fieldname) for t in tokens)
+
+
 def _int_at(token: str, offset: int, fieldname: str) -> int:
     try:
         return int(token)
@@ -178,7 +182,7 @@ def parse_structure(text: str) -> ParsedStructure:
     for offset, line in body[1:]:
         tokens = line.split()
         if kind == "form" and tokens[0] == "values":
-            out.forms["values"] = vector(tokens[1:])
+            out.forms["values"] = _vector_at(tokens[1:], offset, "values")
         elif kind == "two_form" and tokens[0] == "entry":
             _parse_two_form_entry(out.two_forms.setdefault("values", {}), tokens[1:], offset)
         elif kind == "map" and tokens[0] == "row":
@@ -193,13 +197,13 @@ def parse_structure(text: str) -> ParsedStructure:
             elif rest and rest[0] == "=":
                 values = rest[1:]
                 if name in ("xi", "u"):
-                    out.vectors[name] = vector(values)
+                    out.vectors[name] = _vector_at(values, offset, name)
                 elif name in ("alpha",):
-                    out.forms[name] = vector(values)
+                    out.forms[name] = _vector_at(values, offset, name)
                 elif len(values) == 1:
                     out.scalars[name] = _scalar_at(values[0], offset, name)
                 else:
-                    out.vectors[name] = vector(values)
+                    out.vectors[name] = _vector_at(values, offset, name)
             else:
                 raise ParseError(f"bad line {line!r}", offset, name)
         else:
@@ -211,7 +215,7 @@ def _parse_map_row(rows: list[tuple[int, Vector]], tokens: list[str], offset: in
     if len(tokens) < 3 or tokens[1] != "=":
         raise ParseError("map row needs 'row I = entries'", offset, "row")
     idx = _int_at(tokens[0], offset, "row") - 1
-    rows.append((idx, vector(tokens[2:])))
+    rows.append((idx, _vector_at(tokens[2:], offset, "row")))
 
 
 def _parse_two_form_entry(entries: dict[tuple[int, int], Fraction], tokens: list[str], offset: int) -> None:
@@ -247,7 +251,7 @@ def parse_form_inline(spec: str, dim: int) -> KForm:
         if not m:
             raise ParseError(f"bad 1-form term {term!r}", 0, "form")
         sign = -1 if m.group(1) == "-" else 1
-        coef = scalar(m.group(2)) if m.group(2) else Fraction(1)
+        coef = _scalar_at(m.group(2), 0, "form") if m.group(2) else Fraction(1)
         idx = int(m.group(3)) - 1
         if not 0 <= idx < dim:
             raise ParseError(f"index e{idx + 1} out of range", 0, "form")
@@ -265,7 +269,7 @@ def parse_two_form_inline(spec: str, dim: int) -> KForm:
         if not m:
             raise ParseError(f"bad 2-form term {term!r}", 0, "two-form")
         sign = -1 if m.group(1) == "-" else 1
-        coef = scalar(m.group(2)) if m.group(2) else Fraction(1)
+        coef = _scalar_at(m.group(2), 0, "two-form") if m.group(2) else Fraction(1)
         i = int(m.group(3)) - 1
         j = int(m.group(4)) - 1
         if not (0 <= i < dim and 0 <= j < dim and i != j):
@@ -300,7 +304,7 @@ def parse_map_inline(spec: str, dim: int, named: dict[str, Matrix] | None = None
             raise ParseError(f"diag needs {dim} entries", 0, "map")
         from .linalg import diagonal
 
-        return diagonal([scalar(e) for e in entries])
+        return diagonal(_vector_at(entries, 0, "map"))
     raise ParseError(f"bad map spec {spec!r}", 0, "map")
 
 
@@ -313,7 +317,7 @@ def parse_vector_inline(spec: str, dim: int) -> Vector:
         entries = spec.split(",")
         if len(entries) != dim:
             raise ParseError(f"vector needs {dim} entries", 0, "vector")
-        return vector([scalar(e) for e in entries])
+        return _vector_at(entries, 0, "vector")
     form = parse_form_inline(spec, dim)
     return tuple(form.coeff((i,)) for i in range(dim))
 

@@ -4,11 +4,18 @@ Scalars are fractions.Fraction (canonical reduced form, positive
 denominator); floats are rejected at the boundary. Vectors are tuples of
 Fractions, matrices are tuples of row tuples. Nothing here mutates its
 inputs, so every value is safe to share across threads.
+
+All elimination runs in one fraction-free integer kernel, _eliminate, on
+primitive integer rows that become Fractions once, at the end. solve_affine
+reduces the augmented system once and reads the particular solution and the
+nullspace from it; positive_definite reads every leading minor's sign from
+one forward pass without row exchanges.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 Scalar = Fraction
@@ -117,67 +124,107 @@ def column(m: Matrix, j: int) -> Vector:
     return tuple(row[j] for row in m)
 
 
+def _eliminate(
+    rows: Sequence[Vector], reduce: bool = True, swap: bool = True
+) -> tuple[list[list[int]], list[int], list[int], list[int]]:
+    """Fraction-free Gauss-Jordan (forward only unless reduce) on primitive integer rows.
+
+    Per column the row with the smallest usable pivot p moves up; every other
+    row with entry f there becomes (p/g*row - f/g*pivot_row) / content, g =
+    gcd(p, f), the subtraction touching only the pivot row's nonzero columns.
+    Without swap the pass stops at the first zero on the diagonal. Pivot row k
+    of work is num[k]/den[k] times the row Fraction elimination with the same
+    exchanges would hold; the exchanges' signs are folded into num.
+    """
+    work, num, den = [], [], []
+    for row in rows:
+        ratios = [x.as_integer_ratio() for x in row]
+        d = lcm(*[q for _, q in ratios])
+        ints = [n * (d // q) for n, q in ratios]
+        g = gcd(*ints) or 1
+        work.append([x // g for x in ints])
+        num.append(d)
+        den.append(g)
+    nrows, ncols = len(work), len(work[0]) if work else 0
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows or not (swap or work[r][c]):
+            break
+        usable = [i for i in range(r, nrows if swap else r + 1) if work[i][c]]
+        if not usable:
+            continue
+        pr = min(usable, key=lambda i: abs(work[i][c]))
+        if pr != r:
+            work[r], work[pr] = work[pr], work[r]
+            num[r], num[pr] = -num[pr], num[r]
+            den[r], den[pr] = den[pr], den[r]
+        p = work[r][c]
+        support = [(j, y) for j, y in enumerate(work[r]) if y]
+        for i in range(0 if reduce else r + 1, nrows):
+            row = work[i]
+            f = row[c]
+            if i == r or not f:
+                continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                row = [a * x for x in row]
+            for j, y in support:
+                row[j] -= b * y
+            g = gcd(*row)
+            work[i] = [x // g for x in row] if g > 1 else row
+            num[i] *= a
+            den[i] *= g or 1
+        pivots.append(c)
+    return work, pivots, num, den
+
+
 def rref(rows: Sequence[Vector]) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    work = [list(r) for r in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if work[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = ONE / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+    work, pivots, _, _ = _eliminate(rows)
+    red = tuple(
+        tuple(Fraction(x, row[c]) if x else ZERO for x in row) for row, c in zip(work, pivots)
+    )
+    return red, tuple(pivots)
+
+
+def _null_basis(red: Matrix, pivots: Sequence[int], ncols: int) -> tuple[Vector, ...]:
+    """Canonical basis of {x : red @ x = 0}, red in RREF on its first ncols columns."""
+    basis = []
+    for f in sorted(set(range(ncols)).difference(pivots)):
+        v = [ZERO] * ncols
+        v[f] = ONE
+        for row, p in zip(red, pivots):
+            if p < ncols:
+                v[p] = -row[f]
+        basis.append(tuple(v))
+    return rref(basis)[0] if basis else ()
 
 
 def nullspace(rows: Sequence[Vector], ncols: int) -> tuple[Vector, ...]:
     """Canonical (row-reduced) basis of {x : rows @ x = 0}."""
-    if not rows:
-        return tuple(identity(ncols)) if ncols else ()
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(tuple(v))
-    if not basis:
-        return ()
-    canonical, _ = rref(basis)
-    return canonical
+    return _null_basis(*rref(rows), ncols)
 
 
 def solve_affine(rows: Sequence[Vector], rhs: Sequence[Fraction]) -> tuple[Vector | None, tuple[Vector, ...]]:
     """Solve rows @ x = rhs; returns (particular or None, nullspace basis).
 
-    The particular solution sets all free variables to zero, making it
-    canonical for a given system.
+    One elimination of the augmented system gives both: its first ncols
+    columns are the RREF of rows, and the particular solution sets all free
+    variables to zero, making it canonical for a given system.
     """
-    ncols = len(rows[0]) if rows else 0
     if not rows:
-        return zero_vector(ncols), nullspace(rows, ncols)
-    aug = [tuple(r) + (b,) for r, b in zip(rows, rhs, strict=True)]
-    red, pivots = rref(aug)
+        return (), ()
+    ncols = len(rows[0])
+    red, pivots = rref([tuple(r) + (b,) for r, b in zip(rows, rhs, strict=True)])
+    basis = _null_basis(red, pivots, ncols)
     if ncols in pivots:
-        return None, nullspace(rows, ncols)
+        return None, basis
     x = [ZERO] * ncols
     for r, p in enumerate(pivots):
         x[p] = red[r][ncols]
-    return tuple(x), nullspace(rows, ncols)
+    return tuple(x), basis
 
 
 def solve_unique(rows: Sequence[Vector], rhs: Sequence[Fraction]) -> Vector | None:
@@ -200,32 +247,25 @@ def in_span(rows: Sequence[Vector], v: Vector) -> bool:
 
 
 def det(m: Matrix) -> Fraction:
-    """Determinant by exact Gaussian elimination."""
-    n = len(m)
-    work = [list(r) for r in m]
-    result = ONE
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-            result = -result
-        result *= work[c][c]
-        inv = ONE / work[c][c]
-        for i in range(c + 1, n):
-            if work[i][c] != 0:
-                f = work[i][c] * inv
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    return result
+    """Determinant: the product of the pivots of one forward elimination."""
+    work, pivots, num, den = _eliminate(m, reduce=False)
+    if len(pivots) < len(m):
+        return ZERO
+    return Fraction(prod(row[c] * d for row, c, d in zip(work, pivots, den)), prod(num))
 
 
 def positive_definite(m: Matrix) -> tuple[bool, int | None]:
-    """Sylvester's criterion; returns (ok, first failing minor size)."""
-    for k in range(1, len(m) + 1):
-        minor = tuple(row[:k] for row in m[:k])
-        if det(minor) <= 0:
+    """Sylvester's criterion; returns (ok, first failing minor size).
+
+    While minors 1..k-1 are positive, rows are only scaled by positive
+    factors, so pivot k has the sign of minor k; a zero pivot ends the pass.
+    """
+    work, pivots, _, _ = _eliminate(m, reduce=False, swap=False)
+    for k, (row, c) in enumerate(zip(work, pivots), start=1):
+        if row[c] < 0:
             return False, k
+    if len(pivots) < len(m):
+        return False, len(pivots) + 1
     return True, None
 
 

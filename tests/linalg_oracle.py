@@ -1,0 +1,128 @@
+"""Reference oracle for lieforge.linalg: plain Fraction Gauss-Jordan elimination.
+
+These are the straightforward Fraction-arithmetic versions of rref,
+nullspace, solve_affine, solve_unique, in_span, det and positive_definite
+that the integer elimination kernel in lieforge.linalg replaced. They are
+slow but obviously correct; tests/test_linalg.py checks that the fast path
+returns exactly the same values.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from lieforge.linalg import ONE, ZERO, Matrix, Vector, identity, is_zero_vector, zero_vector
+
+
+def rref(rows: Sequence[Vector]) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    work = [list(r) for r in rows]
+    nrows = len(work)
+    ncols = len(work[0]) if work else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if work[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = ONE / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(nrows):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+
+
+def nullspace(rows: Sequence[Vector], ncols: int) -> tuple[Vector, ...]:
+    """Canonical (row-reduced) basis of {x : rows @ x = 0}."""
+    if not rows:
+        return tuple(identity(ncols)) if ncols else ()
+    red, pivots = rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [ZERO] * ncols
+        v[f] = ONE
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        basis.append(tuple(v))
+    if not basis:
+        return ()
+    canonical, _ = rref(basis)
+    return canonical
+
+
+def solve_affine(rows: Sequence[Vector], rhs: Sequence[Fraction]) -> tuple[Vector | None, tuple[Vector, ...]]:
+    """Solve rows @ x = rhs; returns (particular or None, nullspace basis).
+
+    The particular solution sets all free variables to zero, making it
+    canonical for a given system.
+    """
+    ncols = len(rows[0]) if rows else 0
+    if not rows:
+        return zero_vector(ncols), nullspace(rows, ncols)
+    aug = [tuple(r) + (b,) for r, b in zip(rows, rhs, strict=True)]
+    red, pivots = rref(aug)
+    if ncols in pivots:
+        return None, nullspace(rows, ncols)
+    x = [ZERO] * ncols
+    for r, p in enumerate(pivots):
+        x[p] = red[r][ncols]
+    return tuple(x), nullspace(rows, ncols)
+
+
+def solve_unique(rows: Sequence[Vector], rhs: Sequence[Fraction]) -> Vector | None:
+    """Unique solution of rows @ x = rhs, or None when absent/non-unique."""
+    part, null = solve_affine(rows, rhs)
+    if part is None or null:
+        return None
+    return part
+
+
+def in_span(rows: Sequence[Vector], v: Vector) -> bool:
+    """Is v a linear combination of the given rows?"""
+    if is_zero_vector(v):
+        return True
+    if not rows:
+        return False
+    cols = [tuple(r[j] for r in rows) for j in range(len(v))]
+    part, _ = solve_affine(cols, v)
+    return part is not None
+
+
+def det(m: Matrix) -> Fraction:
+    """Determinant by exact Gaussian elimination."""
+    n = len(m)
+    work = [list(r) for r in m]
+    result = ONE
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if work[i][c] != 0), None)
+        if pivot_row is None:
+            return ZERO
+        if pivot_row != c:
+            work[c], work[pivot_row] = work[pivot_row], work[c]
+            result = -result
+        result *= work[c][c]
+        inv = ONE / work[c][c]
+        for i in range(c + 1, n):
+            if work[i][c] != 0:
+                f = work[i][c] * inv
+                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
+    return result
+
+
+def positive_definite(m: Matrix) -> tuple[bool, int | None]:
+    """Sylvester's criterion; returns (ok, first failing minor size)."""
+    for k in range(1, len(m) + 1):
+        minor = tuple(row[:k] for row in m[:k])
+        if det(minor) <= 0:
+            return False, k
+    return True, None
+

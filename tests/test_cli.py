@@ -275,3 +275,37 @@ def test_json_embeds_algebra():
     doc = json.loads(blob)
     assert doc["algebra"]["dim"] == 4
     assert {"k": 3, "value": "1"} in doc["algebra"]["brackets"][0]["coeffs"]
+
+
+FORM_FILE_BAD = "lieforge/1 structure\nkind form\nvalues 0 0 x\n"
+MAP_FILE_BAD = "lieforge/1 structure\nkind map\nrow 1 = 1 0 1/0\nrow 2 = 0 1 0\nrow 3 = 0 0 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, file_text",
+    [
+        (["check", "derivation", "--builtin", "h3", "--map", "diag:1/0,1,1"], None),
+        (["check", "contact", "--builtin", "h3", "--form", "1/0e3"], None),
+        (["check", "contact", "--builtin", "h3", "--form", "@{path}"], FORM_FILE_BAD),
+        (["check", "derivation", "--builtin", "h3", "--map", "@{path}"], MAP_FILE_BAD),
+        (["extend", "central", "--builtin", "h3", "--two-form", "1/0e1^e2"], None),
+        (["solve", "derivations", "--builtin", "h3", "--fix", "sends:1/0,0,0->e1"], None),
+        (["solve", "derivations", "--builtin", "h3", "--fix", "alpha∘D=1/0:e3"], None),
+        (["extend", "double", "--builtin", "h3", "--two-form", "0", "--map", "diag:0,0,0", "--dz", "0,0,0:x"], None),
+        (
+            ["construct", "sasakian-double", "--builtin", "h3", "--two-form", "0", "--map", "diag:0,0,0,1",
+             "--w-scale", "1/0"],
+            None,
+        ),
+    ],
+    ids=["diag-map", "inline-form", "form-file", "map-file", "inline-two-form", "sends-vector",
+         "eigen-factor", "dz-scale", "w-scale"],
+)
+def test_bad_rational_is_a_parse_error(argv, file_text, tmp_path, capsys):
+    from lieforge.cli import main
+
+    path = tmp_path / "bad.lf"
+    if file_text is not None:
+        path.write_text(file_text)
+    assert main([a.format(path=path) for a in argv]) == 2
+    assert "error: bad rational" in capsys.readouterr().err

@@ -1,6 +1,13 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import lieforge as lf
+import linalg_oracle as oracle
+from lieforge.derivations import _form_eigen_rows, _leibniz_rows
+from lieforge.forms import KForm
 from lieforge.linalg import (
     det,
     fmt_vector,
@@ -16,7 +23,7 @@ from lieforge.linalg import (
     vector,
 )
 
-from conftest import random_matrix
+from conftest import conjugate_algebra, conjugate_one_form, mat_inverse, random_matrix
 
 
 def test_scalar_parsing():
@@ -99,3 +106,138 @@ def test_fmt_vector():
     assert fmt_vector(vector([1, 0, 0]), labels) == "e1"
     assert fmt_vector(vector([0, -1, "1/2"]), labels) == "-e2 + 1/2*e3"
     assert fmt_vector(vector([0, 0, 0]), labels) == "0"
+
+
+# --- the integer kernel against the Fraction Gauss-Jordan oracle -------------
+#
+# Every comparison is tuple equality of Fractions, so the fast path must give
+# the oracle's exact values, not just equivalent ones.
+
+SMALL = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 1, 2, 3]))
+WIDE = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+ENTRIES = st.one_of(st.just(Fraction(0)), SMALL, WIDE)
+
+
+@st.composite
+def matrices(draw, max_rows=6, max_cols=6, square=False):
+    """Random rows plus rows that are combinations of them, so rank varies."""
+    ncols = draw(st.integers(1 if square else 0, max_cols))
+    nrows = ncols if square else draw(st.integers(0, max_rows))
+    rows = []
+    for _ in range(nrows):
+        if rows and draw(st.integers(0, 3)) == 0:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            ca, cb = draw(SMALL), draw(SMALL)
+            rows.append(tuple(ca * x + cb * y for x, y in zip(a, b)))
+        else:
+            rows.append(tuple(draw(ENTRIES) for _ in range(ncols)))
+    return tuple(rows)
+
+
+def with_rhs(rows, draw):
+    """A consistent right-hand side (rows @ x) or an arbitrary one."""
+    if draw(st.booleans()):
+        x = tuple(draw(ENTRIES) for _ in range(len(rows[0]) if rows else 0))
+        return mat_vec(rows, x)
+    return tuple(draw(ENTRIES) for _ in rows)
+
+
+EDGE_CASES = [
+    (),
+    ((),),
+    matrix([[0, 0, 0]]),
+    matrix([[0, 0], [0, 0], [0, 0]]),
+    matrix([[0, "-7/3", 5, 0]]),
+    matrix([[-2, 1], [1, "-1/999999"]]),
+    matrix([["1/1000000", "-999999/1000000"], ["-3/7", "2/5"]]),
+]
+
+
+@pytest.mark.parametrize("rows", EDGE_CASES)
+def test_edge_cases_match_oracle(rows):
+    ncols = len(rows[0]) if rows else 0
+    assert rref(rows) == oracle.rref(rows)
+    assert nullspace(rows, ncols) == oracle.nullspace(rows, ncols)
+    rhs = tuple(Fraction(i + 1) for i in range(len(rows)))
+    assert solve_affine(rows, rhs) == oracle.solve_affine(rows, rhs)
+    if len(rows) == ncols:
+        assert det(rows) == oracle.det(rows)
+        assert positive_definite(rows) == oracle.positive_definite(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rref_and_nullspace_match_oracle(rows):
+    ncols = len(rows[0]) if rows else 0
+    assert rref(rows) == oracle.rref(rows)
+    assert nullspace(rows, ncols) == oracle.nullspace(rows, ncols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_solvers_match_oracle(data):
+    rows = data.draw(matrices())
+    rhs = with_rhs(rows, data.draw)
+    assert solve_affine(rows, rhs) == oracle.solve_affine(rows, rhs)
+    assert solve_unique(rows, rhs) == oracle.solve_unique(rows, rhs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_in_span_matches_oracle(data):
+    rows = data.draw(matrices())
+    ncols = len(rows[0]) if rows else data.draw(st.integers(0, 4))
+    if rows and data.draw(st.booleans()):
+        coeffs = [data.draw(SMALL) for _ in rows]
+        v = tuple(sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0)) for j in range(ncols))
+    else:
+        v = tuple(data.draw(ENTRIES) for _ in range(ncols))
+    assert in_span(rows, v) == oracle.in_span(rows, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(square=True))
+def test_det_matches_oracle(m):
+    assert det(m) == oracle.det(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(square=True), st.integers(-3, 3))
+def test_positive_definite_matches_oracle(m, shift):
+    # M^T M + shift*I: positive definite, semidefinite or indefinite, with
+    # negative and zero pivots at every position.
+    n = len(m)
+    gram = tuple(
+        tuple(
+            sum((m[k][i] * m[k][j] for k in range(n)), Fraction(0)) + (shift if i == j else 0)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    assert positive_definite(gram) == oracle.positive_definite(gram)
+    assert positive_definite(m) == oracle.positive_definite(m)
+
+
+@st.composite
+def dense_h5(draw):
+    """h5 ([x1,y1] = [x2,y2] = z) in a random integer basis, with z* there."""
+    p = tuple(tuple(Fraction(draw(st.integers(-2, 2))) for _ in range(5)) for _ in range(5))
+    assume(oracle.det(p) != 0)
+    h5 = lf.LieAlgebra.from_brackets(5, {(0, 2): {4: 1}, (1, 3): {4: 1}})
+    g = conjugate_algebra(h5, p, mat_inverse(p))
+    return g, conjugate_one_form(KForm.basis_one_form(5, 4), p)
+
+
+@settings(max_examples=15, deadline=None)
+@given(dense_h5(), st.booleans())
+def test_dense_leibniz_systems_match_oracle(case, inconsistent):
+    g, alpha = case
+    rows, rhs = _leibniz_rows(g)
+    assert nullspace(rows, 25) == oracle.nullspace(rows, 25)
+    eigen_rows, eigen_rhs = _form_eigen_rows(g, alpha, Fraction(1))
+    rows, rhs = rows + eigen_rows, rhs + eigen_rhs
+    if inconsistent:  # a repeated equation with another right-hand side
+        rows, rhs = rows + [rows[0]], rhs + [rhs[0] + 1]
+    got = solve_affine(rows, rhs)
+    assert got == oracle.solve_affine(rows, rhs)
+    assert (got[0] is None) == inconsistent
