@@ -25,6 +25,7 @@ from .linalg import (
     nullspace,
     rref,
     scalar,
+    transpose,
     vec_add,
     vec_scale,
     zero_vector,
@@ -117,8 +118,7 @@ def bracket(g: LieAlgebra, x: Vector, y: Vector) -> Vector:
 
 def adjoint(g: LieAlgebra, x: Vector) -> Matrix:
     """ad(x): column j is [x, e_j]."""
-    cols = [bracket(g, x, g.basis_vector(j)) for j in range(g.dim)]
-    return tuple(tuple(cols[j][i] for j in range(g.dim)) for i in range(g.dim))
+    return transpose([bracket(g, x, g.basis_vector(j)) for j in range(g.dim)])
 
 
 def jacobi_residual(g: LieAlgebra, i: int, j: int, k: int) -> Vector:

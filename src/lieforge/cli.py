@@ -38,7 +38,7 @@ from .fileio import (
     render_text,
 )
 from .forms import KForm, evaluation_sign
-from .linalg import Matrix, fmt_scalar, fmt_vector, scalar
+from .linalg import Matrix, Vector, fmt_scalar, fmt_vector, scalar
 from .report import CheckItem, LieforgeError, PreconditionError, fail
 from .structures import (
     KahlerStructure,
@@ -133,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_algebra(args) -> tuple[LieAlgebra, Builtin | None]:
+def _read_algebra(args) -> tuple[LieAlgebra, Builtin | None]:
     if getattr(args, "builtin", None):
         b = builtin(args.builtin)
         return b.algebra, b
@@ -141,6 +141,23 @@ def _load_algebra(args) -> tuple[LieAlgebra, Builtin | None]:
         text = Path(args.algebra).read_text()
         return parse_algebra(text), None
     raise ParseError("need --builtin or --algebra", 0, "algebra")
+
+
+def _load_algebra(args) -> tuple[LieAlgebra, Builtin | None]:
+    """The input algebra; one read from a file is refused with its report unless it is Lie."""
+    g, b = _read_algebra(args)
+    if b is None:
+        report = check_jacobi(g)
+        if not report.overall:
+            raise PreconditionError("algebra fails the Jacobi identity", report)
+    return g, b
+
+
+def _need(value, flag: str):
+    """``value``, or the usage error for the missing ``--flag``."""
+    if value is None:
+        raise ParseError(f"need --{flag}", 0, flag)
+    return value
 
 
 def _named_maps(b: Builtin | None) -> dict[str, Matrix]:
@@ -166,7 +183,7 @@ def _get_two_form(spec: str | None, g: LieAlgebra, dim: int | None = None) -> KF
         parsed = parse_structure(Path(spec[1:]).read_text())
         if parsed.kind != "two_form":
             raise ParseError("expected a structure file of kind two_form", 0, "two-form")
-        return KForm.two_form(dim, parsed.two_forms["values"])
+        return parsed.two_form_of("values", dim)
     return parse_two_form_inline(spec, dim)
 
 
@@ -196,43 +213,31 @@ def _assemble_dz(base: Matrix, dz_spec: str) -> Matrix:
 
 def _extension_map(args, g: LieAlgebra, b: Builtin | None, on_central: bool) -> Matrix:
     dim = g.dim + 1 if on_central else g.dim
-    if args.map is None:
-        raise ParseError("need --map", 0, "map")
+    spec = _need(args.map, "map")
     if on_central and args.dz is not None:
-        base = _get_map(args.map, g.dim, b)
-        return _assemble_dz(base, args.dz)
-    return _get_map(args.map, dim, b)
+        return _assemble_dz(_get_map(spec, g.dim, b), args.dz)
+    return _get_map(spec, dim, b)
 
 
-def _sasakian_from_file(path: str, g: LieAlgebra) -> SasakianStructure:
+def _sasakian_file(path: str, g: LieAlgebra) -> tuple[Vector, KForm, Matrix]:
+    """(reeb, alpha, phi) from a structure file of kind sasakian."""
     parsed = parse_structure(Path(path).read_text())
     if parsed.kind != "sasakian":
         raise ParseError("expected a structure file of kind sasakian", 0, "structure")
-    reeb = parsed.vectors["xi"]
-    alpha = KForm.one_form(g.dim, parsed.forms["alpha"])
-    phi = parsed.matrix_of("phi", g.dim)
-    report, structure = check_sasakian(g, reeb, alpha, phi)
-    if structure is None:
-        raise PreconditionError("supplied data fails the Sasakian axioms", report)
-    return structure
+    return parsed.vectors["xi"], KForm.one_form(g.dim, parsed.forms["alpha"]), parsed.matrix_of("phi", g.dim)
 
 
-def _sasakian_input(args, g: LieAlgebra, b: Builtin | None) -> SasakianStructure:
+def _sasakian_input(args, g: LieAlgebra, b: Builtin | None) -> tuple[Vector, KForm, Matrix]:
+    """(reeb, alpha, phi) for check sasakian: --structure, --xi/--form/--map or the builtin's."""
     if args.structure:
-        return _sasakian_from_file(args.structure, g)
-    if args.xi or args.form or getattr(args, "map", None):
-        if not (args.xi and args.form and args.map):
+        return _sasakian_file(args.structure, g)
+    if args.xi:
+        if not (args.form and args.map):
             raise ParseError("file-free sasakian input needs --xi, --form and --map", 0, "structure")
-        reeb = parse_vector_inline(args.xi, g.dim)
-        alpha = _get_form(args.form, g)
-        phi = _get_map(args.map, g.dim, b)
-        report, structure = check_sasakian(g, reeb, alpha, phi)
-        if structure is None:
-            raise PreconditionError("supplied data fails the Sasakian axioms", report)
-        return structure
-    if b is not None:
-        return b.sasakian()
-    raise ParseError("need --structure or --xi/--form/--map for the Sasakian data", 0, "structure")
+        return parse_vector_inline(args.xi, g.dim), _get_form(args.form, g), _get_map(args.map, g.dim, b)
+    if b is None or b.sasakian_data is None:
+        raise ParseError("need --structure or --xi/--form/--map", 0, "structure")
+    return b.sasakian_data
 
 
 def _frobenius_source(args, g: LieAlgebra, b: Builtin | None):
@@ -249,29 +254,34 @@ def _frobenius_source(args, g: LieAlgebra, b: Builtin | None):
 
 
 def _construct_sasakian_source(args, g: LieAlgebra, b: Builtin | None) -> SasakianStructure:
-    """Sasakian data for construct commands; --map stays free for the derivation."""
+    """Checked Sasakian data for construct commands; --map stays free for the derivation."""
     if args.structure:
-        return _sasakian_from_file(args.structure, g)
+        report, structure = check_sasakian(g, *_sasakian_file(args.structure, g))
+        if structure is None:
+            raise PreconditionError("supplied data fails the Sasakian axioms", report)
+        return structure
     if b is not None and b.sasakian_data is not None:
         return b.sasakian()
     raise ParseError("need --structure (kind sasakian) or a builtin with Sasakian data", 0, "structure")
 
 
-def _kahler_input(args, g: LieAlgebra, b: Builtin | None) -> KahlerStructure:
+def _kahler_input(args, g: LieAlgebra, b: Builtin | None) -> tuple[Matrix, KForm] | None:
+    """(J, omega) from --structure or from --map with --two-form; None when neither is given."""
     if args.structure:
         parsed = parse_structure(Path(args.structure).read_text())
         if parsed.kind != "kahler":
             raise ParseError("expected a structure file of kind kahler", 0, "structure")
-        j = parsed.matrix_of("j", g.dim)
-        omega = KForm.two_form(g.dim, parsed.two_forms.get("omega", {}))
-        report, structure = check_kahler(g, j, omega)
-        if structure is None:
-            raise PreconditionError("supplied data fails the Kahler axioms", report)
-        return structure
-    if getattr(args, "map", None) and getattr(args, "two_form", None):
-        j = _get_map(args.map, g.dim, b)
-        omega = _get_two_form(args.two_form, g)
-        report, structure = check_kahler(g, j, omega)
+        return parsed.matrix_of("j", g.dim), parsed.two_form_of("omega", g.dim)
+    if args.map and args.two_form:
+        return _get_map(args.map, g.dim, b), _get_two_form(args.two_form, g)
+    return None
+
+
+def _construct_kahler_source(args, g: LieAlgebra, b: Builtin | None) -> KahlerStructure:
+    """Checked Kahler data for construct commands: the given data, else the builtin's."""
+    data = _kahler_input(args, g, b)
+    if data is not None:
+        report, structure = check_kahler(g, *data)
         if structure is None:
             raise PreconditionError("supplied data fails the Kahler axioms", report)
         return structure
@@ -335,56 +345,34 @@ def _parse_fix(spec: str, g: LieAlgebra, b: Builtin | None):
 
 
 def _cmd_check(args) -> tuple[ReportDocument, int]:
-    g, b = _load_algebra(args)
+    # check jacobi reports a failing Jacobi identity itself, so it reads the bare algebra
+    g, b = _read_algebra(args) if args.kind == "jacobi" else _load_algebra(args)
     command = f"check {args.kind}"
     if args.kind == "jacobi":
         report = check_jacobi(g)
     elif args.kind == "cocycle":
-        theta = _get_two_form(args.two_form, g)
-        if theta is None:
-            raise ParseError("need --two-form", 0, "two-form")
-        report = is_cocycle(g, theta)
+        report = is_cocycle(g, _need(_get_two_form(args.two_form, g), "two-form"))
     elif args.kind == "derivation":
-        d = _get_map(args.map, g.dim, b)
-        if d is None:
-            raise ParseError("need --map", 0, "map")
-        report = is_derivation(g, d)
+        report = is_derivation(g, _need(_get_map(args.map, g.dim, b), "map"))
     elif args.kind == "contact":
         alpha = _get_form(args.form, g)
         if alpha is None and b is not None and b.sasakian_data is not None:
             alpha = b.sasakian_data[1]
-        if alpha is None:
-            raise ParseError("need --form", 0, "form")
-        report, _ = check_contact(g, alpha)
+        report, _ = check_contact(g, _need(alpha, "form"))
     elif args.kind == "frobenius":
         phi = _get_form(args.form, g)
         if phi is None and b is not None and b.frobenius_form is not None:
             phi = b.frobenius_form
-        if phi is None:
-            raise ParseError("need --form", 0, "form")
-        report, _ = check_frobenius(g, phi)
+        report, _ = check_frobenius(g, _need(phi, "form"))
     elif args.kind == "kahler":
-        if args.structure or (args.map and args.two_form):
-            try:
-                structure = _kahler_input(args, g, b)
-                report, _ = check_kahler(g, structure.j, structure.omega)
-            except PreconditionError as exc:
-                report = exc.report
-        else:
+        data = _kahler_input(args, g, b)
+        if data is None:
             if b is None or b.kahler_data is None:
                 raise ParseError("need --structure or --map/--two-form", 0, "structure")
-            report, _ = check_kahler(g, *b.kahler_data)
+            data = b.kahler_data
+        report, _ = check_kahler(g, *data)
     else:  # sasakian
-        if args.structure or args.xi:
-            try:
-                structure = _sasakian_input(args, g, b)
-                report, _ = check_sasakian(g, structure.reeb, structure.alpha, structure.phi)
-            except PreconditionError as exc:
-                report = exc.report
-        else:
-            if b is None or b.sasakian_data is None:
-                raise ParseError("need --structure or --xi/--form/--map", 0, "structure")
-            report, _ = check_sasakian(g, *b.sasakian_data)
+        report, _ = check_sasakian(g, *_sasakian_input(args, g, b))
     doc = _adjust_evaluations(ReportDocument.from_report(command, report), g.dim, args.wedge_convention)
     return doc, 0 if report.overall else 1
 
@@ -394,28 +382,16 @@ def _cmd_extend(args) -> tuple[ReportDocument, int]:
     command = f"extend {args.kind}"
     check = not args.force
     if args.kind == "central":
-        theta = _get_two_form(args.two_form, g)
-        if theta is None:
-            raise ParseError("need --two-form", 0, "two-form")
-        ext = central_extension(g, theta, check=check)
+        ext = central_extension(g, _need(_get_two_form(args.two_form, g), "two-form"), check=check)
     elif args.kind == "derivation":
-        d = _get_map(args.map, g.dim, b)
-        if d is None:
-            raise ParseError("need --map", 0, "map")
-        ext = derivation_extension(g, d, check=check)
+        ext = derivation_extension(g, _need(_get_map(args.map, g.dim, b), "map"), check=check)
     elif args.kind == "double":
-        theta = _get_two_form(args.two_form, g)
-        if theta is None:
-            raise ParseError("need --two-form", 0, "two-form")
+        theta = _need(_get_two_form(args.two_form, g), "two-form")
         d = _extension_map(args, g, b, on_central=True)
         ext = double_extension(g, theta, d, check=check)
     else:  # reversed
-        alpha = _get_form(args.form, g)
-        if alpha is None:
-            raise ParseError("need --form", 0, "form")
-        d = _get_map(args.map, g.dim, b)
-        if d is None:
-            raise ParseError("need --map", 0, "map")
+        alpha = _need(_get_form(args.form, g), "form")
+        d = _need(_get_map(args.map, g.dim, b), "map")
         ext = reversed_double_extension(g, alpha, d, check=check)
     report = check_jacobi(ext.algebra)
     doc = ReportDocument.from_report(
@@ -429,12 +405,10 @@ def _cmd_construct(args) -> tuple[ReportDocument, int]:
     command = f"construct {args.kind}"
     if args.kind == "fk-to-sasakian":
         frob = _frobenius_source(args, g, b)
-        kahler = _kahler_input(args, g, b) if args.structure else (b.kahler() if b else None)
+        kahler = _construct_kahler_source(args, g, b) if args.structure else (b.kahler() if b else None)
         if kahler is None:
             raise ParseError("need Kahler data", 0, "structure")
-        d = _get_map(args.map, g.dim, b)
-        if d is None:
-            raise ParseError("need --map", 0, "map")
+        d = _need(_get_map(args.map, g.dim, b), "map")
         ext, report, structure = frobenius_kahler_to_sasakian(g, frob, kahler, d)
         sections = _structure_sections(ext.algebra, structure) if structure else ()
         doc = ReportDocument.from_report(
@@ -443,9 +417,7 @@ def _cmd_construct(args) -> tuple[ReportDocument, int]:
         return doc, 0 if report.overall else 1
     if args.kind == "sasakian-to-fk":
         s = _construct_sasakian_source(args, g, b)
-        d = _get_map(args.map, g.dim, b)
-        if d is None:
-            raise ParseError("need --map", 0, "map")
+        d = _need(_get_map(args.map, g.dim, b), "map")
         ext, report, frob, kahler = sasakian_to_frobenius_kahler(g, s, d)
         sections = _structure_sections(ext.algebra, kahler) if kahler else ()
         notes = _extension_notes(ext)
@@ -454,9 +426,7 @@ def _cmd_construct(args) -> tuple[ReportDocument, int]:
         doc = ReportDocument.from_report(command, report.with_notes(*notes), algebra=ext.algebra, sections=sections)
         return doc, 0 if report.overall else 1
     if args.kind == "kahler-to-sasakian":
-        kahler = _kahler_input(args, g, b)
-        ext, structure = kahler_to_sasakian_central(g, kahler)
-        report, _ = check_sasakian(ext.algebra, structure.reeb, structure.alpha, structure.phi)
+        ext, report, structure = kahler_to_sasakian_central(g, _construct_kahler_source(args, g, b))
         doc = ReportDocument.from_report(
             command,
             report.with_notes(*_extension_notes(ext)),
@@ -466,17 +436,14 @@ def _cmd_construct(args) -> tuple[ReportDocument, int]:
         return doc, 0 if report.overall else 1
     if args.kind == "sasakian-reduction":
         s = _construct_sasakian_source(args, g, b)
-        h, structure = sasakian_reduction(g, s)
-        report, _ = check_kahler(h, structure.j, structure.omega)
+        h, report, structure = sasakian_reduction(g, s)
         doc = ReportDocument.from_report(
             command, report, algebra=h, sections=_structure_sections(h, structure)
         )
         return doc, 0 if report.overall else 1
     if args.kind == "sasakian-double":
         s = _construct_sasakian_source(args, g, b)
-        theta = _get_two_form(args.two_form, g)
-        if theta is None:
-            raise ParseError("need --two-form", 0, "two-form")
+        theta = _need(_get_two_form(args.two_form, g), "two-form")
         d = _extension_map(args, g, b, on_central=True)
         c = _scalar_at(args.w_scale, 0, "w-scale") if args.w_scale else None
         params = solve_double_extension_params(g, s, theta, d, c)
@@ -490,7 +457,7 @@ def _cmd_construct(args) -> tuple[ReportDocument, int]:
         return doc, 0 if report.overall else 1
     # contact-ideal
     frob = _frobenius_source(args, g, b)
-    kahler = _kahler_input(args, g, b) if args.structure else (b.kahler() if b else None)
+    kahler = _construct_kahler_source(args, g, b) if args.structure else (b.kahler() if b else None)
     if kahler is None:
         raise ParseError("need Kahler data", 0, "structure")
     h, report, structure = contact_ideal_restriction(g, frob, kahler)
@@ -536,18 +503,14 @@ def _cmd_solve(args) -> tuple[ReportDocument, int]:
         alpha = _get_form(args.form, g)
         if alpha is None and b is not None and b.sasakian_data is not None:
             alpha = b.sasakian_data[1]
-        if alpha is None:
-            raise ParseError("need --form", 0, "form")
-        report, contact = check_contact(g, alpha)
+        report, contact = check_contact(g, _need(alpha, "form"))
         doc = _adjust_evaluations(ReportDocument.from_report(command, report), g.dim, args.wedge_convention)
         return doc, 0 if contact is not None else 1
     # principal
     phi = _get_form(args.form, g)
     if phi is None and b is not None and b.frobenius_form is not None:
         phi = b.frobenius_form
-    if phi is None:
-        raise ParseError("need --form", 0, "form")
-    report, frob = check_frobenius(g, phi)
+    report, frob = check_frobenius(g, _need(phi, "form"))
     doc = ReportDocument.from_report(command, report)
     return doc, 0 if frob is not None else 1
 

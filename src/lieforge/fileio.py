@@ -23,7 +23,9 @@ Structure files declare one object per file:
                                 a = 1 / b = 0 / c = 1 / d = -1 / u = 0 0 0
 
 Indices are 1-based in files and reports; rationals are "p" or "p/q".
-Parse errors carry the byte offset of the offending line.
+A key may appear once per file: a repeated field, map row, two-form entry
+or bracket is a parse error. Parse errors carry the byte offset of the
+offending line.
 """
 
 from __future__ import annotations
@@ -98,9 +100,12 @@ def parse_algebra(text: str) -> LieAlgebra:
     dim: int | None = None
     labels: tuple[str, ...] | None = None
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    assigned: set[str] = set()
     for offset, line in body:
         key, _, rest = line.partition(" ")
         rest = rest.strip()
+        if key in ("dim", "basis"):
+            _assign_once(assigned, key, offset)
         if key == "dim":
             dim = _int_at(rest, offset, "dim")
             if dim <= 0:
@@ -120,6 +125,8 @@ def parse_algebra(text: str) -> LieAlgebra:
             j = _int_at(parts[1], offset, "bracket") - 1
             if not 0 <= i < j < dim:
                 raise ParseError("bracket indices must satisfy 1 <= i < j <= dim", offset, "bracket")
+            if (i, j) in brackets:
+                raise ParseError(f"bracket {i + 1} {j + 1} given twice", offset, "bracket")
             entry: dict[int, Fraction] = {}
             for chunk in coeffs.split():
                 k_str, colon, val = chunk.partition(":")
@@ -128,9 +135,10 @@ def parse_algebra(text: str) -> LieAlgebra:
                 k = _int_at(k_str, offset, "bracket") - 1
                 if not 0 <= k < dim:
                     raise ParseError(f"target index {k + 1} out of range", offset, "bracket")
+                if k in entry:
+                    raise ParseError(f"target index {k + 1} given twice", offset, "bracket")
                 entry[k] = _scalar_at(val, offset, "bracket")
-            if entry:
-                brackets[(i, j)] = entry
+            brackets[(i, j)] = entry
         else:
             raise ParseError(f"unknown field {key!r}", offset, key)
     if dim is None:
@@ -154,16 +162,24 @@ class ParsedStructure:
     vectors: dict[str, Vector] = field(default_factory=dict)
     forms: dict[str, Vector] = field(default_factory=dict)  # 1-form coefficient lists
     two_forms: dict[str, dict[tuple[int, int], Fraction]] = field(default_factory=dict)
-    maps: dict[str, list[tuple[int, Vector]]] = field(default_factory=dict)  # row lists
+    maps: dict[str, dict[int, Vector]] = field(default_factory=dict)  # rows by index
     scalars: dict[str, Fraction] = field(default_factory=dict)
 
     def matrix_of(self, name: str, dim: int) -> Matrix:
-        rows = dict(self.maps.get(name, ()))
+        rows = self.maps.get(name, {})
         if sorted(rows) != list(range(dim)):
             raise ParseError(f"map {name!r} needs rows 1..{dim}", 0, name)
         if any(len(r) != dim for r in rows.values()):
             raise ParseError(f"map {name!r} rows must have {dim} entries", 0, name)
         return tuple(rows[i] for i in range(dim))
+
+    def two_form_of(self, name: str, dim: int) -> KForm:
+        """The two-form ``name`` on a dim-dimensional algebra; absent entries are 0."""
+        entries = self.two_forms.get(name, {})
+        bad = next((ij for ij in entries if ij[1] >= dim), None)
+        if bad is not None:
+            raise ParseError(f"two-form {name!r} entry {bad[0] + 1} {bad[1] + 1} exceeds dim {dim}", 0, name)
+        return KForm.two_form(dim, entries)
 
 
 _KNOWN_KINDS = ("form", "two_form", "map", "sasakian", "kahler", "params")
@@ -179,22 +195,25 @@ def parse_structure(text: str) -> ParsedStructure:
     if key != "kind" or kind not in _KNOWN_KINDS:
         raise ParseError(f"expected 'kind' in {_KNOWN_KINDS}", offset, "kind")
     out = ParsedStructure(kind)
+    assigned: set[str] = set()  # names given by a "values" or "name = ..." line
     for offset, line in body[1:]:
         tokens = line.split()
         if kind == "form" and tokens[0] == "values":
+            _assign_once(assigned, "values", offset)
             out.forms["values"] = _vector_at(tokens[1:], offset, "values")
         elif kind == "two_form" and tokens[0] == "entry":
             _parse_two_form_entry(out.two_forms.setdefault("values", {}), tokens[1:], offset)
         elif kind == "map" and tokens[0] == "row":
-            _parse_map_row(out.maps.setdefault("values", []), tokens[1:], offset)
+            _parse_map_row(out.maps.setdefault("values", {}), tokens[1:], offset)
         elif kind in ("sasakian", "kahler", "params"):
             name = tokens[0]
             rest = tokens[1:]
             if rest and rest[0] == "row":
-                _parse_map_row(out.maps.setdefault(name, []), rest[1:], offset)
+                _parse_map_row(out.maps.setdefault(name, {}), rest[1:], offset)
             elif rest and rest[0] == "entry":
                 _parse_two_form_entry(out.two_forms.setdefault(name, {}), rest[1:], offset)
             elif rest and rest[0] == "=":
+                _assign_once(assigned, name, offset)
                 values = rest[1:]
                 if name in ("xi", "u"):
                     out.vectors[name] = _vector_at(values, offset, name)
@@ -211,11 +230,19 @@ def parse_structure(text: str) -> ParsedStructure:
     return out
 
 
-def _parse_map_row(rows: list[tuple[int, Vector]], tokens: list[str], offset: int) -> None:
+def _assign_once(assigned: set[str], name: str, offset: int) -> None:
+    if name in assigned:
+        raise ParseError(f"{name!r} given twice", offset, name)
+    assigned.add(name)
+
+
+def _parse_map_row(rows: dict[int, Vector], tokens: list[str], offset: int) -> None:
     if len(tokens) < 3 or tokens[1] != "=":
         raise ParseError("map row needs 'row I = entries'", offset, "row")
     idx = _int_at(tokens[0], offset, "row") - 1
-    rows.append((idx, _vector_at(tokens[2:], offset, "row")))
+    if idx in rows:
+        raise ParseError(f"row {idx + 1} given twice", offset, "row")
+    rows[idx] = _vector_at(tokens[2:], offset, "row")
 
 
 def _parse_two_form_entry(entries: dict[tuple[int, int], Fraction], tokens: list[str], offset: int) -> None:
@@ -225,6 +252,8 @@ def _parse_two_form_entry(entries: dict[tuple[int, int], Fraction], tokens: list
     j = _int_at(tokens[1], offset, "entry") - 1
     if not 0 <= i < j:
         raise ParseError("two-form entry needs i < j", offset, "entry")
+    if (i, j) in entries:
+        raise ParseError(f"entry {i + 1} {j + 1} given twice", offset, "entry")
     entries[(i, j)] = _scalar_at(tokens[3], offset, "entry")
 
 

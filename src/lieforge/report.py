@@ -43,6 +43,10 @@ class CheckReport:
     def with_notes(self, *extra: tuple[str, str]) -> "CheckReport":
         return CheckReport(self.items, self.notes + tuple(extra))
 
+    def prefixed(self, prefix: str) -> tuple[CheckItem, ...]:
+        """The items renamed ``prefix + name``, for merging into a larger report."""
+        return tuple(CheckItem(prefix + it.name, it.passed, it.witness) for it in self.items)
+
 
 def ok(name: str) -> CheckItem:
     return CheckItem(name, True)

@@ -5,11 +5,18 @@ Metric conventions, fixed by the worked four-dimensional example:
   * Sasakian metric g(x,y) = -d(alpha)(x, Phi y) + alpha(x) alpha(y).
 Both are recomputed from the supplied data and verified axiom by axiom;
 positive definiteness is decided exactly through leading principal minors.
+
+A Frobenius, Kahler or Sasakian structure returned by its ``check_*``
+function is bound to the algebra it was checked on (its ``algebra``
+field). The constructions in ``theorems`` accept such a structure on that
+same algebra object as already verified; any other structure, including
+one built by hand, is checked again. Only ``check_*`` binds: the field is
+not a constructor argument, and ``dataclasses.replace`` resets it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import LieAlgebra, Subspace, bracket
@@ -48,6 +55,7 @@ class ContactStructure:
 class FrobeniusStructure:
     phi: KForm
     principal: Vector
+    algebra: LieAlgebra | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -55,6 +63,7 @@ class KahlerStructure:
     j: Matrix
     omega: KForm
     metric: Matrix
+    algebra: LieAlgebra | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -63,6 +72,7 @@ class SasakianStructure:
     alpha: KForm
     phi: Matrix
     metric: Matrix
+    algebra: LieAlgebra | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -77,6 +87,11 @@ class NijenhuisTable:
 
     def is_zero(self) -> bool:
         return all(is_zero_vector(v) for row in self.entries for v in row)
+
+
+def _bind(structure, g: LieAlgebra):
+    object.__setattr__(structure, "algebra", g)  # the dataclass is frozen
+    return structure
 
 
 def one_form_coords(alpha: KForm) -> Vector:
@@ -127,7 +142,7 @@ def check_frobenius(g: LieAlgebra, phi: KForm) -> tuple[CheckReport, FrobeniusSt
     report = CheckReport(tuple(items))
     if report.overall:
         x_p = principal_element(g, phi)
-        structure = FrobeniusStructure(phi, x_p)
+        structure = _bind(FrobeniusStructure(phi, x_p), g)
         notes.append(("principal_element", fmt_vector(x_p, g.labels)))
         notes.append(("kirillov_form", b.describe(g.labels)))
         report = report.with_notes(*notes)
@@ -271,7 +286,7 @@ def check_kahler(g: LieAlgebra, j: Matrix, omega: KForm) -> tuple[CheckReport, K
     report = CheckReport(tuple(items), notes)
     if not report.overall:
         return report, None
-    return report, KahlerStructure(j, omega, metric)
+    return report, _bind(KahlerStructure(j, omega, metric), g)
 
 
 def sasakian_metric(g: LieAlgebra, alpha: KForm, phi: Matrix) -> Matrix:
@@ -379,4 +394,4 @@ def check_sasakian(
     report = CheckReport(tuple(items), notes)
     if not report.overall:
         return report, None
-    return report, SasakianStructure(reeb, alpha, phi, metric)
+    return report, _bind(SasakianStructure(reeb, alpha, phi, metric), g)

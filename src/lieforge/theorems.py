@@ -1,9 +1,14 @@
 """Constructions connecting Sasakian, Kahler and Frobenius structures.
 
 Every constructor re-verifies its output with the axiom checkers from
-``structures``; nothing is trusted by construction. Where the source
-formulas admit two sign choices, the worked low-dimensional examples fix
-the sign (see the module tests for the frozen values).
+``structures``; nothing is trusted by construction. An input structure is
+verified once: a structure that ``check_*`` bound to the very algebra
+object passed alongside it is accepted as is, and any other structure
+(checked on another algebra, or built by hand) is checked again.
+
+Where the source formulas admit two sign choices, the worked
+low-dimensional examples fix the sign (see the module tests for the
+frozen values).
 """
 
 from __future__ import annotations
@@ -12,12 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import LieAlgebra, Subspace, adjoint, bracket, center
-from .derivations import is_derivation
 from .extensions import (
     ExtensionResult,
     central_extension,
     derivation_extension,
-    is_cocycle,
+    double_extension,
 )
 from .forms import KForm, ce_differential, radical
 from .linalg import (
@@ -33,6 +37,7 @@ from .linalg import (
     mat_vec,
     nullspace,
     solve_unique,
+    transpose,
     vec_add,
     vec_scale,
     vec_sub,
@@ -76,27 +81,44 @@ def kernel_basis(g: LieAlgebra, alpha: KForm) -> tuple[Vector, ...]:
 
 
 def _verify_sasakian_input(g: LieAlgebra, s: SasakianStructure) -> None:
+    if s.algebra is g:
+        return
     rep, _ = check_sasakian(g, s.reeb, s.alpha, s.phi)
     if not rep.overall:
         raise PreconditionError("input structure fails the Sasakian axioms", rep)
 
 
-def _verify_kahler_input(g: LieAlgebra, k: KahlerStructure) -> CheckReport:
+def _verify_kahler_input(g: LieAlgebra, k: KahlerStructure) -> None:
+    if k.algebra is g:
+        return
     rep, _ = check_kahler(g, k.j, k.omega)
     if not rep.overall:
         raise PreconditionError("input structure fails the Kahler axioms", rep)
-    return rep
+
+
+def _verify_frobenius_input(g: LieAlgebra, f: FrobeniusStructure) -> None:
+    if f.algebra is g:
+        return
+    rep, frob = check_frobenius(g, f.phi)
+    if frob is None:
+        raise PreconditionError("input is not Frobenius", rep)
+    if frob.principal != f.principal:
+        raise PreconditionError(
+            "supplied principal element is wrong",
+            CheckReport((fail("principal_element", f"solved {fmt_vector(frob.principal, g.labels)}"),)),
+        )
 
 
 # ---------------------------------------------------------------------------
 # reduction along the center and its inverse construction
 
 
-def sasakian_reduction(g: LieAlgebra, s: SasakianStructure) -> tuple[LieAlgebra, KahlerStructure]:
+def sasakian_reduction(g: LieAlgebra, s: SasakianStructure) -> tuple[LieAlgebra, CheckReport, KahlerStructure]:
     """Quotient a Sasakian algebra with center spanned by the Reeb vector.
 
-    Returns Ker(alpha) with the projected bracket, J the restriction of
-    Phi, and omega(x,y) = alpha([x,y]), then verifies the Kahler axioms.
+    Builds Ker(alpha) with the projected bracket, J the restriction of
+    Phi, and omega(x,y) = alpha([x,y]), then verifies the Kahler axioms;
+    returns the quotient, that report and the structure.
     """
     _verify_sasakian_input(g, s)
     z = center(g)
@@ -128,21 +150,20 @@ def sasakian_reduction(g: LieAlgebra, s: SasakianStructure) -> tuple[LieAlgebra,
                 brackets[(a, b)] = entries
             omega_entries[(a, b)] = xi_part
     h = LieAlgebra.from_brackets(m, brackets)
-    j_cols = [to_h(mat_vec(s.phi, basis[a])) for a in range(m)]
-    j = tuple(tuple(j_cols[a][i] for a in range(m)) for i in range(m))
+    j = transpose([to_h(mat_vec(s.phi, basis[a])) for a in range(m)])
     omega = KForm.two_form(m, omega_entries)
     rep, structure = check_kahler(h, j, omega)
     if structure is None:
         raise PreconditionError("reduction did not produce a Kahler structure", rep)
-    return h, structure
+    return h, rep, structure
 
 
 def kahler_to_sasakian_central(
     g: LieAlgebra, k: KahlerStructure
-) -> tuple[ExtensionResult, SasakianStructure]:
+) -> tuple[ExtensionResult, CheckReport, SasakianStructure]:
     """Central extension by the symplectic form; z becomes the Reeb vector."""
     _verify_kahler_input(g, k)
-    ext = central_extension(g, k.omega)
+    ext = central_extension(g, k.omega, check=False)  # checked omega is closed: a cocycle
     child = ext.algebra
     zi = ext.central_index
     alpha = KForm.basis_one_form(child.dim, zi)
@@ -151,7 +172,7 @@ def kahler_to_sasakian_central(
     rep, structure = check_sasakian(child, reeb, alpha, phi)
     if structure is None:
         raise PreconditionError("central extension failed the Sasakian axioms", rep)
-    return ext, structure
+    return ext, rep, structure
 
 
 def kahler_extension_obstruction(g: LieAlgebra, s: SasakianStructure, theta: KForm) -> CheckReport:
@@ -290,8 +311,7 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix, d: Matrix | None =
     jbar_cols = [embed_vector(column(j, k), child.dim) for k in range(n)]
     z_img = child.basis_vector(si)
     s_img = vec_scale(-ONE, child.basis_vector(zi))
-    cols = jbar_cols + [z_img, s_img]
-    jbar = tuple(tuple(cols[k][i] for k in range(child.dim)) for i in range(child.dim))
+    jbar = transpose(jbar_cols + [z_img, s_img])
 
     torsion = nijenhuis(child, jbar)
     torsion_ok = torsion.is_zero()
@@ -379,22 +399,7 @@ def _build_double_extension(
 ) -> tuple[ExtensionResult, KForm, CheckReport, Vector | None]:
     """Shared preconditions: cocycle, derivation, contact pairing, contact."""
     _verify_sasakian_input(g, s)
-    rep = is_cocycle(g, theta)
-    if not rep.overall:
-        raise PreconditionError("theta is not a 2-cocycle", rep)
-    central = central_extension(g, theta)
-    if len(d) != central.algebra.dim:
-        raise DimensionMismatch("derivation must act on the central extension (dim n+1)")
-    rep = is_derivation(central.algebra, d)
-    if not rep.overall:
-        raise PreconditionError("map is not a derivation of the central extension", rep)
-    ext = derivation_extension(central.algebra, d)
-    ext = ExtensionResult(
-        ext.algebra,
-        tuple(range(g.dim)),
-        central_index=central.central_index,
-        derivation_index=ext.derivation_index,
-    )
+    ext = double_extension(g, theta, d)
     child = ext.algebra
     zi = ext.central_index
     alpha_coords = one_form_coords(s.alpha) + (ONE, ZERO)
@@ -482,7 +487,7 @@ def _double_extension_setup(
         cols.append(vec_add(base_img, vec_scale(ai, phi_xibar)))
     cols.append(phi_z)
     cols.append(phi_slot)
-    phi = tuple(tuple(cols[j][i] for j in range(child.dim)) for i in range(child.dim))
+    phi = transpose(cols)
     return _DoubleExtensionSetup(ext, alpha, reeb, params, phi, contact_rep)
 
 
@@ -586,10 +591,8 @@ def sasakian_double_extension(
     setup = _double_extension_setup(g, s, theta, d, params)
     child = setup.extension.algebra
     rep, structure = check_sasakian(child, setup.reeb, setup.alpha, setup.phi)
-    contact_items = tuple(
-        passed(f"contact:{it.name}", it.passed, it.witness or "") for it in setup.contact_report.items
-    )
-    merged = CheckReport(contact_items + rep.items, setup.contact_report.notes + rep.notes)
+    contact = setup.contact_report
+    merged = CheckReport(contact.prefixed("contact:") + rep.items, contact.notes + rep.notes)
     return setup.extension, merged, structure
 
 
@@ -605,18 +608,14 @@ def frobenius_kahler_to_sasakian(
     The almost contact endomorphism is Phi(x) = J(x) - alpha(J x) xi on the
     base and Phi(xi) = 0, which squares to -Id + alpha (x) xi identically.
     """
-    rep, _ = check_frobenius(g, f.phi)
-    if not rep.overall:
-        raise PreconditionError("input is not Frobenius", rep)
+    _verify_frobenius_input(g, f)
     _verify_kahler_input(g, k)
     if k.omega != kirillov_form(g, f.phi):
         raise PreconditionError(
             "symplectic form must equal -d(phi)",
             CheckReport((fail("exact_symplectic_coherence", "omega != -d(phi)"),)),
         )
-    rep = is_derivation(g, d)
-    if not rep.overall:
-        raise PreconditionError("map is not a derivation", rep)
+    ext = derivation_extension(g, d)  # refuses a D that breaks the Leibniz rule
     coords = one_form_coords(f.phi)
     bad = next((j for j in range(g.dim) if apply_one_form(f.phi, column(d, j)) != 0), None)
     if bad is not None:
@@ -629,7 +628,6 @@ def frobenius_kahler_to_sasakian(
             "D must commute with J",
             CheckReport((fail("d_commutes_with_j", "D o J != J o D"),)),
         )
-    ext = derivation_extension(g, d)
     child = ext.algebra
     xi = child.basis_vector(ext.derivation_index)
     alpha = KForm.one_form(child.dim, coords + (ONE,))
@@ -638,7 +636,7 @@ def frobenius_kahler_to_sasakian(
         jx = column(k.j, i)
         cols.append(vec_sub(embed_vector(jx, child.dim), vec_scale(apply_one_form(f.phi, jx), xi)))
     cols.append(zero_vector(child.dim))
-    phi = tuple(tuple(cols[j][i] for j in range(child.dim)) for i in range(child.dim))
+    phi = transpose(cols)
     rep, structure = check_sasakian(child, xi, alpha, phi)
     return ext, rep, structure
 
@@ -652,9 +650,7 @@ def sasakian_to_frobenius_kahler(
     J(x) = Phi(x) - alpha(x) x_P with J(x_P) = xi.
     """
     _verify_sasakian_input(g, s)
-    rep = is_derivation(g, d)
-    if not rep.overall:
-        raise PreconditionError("map is not a derivation", rep)
+    ext = derivation_extension(g, d)  # refuses a D that breaks the Leibniz rule
     coords = one_form_coords(s.alpha)
     bad = next(
         (j for j in range(g.dim) if apply_one_form(s.alpha, column(d, j)) != coords[j]), None
@@ -677,7 +673,6 @@ def sasakian_to_frobenius_kahler(
                     )
                 ),
             )
-    ext = derivation_extension(g, d)
     child = ext.algebra
     slot = child.basis_vector(ext.derivation_index)
     phi_lift = KForm.one_form(child.dim, coords + (ZERO,))
@@ -686,12 +681,11 @@ def sasakian_to_frobenius_kahler(
         img = embed_vector(column(s.phi, i), child.dim)
         cols.append(vec_sub(img, vec_scale(coords[i], slot)))
     cols.append(embed_vector(s.reeb, child.dim))
-    j = tuple(tuple(cols[a][i] for a in range(child.dim)) for i in range(child.dim))
+    j = transpose(cols)
     omega = ce_differential(child, phi_lift).neg()
     rep_f, frob = check_frobenius(child, phi_lift)
     rep_k, kahler = check_kahler(child, j, omega)
-    items = tuple(passed(f"frobenius:{it.name}", it.passed, it.witness or "") for it in rep_f.items)
-    items += tuple(passed(f"kahler:{it.name}", it.passed, it.witness or "") for it in rep_k.items)
+    items = rep_f.prefixed("frobenius:") + rep_k.prefixed("kahler:")
     principal_ok = frob is not None and frob.principal == slot
     witness = (
         f"principal element = {fmt_vector(frob.principal, child.labels)}"
@@ -713,14 +707,7 @@ def contact_ideal_restriction(
     adjoint commutes with Phi, equivalently when ad(x_P) commutes with Phi
     on the kernel of the restricted form.
     """
-    rep, frob = check_frobenius(g, f.phi)
-    if not rep.overall:
-        raise PreconditionError("input is not Frobenius", rep)
-    if frob is not None and frob.principal != f.principal:
-        raise PreconditionError(
-            "supplied principal element is wrong",
-            CheckReport((fail("principal_element", f"solved {fmt_vector(frob.principal, g.labels)}"),)),
-        )
+    _verify_frobenius_input(g, f)
     _verify_kahler_input(g, k)
     if k.omega != kirillov_form(g, f.phi):
         raise PreconditionError(
@@ -770,9 +757,7 @@ def contact_ideal_restriction(
     if contact is None:
         raise PreconditionError("restricted form is not contact on the ideal", contact_rep)
     xi = contact.reeb
-    items = list(
-        passed(f"contact:{it.name}", it.passed, it.witness or "") for it in contact_rep.items
-    )
+    items = list(contact_rep.prefixed("contact:"))
     cols = []
     well_defined = True
     witness = ""
@@ -790,7 +775,7 @@ def contact_ideal_restriction(
     items.append(passed("phi_well_defined", well_defined, witness))
     if not well_defined:
         return h, CheckReport(tuple(items)), None
-    phi = tuple(tuple(cols[j][i] for j in range(m)) for i in range(m))
+    phi = transpose(cols)
     ad_xi = adjoint(h, xi)
     crit_reeb = mat_mul(ad_xi, phi) == mat_mul(phi, ad_xi)
     items.append(

@@ -319,11 +319,11 @@ def test_acceptance_6_round_trip():
             for _ in range(20):
                 dim = rng.choice([2, 4])
                 base, kahler = _transported_flat_kahler(rng, dim)
-                ext, sas = lf.kahler_to_sasakian_central(base, kahler)
+                ext, _, sas = lf.kahler_to_sasakian_central(base, kahler)
                 targets.append((ext.algebra, sas))
             for algebra, sas in targets:
-                h, kah = lf.sasakian_reduction(algebra, sas)
-                ext, _ = lf.kahler_to_sasakian_central(h, kah)
+                h, _, kah = lf.sasakian_reduction(algebra, sas)
+                ext, _, _ = lf.kahler_to_sasakian_central(h, kah)
                 assert ext.algebra.c == algebra.c
         ok = True
     finally:

@@ -309,3 +309,116 @@ def test_bad_rational_is_a_parse_error(argv, file_text, tmp_path, capsys):
         path.write_text(file_text)
     assert main([a.format(path=path) for a in argv]) == 2
     assert "error: bad rational" in capsys.readouterr().err
+
+
+ABELIAN2 = "lieforge/1 algebra\ndim 2\n"
+SASAKIAN_H3 = (
+    "lieforge/1 structure\nkind sasakian\nxi = 0 0 1\nalpha = 0 0 1\n"
+    "phi row 1 = 0 -1 0\nphi row 2 = 1 0 0\nphi row 3 = 0 0 0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, files, repeat",
+    [
+        (["check", "cocycle", "--builtin", "h3", "--two-form", "@{a}"],
+         {"a": "lieforge/1 structure\nkind two_form\nentry 1 7 = 1\n"}, None),
+        (["check", "kahler", "--algebra", "{a}", "--structure", "{b}"],
+         {"a": ABELIAN2, "b": "lieforge/1 structure\nkind kahler\nj row 1 = 0 -1\nj row 2 = 1 0\nomega entry 1 5 = 1\n"},
+         None),
+        (["check", "sasakian", "--builtin", "h3", "--structure", "{a}"],
+         {"a": SASAKIAN_H3 + "phi row 3 = 0 0 0\n"}, "phi row 3"),
+        (["check", "sasakian", "--builtin", "h3", "--structure", "{a}"],
+         {"a": SASAKIAN_H3 + "xi = 0 0 1\n"}, "xi ="),
+        (["check", "cocycle", "--builtin", "h3", "--two-form", "@{a}"],
+         {"a": "lieforge/1 structure\nkind two_form\nentry 1 2 = 1\nentry 1 2 = 0\n"}, "entry 1 2"),
+        (["check", "jacobi", "--algebra", "{a}"],
+         {"a": "lieforge/1 algebra\ndim 3\nbracket 1 2 = 3:1\nbracket 1 2 = 3:2\n"}, "bracket 1 2"),
+        (["check", "jacobi", "--algebra", "{a}"],
+         {"a": "lieforge/1 algebra\ndim 3\nbracket 1 2 = 3:1 3:2\n"}, "bracket 1 2"),
+        (["check", "jacobi", "--algebra", "{a}"],
+         {"a": "lieforge/1 algebra\ndim 5\nbracket 4 5 = 1:1\ndim 3\n"}, "dim 3"),
+    ],
+    ids=["two-form-index", "kahler-omega-index", "repeated-map-row", "repeated-field",
+         "repeated-two-form-entry", "repeated-bracket", "repeated-bracket-target", "repeated-dim"],
+)
+def test_bad_structure_file_is_a_parse_error(argv, files, repeat, tmp_path, capsys):
+    from lieforge.cli import main
+
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.lf"
+        paths[name].write_text(text)
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    if repeat is not None:  # the error points at the repeated line
+        assert f"(byte {files['a'].rindex(repeat)}," in err
+
+
+NON_LIE = "lieforge/1 algebra\ndim 3\nbracket 1 2 = 3:1\nbracket 1 3 = 1:1\n"
+
+
+def test_non_lie_algebra_file_is_refused(tmp_path):
+    path = tmp_path / "bad.lf"
+    path.write_text(NON_LIE)
+    out, code = invoke("check", "contact", "--algebra", str(path), "--form", "e3")
+    assert code == 1
+    assert "item fail jacobi(e1,e2,e3)" in out
+    assert "contact_top_form_nonzero" not in out
+
+
+def test_jacobi_runs_once_per_file_algebra(tmp_path, monkeypatch):
+    import lieforge.cli as cli
+
+    path = tmp_path / "h3.lf"
+    path.write_text("lieforge/1 algebra\ndim 3\nbracket 1 2 = 3:1\n")
+    calls = []
+    original = cli.check_jacobi
+    monkeypatch.setattr(cli, "check_jacobi", lambda g: calls.append(g) or original(g))
+    for argv, expected in [
+        (["check", "jacobi", "--algebra", str(path)], 1),
+        (["check", "contact", "--algebra", str(path), "--form", "e3"], 1),
+        (["check", "contact", "--builtin", "h3", "--form", "e3"], 0),
+    ]:
+        calls.clear()
+        assert invoke(*argv)[1] == 0
+        assert len(calls) == expected, argv
+
+
+# One check per input structure and one per output structure; sasakian-double
+# builds its extension twice (once to solve the parameters), so it proves the
+# extension contact twice.
+CONSTRUCT_CHECKS = [
+    (["construct", "fk-to-sasakian", "--builtin", "d4half", "--map", "E"],
+     {"check_frobenius": 1, "check_kahler": 1, "check_sasakian": 1}),
+    (["construct", "sasakian-to-fk", "--builtin", "h3", "--map", "diag:1/2,1/2,1"],
+     {"check_sasakian": 1, "check_frobenius": 1, "check_kahler": 1}),
+    (["construct", "kahler-to-sasakian", "--builtin", "d4half"], {"check_kahler": 1, "check_sasakian": 1}),
+    (["construct", "sasakian-reduction", "--builtin", "g5"], {"check_sasakian": 1, "check_kahler": 1}),
+    (["construct", "sasakian-double", "--builtin", "h3", "--two-form", "0", "--map", "diag:0,0,0,1"],
+     {"check_sasakian": 2, "check_contact": 2}),
+    (["construct", "contact-ideal", "--builtin", "d4half"],
+     {"check_frobenius": 1, "check_kahler": 1, "check_contact": 1, "check_sasakian": 1}),
+]
+
+
+@pytest.mark.parametrize("argv, expected", CONSTRUCT_CHECKS, ids=[c[0][1] for c in CONSTRUCT_CHECKS])
+def test_construct_checks_each_structure_once(argv, expected, monkeypatch):
+    import lieforge.catalog, lieforge.cli, lieforge.structures, lieforge.theorems
+    from collections import Counter
+
+    counts = Counter()
+    for name in ("check_contact", "check_frobenius", "check_kahler", "check_sasakian"):
+        original = getattr(lieforge.structures, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for module in (lieforge.structures, lieforge.catalog, lieforge.theorems, lieforge.cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    out, code = invoke(*argv)
+    assert code == 0, out
+    assert dict(counts) == expected

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -162,3 +163,16 @@ def test_sasakian_consequence_items_present():
     report, _ = check_sasakian(H3.algebra, *H3.sasakian_data)
     assert report.item("phi_kills_reeb").passed
     assert report.item("alpha_phi_vanishes").passed
+
+
+def test_checked_structures_are_bound_to_their_algebra():
+    _, sas = check_sasakian(H3.algebra, *H3.sasakian_data)
+    _, kah = check_kahler(D4.algebra, *D4.kahler_data)
+    _, frob = check_frobenius(D4.algebra, D4.frobenius_form)
+    assert sas.algebra is H3.algebra
+    assert kah.algebra is D4.algebra
+    assert frob.algebra is D4.algebra
+    # only check_* binds: a hand-built copy (equal in value) and an edited one are unbound
+    copy = type(sas)(sas.reeb, sas.alpha, sas.phi, sas.metric)
+    assert copy == sas and copy.algebra is None
+    assert dataclasses.replace(sas, phi=identity(3)).algebra is None

@@ -39,14 +39,14 @@ G5 = builtin("g5")
 
 
 def test_reduction_of_h3_is_flat_plane():
-    h, structure = sasakian_reduction(H3.algebra, H3.sasakian())
+    h, _, structure = sasakian_reduction(H3.algebra, H3.sasakian())
     assert h.c == LieAlgebra.abelian(2).c
     assert structure.omega.coeff((0, 1)) == 1
     assert structure.j == matrix([[0, -1], [1, 0]])
 
 
 def test_reduction_of_g5_recovers_d4half():
-    h, structure = sasakian_reduction(G5.algebra, G5.sasakian())
+    h, _, structure = sasakian_reduction(G5.algebra, G5.sasakian())
     assert h.c == D4.algebra.c
     assert structure.j == D4.kahler().j
     assert structure.omega == D4.kahler().omega
@@ -60,19 +60,19 @@ def test_reduction_rejects_trivial_center():
 def test_flat_plane_extends_to_h3():
     g = LieAlgebra.abelian(2)
     rep, structure = check_kahler(g, matrix([[0, -1], [1, 0]]), KForm.two_form(2, {(0, 1): 1}))
-    ext, sas = kahler_to_sasakian_central(g, structure)
+    ext, _, sas = kahler_to_sasakian_central(g, structure)
     assert ext.algebra.c == H3.algebra.c
     assert sas.reeb == ext.algebra.basis_vector(2)
 
 
 def test_d4half_extends_to_g5():
-    ext, sas = kahler_to_sasakian_central(D4.algebra, D4.kahler())
+    ext, _, sas = kahler_to_sasakian_central(D4.algebra, D4.kahler())
     assert ext.algebra.c == G5.algebra.c
 
 
 def test_round_trip_g5():
-    h, k = sasakian_reduction(G5.algebra, G5.sasakian())
-    ext, _ = kahler_to_sasakian_central(h, k)
+    h, _, k = sasakian_reduction(G5.algebra, G5.sasakian())
+    ext, _, _ = kahler_to_sasakian_central(h, k)
     assert ext.algebra.c == G5.algebra.c
 
 
@@ -408,3 +408,20 @@ def test_double_extension_oracle_on_five_dimensional_base():
         assert conditions.overall == report.overall == (structure is not None)
         constructed += 1
     assert constructed >= 10
+
+
+def test_structure_checked_on_another_algebra_is_verified_again(monkeypatch):
+    import lieforge.theorems as theorems
+
+    # valid on h3, not on the abelian algebra: refused by the input check, not by the center test
+    with pytest.raises(PreconditionError) as err:
+        sasakian_reduction(LieAlgebra.abelian(3), H3.sasakian())
+    assert "fails the Sasakian axioms" in str(err.value)
+    # g0's structure is also Sasakian on g5; only the binding decides whether it is checked again
+    calls = []
+    original = theorems.check_sasakian
+    monkeypatch.setattr(theorems, "check_sasakian", lambda *a: calls.append(a[0]) or original(*a))
+    sasakian_reduction(G5.algebra, G0.sasakian())
+    assert calls == [G5.algebra]
+    sasakian_reduction(G5.algebra, G5.sasakian())
+    assert calls == [G5.algebra]
