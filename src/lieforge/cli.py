@@ -1,5 +1,9 @@
 """Command line front end.
 
+Every structure input comes from the ``_SOURCES`` table through one resolver:
+the --structure file, else the source's complete set of inline flags, else
+the builtin's data. Some but not all of the inline flags is a usage error.
+
 Exit codes: 0 when the overall verdict passes, 1 when it fails or a
 precondition rejects the input, 2 on usage or parse errors. Output is
 deterministic byte for byte for identical invocations.
@@ -10,6 +14,8 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +31,8 @@ from .extensions import (
     reversed_double_extension,
 )
 from .fileio import (
+    STRUCTURE_KEYS,
+    ParsedStructure,
     ParseError,
     ReportDocument,
     _scalar_at,
@@ -37,8 +45,8 @@ from .fileio import (
     render_json,
     render_text,
 )
-from .forms import KForm, evaluation_sign
-from .linalg import Matrix, Vector, fmt_scalar, fmt_vector, scalar
+from .forms import evaluation_sign
+from .linalg import Matrix, fmt_scalar, fmt_vector, scalar, transpose
 from .report import CheckItem, LieforgeError, PreconditionError, fail
 from .structures import (
     KahlerStructure,
@@ -153,49 +161,27 @@ def _load_algebra(args) -> tuple[LieAlgebra, Builtin | None]:
     return g, b
 
 
-def _need(value, flag: str):
-    """``value``, or the usage error for the missing ``--flag``."""
-    if value is None:
-        raise ParseError(f"need --{flag}", 0, flag)
-    return value
+def _structure_file(path: str, kind: str) -> ParsedStructure:
+    parsed = parse_structure(Path(path).read_text())
+    if parsed.kind != kind:
+        raise ParseError(f"expected a structure file of kind {kind}", 0, kind)
+    return parsed
 
 
-def _named_maps(b: Builtin | None) -> dict[str, Matrix]:
-    return dict(b.maps) if b is not None else {}
-
-
-def _get_form(spec: str | None, g: LieAlgebra) -> KForm | None:
+def _value(spec: str | None, flag: str, dim: int, b: Builtin | None):
+    """The vector (xi), 1-form, two-form or map ``spec`` spells for ``--flag``, inline
+    or as @file of the structure kind named like the flag; None when absent."""
     if spec is None:
         return None
-    if spec.startswith("@"):
-        parsed = parse_structure(Path(spec[1:]).read_text())
-        if parsed.kind != "form":
-            raise ParseError("expected a structure file of kind form", 0, "form")
-        return KForm.one_form(g.dim, parsed.forms["values"])
-    return parse_form_inline(spec, g.dim)
-
-
-def _get_two_form(spec: str | None, g: LieAlgebra, dim: int | None = None) -> KForm | None:
-    if spec is None:
-        return None
-    dim = dim if dim is not None else g.dim
-    if spec.startswith("@"):
-        parsed = parse_structure(Path(spec[1:]).read_text())
-        if parsed.kind != "two_form":
-            raise ParseError("expected a structure file of kind two_form", 0, "two-form")
-        return parsed.two_form_of("values", dim)
-    return parse_two_form_inline(spec, dim)
-
-
-def _get_map(spec: str | None, dim: int, b: Builtin | None) -> Matrix | None:
-    if spec is None:
-        return None
-    if spec.startswith("@"):
-        parsed = parse_structure(Path(spec[1:]).read_text())
-        if parsed.kind != "map":
-            raise ParseError("expected a structure file of kind map", 0, "map")
-        return parsed.matrix_of("values", dim)
-    return parse_map_inline(spec, dim, _named_maps(b))
+    if spec.startswith("@") and flag in STRUCTURE_KEYS:
+        return _structure_file(spec[1:], flag).value("values", dim)
+    if flag == "xi":
+        return parse_vector_inline(spec, dim)
+    if flag == "form":
+        return parse_form_inline(spec, dim)
+    if flag == "two_form":
+        return parse_two_form_inline(spec, dim)
+    return parse_map_inline(spec, dim, dict(b.maps) if b is not None else {})
 
 
 def _assemble_dz(base: Matrix, dz_spec: str) -> Matrix:
@@ -211,83 +197,98 @@ def _assemble_dz(base: Matrix, dz_spec: str) -> Matrix:
     return tuple(rows)
 
 
-def _extension_map(args, g: LieAlgebra, b: Builtin | None, on_central: bool) -> Matrix:
-    dim = g.dim + 1 if on_central else g.dim
-    spec = _need(args.map, "map")
-    if on_central and args.dz is not None:
-        return _assemble_dz(_get_map(spec, g.dim, b), args.dz)
-    return _get_map(spec, dim, b)
+def _required(args, flag: str, dim: int, b: Builtin | None):
+    """The value of ``--flag``, or the usage error for its absence."""
+    value = _value(getattr(args, flag), flag, dim, b)
+    if value is None:
+        raise ParseError(f"need --{flag.replace('_', '-')}", 0, flag)
+    return value
 
 
-def _sasakian_file(path: str, g: LieAlgebra) -> tuple[Vector, KForm, Matrix]:
-    """(reeb, alpha, phi) from a structure file of kind sasakian."""
-    parsed = parse_structure(Path(path).read_text())
-    if parsed.kind != "sasakian":
-        raise ParseError("expected a structure file of kind sasakian", 0, "structure")
-    return parsed.vectors["xi"], KForm.one_form(g.dim, parsed.forms["alpha"]), parsed.matrix_of("phi", g.dim)
+def _extension_map(args, g: LieAlgebra, b: Builtin | None) -> Matrix:
+    """The map of a double extension: --map on the central extension, or --map on g completed by --dz."""
+    if args.dz is None:
+        return _required(args, "map", g.dim + 1, b)
+    return _assemble_dz(_required(args, "map", g.dim, b), args.dz)
 
 
-def _sasakian_input(args, g: LieAlgebra, b: Builtin | None) -> tuple[Vector, KForm, Matrix]:
-    """(reeb, alpha, phi) for check sasakian: --structure, --xi/--form/--map or the builtin's."""
-    if args.structure:
-        return _sasakian_file(args.structure, g)
-    if args.xi:
-        if not (args.form and args.map):
-            raise ParseError("file-free sasakian input needs --xi, --form and --map", 0, "structure")
-        return parse_vector_inline(args.xi, g.dim), _get_form(args.form, g), _get_map(args.map, g.dim, b)
-    if b is None or b.sasakian_data is None:
-        raise ParseError("need --structure or --xi/--form/--map", 0, "structure")
-    return b.sasakian_data
+@dataclass(frozen=True)
+class _Source:
+    """A structure input: its --structure file keys (none when it has no
+    file), the inline flags that spell the same values, the builtin's data
+    and the check, given in the argument order of the check."""
+
+    keys: tuple[str, ...]
+    flags: tuple[str, ...]
+    builtin: Callable[[Builtin], tuple | None]
+    check: Callable  # looked up at call time, so a rebound module name is used
 
 
-def _frobenius_source(args, g: LieAlgebra, b: Builtin | None):
-    """Frobenius data for construct commands; an explicit --form wins."""
-    phi_form = _get_form(args.form, g)
-    if phi_form is None and b is not None:
-        phi_form = b.frobenius_form
-    if phi_form is None:
-        raise ParseError("need --form for the Frobenius data", 0, "form")
-    rep, frob = check_frobenius(g, phi_form)
-    if frob is None:
-        raise PreconditionError("input is not Frobenius", rep)
-    return frob
+_SOURCES = {
+    "sasakian": _Source(
+        ("xi", "alpha", "phi"), ("xi", "form", "map"),
+        lambda b: b.sasakian_data, lambda g, *d: check_sasakian(g, *d),
+    ),
+    "kahler": _Source(
+        ("j", "omega"), ("map", "two_form"),
+        lambda b: b.kahler_data, lambda g, *d: check_kahler(g, *d),
+    ),
+    "contact": _Source(
+        (), ("form",),
+        lambda b: b.sasakian_data and b.sasakian_data[1:2], lambda g, *d: check_contact(g, *d),
+    ),
+    "frobenius": _Source(
+        (), ("form",),
+        lambda b: b.frobenius_form and (b.frobenius_form,), lambda g, *d: check_frobenius(g, *d),
+    ),
+}
+
+# The sources each command reads, in order, and whether the command's inline
+# flags spell the source out. In the construct commands that take a
+# derivation, --map is that derivation; construct has no --xi.
+_COMMAND_SOURCES: dict[str, tuple[tuple[str, bool], ...]] = {
+    "check contact": (("contact", True),),
+    "check frobenius": (("frobenius", True),),
+    "check kahler": (("kahler", True),),
+    "check sasakian": (("sasakian", True),),
+    "solve reeb": (("contact", True),),
+    "solve principal": (("frobenius", True),),
+    "construct fk-to-sasakian": (("frobenius", True), ("kahler", False)),
+    "construct sasakian-to-fk": (("sasakian", False),),
+    "construct kahler-to-sasakian": (("kahler", True),),
+    "construct sasakian-reduction": (("sasakian", False),),
+    "construct sasakian-double": (("sasakian", False),),
+    "construct contact-ideal": (("frobenius", True), ("kahler", False)),
+}
 
 
-def _construct_sasakian_source(args, g: LieAlgebra, b: Builtin | None) -> SasakianStructure:
-    """Checked Sasakian data for construct commands; --map stays free for the derivation."""
-    if args.structure:
-        report, structure = check_sasakian(g, *_sasakian_file(args.structure, g))
-        if structure is None:
-            raise PreconditionError("supplied data fails the Sasakian axioms", report)
-        return structure
-    if b is not None and b.sasakian_data is not None:
-        return b.sasakian()
-    raise ParseError("need --structure (kind sasakian) or a builtin with Sasakian data", 0, "structure")
+def _resolve(args, g: LieAlgebra, b: Builtin | None, name: str, inline: bool) -> tuple:
+    """The data of source ``name``: the --structure file, else the complete
+    set of inline flags, else the builtin's data. Some but not all of the
+    inline flags, or no data at all, is a usage error."""
+    source = _SOURCES[name]
+    path = getattr(args, "structure", None)
+    if source.keys and path:
+        parsed = _structure_file(path, name)
+        return tuple(parsed.value(key, g.dim) for key in source.keys)
+    spelled = "/".join(f"--{flag.replace('_', '-')}" for flag in source.flags)
+    given = [flag for flag in source.flags if getattr(args, flag, None) is not None] if inline else []
+    if given and len(given) < len(source.flags):
+        raise ParseError(f"need all of {spelled} for inline {name} input", 0, name)
+    if given:
+        return tuple(_value(getattr(args, flag), flag, g.dim, b) for flag in source.flags)
+    data = source.builtin(b) if b is not None else None
+    if data is None:
+        ways = [f"--structure (kind {name})"] if source.keys else []
+        ways += [spelled] if inline else []
+        raise ParseError(f"need {name} data from {' or '.join(ways + ['a builtin that has it'])}", 0, name)
+    return data
 
 
-def _kahler_input(args, g: LieAlgebra, b: Builtin | None) -> tuple[Matrix, KForm] | None:
-    """(J, omega) from --structure or from --map with --two-form; None when neither is given."""
-    if args.structure:
-        parsed = parse_structure(Path(args.structure).read_text())
-        if parsed.kind != "kahler":
-            raise ParseError("expected a structure file of kind kahler", 0, "structure")
-        return parsed.matrix_of("j", g.dim), parsed.two_form_of("omega", g.dim)
-    if args.map and args.two_form:
-        return _get_map(args.map, g.dim, b), _get_two_form(args.two_form, g)
-    return None
-
-
-def _construct_kahler_source(args, g: LieAlgebra, b: Builtin | None) -> KahlerStructure:
-    """Checked Kahler data for construct commands: the given data, else the builtin's."""
-    data = _kahler_input(args, g, b)
-    if data is not None:
-        report, structure = check_kahler(g, *data)
-        if structure is None:
-            raise PreconditionError("supplied data fails the Kahler axioms", report)
-        return structure
-    if b is not None:
-        return b.kahler()
-    raise ParseError("need --structure or --map/--two-form for the Kahler data", 0, "structure")
+def _checked_sources(args, g: LieAlgebra, b: Builtin | None):
+    """(report, structure or None) for each source of the command, each read and checked in turn."""
+    for name, inline in _COMMAND_SOURCES[f"{args.command} {args.kind}"]:
+        yield _SOURCES[name].check(g, *_resolve(args, g, b, name, inline))
 
 
 def _structure_sections(g: LieAlgebra, structure) -> tuple[tuple[str, tuple[tuple[str, str], ...]], ...]:
@@ -297,15 +298,11 @@ def _structure_sections(g: LieAlgebra, structure) -> tuple[tuple[str, tuple[tupl
             ("xi", fmt_vector(structure.reeb, g.labels)),
             ("alpha", fmt_vector(one_form_coords(structure.alpha), star)),
         ]
-        for j in range(g.dim):
-            col = tuple(structure.phi[i][j] for i in range(g.dim))
-            fields.append((f"phi({g.labels[j]})", fmt_vector(col, g.labels)))
+        fields += [(f"phi({l})", fmt_vector(col, g.labels)) for l, col in zip(g.labels, transpose(structure.phi))]
         return (("sasakian", tuple(fields)),)
     if isinstance(structure, KahlerStructure):
         fields = [("omega", structure.omega.describe(g.labels))]
-        for j in range(g.dim):
-            col = tuple(structure.j[i][j] for i in range(g.dim))
-            fields.append((f"J({g.labels[j]})", fmt_vector(col, g.labels)))
+        fields += [(f"J({l})", fmt_vector(col, g.labels)) for l, col in zip(g.labels, transpose(structure.j))]
         return (("kahler", tuple(fields)),)
     return ()
 
@@ -335,7 +332,7 @@ def _parse_fix(spec: str, g: LieAlgebra, b: Builtin | None):
             lam = _scalar_at(lam_str, 0, "fix")
         return FormEigen(parse_form_inline(form_str, g.dim), lam)
     if spec.startswith("commute:"):
-        return Commute(_get_map(spec[len("commute:") :], g.dim, b))
+        return Commute(_value(spec[len("commute:") :], "map", g.dim, b))
     if spec.startswith("sends:"):
         v_str, arrow, w_str = spec[len("sends:") :].partition("->")
         if not arrow:
@@ -351,28 +348,11 @@ def _cmd_check(args) -> tuple[ReportDocument, int]:
     if args.kind == "jacobi":
         report = check_jacobi(g)
     elif args.kind == "cocycle":
-        report = is_cocycle(g, _need(_get_two_form(args.two_form, g), "two-form"))
+        report = is_cocycle(g, _required(args, "two_form", g.dim, b))
     elif args.kind == "derivation":
-        report = is_derivation(g, _need(_get_map(args.map, g.dim, b), "map"))
-    elif args.kind == "contact":
-        alpha = _get_form(args.form, g)
-        if alpha is None and b is not None and b.sasakian_data is not None:
-            alpha = b.sasakian_data[1]
-        report, _ = check_contact(g, _need(alpha, "form"))
-    elif args.kind == "frobenius":
-        phi = _get_form(args.form, g)
-        if phi is None and b is not None and b.frobenius_form is not None:
-            phi = b.frobenius_form
-        report, _ = check_frobenius(g, _need(phi, "form"))
-    elif args.kind == "kahler":
-        data = _kahler_input(args, g, b)
-        if data is None:
-            if b is None or b.kahler_data is None:
-                raise ParseError("need --structure or --map/--two-form", 0, "structure")
-            data = b.kahler_data
-        report, _ = check_kahler(g, *data)
-    else:  # sasakian
-        report, _ = check_sasakian(g, *_sasakian_input(args, g, b))
+        report = is_derivation(g, _required(args, "map", g.dim, b))
+    else:  # contact, frobenius, kahler, sasakian
+        ((report, _),) = _checked_sources(args, g, b)
     doc = _adjust_evaluations(ReportDocument.from_report(command, report), g.dim, args.wedge_convention)
     return doc, 0 if report.overall else 1
 
@@ -382,16 +362,16 @@ def _cmd_extend(args) -> tuple[ReportDocument, int]:
     command = f"extend {args.kind}"
     check = not args.force
     if args.kind == "central":
-        ext = central_extension(g, _need(_get_two_form(args.two_form, g), "two-form"), check=check)
+        ext = central_extension(g, _required(args, "two_form", g.dim, b), check=check)
     elif args.kind == "derivation":
-        ext = derivation_extension(g, _need(_get_map(args.map, g.dim, b), "map"), check=check)
+        ext = derivation_extension(g, _required(args, "map", g.dim, b), check=check)
     elif args.kind == "double":
-        theta = _need(_get_two_form(args.two_form, g), "two-form")
-        d = _extension_map(args, g, b, on_central=True)
+        theta = _required(args, "two_form", g.dim, b)
+        d = _extension_map(args, g, b)
         ext = double_extension(g, theta, d, check=check)
     else:  # reversed
-        alpha = _need(_get_form(args.form, g), "form")
-        d = _need(_get_map(args.map, g.dim, b), "map")
+        alpha = _required(args, "form", g.dim, b)
+        d = _required(args, "map", g.dim, b)
         ext = reversed_double_extension(g, alpha, d, check=check)
     report = check_jacobi(ext.algebra)
     doc = ReportDocument.from_report(
@@ -402,67 +382,45 @@ def _cmd_extend(args) -> tuple[ReportDocument, int]:
 
 def _cmd_construct(args) -> tuple[ReportDocument, int]:
     g, b = _load_algebra(args)
-    command = f"construct {args.kind}"
+    sources = []  # each theorem takes them after g, in table order
+    for report, structure in _checked_sources(args, g, b):
+        if structure is None:
+            raise PreconditionError("input fails its axioms", report)
+        sources.append(structure)
+    notes = ()
     if args.kind == "fk-to-sasakian":
-        frob = _frobenius_source(args, g, b)
-        kahler = _construct_kahler_source(args, g, b) if args.structure else (b.kahler() if b else None)
-        if kahler is None:
-            raise ParseError("need Kahler data", 0, "structure")
-        d = _need(_get_map(args.map, g.dim, b), "map")
-        ext, report, structure = frobenius_kahler_to_sasakian(g, frob, kahler, d)
-        sections = _structure_sections(ext.algebra, structure) if structure else ()
-        doc = ReportDocument.from_report(
-            command, report.with_notes(*_extension_notes(ext)), algebra=ext.algebra, sections=sections
-        )
-        return doc, 0 if report.overall else 1
-    if args.kind == "sasakian-to-fk":
-        s = _construct_sasakian_source(args, g, b)
-        d = _need(_get_map(args.map, g.dim, b), "map")
-        ext, report, frob, kahler = sasakian_to_frobenius_kahler(g, s, d)
-        sections = _structure_sections(ext.algebra, kahler) if kahler else ()
-        notes = _extension_notes(ext)
+        d = _required(args, "map", g.dim, b)
+        result, report, structure = frobenius_kahler_to_sasakian(g, *sources, d)
+    elif args.kind == "sasakian-to-fk":
+        d = _required(args, "map", g.dim, b)
+        result, report, frob, structure = sasakian_to_frobenius_kahler(g, *sources, d)
         if frob is not None:
-            notes += (("principal_element", fmt_vector(frob.principal, ext.algebra.labels)),)
-        doc = ReportDocument.from_report(command, report.with_notes(*notes), algebra=ext.algebra, sections=sections)
-        return doc, 0 if report.overall else 1
-    if args.kind == "kahler-to-sasakian":
-        ext, report, structure = kahler_to_sasakian_central(g, _construct_kahler_source(args, g, b))
-        doc = ReportDocument.from_report(
-            command,
-            report.with_notes(*_extension_notes(ext)),
-            algebra=ext.algebra,
-            sections=_structure_sections(ext.algebra, structure),
-        )
-        return doc, 0 if report.overall else 1
-    if args.kind == "sasakian-reduction":
-        s = _construct_sasakian_source(args, g, b)
-        h, report, structure = sasakian_reduction(g, s)
-        doc = ReportDocument.from_report(
-            command, report, algebra=h, sections=_structure_sections(h, structure)
-        )
-        return doc, 0 if report.overall else 1
-    if args.kind == "sasakian-double":
-        s = _construct_sasakian_source(args, g, b)
-        theta = _need(_get_two_form(args.two_form, g), "two-form")
-        d = _extension_map(args, g, b, on_central=True)
+            notes = (("principal_element", fmt_vector(frob.principal, result.algebra.labels)),)
+    elif args.kind == "kahler-to-sasakian":
+        result, report, structure = kahler_to_sasakian_central(g, *sources)
+    elif args.kind == "sasakian-reduction":
+        result, report, structure = sasakian_reduction(g, *sources)
+    elif args.kind == "sasakian-double":
+        theta = _required(args, "two_form", g.dim, b)
+        d = _extension_map(args, g, b)
         c = _scalar_at(args.w_scale, 0, "w-scale") if args.w_scale else None
-        params = solve_double_extension_params(g, s, theta, d, c)
-        ext, report, structure = sasakian_double_extension(g, s, theta, d, params)
-        notes = _extension_notes(ext) + (
+        params = solve_double_extension_params(g, *sources, theta, d, c)
+        result, report, structure = sasakian_double_extension(g, *sources, theta, d, params)
+        notes = (
             ("params", f"a={fmt_scalar(params.a)} b={fmt_scalar(params.b)} c={fmt_scalar(params.c)} d={fmt_scalar(params.d)}"),
             ("params_u", fmt_vector(params.u, g.labels)),
         )
-        sections = _structure_sections(ext.algebra, structure) if structure else ()
-        doc = ReportDocument.from_report(command, report.with_notes(*notes), algebra=ext.algebra, sections=sections)
-        return doc, 0 if report.overall else 1
-    # contact-ideal
-    frob = _frobenius_source(args, g, b)
-    kahler = _construct_kahler_source(args, g, b) if args.structure else (b.kahler() if b else None)
-    if kahler is None:
-        raise ParseError("need Kahler data", 0, "structure")
-    h, report, structure = contact_ideal_restriction(g, frob, kahler)
-    sections = _structure_sections(h, structure) if structure else ()
-    doc = ReportDocument.from_report(command, report, algebra=h, sections=sections)
+    else:  # contact-ideal
+        result, report, structure = contact_ideal_restriction(g, *sources)
+    if isinstance(result, ExtensionResult):
+        notes = _extension_notes(result) + notes
+        result = result.algebra
+    doc = ReportDocument.from_report(
+        f"construct {args.kind}",
+        report.with_notes(*notes),
+        algebra=result,
+        sections=_structure_sections(result, structure),
+    )
     return doc, 0 if report.overall else 1
 
 
@@ -499,20 +457,10 @@ def _cmd_solve(args) -> tuple[ReportDocument, int]:
             sections=tuple(sections),
         )
         return doc, 0
-    if args.kind == "reeb":
-        alpha = _get_form(args.form, g)
-        if alpha is None and b is not None and b.sasakian_data is not None:
-            alpha = b.sasakian_data[1]
-        report, contact = check_contact(g, _need(alpha, "form"))
-        doc = _adjust_evaluations(ReportDocument.from_report(command, report), g.dim, args.wedge_convention)
-        return doc, 0 if contact is not None else 1
-    # principal
-    phi = _get_form(args.form, g)
-    if phi is None and b is not None and b.frobenius_form is not None:
-        phi = b.frobenius_form
-    report, frob = check_frobenius(g, _need(phi, "form"))
-    doc = ReportDocument.from_report(command, report)
-    return doc, 0 if frob is not None else 1
+    # reeb and principal: the contact or Frobenius form, checked
+    ((report, structure),) = _checked_sources(args, g, b)
+    doc = _adjust_evaluations(ReportDocument.from_report(command, report), g.dim, args.wedge_convention)
+    return doc, 0 if structure is not None else 1
 
 
 def _cmd_builtin(args) -> tuple[ReportDocument, int]:
@@ -577,9 +525,8 @@ def run(argv: list[str]) -> tuple[str, int]:
     try:
         doc, code = handlers[args.command](args)
     except PreconditionError as exc:
-        doc = ReportDocument.from_report(f"{args.command} {getattr(args, 'kind', '')}".strip(), exc.report)
-        rendered = render_json(doc) if args.output == "json" else render_text(doc)
-        return rendered, 1
+        command = f"{args.command} {getattr(args, 'kind', '')}".strip()
+        doc, code = ReportDocument.from_report(command, exc.report), 1
     rendered = render_json(doc) if args.output == "json" else render_text(doc)
     return rendered, code
 
@@ -588,13 +535,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else argv
     try:
         rendered, code = run(argv)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LieforgeError as exc:
+    except (FileNotFoundError, LieforgeError) as exc:  # ParseError is a LieforgeError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(rendered)

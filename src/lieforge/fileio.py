@@ -19,13 +19,13 @@ Structure files declare one object per file:
     kind map                    kind kahler
     row 1 = 0 -1                j row 1 = ...
     row 2 = 1 0                 omega entry 1 2 = 1
-                                kind params
-                                a = 1 / b = 0 / c = 1 / d = -1 / u = 0 0 0
 
 Indices are 1-based in files and reports; rationals are "p" or "p/q".
-A key may appear once per file: a repeated field, map row, two-form entry
-or bracket is a parse error. Parse errors carry the byte offset of the
-offending line.
+Each structure kind declares its keys (``STRUCTURE_KEYS``): a key the kind
+does not declare, or a declared key that is missing, is a parse error; a
+two-form key may be left out and is then zero. A key may appear once per
+file: a repeated field, map row, two-form entry or bracket is a parse
+error. Parse errors carry the byte offset of the offending line.
 """
 
 from __future__ import annotations
@@ -156,6 +156,17 @@ def serialize_algebra(g: LieAlgebra) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The keys each structure kind declares, with the type of each value. A form,
+# two_form or map file holds one object, named "values".
+STRUCTURE_KEYS: dict[str, dict[str, str]] = {
+    "form": {"values": "form"},
+    "two_form": {"values": "two_form"},
+    "map": {"values": "map"},
+    "sasakian": {"xi": "vector", "alpha": "form", "phi": "map"},
+    "kahler": {"j": "map", "omega": "two_form"},
+}
+
+
 @dataclass
 class ParsedStructure:
     kind: str
@@ -163,7 +174,6 @@ class ParsedStructure:
     forms: dict[str, Vector] = field(default_factory=dict)  # 1-form coefficient lists
     two_forms: dict[str, dict[tuple[int, int], Fraction]] = field(default_factory=dict)
     maps: dict[str, dict[int, Vector]] = field(default_factory=dict)  # rows by index
-    scalars: dict[str, Fraction] = field(default_factory=dict)
 
     def matrix_of(self, name: str, dim: int) -> Matrix:
         rows = self.maps.get(name, {})
@@ -181,8 +191,16 @@ class ParsedStructure:
             raise ParseError(f"two-form {name!r} entry {bad[0] + 1} {bad[1] + 1} exceeds dim {dim}", 0, name)
         return KForm.two_form(dim, entries)
 
-
-_KNOWN_KINDS = ("form", "two_form", "map", "sasakian", "kahler", "params")
+    def value(self, name: str, dim: int) -> Vector | KForm | Matrix:
+        """The declared key ``name`` as its type says, on a dim-dimensional algebra."""
+        value_kind = STRUCTURE_KEYS[self.kind][name]
+        if value_kind == "vector":
+            return self.vectors[name]
+        if value_kind == "form":
+            return KForm.one_form(dim, self.forms[name])
+        if value_kind == "map":
+            return self.matrix_of(name, dim)
+        return self.two_form_of(name, dim)
 
 
 def parse_structure(text: str) -> ParsedStructure:
@@ -192,41 +210,32 @@ def parse_structure(text: str) -> ParsedStructure:
     offset, first = body[0]
     key, _, kind = first.partition(" ")
     kind = kind.strip()
-    if key != "kind" or kind not in _KNOWN_KINDS:
-        raise ParseError(f"expected 'kind' in {_KNOWN_KINDS}", offset, "kind")
+    if key != "kind" or kind not in STRUCTURE_KEYS:
+        raise ParseError(f"expected 'kind' in {tuple(STRUCTURE_KEYS)}", offset, "kind")
+    keys = STRUCTURE_KEYS[kind]
     out = ParsedStructure(kind)
     assigned: set[str] = set()  # names given by a "values" or "name = ..." line
     for offset, line in body[1:]:
         tokens = line.split()
-        if kind == "form" and tokens[0] == "values":
-            _assign_once(assigned, "values", offset)
-            out.forms["values"] = _vector_at(tokens[1:], offset, "values")
-        elif kind == "two_form" and tokens[0] == "entry":
-            _parse_two_form_entry(out.two_forms.setdefault("values", {}), tokens[1:], offset)
-        elif kind == "map" and tokens[0] == "row":
-            _parse_map_row(out.maps.setdefault("values", {}), tokens[1:], offset)
-        elif kind in ("sasakian", "kahler", "params"):
-            name = tokens[0]
-            rest = tokens[1:]
-            if rest and rest[0] == "row":
-                _parse_map_row(out.maps.setdefault(name, {}), rest[1:], offset)
-            elif rest and rest[0] == "entry":
-                _parse_two_form_entry(out.two_forms.setdefault(name, {}), rest[1:], offset)
-            elif rest and rest[0] == "=":
-                _assign_once(assigned, name, offset)
-                values = rest[1:]
-                if name in ("xi", "u"):
-                    out.vectors[name] = _vector_at(values, offset, name)
-                elif name in ("alpha",):
-                    out.forms[name] = _vector_at(values, offset, name)
-                elif len(values) == 1:
-                    out.scalars[name] = _scalar_at(values[0], offset, name)
-                else:
-                    out.vectors[name] = _vector_at(values, offset, name)
-            else:
-                raise ParseError(f"bad line {line!r}", offset, name)
+        if "values" in keys:  # the one object's lines: 'values v..', 'row I = ..', 'entry I J = v'
+            name, marker, rest = "values", "=" if tokens[0] == "values" else tokens[0], tokens[1:]
         else:
-            raise ParseError(f"unknown field {tokens[0]!r} for kind {kind}", offset, tokens[0])
+            name, marker, rest = tokens[0], (tokens[1:2] or [""])[0], tokens[2:]
+        value_kind = keys.get(name)
+        if value_kind is None:
+            raise ParseError(f"unknown field {name!r} for kind {kind}", offset, name)
+        if value_kind == "map" and marker == "row":
+            _parse_map_row(out.maps.setdefault(name, {}), rest, offset)
+        elif value_kind == "two_form" and marker == "entry":
+            _parse_two_form_entry(out.two_forms.setdefault(name, {}), rest, offset)
+        elif value_kind in ("vector", "form") and marker == "=":
+            _assign_once(assigned, name, offset)
+            (out.vectors if value_kind == "vector" else out.forms)[name] = _vector_at(rest, offset, name)
+        else:
+            raise ParseError(f"bad line {line!r}", offset, name)
+    for name, value_kind in keys.items():
+        if value_kind != "two_form" and name not in assigned and name not in out.maps:
+            raise ParseError(f"missing {name!r} for kind {kind}", 0, name)
     return out
 
 

@@ -13,7 +13,7 @@ frozen values).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import LieAlgebra, Subspace, adjoint, bracket, center
@@ -370,6 +370,9 @@ class DoubleExtensionParams:
     c: Fraction
     d: Fraction
     u: Vector
+    # (g, s, theta, d, build) from solve_double_extension_params, reused by the
+    # constructors for those very objects; hand-built and replace()d params have none
+    _build: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def delta(self) -> Fraction:
@@ -424,9 +427,12 @@ def solve_double_extension_params(
 
     The candidate metric gives g(D, D) = c (alpha(D z) - alpha(D xi)), so
     when no scale is supplied c is chosen as the sign of that bracket, and
-    defaults to 1 when the factor vanishes.
+    defaults to 1 when the factor vanishes. The params carry the extension
+    built here, so the constructors given the same (g, s, theta, d) objects
+    do not build and check it again.
     """
-    ext, alpha, _, reeb = _build_double_extension(g, s, theta, d)
+    build = _build_double_extension(g, s, theta, d)
+    ext, alpha, _, reeb = build
     n = g.dim
     if reeb[ext.derivation_index] != 0:
         raise PreconditionError(
@@ -443,13 +449,19 @@ def solve_double_extension_params(
         factor = apply_one_form(alpha, embed_vector(column(d, ext.central_index), ext.algebra.dim))
         factor -= apply_one_form(alpha, embed_vector(mat_vec(d, embed_vector(s.reeb, n + 1)), ext.algebra.dim))
         c = ONE if factor >= 0 else -ONE
-    return DoubleExtensionParams(a=a, b=b, c=c, d=-c, u=u)
+    params = DoubleExtensionParams(a=a, b=b, c=c, d=-c, u=u)
+    object.__setattr__(params, "_build", (g, s, theta, d, build))  # the dataclass is frozen
+    return params
 
 
 def _double_extension_setup(
     g: LieAlgebra, s: SasakianStructure, theta: KForm, d: Matrix, params: DoubleExtensionParams
 ) -> _DoubleExtensionSetup:
-    ext, alpha, contact_rep, reeb = _build_double_extension(g, s, theta, d)
+    carried = params._build
+    if carried is not None and all(x is y for x, y in zip(carried, (g, s, theta, d))):
+        ext, alpha, contact_rep, reeb = carried[4]
+    else:
+        ext, alpha, contact_rep, reeb = _build_double_extension(g, s, theta, d)
     child = ext.algebra
     n = g.dim
     prep = params.validate()

@@ -319,7 +319,7 @@ SASAKIAN_H3 = (
 
 
 @pytest.mark.parametrize(
-    "argv, files, repeat",
+    "argv, files, culprit",
     [
         (["check", "cocycle", "--builtin", "h3", "--two-form", "@{a}"],
          {"a": "lieforge/1 structure\nkind two_form\nentry 1 7 = 1\n"}, None),
@@ -338,11 +338,24 @@ SASAKIAN_H3 = (
          {"a": "lieforge/1 algebra\ndim 3\nbracket 1 2 = 3:1 3:2\n"}, "bracket 1 2"),
         (["check", "jacobi", "--algebra", "{a}"],
          {"a": "lieforge/1 algebra\ndim 5\nbracket 4 5 = 1:1\ndim 3\n"}, "dim 3"),
+        (["check", "sasakian", "--builtin", "h3", "--structure", "{a}"],
+         {"a": SASAKIAN_H3.replace("xi = 0 0 1\n", "")}, None),
+        (["check", "sasakian", "--builtin", "h3", "--structure", "{a}"],
+         {"a": SASAKIAN_H3.replace("alpha = 0 0 1\n", "")}, None),
+        (["construct", "sasakian-reduction", "--builtin", "g5", "--structure", "{a}"],
+         {"a": SASAKIAN_H3.split("phi")[0]}, None),
+        (["check", "contact", "--builtin", "h3", "--form", "@{a}"],
+         {"a": "lieforge/1 structure\nkind form\n"}, None),
+        (["check", "sasakian", "--builtin", "h3", "--structure", "{a}"],
+         {"a": SASAKIAN_H3 + "foo = 1 2 3\n"}, "foo ="),
+        (["check", "sasakian", "--builtin", "h3", "--structure", "{a}"],
+         {"a": SASAKIAN_H3 + "bar row 1 = 1\n"}, "bar row"),
     ],
     ids=["two-form-index", "kahler-omega-index", "repeated-map-row", "repeated-field",
-         "repeated-two-form-entry", "repeated-bracket", "repeated-bracket-target", "repeated-dim"],
+         "repeated-two-form-entry", "repeated-bracket", "repeated-bracket-target", "repeated-dim",
+         "missing-xi", "missing-alpha", "missing-phi", "missing-values", "unknown-field", "unknown-map"],
 )
-def test_bad_structure_file_is_a_parse_error(argv, files, repeat, tmp_path, capsys):
+def test_bad_structure_file_is_a_parse_error(argv, files, culprit, tmp_path, capsys):
     from lieforge.cli import main
 
     paths = {}
@@ -352,8 +365,28 @@ def test_bad_structure_file_is_a_parse_error(argv, files, repeat, tmp_path, caps
     assert main([a.format(**paths) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-    if repeat is not None:  # the error points at the repeated line
-        assert f"(byte {files['a'].rindex(repeat)}," in err
+    if culprit is not None:  # the error points at the repeated or undeclared line
+        assert f"(byte {files['a'].rindex(culprit)}," in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "kahler", "--builtin", "d4half", "--map", "E"],
+        ["check", "kahler", "--builtin", "d4half", "--two-form", "e1^e2"],
+        ["check", "sasakian", "--builtin", "h3", "--form", "e1"],
+        ["check", "sasakian", "--builtin", "h3", "--xi", "e3", "--map", "id"],
+        ["construct", "kahler-to-sasakian", "--builtin", "d4half", "--map", "E"],
+        ["construct", "kahler-to-sasakian", "--builtin", "h3"],
+    ],
+    ids=["kahler-map", "kahler-two-form", "sasakian-form", "sasakian-xi-map", "construct-kahler-map",
+         "construct-kahler-no-data"],
+)
+def test_partial_or_missing_source_is_a_usage_error(argv, capsys):
+    from lieforge.cli import main
+
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: need")
 
 
 NON_LIE = "lieforge/1 algebra\ndim 3\nbracket 1 2 = 3:1\nbracket 1 3 = 1:1\n"
@@ -387,8 +420,8 @@ def test_jacobi_runs_once_per_file_algebra(tmp_path, monkeypatch):
 
 
 # One check per input structure and one per output structure; sasakian-double
-# builds its extension twice (once to solve the parameters), so it proves the
-# extension contact twice.
+# proves its extension contact once, while solving the parameters, and the
+# constructor reuses that build.
 CONSTRUCT_CHECKS = [
     (["construct", "fk-to-sasakian", "--builtin", "d4half", "--map", "E"],
      {"check_frobenius": 1, "check_kahler": 1, "check_sasakian": 1}),
@@ -397,7 +430,7 @@ CONSTRUCT_CHECKS = [
     (["construct", "kahler-to-sasakian", "--builtin", "d4half"], {"check_kahler": 1, "check_sasakian": 1}),
     (["construct", "sasakian-reduction", "--builtin", "g5"], {"check_sasakian": 1, "check_kahler": 1}),
     (["construct", "sasakian-double", "--builtin", "h3", "--two-form", "0", "--map", "diag:0,0,0,1"],
-     {"check_sasakian": 2, "check_contact": 2}),
+     {"check_sasakian": 2, "check_contact": 1}),
     (["construct", "contact-ideal", "--builtin", "d4half"],
      {"check_frobenius": 1, "check_kahler": 1, "check_contact": 1, "check_sasakian": 1}),
 ]
@@ -422,3 +455,70 @@ def test_construct_checks_each_structure_once(argv, expected, monkeypatch):
     out, code = invoke(*argv)
     assert code == 0, out
     assert dict(counts) == expected
+
+
+FUZZ_FILES = {
+    "h3": "lieforge/1 algebra\ndim 3\nbracket 1 2 = 3:1\n",
+    "non_lie": NON_LIE,
+    "sasakian": SASAKIAN_H3,
+    "no_xi": SASAKIAN_H3.replace("xi = 0 0 1\n", ""),
+    "unknown": SASAKIAN_H3 + "foo = 1 2 3\n",
+    "short_xi": SASAKIAN_H3.replace("xi = 0 0 1", "xi = 0 1"),
+    "kahler": "lieforge/1 structure\nkind kahler\nj row 1 = 0 -1 0 0\nj row 2 = 1 0 0 0\n"
+    "j row 3 = 0 0 0 -1\nj row 4 = 0 0 1 0\nomega entry 1 2 = 1\nomega entry 3 4 = 1\n",
+    "form": "lieforge/1 structure\nkind form\nvalues 0 0 1\n",
+    "no_values": "lieforge/1 structure\nkind form\n",
+    "two_form": "lieforge/1 structure\nkind two_form\nentry 1 2 = 1\nentry 2 9 = 1\n",
+    "map": "lieforge/1 structure\nkind map\nrow 1 = 1 0 0\nrow 2 = 0 1 0\n",
+    "params": "lieforge/1 structure\nkind params\na = 1\n",
+    "garbage": "lieforge/1 structure\n\x00 = =\n",
+}
+FUZZ_VALUES = {
+    "--form": ["e3", "e4", "2e1-1/2e3", "e9", "@{form}", "@{no_values}", "@{map}"],
+    "--two-form": ["0", "e1^e2", "e1^e1", "@{two_form}", "@{params}"],
+    "--map": ["E", "id", "zero", "diag:1/2,1/2,1", "diag:0,0,0,1", "spin", "@{map}", "@{sasakian}"],
+    "--xi": ["e3", "0,0,1", "e5", "@{form}"],
+    "--structure": ["{sasakian}", "{kahler}", "{no_xi}", "{unknown}", "{short_xi}", "{garbage}", "{absent}"],
+    "--dz": ["0,0,0:1", "1,0:x", "nocolon"],
+    "--w-scale": ["1", "-1", "0", "x"],
+    "--fix": ["alpha∘D=alpha:e3", "commute:E", "sends:e1->e2", "bogus"],
+}
+FUZZ_COMMANDS = {
+    "check": (["jacobi", "cocycle", "derivation", "contact", "frobenius", "kahler", "sasakian"],
+              ["--form", "--two-form", "--map", "--xi", "--structure"]),
+    "extend": (["central", "derivation", "double", "reversed"], ["--form", "--two-form", "--map", "--dz"]),
+    "construct": (["fk-to-sasakian", "sasakian-to-fk", "kahler-to-sasakian", "sasakian-reduction",
+                   "sasakian-double", "contact-ideal"],
+                  ["--form", "--two-form", "--map", "--dz", "--structure", "--w-scale"]),
+    "solve": (["derivations", "reeb", "principal"], ["--form", "--fix"]),
+}
+
+
+def test_cli_fuzz_exit_codes(tmp_path):
+    """Any mix of commands, sources, inline specs and malformed files exits 0, 1 or 2."""
+    from hypothesis import given, settings, strategies as st
+
+    from lieforge.cli import main
+
+    paths = {"absent": tmp_path / "absent.lf"}
+    for name, text in FUZZ_FILES.items():
+        paths[name] = tmp_path / f"{name}.lf"
+        paths[name].write_text(text)
+    sources = [["--builtin", name] for name in ("h3", "d4half", "g0", "g5")]
+    sources += [["--algebra", "{h3}"], ["--algebra", "{non_lie}"], []]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def run_one(data):
+        command = data.draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+        kinds, flags = FUZZ_COMMANDS[command]
+        argv = [command, data.draw(st.sampled_from(kinds)), *data.draw(st.sampled_from(sources))]
+        for flag in data.draw(st.lists(st.sampled_from(flags), unique=True, max_size=4)):
+            argv += [flag, data.draw(st.sampled_from(FUZZ_VALUES[flag]))]
+        try:
+            code = main([a.format(**paths) for a in argv])
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        assert code in (0, 1, 2), argv
+
+    run_one()

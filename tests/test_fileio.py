@@ -64,10 +64,6 @@ def test_parse_structure_kinds():
     )
     assert sas.vectors["xi"] == (Fraction(0), Fraction(0), Fraction(1))
     assert sas.matrix_of("phi", 3)[0][1] == Fraction(-1)
-    par = parse_structure(
-        "lieforge/1 structure\nkind params\na = 1\nb = 0\nc = 1\nd = -1\nu = 0 0 0\n"
-    )
-    assert par.scalars["a"] == 1 and par.vectors["u"] == (Fraction(0),) * 3
 
 
 def test_parse_structure_bad_kind():

@@ -173,6 +173,30 @@ def test_double_extension_negative_scale_needs_sign_solve():
     assert not report2.item("metric_positive_definite").passed
 
 
+def test_solved_params_carry_their_build_for_the_same_inputs_only(monkeypatch):
+    import dataclasses
+
+    import lieforge.theorems as theorems
+
+    builds = []
+    original = theorems._build_double_extension
+    monkeypatch.setattr(theorems, "_build_double_extension", lambda *a: builds.append(a) or original(*a))
+    s = H3.sasakian()
+    theta = KForm.zero(3, 2)
+    d = diagonal([0, 0, 0, 1])
+    params = solve_double_extension_params(H3.algebra, s, theta, d)
+    sasakian_double_extension_conditions(H3.algebra, s, theta, d, params)
+    _, report, _ = sasakian_double_extension(H3.algebra, s, theta, d, params)
+    assert report.overall and len(builds) == 1
+    # an equal but distinct map, a replace() result and a hand-built copy are built again
+    sasakian_double_extension(H3.algebra, s, theta, diagonal([0, 0, 0, 1]), params)
+    copy = DoubleExtensionParams(params.a, params.b, params.c, params.d, params.u)
+    for other in (dataclasses.replace(params), copy):
+        assert other == params
+        sasakian_double_extension(H3.algebra, s, theta, d, other)
+    assert len(builds) == 4
+
+
 def test_double_extension_rejects_non_contact_scaling():
     # alpha(D(z)) != 0 alone does not make the extension contact
     s = H3.sasakian()
