@@ -5,12 +5,18 @@ A LieAlgebra is the dimension plus the full antisymmetric tensor c with
 entries; the antisymmetric completion is automatic and the diagonal is
 forced to zero. The Jacobi identity is not enforced at construction,
 ``check_jacobi`` reports it.
+
+Brackets and Jacobi sums run on integers: each algebra caches D, the least
+common denominator of its structure constants, with the nonzero entries of
+D*c, and a result becomes Fractions once, one per output coordinate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Mapping, Sequence
 
 from .linalg import (
@@ -18,6 +24,7 @@ from .linalg import (
     ScalarLike,
     Vector,
     ZERO,
+    clear_denominators,
     fmt_basis_tuple,
     fmt_vector,
     in_span,
@@ -26,8 +33,7 @@ from .linalg import (
     rref,
     scalar,
     transpose,
-    vec_add,
-    vec_scale,
+    vector_over,
     zero_vector,
 )
 from .report import CheckReport, DimensionMismatch, fail, ok
@@ -84,6 +90,17 @@ class LieAlgebra:
     def abelian(cls, dim: int, labels: Sequence[str] | None = None) -> "LieAlgebra":
         return cls.from_brackets(dim, {}, labels)
 
+    @cached_property
+    def _integer_terms(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
+        """(D, T): D is the least common denominator of the structure
+        constants and T[i][j] lists the nonzero (k, D*c_ijk) of [e_i, e_j]."""
+        d = lcm(*(x.denominator for plane in self.c for v in plane for x in v))
+        terms = tuple(
+            tuple(tuple((k, x.numerator * (d // x.denominator)) for k, x in enumerate(v) if x) for v in plane)
+            for plane in self.c
+        )
+        return d, terms
+
     def basis_vector(self, i: int) -> Vector:
         return tuple(Fraction(1) if j == i else ZERO for j in range(self.dim))
 
@@ -105,15 +122,19 @@ def bracket(g: LieAlgebra, x: Vector, y: Vector) -> Vector:
     """[x, y] by bilinear expansion through the structure constants."""
     if len(x) != g.dim or len(y) != g.dim:
         raise DimensionMismatch("vector length does not match algebra dimension")
-    out = zero_vector(g.dim)
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(y):
-            if yj == 0 or i == j:
-                continue
-            out = vec_add(out, vec_scale(xi * yj, g.c[i][j]))
-    return out
+    d, terms = g._integer_terms
+    xs, dx = clear_denominators(x)
+    ys, dy = clear_denominators(y)
+    y_terms = [(j, b) for j, b in enumerate(ys) if b]
+    acc = [0] * g.dim
+    for i, a in enumerate(xs):
+        if a:
+            row = terms[i]
+            for j, b in y_terms:
+                f = a * b
+                for k, c in row[j]:
+                    acc[k] += f * c
+    return vector_over(acc, d * dx * dy)
 
 
 def adjoint(g: LieAlgebra, x: Vector) -> Matrix:
@@ -122,10 +143,18 @@ def adjoint(g: LieAlgebra, x: Vector) -> Matrix:
 
 
 def jacobi_residual(g: LieAlgebra, i: int, j: int, k: int) -> Vector:
-    """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]."""
-    r = bracket(g, g.c[i][j], g.basis_vector(k))
-    r = vec_add(r, bracket(g, g.c[j][k], g.basis_vector(i)))
-    return vec_add(r, bracket(g, g.c[k][i], g.basis_vector(j)))
+    """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j].
+
+    D^2 times it is the integer sum over m of C_ij^m C_mk^l plus its cyclic
+    shifts, C = D*c.
+    """
+    d, terms = g._integer_terms
+    acc = [0] * g.dim
+    for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+        for m, a in terms[p][q]:
+            for l, b in terms[m][r]:
+                acc[l] += a * b
+    return vector_over(acc, d * d)
 
 
 def check_jacobi(g: LieAlgebra) -> CheckReport:

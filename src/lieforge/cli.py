@@ -535,7 +535,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else argv
     try:
         rendered, code = run(argv)
-    except (FileNotFoundError, LieforgeError) as exc:  # ParseError is a LieforgeError
+    # OSError and UnicodeDecodeError come from reading an input file; ParseError is a LieforgeError
+    except (OSError, UnicodeDecodeError, LieforgeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(rendered)

@@ -273,10 +273,12 @@ _TERM = re.compile(r"([+-]?)\s*([0-9][0-9/]*)?\s*\*?\s*e([0-9]+)$")
 _TWO_TERM = re.compile(r"([+-]?)\s*([0-9][0-9/]*)?\s*\*?\s*e([0-9]+)\^e([0-9]+)$")
 
 
-def _split_terms(spec: str) -> list[str]:
-    spec = spec.replace(" ", "")
-    terms = re.split(r"(?=[+-])", spec)
-    return [t for t in terms if t]
+def _split_terms(spec: str, fieldname: str) -> list[str]:
+    """The signed terms of an inline spec; an empty spec is an error, zero is spelled "0"."""
+    terms = [t for t in re.split(r"(?=[+-])", spec.replace(" ", "")) if t]
+    if not terms:
+        raise ParseError(f"empty {fieldname} spec; write 0 for zero", 0, fieldname)
+    return terms
 
 
 def parse_form_inline(spec: str, dim: int) -> KForm:
@@ -284,7 +286,7 @@ def parse_form_inline(spec: str, dim: int) -> KForm:
     if spec.strip() == "0":
         return KForm.zero(dim, 1)
     coords = [Fraction(0)] * dim
-    for term in _split_terms(spec):
+    for term in _split_terms(spec, "form"):
         m = _TERM.match(term)
         if not m:
             raise ParseError(f"bad 1-form term {term!r}", 0, "form")
@@ -302,7 +304,7 @@ def parse_two_form_inline(spec: str, dim: int) -> KForm:
     if spec.strip() == "0":
         return KForm.zero(dim, 2)
     entries: dict[tuple[int, int], Fraction] = {}
-    for term in _split_terms(spec):
+    for term in _split_terms(spec, "two-form"):
         m = _TWO_TERM.match(term)
         if not m:
             raise ParseError(f"bad 2-form term {term!r}", 0, "two-form")

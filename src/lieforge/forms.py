@@ -9,6 +9,11 @@ Conventions (fixed package-wide):
 The alternative interior-product evaluation convention differs from the
 determinant rule by (-1)^(k(k-1)/2) in degree k; ``evaluation_sign``
 exposes that factor for display purposes only.
+
+The contact test never expands a wedge power: in dimension 2n+1 the top
+coefficient of alpha ^ (d alpha)^n is n! times the Pfaffian of the bordered
+skew matrix [[0, alpha], [-alpha^T, d alpha]], an O(n^3) elimination.
+``wedge`` and ``wedge_power`` stay public and are the tests' oracle for it.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import factorial
 from typing import Mapping, Sequence
 
 from .algebra import LieAlgebra, Subspace
@@ -26,6 +32,7 @@ from .linalg import (
     ZERO,
     det,
     nullspace,
+    pfaffian,
     scalar,
 )
 from .report import DimensionMismatch
@@ -260,12 +267,20 @@ class TopContactResult:
 
 
 def top_contact_test(g: LieAlgebra, alpha: KForm) -> TopContactResult:
-    """Does alpha ^ (d alpha)^n have a nonzero top coefficient (dim = 2n+1)?"""
+    """Does alpha ^ (d alpha)^n have a nonzero top coefficient (dim = 2n+1)?
+
+    With a new index 0 in front, the 2-form e^0 ^ alpha + d alpha has
+    (n+1)-st power (n+1) e^0 ^ alpha ^ (d alpha)^n, and that power is
+    (n+1)! Pf(M) e^0 ^ ... ^ e^2n+1, M = [[0, alpha], [-alpha^T, d alpha]].
+    So the coefficient is n! Pf(M).
+    """
     if alpha.degree != 1 or alpha.dim != g.dim:
         raise DimensionMismatch("expected a 1-form on the algebra")
     if g.dim % 2 == 0:
         return TopContactResult(False, None, f"dimension {g.dim} is even")
     n = (g.dim - 1) // 2
-    top = wedge(alpha, wedge_power(ce_differential(g, alpha), n))
-    coeff = top.coeff(tuple(range(g.dim)))
+    coords = tuple(alpha.coeff((i,)) for i in range(g.dim))
+    da = ce_differential(g, alpha).as_matrix()
+    bordered = ((ZERO,) + coords,) + tuple((-x,) + row for x, row in zip(coords, da))
+    coeff = factorial(n) * pfaffian(bordered)
     return TopContactResult(coeff != 0, coeff, None if coeff != 0 else "top coefficient is 0")

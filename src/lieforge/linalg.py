@@ -124,6 +124,18 @@ def column(m: Matrix, j: int) -> Vector:
     return tuple(row[j] for row in m)
 
 
+def clear_denominators(v: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ints, d) with v == ints / d, d the least common denominator of v."""
+    ratios = [x.as_integer_ratio() for x in v]
+    d = lcm(*[q for _, q in ratios])
+    return [p * (d // q) for p, q in ratios], d
+
+
+def vector_over(ints: Sequence[int], d: int) -> Vector:
+    """The vector ints / d, one Fraction per nonzero coordinate."""
+    return tuple(Fraction(x, d) if x else ZERO for x in ints)
+
+
 def _eliminate(
     rows: Sequence[Vector], reduce: bool = True, swap: bool = True
 ) -> tuple[list[list[int]], list[int], list[int], list[int]]:
@@ -138,9 +150,7 @@ def _eliminate(
     """
     work, num, den = [], [], []
     for row in rows:
-        ratios = [x.as_integer_ratio() for x in row]
-        d = lcm(*[q for _, q in ratios])
-        ints = [n * (d // q) for n, q in ratios]
+        ints, d = clear_denominators(row)
         g = gcd(*ints) or 1
         work.append([x // g for x in ints])
         num.append(d)
@@ -252,6 +262,42 @@ def det(m: Matrix) -> Fraction:
     if len(pivots) < len(m):
         return ZERO
     return Fraction(prod(row[c] * d for row, c, d in zip(work, pivots, den)), prod(num))
+
+
+def pfaffian(m: Matrix) -> Fraction:
+    """Pfaffian of an even-sized skew-symmetric matrix, by fraction-free skew elimination.
+
+    Only the strict upper triangle is read. After the denominators are
+    cleared, step k replaces every entry (i, j) of the trailing block by the
+    Pfaffian of the principal submatrix on indices 0..2k+1, i, j; Knuth's
+    overlapping-Pfaffian identity makes the division by the previous pivot
+    exact. A zero pivot is replaced by a symmetric exchange of two trailing
+    indices, which flips the sign; a trailing row of zeros makes the
+    Pfaffian 0. The last pivot is the Pfaffian of the whole matrix.
+    """
+    size = len(m)
+    if size % 2:
+        raise ValueError("the Pfaffian needs an even-sized matrix")
+    flat, d = clear_denominators([m[i][j] if i < j else -m[j][i] for i in range(size) for j in range(size)])
+    a = [flat[i * size : (i + 1) * size] for i in range(size)]
+    sign, prev, p = 1, 1, 1
+    for k in range(0, size, 2):
+        j = next((j for j in range(k + 1, size) if a[k][j]), None)
+        if j is None:
+            return ZERO
+        if j != k + 1:
+            a[k + 1], a[j] = a[j], a[k + 1]
+            for row in a:
+                row[k + 1], row[j] = row[j], row[k + 1]
+            sign = -sign
+        p, top, nxt = a[k][k + 1], a[k], a[k + 1]
+        for i in range(k + 2, size):
+            row = a[i]
+            for j in range(i + 1, size):
+                row[j] = (p * row[j] - top[i] * nxt[j] + top[j] * nxt[i]) // prev
+                a[j][i] = -row[j]
+        prev = p
+    return Fraction(sign * p, d ** (size // 2))
 
 
 def positive_definite(m: Matrix) -> tuple[bool, int | None]:

@@ -19,12 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import LieAlgebra, Subspace, bracket
+from .algebra import LieAlgebra, Subspace
 from .forms import KForm, ce_differential, radical, top_contact_test
 from .linalg import (
     Matrix,
     Vector,
     ZERO,
+    clear_denominators,
     column,
     fmt_basis_tuple,
     fmt_scalar,
@@ -40,7 +41,7 @@ from .linalg import (
     solve_affine,
     transpose,
     vec_scale,
-    vec_sub,
+    vector_over,
 )
 from .report import CheckReport, DimensionMismatch, PreconditionError, passed
 
@@ -195,25 +196,40 @@ def nijenhuis(g: LieAlgebra, a: Matrix) -> NijenhuisTable:
 
     When A^2 = -Id this is the classical Nijenhuis tensor of an almost
     complex structure (leading term -[x,y]).
+
+    Runs on integers over da^2*D, da the common denominator of A and D that
+    of the structure constants: with L[i][b] = [Ae_i, e_b] precomputed,
+    N(e_i, e_j) = A(A[e_i,e_j] - L[i][j] + L[j][i]) + sum_b A_bj L[i][b].
     """
-    if len(a) != g.dim:
+    if len(a) != g.dim or any(len(row) != g.dim for row in a):
         raise DimensionMismatch("map does not match algebra dimension")
     n = g.dim
-    a2 = mat_mul(a, a)
-    images = [column(a, j) for j in range(n)]
-    table = [[None] * n for _ in range(n)]
+    d, terms = g._integer_terms
+    flat, da = clear_denominators([x for row in a for x in row])
+    ai = [flat[r * n : (r + 1) * n] for r in range(n)]
+    cols = [[(r, ai[r][j]) for r in range(n) if ai[r][j]] for j in range(n)]
+    left = [[[0] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
-        table[i][i] = (ZERO,) * n
+        for b in range(n):
+            acc = left[i][b]
+            for r, x in cols[i]:
+                for k, c in terms[r][b]:
+                    acc[k] += x * c
+    den = da * da * d
+    zero = (ZERO,) * n
+    table = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            value = mat_vec(a2, g.c[i][j])
-            value = tuple(
-                x + y for x, y in zip(value, bracket(g, images[i], images[j]))
-            )
-            value = vec_sub(value, mat_vec(a, bracket(g, g.basis_vector(i), images[j])))
-            value = vec_sub(value, mat_vec(a, bracket(g, images[i], g.basis_vector(j))))
-            table[i][j] = value
-            table[j][i] = vec_scale(Fraction(-1), value)
+            inner = [y - x for x, y in zip(left[i][j], left[j][i])]
+            for k, c in terms[i][j]:
+                for r, x in cols[k]:
+                    inner[r] += x * c
+            acc = [sum(x * y for x, y in zip(row, inner)) for row in ai]
+            for b, x in cols[j]:
+                for k, y in enumerate(left[i][b]):
+                    acc[k] += x * y
+            table[i][j] = vector_over(acc, den)
+            table[j][i] = vector_over([-x for x in acc], den)
     return NijenhuisTable(n, tuple(tuple(row) for row in table))
 
 

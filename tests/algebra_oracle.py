@@ -1,0 +1,94 @@
+"""Reference oracle for the multilinear kernels: plain Fraction expansions.
+
+These are the straightforward Fraction-arithmetic versions of bracket,
+jacobi_residual, check_jacobi and nijenhuis that the integer
+structure-constant kernels in lieforge.algebra and lieforge.structures
+replaced. They are slow but obviously correct; tests/test_algebra.py and
+tests/test_structures.py check that the fast paths return exactly the same
+values, witnesses included.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from lieforge.algebra import LieAlgebra
+from lieforge.linalg import (
+    Matrix,
+    Vector,
+    ZERO,
+    column,
+    fmt_basis_tuple,
+    fmt_vector,
+    is_zero_vector,
+    mat_mul,
+    mat_vec,
+    vec_add,
+    vec_scale,
+    vec_sub,
+    zero_vector,
+)
+from lieforge.report import CheckReport, DimensionMismatch, fail, ok
+from lieforge.structures import NijenhuisTable
+
+
+def bracket(g: LieAlgebra, x: Vector, y: Vector) -> Vector:
+    """[x, y] by bilinear expansion through the structure constants."""
+    if len(x) != g.dim or len(y) != g.dim:
+        raise DimensionMismatch("vector length does not match algebra dimension")
+    out = zero_vector(g.dim)
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        for j, yj in enumerate(y):
+            if yj == 0 or i == j:
+                continue
+            out = vec_add(out, vec_scale(xi * yj, g.c[i][j]))
+    return out
+
+
+def jacobi_residual(g: LieAlgebra, i: int, j: int, k: int) -> Vector:
+    """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]."""
+    r = bracket(g, g.c[i][j], g.basis_vector(k))
+    r = vec_add(r, bracket(g, g.c[j][k], g.basis_vector(i)))
+    return vec_add(r, bracket(g, g.c[k][i], g.basis_vector(j)))
+
+
+def check_jacobi(g: LieAlgebra) -> CheckReport:
+    """Jacobi identity on all basis triples i < j < k."""
+    failures = []
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            for k in range(j + 1, g.dim):
+                res = jacobi_residual(g, i, j, k)
+                if not is_zero_vector(res):
+                    failures.append(
+                        fail(
+                            f"jacobi{fmt_basis_tuple((i, j, k), g.labels)}",
+                            f"cyclic sum = {fmt_vector(res, g.labels)}",
+                        )
+                    )
+    if failures:
+        return CheckReport(tuple(failures))
+    return CheckReport((ok("jacobi_all_triples"),))
+
+
+def nijenhuis(g: LieAlgebra, a: Matrix) -> NijenhuisTable:
+    """Torsion N_A(x,y) = A^2[x,y] + [Ax,Ay] - A[x,Ay] - A[Ax,y]."""
+    if len(a) != g.dim:
+        raise DimensionMismatch("map does not match algebra dimension")
+    n = g.dim
+    a2 = mat_mul(a, a)
+    images = [column(a, j) for j in range(n)]
+    table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        table[i][i] = (ZERO,) * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            value = mat_vec(a2, g.c[i][j])
+            value = tuple(x + y for x, y in zip(value, bracket(g, images[i], images[j])))
+            value = vec_sub(value, mat_vec(a, bracket(g, g.basis_vector(i), images[j])))
+            value = vec_sub(value, mat_vec(a, bracket(g, images[i], g.basis_vector(j))))
+            table[i][j] = value
+            table[j][i] = vec_scale(Fraction(-1), value)
+    return NijenhuisTable(n, tuple(tuple(row) for row in table))

@@ -100,6 +100,11 @@ def random_jacobi_algebra(rng: random.Random, dim: int) -> lf.LieAlgebra:
     return g
 
 
+def heisenberg_plus_abelian(k: int, r: int = 0) -> lf.LieAlgebra:
+    """h_{2k+1} + R^r on (x_1..x_k, y_1..y_k, z, a_1..a_r), [x_i, y_i] = z."""
+    return lf.LieAlgebra.from_brackets(2 * k + 1 + r, {(i, k + i): {2 * k: 1} for i in range(k)})
+
+
 def mat_inverse(m):
     n = len(m)
     cols = []

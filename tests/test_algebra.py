@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieforge import (
     LieAlgebra,
@@ -16,7 +17,9 @@ from lieforge.algebra import jacobi_residual
 from lieforge.linalg import matrix, vector
 from lieforge.report import DimensionMismatch
 
+import algebra_oracle as oracle
 from conftest import random_jacobi_algebra
+from strategies import RATIONALS, lie_or_not
 
 H3 = builtin("h3").algebra
 D4 = builtin("d4half").algebra
@@ -119,3 +122,31 @@ def test_jacobi_witnesses_reproduce_cyclic_sums():
             residual = jacobi_residual(g, *idxs)
             assert any(x != 0 for x in residual)
     assert seen_failures >= 10
+
+
+# --- the integer kernels against the Fraction expansion oracle ---------------
+#
+# Tuple equality of Fractions and of CheckReports: the fast path must give the
+# oracle's exact values and the same item names and witness strings.
+
+
+def vectors(dim):
+    return st.one_of(st.just((Fraction(0),) * dim), st.tuples(*[RATIONALS] * dim))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_bracket_matches_oracle(data):
+    g = data.draw(lie_or_not())
+    x, y = data.draw(vectors(g.dim)), data.draw(vectors(g.dim))
+    assert bracket(g, x, y) == oracle.bracket(g, x, y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lie_or_not())
+def test_jacobi_matches_oracle(g):
+    assert check_jacobi(g) == oracle.check_jacobi(g)  # item names and witness strings
+    for i in range(g.dim):
+        for j in range(g.dim):
+            for k in range(g.dim):
+                assert jacobi_residual(g, i, j, k) == oracle.jacobi_residual(g, i, j, k)

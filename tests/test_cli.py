@@ -389,6 +389,48 @@ def test_partial_or_missing_source_is_a_usage_error(argv, capsys):
     assert capsys.readouterr().err.startswith("error: need")
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["check", "sasakian", "--builtin", "h3", "--structure", "{dir}"], "Is a directory"),
+        (["check", "jacobi", "--algebra", "{utf16}"], "can't decode byte 0xff"),
+    ],
+    ids=["structure-directory", "algebra-undecodable"],
+)
+def test_unreadable_input_is_a_usage_error(argv, reason, tmp_path, capsys):
+    from lieforge.cli import main
+
+    utf16 = tmp_path / "h3-utf16.lf"
+    utf16.write_bytes("lieforge/1 algebra\ndim 3\nbracket 1 2 = 3:1\n".encode("utf-16"))  # starts ff fe
+    assert main([a.format(dir=tmp_path, utf16=utf16) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "contact", "--builtin", "h3", "--form", ""],
+        ["check", "contact", "--builtin", "h3", "--form", "  "],
+        ["check", "cocycle", "--builtin", "h3", "--two-form", ""],
+        ["check", "sasakian", "--builtin", "h3", "--xi", "", "--form", "e3", "--map", "id"],
+    ],
+    ids=["form", "form-blank", "two-form", "xi"],
+)
+def test_empty_inline_spec_is_a_parse_error(argv, capsys):
+    from lieforge.cli import main
+
+    assert main(argv) == 2
+    assert "error: empty" in capsys.readouterr().err
+
+
+def test_explicit_zero_inline_spec_is_zero():
+    out, code = invoke("check", "contact", "--builtin", "h3", "--form", "0")
+    assert code == 1 and "item fail contact_top_form_nonzero" in out
+    out, code = invoke("check", "cocycle", "--builtin", "h3", "--two-form", "0")
+    assert code == 0
+
+
 NON_LIE = "lieforge/1 algebra\ndim 3\nbracket 1 2 = 3:1\nbracket 1 3 = 1:1\n"
 
 

@@ -20,6 +20,11 @@ from lieforge.forms import evaluation_sign
 from lieforge.linalg import vector
 
 from conftest import (
+    conjugate_algebra,
+    conjugate_one_form,
+    heisenberg_plus_abelian,
+    mat_inverse,
+    random_invertible,
     random_jacobi_algebra,
     random_kform,
     random_one_form,
@@ -116,6 +121,46 @@ def test_top_contact_g0_via_shuffle_oracle():
     # and the inner wedge agrees with its own shuffle expansion
     probe = [G0.basis_vector(i) for i in (0, 1, 2, 3)]
     assert shuffle_wedge_eval(da, da, probe) == two.evaluate(probe)
+
+
+# --- the Pfaffian contact test against the wedge-power oracle ----------------
+
+
+def wedge_top_coefficient(g, alpha):
+    """Top coefficient of alpha ^ (d alpha)^n by expanding the wedge power."""
+    n = (g.dim - 1) // 2
+    top = wedge(alpha, wedge_power(ce_differential(g, alpha), n))
+    return top.coeff(tuple(range(g.dim)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([1, 3, 5, 7, 9]), st.booleans())
+def test_top_contact_matches_wedge_oracle(seed, dim, zero):
+    rng = random.Random(seed)
+    g = random_jacobi_algebra(rng, dim)
+    alpha = KForm.zero(dim, 1) if zero else random_one_form(rng, dim)
+    res = top_contact_test(g, alpha)
+    assert res.coefficient == wedge_top_coefficient(g, alpha)
+    assert res.holds == (res.coefficient != 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 4), st.data())
+def test_top_contact_matches_wedge_oracle_on_conjugated_heisenberg(seed, m, data):
+    # k < m gives h_{2k+1} + R^{2(m-k)}, where (d alpha)^m = 0: coefficient 0
+    k = data.draw(st.integers(0, m))
+    rng = random.Random(seed)
+    base = heisenberg_plus_abelian(k, 2 * (m - k))
+    p = random_invertible(rng, base.dim)
+    g = conjugate_algebra(base, p, mat_inverse(p))
+    z_star = conjugate_one_form(KForm.basis_one_form(base.dim, 2 * k), p)
+    alpha = z_star if data.draw(st.booleans()) else random_one_form(rng, g.dim)
+    res = top_contact_test(g, alpha)
+    assert res.coefficient == wedge_top_coefficient(g, alpha)
+    if k < m:
+        assert res.coefficient == 0 and not res.holds
+    elif alpha is z_star:
+        assert res.holds
 
 
 small_dims = st.integers(min_value=1, max_value=5)

@@ -12,14 +12,17 @@ from lieforge.linalg import (
     det,
     fmt_vector,
     in_span,
+    mat_mul,
     mat_vec,
     matrix,
     nullspace,
+    pfaffian,
     positive_definite,
     rref,
     scalar,
     solve_affine,
     solve_unique,
+    transpose,
     vector,
 )
 
@@ -241,3 +244,38 @@ def test_dense_leibniz_systems_match_oracle(case, inconsistent):
     got = solve_affine(rows, rhs)
     assert got == oracle.solve_affine(rows, rhs)
     assert (got[0] is None) == inconsistent
+
+
+@st.composite
+def skew_matrices(draw, max_half=4):
+    n = 2 * draw(st.integers(0, max_half))
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i][j] = draw(ENTRIES)
+            a[j][i] = -a[i][j]
+    return tuple(map(tuple, a))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_pfaffian_squares_to_det_and_transforms_by_det(data):
+    # Pf(A)^2 = det A fixes the magnitude; Pf(B^T A B) = det(B) Pf(A) fixes the
+    # sign, including after the symmetric exchanges a zero pivot forces.
+    a = data.draw(skew_matrices())
+    n = len(a)
+    b = tuple(tuple(data.draw(st.one_of(st.just(Fraction(0)), SMALL)) for _ in range(n)) for _ in range(n))
+    congruent = mat_mul(transpose(b), mat_mul(a, b))
+    assert pfaffian(a) ** 2 == oracle.det(a)
+    assert pfaffian(congruent) == oracle.det(b) * pfaffian(a)
+
+
+def test_pfaffian_small_cases():
+    assert pfaffian(()) == 1
+    assert pfaffian(matrix([[0, "3/2"], ["-3/2", 0]])) == Fraction(3, 2)
+    # a14 a23 - a13 a24 + a12 a34 with a12 = 0: needs an exchange
+    four = matrix([[0, 0, 1, 2], [0, 0, 3, 4], [-1, -3, 0, 5], [-2, -4, -5, 0]])
+    assert pfaffian(four) == 2 * 3 - 1 * 4
+    assert pfaffian(matrix([[0, 0, 0, 0], [0, 0, 1, 2], [0, -1, 0, 3], [0, -2, -3, 0]])) == 0
+    with pytest.raises(ValueError):
+        pfaffian(matrix([[0]]))

@@ -20,6 +20,9 @@ from lieforge import (
 from lieforge.linalg import identity, matrix, vec_scale
 from lieforge.report import PreconditionError
 
+import algebra_oracle as oracle
+from strategies import RATIONALS, lie_or_not
+
 H3 = builtin("h3")
 D4 = builtin("d4half")
 G0 = builtin("g0")
@@ -109,6 +112,15 @@ def test_nijenhuis_h3_rotation():
     # N(e1,e2) = e3: the pair [Phi e1, Phi e2] = [e2, -e1] survives
     assert table.value(0, 1) == H3.algebra.basis_vector(2)
     assert table.value(0, 2) == (Fraction(0),) * 3
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_nijenhuis_matches_oracle(data):
+    # rational maps with mixed denominators, on Lie and non-Lie tensors
+    g = data.draw(lie_or_not())
+    a = tuple(tuple(data.draw(RATIONALS) for _ in range(g.dim)) for _ in range(g.dim))
+    assert nijenhuis(g, a) == oracle.nijenhuis(g, a)
 
 
 def test_kahler_d4half_identity_metric():
