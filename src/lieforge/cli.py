@@ -146,8 +146,7 @@ def _read_algebra(args) -> tuple[LieAlgebra, Builtin | None]:
         b = builtin(args.builtin)
         return b.algebra, b
     if getattr(args, "algebra", None):
-        text = Path(args.algebra).read_text()
-        return parse_algebra(text), None
+        return parse_algebra(_read_file(args.algebra, "algebra")), None
     raise ParseError("need --builtin or --algebra", 0, "algebra")
 
 
@@ -161,8 +160,17 @@ def _load_algebra(args) -> tuple[LieAlgebra, Builtin | None]:
     return g, b
 
 
-def _structure_file(path: str, kind: str) -> ParsedStructure:
-    parsed = parse_structure(Path(path).read_text())
+def _read_file(path: str, flag: str) -> str:
+    """The UTF-8 text of the file given to ``--flag``; a file that cannot be
+    read or decoded is a usage error that names the flag and the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise LieforgeError(f"cannot read --{flag.replace('_', '-')} {path}: {exc}") from exc
+
+
+def _structure_file(path: str, kind: str, flag: str) -> ParsedStructure:
+    parsed = parse_structure(_read_file(path, flag))
     if parsed.kind != kind:
         raise ParseError(f"expected a structure file of kind {kind}", 0, kind)
     return parsed
@@ -174,7 +182,7 @@ def _value(spec: str | None, flag: str, dim: int, b: Builtin | None):
     if spec is None:
         return None
     if spec.startswith("@") and flag in STRUCTURE_KEYS:
-        return _structure_file(spec[1:], flag).value("values", dim)
+        return _structure_file(spec[1:], flag, flag).value("values", dim)
     if flag == "xi":
         return parse_vector_inline(spec, dim)
     if flag == "form":
@@ -269,7 +277,7 @@ def _resolve(args, g: LieAlgebra, b: Builtin | None, name: str, inline: bool) ->
     source = _SOURCES[name]
     path = getattr(args, "structure", None)
     if source.keys and path:
-        parsed = _structure_file(path, name)
+        parsed = _structure_file(path, name, "structure")
         return tuple(parsed.value(key, g.dim) for key in source.keys)
     spelled = "/".join(f"--{flag.replace('_', '-')}" for flag in source.flags)
     given = [flag for flag in source.flags if getattr(args, flag, None) is not None] if inline else []
@@ -535,8 +543,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else argv
     try:
         rendered, code = run(argv)
-    # OSError and UnicodeDecodeError come from reading an input file; ParseError is a LieforgeError
-    except (OSError, UnicodeDecodeError, LieforgeError) as exc:
+    # ParseError and an input file that cannot be read (see _read_file) are LieforgeErrors
+    except LieforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(rendered)

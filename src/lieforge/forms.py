@@ -14,6 +14,9 @@ The contact test never expands a wedge power: in dimension 2n+1 the top
 coefficient of alpha ^ (d alpha)^n is n! times the Pfaffian of the bordered
 skew matrix [[0, alpha], [-alpha^T, d alpha]], an O(n^3) elimination.
 ``wedge`` and ``wedge_power`` stay public and are the tests' oracle for it.
+
+d(alpha) of a 1-form is built once per check, as an integer skew matrix
+over one denominator (``_dalpha``); ``ce_differential`` stays the general path.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .linalg import (
     ScalarLike,
     Vector,
     ZERO,
+    clear_denominators,
     det,
     nullspace,
     pfaffian,
@@ -248,6 +252,17 @@ def ce_differential(g: LieAlgebra, form: KForm) -> KForm:
     return KForm.from_coeffs(g.dim, k + 1, table)
 
 
+def _dalpha(g: LieAlgebra, coords: Sequence[Fraction]) -> tuple[list[list[int]], int]:
+    """d(alpha) of the 1-form with these coordinates as (A, den), d(alpha) = A/den.
+
+    With a = da*alpha, da the least common denominator of alpha, and the
+    integers D*c of the algebra, A[i][j] = -sum_k a_k D c_ijk and den = D*da.
+    """
+    d, terms = g._integer_terms
+    a, da = clear_denominators(coords)
+    return [[-sum(a[k] * c for k, c in t) for t in row] for row in terms], d * da
+
+
 def radical(g: LieAlgebra, form: KForm) -> Subspace:
     """{x : B(x, y) = 0 for all y} of a degree-2 form, as a nullspace."""
     if form.degree != 2:
@@ -278,9 +293,14 @@ def top_contact_test(g: LieAlgebra, alpha: KForm) -> TopContactResult:
         raise DimensionMismatch("expected a 1-form on the algebra")
     if g.dim % 2 == 0:
         return TopContactResult(False, None, f"dimension {g.dim} is even")
-    n = (g.dim - 1) // 2
     coords = tuple(alpha.coeff((i,)) for i in range(g.dim))
-    da = ce_differential(g, alpha).as_matrix()
-    bordered = ((ZERO,) + coords,) + tuple((-x,) + row for x, row in zip(coords, da))
-    coeff = factorial(n) * pfaffian(bordered)
+    return _top_contact(coords, *_dalpha(g, coords))
+
+
+def _top_contact(coords: Vector, da: list[list[int]], den: int) -> TopContactResult:
+    """The contact test of odd dimension on d(alpha) = da/den from ``_dalpha``."""
+    border = [int(x * den) for x in coords]
+    bordered = [[0] + border] + [[-x] + row for x, row in zip(border, da)]
+    n = len(coords) // 2
+    coeff = factorial(n) * pfaffian(bordered) / den ** (n + 1)
     return TopContactResult(coeff != 0, coeff, None if coeff != 0 else "top coefficient is 0")

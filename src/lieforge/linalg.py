@@ -2,8 +2,9 @@
 
 Scalars are fractions.Fraction (canonical reduced form, positive
 denominator); floats are rejected at the boundary. Vectors are tuples of
-Fractions, matrices are tuples of row tuples. Nothing here mutates its
-inputs, so every value is safe to share across threads.
+Fractions, matrices are tuples of row tuples; the eliminations also take
+rows of plain integers. Nothing here mutates its inputs, so every value is
+safe to share across threads.
 
 All elimination runs in one fraction-free integer kernel, _eliminate, on
 primitive integer rows that become Fractions once, at the end. solve_affine

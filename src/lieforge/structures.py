@@ -6,6 +6,11 @@ Metric conventions, fixed by the worked four-dimensional example:
 Both are recomputed from the supplied data and verified axiom by axiom;
 positive definiteness is decided exactly through leading principal minors.
 
+The contact and Sasakian checks compute d(alpha) once per call, as integers
+over one denominator (``forms._dalpha``), and test every identity on integer
+products cross-multiplied by their denominators; Fractions are made only for
+the results, the notes and the witness of an item that fails.
+
 A Frobenius, Kahler or Sasakian structure returned by its ``check_*``
 function is bound to the algebra it was checked on (its ``algebra``
 field). The constructions in ``theorems`` accept such a structure on that
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import LieAlgebra, Subspace
-from .forms import KForm, ce_differential, radical, top_contact_test
+from .forms import KForm, _dalpha, _top_contact, ce_differential, radical
 from .linalg import (
     Matrix,
     Vector,
@@ -30,13 +35,9 @@ from .linalg import (
     fmt_basis_tuple,
     fmt_scalar,
     fmt_vector,
-    identity,
     is_zero_vector,
-    mat_add,
     mat_mul,
-    mat_neg,
-    mat_sub,
-    mat_vec,
+    nullspace,
     positive_definite,
     solve_affine,
     transpose,
@@ -105,19 +106,25 @@ def apply_one_form(alpha: KForm, v: Vector) -> Fraction:
     return sum((c * x for c, x in zip(one_form_coords(alpha), v, strict=True)), ZERO)
 
 
-def outer(v: Vector, w: Vector) -> Matrix:
-    return tuple(tuple(v[i] * w[j] for j in range(len(w))) for i in range(len(v)))
+def _int_matrix(m: Matrix) -> tuple[list[list[int]], int]:
+    """(rows, d) with m == rows / d for a square m, d the least common denominator."""
+    n = len(m)
+    flat, d = clear_denominators([x for row in m for x in row])
+    return [flat[r * n : (r + 1) * n] for r in range(n)], d
+
+
+def _int_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 def kirillov_form(g: LieAlgebra, phi: KForm) -> KForm:
     """B_phi(x, y) = phi([x, y]); equals -d(phi)."""
     if phi.degree != 1 or phi.dim != g.dim:
         raise DimensionMismatch("expected a 1-form on the algebra")
-    entries = {}
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            entries[(i, j)] = apply_one_form(phi, g.c[i][j])
-    return KForm.from_coeffs(g.dim, 2, entries)
+    da, den = _dalpha(g, one_form_coords(phi))
+    n = g.dim
+    return KForm.from_coeffs(n, 2, {(i, j): Fraction(-da[i][j], den) for i in range(n) for j in range(i + 1, n)})
 
 
 def principal_element(g: LieAlgebra, phi: KForm) -> Vector:
@@ -157,21 +164,21 @@ def check_contact(g: LieAlgebra, alpha: KForm) -> tuple[CheckReport, ContactStru
     items = [passed("odd_dimension", g.dim % 2 == 1, f"dim = {g.dim}")]
     if not items[0].passed:
         return CheckReport(tuple(items)), None
-    top = top_contact_test(g, alpha)
+    coords = one_form_coords(alpha)
+    da, den = _dalpha(g, coords)
+    top = _top_contact(coords, da, den)
     items.append(passed("contact_top_form_nonzero", top.holds, top.reason or ""))
     if not top.holds:
         return CheckReport(tuple(items)), None
-    da = ce_differential(g, alpha).as_matrix()
-    rows = [tuple(da[i][j] for i in range(g.dim)) for j in range(g.dim)]
-    rows.append(one_form_coords(alpha))
-    rhs = [ZERO] * g.dim + [Fraction(1)]
-    particular, homogeneous = solve_affine(rows, rhs)
+    # d(alpha) is skew, so its rows span its columns: the Reeb system
+    # d(alpha)(xi, .) = 0, alpha(xi) = 1 and the radical read the same rows
+    particular, homogeneous = solve_affine(da + [coords], [0] * g.dim + [1])
     unique = particular is not None and not homogeneous
     items.append(passed("reeb_unique", unique, "Reeb system has no unique solution"))
     if not unique:
         return CheckReport(tuple(items)), None
     reeb = particular
-    rad = radical(g, kirillov_form(g, alpha))
+    rad = Subspace(g.dim, nullspace(da, g.dim))
     items.append(
         passed(
             "radical_spanned_by_reeb",
@@ -204,9 +211,19 @@ def nijenhuis(g: LieAlgebra, a: Matrix) -> NijenhuisTable:
     if len(a) != g.dim or any(len(row) != g.dim for row in a):
         raise DimensionMismatch("map does not match algebra dimension")
     n = g.dim
+    ints, den = _nijenhuis_ints(g, *_int_matrix(a))
+    zero = (ZERO,) * n
+    table = [[zero] * n for _ in range(n)]
+    for (i, j), acc in ints.items():
+        table[i][j] = vector_over(acc, den)
+        table[j][i] = vector_over([-x for x in acc], den)
+    return NijenhuisTable(n, tuple(tuple(row) for row in table))
+
+
+def _nijenhuis_ints(g: LieAlgebra, ai: list[list[int]], da: int) -> tuple[dict[tuple[int, int], list[int]], int]:
+    """The torsion of the map ai/da as (N, den): N[(i, j)], i < j, is N(e_i, e_j) times den = da^2*D."""
+    n = g.dim
     d, terms = g._integer_terms
-    flat, da = clear_denominators([x for row in a for x in row])
-    ai = [flat[r * n : (r + 1) * n] for r in range(n)]
     cols = [[(r, ai[r][j]) for r in range(n) if ai[r][j]] for j in range(n)]
     left = [[[0] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
@@ -215,9 +232,7 @@ def nijenhuis(g: LieAlgebra, a: Matrix) -> NijenhuisTable:
             for r, x in cols[i]:
                 for k, c in terms[r][b]:
                     acc[k] += x * c
-    den = da * da * d
-    zero = (ZERO,) * n
-    table = [[zero] * n for _ in range(n)]
+    torsion = {}
     for i in range(n):
         for j in range(i + 1, n):
             inner = [y - x for x, y in zip(left[i][j], left[j][i])]
@@ -228,9 +243,8 @@ def nijenhuis(g: LieAlgebra, a: Matrix) -> NijenhuisTable:
             for b, x in cols[j]:
                 for k, y in enumerate(left[i][b]):
                     acc[k] += x * y
-            table[i][j] = vector_over(acc, den)
-            table[j][i] = vector_over([-x for x in acc], den)
-    return NijenhuisTable(n, tuple(tuple(row) for row in table))
+            torsion[(i, j)] = acc
+    return torsion, da * da * d
 
 
 def kahler_metric(g: LieAlgebra, j: Matrix, omega: KForm) -> Matrix:
@@ -305,11 +319,30 @@ def check_kahler(g: LieAlgebra, j: Matrix, omega: KForm) -> tuple[CheckReport, K
     return report, _bind(KahlerStructure(j, omega, metric), g)
 
 
+def _same(u, du: int, v, dv: int) -> bool:
+    """u/du == v/dv, entry by entry, for integer vectors u and v."""
+    return all(x * dv == y * du for x, y in zip(u, v, strict=True))
+
+
+def _sasakian_metric_ints(
+    coords: Vector, p: list[list[int]], dp: int, da: list[list[int]], den: int
+) -> tuple[list[list[int]], int]:
+    """-d(alpha) Phi + alpha (x) alpha as (M, dm), for Phi = p/dp and d(alpha) = da/den
+    from ``_dalpha``: with a = dal*alpha integers, M = (a a^T)(den/dal)dp - (da p)dal
+    over dm = den*dal*dp."""
+    a, dal = clear_denominators(coords)
+    k = den // dal * dp
+    dap = _int_mul(da, p)
+    return [[x * y * k - z * dal for y, z in zip(a, row)] for x, row in zip(a, dap)], den * dal * dp
+
+
 def sasakian_metric(g: LieAlgebra, alpha: KForm, phi: Matrix) -> Matrix:
     """Candidate metric g(x,y) = -d(alpha)(x, Phi y) + alpha(x) alpha(y)."""
-    da = ce_differential(g, alpha).as_matrix()
+    if alpha.dim != g.dim or len(phi) != g.dim or any(len(row) != g.dim for row in phi):
+        raise DimensionMismatch("structure data does not match algebra dimension")
     coords = one_form_coords(alpha)
-    return mat_add(mat_neg(mat_mul(da, phi)), outer(coords, coords))
+    metric, dm = _sasakian_metric_ints(coords, *_int_matrix(phi), *_dalpha(g, coords))
+    return tuple(vector_over(row, dm) for row in metric)
 
 
 def check_sasakian(
@@ -324,44 +357,44 @@ def check_sasakian(
     """
     if alpha.degree != 1 or alpha.dim != g.dim:
         raise DimensionMismatch("expected a 1-form on the algebra")
-    if len(phi) != g.dim or len(reeb) != g.dim:
+    if len(phi) != g.dim or len(reeb) != g.dim or any(len(row) != g.dim for row in phi):
         raise DimensionMismatch("structure data does not match algebra dimension")
     n = g.dim
+    duals = tuple(f"{l}*" for l in g.labels)
     coords = one_form_coords(alpha)
+    a, dal = clear_denominators(coords)
+    r, dr = clear_denominators(reeb)
+    p, dp = _int_matrix(phi)
+    da, den = _dalpha(g, coords)
     items = []
-    pairing = apply_one_form(alpha, reeb)
+    pairing = Fraction(sum(x * y for x, y in zip(a, r)), dal * dr)
     items.append(passed("alpha_reeb_pairing", pairing == 1, f"alpha(xi) = {fmt_scalar(pairing)}"))
-    phi2 = mat_mul(phi, phi)
-    expected = mat_sub(outer(reeb, coords), identity(n))
-    wrong = next((k for k in range(n) if column(phi2, k) != column(expected, k)), None)
+    # Phi^2 over dp^2 against xi (x) alpha - Id = (r a^T - s Id) over s, column by column
+    s = dal * dr
+    phi2 = list(zip(*_int_mul(p, p)))
+    target = [[y * x - (s if i == j else 0) for i, y in enumerate(r)] for j, x in enumerate(a)]
+    wrong = next((k for k in range(n) if not _same(phi2[k], dp * dp, target[k], s)), None)
     witness = (
         ""
         if wrong is None
-        else f"Phi^2({g.labels[wrong]}) = {fmt_vector(column(phi2, wrong), g.labels)}, "
-        f"expected {fmt_vector(column(expected, wrong), g.labels)}"
+        else f"Phi^2({g.labels[wrong]}) = {fmt_vector(vector_over(phi2[wrong], dp * dp), g.labels)}, "
+        f"expected {fmt_vector(vector_over(target[wrong], s), g.labels)}"
     )
     items.append(passed("phi_square_identity", wrong is None, witness))
-    da_form = ce_differential(g, alpha)
-    da = da_form.as_matrix()
-    torsion = nijenhuis(g, phi)
-    bad_pair = None
-    for a in range(n):
-        for b in range(a + 1, n):
-            if torsion.value(a, b) != vec_scale(-da[a][b], reeb):
-                bad_pair = (a, b)
-                break
-        if bad_pair:
-            break
+    # N_Phi(e_i, e_j) over dt against -d(alpha)(e_i, e_j) xi over den*dr
+    torsion, dt = _nijenhuis_ints(g, p, dp)
+    expected = {(i, j): [-da[i][j] * y for y in r] for i, j in torsion}
+    bad_pair = next((pair for pair, v in torsion.items() if not _same(v, dt, expected[pair], den * dr)), None)
     witness = (
         ""
         if bad_pair is None
         else f"N_Phi{fmt_basis_tuple(bad_pair, g.labels)} = "
-        f"{fmt_vector(torsion.value(*bad_pair), g.labels)}, expected "
-        f"{fmt_vector(vec_scale(-da[bad_pair[0]][bad_pair[1]], reeb), g.labels)}"
+        f"{fmt_vector(vector_over(torsion[bad_pair], dt), g.labels)}, expected "
+        f"{fmt_vector(vector_over(expected[bad_pair], den * dr), g.labels)}"
     )
     items.append(passed("nijenhuis_torsion", bad_pair is None, witness))
-    metric = sasakian_metric(g, alpha, phi)
-    symmetric = metric == transpose(metric)
+    metric, dm = _sasakian_metric_ints(coords, p, dp, da, den)
+    symmetric = all(metric[i][j] == metric[j][i] for i in range(n) for j in range(i))
     items.append(passed("metric_symmetric", symmetric, "derived metric is not symmetric"))
     pos, minor = positive_definite(metric)
     items.append(
@@ -371,42 +404,22 @@ def check_sasakian(
             f"leading {minor}x{minor} minor is not positive" if not pos else "metric not symmetric",
         )
     )
-    lhs = mat_mul(transpose(phi), mat_mul(metric, phi))
-    rhs = mat_sub(metric, outer(coords, coords))
-    items.append(
-        passed(
-            "metric_phi_isometry",
-            lhs == rhs,
-            "g(Phi x, Phi y) != g(x,y) - alpha(x)alpha(y)",
-        )
-    )
-    items.append(
-        passed(
-            "metric_reproduces_dalpha",
-            mat_mul(metric, phi) == da,
-            "g(x, Phi y) != d(alpha)(x,y)",
-        )
-    )
-    phi_reeb = mat_vec(phi, reeb)
-    items.append(
-        passed(
-            "phi_kills_reeb",
-            is_zero_vector(phi_reeb),
-            f"Phi(xi) = {fmt_vector(phi_reeb, g.labels)}",
-        )
-    )
-    alpha_phi = tuple(sum((coords[i] * phi[i][j] for i in range(n)), ZERO) for j in range(n))
-    items.append(
-        passed(
-            "alpha_phi_vanishes",
-            is_zero_vector(alpha_phi),
-            f"alpha(Phi e_j) = {alpha_phi}",
-        )
-    )
-    notes = tuple(
-        (f"metric_row_{g.labels[i]}", fmt_vector(metric[i], tuple(f"{l}*" for l in g.labels)))
-        for i in range(n)
-    )
+    # Phi^T g Phi over dm*dp^2 against g - alpha (x) alpha over dm*dal^2
+    gphi = _int_mul(metric, p)
+    lhs = _int_mul(transpose(p), gphi)
+    rhs = [[z * dal * dal - x * y * dm for y, z in zip(a, row)] for x, row in zip(a, metric)]
+    isometry = all(_same(u, dm * dp * dp, v, dm * dal * dal) for u, v in zip(lhs, rhs))
+    items.append(passed("metric_phi_isometry", isometry, "g(Phi x, Phi y) != g(x,y) - alpha(x)alpha(y)"))
+    reproduces = all(_same(u, dm * dp, v, den) for u, v in zip(gphi, da))
+    items.append(passed("metric_reproduces_dalpha", reproduces, "g(x, Phi y) != d(alpha)(x,y)"))
+    phi_reeb = [sum(x * y for x, y in zip(row, r)) for row in p]
+    witness = f"Phi(xi) = {fmt_vector(vector_over(phi_reeb, dp * dr), g.labels)}"
+    items.append(passed("phi_kills_reeb", not any(phi_reeb), witness))
+    alpha_phi = [sum(x * y for x, y in zip(a, col)) for col in zip(*p)]
+    witness = f"alpha(Phi e_j) = {fmt_vector(vector_over(alpha_phi, dal * dp), duals)}"
+    items.append(passed("alpha_phi_vanishes", not any(alpha_phi), witness))
+    metric = tuple(vector_over(row, dm) for row in metric)
+    notes = tuple((f"metric_row_{g.labels[i]}", fmt_vector(metric[i], duals)) for i in range(n))
     report = CheckReport(tuple(items), notes)
     if not report.overall:
         return report, None

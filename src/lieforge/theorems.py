@@ -210,7 +210,7 @@ def kahler_extension_obstruction(g: LieAlgebra, s: SasakianStructure, theta: KFo
         if val != 0:
             reeb_pair = (a, val)
             break
-    dxi = ce_differential(g, s.alpha)
+    dxi = kirillov_form(g, s.alpha).neg()  # d(alpha) = -B_alpha
     notes.append(
         (
             "theta_phi_invariance",

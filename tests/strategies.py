@@ -10,8 +10,20 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 import lieforge as lf
+from lieforge.forms import KForm
+from lieforge.linalg import identity, mat_vec, nullspace
 
-from conftest import random_jacobi_algebra
+from conftest import (
+    conjugate_algebra,
+    conjugate_map,
+    conjugate_one_form,
+    heisenberg_plus_abelian,
+    mat_inverse,
+    random_invertible,
+    random_jacobi_algebra,
+)
+
+SEEDS = st.integers(0, 10**6)
 
 RATIONALS = st.one_of(
     st.just(Fraction(0)),
@@ -37,3 +49,90 @@ def lie_or_not(draw):
     if draw(st.booleans()):
         return draw(antisymmetric_algebras())
     return random_jacobi_algebra(random.Random(draw(st.integers(0, 10**6))), draw(st.integers(1, 6)))
+
+
+def heisenberg_sasakian(m):
+    """h_{2m+1} on (x_1..x_m, y_1..y_m, z) with its standard Sasakian data."""
+    n = 2 * m + 1
+    g = heisenberg_plus_abelian(m)
+    phi = [[0] * n for _ in range(n)]
+    for k in range(m):
+        phi[m + k][k] = 1  # Phi x_k = y_k
+        phi[k][m + k] = -1  # Phi y_k = -x_k
+    return g, g.basis_vector(n - 1), KForm.basis_one_form(n, n - 1), lf.matrix(phi)
+
+
+def conjugated_heisenberg_sasakian(m, seed):
+    """heisenberg_sasakian(m) moved to a random rational basis e'_i = P e_i."""
+    g, reeb, alpha, phi = heisenberg_sasakian(m)
+    p = random_invertible(random.Random(seed), g.dim)
+    pinv = mat_inverse(p)
+    return conjugate_algebra(g, p, pinv), mat_vec(pinv, reeb), conjugate_one_form(alpha, p), conjugate_map(phi, p, pinv)
+
+
+def rational_vectors(dim):
+    return st.lists(RATIONALS, min_size=dim, max_size=dim).map(tuple)
+
+
+@st.composite
+def closed_one_forms(draw, g):
+    """A 1-form vanishing on [g, g], so d(alpha) = 0: a combination of the annihilator's basis."""
+    rows = [g.c[i][j] for i in range(g.dim) for j in range(i + 1, g.dim)]
+    coords = [0] * g.dim
+    for v in nullspace(rows, g.dim) if rows else identity(g.dim):
+        c = draw(RATIONALS)
+        coords = [x + c * y for x, y in zip(coords, v)]
+    return KForm.one_form(g.dim, coords)
+
+
+@st.composite
+def perturbed(draw, values):
+    """values with a few entries replaced by drawn rationals (mixed denominators)."""
+    out = list(values)
+    for i in draw(st.lists(st.integers(0, len(out) - 1), max_size=2)):
+        out[i] = draw(RATIONALS)
+    return tuple(out)
+
+
+@st.composite
+def contact_inputs(draw):
+    """(g, alpha): conjugated h_{2k+1} + R^{2(m-k)} with z* or a perturbed z*, a random
+    algebra (Lie or not) with a rational 1-form, or a closed 1-form; odd and even dimension."""
+    kind = draw(st.sampled_from(["heisenberg", "random", "closed"]))
+    if kind == "heisenberg":
+        m = draw(st.integers(1, 3))
+        k = draw(st.integers(0, m))
+        base = heisenberg_plus_abelian(k, 2 * (m - k))
+        p = random_invertible(random.Random(draw(SEEDS)), base.dim)
+        g = conjugate_algebra(base, p, mat_inverse(p))
+        z_star = conjugate_one_form(KForm.basis_one_form(base.dim, 2 * k), p)
+        return g, KForm.one_form(g.dim, draw(perturbed([z_star.coeff((i,)) for i in range(g.dim)])))
+    g = draw(lie_or_not())
+    if kind == "closed":
+        return g, draw(closed_one_forms(g))
+    return g, KForm.one_form(g.dim, draw(rational_vectors(g.dim)))
+
+
+@st.composite
+def sasakian_inputs(draw):
+    """(g, reeb, alpha, phi): Sasakian data on a conjugated h_{2m+1}, exact, with -Phi
+    (the metric fails to be definite) or with a few entries of xi, alpha or Phi perturbed;
+    or random data on a random algebra (Lie or not, any dimension), with a closed alpha
+    or a rational one."""
+    kind = draw(st.sampled_from(["exact", "negated", "perturbed", "random", "closed"]))
+    if kind in ("exact", "negated", "perturbed"):
+        g, reeb, alpha, phi = conjugated_heisenberg_sasakian(draw(st.integers(1, 3)), draw(SEEDS))
+        n = g.dim
+        if kind == "negated":
+            phi = tuple(tuple(-x for x in row) for row in phi)
+        if kind == "perturbed":
+            reeb = draw(perturbed(reeb))
+            alpha = KForm.one_form(n, draw(perturbed([alpha.coeff((i,)) for i in range(n)])))
+            flat = draw(perturbed([x for row in phi for x in row]))
+            phi = tuple(flat[r * n : (r + 1) * n] for r in range(n))
+        return g, reeb, alpha, phi
+    g = draw(lie_or_not())
+    n = g.dim
+    alpha = draw(closed_one_forms(g)) if kind == "closed" else KForm.one_form(n, draw(rational_vectors(n)))
+    phi = tuple(draw(rational_vectors(n)) for _ in range(n))
+    return g, draw(rational_vectors(n)), alpha, phi

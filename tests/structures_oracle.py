@@ -1,0 +1,194 @@
+"""Reference oracle for the contact and Sasakian checks: plain Fraction versions.
+
+These are the straightforward Fraction-arithmetic kirillov_form,
+top_contact_test, check_contact, sasakian_metric and check_sasakian that the
+integer d(alpha) paths in lieforge.structures and lieforge.forms replaced:
+d(alpha) comes from the general-degree ``ce_differential`` each time it is
+needed, the matrix identities run through ``mat_mul`` and the torsion
+through the Fraction Nijenhuis expansion of algebra_oracle. They are slow
+but obviously correct; tests/test_structures.py checks that the fast paths
+return exactly the same reports, witnesses, notes and structures.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import factorial
+
+from lieforge.algebra import LieAlgebra, Subspace
+from lieforge.forms import KForm, TopContactResult, ce_differential, radical
+from lieforge.linalg import (
+    Matrix,
+    Vector,
+    ZERO,
+    column,
+    fmt_basis_tuple,
+    fmt_scalar,
+    fmt_vector,
+    identity,
+    is_zero_vector,
+    mat_add,
+    mat_mul,
+    mat_neg,
+    mat_sub,
+    mat_vec,
+    pfaffian,
+    positive_definite,
+    solve_affine,
+    transpose,
+    vec_scale,
+)
+from lieforge.report import CheckReport, DimensionMismatch, passed
+from lieforge.structures import (
+    ContactStructure,
+    SasakianStructure,
+    _bind,
+    apply_one_form,
+    one_form_coords,
+)
+
+import algebra_oracle
+
+
+def outer(v: Vector, w: Vector) -> Matrix:
+    return tuple(tuple(v[i] * w[j] for j in range(len(w))) for i in range(len(v)))
+
+
+def kirillov_form(g: LieAlgebra, phi: KForm) -> KForm:
+    """B_phi(x, y) = phi([x, y]); equals -d(phi)."""
+    if phi.degree != 1 or phi.dim != g.dim:
+        raise DimensionMismatch("expected a 1-form on the algebra")
+    entries = {}
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            entries[(i, j)] = apply_one_form(phi, g.c[i][j])
+    return KForm.from_coeffs(g.dim, 2, entries)
+
+
+def top_contact_test(g: LieAlgebra, alpha: KForm) -> TopContactResult:
+    """n! Pf([[0, alpha], [-alpha^T, d alpha]]) on the Fraction matrices."""
+    if g.dim % 2 == 0:
+        return TopContactResult(False, None, f"dimension {g.dim} is even")
+    n = (g.dim - 1) // 2
+    coords = one_form_coords(alpha)
+    da = ce_differential(g, alpha).as_matrix()
+    bordered = ((ZERO,) + coords,) + tuple((-x,) + row for x, row in zip(coords, da))
+    coeff = factorial(n) * pfaffian(bordered)
+    return TopContactResult(coeff != 0, coeff, None if coeff != 0 else "top coefficient is 0")
+
+
+def check_contact(g: LieAlgebra, alpha: KForm) -> tuple[CheckReport, ContactStructure | None]:
+    if alpha.degree != 1 or alpha.dim != g.dim:
+        raise DimensionMismatch("expected a 1-form on the algebra")
+    items = [passed("odd_dimension", g.dim % 2 == 1, f"dim = {g.dim}")]
+    if not items[0].passed:
+        return CheckReport(tuple(items)), None
+    top = top_contact_test(g, alpha)
+    items.append(passed("contact_top_form_nonzero", top.holds, top.reason or ""))
+    if not top.holds:
+        return CheckReport(tuple(items)), None
+    da = ce_differential(g, alpha).as_matrix()
+    rows = [tuple(da[i][j] for i in range(g.dim)) for j in range(g.dim)]
+    rows.append(one_form_coords(alpha))
+    rhs = [ZERO] * g.dim + [Fraction(1)]
+    particular, homogeneous = solve_affine(rows, rhs)
+    unique = particular is not None and not homogeneous
+    items.append(passed("reeb_unique", unique, "Reeb system has no unique solution"))
+    if not unique:
+        return CheckReport(tuple(items)), None
+    reeb = particular
+    rad = radical(g, kirillov_form(g, alpha))
+    items.append(
+        passed(
+            "radical_spanned_by_reeb",
+            rad == Subspace.from_vectors(g.dim, (reeb,)),
+            f"radical is {rad.describe(g.labels)}",
+        )
+    )
+    report = CheckReport(
+        tuple(items),
+        (
+            ("reeb", fmt_vector(reeb, g.labels)),
+            ("top_coefficient", fmt_scalar(top.coefficient)),
+        ),
+    )
+    if not report.overall:
+        return report, None
+    return report, ContactStructure(alpha, reeb)
+
+
+def sasakian_metric(g: LieAlgebra, alpha: KForm, phi: Matrix) -> Matrix:
+    """Candidate metric g(x,y) = -d(alpha)(x, Phi y) + alpha(x) alpha(y)."""
+    da = ce_differential(g, alpha).as_matrix()
+    coords = one_form_coords(alpha)
+    return mat_add(mat_neg(mat_mul(da, phi)), outer(coords, coords))
+
+
+def check_sasakian(g: LieAlgebra, reeb: Vector, alpha: KForm, phi: Matrix):
+    if alpha.degree != 1 or alpha.dim != g.dim:
+        raise DimensionMismatch("expected a 1-form on the algebra")
+    if len(phi) != g.dim or len(reeb) != g.dim:
+        raise DimensionMismatch("structure data does not match algebra dimension")
+    n = g.dim
+    duals = tuple(f"{l}*" for l in g.labels)
+    coords = one_form_coords(alpha)
+    items = []
+    pairing = apply_one_form(alpha, reeb)
+    items.append(passed("alpha_reeb_pairing", pairing == 1, f"alpha(xi) = {fmt_scalar(pairing)}"))
+    phi2 = mat_mul(phi, phi)
+    expected = mat_sub(outer(reeb, coords), identity(n))
+    wrong = next((k for k in range(n) if column(phi2, k) != column(expected, k)), None)
+    witness = (
+        ""
+        if wrong is None
+        else f"Phi^2({g.labels[wrong]}) = {fmt_vector(column(phi2, wrong), g.labels)}, "
+        f"expected {fmt_vector(column(expected, wrong), g.labels)}"
+    )
+    items.append(passed("phi_square_identity", wrong is None, witness))
+    da = ce_differential(g, alpha).as_matrix()
+    torsion = algebra_oracle.nijenhuis(g, phi)
+    bad_pair = next(
+        (
+            (a, b)
+            for a in range(n)
+            for b in range(a + 1, n)
+            if torsion.value(a, b) != vec_scale(-da[a][b], reeb)
+        ),
+        None,
+    )
+    witness = (
+        ""
+        if bad_pair is None
+        else f"N_Phi{fmt_basis_tuple(bad_pair, g.labels)} = "
+        f"{fmt_vector(torsion.value(*bad_pair), g.labels)}, expected "
+        f"{fmt_vector(vec_scale(-da[bad_pair[0]][bad_pair[1]], reeb), g.labels)}"
+    )
+    items.append(passed("nijenhuis_torsion", bad_pair is None, witness))
+    metric = sasakian_metric(g, alpha, phi)
+    symmetric = metric == transpose(metric)
+    items.append(passed("metric_symmetric", symmetric, "derived metric is not symmetric"))
+    pos, minor = positive_definite(metric)
+    items.append(
+        passed(
+            "metric_positive_definite",
+            symmetric and pos,
+            f"leading {minor}x{minor} minor is not positive" if not pos else "metric not symmetric",
+        )
+    )
+    lhs = mat_mul(transpose(phi), mat_mul(metric, phi))
+    rhs = mat_sub(metric, outer(coords, coords))
+    items.append(passed("metric_phi_isometry", lhs == rhs, "g(Phi x, Phi y) != g(x,y) - alpha(x)alpha(y)"))
+    items.append(
+        passed("metric_reproduces_dalpha", mat_mul(metric, phi) == da, "g(x, Phi y) != d(alpha)(x,y)")
+    )
+    phi_reeb = mat_vec(phi, reeb)
+    items.append(passed("phi_kills_reeb", is_zero_vector(phi_reeb), f"Phi(xi) = {fmt_vector(phi_reeb, g.labels)}"))
+    alpha_phi = tuple(sum((coords[i] * phi[i][j] for i in range(n)), ZERO) for j in range(n))
+    items.append(
+        passed("alpha_phi_vanishes", is_zero_vector(alpha_phi), f"alpha(Phi e_j) = {fmt_vector(alpha_phi, duals)}")
+    )
+    notes = tuple((f"metric_row_{g.labels[i]}", fmt_vector(metric[i], duals)) for i in range(n))
+    report = CheckReport(tuple(items), notes)
+    if not report.overall:
+        return report, None
+    return report, _bind(SasakianStructure(reeb, alpha, phi, metric), g)

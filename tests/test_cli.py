@@ -390,21 +390,23 @@ def test_partial_or_missing_source_is_a_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, reason",
+    "argv, culprit, reason",
     [
-        (["check", "sasakian", "--builtin", "h3", "--structure", "{dir}"], "Is a directory"),
-        (["check", "jacobi", "--algebra", "{utf16}"], "can't decode byte 0xff"),
+        (["check", "sasakian", "--builtin", "h3", "--structure", "{dir}"], "--structure {dir}", "Is a directory"),
+        (["check", "jacobi", "--algebra", "{utf16}"], "--algebra {utf16}", "can't decode byte 0xff"),
+        (["check", "contact", "--builtin", "h3", "--form", "@{utf16}"], "--form {utf16}", "can't decode byte 0xff"),
     ],
-    ids=["structure-directory", "algebra-undecodable"],
+    ids=["structure-directory", "algebra-undecodable", "form-file-undecodable"],
 )
-def test_unreadable_input_is_a_usage_error(argv, reason, tmp_path, capsys):
+def test_unreadable_input_is_a_usage_error(argv, culprit, reason, tmp_path, capsys):
     from lieforge.cli import main
 
     utf16 = tmp_path / "h3-utf16.lf"
     utf16.write_bytes("lieforge/1 algebra\ndim 3\nbracket 1 2 = 3:1\n".encode("utf-16"))  # starts ff fe
     assert main([a.format(dir=tmp_path, utf16=utf16) for a in argv]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and reason in err
+    # the message names the flag and the file it could not read
+    assert err.startswith(f"error: cannot read {culprit.format(dir=tmp_path, utf16=utf16)}: ") and reason in err
 
 
 @pytest.mark.parametrize(
@@ -422,6 +424,12 @@ def test_empty_inline_spec_is_a_parse_error(argv, capsys):
 
     assert main(argv) == 2
     assert "error: empty" in capsys.readouterr().err
+
+
+def test_alpha_phi_witness_is_a_dual_vector():
+    out, code = invoke("check", "sasakian", "--builtin", "h3", "--xi", "e3", "--form", "e3", "--map", "id")
+    assert code == 1
+    assert "item fail alpha_phi_vanishes | alpha(Phi e_j) = e3*\n" in out
 
 
 def test_explicit_zero_inline_spec_is_zero():

@@ -15,7 +15,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 import lieforge as lf
-from lieforge.forms import KForm, top_contact_test
+from lieforge.forms import top_contact_test
 from lieforge.linalg import det, mat_neg, mat_vec
 
 from conftest import (
@@ -23,15 +23,12 @@ from conftest import (
     conjugate_map,
     conjugate_one_form,
     conjugate_two_form,
-    heisenberg_plus_abelian,
     mat_inverse,
     random_invertible,
     random_jacobi_algebra,
     random_one_form,
 )
-from strategies import lie_or_not
-
-SEEDS = st.integers(0, 10**6)
+from strategies import SEEDS, heisenberg_sasakian, lie_or_not
 
 
 def basis_change(seed, dim):
@@ -41,17 +38,6 @@ def basis_change(seed, dim):
 
 def passes(report):
     return [(item.name, item.passed) for item in report.items]
-
-
-def heisenberg_sasakian(m):
-    """h_{2m+1} on (x_1..x_m, y_1..y_m, z) with its standard Sasakian data."""
-    n = 2 * m + 1
-    g = heisenberg_plus_abelian(m)
-    phi = [[0] * n for _ in range(n)]
-    for k in range(m):
-        phi[m + k][k] = 1  # Phi x_k = y_k
-        phi[k][m + k] = -1  # Phi y_k = -x_k
-    return g, g.basis_vector(n - 1), KForm.basis_one_form(n, n - 1), lf.matrix(phi)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,12 +17,15 @@ from lieforge import (
     kirillov_form,
     nijenhuis,
     principal_element,
+    sasakian_metric,
+    top_contact_test,
 )
 from lieforge.linalg import identity, matrix, vec_scale
-from lieforge.report import PreconditionError
+from lieforge.report import DimensionMismatch, PreconditionError
 
 import algebra_oracle as oracle
-from strategies import RATIONALS, lie_or_not
+import structures_oracle
+from strategies import RATIONALS, conjugated_heisenberg_sasakian, contact_inputs, lie_or_not, sasakian_inputs
 
 H3 = builtin("h3")
 D4 = builtin("d4half")
@@ -177,6 +181,18 @@ def test_sasakian_consequence_items_present():
     assert report.item("alpha_phi_vanishes").passed
 
 
+@pytest.mark.parametrize(
+    "alpha, phi",
+    [(E3, ((1, 0), (0, 1), (0, 0))), (E3, ((1, 0, 0), (0, 1), (0, 0, 1))), (KForm.basis_one_form(4, 3), identity(3))],
+    ids=["non-square-phi", "ragged-phi", "alpha-too-long"],
+)
+def test_sasakian_rejects_misshapen_data(alpha, phi):
+    with pytest.raises(DimensionMismatch):
+        check_sasakian(H3.algebra, H3.algebra.basis_vector(2), alpha, phi)
+    with pytest.raises(DimensionMismatch):
+        sasakian_metric(H3.algebra, alpha, phi)
+
+
 def test_checked_structures_are_bound_to_their_algebra():
     _, sas = check_sasakian(H3.algebra, *H3.sasakian_data)
     _, kah = check_kahler(D4.algebra, *D4.kahler_data)
@@ -188,3 +204,68 @@ def test_checked_structures_are_bound_to_their_algebra():
     copy = type(sas)(sas.reeb, sas.alpha, sas.phi, sas.metric)
     assert copy == sas and copy.algebra is None
     assert dataclasses.replace(sas, phi=identity(3)).algebra is None
+
+
+# --- the integer d(alpha) paths against the Fraction oracle -------------------
+
+
+def assert_same_result(got, want):
+    """Reports equal item by item (name, verdict, witness), then notes and structure."""
+    (report, structure), (oracle_report, oracle_structure) = got, want
+    assert list(report.items) == list(oracle_report.items)
+    assert report.notes == oracle_report.notes
+    assert structure == oracle_structure
+
+
+@settings(max_examples=150, deadline=None)
+@given(contact_inputs())
+def test_contact_matches_oracle(case):
+    g, alpha = case
+    assert_same_result(check_contact(g, alpha), structures_oracle.check_contact(g, alpha))
+    assert kirillov_form(g, alpha) == structures_oracle.kirillov_form(g, alpha)
+    assert top_contact_test(g, alpha) == structures_oracle.top_contact_test(g, alpha)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sasakian_inputs())
+def test_sasakian_matches_oracle(case):
+    g, reeb, alpha, phi = case
+    got = check_sasakian(g, reeb, alpha, phi)
+    assert_same_result(got, structures_oracle.check_sasakian(g, reeb, alpha, phi))
+    assert got[1] is None or got[1].algebra is g
+    assert sasakian_metric(g, alpha, phi) == structures_oracle.sasakian_metric(g, alpha, phi)
+
+
+DENSE_H7 = conjugated_heisenberg_sasakian(3, 1)
+ONE_DALPHA = {
+    "contact-h3": lambda: check_contact(H3.algebra, E3),
+    "contact-not-contact": lambda: check_contact(LieAlgebra.abelian(3), E3),
+    "contact-dense-h7": lambda: check_contact(DENSE_H7[0], DENSE_H7[2]),
+    "sasakian-h3": lambda: check_sasakian(H3.algebra, *H3.sasakian_data),
+    "sasakian-broken-phi": lambda: check_sasakian(H3.algebra, H3.sasakian_data[0], E3, identity(3)),
+    "sasakian-dense-h7": lambda: check_sasakian(*DENSE_H7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_DALPHA))
+def test_one_dalpha_per_check(case, monkeypatch):
+    import lieforge.forms
+
+    calls = []
+    dalpha, differential = lieforge.forms._dalpha, lieforge.forms.ce_differential
+
+    def counted(*args):
+        calls.append(args)
+        return dalpha(*args)
+
+    def forbidden(*args):
+        raise AssertionError("ce_differential called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lieforge"):
+            if getattr(module, "_dalpha", None) is dalpha:
+                monkeypatch.setattr(module, "_dalpha", counted)
+            if getattr(module, "ce_differential", None) is differential:
+                monkeypatch.setattr(module, "ce_differential", forbidden)
+    ONE_DALPHA[case]()
+    assert len(calls) == 1
