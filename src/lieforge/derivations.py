@@ -2,13 +2,16 @@
 
 Unknowns are the n^2 entries of a map in row-major order, D[i][j] with
 column j the image of e_j; solution bases come back row-reduced in that
-flattening, so results are canonical.
+flattening, so results are canonical. The Leibniz equations are integer
+rows from the algebra's cached integer structure constants; the elimination
+makes every row primitive, so their scale does not matter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .algebra import LieAlgebra, Subspace, bracket
 from .forms import KForm
@@ -86,26 +89,34 @@ class Sends:
 Constraint = Leibniz | FormEigen | Commute | Sends
 
 
-def _leibniz_rows(g: LieAlgebra) -> tuple[list[Vector], list[Fraction]]:
+def _leibniz_rows(g: LieAlgebra) -> tuple[list[list[int]], list[int]]:
+    """D times the homogeneous Leibniz equations, one per (p < q, k), as integer rows.
+
+    With C = D*c from ``LieAlgebra._integer_terms``, the row of (p, q, k) is
+    sum_m C_pqm D[k][m] - sum_i C_iqk D[i][p] + sum_j C_jpk D[j][q]: the
+    component k of D[e_p,e_q] - [De_p,e_q] - [e_p,De_q], using C_pjk = -C_jpk.
+    """
     n = g.dim
-    rows: list[Vector] = []
-    rhs: list[Fraction] = []
+    _, terms = g._integer_terms
+    # into[q][k] lists the (i, C_iqk) with C_iqk != 0
+    into: list[list[list[tuple[int, int]]]] = [[[] for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for q in range(n):
+            for k, c in terms[i][q]:
+                into[q][k].append((i, c))
+    rows: list[list[int]] = []
     for p in range(n):
         for q in range(p + 1, n):
             for k in range(n):
-                row = [ZERO] * (n * n)
-                # D([e_p,e_q])_k = sum_m c[p][q][m] D[k][m]
-                for m in range(n):
-                    row[k * n + m] += g.c[p][q][m]
-                # -[D e_p, e_q]_k = -sum_i D[i][p] c[i][q][k]
-                for i in range(n):
-                    row[i * n + p] -= g.c[i][q][k]
-                # -[e_p, D e_q]_k = -sum_j D[j][q] c[p][j][k]
-                for j in range(n):
-                    row[j * n + q] -= g.c[p][j][k]
-                rows.append(tuple(row))
-                rhs.append(ZERO)
-    return rows, rhs
+                row = [0] * (n * n)
+                for m, c in terms[p][q]:
+                    row[k * n + m] += c
+                for i, c in into[q][k]:
+                    row[i * n + p] -= c
+                for j, c in into[p][k]:
+                    row[j * n + q] += c
+                rows.append(row)
+    return rows, [0] * len(rows)
 
 
 def _form_eigen_rows(g: LieAlgebra, phi: KForm, factor: Fraction) -> tuple[list[Vector], list[Fraction]]:
@@ -169,8 +180,8 @@ def derivation_space(
     basis as matrices, row-reduced over the flattened entries).
     """
     n = g.dim
-    rows: list[Vector] = []
-    rhs: list[Fraction] = []
+    rows: list[Sequence[Fraction | int]] = []
+    rhs: list[Fraction | int] = []
     for con in constraints:
         if isinstance(con, Leibniz):
             r, b = _leibniz_rows(g)
@@ -190,10 +201,10 @@ def derivation_space(
             raise TypeError(f"unknown constraint {con!r}")
         rows.extend(r)
         rhs.extend(b)
-    if not rows:
-        basis = nullspace([], n * n)
-        return _unflatten(g, zero_vector(n * n)), tuple(_unflatten(g, v) for v in basis)
-    particular, homogeneous = solve_affine(rows, rhs)
+    if rows:
+        particular, homogeneous = solve_affine(rows, rhs)
+    else:
+        particular, homogeneous = zero_vector(n * n), nullspace([], n * n)
     basis_maps = tuple(_unflatten(g, v) for v in homogeneous)
     if particular is None:
         return None, basis_maps

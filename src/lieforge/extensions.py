@@ -14,6 +14,7 @@ from .derivations import is_derivation
 from .forms import KForm, ce_differential, radical
 from .linalg import Matrix, fmt_vector, is_zero_matrix
 from .report import CheckReport, DimensionMismatch, PreconditionError, fail, ok
+from .structures import kirillov_form
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,7 @@ def reversed_double_extension(g: LieAlgebra, alpha: KForm, d: Matrix, *, check: 
     else:
         base = derivation_extension(g, d, check=check)
         lifted = lift_one_form(alpha, base.algebra.dim)
-    omega = ce_differential(base.algebra, lifted).neg()
+    omega = kirillov_form(base.algebra, lifted)  # -d(lifted alpha)
     if check:
         rad = radical(base.algebra, omega)
         if rad.dim != 0:

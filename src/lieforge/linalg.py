@@ -7,10 +7,14 @@ rows of plain integers. Nothing here mutates its inputs, so every value is
 safe to share across threads.
 
 All elimination runs in one fraction-free integer kernel, _eliminate, on
-primitive integer rows that become Fractions once, at the end. solve_affine
-reduces the augmented system once and reads the particular solution and the
-nullspace from it; positive_definite reads every leading minor's sign from
-one forward pass without row exchanges.
+primitive integer rows that become Fractions once, at the end. nullspace is
+one elimination with the columns reversed, whose free-variable basis is
+already the canonical (row-reduced) one, so a homogeneous solve_affine is a
+single elimination too. An inhomogeneous solve_affine reduces the augmented
+system once, reads the particular solution from its integer rows and
+reduces the integer null basis once more to make it canonical.
+positive_definite reads every leading minor's sign from one forward pass
+without row exchanges.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
+
+from .report import DimensionMismatch
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -200,42 +206,81 @@ def rref(rows: Sequence[Vector]) -> tuple[Matrix, tuple[int, ...]]:
     return red, tuple(pivots)
 
 
-def _null_basis(red: Matrix, pivots: Sequence[int], ncols: int) -> tuple[Vector, ...]:
-    """Canonical basis of {x : red @ x = 0}, red in RREF on its first ncols columns."""
+def nullspace(rows: Sequence[Vector], ncols: int) -> tuple[Vector, ...]:
+    """Canonical (row-reduced) basis of {x : rows @ x = 0}, from one elimination.
+
+    The elimination runs with the columns reversed. Its pivots P' are the
+    complement of the pivot columns of RREF(ker rows): column j is a kernel
+    pivot iff it is independent of the columns right of it, i.e. not in P'.
+    Row k of the reduced system only involves columns up to its pivot p_k,
+    so the basis vector of a free column f has 1 at f, -row_k[f]/row_k[p_k]
+    at each p_k > f and 0 elsewhere: it is already the RREF basis, which is
+    unique.
+    """
+    for row in rows:
+        if len(row) != ncols:
+            raise DimensionMismatch(f"row of width {len(row)} in a system of {ncols} columns")
+    if not rows:
+        return identity(ncols)
+    work, pivots, _, _ = _eliminate([tuple(reversed(row)) for row in rows])
+    last = ncols - 1
+    reduced = [(row, row[c], last - c) for row, c in zip(work, pivots)]
     basis = []
-    for f in sorted(set(range(ncols)).difference(pivots)):
+    for f in sorted(set(range(ncols)).difference(last - c for c in pivots)):
         v = [ZERO] * ncols
         v[f] = ONE
-        for row, p in zip(red, pivots):
-            if p < ncols:
-                v[p] = -row[f]
+        for row, p, at in reduced:
+            if row[last - f]:
+                v[at] = Fraction(-row[last - f], p)
         basis.append(tuple(v))
-    return rref(basis)[0] if basis else ()
-
-
-def nullspace(rows: Sequence[Vector], ncols: int) -> tuple[Vector, ...]:
-    """Canonical (row-reduced) basis of {x : rows @ x = 0}."""
-    return _null_basis(*rref(rows), ncols)
+    return tuple(basis)
 
 
 def solve_affine(rows: Sequence[Vector], rhs: Sequence[Fraction]) -> tuple[Vector | None, tuple[Vector, ...]]:
     """Solve rows @ x = rhs; returns (particular or None, nullspace basis).
 
-    One elimination of the augmented system gives both: its first ncols
-    columns are the RREF of rows, and the particular solution sets all free
-    variables to zero, making it canonical for a given system.
+    A homogeneous system is one nullspace elimination with the zero vector.
+    Otherwise one elimination of the augmented system gives both: its first
+    ncols columns are the RREF of rows, the particular solution sets all free
+    variables to zero, making it canonical for a given system, and the free
+    variables' null basis, as integer rows, is reduced once more to the
+    canonical basis.
     """
     if not rows:
         return (), ()
     ncols = len(rows[0])
-    red, pivots = rref([tuple(r) + (b,) for r, b in zip(rows, rhs, strict=True)])
-    basis = _null_basis(red, pivots, ncols)
+    if len(rhs) != len(rows):
+        raise DimensionMismatch(f"{len(rhs)} right-hand sides for {len(rows)} equations")
+    if not any(rhs):
+        return zero_vector(ncols), nullspace(rows, ncols)
+    work, pivots, _, _ = _eliminate([tuple(r) + (b,) for r, b in zip(rows, rhs)])
+    basis = _integer_null_basis(work, pivots, ncols)
     if ncols in pivots:
         return None, basis
     x = [ZERO] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][ncols]
+    for row, p in zip(work, pivots):
+        if row[ncols]:
+            x[p] = Fraction(row[ncols], row[p])
     return tuple(x), basis
+
+
+def _integer_null_basis(work: list[list[int]], pivots: Sequence[int], ncols: int) -> tuple[Vector, ...]:
+    """Canonical basis of {x : work @ x = 0}, work reduced by _eliminate on its first ncols columns.
+
+    Each free variable's basis vector is scaled by the lcm of the pivots to
+    integers, which leaves its primitive row, and so the reduction, as the
+    Fraction vector would give.
+    """
+    reduced = [(row, p) for row, p in zip(work, pivots) if p < ncols]
+    scale = lcm(*(row[p] for row, p in reduced))
+    basis = []
+    for f in sorted(set(range(ncols)).difference(pivots)):
+        v = [0] * ncols
+        v[f] = scale
+        for row, p in reduced:
+            v[p] = -row[f] * (scale // row[p])
+        basis.append(v)
+    return rref(basis)[0] if basis else ()
 
 
 def solve_unique(rows: Sequence[Vector], rhs: Sequence[Fraction]) -> Vector | None:

@@ -129,10 +129,14 @@ def kirillov_form(g: LieAlgebra, phi: KForm) -> KForm:
 
 def principal_element(g: LieAlgebra, phi: KForm) -> Vector:
     """The unique x with phi(ad(x) y) = phi(y) for all y."""
-    b = kirillov_form(g, phi).as_matrix()
-    coords = one_form_coords(phi)
-    rows = [tuple(b[i][j] for i in range(g.dim)) for j in range(g.dim)]
-    particular, homogeneous = solve_affine(rows, coords)
+    return _principal(kirillov_form(g, phi), phi)
+
+
+def _principal(b: KForm, phi: KForm) -> Vector:
+    """principal_element from the Kirillov form b of phi: B_phi(x, y) = phi(y) for all y."""
+    m = b.as_matrix()
+    rows = [tuple(m[i][j] for i in range(b.dim)) for j in range(b.dim)]
+    particular, homogeneous = solve_affine(rows, one_form_coords(phi))
     if particular is None or homogeneous:
         raise PreconditionError("principal element needs a nondegenerate Kirillov form")
     return particular
@@ -149,7 +153,7 @@ def check_frobenius(g: LieAlgebra, phi: KForm) -> tuple[CheckReport, FrobeniusSt
     items.append(passed("kirillov_nondegenerate", rad.dim == 0, f"radical contains {witness}"))
     report = CheckReport(tuple(items))
     if report.overall:
-        x_p = principal_element(g, phi)
+        x_p = _principal(b, phi)
         structure = _bind(FrobeniusStructure(phi, x_p), g)
         notes.append(("principal_element", fmt_vector(x_p, g.labels)))
         notes.append(("kirillov_form", b.describe(g.labels)))

@@ -23,7 +23,7 @@ from .extensions import (
     derivation_extension,
     double_extension,
 )
-from .forms import KForm, ce_differential, radical
+from .forms import KForm, radical
 from .linalg import (
     Matrix,
     Vector,
@@ -694,7 +694,7 @@ def sasakian_to_frobenius_kahler(
         cols.append(vec_sub(img, vec_scale(coords[i], slot)))
     cols.append(embed_vector(s.reeb, child.dim))
     j = transpose(cols)
-    omega = ce_differential(child, phi_lift).neg()
+    omega = kirillov_form(child, phi_lift)  # -d(phi_lift)
     rep_f, frob = check_frobenius(child, phi_lift)
     rep_k, kahler = check_kahler(child, j, omega)
     items = rep_f.prefixed("frobenius:") + rep_k.prefixed("kahler:")

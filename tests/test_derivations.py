@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
+import derivations_oracle
 from lieforge import (
     FormEigen,
     KForm,
@@ -12,8 +15,11 @@ from lieforge import (
     is_derivation,
     map_in_family,
 )
+from lieforge.algebra import Subspace
 from lieforge.derivations import Commute
 from lieforge.linalg import diagonal, identity, matrix, vector
+
+from strategies import RATIONALS, antisymmetric_algebras, conjugated_heisenberg_sasakian, rational_vectors
 
 H3 = builtin("h3").algebra
 
@@ -93,3 +99,57 @@ def test_inner_derivations_lie_in_the_solved_family():
         particular, basis = derivation_space(g, [Leibniz()])
         x = vector([rng.randint(-2, 2) for _ in range(g.dim)])
         assert map_in_family(g, adjoint(g, x), particular, basis)
+
+
+# --- the integer Leibniz rows against the Fraction oracle -------------------
+#
+# Tuple equality of Fractions: the fast path must return the oracle's exact
+# particular solution and canonical basis, not just an equivalent family.
+
+
+@st.composite
+def constraint_sets(draw, g, phi=None, a=None):
+    """[Leibniz()], or Leibniz plus FormEigen or Commute (on everything or on a subspace).
+
+    phi and a, when given, are the algebra's own 1-form and map (z* and Phi of a
+    Heisenberg algebra); otherwise random ones are drawn.
+    """
+    n = g.dim
+    kind = draw(st.sampled_from(["leibniz", "eigen", "commute"]))
+    if kind == "leibniz":
+        return [Leibniz()]
+    if kind == "eigen":
+        if phi is None or draw(st.booleans()):
+            phi = KForm.one_form(n, draw(rational_vectors(n)))
+        return [Leibniz(), FormEigen(phi, draw(RATIONALS))]
+    if a is None or draw(st.booleans()):
+        a = tuple(draw(rational_vectors(n)) for _ in range(n))
+    on = None
+    if draw(st.booleans()):
+        on = Subspace.from_vectors(n, draw(st.lists(rational_vectors(n), min_size=1, max_size=2)))
+    return [Leibniz(), Commute(a, on)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_derivation_space_matches_oracle_on_rational_algebras(data):
+    # fractional structure constants, so the integer rows are D > 1 times the Fraction rows
+    g = data.draw(antisymmetric_algebras())
+    constraints = data.draw(constraint_sets(g))
+    assert derivation_space(g, constraints) == derivations_oracle.derivation_space(g, constraints)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 10**6), st.data())
+def test_derivation_space_matches_oracle_on_dense_h5(seed, data):
+    g, _, alpha, phi = conjugated_heisenberg_sasakian(2, seed)
+    constraints = data.draw(constraint_sets(g, alpha, phi))
+    assert derivation_space(g, constraints) == derivations_oracle.derivation_space(g, constraints)
+
+
+@settings(max_examples=2, deadline=None)
+@given(st.integers(0, 10**6), st.data())
+def test_derivation_space_matches_oracle_on_dense_h7(seed, data):
+    g, _, alpha, phi = conjugated_heisenberg_sasakian(3, seed)
+    constraints = data.draw(constraint_sets(g, alpha, phi))
+    assert derivation_space(g, constraints) == derivations_oracle.derivation_space(g, constraints)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import derivations_oracle
 import lieforge as lf
 import linalg_oracle as oracle
 from lieforge.derivations import _form_eigen_rows, _leibniz_rows
@@ -176,6 +177,62 @@ def test_rref_and_nullspace_match_oracle(rows):
     assert nullspace(rows, ncols) == oracle.nullspace(rows, ncols)
 
 
+@pytest.mark.parametrize("rows", EDGE_CASES)
+def test_homogeneous_edge_cases_match_oracle(rows):
+    zeros = (Fraction(0),) * len(rows)
+    assert solve_affine(rows, zeros) == oracle.solve_affine(rows, zeros)
+
+
+@st.composite
+def rank_deficient(draw, max_rows=10, max_cols=14):
+    """Wide, tall or square rows of low rank: combinations of a few random rows,
+    with repeated rows, zero rows and zero columns mixed in."""
+    ncols = draw(st.integers(0, max_cols))
+    nrows = draw(st.integers(1, max_rows))
+    base = [tuple(draw(ENTRIES) for _ in range(ncols)) for _ in range(draw(st.integers(1, 4)))]
+    zero_cols = set(draw(st.lists(st.integers(0, max(ncols - 1, 0)), max_size=3))) if ncols else set()
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["combination", "repeat", "zero", "random"]))
+        if kind == "repeat" and rows:
+            row = draw(st.sampled_from(rows))
+        elif kind == "zero":
+            row = (Fraction(0),) * ncols
+        elif kind == "random":
+            row = tuple(draw(ENTRIES) for _ in range(ncols))
+        else:
+            coeffs = [draw(SMALL) for _ in base]
+            row = tuple(sum((c * b[j] for c, b in zip(coeffs, base)), Fraction(0)) for j in range(ncols))
+        rows.append(tuple(Fraction(0) if j in zero_cols else x for j, x in enumerate(row)))
+    return tuple(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_deficient())
+def test_nullspace_and_homogeneous_solve_match_oracle_on_rank_deficient_rows(rows):
+    ncols = len(rows[0])
+    assert nullspace(rows, ncols) == oracle.nullspace(rows, ncols)
+    zeros = (Fraction(0),) * len(rows)
+    assert solve_affine(rows, zeros) == oracle.solve_affine(rows, zeros)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_affine_solve_matches_oracle_on_rank_deficient_rows(data):
+    rows = data.draw(rank_deficient())
+    rhs = with_rhs(rows, data.draw)
+    assert solve_affine(rows, rhs) == oracle.solve_affine(rows, rhs)
+
+
+def test_nullspace_rejects_rows_of_the_wrong_width():
+    with pytest.raises(lf.DimensionMismatch):
+        nullspace(matrix([[1, 2, 3]]), 2)
+    with pytest.raises(lf.DimensionMismatch):
+        nullspace(matrix([[1, 2], [3, 4, 5]]), 2)
+    with pytest.raises(lf.DimensionMismatch):
+        nullspace(((),), 1)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_solvers_match_oracle(data):
@@ -236,7 +293,7 @@ def dense_h5(draw):
 def test_dense_leibniz_systems_match_oracle(case, inconsistent):
     g, alpha = case
     rows, rhs = _leibniz_rows(g)
-    assert nullspace(rows, 25) == oracle.nullspace(rows, 25)
+    assert nullspace(rows, 25) == oracle.nullspace(derivations_oracle._leibniz_rows(g)[0], 25)
     eigen_rows, eigen_rhs = _form_eigen_rows(g, alpha, Fraction(1))
     rows, rhs = rows + eigen_rows, rhs + eigen_rhs
     if inconsistent:  # a repeated equation with another right-hand side

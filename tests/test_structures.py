@@ -244,6 +244,9 @@ ONE_DALPHA = {
     "sasakian-h3": lambda: check_sasakian(H3.algebra, *H3.sasakian_data),
     "sasakian-broken-phi": lambda: check_sasakian(H3.algebra, H3.sasakian_data[0], E3, identity(3)),
     "sasakian-dense-h7": lambda: check_sasakian(*DENSE_H7),
+    # the principal element is solved from the Kirillov form check_frobenius holds
+    "frobenius-d4half": lambda: check_frobenius(D4.algebra, KForm.basis_one_form(4, 2)),
+    "frobenius-degenerate": lambda: check_frobenius(LieAlgebra.abelian(2), KForm.basis_one_form(2, 0)),
 }
 
 

@@ -22,6 +22,7 @@ from lieforge import (
     sasakian_double_extension_conditions,
     sasakian_reduction,
     sasakian_to_frobenius_kahler,
+    reversed_double_extension,
     solve_double_extension_params,
 )
 from lieforge.derivations import Commute, FormEigen, Leibniz, derivation_space
@@ -291,6 +292,27 @@ def test_sasakian_to_fk_produces_d4half():
     assert ext.algebra.c == D4.algebra.c
     assert frob.principal == ext.algebra.basis_vector(3)
     assert kahler.j == D4.kahler().j
+
+
+def test_exact_two_forms_are_kirillov_forms(monkeypatch):
+    # -d(alpha) of a 1-form comes from kirillov_form, not the general-degree differential
+    import sys
+
+    import lieforge.forms
+
+    differential = lieforge.forms.ce_differential
+
+    def degree_two_only(g, form):
+        assert form.degree != 1, "ce_differential called on a 1-form"
+        return differential(g, form)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lieforge") and getattr(module, "ce_differential", None) is differential:
+            monkeypatch.setattr(module, "ce_differential", degree_two_only)
+    d = diagonal(["1/2", "1/2", 1])
+    ext, report, _, _ = sasakian_to_frobenius_kahler(H3.algebra, H3.sasakian(), d)
+    assert report.overall and ext.algebra.c == D4.algebra.c
+    assert reversed_double_extension(H3.algebra, H3.sasakian().alpha, d).algebra.c == G5.algebra.c
 
 
 def test_sasakian_to_fk_rejects_zero_map():
