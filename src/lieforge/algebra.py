@@ -8,7 +8,10 @@ forced to zero. The Jacobi identity is not enforced at construction,
 
 Brackets and Jacobi sums run on integers: each algebra caches D, the least
 common denominator of its structure constants, with the nonzero entries of
-D*c, and a result becomes Fractions once, one per output coordinate.
+D*c, and a result becomes Fractions once, one per output coordinate. The
+Jacobi sums pack each structure vector D*[e_m, e_r] into one int
+(``linalg.pack``), so a basis triple costs O(n) big-int multiply-adds and a
+triple that passes is never unpacked.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .linalg import (
     Matrix,
@@ -30,9 +34,12 @@ from .linalg import (
     in_span,
     is_zero_vector,
     nullspace,
+    pack,
     rref,
     scalar,
+    slot_width,
     transpose,
+    unpack,
     vector_over,
     zero_vector,
 )
@@ -143,34 +150,45 @@ def adjoint(g: LieAlgebra, x: Vector) -> Matrix:
 
 
 def jacobi_residual(g: LieAlgebra, i: int, j: int, k: int) -> Vector:
-    """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j].
+    """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]."""
+    failing = _jacobi_failures(g, ((i, j, k),))
+    return failing[0][1] if failing else zero_vector(g.dim)
 
-    D^2 times it is the integer sum over m of C_ij^m C_mk^l plus its cyclic
-    shifts, C = D*c.
+
+def _jacobi_failures(
+    g: LieAlgebra, triples: Iterable[tuple[int, int, int]]
+) -> list[tuple[tuple[int, int, int], Vector]]:
+    """The triples with a nonzero cyclic sum, each with that sum, in the order given.
+
+    D^2 times the cyclic sum of (i, j, k) is the integer vector
+    sum over m of C_ij^m C_mk plus its cyclic shifts, C = D*c. Each C_mr is
+    packed into one int (``linalg.pack``), so a triple costs one big-int
+    multiply-add per nonzero C_ij^m and is tested against 0 as a whole; only a
+    failing triple is unpacked. With M the largest |C_ij^m|, every coordinate
+    of the sum is at most 3*n*M^2 in absolute value: three sums of n products.
     """
     d, terms = g._integer_terms
-    acc = [0] * g.dim
-    for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
-        for m, a in terms[p][q]:
-            for l, b in terms[m][r]:
-                acc[l] += a * b
-    return vector_over(acc, d * d)
+    n = g.dim
+    big = max((abs(c) for plane in terms for row in plane for _, c in row), default=0)
+    width = slot_width(3 * n * big * big)
+    packed = [[pack(terms[m][r], width) for m in range(n)] for r in range(n)]
+    failing = []
+    for i, j, k in triples:
+        total = 0
+        for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+            col = packed[r]
+            total += sum(c * col[m] for m, c in terms[p][q])
+        if total:
+            failing.append(((i, j, k), vector_over(unpack(total, n, width), d * d)))
+    return failing
 
 
 def check_jacobi(g: LieAlgebra) -> CheckReport:
     """Jacobi identity on all basis triples i < j < k."""
-    failures = []
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            for k in range(j + 1, g.dim):
-                res = jacobi_residual(g, i, j, k)
-                if not is_zero_vector(res):
-                    failures.append(
-                        fail(
-                            f"jacobi{fmt_basis_tuple((i, j, k), g.labels)}",
-                            f"cyclic sum = {fmt_vector(res, g.labels)}",
-                        )
-                    )
+    failures = [
+        fail(f"jacobi{fmt_basis_tuple(t, g.labels)}", f"cyclic sum = {fmt_vector(res, g.labels)}")
+        for t, res in _jacobi_failures(g, combinations(range(g.dim), 3))
+    ]
     if failures:
         return CheckReport(tuple(failures))
     return CheckReport((ok("jacobi_all_triples"),))

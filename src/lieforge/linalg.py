@@ -15,6 +15,12 @@ system once, reads the particular solution from its integer rows and
 reduces the integer null basis once more to make it canonical.
 positive_definite reads every leading minor's sign from one forward pass
 without row exchanges.
+
+pack, unpack and slot_width hold an integer vector in one Python int, one
+signed slot per coordinate (Kronecker substitution), so that a linear
+combination of many vectors is a few big-int multiply-adds. The structure
+constant kernels in algebra and structures size the slots from a bound they
+compute from their own inputs.
 """
 
 from __future__ import annotations
@@ -141,6 +147,37 @@ def clear_denominators(v: Sequence[Fraction]) -> tuple[list[int], int]:
 def vector_over(ints: Sequence[int], d: int) -> Vector:
     """The vector ints / d, one Fraction per nonzero coordinate."""
     return tuple(Fraction(x, d) if x else ZERO for x in ints)
+
+
+def slot_width(bound: int) -> int:
+    """Bits per slot of a packed vector whose coordinates lie in [-bound, bound]:
+    the bits of bound plus one sign bit, so bound < 2^(width-1)."""
+    return bound.bit_length() + 1
+
+
+def pack(entries: Iterable[tuple[int, int]], width: int) -> int:
+    """The integer vector with coordinate l = x, for each (l, x) in entries, as one int:
+    sum of x * 2^(width*l) (Kronecker substitution).
+
+    Packing is linear, so sums and integer multiples of packed vectors are the
+    packed sums and multiples, whatever the slots of intermediate values hold;
+    unpack reads the result back exactly while every coordinate of it lies in
+    [-bound, bound] for width = slot_width(bound).
+    """
+    return sum(x << (width * l) for l, x in entries)
+
+
+def unpack(p: int, n: int, width: int) -> list[int]:
+    """The n coordinates of the packed vector p, read as balanced width-bit digits."""
+    mask, half, full = (1 << width) - 1, 1 << (width - 1), 1 << width
+    out = []
+    for _ in range(n):
+        x = p & mask
+        if x >= half:
+            x -= full
+        out.append(x)
+        p = (p - x) >> width
+    return out
 
 
 def _eliminate(

@@ -9,20 +9,26 @@ positive definiteness is decided exactly through leading principal minors.
 The contact and Sasakian checks compute d(alpha) once per call, as integers
 over one denominator (``forms._dalpha``), and test every identity on integer
 products cross-multiplied by their denominators; Fractions are made only for
-the results, the notes and the witness of an item that fails.
+the results, the notes and the witness of an item that fails. The Nijenhuis
+torsion, which ``check_kahler`` and ``check_sasakian`` read, packs each
+integer vector into one int (``linalg.pack``): O(n^3) big-int multiply-adds
+in all, and two unpacks per basis pair.
 
 A Frobenius, Kahler or Sasakian structure returned by its ``check_*``
 function is bound to the algebra it was checked on (its ``algebra``
 field). The constructions in ``theorems`` accept such a structure on that
 same algebra object as already verified; any other structure, including
 one built by hand, is checked again. Only ``check_*`` binds: the field is
-not a constructor argument, and ``dataclasses.replace`` resets it.
+not a constructor argument, and ``dataclasses.replace`` resets it. A bound
+Frobenius structure also carries the Kirillov form its check computed
+(``kirillov``), so a construction that needs -d(phi) does not build it again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .algebra import LieAlgebra, Subspace
 from .forms import KForm, _dalpha, _top_contact, ce_differential, radical
@@ -38,9 +44,12 @@ from .linalg import (
     is_zero_vector,
     mat_mul,
     nullspace,
+    pack,
     positive_definite,
+    slot_width,
     solve_affine,
     transpose,
+    unpack,
     vec_scale,
     vector_over,
 )
@@ -58,6 +67,8 @@ class FrobeniusStructure:
     phi: KForm
     principal: Vector
     algebra: LieAlgebra | None = field(default=None, init=False, repr=False, compare=False)
+    # B_phi = -d(phi) as check_frobenius found it nondegenerate; bound with algebra
+    kirillov: KForm | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -91,8 +102,9 @@ class NijenhuisTable:
         return all(is_zero_vector(v) for row in self.entries for v in row)
 
 
-def _bind(structure, g: LieAlgebra):
-    object.__setattr__(structure, "algebra", g)  # the dataclass is frozen
+def _bind(structure, g: LieAlgebra, **checked):
+    for name, value in {"algebra": g, **checked}.items():
+        object.__setattr__(structure, name, value)  # the dataclass is frozen
     return structure
 
 
@@ -154,7 +166,7 @@ def check_frobenius(g: LieAlgebra, phi: KForm) -> tuple[CheckReport, FrobeniusSt
     report = CheckReport(tuple(items))
     if report.overall:
         x_p = _principal(b, phi)
-        structure = _bind(FrobeniusStructure(phi, x_p), g)
+        structure = _bind(FrobeniusStructure(phi, x_p), g, kirillov=b)
         notes.append(("principal_element", fmt_vector(x_p, g.labels)))
         notes.append(("kirillov_form", b.describe(g.labels)))
         report = report.with_notes(*notes)
@@ -209,8 +221,7 @@ def nijenhuis(g: LieAlgebra, a: Matrix) -> NijenhuisTable:
     complex structure (leading term -[x,y]).
 
     Runs on integers over da^2*D, da the common denominator of A and D that
-    of the structure constants: with L[i][b] = [Ae_i, e_b] precomputed,
-    N(e_i, e_j) = A(A[e_i,e_j] - L[i][j] + L[j][i]) + sum_b A_bj L[i][b].
+    of the structure constants (see ``_nijenhuis_ints``).
     """
     if len(a) != g.dim or any(len(row) != g.dim for row in a):
         raise DimensionMismatch("map does not match algebra dimension")
@@ -225,29 +236,32 @@ def nijenhuis(g: LieAlgebra, a: Matrix) -> NijenhuisTable:
 
 
 def _nijenhuis_ints(g: LieAlgebra, ai: list[list[int]], da: int) -> tuple[dict[tuple[int, int], list[int]], int]:
-    """The torsion of the map ai/da as (N, den): N[(i, j)], i < j, is N(e_i, e_j) times den = da^2*D."""
+    """The torsion of the map A = ai/da as (N, den): N[(i, j)], i < j, is N(e_i, e_j) times den = da^2*D.
+
+    With C = D*c and L[i][b] = [Ae_i, e_b], N(e_i, e_j) = A(inner) + sum_b A_bj L[i][b]
+    for inner = A C_ij - L[i][j] + L[j][i]. Every vector is one packed int
+    (``linalg.pack``): L comes from the packed C_rb by O(n^3) big-int
+    multiply-adds, and a pair costs O(n) more plus two unpacks, of inner and
+    of the result. With a and c the largest |ai| and |C|, A(inner) has
+    coordinates of at most 3*n^2*a^2*c in absolute value and the last sum
+    n^2*a^2*c, so the slots hold 4*n^2*a^2*c, which also bounds inner's 3*n*a*c.
+    """
     n = g.dim
     d, terms = g._integer_terms
+    a = max(abs(x) for row in ai for x in row)
+    c = max((abs(y) for plane in terms for row in plane for _, y in row), default=0)
+    width = slot_width(4 * n * n * a * a * c)
     cols = [[(r, ai[r][j]) for r in range(n) if ai[r][j]] for j in range(n)]
-    left = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for b in range(n):
-            acc = left[i][b]
-            for r, x in cols[i]:
-                for k, c in terms[r][b]:
-                    acc[k] += x * c
+    a_col = [pack(col, width) for col in cols]
+    c_rb = [[pack(row, width) for row in plane] for plane in terms]
+    left = [[sum(x * c_rb[r][b] for r, x in col) for b in range(n)] for col in cols]
     torsion = {}
     for i in range(n):
         for j in range(i + 1, n):
-            inner = [y - x for x, y in zip(left[i][j], left[j][i])]
-            for k, c in terms[i][j]:
-                for r, x in cols[k]:
-                    inner[r] += x * c
-            acc = [sum(x * y for x, y in zip(row, inner)) for row in ai]
-            for b, x in cols[j]:
-                for k, y in enumerate(left[i][b]):
-                    acc[k] += x * y
-            torsion[(i, j)] = acc
+            inner = sum(y * a_col[k] for k, y in terms[i][j]) - left[i][j] + left[j][i]
+            total = sum(map(mul, unpack(inner, n, width), a_col))
+            total += sum(x * left[i][b] for b, x in cols[j])
+            torsion[(i, j)] = unpack(total, n, width)
     return torsion, da * da * d
 
 

@@ -96,9 +96,10 @@ def _verify_kahler_input(g: LieAlgebra, k: KahlerStructure) -> None:
         raise PreconditionError("input structure fails the Kahler axioms", rep)
 
 
-def _verify_frobenius_input(g: LieAlgebra, f: FrobeniusStructure) -> None:
+def _verify_frobenius_input(g: LieAlgebra, f: FrobeniusStructure) -> KForm:
+    """Checks f unless it is bound to g; returns its Kirillov form -d(phi)."""
     if f.algebra is g:
-        return
+        return f.kirillov
     rep, frob = check_frobenius(g, f.phi)
     if frob is None:
         raise PreconditionError("input is not Frobenius", rep)
@@ -107,6 +108,7 @@ def _verify_frobenius_input(g: LieAlgebra, f: FrobeniusStructure) -> None:
             "supplied principal element is wrong",
             CheckReport((fail("principal_element", f"solved {fmt_vector(frob.principal, g.labels)}"),)),
         )
+    return frob.kirillov
 
 
 # ---------------------------------------------------------------------------
@@ -620,9 +622,9 @@ def frobenius_kahler_to_sasakian(
     The almost contact endomorphism is Phi(x) = J(x) - alpha(J x) xi on the
     base and Phi(xi) = 0, which squares to -Id + alpha (x) xi identically.
     """
-    _verify_frobenius_input(g, f)
+    kirillov = _verify_frobenius_input(g, f)
     _verify_kahler_input(g, k)
-    if k.omega != kirillov_form(g, f.phi):
+    if k.omega != kirillov:
         raise PreconditionError(
             "symplectic form must equal -d(phi)",
             CheckReport((fail("exact_symplectic_coherence", "omega != -d(phi)"),)),
@@ -694,8 +696,8 @@ def sasakian_to_frobenius_kahler(
         cols.append(vec_sub(img, vec_scale(coords[i], slot)))
     cols.append(embed_vector(s.reeb, child.dim))
     j = transpose(cols)
-    omega = kirillov_form(child, phi_lift)  # -d(phi_lift)
     rep_f, frob = check_frobenius(child, phi_lift)
+    omega = frob.kirillov if frob is not None else kirillov_form(child, phi_lift)  # -d(phi_lift)
     rep_k, kahler = check_kahler(child, j, omega)
     items = rep_f.prefixed("frobenius:") + rep_k.prefixed("kahler:")
     principal_ok = frob is not None and frob.principal == slot
@@ -719,9 +721,9 @@ def contact_ideal_restriction(
     adjoint commutes with Phi, equivalently when ad(x_P) commutes with Phi
     on the kernel of the restricted form.
     """
-    _verify_frobenius_input(g, f)
+    kirillov = _verify_frobenius_input(g, f)
     _verify_kahler_input(g, k)
-    if k.omega != kirillov_form(g, f.phi):
+    if k.omega != kirillov:
         raise PreconditionError(
             "symplectic form must equal -d(phi)",
             CheckReport((fail("exact_symplectic_coherence", "omega != -d(phi)"),)),

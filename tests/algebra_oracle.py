@@ -6,6 +6,9 @@ structure-constant kernels in lieforge.algebra and lieforge.structures
 replaced. They are slow but obviously correct; tests/test_algebra.py and
 tests/test_structures.py check that the fast paths return exactly the same
 values, witnesses included.
+
+jacobi_residual_ints is the plain integer loop over the cached D*c that the
+packed Jacobi kernel replaced: one multiply-add per coefficient.
 """
 
 from __future__ import annotations
@@ -52,6 +55,17 @@ def jacobi_residual(g: LieAlgebra, i: int, j: int, k: int) -> Vector:
     r = bracket(g, g.c[i][j], g.basis_vector(k))
     r = vec_add(r, bracket(g, g.c[j][k], g.basis_vector(i)))
     return vec_add(r, bracket(g, g.c[k][i], g.basis_vector(j)))
+
+
+def jacobi_residual_ints(g: LieAlgebra, i: int, j: int, k: int) -> tuple[list[int], int]:
+    """(acc, D^2) with acc/D^2 the cyclic sum: sum over m of C_ij^m C_mk^l plus its cyclic shifts, C = D*c."""
+    d, terms = g._integer_terms
+    acc = [0] * g.dim
+    for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+        for m, a in terms[p][q]:
+            for l, b in terms[m][r]:
+                acc[l] += a * b
+    return acc, d * d
 
 
 def check_jacobi(g: LieAlgebra) -> CheckReport:

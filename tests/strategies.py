@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 import lieforge as lf
 from lieforge.forms import KForm
-from lieforge.linalg import identity, mat_vec, nullspace
+from lieforge.linalg import diagonal, identity, mat_vec, nullspace
 
 from conftest import (
     conjugate_algebra,
     conjugate_map,
     conjugate_one_form,
+    conjugate_two_form,
     heisenberg_plus_abelian,
     mat_inverse,
     random_invertible,
@@ -31,15 +32,33 @@ RATIONALS = st.one_of(
     st.builds(Fraction, st.integers(-(10**4), 10**4), st.integers(1, 10**4)),
 )
 
+# Large entries for the packed kernels: numerators up to 10^40 of either sign
+# over mixed denominators, so slot widths and common denominators vary widely.
+BIG_NONZERO = st.builds(
+    Fraction,
+    st.integers(1, 10**40).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.one_of(st.sampled_from([1, 2, 3, 7]), st.integers(1, 10**12)),
+)
+BIG_RATIONALS = st.one_of(RATIONALS, BIG_NONZERO)
+
 
 @st.composite
-def antisymmetric_algebras(draw, max_dim=5):
-    """Any antisymmetric tensor with rational entries: mostly not Lie."""
+def antisymmetric_algebras(draw, max_dim=5, values=RATIONALS):
+    """Any antisymmetric tensor with entries drawn from values: mostly not Lie."""
     dim = draw(st.integers(1, max_dim))
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     brackets = {
-        pair: draw(st.dictionaries(st.integers(0, dim - 1), RATIONALS, max_size=dim)) for pair in pairs
+        pair: draw(st.dictionaries(st.integers(0, dim - 1), values, max_size=dim)) for pair in pairs
     }
+    return lf.LieAlgebra.from_brackets(dim, brackets)
+
+
+@st.composite
+def dense_antisymmetric_algebras(draw, min_dim=3, max_dim=6):
+    """Every structure constant a nonzero BIG_NONZERO: almost every basis triple fails Jacobi."""
+    dim = draw(st.integers(min_dim, max_dim))
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    brackets = {pair: dict(enumerate(draw(rational_vectors(dim, BIG_NONZERO)))) for pair in pairs}
     return lf.LieAlgebra.from_brackets(dim, brackets)
 
 
@@ -70,8 +89,8 @@ def conjugated_heisenberg_sasakian(m, seed):
     return conjugate_algebra(g, p, pinv), mat_vec(pinv, reeb), conjugate_one_form(alpha, p), conjugate_map(phi, p, pinv)
 
 
-def rational_vectors(dim):
-    return st.lists(RATIONALS, min_size=dim, max_size=dim).map(tuple)
+def rational_vectors(dim, values=RATIONALS):
+    return st.lists(values, min_size=dim, max_size=dim).map(tuple)
 
 
 @st.composite
@@ -86,11 +105,11 @@ def closed_one_forms(draw, g):
 
 
 @st.composite
-def perturbed(draw, values):
+def perturbed(draw, values, entries=RATIONALS):
     """values with a few entries replaced by drawn rationals (mixed denominators)."""
     out = list(values)
     for i in draw(st.lists(st.integers(0, len(out) - 1), max_size=2)):
-        out[i] = draw(RATIONALS)
+        out[i] = draw(entries)
     return tuple(out)
 
 
@@ -136,3 +155,56 @@ def sasakian_inputs(draw):
     alpha = draw(closed_one_forms(g)) if kind == "closed" else KForm.one_form(n, draw(rational_vectors(n)))
     phi = tuple(draw(rational_vectors(n)) for _ in range(n))
     return g, draw(rational_vectors(n)), alpha, phi
+
+
+def _square(flat, n):
+    return tuple(tuple(flat[r * n : (r + 1) * n]) for r in range(n))
+
+
+@st.composite
+def diagonal_rescalings(draw, dim):
+    """(P, P^-1) for P = diag of BIG_NONZERO scales: e'_i = s_i e_i multiplies c_ij^k by s_i s_j / s_k."""
+    scales = draw(st.lists(BIG_NONZERO, min_size=dim, max_size=dim))
+    return diagonal(scales), diagonal([1 / x for x in scales])
+
+
+@st.composite
+def large_sasakian_inputs(draw):
+    """(g, reeb, alpha, phi) with large, fractional entries: Sasakian data on a conjugated h_{2m+1}
+    moved by a diagonal_rescalings basis (still Sasakian), the same with a few entries of Phi
+    replaced by BIG_RATIONALS, or BIG_RATIONALS data on a random algebra with large constants."""
+    kind = draw(st.sampled_from(["rescaled", "perturbed", "random"]))
+    if kind == "random":
+        g = draw(antisymmetric_algebras(values=BIG_RATIONALS))
+        n = g.dim
+        alpha = KForm.one_form(n, draw(rational_vectors(n, BIG_RATIONALS)))
+        phi = tuple(draw(rational_vectors(n, BIG_RATIONALS)) for _ in range(n))
+        return g, draw(rational_vectors(n, BIG_RATIONALS)), alpha, phi
+    g, reeb, alpha, phi = conjugated_heisenberg_sasakian(draw(st.integers(1, 3)), draw(SEEDS))
+    n = g.dim
+    p, pinv = draw(diagonal_rescalings(n))
+    g, reeb = conjugate_algebra(g, p, pinv), mat_vec(pinv, reeb)
+    alpha, phi = conjugate_one_form(alpha, p), conjugate_map(phi, p, pinv)
+    if kind == "perturbed":
+        phi = _square(draw(perturbed([x for row in phi for x in row], BIG_RATIONALS)), n)
+    return g, reeb, alpha, phi
+
+
+@st.composite
+def large_kahler_inputs(draw):
+    """(g, j, omega): the d4half Kahler pair moved by a diagonal_rescalings basis (still Kahler), with
+    a few entries of J replaced by BIG_RATIONALS, or BIG_RATIONALS data on a random algebra."""
+    kind = draw(st.sampled_from(["rescaled", "perturbed", "random"]))
+    if kind == "random":
+        g = draw(antisymmetric_algebras(values=BIG_RATIONALS))
+        n = g.dim
+        j = tuple(draw(rational_vectors(n, BIG_RATIONALS)) for _ in range(n))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        return g, j, KForm.two_form(n, dict(zip(pairs, draw(rational_vectors(len(pairs), BIG_RATIONALS)))))
+    d4 = lf.builtin("d4half")
+    j, omega = d4.kahler_data
+    p, pinv = draw(diagonal_rescalings(4))
+    g, j, omega = conjugate_algebra(d4.algebra, p, pinv), conjugate_map(j, p, pinv), conjugate_two_form(omega, p)
+    if kind == "perturbed":
+        j = _square(draw(perturbed([x for row in j for x in row], BIG_RATIONALS)), 4)
+    return g, j, omega

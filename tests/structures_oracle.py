@@ -8,6 +8,10 @@ needed, the matrix identities run through ``mat_mul`` and the torsion
 through the Fraction Nijenhuis expansion of algebra_oracle. They are slow
 but obviously correct; tests/test_structures.py checks that the fast paths
 return exactly the same reports, witnesses, notes and structures.
+
+nijenhuis_ints is the plain integer loop over the cached D*c that the packed
+torsion kernel (structures._nijenhuis_ints) replaced, O(n^4) multiply-adds
+with the same output.
 """
 
 from __future__ import annotations
@@ -115,6 +119,37 @@ def check_contact(g: LieAlgebra, alpha: KForm) -> tuple[CheckReport, ContactStru
     if not report.overall:
         return report, None
     return report, ContactStructure(alpha, reeb)
+
+
+def nijenhuis_ints(g: LieAlgebra, ai: list[list[int]], da: int) -> tuple[dict[tuple[int, int], list[int]], int]:
+    """The torsion of the map ai/da as (N, den): N[(i, j)], i < j, is N(e_i, e_j) times den = da^2*D.
+
+    With L[i][b] = [Ae_i, e_b] precomputed,
+    N(e_i, e_j) = A(A[e_i,e_j] - L[i][j] + L[j][i]) + sum_b A_bj L[i][b].
+    """
+    n = g.dim
+    d, terms = g._integer_terms
+    cols = [[(r, ai[r][j]) for r in range(n) if ai[r][j]] for j in range(n)]
+    left = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for b in range(n):
+            acc = left[i][b]
+            for r, x in cols[i]:
+                for k, c in terms[r][b]:
+                    acc[k] += x * c
+    torsion = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            inner = [y - x for x, y in zip(left[i][j], left[j][i])]
+            for k, c in terms[i][j]:
+                for r, x in cols[k]:
+                    inner[r] += x * c
+            acc = [sum(x * y for x, y in zip(row, inner)) for row in ai]
+            for b, x in cols[j]:
+                for k, y in enumerate(left[i][b]):
+                    acc[k] += x * y
+            torsion[(i, j)] = acc
+    return torsion, da * da * d
 
 
 def sasakian_metric(g: LieAlgebra, alpha: KForm, phi: Matrix) -> Matrix:

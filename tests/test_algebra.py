@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,12 +15,18 @@ from lieforge import (
     check_jacobi,
 )
 from lieforge.algebra import jacobi_residual
-from lieforge.linalg import matrix, vector
-from lieforge.report import DimensionMismatch
+from lieforge.linalg import matrix, slot_width, vector, vector_over
+from lieforge.report import CheckReport, DimensionMismatch, ok
 
 import algebra_oracle as oracle
 from conftest import random_jacobi_algebra
-from strategies import RATIONALS, lie_or_not
+from strategies import (
+    BIG_RATIONALS,
+    RATIONALS,
+    antisymmetric_algebras,
+    dense_antisymmetric_algebras,
+    lie_or_not,
+)
 
 H3 = builtin("h3").algebra
 D4 = builtin("d4half").algebra
@@ -142,11 +149,57 @@ def test_bracket_matches_oracle(data):
     assert bracket(g, x, y) == oracle.bracket(g, x, y)
 
 
+def assert_jacobi_matches_oracle(g):
+    """check_jacobi item by item (names and witness strings), and every residual, repeats included,
+    against both the Fraction expansion and the unpacked integer loop."""
+    assert check_jacobi(g) == oracle.check_jacobi(g)
+    for i, j, k in product(range(g.dim), repeat=3):
+        acc, den = oracle.jacobi_residual_ints(g, i, j, k)
+        assert jacobi_residual(g, i, j, k) == oracle.jacobi_residual(g, i, j, k) == vector_over(acc, den)
+
+
 @settings(max_examples=150, deadline=None)
 @given(lie_or_not())
 def test_jacobi_matches_oracle(g):
-    assert check_jacobi(g) == oracle.check_jacobi(g)  # item names and witness strings
-    for i in range(g.dim):
-        for j in range(g.dim):
-            for k in range(g.dim):
-                assert jacobi_residual(g, i, j, k) == oracle.jacobi_residual(g, i, j, k)
+    assert_jacobi_matches_oracle(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(antisymmetric_algebras(values=BIG_RATIONALS))
+def test_jacobi_large_constants_match_oracle(g):
+    # up to 10^40 over mixed denominators: wide slots and a large common denominator D
+    assert_jacobi_matches_oracle(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_antisymmetric_algebras())
+def test_jacobi_many_failing_triples_match_oracle(g):
+    assert_jacobi_matches_oracle(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(antisymmetric_algebras(max_dim=2, values=BIG_RATIONALS))
+def test_jacobi_without_triples(g):
+    assert check_jacobi(g) == CheckReport((ok("jacobi_all_triples"),))
+    assert_jacobi_matches_oracle(g)
+
+
+# [e_i, e_j] = M * TIGHT_JACOBI[(i, j)]: the cyclic sum of (e2,e3,e4) has a coordinate 9*M^2 of
+# the 3*n*M^2 = 12*M^2 the slots are sized for, beyond the 8*M^2 a slot one bit narrower holds
+TIGHT_JACOBI = {
+    (0, 1): {0: -1, 2: -1},
+    (0, 2): {0: -1, 3: 1},
+    (0, 3): {0: -1, 2: -1, 3: -1},
+    (1, 2): {0: -1, 1: 1, 2: -1, 3: 1},
+    (1, 3): {0: 1, 1: 1, 3: -1},
+    (2, 3): {0: -1, 1: 1, 2: 1, 3: -1},
+}
+
+
+@pytest.mark.parametrize("scale", [Fraction(1), Fraction(-(2**130), 7)])
+def test_jacobi_slot_width_boundary(scale):
+    g = LieAlgebra.from_brackets(4, {p: {k: x * scale for k, x in v.items()} for p, v in TIGHT_JACOBI.items()})
+    big = scale.numerator**2
+    acc, _ = oracle.jacobi_residual_ints(g, 1, 2, 3)
+    assert max(map(abs, acc)) == 9 * big >= 2 ** (slot_width(12 * big) - 2)
+    assert_jacobi_matches_oracle(g)

@@ -17,13 +17,16 @@ from lieforge.linalg import (
     mat_vec,
     matrix,
     nullspace,
+    pack,
     pfaffian,
     positive_definite,
     rref,
     scalar,
+    slot_width,
     solve_affine,
     solve_unique,
     transpose,
+    unpack,
     vector,
 )
 
@@ -110,6 +113,21 @@ def test_fmt_vector():
     assert fmt_vector(vector([1, 0, 0]), labels) == "e1"
     assert fmt_vector(vector([0, -1, "1/2"]), labels) == "-e2 + 1/2*e3"
     assert fmt_vector(vector([0, 0, 0]), labels) == "0"
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 4, 7, 8, 255, 256, 2**64 - 1, 2**64, 10**40])
+def test_packed_slots_at_the_bound(bound):
+    # coordinates at +-bound, the largest magnitude slot_width(bound) allows, reached the way
+    # the kernels reach them: as a sum of packed vectors and an integer multiple of one
+    width = slot_width(bound)
+    for v in ([bound] * 5, [-bound] * 5, [bound, -bound, 0, -bound, bound], [-bound, 1, -1, bound, 0]):
+        if bound == 0 and any(v):
+            continue
+        half = [x // 2 for x in v]
+        rest = [x - 2 * h for x, h in zip(v, half)]
+        p = 2 * pack(enumerate(half), width) + pack(enumerate(rest), width)
+        assert unpack(p, 5, width) == v
+        assert unpack(pack([(3, bound)], width), 5, width) == [0, 0, 0, bound, 0]
 
 
 # --- the integer kernel against the Fraction Gauss-Jordan oracle -------------

@@ -2,6 +2,7 @@ import dataclasses
 import random
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,12 +21,25 @@ from lieforge import (
     sasakian_metric,
     top_contact_test,
 )
-from lieforge.linalg import identity, matrix, vec_scale
+import lieforge.structures
+from lieforge.linalg import identity, matrix, slot_width, vec_scale
 from lieforge.report import DimensionMismatch, PreconditionError
+from lieforge.structures import _int_matrix, _nijenhuis_ints
 
 import algebra_oracle as oracle
 import structures_oracle
-from strategies import RATIONALS, conjugated_heisenberg_sasakian, contact_inputs, lie_or_not, sasakian_inputs
+from strategies import (
+    BIG_RATIONALS,
+    RATIONALS,
+    antisymmetric_algebras,
+    conjugated_heisenberg_sasakian,
+    contact_inputs,
+    large_kahler_inputs,
+    large_sasakian_inputs,
+    lie_or_not,
+    rational_vectors,
+    sasakian_inputs,
+)
 
 H3 = builtin("h3")
 D4 = builtin("d4half")
@@ -124,7 +138,49 @@ def test_nijenhuis_matches_oracle(data):
     # rational maps with mixed denominators, on Lie and non-Lie tensors
     g = data.draw(lie_or_not())
     a = tuple(tuple(data.draw(RATIONALS) for _ in range(g.dim)) for _ in range(g.dim))
+    assert_nijenhuis_matches_oracle(g, a)
+
+
+def assert_nijenhuis_matches_oracle(g, a):
+    """The Fraction table against the Fraction expansion, and the packed integer kernel
+    against the unpacked integer loop, numerators and denominator alike."""
     assert nijenhuis(g, a) == oracle.nijenhuis(g, a)
+    ai, da = _int_matrix(a)
+    assert _nijenhuis_ints(g, ai, da) == structures_oracle.nijenhuis_ints(g, ai, da)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_nijenhuis_large_entries_match_oracle(data):
+    # constants and maps up to 10^40 over mixed denominators, dimensions 1 to 5
+    g = data.draw(antisymmetric_algebras(values=BIG_RATIONALS))
+    a = tuple(data.draw(rational_vectors(g.dim, BIG_RATIONALS)) for _ in range(g.dim))
+    assert_nijenhuis_matches_oracle(g, a)
+
+
+# [e_i, e_j] = s * TIGHT_TORSION[(i, j)] and A = t * TIGHT_MAP: N(e2, e3) has a coordinate
+# 44*a^2*c of the 4*n^2*a^2*c = 64*a^2*c the slots are sized for (a, c the largest integer entries
+# of A and of D*c), which with c = 3 is beyond what a slot one bit narrower holds
+TIGHT_TORSION = {
+    (0, 1): (1, 1, -1, -1),
+    (0, 2): (1, 1, -1, -1),
+    (0, 3): (-1, -1, 0, -1),
+    (1, 2): (-1, -1, 1, 1),
+    (1, 3): (1, 1, -1, -1),
+    (2, 3): (1, 1, -1, -1),
+}
+TIGHT_MAP = ((-1, -1, 1, 1), (-1, 1, 1, 1), (1, 1, 1, -1), (1, 1, -1, -1))
+
+
+@pytest.mark.parametrize("s, t", [(Fraction(3), Fraction(1)), (Fraction(3 * 2**130, 7), Fraction(-(2**60), 5))])
+def test_nijenhuis_slot_width_boundary(s, t):
+    brackets = {p: {k: x * s for k, x in enumerate(v) if x} for p, v in TIGHT_TORSION.items()}
+    g = LieAlgebra.from_brackets(4, brackets)
+    a = tuple(tuple(x * t for x in row) for row in TIGHT_MAP)
+    big = t.numerator**2 * s.numerator
+    torsion, _ = structures_oracle.nijenhuis_ints(g, *_int_matrix(a))
+    assert max(map(abs, torsion[(1, 2)])) == 132 * big // 3 >= 2 ** (slot_width(64 * big) - 2)
+    assert_nijenhuis_matches_oracle(g, a)
 
 
 def test_kahler_d4half_identity_metric():
@@ -200,10 +256,13 @@ def test_checked_structures_are_bound_to_their_algebra():
     assert sas.algebra is H3.algebra
     assert kah.algebra is D4.algebra
     assert frob.algebra is D4.algebra
+    assert frob.kirillov == kirillov_form(D4.algebra, D4.frobenius_form)
     # only check_* binds: a hand-built copy (equal in value) and an edited one are unbound
     copy = type(sas)(sas.reeb, sas.alpha, sas.phi, sas.metric)
     assert copy == sas and copy.algebra is None
     assert dataclasses.replace(sas, phi=identity(3)).algebra is None
+    frob_copy = type(frob)(frob.phi, frob.principal)
+    assert frob_copy == frob and frob_copy.algebra is None and frob_copy.kirillov is None
 
 
 # --- the integer d(alpha) paths against the Fraction oracle -------------------
@@ -234,6 +293,24 @@ def test_sasakian_matches_oracle(case):
     assert_same_result(got, structures_oracle.check_sasakian(g, reeb, alpha, phi))
     assert got[1] is None or got[1].algebra is g
     assert sasakian_metric(g, alpha, phi) == structures_oracle.sasakian_metric(g, alpha, phi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(large_sasakian_inputs())
+def test_sasakian_large_entries_match_oracle(case):
+    g, reeb, alpha, phi = case
+    got = check_sasakian(g, reeb, alpha, phi)
+    assert_same_result(got, structures_oracle.check_sasakian(g, reeb, alpha, phi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_kahler_inputs())
+def test_kahler_large_entries_match_fraction_torsion(case):
+    # check_kahler reads the torsion through nijenhuis: the packed kernel against the Fraction one
+    g, j, omega = case
+    got = check_kahler(g, j, omega)
+    with mock.patch.object(lieforge.structures, "nijenhuis", oracle.nijenhuis):
+        assert_same_result(got, check_kahler(g, j, omega))
 
 
 DENSE_H7 = conjugated_heisenberg_sasakian(3, 1)

@@ -315,6 +315,51 @@ def test_exact_two_forms_are_kirillov_forms(monkeypatch):
     assert reversed_double_extension(H3.algebra, H3.sasakian().alpha, d).algebra.c == G5.algebra.c
 
 
+# d(alpha) builds per construction on bound inputs: the Kirillov form check_frobenius binds to a
+# Frobenius structure serves as omega = -d(phi) in both directions, and contact-ideal builds only
+# the restricted contact form's, for its contact and Sasakian checks
+KIRILLOV_BUILDS = {
+    "sasakian-to-fk": (
+        lambda: (H3.sasakian(),),
+        lambda s: sasakian_to_frobenius_kahler(H3.algebra, s, diagonal(["1/2", "1/2", 1])),
+        1,
+    ),
+    "fk-to-sasakian": (
+        lambda: (D4.frobenius(), D4.kahler()),
+        lambda f, k: frobenius_kahler_to_sasakian(D4.algebra, f, k, D4.maps[0][1]),
+        1,
+    ),
+    "contact-ideal": (
+        lambda: (D4.frobenius(), D4.kahler()),
+        lambda f, k: contact_ideal_restriction(D4.algebra, f, k),
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KIRILLOV_BUILDS))
+def test_constructions_build_each_kirillov_form_once(case, monkeypatch):
+    import sys
+
+    import lieforge.forms
+
+    inputs, construct, expected = KIRILLOV_BUILDS[case]
+    structures = inputs()  # bound, so their own checks are not redone
+    calls = []
+    dalpha = lieforge.forms._dalpha
+
+    def counted(*args):
+        calls.append(args)
+        return dalpha(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lieforge") and getattr(module, "_dalpha", None) is dalpha:
+            monkeypatch.setattr(module, "_dalpha", counted)
+    report = construct(*structures)[1]
+    assert report.overall
+    assert len(calls) == expected
+
+
 def test_sasakian_to_fk_rejects_zero_map():
     with pytest.raises(PreconditionError) as err:
         sasakian_to_frobenius_kahler(H3.algebra, H3.sasakian(), zero_matrix(3))
