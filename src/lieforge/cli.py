@@ -7,6 +7,9 @@ the builtin's data. Some but not all of the inline flags is a usage error.
 Exit codes: 0 when the overall verdict passes, 1 when it fails or a
 precondition rejects the input, 2 on usage or parse errors. Output is
 deterministic byte for byte for identical invocations.
+
+The argparse parser is built once per process, on the first ``run``, and
+every later ``run`` in the process parses with that same parser.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .algebra import LieAlgebra, center, check_jacobi
@@ -68,7 +72,13 @@ from .theorems import (
 )
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.
+
+    ``parse_args`` leaves the parser as it was: each call fills a fresh
+    Namespace, and ``append`` copies the ``--fix`` default before it appends.
+    """
     parser = argparse.ArgumentParser(
         prog="lieforge",
         description="Exact-arithmetic Lie algebra extensions and geometric structure checks.",
@@ -521,8 +531,7 @@ def _adjust_evaluations(doc: ReportDocument, dim: int, convention: str) -> Repor
 
 
 def run(argv: list[str]) -> tuple[str, int]:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     handlers = {
         "check": _cmd_check,
         "extend": _cmd_extend,

@@ -8,11 +8,14 @@ positive definiteness is decided exactly through leading principal minors.
 
 The contact and Sasakian checks compute d(alpha) once per call, as integers
 over one denominator (``forms._dalpha``), and test every identity on integer
-products cross-multiplied by their denominators; Fractions are made only for
-the results, the notes and the witness of an item that fails. The Nijenhuis
-torsion, which ``check_kahler`` and ``check_sasakian`` read, packs each
-integer vector into one int (``linalg.pack``): O(n^3) big-int multiply-adds
-in all, and two unpacks per basis pair.
+products cross-multiplied by their denominators; ``check_kahler`` tests J^2,
+omega(J., J.) and the metric on the integer matrices of J and omega the same
+way. Fractions are made only for the results, the notes and the witness of
+an item that fails. The Nijenhuis torsion, which ``check_kahler`` and
+``check_sasakian`` read, packs each integer vector into one int
+(``linalg.pack``): O(n^3) big-int multiply-adds in all, and two unpacks per
+basis pair. It starts from the packed Leibniz defect of ``_leibniz_defects``,
+which ``derivations.is_derivation`` tests against 0 by itself.
 
 A Frobenius, Kahler or Sasakian structure returned by its ``check_*``
 function is bound to the algebra it was checked on (its ``algebra``
@@ -26,6 +29,7 @@ Frobenius structure also carries the Kirillov form its check computed
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -37,7 +41,6 @@ from .linalg import (
     Vector,
     ZERO,
     clear_denominators,
-    column,
     fmt_basis_tuple,
     fmt_scalar,
     fmt_vector,
@@ -50,7 +53,6 @@ from .linalg import (
     solve_affine,
     transpose,
     unpack,
-    vec_scale,
     vector_over,
 )
 from .report import CheckReport, DimensionMismatch, PreconditionError, passed
@@ -127,7 +129,7 @@ def _int_matrix(m: Matrix) -> tuple[list[list[int]], int]:
 
 def _int_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def kirillov_form(g: LieAlgebra, phi: KForm) -> KForm:
@@ -235,33 +237,56 @@ def nijenhuis(g: LieAlgebra, a: Matrix) -> NijenhuisTable:
     return NijenhuisTable(n, tuple(tuple(row) for row in table))
 
 
-def _nijenhuis_ints(g: LieAlgebra, ai: list[list[int]], da: int) -> tuple[dict[tuple[int, int], list[int]], int]:
-    """The torsion of the map A = ai/da as (N, den): N[(i, j)], i < j, is N(e_i, e_j) times den = da^2*D.
+def _leibniz_defects(
+    g: LieAlgebra, ai: list[list[int]], bound: Callable[[int, int, int], int]
+) -> tuple[int, list[list[tuple[int, int]]], list[int], list[list[int]], dict[tuple[int, int], int]]:
+    """The Leibniz defects of the integer map A = ai, packed: (width, cols, a_col, left, defect).
 
-    With C = D*c and L[i][b] = [Ae_i, e_b], N(e_i, e_j) = A(inner) + sum_b A_bj L[i][b]
-    for inner = A C_ij - L[i][j] + L[j][i]. Every vector is one packed int
-    (``linalg.pack``): L comes from the packed C_rb by O(n^3) big-int
-    multiply-adds, and a pair costs O(n) more plus two unpacks, of inner and
-    of the result. With a and c the largest |ai| and |C|, A(inner) has
-    coordinates of at most 3*n^2*a^2*c in absolute value and the last sum
-    n^2*a^2*c, so the slots hold 4*n^2*a^2*c, which also bounds inner's 3*n*a*c.
+    With C = D*c from ``LieAlgebra._integer_terms``, cols[j] lists the nonzero
+    (r, A_rj), a_col[j] is column j of A, left[i][b] = sum_r A_ri C_rb is
+    D*[Ae_i, e_b], and defect[(i, j)], i < j in row-major order, is
+    A C_ij - left[i][j] + left[j][i]: D times the Leibniz defect
+    A[e_i,e_j] - [Ae_i,e_j] - [e_i,Ae_j], or da*D times that of ai/da. Every
+    vector is one packed int (``linalg.pack``), built by O(n^3) big-int
+    multiply-adds in all, at width slot_width(bound(n, a, c)) for a and c the
+    largest |ai| and |C|: the caller's bound covers every coordinate of what it
+    unpacks or tests against 0.
     """
     n = g.dim
-    d, terms = g._integer_terms
+    _, terms = g._integer_terms
     a = max(abs(x) for row in ai for x in row)
     c = max((abs(y) for plane in terms for row in plane for _, y in row), default=0)
-    width = slot_width(4 * n * n * a * a * c)
+    width = slot_width(bound(n, a, c))
     cols = [[(r, ai[r][j]) for r in range(n) if ai[r][j]] for j in range(n)]
     a_col = [pack(col, width) for col in cols]
     c_rb = [[pack(row, width) for row in plane] for plane in terms]
     left = [[sum(x * c_rb[r][b] for r, x in col) for b in range(n)] for col in cols]
+    defect = {
+        (i, j): sum(y * a_col[k] for k, y in terms[i][j]) - left[i][j] + left[j][i]
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    return width, cols, a_col, left, defect
+
+
+def _nijenhuis_ints(g: LieAlgebra, ai: list[list[int]], da: int) -> tuple[dict[tuple[int, int], list[int]], int]:
+    """The torsion of the map A = ai/da as (N, den): N[(i, j)], i < j, is N(e_i, e_j) times den = da^2*D.
+
+    With inner, left and cols the packed Leibniz defect, L[i][b] and the
+    columns of ``_leibniz_defects``, N(e_i, e_j) = A(inner) + sum_b A_bj L[i][b]:
+    a pair costs O(n) big-int multiply-adds plus two unpacks, of inner and of
+    the result. With a and c the largest |ai| and |C|, A(inner) has coordinates
+    of at most 3*n^2*a^2*c in absolute value and the last sum n^2*a^2*c, so the
+    slots hold 4*n^2*a^2*c, which also bounds inner's 3*n*a*c.
+    """
+    n = g.dim
+    d, _ = g._integer_terms
+    width, cols, a_col, left, defect = _leibniz_defects(g, ai, lambda n, a, c: 4 * n * n * a * a * c)
     torsion = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            inner = sum(y * a_col[k] for k, y in terms[i][j]) - left[i][j] + left[j][i]
-            total = sum(map(mul, unpack(inner, n, width), a_col))
-            total += sum(x * left[i][b] for b, x in cols[j])
-            torsion[(i, j)] = unpack(total, n, width)
+    for (i, j), inner in defect.items():
+        total = sum(map(mul, unpack(inner, n, width), a_col))
+        total += sum(x * left[i][b] for b, x in cols[j])
+        torsion[(i, j)] = unpack(total, n, width)
     return torsion, da * da * d
 
 
@@ -271,16 +296,26 @@ def kahler_metric(g: LieAlgebra, j: Matrix, omega: KForm) -> Matrix:
 
 
 def check_kahler(g: LieAlgebra, j: Matrix, omega: KForm) -> tuple[CheckReport, KahlerStructure | None]:
-    """J^2 = -Id, vanishing torsion, closed invariant omega, definite metric."""
-    if len(j) != g.dim:
-        raise DimensionMismatch("map does not match algebra dimension")
-    if omega.degree != 2 or omega.dim != g.dim:
-        raise DimensionMismatch("expected a 2-form on the algebra")
+    """J^2 = -Id, vanishing torsion, closed invariant omega, definite metric.
+
+    With J = ji/dj and omega = om/do as integer matrices, J^2 is tested
+    against -dj^2 Id, J^T (om J) against dj^2 om, and the metric om J over
+    do*dj for symmetry and definiteness (a positive scale keeps the signs of
+    the leading minors). The torsion goes through ``nijenhuis`` and d(omega)
+    through ``ce_differential``.
+    """
     n = g.dim
+    if len(j) != n or any(len(row) != n for row in j):
+        raise DimensionMismatch("map does not match algebra dimension")
+    if omega.degree != 2 or omega.dim != n:
+        raise DimensionMismatch("expected a 2-form on the algebra")
+    ji, dj = _int_matrix(j)
+    om, do = _int_matrix(omega.as_matrix())
+    s = dj * dj
     items = []
-    j2 = mat_mul(j, j)
-    wrong = next((k for k in range(n) if column(j2, k) != vec_scale(Fraction(-1), g.basis_vector(k))), None)
-    witness = "" if wrong is None else f"J^2({g.labels[wrong]}) = {fmt_vector(column(j2, wrong), g.labels)}"
+    j2 = list(zip(*_int_mul(ji, ji)))
+    wrong = next((k for k in range(n) if any(x != (-s if r == k else 0) for r, x in enumerate(j2[k]))), None)
+    witness = "" if wrong is None else f"J^2({g.labels[wrong]}) = {fmt_vector(vector_over(j2[wrong], s), g.labels)}"
     items.append(passed("complex_square_identity", wrong is None, witness))
     torsion = nijenhuis(g, j)
     bad_pair = next(
@@ -303,21 +338,21 @@ def check_kahler(g: LieAlgebra, j: Matrix, omega: KForm) -> tuple[CheckReport, K
     items.append(
         passed("symplectic_closed", domega.is_zero(), f"d(omega) = {domega.describe(g.labels)}")
     )
-    om = omega.as_matrix()
-    invariant = mat_mul(transpose(j), mat_mul(om, j))
+    metric = _int_mul(om, ji)
+    invariant = _int_mul(transpose(ji), metric)
     bad_inv = next(
-        ((a, b) for a in range(n) for b in range(a + 1, n) if invariant[a][b] != om[a][b]),
+        ((a, b) for a in range(n) for b in range(a + 1, n) if invariant[a][b] != s * om[a][b]),
         None,
     )
     witness = (
         ""
         if bad_inv is None
         else f"omega(J.,J.) {fmt_basis_tuple(bad_inv, g.labels)}: "
-        f"{fmt_scalar(invariant[bad_inv[0]][bad_inv[1]])} != {fmt_scalar(om[bad_inv[0]][bad_inv[1]])}"
+        f"{fmt_scalar(Fraction(invariant[bad_inv[0]][bad_inv[1]], do * s))} != "
+        f"{fmt_scalar(Fraction(om[bad_inv[0]][bad_inv[1]], do))}"
     )
     items.append(passed("symplectic_j_invariant", bad_inv is None, witness))
-    metric = kahler_metric(g, j, omega)
-    symmetric = metric == transpose(metric)
+    symmetric = all(metric[a][b] == metric[b][a] for a in range(n) for b in range(a))
     items.append(passed("metric_symmetric", symmetric, "omega(x, Jy) is not symmetric"))
     pos, minor = positive_definite(metric)
     items.append(
@@ -327,6 +362,7 @@ def check_kahler(g: LieAlgebra, j: Matrix, omega: KForm) -> tuple[CheckReport, K
             f"leading {minor}x{minor} minor is not positive" if not pos else "metric not symmetric",
         )
     )
+    metric = tuple(vector_over(row, do * dj) for row in metric)
     notes = tuple(
         (f"metric_row_{g.labels[i]}", fmt_vector(metric[i], tuple(f"{l}*" for l in g.labels)))
         for i in range(n)
@@ -430,10 +466,10 @@ def check_sasakian(
     items.append(passed("metric_phi_isometry", isometry, "g(Phi x, Phi y) != g(x,y) - alpha(x)alpha(y)"))
     reproduces = all(_same(u, dm * dp, v, den) for u, v in zip(gphi, da))
     items.append(passed("metric_reproduces_dalpha", reproduces, "g(x, Phi y) != d(alpha)(x,y)"))
-    phi_reeb = [sum(x * y for x, y in zip(row, r)) for row in p]
+    phi_reeb = [sum(map(mul, row, r)) for row in p]
     witness = f"Phi(xi) = {fmt_vector(vector_over(phi_reeb, dp * dr), g.labels)}"
     items.append(passed("phi_kills_reeb", not any(phi_reeb), witness))
-    alpha_phi = [sum(x * y for x, y in zip(a, col)) for col in zip(*p)]
+    alpha_phi = [sum(map(mul, a, col)) for col in zip(*p)]
     witness = f"alpha(Phi e_j) = {fmt_vector(vector_over(alpha_phi, dal * dp), duals)}"
     items.append(passed("alpha_phi_vanishes", not any(alpha_phi), witness))
     metric = tuple(vector_over(row, dm) for row in metric)

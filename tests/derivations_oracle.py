@@ -1,17 +1,19 @@
-"""Reference oracle for lieforge.derivations: the Fraction Leibniz system.
+"""Reference oracle for lieforge.derivations: the Fraction Leibniz rule and system.
 
-This is the straightforward Fraction-arithmetic _leibniz_rows that the
-integer rows built from ``LieAlgebra._integer_terms`` replaced, and a
-derivation_space that solves it, with the unchanged rows of the other
-constraints, through linalg_oracle.solve_affine. It is slow but obviously
-correct; tests/test_derivations.py checks that the fast path returns exactly
-the same particular solution and basis.
+This is the straightforward Fraction-arithmetic is_derivation that the packed
+Leibniz defect (``structures._leibniz_defects``) replaced, the Fraction
+_leibniz_rows that the integer rows built from ``LieAlgebra._integer_terms``
+replaced, and a derivation_space that solves them, with the unchanged rows of
+the other constraints, through linalg_oracle.solve_affine. They are slow but
+obviously correct; tests/test_derivations.py checks that the fast paths return
+exactly the same reports, particular solution and basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import algebra_oracle
 import linalg_oracle
 from lieforge.algebra import LieAlgebra
 from lieforge.derivations import (
@@ -24,7 +26,37 @@ from lieforge.derivations import (
     _form_eigen_rows,
     _sends_rows,
 )
-from lieforge.linalg import ZERO, Matrix, Vector
+from lieforge.linalg import ZERO, Matrix, Vector, fmt_basis_tuple, fmt_vector, mat_vec
+from lieforge.report import CheckReport, DimensionMismatch, fail, ok
+
+
+def is_derivation(g: LieAlgebra, d: Matrix) -> CheckReport:
+    """Leibniz rule D[e_i,e_j] = [De_i,e_j] + [e_i,De_j] on all pairs."""
+    if len(d) != g.dim:
+        raise DimensionMismatch("map does not match algebra dimension")
+    failures = []
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            lhs = mat_vec(d, g.c[i][j])
+            di = tuple(d[r][i] for r in range(g.dim))
+            dj = tuple(d[r][j] for r in range(g.dim))
+            rhs = tuple(
+                a + b
+                for a, b in zip(
+                    algebra_oracle.bracket(g, di, g.basis_vector(j)), algebra_oracle.bracket(g, g.basis_vector(i), dj)
+                )
+            )
+            if lhs != rhs:
+                failures.append(
+                    fail(
+                        f"leibniz{fmt_basis_tuple((i, j), g.labels)}",
+                        f"D[e_i,e_j] = {fmt_vector(lhs, g.labels)}, "
+                        f"[De_i,e_j]+[e_i,De_j] = {fmt_vector(rhs, g.labels)}",
+                    )
+                )
+    if failures:
+        return CheckReport(tuple(failures))
+    return CheckReport((ok("leibniz_all_pairs"),))
 
 
 def _leibniz_rows(g: LieAlgebra) -> tuple[list[Vector], list[Fraction]]:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 import lieforge as lf
-from lieforge.forms import KForm
+from lieforge.forms import KForm, ce_differential
 from lieforge.linalg import diagonal, identity, mat_vec, nullspace
 
 from conftest import (
@@ -19,7 +19,9 @@ from conftest import (
     conjugate_one_form,
     conjugate_two_form,
     heisenberg_plus_abelian,
+    invariant_closed_two_forms,
     mat_inverse,
+    random_complex_structure,
     random_invertible,
     random_jacobi_algebra,
 )
@@ -208,3 +210,77 @@ def large_kahler_inputs(draw):
     if kind == "perturbed":
         j = _square(draw(perturbed([x for row in j for x in row], BIG_RATIONALS)), 4)
     return g, j, omega
+
+
+def conjugated_d4half_kahler(seed):
+    """d4half with its Kahler pair (J, omega), moved to a random rational basis e'_i = P e_i."""
+    d4 = lf.builtin("d4half")
+    j, omega = d4.kahler_data
+    p = random_invertible(random.Random(seed), 4)
+    pinv = mat_inverse(p)
+    return conjugate_algebra(d4.algebra, p, pinv), conjugate_map(j, p, pinv), conjugate_two_form(omega, p)
+
+
+@st.composite
+def kahler_inputs(draw):
+    """(g, j, omega) for check_kahler, each kind aimed at one item: d4half's Kahler pair in a
+    random basis (passes); with omega negated (negative definite metric); with J perturbed
+    (J^2 != -Id); with omega replaced by a random 2-form (not closed) or moved by an exact
+    d(beta) (closed, not J-invariant, so the metric is not symmetric); or a random J^2 = -Id
+    on a random Lie algebra of dimension 2, 4 or 6 (mostly not integrable) with a combination
+    of its closed J-invariant 2-forms (indefinite, degenerate or definite metrics)."""
+    kind = draw(st.sampled_from(["exact", "negated", "square", "not-closed", "not-invariant", "family"]))
+    if kind == "family":
+        rng = random.Random(draw(SEEDS))
+        g = random_jacobi_algebra(rng, draw(st.sampled_from([2, 4, 6])))
+        j = random_complex_structure(rng, g.dim)
+        omega = KForm.zero(g.dim, 2)
+        for form in invariant_closed_two_forms(g, j):
+            omega = omega.add(form.scale(draw(RATIONALS)))
+        return g, j, omega
+    g, j, omega = conjugated_d4half_kahler(draw(SEEDS))
+    if kind == "negated":
+        omega = omega.scale(Fraction(-1))
+    elif kind == "square":
+        j = _square(draw(perturbed([x for row in j for x in row])), 4)
+    elif kind == "not-closed":
+        pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+        omega = KForm.two_form(4, dict(zip(pairs, draw(rational_vectors(len(pairs))))))
+    elif kind == "not-invariant":
+        omega = omega.add(ce_differential(g, KForm.one_form(4, draw(rational_vectors(4)))))
+    return g, j, omega
+
+
+@st.composite
+def solved_derivations(draw):
+    """(g, d), d a drawn combination of the basis derivation_space returns: on a random Lie algebra
+    or a conjugated h_{2m+1}, or with BIG_RATIONALS coefficients on an h_{2m+1} moved by a
+    diagonal_rescalings basis (large constants)."""
+    kind = draw(st.sampled_from(["random", "heisenberg", "large"]))
+    values = BIG_RATIONALS if kind == "large" else RATIONALS
+    if kind == "random":
+        g = random_jacobi_algebra(random.Random(draw(SEEDS)), draw(st.integers(1, 5)))
+    else:
+        g, _, _, _ = conjugated_heisenberg_sasakian(draw(st.integers(1, 2)), draw(SEEDS))
+    if kind == "large":
+        g = conjugate_algebra(g, *draw(diagonal_rescalings(g.dim)))
+    _, basis = lf.derivation_space(g, [lf.Leibniz()])
+    coeffs = draw(st.lists(values, min_size=len(basis), max_size=len(basis)))
+    n = g.dim
+    return g, tuple(
+        tuple(sum((c * m[i][k] for c, m in zip(coeffs, basis)), Fraction(0)) for k in range(n)) for i in range(n)
+    )
+
+
+@st.composite
+def derivation_inputs(draw):
+    """(g, d) for is_derivation: a random map on a random algebra (Lie or not, so most pairs fail),
+    the same on dimensions 1-2 or with BIG_RATIONALS constants and entries, or a solved_derivations
+    map with a few entries perturbed."""
+    kind = draw(st.sampled_from(["random", "small", "large", "perturbed"]))
+    if kind == "perturbed":
+        g, d = draw(solved_derivations())
+        return g, _square(draw(perturbed([x for row in d for x in row])), g.dim)
+    values = BIG_RATIONALS if kind == "large" else RATIONALS
+    g = draw(antisymmetric_algebras(max_dim=2 if kind == "small" else 5, values=values))
+    return g, tuple(draw(rational_vectors(g.dim, values)) for _ in range(g.dim))

@@ -1,8 +1,9 @@
-"""Reference oracle for the contact and Sasakian checks: plain Fraction versions.
+"""Reference oracle for the contact, Kahler and Sasakian checks: plain Fraction versions.
 
 These are the straightforward Fraction-arithmetic kirillov_form,
-top_contact_test, check_contact, sasakian_metric and check_sasakian that the
-integer d(alpha) paths in lieforge.structures and lieforge.forms replaced:
+top_contact_test, check_contact, check_kahler, sasakian_metric and
+check_sasakian that the integer paths in lieforge.structures and
+lieforge.forms replaced:
 d(alpha) comes from the general-degree ``ce_differential`` each time it is
 needed, the matrix identities run through ``mat_mul`` and the torsion
 through the Fraction Nijenhuis expansion of algebra_oracle. They are slow
@@ -45,6 +46,7 @@ from lieforge.linalg import (
 from lieforge.report import CheckReport, DimensionMismatch, passed
 from lieforge.structures import (
     ContactStructure,
+    KahlerStructure,
     SasakianStructure,
     _bind,
     apply_one_form,
@@ -150,6 +152,63 @@ def nijenhuis_ints(g: LieAlgebra, ai: list[list[int]], da: int) -> tuple[dict[tu
                     acc[k] += x * y
             torsion[(i, j)] = acc
     return torsion, da * da * d
+
+
+def check_kahler(g: LieAlgebra, j: Matrix, omega: KForm):
+    if len(j) != g.dim:
+        raise DimensionMismatch("map does not match algebra dimension")
+    if omega.degree != 2 or omega.dim != g.dim:
+        raise DimensionMismatch("expected a 2-form on the algebra")
+    n = g.dim
+    items = []
+    j2 = mat_mul(j, j)
+    wrong = next((k for k in range(n) if column(j2, k) != vec_scale(Fraction(-1), g.basis_vector(k))), None)
+    witness = "" if wrong is None else f"J^2({g.labels[wrong]}) = {fmt_vector(column(j2, wrong), g.labels)}"
+    items.append(passed("complex_square_identity", wrong is None, witness))
+    torsion = algebra_oracle.nijenhuis(g, j)
+    bad_pair = next(
+        ((a, b) for a in range(n) for b in range(a + 1, n) if not is_zero_vector(torsion.value(a, b))),
+        None,
+    )
+    witness = (
+        ""
+        if bad_pair is None
+        else f"N_J{fmt_basis_tuple(bad_pair, g.labels)} = {fmt_vector(torsion.value(*bad_pair), g.labels)}"
+    )
+    items.append(passed("complex_integrable", bad_pair is None, witness))
+    domega = ce_differential(g, omega)
+    items.append(passed("symplectic_closed", domega.is_zero(), f"d(omega) = {domega.describe(g.labels)}"))
+    om = omega.as_matrix()
+    invariant = mat_mul(transpose(j), mat_mul(om, j))
+    bad_inv = next(
+        ((a, b) for a in range(n) for b in range(a + 1, n) if invariant[a][b] != om[a][b]),
+        None,
+    )
+    witness = (
+        ""
+        if bad_inv is None
+        else f"omega(J.,J.) {fmt_basis_tuple(bad_inv, g.labels)}: "
+        f"{fmt_scalar(invariant[bad_inv[0]][bad_inv[1]])} != {fmt_scalar(om[bad_inv[0]][bad_inv[1]])}"
+    )
+    items.append(passed("symplectic_j_invariant", bad_inv is None, witness))
+    metric = mat_mul(om, j)
+    symmetric = metric == transpose(metric)
+    items.append(passed("metric_symmetric", symmetric, "omega(x, Jy) is not symmetric"))
+    pos, minor = positive_definite(metric)
+    items.append(
+        passed(
+            "metric_positive_definite",
+            symmetric and pos,
+            f"leading {minor}x{minor} minor is not positive" if not pos else "metric not symmetric",
+        )
+    )
+    notes = tuple(
+        (f"metric_row_{g.labels[i]}", fmt_vector(metric[i], tuple(f"{l}*" for l in g.labels))) for i in range(n)
+    )
+    report = CheckReport(tuple(items), notes)
+    if not report.overall:
+        return report, None
+    return report, _bind(KahlerStructure(j, omega, metric), g)
 
 
 def sasakian_metric(g: LieAlgebra, alpha: KForm, phi: Matrix) -> Matrix:

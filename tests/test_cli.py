@@ -1,7 +1,11 @@
+import argparse
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+from lieforge import cli
 from lieforge.cli import run
 from lieforge.fileio import parse_algebra
 
@@ -242,6 +246,34 @@ def test_output_determinism():
     b1 = invoke("construct", "sasakian-reduction", "--builtin", "g5")
     b2 = invoke("construct", "sasakian-reduction", "--builtin", "g5")
     assert b1 == b2
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus.json"
+
+
+def test_parser_is_built_once_per_process():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_reused_parser_reproduces_first_runs():
+    # every corpus command on a new parser, then on the same parser again after a usage error
+    # and an appended --fix: each output and exit code is the first run's, and --fix's default
+    # is still empty
+    entries = json.loads(CORPUS.read_text(encoding="utf-8"))["commands"]
+    runs = [prefix + e["argv"] for e in entries for prefix in ([], ["--output", "json"])]
+    cli._build_parser.cache_clear()
+    first = [run(argv) for argv in runs]
+    with pytest.raises(SystemExit) as err:
+        run(["check", "nonsense", "--builtin", "h3"])
+    assert err.value.code == 2
+    fix = ["solve", "derivations", "--builtin", "h3", "--fix", "alpha∘D=alpha:e3"]
+    assert run(fix) == first[runs.index(fix)]
+    assert [run(argv) for argv in runs] == first
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert next(a for a in sub.choices["solve"]._actions if a.dest == "fix").default == []
+    # the first runs are the outputs frozen in the corpus
+    frozen = [(e[mode]["code"], e[mode]["sha256"]) for e in entries for mode in ("text", "json")]
+    assert [(code, hashlib.sha256(out.encode("utf-8")).hexdigest()) for out, code in first] == frozen
 
 
 def test_json_output_mirrors_text():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import derivations_oracle
@@ -17,9 +18,16 @@ from lieforge import (
 )
 from lieforge.algebra import Subspace
 from lieforge.derivations import Commute
-from lieforge.linalg import diagonal, identity, matrix, vector
+from lieforge.linalg import diagonal, identity, matrix, slot_width, vector
 
-from strategies import RATIONALS, antisymmetric_algebras, conjugated_heisenberg_sasakian, rational_vectors
+from strategies import (
+    RATIONALS,
+    antisymmetric_algebras,
+    conjugated_heisenberg_sasakian,
+    derivation_inputs,
+    rational_vectors,
+    solved_derivations,
+)
 
 H3 = builtin("h3").algebra
 
@@ -99,6 +107,44 @@ def test_inner_derivations_lie_in_the_solved_family():
         particular, basis = derivation_space(g, [Leibniz()])
         x = vector([rng.randint(-2, 2) for _ in range(g.dim)])
         assert map_in_family(g, adjoint(g, x), particular, basis)
+
+
+# --- the packed Leibniz defect against the Fraction oracle -------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(derivation_inputs())
+def test_is_derivation_matches_oracle(case):
+    # whole reports: every failing pair in order, with both sides of its witness
+    g, d = case
+    assert is_derivation(g, d) == derivations_oracle.is_derivation(g, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(solved_derivations())
+def test_solved_derivations_pass(case):
+    g, d = case
+    report = is_derivation(g, d)
+    assert report.overall
+    assert report == derivations_oracle.is_derivation(g, d)
+
+
+# [e1,e2] = e1 and [e1,e_r] = e1 = -[e2,e_r] for r = 3..5, times s; D is t times the 0/1 map below.
+# The right side of leibniz(e1,e2) has e1-coordinate 8*a*c (a, c the largest integer entries of D
+# and of D*c), beyond what a slot one bit narrower than the 3*n*a*c = 15*a*c bound holds.
+TIGHT_BRACKETS = {(0, 1): 1, (0, 2): 1, (0, 3): 1, (0, 4): 1, (1, 2): -1, (1, 3): -1, (1, 4): -1}
+TIGHT_DERIVATION = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (1, 1, 0, 0, 0), (1, 1, 0, 0, 0), (1, 1, 0, 0, 0))
+
+
+@pytest.mark.parametrize("s, t", [(Fraction(1), Fraction(1)), (Fraction(2**130, 7), Fraction(2**60, 5))])
+def test_leibniz_defect_slot_width_boundary(s, t):
+    g = LieAlgebra.from_brackets(5, {p: {0: x * s} for p, x in TIGHT_BRACKETS.items()})
+    d = tuple(tuple(x * t for x in row) for row in TIGHT_DERIVATION)
+    big = t.numerator * s.numerator
+    want = derivations_oracle.is_derivation(g, d)
+    rhs = want.items[0].witness.split("[De_i,e_j]+[e_i,De_j] = ")[1]
+    assert rhs == f"{8 * s * t}*e1" and 8 * big >= 2 ** (slot_width(15 * big) - 2)
+    assert is_derivation(g, d) == want
 
 
 # --- the integer Leibniz rows against the Fraction oracle -------------------

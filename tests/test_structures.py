@@ -2,7 +2,6 @@ import dataclasses
 import random
 import sys
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +20,6 @@ from lieforge import (
     sasakian_metric,
     top_contact_test,
 )
-import lieforge.structures
 from lieforge.linalg import identity, matrix, slot_width, vec_scale
 from lieforge.report import DimensionMismatch, PreconditionError
 from lieforge.structures import _int_matrix, _nijenhuis_ints
@@ -32,8 +30,10 @@ from strategies import (
     BIG_RATIONALS,
     RATIONALS,
     antisymmetric_algebras,
+    conjugated_d4half_kahler,
     conjugated_heisenberg_sasakian,
     contact_inputs,
+    kahler_inputs,
     large_kahler_inputs,
     large_sasakian_inputs,
     lie_or_not,
@@ -306,11 +306,27 @@ def test_sasakian_large_entries_match_oracle(case):
 @settings(max_examples=60, deadline=None)
 @given(large_kahler_inputs())
 def test_kahler_large_entries_match_fraction_torsion(case):
-    # check_kahler reads the torsion through nijenhuis: the packed kernel against the Fraction one
+    # the integer check against the Fraction oracle, whose torsion is the Fraction expansion
+    g, j, omega = case
+    assert_same_result(check_kahler(g, j, omega), structures_oracle.check_kahler(g, j, omega))
+
+
+@settings(max_examples=120, deadline=None)
+@given(kahler_inputs())
+def test_kahler_matches_oracle(case):
     g, j, omega = case
     got = check_kahler(g, j, omega)
-    with mock.patch.object(lieforge.structures, "nijenhuis", oracle.nijenhuis):
-        assert_same_result(got, check_kahler(g, j, omega))
+    assert_same_result(got, structures_oracle.check_kahler(g, j, omega))
+    assert got[1] is None or got[1].algebra is g
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6))
+def test_kahler_d4half_in_a_random_basis_passes(seed):
+    g, j, omega = conjugated_d4half_kahler(seed)
+    got = check_kahler(g, j, omega)
+    assert got[0].overall
+    assert_same_result(got, structures_oracle.check_kahler(g, j, omega))
 
 
 DENSE_H7 = conjugated_heisenberg_sasakian(3, 1)
