@@ -1,56 +1,47 @@
-"""Exact-arithmetic Lie algebra extensions and geometric structure checks."""
+"""Exact-arithmetic Lie algebra extensions and geometric structure checks.
 
-from .algebra import LieAlgebra, Subspace, adjoint, bracket, center, check_jacobi
-from .catalog import BUILTINS, Builtin, builtin
-from .derivations import (
-    Commute,
-    FormEigen,
-    Leibniz,
-    Sends,
-    derivation_space,
-    is_derivation,
-    map_in_family,
-)
-from .extensions import (
-    ExtensionResult,
-    central_extension,
-    derivation_extension,
-    double_extension,
-    is_cocycle,
-    lift_one_form,
-    reversed_double_extension,
-)
-from .forms import KForm, ce_differential, evaluation_sign, radical, top_contact_test, wedge, wedge_power
-from .linalg import Matrix, Scalar, Vector, matrix, scalar, vector
-from .report import CheckItem, CheckReport, DimensionMismatch, LieforgeError, PreconditionError
-from .structures import (
-    ContactStructure,
-    FrobeniusStructure,
-    KahlerStructure,
-    NijenhuisTable,
-    SasakianStructure,
-    check_contact,
-    check_frobenius,
-    check_kahler,
-    check_sasakian,
-    kahler_metric,
-    kirillov_form,
-    nijenhuis,
-    principal_element,
-    sasakian_metric,
-)
-from .theorems import (
-    DoubleExtensionParams,
-    contact_ideal_restriction,
-    extend_complex_structure,
-    frobenius_kahler_to_sasakian,
-    kahler_extension_obstruction,
-    kahler_to_sasakian_central,
-    sasakian_double_extension,
-    sasakian_double_extension_conditions,
-    sasakian_reduction,
-    sasakian_to_frobenius_kahler,
-    solve_double_extension_params,
-)
+``import lieforge`` loads no submodule. Each public name below is looked up
+in its home module on first use (PEP 562 module ``__getattr__``), which
+imports that module and what it needs, and every ``lieforge.<submodule>``
+resolves the same way. A name is read from its home module on every access,
+so ``lieforge.check_jacobi`` is always ``lieforge.algebra.check_jacobi``.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# The public names, by home module.
+_EXPORTS = {
+    "algebra": "LieAlgebra Subspace adjoint bracket center check_jacobi",
+    "catalog": "BUILTINS Builtin builtin",
+    "derivations": "Commute FormEigen Leibniz Sends derivation_space is_derivation map_in_family",
+    "extensions": "ExtensionResult central_extension derivation_extension double_extension is_cocycle "
+    "lift_one_form reversed_double_extension",
+    "forms": "KForm ce_differential evaluation_sign radical top_contact_test wedge wedge_power",
+    "linalg": "Matrix Scalar Vector matrix scalar vector",
+    "report": "CheckItem CheckReport DimensionMismatch LieforgeError PreconditionError",
+    "structures": "ContactStructure FrobeniusStructure KahlerStructure NijenhuisTable SasakianStructure "
+    "check_contact check_frobenius check_kahler check_sasakian kahler_metric kirillov_form nijenhuis "
+    "principal_element sasakian_metric",
+    "theorems": "DoubleExtensionParams contact_ideal_restriction extend_complex_structure "
+    "frobenius_kahler_to_sasakian kahler_extension_obstruction kahler_to_sasakian_central "
+    "sasakian_double_extension sasakian_double_extension_conditions sasakian_reduction "
+    "sasakian_to_frobenius_kahler solve_double_extension_params",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "fileio"}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _HOME.keys() | _SUBMODULES)

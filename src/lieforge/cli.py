@@ -10,6 +10,18 @@ deterministic byte for byte for identical invocations.
 
 The argparse parser is built once per process, on the first ``run``, and
 every later ``run`` in the process parses with that same parser.
+
+Importing this module loads ``algebra``, ``catalog``, ``fileio``, ``forms``,
+``linalg``, ``report`` and ``structures``: enough for ``check`` jacobi,
+contact, frobenius, kahler and sasakian, ``solve reeb``/``principal`` and
+``builtin``. The other modules are imported by the commands that run them:
+
+* ``derivations``: ``check derivation`` and ``solve derivations``;
+* ``extensions`` (which imports ``derivations``): ``check cocycle`` and
+  every ``extend``;
+* ``theorems`` (which imports both): every ``construct``.
+
+``json`` is imported only to render ``--output json``.
 """
 
 from __future__ import annotations
@@ -22,18 +34,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .algebra import LieAlgebra, center, check_jacobi
 from .catalog import BUILTINS, Builtin, builtin
-from .derivations import Commute, FormEigen, Leibniz, Sends, derivation_space, is_derivation
-from .extensions import (
-    ExtensionResult,
-    central_extension,
-    derivation_extension,
-    double_extension,
-    is_cocycle,
-    reversed_double_extension,
-)
 from .fileio import (
     STRUCTURE_KEYS,
     ParsedStructure,
@@ -61,15 +65,9 @@ from .structures import (
     check_sasakian,
     one_form_coords,
 )
-from .theorems import (
-    contact_ideal_restriction,
-    frobenius_kahler_to_sasakian,
-    kahler_to_sasakian_central,
-    sasakian_double_extension,
-    sasakian_reduction,
-    sasakian_to_frobenius_kahler,
-    solve_double_extension_params,
-)
+
+if TYPE_CHECKING:
+    from .extensions import ExtensionResult
 
 
 @cache
@@ -339,6 +337,8 @@ _FIX_EIGEN = re.compile(r"^alpha\s*(?:∘|o|\.)\s*D\s*=\s*(.+):(.+)$")
 
 
 def _parse_fix(spec: str, g: LieAlgebra, b: Builtin | None):
+    from .derivations import Commute, FormEigen, Sends
+
     m = _FIX_EIGEN.match(spec.strip())
     if m:
         lam_str, form_str = m.group(1).strip(), m.group(2).strip()
@@ -366,8 +366,12 @@ def _cmd_check(args) -> tuple[ReportDocument, int]:
     if args.kind == "jacobi":
         report = check_jacobi(g)
     elif args.kind == "cocycle":
+        from .extensions import is_cocycle
+
         report = is_cocycle(g, _required(args, "two_form", g.dim, b))
     elif args.kind == "derivation":
+        from .derivations import is_derivation
+
         report = is_derivation(g, _required(args, "map", g.dim, b))
     else:  # contact, frobenius, kahler, sasakian
         ((report, _),) = _checked_sources(args, g, b)
@@ -376,6 +380,8 @@ def _cmd_check(args) -> tuple[ReportDocument, int]:
 
 
 def _cmd_extend(args) -> tuple[ReportDocument, int]:
+    from .extensions import central_extension, derivation_extension, double_extension, reversed_double_extension
+
     g, b = _load_algebra(args)
     command = f"extend {args.kind}"
     check = not args.force
@@ -399,6 +405,17 @@ def _cmd_extend(args) -> tuple[ReportDocument, int]:
 
 
 def _cmd_construct(args) -> tuple[ReportDocument, int]:
+    from .extensions import ExtensionResult
+    from .theorems import (
+        contact_ideal_restriction,
+        frobenius_kahler_to_sasakian,
+        kahler_to_sasakian_central,
+        sasakian_double_extension,
+        sasakian_reduction,
+        sasakian_to_frobenius_kahler,
+        solve_double_extension_params,
+    )
+
     g, b = _load_algebra(args)
     sources = []  # each theorem takes them after g, in table order
     for report, structure in _checked_sources(args, g, b):
@@ -447,6 +464,8 @@ def _cmd_solve(args) -> tuple[ReportDocument, int]:
     command = f"solve {args.kind}"
     star = tuple(f"{l}*" for l in g.labels)
     if args.kind == "derivations":
+        from .derivations import Leibniz, derivation_space
+
         constraints = [Leibniz()] + [_parse_fix(spec, g, b) for spec in args.fix]
         particular, basis = derivation_space(g, constraints)
         sections = []

@@ -30,7 +30,6 @@ error. Parse errors carry the byte offset of the offending line.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -416,6 +415,8 @@ def algebra_as_json(g: LieAlgebra) -> dict:
 
 
 def render_json(doc: ReportDocument) -> str:
+    import json  # only --output json needs it, so a text-mode process never loads it
+
     payload = {
         "format": FORMAT_TAG,
         "command": doc.command,

@@ -45,7 +45,6 @@ from .linalg import (
     fmt_scalar,
     fmt_vector,
     is_zero_vector,
-    mat_mul,
     nullspace,
     pack,
     positive_definite,
@@ -290,9 +289,21 @@ def _nijenhuis_ints(g: LieAlgebra, ai: list[list[int]], da: int) -> tuple[dict[t
     return torsion, da * da * d
 
 
+def _kahler_ints(g: LieAlgebra, j: Matrix, omega: KForm) -> tuple[list[list[int]], int, list[list[int]], int]:
+    """(ji, dj, om, do) with J = ji/dj and omega = om/do as integer matrices;
+    data of the wrong shape for ``g`` raises ``DimensionMismatch``."""
+    n = g.dim
+    if len(j) != n or any(len(row) != n for row in j):
+        raise DimensionMismatch("map does not match algebra dimension")
+    if omega.degree != 2 or omega.dim != n:
+        raise DimensionMismatch("expected a 2-form on the algebra")
+    return (*_int_matrix(j), *_int_matrix(omega.as_matrix()))
+
+
 def kahler_metric(g: LieAlgebra, j: Matrix, omega: KForm) -> Matrix:
-    """Candidate metric g(x,y) = omega(x, Jy)."""
-    return mat_mul(omega.as_matrix(), j)
+    """Candidate metric g(x,y) = omega(x, Jy): the integer om J over do*dj."""
+    ji, dj, om, do = _kahler_ints(g, j, omega)
+    return tuple(vector_over(row, do * dj) for row in _int_mul(om, ji))
 
 
 def check_kahler(g: LieAlgebra, j: Matrix, omega: KForm) -> tuple[CheckReport, KahlerStructure | None]:
@@ -305,12 +316,7 @@ def check_kahler(g: LieAlgebra, j: Matrix, omega: KForm) -> tuple[CheckReport, K
     through ``ce_differential``.
     """
     n = g.dim
-    if len(j) != n or any(len(row) != n for row in j):
-        raise DimensionMismatch("map does not match algebra dimension")
-    if omega.degree != 2 or omega.dim != n:
-        raise DimensionMismatch("expected a 2-form on the algebra")
-    ji, dj = _int_matrix(j)
-    om, do = _int_matrix(omega.as_matrix())
+    ji, dj, om, do = _kahler_ints(g, j, omega)
     s = dj * dj
     items = []
     j2 = list(zip(*_int_mul(ji, ji)))

@@ -1,9 +1,9 @@
 """Reference oracle for the contact, Kahler and Sasakian checks: plain Fraction versions.
 
 These are the straightforward Fraction-arithmetic kirillov_form,
-top_contact_test, check_contact, check_kahler, sasakian_metric and
-check_sasakian that the integer paths in lieforge.structures and
-lieforge.forms replaced:
+top_contact_test, check_contact, kahler_metric, check_kahler,
+sasakian_metric and check_sasakian that the integer paths in
+lieforge.structures and lieforge.forms replaced:
 d(alpha) comes from the general-degree ``ce_differential`` each time it is
 needed, the matrix identities run through ``mat_mul`` and the torsion
 through the Fraction Nijenhuis expansion of algebra_oracle. They are slow
@@ -152,6 +152,11 @@ def nijenhuis_ints(g: LieAlgebra, ai: list[list[int]], da: int) -> tuple[dict[tu
                     acc[k] += x * y
             torsion[(i, j)] = acc
     return torsion, da * da * d
+
+
+def kahler_metric(g: LieAlgebra, j: Matrix, omega: KForm) -> Matrix:
+    """Candidate metric g(x,y) = omega(x, Jy), one Fraction product."""
+    return mat_mul(omega.as_matrix(), j)
 
 
 def check_kahler(g: LieAlgebra, j: Matrix, omega: KForm):

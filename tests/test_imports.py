@@ -1,0 +1,154 @@
+"""The import graph: ``import lieforge`` is lazy, and a CLI command loads only
+the modules it runs.
+
+Each check runs in a fresh interpreter, since this process has long since
+imported every module. The child reports the modules that appeared in
+``sys.modules`` after it started, so whatever the interpreter loads at start-up
+does not count.
+"""
+
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import lieforge
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# What a fresh interpreter runs: ``code`` after recording the modules already
+# loaded, then the lieforge modules and stdlib json it loaded since, one line.
+_CHILD = """
+import sys
+_before = set(sys.modules)
+{code}
+print(" ".join(sorted(m for m in set(sys.modules) - _before if m == "json" or m.startswith("lieforge"))))
+"""
+
+# ``python -m lieforge.cli ARGV`` in-process, its output swallowed; runpy runs
+# the module as __main__, so lieforge.cli itself is not in sys.modules after.
+_RUN_CLI = """
+import contextlib, io, runpy
+sys.argv = ["lieforge", *sys.argv[1:]]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("lieforge.cli", run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+"""
+
+
+def loaded_by(code: str, *argv: str) -> set[str]:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _CHILD.format(code=code), *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(done.stdout.split())
+
+
+# The modules ``import lieforge.cli`` loads (the package and cli aside); every
+# command needs them, to parse its input and render its report.
+CLI_BASE = {f"lieforge.{m}" for m in ("algebra", "catalog", "fileio", "forms", "linalg", "report", "structures")}
+
+# The six commands of the cli-process benchmark, each with the modules it
+# imports on top of CLI_BASE.
+COMMANDS = [
+    (["check", "sasakian", "--builtin", "h3"], set()),
+    (["builtin", "g0"], set()),
+    (["solve", "derivations", "--builtin", "h3"], {"derivations"}),
+    (
+        ["extend", "double", "--builtin", "h3", "--two-form", "0", "--map", "diag:1/2,1/2,1,1"],
+        {"derivations", "extensions"},
+    ),
+    (["construct", "sasakian-reduction", "--builtin", "g5"], {"derivations", "extensions", "theorems"}),
+    (
+        ["construct", "sasakian-double", "--builtin", "h3", "--two-form", "0", "--map", "diag:0,0,0,1"],
+        {"derivations", "extensions", "theorems"},
+    ),
+]
+
+
+def test_import_lieforge_loads_no_submodule():
+    assert loaded_by("import lieforge") == {"lieforge"}
+
+
+def test_import_cli_loads_neither_json_nor_the_constructions():
+    assert loaded_by("import lieforge.cli") == {"lieforge", "lieforge.cli"} | CLI_BASE
+
+
+def test_a_name_loads_only_its_home_module_and_what_that_needs():
+    got = loaded_by("import lieforge\nlieforge.check_jacobi")
+    assert got == {"lieforge", "lieforge.algebra", "lieforge.linalg", "lieforge.report"}
+
+
+@pytest.mark.parametrize("argv, extra", COMMANDS, ids=[" ".join(argv[:2]) for argv, _ in COMMANDS])
+def test_cli_command_loads_only_what_it_runs(argv, extra):
+    assert loaded_by(_RUN_CLI, *argv) == {"lieforge"} | CLI_BASE | {f"lieforge.{m}" for m in extra}
+
+
+# --- the lazy package contract --------------------------------------------------
+
+# Every public name of the package, by home module.
+PUBLIC = {
+    "algebra": "LieAlgebra Subspace adjoint bracket center check_jacobi",
+    "catalog": "BUILTINS Builtin builtin",
+    "derivations": "Commute FormEigen Leibniz Sends derivation_space is_derivation map_in_family",
+    "extensions": "ExtensionResult central_extension derivation_extension double_extension is_cocycle "
+    "lift_one_form reversed_double_extension",
+    "forms": "KForm ce_differential evaluation_sign radical top_contact_test wedge wedge_power",
+    "linalg": "Matrix Scalar Vector matrix scalar vector",
+    "report": "CheckItem CheckReport DimensionMismatch LieforgeError PreconditionError",
+    "structures": "ContactStructure FrobeniusStructure KahlerStructure NijenhuisTable SasakianStructure "
+    "check_contact check_frobenius check_kahler check_sasakian kahler_metric kirillov_form nijenhuis "
+    "principal_element sasakian_metric",
+    "theorems": "DoubleExtensionParams contact_ideal_restriction extend_complex_structure "
+    "frobenius_kahler_to_sasakian kahler_extension_obstruction kahler_to_sasakian_central "
+    "sasakian_double_extension sasakian_double_extension_conditions sasakian_reduction "
+    "sasakian_to_frobenius_kahler solve_double_extension_params",
+}
+HOME = {name: module for module, names in PUBLIC.items() for name in names.split()}
+
+
+def test_all_lists_every_public_name():
+    assert sorted(lieforge.__all__) == sorted(HOME)
+
+
+def test_public_names_are_their_home_modules_objects():
+    wrong = [
+        name for name, home in HOME.items() if getattr(lieforge, name) is not getattr(import_module(f"lieforge.{home}"), name)
+    ]
+    assert wrong == []
+    assert set(HOME) <= set(dir(lieforge))
+
+
+def test_submodules_are_attributes_and_listed():
+    for module in list(PUBLIC) + ["cli", "fileio"]:
+        assert getattr(lieforge, module) is sys.modules[f"lieforge.{module}"]
+        assert module in dir(lieforge)
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from lieforge import *", namespace)
+    del namespace["__builtins__"]
+    assert namespace.keys() == set(HOME)
+    assert all(value is getattr(lieforge, name) for name, value in namespace.items())
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lieforge.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from lieforge import no_such_name", {})
+
+
+def test_submodule_resolves_after_a_bare_import():
+    got = loaded_by("import lieforge\nassert lieforge.linalg.det(((1, 2), (3, 4))) == -2")
+    assert got == {"lieforge", "lieforge.linalg", "lieforge.report"}

@@ -14,6 +14,7 @@ from lieforge import (
     check_frobenius,
     check_kahler,
     check_sasakian,
+    kahler_metric,
     kirillov_form,
     nijenhuis,
     principal_element,
@@ -249,6 +250,23 @@ def test_sasakian_rejects_misshapen_data(alpha, phi):
         sasakian_metric(H3.algebra, alpha, phi)
 
 
+@pytest.mark.parametrize(
+    "j, omega",
+    [
+        (identity(3), D4.kahler_data[1]),
+        (((1, 0, 0, 0), (0, 1, 0), (0, 0, 1, 0), (0, 0, 0, 1)), D4.kahler_data[1]),
+        (D4.kahler_data[0], KForm.basis_one_form(4, 0)),
+        (D4.kahler_data[0], KForm.two_form(3, {(0, 1): 1})),
+    ],
+    ids=["3x3-j", "ragged-j", "one-form-omega", "omega-too-short"],
+)
+def test_kahler_rejects_misshapen_data(j, omega):
+    with pytest.raises(DimensionMismatch):
+        check_kahler(D4.algebra, j, omega)
+    with pytest.raises(DimensionMismatch):
+        kahler_metric(D4.algebra, j, omega)
+
+
 def test_checked_structures_are_bound_to_their_algebra():
     _, sas = check_sasakian(H3.algebra, *H3.sasakian_data)
     _, kah = check_kahler(D4.algebra, *D4.kahler_data)
@@ -309,6 +327,7 @@ def test_kahler_large_entries_match_fraction_torsion(case):
     # the integer check against the Fraction oracle, whose torsion is the Fraction expansion
     g, j, omega = case
     assert_same_result(check_kahler(g, j, omega), structures_oracle.check_kahler(g, j, omega))
+    assert kahler_metric(g, j, omega) == structures_oracle.kahler_metric(g, j, omega)
 
 
 @settings(max_examples=120, deadline=None)
@@ -318,6 +337,7 @@ def test_kahler_matches_oracle(case):
     got = check_kahler(g, j, omega)
     assert_same_result(got, structures_oracle.check_kahler(g, j, omega))
     assert got[1] is None or got[1].algebra is g
+    assert kahler_metric(g, j, omega) == structures_oracle.kahler_metric(g, j, omega)
 
 
 @settings(max_examples=20, deadline=None)
