@@ -111,9 +111,6 @@ class LieAlgebra:
     def basis_vector(self, i: int) -> Vector:
         return tuple(Fraction(1) if j == i else ZERO for j in range(self.dim))
 
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        return self.c[i][j]
-
     def sparse_brackets(self) -> dict[tuple[int, int], dict[int, Fraction]]:
         """The i < j entries with nonzero coefficients, for serialization."""
         out: dict[tuple[int, int], dict[int, Fraction]] = {}
@@ -147,12 +144,6 @@ def bracket(g: LieAlgebra, x: Vector, y: Vector) -> Vector:
 def adjoint(g: LieAlgebra, x: Vector) -> Matrix:
     """ad(x): column j is [x, e_j]."""
     return transpose([bracket(g, x, g.basis_vector(j)) for j in range(g.dim)])
-
-
-def jacobi_residual(g: LieAlgebra, i: int, j: int, k: int) -> Vector:
-    """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]."""
-    failing = _jacobi_failures(g, ((i, j, k),))
-    return failing[0][1] if failing else zero_vector(g.dim)
 
 
 def _jacobi_failures(

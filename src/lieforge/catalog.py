@@ -15,7 +15,7 @@ from fractions import Fraction
 from .algebra import LieAlgebra
 from .forms import KForm
 from .linalg import Matrix, matrix
-from .report import PreconditionError
+from .report import PreconditionError, require
 from .structures import (
     FrobeniusStructure,
     KahlerStructure,
@@ -38,29 +38,20 @@ class Builtin:
     maps: tuple[tuple[str, Matrix], ...] = ()
 
     def sasakian(self) -> SasakianStructure:
-        if self.sasakian_data is None:
-            raise PreconditionError(f"builtin {self.name} carries no Sasakian data")
-        reeb, alpha, phi = self.sasakian_data
-        report, structure = check_sasakian(self.algebra, reeb, alpha, phi)
-        if structure is None:
-            raise PreconditionError(f"builtin {self.name} fails its Sasakian check", report)
-        return structure
+        return self._checked("Sasakian", check_sasakian, self.sasakian_data)
 
     def kahler(self) -> KahlerStructure:
-        if self.kahler_data is None:
-            raise PreconditionError(f"builtin {self.name} carries no Kahler data")
-        j, omega = self.kahler_data
-        report, structure = check_kahler(self.algebra, j, omega)
-        if structure is None:
-            raise PreconditionError(f"builtin {self.name} fails its Kahler check", report)
-        return structure
+        return self._checked("Kahler", check_kahler, self.kahler_data)
 
     def frobenius(self) -> FrobeniusStructure:
-        if self.frobenius_form is None:
-            raise PreconditionError(f"builtin {self.name} carries no Frobenius data")
-        report, structure = check_frobenius(self.algebra, self.frobenius_form)
-        if structure is None:
-            raise PreconditionError(f"builtin {self.name} fails its Frobenius check", report)
+        return self._checked("Frobenius", check_frobenius, self.frobenius_form and (self.frobenius_form,))
+
+    def _checked(self, kind: str, check, data: tuple | None):
+        """The structure ``check(algebra, *data)`` returns; refuses missing data or a failed check."""
+        if data is None:
+            raise PreconditionError(f"builtin {self.name} carries no {kind} data")
+        report, structure = check(self.algebra, *data)
+        require(f"builtin {self.name} fails its {kind} check", report)
         return structure
 
     def named_map(self, name: str) -> Matrix:

@@ -55,7 +55,7 @@ from .fileio import (
 )
 from .forms import evaluation_sign
 from .linalg import Matrix, fmt_scalar, fmt_vector, scalar, transpose
-from .report import CheckItem, LieforgeError, PreconditionError, fail
+from .report import CheckItem, LieforgeError, PreconditionError, fail, require
 from .structures import (
     KahlerStructure,
     SasakianStructure,
@@ -162,9 +162,7 @@ def _load_algebra(args) -> tuple[LieAlgebra, Builtin | None]:
     """The input algebra; one read from a file is refused with its report unless it is Lie."""
     g, b = _read_algebra(args)
     if b is None:
-        report = check_jacobi(g)
-        if not report.overall:
-            raise PreconditionError("algebra fails the Jacobi identity", report)
+        require("algebra fails the Jacobi identity", check_jacobi(g))
     return g, b
 
 
@@ -419,8 +417,7 @@ def _cmd_construct(args) -> tuple[ReportDocument, int]:
     g, b = _load_algebra(args)
     sources = []  # each theorem takes them after g, in table order
     for report, structure in _checked_sources(args, g, b):
-        if structure is None:
-            raise PreconditionError("input fails its axioms", report)
+        require("input fails its axioms", report)
         sources.append(structure)
     notes = ()
     if args.kind == "fk-to-sasakian":

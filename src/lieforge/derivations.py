@@ -24,6 +24,7 @@ from .linalg import (
     fmt_basis_tuple,
     fmt_vector,
     in_span,
+    is_square,
     mat_vec,
     nullspace,
     solve_affine,
@@ -48,7 +49,7 @@ def is_derivation(g: LieAlgebra, d: Matrix) -> CheckReport:
     hold 3*n*a*c.
     """
     n = g.dim
-    if len(d) != n or any(len(row) != n for row in d):
+    if not is_square(d, n):
         raise DimensionMismatch("map does not match algebra dimension")
     ai, da = _int_matrix(d)
     lcd, terms = g._integer_terms

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from .algebra import LieAlgebra
 from .derivations import is_derivation
 from .forms import KForm, ce_differential, radical
-from .linalg import Matrix, fmt_vector, is_zero_matrix
-from .report import CheckReport, DimensionMismatch, PreconditionError, fail, ok
+from .linalg import Matrix, fmt_vector, is_square, is_zero_matrix
+from .report import CheckReport, DimensionMismatch, fail, ok, refusal, require
 from .structures import kirillov_form
 
 
@@ -29,13 +29,15 @@ class ExtensionResult:
         return len(self.embedding)
 
 
-def _fresh_label(used: tuple[str, ...]) -> str:
-    i = len(used) + 1
-    label = f"e{i}"
-    while label in used:
+def _adjoin(g: LieAlgebra, new: dict[tuple[int, int], dict[int, object]]) -> LieAlgebra:
+    """g plus one basis vector e_n with a fresh label; ``new`` adds entries to g's bracket table."""
+    brackets = {pair: dict(entries) for pair, entries in g.sparse_brackets().items()}
+    for pair, entries in new.items():
+        brackets.setdefault(pair, {}).update(entries)
+    i = g.dim + 1
+    while f"e{i}" in g.labels:
         i += 1
-        label = f"e{i}"
-    return label
+    return LieAlgebra.from_brackets(g.dim + 1, brackets, g.labels + (f"e{i}",))
 
 
 def is_cocycle(g: LieAlgebra, theta: KForm) -> CheckReport:
@@ -60,38 +62,21 @@ def central_extension(g: LieAlgebra, theta: KForm, *, check: bool = True) -> Ext
     if theta.degree != 2 or theta.dim != g.dim:
         raise DimensionMismatch("expected a 2-form on the algebra")
     if check:
-        rep = is_cocycle(g, theta)
-        if not rep.overall:
-            raise PreconditionError("theta is not a 2-cocycle", rep)
+        require("theta is not a 2-cocycle", is_cocycle(g, theta))
     n = g.dim
-    brackets: dict[tuple[int, int], dict[int, object]] = {}
-    for (i, j), entries in g.sparse_brackets().items():
-        brackets[(i, j)] = dict(entries)
-    for (i, j), value in theta.coeffs:
-        brackets.setdefault((i, j), {})[n] = value
-    labels = g.labels + (_fresh_label(g.labels),)
-    child = LieAlgebra.from_brackets(n + 1, brackets, labels)
+    child = _adjoin(g, {pair: {n: value} for pair, value in theta.coeffs})
     return ExtensionResult(child, tuple(range(n)), central_index=n)
 
 
 def derivation_extension(g: LieAlgebra, d: Matrix, *, check: bool = True) -> ExtensionResult:
     """Adjoin a slot with [slot, x] = D(x); needs the Leibniz rule."""
-    if len(d) != g.dim:
+    if not is_square(d, g.dim):
         raise DimensionMismatch("map does not match algebra dimension")
     if check:
-        rep = is_derivation(g, d)
-        if not rep.overall:
-            raise PreconditionError("map is not a derivation", rep)
+        require("map is not a derivation", is_derivation(g, d))
     n = g.dim
-    brackets: dict[tuple[int, int], dict[int, object]] = {}
-    for (i, j), entries in g.sparse_brackets().items():
-        brackets[(i, j)] = dict(entries)
-    for i in range(n):
-        col = {k: -d[k][i] for k in range(n) if d[k][i] != 0}
-        if col:
-            brackets[(i, n)] = col  # [e_i, slot] = -D(e_i)
-    labels = g.labels + (_fresh_label(g.labels),)
-    child = LieAlgebra.from_brackets(n + 1, brackets, labels)
+    # [e_i, slot] = -D(e_i)
+    child = _adjoin(g, {(i, n): {k: -d[k][i] for k in range(n) if d[k][i] != 0} for i in range(n)})
     return ExtensionResult(child, tuple(range(n)), derivation_index=n)
 
 
@@ -125,6 +110,8 @@ def reversed_double_extension(g: LieAlgebra, alpha: KForm, d: Matrix, *, check: 
     """
     if alpha.degree != 1 or alpha.dim != g.dim:
         raise DimensionMismatch("expected a 1-form on the algebra")
+    if not is_square(d, g.dim):
+        raise DimensionMismatch("map does not match algebra dimension")
     if is_zero_matrix(d):
         base = ExtensionResult(g, tuple(range(g.dim)))
         lifted = alpha
@@ -135,11 +122,8 @@ def reversed_double_extension(g: LieAlgebra, alpha: KForm, d: Matrix, *, check: 
     if check:
         rad = radical(base.algebra, omega)
         if rad.dim != 0:
-            witness = fmt_vector(rad.rows[0], base.algebra.labels)
-            raise PreconditionError(
-                "-d(alpha) is degenerate on the extension",
-                CheckReport((fail("exact_form_nondegenerate", f"radical contains {witness}"),)),
-            )
+            witness = f"radical contains {fmt_vector(rad.rows[0], base.algebra.labels)}"
+            raise refusal("-d(alpha) is degenerate on the extension", "exact_form_nondegenerate", witness)
     central = central_extension(base.algebra, omega, check=check)
     return ExtensionResult(
         central.algebra,

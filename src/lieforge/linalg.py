@@ -100,6 +100,11 @@ def is_zero_matrix(m: Matrix) -> bool:
     return all(is_zero_vector(r) for r in m)
 
 
+def is_square(m: Matrix, n: int) -> bool:
+    """Is m an n x n matrix?"""
+    return len(m) == n and all(len(row) == n for row in m)
+
+
 def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
 
@@ -111,26 +116,6 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
     return tuple(tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in bt) for row in a)
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(vec_add(r, s) for r, s in zip(a, b, strict=True))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(vec_sub(r, s) for r, s in zip(a, b, strict=True))
-
-
-def mat_scale(c: Fraction, m: Matrix) -> Matrix:
-    return tuple(vec_scale(c, r) for r in m)
-
-
-def mat_neg(m: Matrix) -> Matrix:
-    return mat_scale(-ONE, m)
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return a == b
 
 
 def column(m: Matrix, j: int) -> Vector:

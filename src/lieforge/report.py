@@ -74,3 +74,14 @@ class PreconditionError(LieforgeError):
     def __init__(self, message: str, report: CheckReport | None = None):
         super().__init__(message)
         self.report = report if report is not None else CheckReport((fail("precondition", message),))
+
+
+def require(message: str, report: CheckReport) -> None:
+    """Raises ``PreconditionError(message, report)`` unless ``report`` passes."""
+    if not report.overall:
+        raise PreconditionError(message, report)
+
+
+def refusal(message: str, name: str, witness: str) -> PreconditionError:
+    """The error of a construction refused on one failing item, ``name`` with its ``witness``."""
+    return PreconditionError(message, CheckReport((fail(name, witness),)))

@@ -11,11 +11,14 @@ over one denominator (``forms._dalpha``), and test every identity on integer
 products cross-multiplied by their denominators; ``check_kahler`` tests J^2,
 omega(J., J.) and the metric on the integer matrices of J and omega the same
 way. Fractions are made only for the results, the notes and the witness of
-an item that fails. The Nijenhuis torsion, which ``check_kahler`` and
-``check_sasakian`` read, packs each integer vector into one int
+an item that fails. Both read the Nijenhuis torsion as integers from
+``_nijenhuis_ints``, not through the public ``nijenhuis``, which builds a
+Fraction table. That kernel packs each integer vector into one int
 (``linalg.pack``): O(n^3) big-int multiply-adds in all, and two unpacks per
 basis pair. It starts from the packed Leibniz defect of ``_leibniz_defects``,
-which ``derivations.is_derivation`` tests against 0 by itself.
+which ``derivations.is_derivation`` tests against 0 by itself. The two checks
+share their metric items (symmetric, positive definite) and ``metric_row_*``
+notes.
 
 A Frobenius, Kahler or Sasakian structure returned by its ``check_*``
 function is bound to the algebra it was checked on (its ``algebra``
@@ -44,6 +47,7 @@ from .linalg import (
     fmt_basis_tuple,
     fmt_scalar,
     fmt_vector,
+    is_square,
     is_zero_vector,
     nullspace,
     pack,
@@ -54,7 +58,7 @@ from .linalg import (
     unpack,
     vector_over,
 )
-from .report import CheckReport, DimensionMismatch, PreconditionError, passed
+from .report import CheckItem, CheckReport, DimensionMismatch, PreconditionError, passed
 
 
 @dataclass(frozen=True)
@@ -224,7 +228,7 @@ def nijenhuis(g: LieAlgebra, a: Matrix) -> NijenhuisTable:
     Runs on integers over da^2*D, da the common denominator of A and D that
     of the structure constants (see ``_nijenhuis_ints``).
     """
-    if len(a) != g.dim or any(len(row) != g.dim for row in a):
+    if not is_square(a, g.dim):
         raise DimensionMismatch("map does not match algebra dimension")
     n = g.dim
     ints, den = _nijenhuis_ints(g, *_int_matrix(a))
@@ -293,7 +297,7 @@ def _kahler_ints(g: LieAlgebra, j: Matrix, omega: KForm) -> tuple[list[list[int]
     """(ji, dj, om, do) with J = ji/dj and omega = om/do as integer matrices;
     data of the wrong shape for ``g`` raises ``DimensionMismatch``."""
     n = g.dim
-    if len(j) != n or any(len(row) != n for row in j):
+    if not is_square(j, n):
         raise DimensionMismatch("map does not match algebra dimension")
     if omega.degree != 2 or omega.dim != n:
         raise DimensionMismatch("expected a 2-form on the algebra")
@@ -306,14 +310,36 @@ def kahler_metric(g: LieAlgebra, j: Matrix, omega: KForm) -> Matrix:
     return tuple(vector_over(row, do * dj) for row in _int_mul(om, ji))
 
 
+def _metric_checks(
+    g: LieAlgebra, metric: list[list[int]], dm: int, asymmetry: str
+) -> tuple[tuple[CheckItem, CheckItem], Matrix, tuple[tuple[str, str], ...]]:
+    """The symmetry and definiteness items of the metric ``metric``/dm, with ``asymmetry`` the
+    witness of the first, the metric as Fractions and its ``metric_row_*`` notes."""
+    n = g.dim
+    symmetric = all(metric[i][j] == metric[j][i] for i in range(n) for j in range(i))
+    pos, minor = positive_definite(metric)
+    items = (
+        passed("metric_symmetric", symmetric, asymmetry),
+        passed(
+            "metric_positive_definite",
+            symmetric and pos,
+            f"leading {minor}x{minor} minor is not positive" if not pos else "metric not symmetric",
+        ),
+    )
+    rows = tuple(vector_over(row, dm) for row in metric)
+    duals = tuple(f"{l}*" for l in g.labels)
+    notes = tuple((f"metric_row_{label}", fmt_vector(row, duals)) for label, row in zip(g.labels, rows))
+    return items, rows, notes
+
+
 def check_kahler(g: LieAlgebra, j: Matrix, omega: KForm) -> tuple[CheckReport, KahlerStructure | None]:
     """J^2 = -Id, vanishing torsion, closed invariant omega, definite metric.
 
     With J = ji/dj and omega = om/do as integer matrices, J^2 is tested
     against -dj^2 Id, J^T (om J) against dj^2 om, and the metric om J over
     do*dj for symmetry and definiteness (a positive scale keeps the signs of
-    the leading minors). The torsion goes through ``nijenhuis`` and d(omega)
-    through ``ce_differential``.
+    the leading minors). The torsion comes from ``_nijenhuis_ints`` and
+    d(omega) from ``ce_differential``.
     """
     n = g.dim
     ji, dj, om, do = _kahler_ints(g, j, omega)
@@ -323,21 +349,13 @@ def check_kahler(g: LieAlgebra, j: Matrix, omega: KForm) -> tuple[CheckReport, K
     wrong = next((k for k in range(n) if any(x != (-s if r == k else 0) for r, x in enumerate(j2[k]))), None)
     witness = "" if wrong is None else f"J^2({g.labels[wrong]}) = {fmt_vector(vector_over(j2[wrong], s), g.labels)}"
     items.append(passed("complex_square_identity", wrong is None, witness))
-    torsion = nijenhuis(g, j)
-    bad_pair = next(
-        (
-            (a, b)
-            for a in range(n)
-            for b in range(a + 1, n)
-            if not is_zero_vector(torsion.value(a, b))
-        ),
-        None,
-    )
+    torsion, dt = _nijenhuis_ints(g, ji, dj)
+    bad_pair = next((pair for pair, v in torsion.items() if any(v)), None)
     witness = (
         ""
         if bad_pair is None
         else f"N_J{fmt_basis_tuple(bad_pair, g.labels)} = "
-        f"{fmt_vector(torsion.value(*bad_pair), g.labels)}"
+        f"{fmt_vector(vector_over(torsion[bad_pair], dt), g.labels)}"
     )
     items.append(passed("complex_integrable", bad_pair is None, witness))
     domega = ce_differential(g, omega)
@@ -358,22 +376,8 @@ def check_kahler(g: LieAlgebra, j: Matrix, omega: KForm) -> tuple[CheckReport, K
         f"{fmt_scalar(Fraction(om[bad_inv[0]][bad_inv[1]], do))}"
     )
     items.append(passed("symplectic_j_invariant", bad_inv is None, witness))
-    symmetric = all(metric[a][b] == metric[b][a] for a in range(n) for b in range(a))
-    items.append(passed("metric_symmetric", symmetric, "omega(x, Jy) is not symmetric"))
-    pos, minor = positive_definite(metric)
-    items.append(
-        passed(
-            "metric_positive_definite",
-            symmetric and pos,
-            f"leading {minor}x{minor} minor is not positive" if not pos else "metric not symmetric",
-        )
-    )
-    metric = tuple(vector_over(row, do * dj) for row in metric)
-    notes = tuple(
-        (f"metric_row_{g.labels[i]}", fmt_vector(metric[i], tuple(f"{l}*" for l in g.labels)))
-        for i in range(n)
-    )
-    report = CheckReport(tuple(items), notes)
+    metric_items, metric, notes = _metric_checks(g, metric, do * dj, "omega(x, Jy) is not symmetric")
+    report = CheckReport(tuple(items) + metric_items, notes)
     if not report.overall:
         return report, None
     return report, _bind(KahlerStructure(j, omega, metric), g)
@@ -398,7 +402,7 @@ def _sasakian_metric_ints(
 
 def sasakian_metric(g: LieAlgebra, alpha: KForm, phi: Matrix) -> Matrix:
     """Candidate metric g(x,y) = -d(alpha)(x, Phi y) + alpha(x) alpha(y)."""
-    if alpha.dim != g.dim or len(phi) != g.dim or any(len(row) != g.dim for row in phi):
+    if alpha.dim != g.dim or not is_square(phi, g.dim):
         raise DimensionMismatch("structure data does not match algebra dimension")
     coords = one_form_coords(alpha)
     metric, dm = _sasakian_metric_ints(coords, *_int_matrix(phi), *_dalpha(g, coords))
@@ -417,7 +421,7 @@ def check_sasakian(
     """
     if alpha.degree != 1 or alpha.dim != g.dim:
         raise DimensionMismatch("expected a 1-form on the algebra")
-    if len(phi) != g.dim or len(reeb) != g.dim or any(len(row) != g.dim for row in phi):
+    if len(reeb) != g.dim or not is_square(phi, g.dim):
         raise DimensionMismatch("structure data does not match algebra dimension")
     n = g.dim
     duals = tuple(f"{l}*" for l in g.labels)
@@ -454,16 +458,8 @@ def check_sasakian(
     )
     items.append(passed("nijenhuis_torsion", bad_pair is None, witness))
     metric, dm = _sasakian_metric_ints(coords, p, dp, da, den)
-    symmetric = all(metric[i][j] == metric[j][i] for i in range(n) for j in range(i))
-    items.append(passed("metric_symmetric", symmetric, "derived metric is not symmetric"))
-    pos, minor = positive_definite(metric)
-    items.append(
-        passed(
-            "metric_positive_definite",
-            symmetric and pos,
-            f"leading {minor}x{minor} minor is not positive" if not pos else "metric not symmetric",
-        )
-    )
+    metric_items, rational_metric, notes = _metric_checks(g, metric, dm, "derived metric is not symmetric")
+    items.extend(metric_items)
     # Phi^T g Phi over dm*dp^2 against g - alpha (x) alpha over dm*dal^2
     gphi = _int_mul(metric, p)
     lhs = _int_mul(transpose(p), gphi)
@@ -478,9 +474,7 @@ def check_sasakian(
     alpha_phi = [sum(map(mul, a, col)) for col in zip(*p)]
     witness = f"alpha(Phi e_j) = {fmt_vector(vector_over(alpha_phi, dal * dp), duals)}"
     items.append(passed("alpha_phi_vanishes", not any(alpha_phi), witness))
-    metric = tuple(vector_over(row, dm) for row in metric)
-    notes = tuple((f"metric_row_{g.labels[i]}", fmt_vector(metric[i], duals)) for i in range(n))
     report = CheckReport(tuple(items), notes)
     if not report.overall:
         return report, None
-    return report, _bind(SasakianStructure(reeb, alpha, phi, metric), g)
+    return report, _bind(SasakianStructure(reeb, alpha, phi, rational_metric), g)

@@ -6,6 +6,13 @@ verified once: a structure that ``check_*`` bound to the very algebra
 object passed alongside it is accepted as is, and any other structure
 (checked on another algebra, or built by hand) is checked again.
 
+A construction refuses its input with ``PreconditionError``, whose report is
+the evidence: the failing report of a check (``report.require``), or a report
+of one failing item that names the condition and its witness
+(``report.refusal``). Where a condition quantifies over a basis, the witness
+is its first failure in basis order (``_first_mismatch``,
+``_first_nonzero_pair``).
+
 Where the source formulas admit two sign choices, the worked
 low-dimensional examples fix the sign (see the module tests for the
 frozen values).
@@ -13,6 +20,7 @@ frozen values).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,6 +40,7 @@ from .linalg import (
     fmt_basis_tuple,
     fmt_scalar,
     fmt_vector,
+    is_square,
     is_zero_vector,
     mat_mul,
     mat_vec,
@@ -43,7 +52,7 @@ from .linalg import (
     vec_sub,
     zero_vector,
 )
-from .report import CheckReport, DimensionMismatch, PreconditionError, fail, passed
+from .report import CheckReport, DimensionMismatch, PreconditionError, passed, refusal, require
 from .structures import (
     FrobeniusStructure,
     KahlerStructure,
@@ -81,19 +90,13 @@ def kernel_basis(g: LieAlgebra, alpha: KForm) -> tuple[Vector, ...]:
 
 
 def _verify_sasakian_input(g: LieAlgebra, s: SasakianStructure) -> None:
-    if s.algebra is g:
-        return
-    rep, _ = check_sasakian(g, s.reeb, s.alpha, s.phi)
-    if not rep.overall:
-        raise PreconditionError("input structure fails the Sasakian axioms", rep)
+    if s.algebra is not g:
+        require("input structure fails the Sasakian axioms", check_sasakian(g, s.reeb, s.alpha, s.phi)[0])
 
 
 def _verify_kahler_input(g: LieAlgebra, k: KahlerStructure) -> None:
-    if k.algebra is g:
-        return
-    rep, _ = check_kahler(g, k.j, k.omega)
-    if not rep.overall:
-        raise PreconditionError("input structure fails the Kahler axioms", rep)
+    if k.algebra is not g:
+        require("input structure fails the Kahler axioms", check_kahler(g, k.j, k.omega)[0])
 
 
 def _verify_frobenius_input(g: LieAlgebra, f: FrobeniusStructure) -> KForm:
@@ -101,14 +104,50 @@ def _verify_frobenius_input(g: LieAlgebra, f: FrobeniusStructure) -> KForm:
     if f.algebra is g:
         return f.kirillov
     rep, frob = check_frobenius(g, f.phi)
-    if frob is None:
-        raise PreconditionError("input is not Frobenius", rep)
+    require("input is not Frobenius", rep)
     if frob.principal != f.principal:
-        raise PreconditionError(
-            "supplied principal element is wrong",
-            CheckReport((fail("principal_element", f"solved {fmt_vector(frob.principal, g.labels)}"),)),
-        )
+        witness = f"solved {fmt_vector(frob.principal, g.labels)}"
+        raise refusal("supplied principal element is wrong", "principal_element", witness)
     return frob.kirillov
+
+
+def _verify_frobenius_kahler_input(g: LieAlgebra, f: FrobeniusStructure, k: KahlerStructure) -> None:
+    """Checks f and k as the inputs above, and that omega = -d(phi)."""
+    kirillov = _verify_frobenius_input(g, f)
+    _verify_kahler_input(g, k)
+    if k.omega != kirillov:
+        raise refusal("symplectic form must equal -d(phi)", "exact_symplectic_coherence", "omega != -d(phi)")
+
+
+def _first_mismatch(items: Iterable, lhs: Callable, rhs: Callable) -> tuple[int, object, object] | None:
+    """(k, lhs(x), rhs(x)) at the first item x, k its position, where the two sides differ; None if none does."""
+    for k, x in enumerate(items):
+        left, right = lhs(x), rhs(x)
+        if left != right:
+            return k, left, right
+    return None
+
+
+def _first_nonzero_pair(
+    basis: Sequence[Vector], value: Callable[[Vector, Vector], Fraction]
+) -> tuple[int, int, Fraction] | None:
+    """(a, b, value(x_a, x_b)) at the first pair a < b of basis vectors where the value is nonzero.
+
+    The pairs a = b are not tested: the values tested here vanish on them, theta being alternating.
+    """
+    for a, x in enumerate(basis):
+        for b in range(a + 1, len(basis)):
+            val = value(x, basis[b])
+            if val != 0:
+                return a, b, val
+    return None
+
+
+def _phi_pairing_failure(basis: Sequence[Vector], theta: KForm, phi: Matrix) -> tuple[int, int, Fraction] | None:
+    """The first pair of ``_first_nonzero_pair`` for theta(Phi x, y) + theta(x, Phi y)."""
+    return _first_nonzero_pair(
+        basis, lambda x, y: theta.evaluate((mat_vec(phi, x), y)) + theta.evaluate((x, mat_vec(phi, y)))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +164,10 @@ def sasakian_reduction(g: LieAlgebra, s: SasakianStructure) -> tuple[LieAlgebra,
     _verify_sasakian_input(g, s)
     z = center(g)
     if z != Subspace.from_vectors(g.dim, (s.reeb,)):
-        raise PreconditionError(
+        raise refusal(
             "center must be one-dimensional and spanned by the Reeb vector",
-            CheckReport((fail("center_spanned_by_reeb", f"center = {z.describe(g.labels)}"),)),
+            "center_spanned_by_reeb",
+            f"center = {z.describe(g.labels)}",
         )
     basis = kernel_basis(g, s.alpha)
     m = len(basis)
@@ -155,8 +195,7 @@ def sasakian_reduction(g: LieAlgebra, s: SasakianStructure) -> tuple[LieAlgebra,
     j = transpose([to_h(mat_vec(s.phi, basis[a])) for a in range(m)])
     omega = KForm.two_form(m, omega_entries)
     rep, structure = check_kahler(h, j, omega)
-    if structure is None:
-        raise PreconditionError("reduction did not produce a Kahler structure", rep)
+    require("reduction did not produce a Kahler structure", rep)
     return h, rep, structure
 
 
@@ -172,8 +211,7 @@ def kahler_to_sasakian_central(
     reeb = child.basis_vector(zi)
     phi = extend_map_by_zero(k.j, child.dim)
     rep, structure = check_sasakian(child, reeb, alpha, phi)
-    if structure is None:
-        raise PreconditionError("central extension failed the Sasakian axioms", rep)
+    require("central extension failed the Sasakian axioms", rep)
     return ext, rep, structure
 
 
@@ -188,65 +226,35 @@ def kahler_extension_obstruction(g: LieAlgebra, s: SasakianStructure, theta: KFo
     if theta.degree != 2 or theta.dim != g.dim:
         raise DimensionMismatch("expected a 2-form on the algebra")
     basis = kernel_basis(g, s.alpha)
-    notes: list[tuple[str, str]] = []
-
-    def phi_of(v: Vector) -> Vector:
-        return mat_vec(s.phi, v)
-
-    invariance = None
-    pairing = None
-    for a in range(len(basis)):
-        for b in range(a, len(basis)):
-            x, y = basis[a], basis[b]
-            if invariance is None:
-                val = theta.evaluate((x, y)) + theta.evaluate((phi_of(x), phi_of(y)))
-                if val != 0:
-                    invariance = (a, b, val)
-            if pairing is None:
-                val = theta.evaluate((phi_of(x), y)) + theta.evaluate((x, phi_of(y)))
-                if val != 0:
-                    pairing = (a, b, val)
-    reeb_pair = None
-    for a, x in enumerate(basis):
-        val = theta.evaluate((x, s.reeb))
-        if val != 0:
-            reeb_pair = (a, val)
-            break
+    invariance = _first_nonzero_pair(
+        basis, lambda x, y: theta.evaluate((x, y)) + theta.evaluate((mat_vec(s.phi, x), mat_vec(s.phi, y)))
+    )
+    pairing = _phi_pairing_failure(basis, theta, s.phi)
+    reeb_pair = _first_mismatch(basis, lambda x: theta.evaluate((x, s.reeb)), lambda x: 0)
     dxi = kirillov_form(g, s.alpha).neg()  # d(alpha) = -B_alpha
-    notes.append(
-        (
-            "theta_phi_invariance",
-            "holds" if invariance is None else f"fails at pair {invariance[:2]}: {fmt_scalar(invariance[2])}",
-        )
-    )
-    notes.append(
-        (
-            "theta_phi_pairing",
-            "holds" if pairing is None else f"fails at pair {pairing[:2]}: {fmt_scalar(pairing[2])}",
-        )
-    )
-    notes.append(
-        (
-            "theta_reeb_pairing",
-            "holds" if reeb_pair is None else f"fails at kernel vector {reeb_pair[0]}: {fmt_scalar(reeb_pair[1])}",
-        )
-    )
-    notes.append(("dxi_star", "0" if dxi.is_zero() else dxi.describe(g.labels)))
     integrability_broken = invariance is not None or pairing is not None or reeb_pair is not None
     closedness_broken = not dxi.is_zero()
     confirmed = integrability_broken or closedness_broken
-    notes.append(
+
+    def pair_note(hit: tuple[int, int, Fraction] | None) -> str:
+        return "holds" if hit is None else f"fails at pair {hit[:2]}: {fmt_scalar(hit[2])}"
+
+    notes = (
+        ("theta_phi_invariance", pair_note(invariance)),
+        ("theta_phi_pairing", pair_note(pairing)),
         (
-            "no_go_route",
-            "integrability" if integrability_broken else ("closedness" if closedness_broken else "none"),
-        )
+            "theta_reeb_pairing",
+            "holds" if reeb_pair is None else f"fails at kernel vector {reeb_pair[0]}: {fmt_scalar(reeb_pair[1])}",
+        ),
+        ("dxi_star", "0" if dxi.is_zero() else dxi.describe(g.labels)),
+        ("no_go_route", "integrability" if integrability_broken else ("closedness" if closedness_broken else "none")),
     )
     item = passed(
         "no_kahler_central_extension",
         confirmed,
         "all integrability constraints hold and d(xi*) = 0",
     )
-    return CheckReport((item,), tuple(notes))
+    return CheckReport((item,), notes)
 
 
 def extend_complex_structure(ext: ExtensionResult, j: Matrix, d: Matrix | None = None) -> CheckReport:
@@ -266,7 +274,7 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix, d: Matrix | None =
         tuple(tuple(tuple(child.c[i][j2][k] for k in range(n)) for j2 in range(n)) for i in range(n)),
         child.labels[:n],
     )
-    if len(j) != n:
+    if not is_square(j, n):
         raise DimensionMismatch("complex structure must act on the base")
     pre = []
     j2 = mat_mul(j, j)
@@ -297,7 +305,7 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix, d: Matrix | None =
     )
     if d is None:
         d = slot_action
-    if len(d) != n + 1:
+    if not is_square(d, n + 1):
         raise DimensionMismatch("derivation must act on the central extension")
     pre.append(
         passed(
@@ -306,9 +314,7 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix, d: Matrix | None =
             "supplied map differs from the adjoined slot action",
         )
     )
-    pre_report = CheckReport(tuple(pre))
-    if not pre_report.overall:
-        raise PreconditionError("double extension does not satisfy the base hypotheses", pre_report)
+    require("double extension does not satisfy the base hypotheses", CheckReport(tuple(pre)))
 
     jbar_cols = [embed_vector(column(j, k), child.dim) for k in range(n)]
     z_img = child.basis_vector(si)
@@ -316,25 +322,15 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix, d: Matrix | None =
     jbar = transpose(jbar_cols + [z_img, s_img])
 
     torsion = nijenhuis(child, jbar)
-    torsion_ok = torsion.is_zero()
-    tw = None
-    if not torsion_ok:
-        tw = next(
-            (a, b)
-            for a in range(child.dim)
-            for b in range(a + 1, child.dim)
-            if not is_zero_vector(torsion.value(a, b))
-        )
-    commute_ok = True
-    cw = None
-    for x in range(n):
-        dx = embed_vector(column(d, x), child.dim)
-        lhs = mat_vec(jbar, dx)
-        rhs = embed_vector(mat_vec(d, embed_vector(column(j, x), n + 1)), child.dim)
-        if lhs != rhs:
-            commute_ok = False
-            cw = (x, lhs, rhs)
-            break
+    pairs = ((a, b) for a in range(child.dim) for b in range(a + 1, child.dim))
+    tw = next((pair for pair in pairs if not is_zero_vector(torsion.value(*pair))), None)
+    cw = _first_mismatch(
+        range(n),
+        lambda x: mat_vec(jbar, embed_vector(column(d, x), child.dim)),
+        lambda x: embed_vector(mat_vec(d, embed_vector(column(j, x), n + 1)), child.dim),
+    )
+    torsion_ok = tw is None
+    commute_ok = cw is None
     torsion_witness = (
         ""
         if tw is None
@@ -412,13 +408,9 @@ def _build_double_extension(
     dz = embed_vector(column(d, zi), child.dim)
     pairing = apply_one_form(alpha, dz)
     if pairing == 0:
-        raise PreconditionError(
-            "alpha(D(z)) must be nonzero",
-            CheckReport((fail("contact_pairing_nonzero", "alpha(D(z)) = 0"),)),
-        )
+        raise refusal("alpha(D(z)) must be nonzero", "contact_pairing_nonzero", "alpha(D(z)) = 0")
     contact_rep, contact = check_contact(child, alpha)
-    if contact is None:
-        raise PreconditionError("extension is not contact for alpha = lifted alpha + z*", contact_rep)
+    require("extension is not contact for alpha = lifted alpha + z*", contact_rep)
     return ext, alpha, contact_rep, contact.reeb
 
 
@@ -437,11 +429,10 @@ def solve_double_extension_params(
     ext, alpha, _, reeb = build
     n = g.dim
     if reeb[ext.derivation_index] != 0:
-        raise PreconditionError(
+        raise refusal(
             "Reeb vector has a component along the derivation slot",
-            CheckReport(
-                (fail("reeb_form", f"solved Reeb = {fmt_vector(reeb, ext.algebra.labels)}"),)
-            ),
+            "reeb_form",
+            f"solved Reeb = {fmt_vector(reeb, ext.algebra.labels)}",
         )
     b = reeb[ext.central_index]
     g_part = reeb[:n]
@@ -466,25 +457,20 @@ def _double_extension_setup(
         ext, alpha, contact_rep, reeb = _build_double_extension(g, s, theta, d)
     child = ext.algebra
     n = g.dim
-    prep = params.validate()
-    if not prep.overall:
-        raise PreconditionError("inconsistent parameters", prep)
+    require("inconsistent parameters", params.validate())
     if len(params.u) != n:
         raise DimensionMismatch("u must live in the base algebra")
-    if apply_one_form(s.alpha, params.u) != 0:
-        raise PreconditionError(
-            "u must lie in Ker(alpha)",
-            CheckReport((fail("params_u_in_kernel", f"alpha(u) = {fmt_scalar(apply_one_form(s.alpha, params.u))}"),)),
-        )
+    alpha_u = apply_one_form(s.alpha, params.u)
+    if alpha_u != 0:
+        raise refusal("u must lie in Ker(alpha)", "params_u_in_kernel", f"alpha(u) = {fmt_scalar(alpha_u)}")
     claimed = embed_vector(params.u, child.dim)
     claimed = vec_add(claimed, vec_scale(params.a, embed_vector(s.reeb, child.dim)))
     claimed = vec_add(claimed, vec_scale(params.b, child.basis_vector(ext.central_index)))
     if claimed != reeb:
-        raise PreconditionError(
+        raise refusal(
             "parameters do not reproduce the solved Reeb vector",
-            CheckReport(
-                (fail("reeb_form", f"solved Reeb = {fmt_vector(reeb, child.labels)}"),)
-            ),
+            "reeb_form",
+            f"solved Reeb = {fmt_vector(reeb, child.labels)}",
         )
     delta = params.delta
     phi_u = embed_vector(mat_vec(s.phi, params.u), child.dim)
@@ -517,16 +503,7 @@ def sasakian_double_extension_conditions(
     def phi_bar(v: Vector) -> Vector:
         return mat_vec(s.phi, v)
 
-    w1 = None
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
-            x, y = basis[a], basis[b]
-            val = theta.evaluate((phi_bar(x), y)) + theta.evaluate((x, phi_bar(y)))
-            if val != 0:
-                w1 = (a, b, val)
-                break
-        if w1:
-            break
+    w1 = _phi_pairing_failure(basis, theta, s.phi)
     witness1 = (
         ""
         if w1 is None
@@ -541,13 +518,11 @@ def sasakian_double_extension_conditions(
         u_ok and xi_ok,
         f"u in Rad(theta): {u_ok}, reeb in Rad(theta): {xi_ok}",
     )
-    w3 = None
-    for a, x in enumerate(basis):
-        lhs = embed_vector(mat_vec(d, embed_vector(phi_bar(x), n + 1)), child.dim)
-        rhs = mat_vec(setup.phi, embed_vector(mat_vec(d, embed_vector(x, n + 1)), child.dim))
-        if lhs != rhs:
-            w3 = (a, lhs, rhs)
-            break
+    w3 = _first_mismatch(
+        basis,
+        lambda x: embed_vector(mat_vec(d, embed_vector(phi_bar(x), n + 1)), child.dim),
+        lambda x: mat_vec(setup.phi, embed_vector(mat_vec(d, embed_vector(x, n + 1)), child.dim)),
+    )
     witness3 = (
         ""
         if w3 is None
@@ -555,13 +530,10 @@ def sasakian_double_extension_conditions(
         f"on kernel vector {w3[0]}"
     )
     item3 = passed("derivation_commutes_with_phi", w3 is None, witness3)
-    w4 = None
-    for a, x in enumerate(basis):
-        lhs = bracket(g, setup.params.u, x)
-        rhs = vec_scale(-ONE, phi_bar(bracket(g, setup.params.u, phi_bar(x))))
-        if lhs != rhs:
-            w4 = (a, lhs, rhs)
-            break
+    u = setup.params.u
+    w4 = _first_mismatch(
+        basis, lambda x: bracket(g, u, x), lambda x: vec_scale(-ONE, phi_bar(bracket(g, u, phi_bar(x))))
+    )
     witness4 = (
         ""
         if w4 is None
@@ -622,26 +594,14 @@ def frobenius_kahler_to_sasakian(
     The almost contact endomorphism is Phi(x) = J(x) - alpha(J x) xi on the
     base and Phi(xi) = 0, which squares to -Id + alpha (x) xi identically.
     """
-    kirillov = _verify_frobenius_input(g, f)
-    _verify_kahler_input(g, k)
-    if k.omega != kirillov:
-        raise PreconditionError(
-            "symplectic form must equal -d(phi)",
-            CheckReport((fail("exact_symplectic_coherence", "omega != -d(phi)"),)),
-        )
+    _verify_frobenius_kahler_input(g, f, k)
     ext = derivation_extension(g, d)  # refuses a D that breaks the Leibniz rule
     coords = one_form_coords(f.phi)
     bad = next((j for j in range(g.dim) if apply_one_form(f.phi, column(d, j)) != 0), None)
     if bad is not None:
-        raise PreconditionError(
-            "phi o D must vanish",
-            CheckReport((fail("phi_d_vanishes", f"phi(D {g.labels[bad]}) != 0"),)),
-        )
+        raise refusal("phi o D must vanish", "phi_d_vanishes", f"phi(D {g.labels[bad]}) != 0")
     if mat_mul(d, k.j) != mat_mul(k.j, d):
-        raise PreconditionError(
-            "D must commute with J",
-            CheckReport((fail("d_commutes_with_j", "D o J != J o D"),)),
-        )
+        raise refusal("D must commute with J", "d_commutes_with_j", "D o J != J o D")
     child = ext.algebra
     xi = child.basis_vector(ext.derivation_index)
     alpha = KForm.one_form(child.dim, coords + (ONE,))
@@ -670,23 +630,13 @@ def sasakian_to_frobenius_kahler(
         (j for j in range(g.dim) if apply_one_form(s.alpha, column(d, j)) != coords[j]), None
     )
     if bad is not None:
-        raise PreconditionError(
-            "alpha o D must equal alpha",
-            CheckReport((fail("alpha_d_invariance", f"alpha(D {g.labels[bad]}) != alpha({g.labels[bad]})"),)),
-        )
-    for x in kernel_basis(g, s.alpha):
-        if mat_vec(s.phi, mat_vec(d, x)) != mat_vec(d, mat_vec(s.phi, x)):
-            raise PreconditionError(
-                "Phi and D must commute on Ker(alpha)",
-                CheckReport(
-                    (
-                        fail(
-                            "phi_d_commute_on_kernel",
-                            f"[Phi,D]({fmt_vector(x, g.labels)}) != 0",
-                        ),
-                    )
-                ),
-            )
+        label = g.labels[bad]
+        raise refusal("alpha o D must equal alpha", "alpha_d_invariance", f"alpha(D {label}) != alpha({label})")
+    basis = kernel_basis(g, s.alpha)
+    hit = _first_mismatch(basis, lambda x: mat_vec(s.phi, mat_vec(d, x)), lambda x: mat_vec(d, mat_vec(s.phi, x)))
+    if hit is not None:
+        witness = f"[Phi,D]({fmt_vector(basis[hit[0]], g.labels)}) != 0"
+        raise refusal("Phi and D must commute on Ker(alpha)", "phi_d_commute_on_kernel", witness)
     child = ext.algebra
     slot = child.basis_vector(ext.derivation_index)
     phi_lift = KForm.one_form(child.dim, coords + (ZERO,))
@@ -721,13 +671,7 @@ def contact_ideal_restriction(
     adjoint commutes with Phi, equivalently when ad(x_P) commutes with Phi
     on the kernel of the restricted form.
     """
-    kirillov = _verify_frobenius_input(g, f)
-    _verify_kahler_input(g, k)
-    if k.omega != kirillov:
-        raise PreconditionError(
-            "symplectic form must equal -d(phi)",
-            CheckReport((fail("exact_symplectic_coherence", "omega != -d(phi)"),)),
-        )
+    _verify_frobenius_kahler_input(g, f, k)
     pivot = next(i for i, x in enumerate(f.principal) if x != 0)
     keep = [i for i in range(g.dim) if i != pivot]
     xp = f.principal
@@ -744,11 +688,10 @@ def contact_ideal_restriction(
         for b in keep:
             lam, _ = split(bracket(g, v, g.basis_vector(b)))
             if lam != 0:
-                raise PreconditionError(
+                raise refusal(
                     "complement of the principal element is not an ideal",
-                    CheckReport(
-                        (fail("ideal_closed", f"[{name},{g.labels[b]}] leaves the complement"),)
-                    ),
+                    "ideal_closed",
+                    f"[{name},{g.labels[b]}] leaves the complement",
                 )
     m = g.dim - 1
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
@@ -768,8 +711,7 @@ def contact_ideal_restriction(
 
     alpha_h = KForm.one_form(m, tuple(one_form_coords(f.phi)[i] for i in keep))
     contact_rep, contact = check_contact(h, alpha_h)
-    if contact is None:
-        raise PreconditionError("restricted form is not contact on the ideal", contact_rep)
+    require("restricted form is not contact on the ideal", contact_rep)
     xi = contact.reeb
     items = list(contact_rep.prefixed("contact:"))
     cols = []
@@ -803,11 +745,12 @@ def contact_ideal_restriction(
         tuple(split(bracket(g, xp, to_g(h.basis_vector(jj))))[1][ii] for jj in range(m))
         for ii in range(m)
     )
-    crit_xp = True
-    for v in kernel_basis(h, alpha_h):
-        if mat_vec(ad_xp_mat, mat_vec(phi, v)) != mat_vec(phi, mat_vec(ad_xp_mat, v)):
-            crit_xp = False
-            break
+    xp_hit = _first_mismatch(
+        kernel_basis(h, alpha_h),
+        lambda v: mat_vec(ad_xp_mat, mat_vec(phi, v)),
+        lambda v: mat_vec(phi, mat_vec(ad_xp_mat, v)),
+    )
+    crit_xp = xp_hit is None
     items.append(
         passed(
             "principal_adjoint_commutes_on_kernel",

@@ -9,13 +9,15 @@ values, witnesses included.
 
 jacobi_residual_ints is the plain integer loop over the cached D*c that the
 packed Jacobi kernel replaced: one multiply-add per coefficient.
+packed_jacobi_residual reads one triple's cyclic sum from that packed kernel,
+lieforge.algebra._jacobi_failures.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from lieforge.algebra import LieAlgebra
+from lieforge.algebra import LieAlgebra, _jacobi_failures
 from lieforge.linalg import (
     Matrix,
     Vector,
@@ -55,6 +57,12 @@ def jacobi_residual(g: LieAlgebra, i: int, j: int, k: int) -> Vector:
     r = bracket(g, g.c[i][j], g.basis_vector(k))
     r = vec_add(r, bracket(g, g.c[j][k], g.basis_vector(i)))
     return vec_add(r, bracket(g, g.c[k][i], g.basis_vector(j)))
+
+
+def packed_jacobi_residual(g: LieAlgebra, i: int, j: int, k: int) -> Vector:
+    """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] from the packed kernel."""
+    failing = _jacobi_failures(g, ((i, j, k),))
+    return failing[0][1] if failing else zero_vector(g.dim)
 
 
 def jacobi_residual_ints(g: LieAlgebra, i: int, j: int, k: int) -> tuple[list[int], int]:

@@ -32,16 +32,15 @@ from lieforge.linalg import (
     fmt_vector,
     identity,
     is_zero_vector,
-    mat_add,
     mat_mul,
-    mat_neg,
-    mat_sub,
     mat_vec,
     pfaffian,
     positive_definite,
     solve_affine,
     transpose,
+    vec_add,
     vec_scale,
+    vec_sub,
 )
 from lieforge.report import CheckReport, DimensionMismatch, passed
 from lieforge.structures import (
@@ -54,6 +53,18 @@ from lieforge.structures import (
 )
 
 import algebra_oracle
+
+
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(vec_add(r, s) for r, s in zip(a, b, strict=True))
+
+
+def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(vec_sub(r, s) for r, s in zip(a, b, strict=True))
+
+
+def mat_neg(m: Matrix) -> Matrix:
+    return tuple(vec_scale(-1, r) for r in m)
 
 
 def outer(v: Vector, w: Vector) -> Matrix:

@@ -17,7 +17,7 @@ from lieforge import (
     reversed_double_extension,
 )
 from lieforge.linalg import diagonal, matrix, vector, zero_matrix
-from lieforge.report import PreconditionError
+from lieforge.report import DimensionMismatch, PreconditionError
 
 from conftest import random_jacobi_algebra, random_matrix, random_two_form
 
@@ -71,6 +71,26 @@ def test_derivation_extension_rejects_non_derivation():
 
     with pytest.raises(PreconditionError):
         derivation_extension(H3, identity(3))
+
+
+RAGGED3 = matrix([[1, 0, 0], [0, 1], [0, 0, 1]])
+
+
+def test_unchecked_derivation_extension_rejects_ragged_map():
+    with pytest.raises(DimensionMismatch):
+        derivation_extension(H3, RAGGED3, check=False)
+
+
+@pytest.mark.parametrize(
+    "d", [zero_matrix(2), zero_matrix(7), zero_matrix(4, 3), RAGGED3], ids=["2x2", "7x7", "4x3", "ragged"]
+)
+@pytest.mark.parametrize("check", [True, False])
+def test_reversed_double_extension_rejects_misshapen_map(d, check):
+    # the zero map skips the derivation step, but not the shape check
+    with pytest.raises(DimensionMismatch):
+        reversed_double_extension(H3, E3, d, check=check)
+    with pytest.raises(DimensionMismatch):
+        reversed_double_extension(D4, KForm.basis_one_form(4, 2), d, check=check)
 
 
 def test_derivation_extension_by_zero():

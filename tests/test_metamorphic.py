@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import lieforge as lf
 from lieforge.forms import top_contact_test
-from lieforge.linalg import det, mat_neg, mat_vec
+from lieforge.linalg import det, mat_vec
 
 from conftest import (
     conjugate_algebra,
@@ -29,6 +29,7 @@ from conftest import (
     random_one_form,
 )
 from strategies import SEEDS, heisenberg_sasakian, lie_or_not
+from structures_oracle import mat_neg
 
 
 def basis_change(seed, dim):

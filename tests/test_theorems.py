@@ -27,7 +27,7 @@ from lieforge import (
 )
 from lieforge.derivations import Commute, FormEigen, Leibniz, derivation_space
 from lieforge.linalg import diagonal, matrix, zero_matrix
-from lieforge.report import PreconditionError
+from lieforge.report import DimensionMismatch, PreconditionError
 
 
 H3 = builtin("h3")
@@ -139,6 +139,19 @@ def test_extend_complex_structure_rejects_mismatched_map():
     j = matrix([[0, -1], [1, 0]])
     with pytest.raises(PreconditionError):
         extend_complex_structure(_plane_double_extension(zero_matrix(3)), j, diagonal([1, 1, 1]))
+
+
+@pytest.mark.parametrize(
+    "j, d",
+    [
+        (matrix([[0, -1], [1]]), None),
+        (matrix([[0, -1], [1, 0]]), matrix([[0, 0, 0], [0, 0], [0, 0, 0]])),
+    ],
+    ids=["ragged-j", "ragged-d"],
+)
+def test_extend_complex_structure_rejects_misshapen_maps(j, d):
+    with pytest.raises(DimensionMismatch):
+        extend_complex_structure(_plane_double_extension(zero_matrix(3)), j, d)
 
 
 # --- Sasakian double extensions -------------------------------------------
