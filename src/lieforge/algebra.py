@@ -220,10 +220,14 @@ class Subspace:
 
 
 def center(g: LieAlgebra) -> Subspace:
-    """Nullspace of the stacked adjoint maps."""
-    rows = []
-    for j in range(g.dim):
-        for k in range(g.dim):
-            rows.append(tuple(g.c[i][j][k] for i in range(g.dim)))
-    basis = nullspace(rows, g.dim)
-    return Subspace(g.dim, basis)
+    """Nullspace of the stacked adjoint maps: row (j, k) is [C_ijk]_i, C = D*c,
+    for the pairs (j, k) where it is not zero."""
+    n = g.dim
+    _, terms = g._integer_terms
+    rows: dict[tuple[int, int], list[int]] = {}
+    for i in range(n):
+        for j in range(n):
+            for k, c in terms[i][j]:
+                rows.setdefault((j, k), [0] * n)[i] = c
+    basis = nullspace(list(rows.values()), n)
+    return Subspace(n, basis)

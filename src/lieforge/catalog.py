@@ -9,6 +9,7 @@ g5      central extension of d4half by its symplectic form, Sasakian
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -140,7 +141,29 @@ def _g5() -> Builtin:
     return Builtin("g5", g, sasakian_data=(g.basis_vector(4), KForm.basis_one_form(5, 4), phi))
 
 
-BUILTINS: dict[str, Builtin] = {b.name: b for b in (_h3(), _d4half(), _g0(), _g5())}
+class _Builtins(Mapping[str, Builtin]):
+    """The built-ins by name, each built on its first lookup: a command reads at most one."""
+
+    def __init__(self, builders: dict[str, Callable[[], Builtin]]) -> None:
+        self._builders = builders
+        self._built: dict[str, Builtin] = {}
+
+    def __getitem__(self, name: str) -> Builtin:
+        if name not in self._built:
+            self._built[name] = self._builders[name]()
+        return self._built[name]
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._builders
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._builders)
+
+    def __len__(self) -> int:
+        return len(self._builders)
+
+
+BUILTINS: Mapping[str, Builtin] = _Builtins({"h3": _h3, "d4half": _d4half, "g0": _g0, "g5": _g5})
 
 
 def builtin(name: str) -> Builtin:

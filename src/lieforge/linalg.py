@@ -16,6 +16,27 @@ reduces the integer null basis once more to make it canonical.
 positive_definite reads every leading minor's sign from one forward pass
 without row exchanges.
 
+nullspace and solve_affine reduce a tall system, one with at least 8
+columns and at least twice as many rows as columns (the Leibniz systems of
+derivations, the centers of dimension 8 and up), on part of its rows
+(_row_reduce):
+- selection: the rows, cleared of denominators once, are reduced mod the
+  prime 2^20 - 3, packed 64 bits a slot, and kept in order when independent
+  mod p of the rows kept before them, and so independent over Q;
+- the exact solve: _eliminate runs on the kept rows alone;
+- the check: every other row must annihilate the kernel of the result,
+  whose coordinates are packed one int per column (pack), so a row costs
+  one big-int multiply-add per nonzero entry; for solve_affine the kernel
+  of the augmented rows holds (x, -1) for the particular solution x;
+- the fallback: the rows that fail join the kept rows and the exact solve
+  runs again, so the result is exact whatever the prime.
+Once the check passes, the kept rows span the row space of all rows, and
+the reduced rows, the canonical basis and the canonical particular solution
+(or the verdict that there is none) are those of the whole system. Square,
+near-square and narrow systems, such as the Reeb system (n+1 rows, n
+unknowns) and the radical (n x n), are eliminated whole: there the
+selection saves no more than it costs.
+
 pack, unpack and slot_width hold an integer vector in one Python int, one
 signed slot per coordinate (Kronecker substitution), so that a linear
 combination of many vectors is a few big-int multiply-adds. The structure
@@ -25,6 +46,8 @@ compute from their own inputs.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
@@ -219,6 +242,107 @@ def _eliminate(
     return work, pivots, num, den
 
 
+def _row_reduce(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], list[int]]:
+    """The rows and pivots _eliminate(rows) returns, from as few of the rows as it can.
+
+    A system with fewer than 8 columns or fewer rows than twice its columns is
+    eliminated whole: there the selection saves no more than it costs
+    (measured on the center and Leibniz systems of dimension 5 to 9). A
+    taller one is cleared of denominators once; _independent_mod_p keeps the
+    rows independent mod _PRIME, and only they are eliminated. Every other
+    row is checked against the kernel of the result, and the rows that fail
+    join the kept ones for another elimination. Once the check passes, the
+    kept rows span the row space of all rows, so the reduced rows are those
+    of the whole system.
+    """
+    ncols = len(rows[0])
+    if len(rows) < 2 * ncols or ncols < 8:
+        work, pivots, _, _ = _eliminate(rows)
+        return work, pivots
+    ints = [row if all(map(int.__instancecheck__, row)) else clear_denominators(row)[0] for row in rows]
+    keep = _independent_mod_p(ints, ncols)
+    while True:
+        work, pivots, _, _ = _eliminate([ints[i] for i in keep])
+        failing = _unsatisfied(ints, keep, work, pivots, ncols)
+        if not failing:
+            return work, pivots
+        keep = sorted(keep + failing)
+
+
+# The prime of the row selection: 2^20 - 3, small enough that a 64-bit slot
+# holds p + r*p^2 for every rank r below 2^23.
+_PRIME = 2**20 - 3
+
+
+def _pack64(entries: Sequence[int]) -> int:
+    """Entries in [0, 2^64) as one int, one 64-bit slot each."""
+    return int.from_bytes(array("Q", entries), sys.byteorder)
+
+
+def _independent_mod_p(ints: Sequence[Sequence[int]], ncols: int) -> list[int]:
+    """Indices, in order, of the rows independent mod _PRIME of the rows kept before them.
+
+    The kept rows are held in echelon form mod p: each is reduced by the ones
+    kept before it, scaled to 1 at its pivot, its first nonzero column, and
+    packed by _pack64. A row is reduced by each kept row in turn, with one
+    big-int multiply-add by p minus its current entry at that pivot. Its
+    slots stay below p + rank*p^2 < 2^64, so only the entry at each pivot is
+    reduced mod p on the way, and every slot once at the end, to test the
+    result against 0.
+    """
+    p, size, mask = _PRIME, 8 * ncols, (1 << 64) - 1
+    basis: list[tuple[int, int]] = []  # (bit offset of the pivot's slot, packed row)
+    keep = []
+    for i, row in enumerate(ints):
+        if not any(row):
+            continue
+        v = _pack64([x % p for x in row])
+        for shift, packed in basis:
+            f = (v >> shift & mask) % p
+            if f:
+                v += (p - f) * packed
+        slots = memoryview(v.to_bytes(size, sys.byteorder)).cast("Q")
+        if not any(map(p.__rmod__, slots)):
+            continue
+        res = [x % p for x in slots]
+        c = next(j for j, x in enumerate(res) if x)
+        inv = pow(res[c], -1, p)
+        basis.append((64 * c, _pack64([x * inv % p for x in res])))
+        keep.append(i)
+        if len(keep) == ncols:
+            break
+    return keep
+
+
+def _unsatisfied(
+    ints: Sequence[Sequence[int]], keep: Sequence[int], work: list[list[int]], pivots: Sequence[int], ncols: int
+) -> list[int]:
+    """Indices of the rows outside keep that the kernel of work, reduced by _eliminate, does not satisfy.
+
+    With s the lcm of the pivots, free column f has the kernel vector with s
+    at f and -row[f]*s/row[c] at the pivot c of each reduced row. Coordinate
+    j of all of them is packed into one int P_j (``pack``), so a row a is
+    checked by one multiply-add per nonzero a_j: sum of a_j P_j is 0 iff a
+    annihilates every kernel vector. The slots hold sum |a_j| times the
+    largest kernel coordinate.
+    """
+    free = sorted(set(range(ncols)).difference(pivots))
+    kept = set(keep)
+    others = [i for i in range(len(ints)) if i not in kept]
+    if not free or not others:
+        return []
+    scale = lcm(*(row[c] for row, c in zip(work, pivots)))
+    reduced = [(c, scale // row[c], [row[f] for f in free]) for row, c in zip(work, pivots)]
+    big = max([scale] + [abs(m) * max(map(abs, at_free)) for _, m, at_free in reduced])
+    width = slot_width(big * max(sum(map(abs, ints[i])) for i in others))
+    packed = [0] * ncols
+    for t, f in enumerate(free):
+        packed[f] = scale << (width * t)
+    for c, m, at_free in reduced:
+        packed[c] = -m * pack(enumerate(at_free), width)
+    return [i for i in others if sum(a * packed[j] for j, a in enumerate(ints[i]) if a)]
+
+
 def rref(rows: Sequence[Vector]) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
     work, pivots, _, _ = _eliminate(rows)
@@ -231,7 +355,8 @@ def rref(rows: Sequence[Vector]) -> tuple[Matrix, tuple[int, ...]]:
 def nullspace(rows: Sequence[Vector], ncols: int) -> tuple[Vector, ...]:
     """Canonical (row-reduced) basis of {x : rows @ x = 0}, from one elimination.
 
-    The elimination runs with the columns reversed. Its pivots P' are the
+    The elimination (_row_reduce: of the kept rows alone when the system is
+    tall) runs with the columns reversed. Its pivots P' are the
     complement of the pivot columns of RREF(ker rows): column j is a kernel
     pivot iff it is independent of the columns right of it, i.e. not in P'.
     Row k of the reduced system only involves columns up to its pivot p_k,
@@ -244,7 +369,7 @@ def nullspace(rows: Sequence[Vector], ncols: int) -> tuple[Vector, ...]:
             raise DimensionMismatch(f"row of width {len(row)} in a system of {ncols} columns")
     if not rows:
         return identity(ncols)
-    work, pivots, _, _ = _eliminate([tuple(reversed(row)) for row in rows])
+    work, pivots = _row_reduce([row[::-1] for row in rows])
     last = ncols - 1
     reduced = [(row, row[c], last - c) for row, c in zip(work, pivots)]
     basis = []
@@ -262,11 +387,11 @@ def solve_affine(rows: Sequence[Vector], rhs: Sequence[Fraction]) -> tuple[Vecto
     """Solve rows @ x = rhs; returns (particular or None, nullspace basis).
 
     A homogeneous system is one nullspace elimination with the zero vector.
-    Otherwise one elimination of the augmented system gives both: its first
-    ncols columns are the RREF of rows, the particular solution sets all free
-    variables to zero, making it canonical for a given system, and the free
-    variables' null basis, as integer rows, is reduced once more to the
-    canonical basis.
+    Otherwise one elimination of the augmented system (_row_reduce) gives
+    both: its first ncols columns are the RREF of rows, the particular
+    solution sets all free variables to zero, making it canonical for a given
+    system, and the free variables' null basis, as integer rows, is reduced
+    once more to the canonical basis.
     """
     if not rows:
         return (), ()
@@ -275,7 +400,7 @@ def solve_affine(rows: Sequence[Vector], rhs: Sequence[Fraction]) -> tuple[Vecto
         raise DimensionMismatch(f"{len(rhs)} right-hand sides for {len(rows)} equations")
     if not any(rhs):
         return zero_vector(ncols), nullspace(rows, ncols)
-    work, pivots, _, _ = _eliminate([tuple(r) + (b,) for r, b in zip(rows, rhs)])
+    work, pivots = _row_reduce([tuple(r) + (b,) for r, b in zip(rows, rhs)])
     basis = _integer_null_basis(work, pivots, ncols)
     if ncols in pivots:
         return None, basis

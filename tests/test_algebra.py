@@ -18,7 +18,14 @@ from lieforge.linalg import matrix, slot_width, vector, vector_over
 from lieforge.report import CheckReport, DimensionMismatch, ok
 
 import algebra_oracle as oracle
-from conftest import random_jacobi_algebra
+import linalg_oracle
+from conftest import (
+    conjugate_algebra,
+    heisenberg_plus_abelian,
+    mat_inverse,
+    random_invertible,
+    random_jacobi_algebra,
+)
 from strategies import (
     BIG_RATIONALS,
     RATIONALS,
@@ -84,6 +91,31 @@ def test_center_examples():
     assert center(H3) == Subspace.from_vectors(3, (H3.basis_vector(2),))
     assert center(D4).dim == 0
     assert center(LieAlgebra.abelian(4)) == Subspace.full(4)
+
+
+def center_oracle(g):
+    """The center as the nullspace of all n^2 Fraction rows (j, k) -> [c_ijk]_i, zero rows included."""
+    n = g.dim
+    rows = [tuple(g.c[i][j][k] for i in range(n)) for j in range(n) for k in range(n)]
+    return Subspace(n, linalg_oracle.nullspace(rows, n))
+
+
+@st.composite
+def algebras_with_centers(draw):
+    """h_{2k+1} + R^r moved to a random rational basis (center of dimension r+1, up to
+    dimension 10, so that the center system is tall), or any antisymmetric tensor."""
+    if draw(st.booleans()):
+        return draw(antisymmetric_algebras(max_dim=9))
+    k, r = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    g = heisenberg_plus_abelian(k, r)
+    p = random_invertible(random.Random(draw(st.integers(0, 10**6))), g.dim)
+    return conjugate_algebra(g, p, mat_inverse(p))
+
+
+@settings(max_examples=30, deadline=None)
+@given(algebras_with_centers())
+def test_center_matches_oracle(g):
+    assert center(g) == center_oracle(g)
 
 
 def test_structure_constants_antisymmetric_completion():

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 import derivations_oracle
 import lieforge as lf
 import linalg_oracle as oracle
+from lieforge import linalg
 from lieforge.derivations import _form_eigen_rows, _leibniz_rows
 from lieforge.forms import KForm
 from lieforge.linalg import (
@@ -31,6 +32,7 @@ from lieforge.linalg import (
 )
 
 from conftest import conjugate_algebra, conjugate_one_form, mat_inverse, random_matrix
+from strategies import conjugated_heisenberg_sasakian
 
 
 def test_scalar_parsing():
@@ -354,3 +356,162 @@ def test_pfaffian_small_cases():
     assert pfaffian(matrix([[0, 0, 0, 0], [0, 0, 1, 2], [0, -1, 0, 3], [0, -2, -3, 0]])) == 0
     with pytest.raises(ValueError):
         pfaffian(matrix([[0]]))
+
+
+# --- tall systems: rows selected mod p, eliminated exactly, checked ------------
+#
+# A system with at least twice as many rows as columns, and at least 8
+# columns, is eliminated on the rows independent mod linalg._PRIME alone; every
+# other row is then checked against the result, and the rows that fail it are
+# eliminated too. These tests pin that path to the oracle and make it fall back.
+
+
+def tall_rows(draw, ncols, nrows, scale=1):
+    """nrows rows over ncols columns of low rank: combinations of a few random rows,
+    with repeated rows, zero rows and zero columns mixed in, each entry times scale."""
+    base = [tuple(draw(ENTRIES) for _ in range(ncols)) for _ in range(draw(st.integers(0, ncols)))]
+    zero_cols = set(draw(st.lists(st.integers(0, ncols - 1), max_size=3)))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["combination", "combination", "repeat", "zero", "random"]))
+        if kind == "repeat" and rows:
+            row = draw(st.sampled_from(rows))
+        elif kind == "zero" or (kind == "combination" and not base):
+            row = (Fraction(0),) * ncols
+        elif kind == "random":
+            row = tuple(draw(ENTRIES) for _ in range(ncols))
+        else:
+            coeffs = [draw(SMALL) for _ in base]
+            row = tuple(sum((c * b[j] for c, b in zip(coeffs, base)), Fraction(0)) for j in range(ncols))
+        rows.append(tuple(Fraction(0) if j in zero_cols else scale * x for j, x in enumerate(row)))
+    return tuple(rows)
+
+
+@st.composite
+def tall_systems(draw, scale=1):
+    """(rows, rhs): at least 2*(ncols+1) rows over 8 to 11 columns, so that the
+    homogeneous and the augmented system are both tall, with a consistent or an
+    arbitrary right-hand side."""
+    ncols = draw(st.integers(8, 11))
+    rows = tall_rows(draw, ncols, draw(st.integers(2 * ncols + 2, 2 * ncols + 10)), scale)
+    return rows, with_rhs(rows, draw)
+
+
+def assert_solves_match_oracle(rows, rhs):
+    ncols = len(rows[0])
+    assert nullspace(rows, ncols) == oracle.nullspace(rows, ncols)
+    zeros = (Fraction(0),) * len(rows)
+    assert solve_affine(rows, zeros) == oracle.solve_affine(rows, zeros)
+    assert solve_affine(rows, rhs) == oracle.solve_affine(rows, rhs)
+    assert solve_unique(rows, rhs) == oracle.solve_unique(rows, rhs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tall_systems())
+def test_tall_systems_match_oracle(system):
+    assert_solves_match_oracle(*system)
+
+
+@pytest.fixture
+def selections(monkeypatch):
+    """The widths of the systems that took the mod-p row selection, in call order."""
+    seen = []
+    select = linalg._independent_mod_p
+
+    def spy(ints, ncols):
+        seen.append(ncols)
+        return select(ints, ncols)
+
+    monkeypatch.setattr(linalg, "_independent_mod_p", spy)
+    return seen
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The number of rows each failed check added back, in call order."""
+    added = []
+    unsatisfied = linalg._unsatisfied
+
+    def spy(*args):
+        failing = unsatisfied(*args)
+        if failing:
+            added.append(len(failing))
+        return failing
+
+    monkeypatch.setattr(linalg, "_unsatisfied", spy)
+    return added
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+@settings(max_examples=20, deadline=None)
+@given(system=tall_systems())
+def test_tall_systems_match_oracle_modulo_a_bad_prime(prime, system):
+    # rank drops mod 2 and 3 are common: the rows a drop leaves out fail the check
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_PRIME", prime)
+        assert_solves_match_oracle(*system)
+
+
+@pytest.mark.parametrize("prime", [2, 3, linalg._PRIME])
+def test_rows_that_vanish_mod_the_prime_take_the_fallback(prime, monkeypatch, fallbacks):
+    # every entry a multiple of the prime: no row is kept, every nonzero row fails the check
+    monkeypatch.setattr(linalg, "_PRIME", prime)
+    rng = random.Random(prime)
+    base = [[prime * rng.randint(-3, 3) for _ in range(9)] for _ in range(5)]
+    coeffs = [[rng.randint(-2, 2) for _ in base] for _ in range(24)]
+    rows = matrix([[sum(c * b[j] for c, b in zip(cs, base)) for j in range(9)] for cs in coeffs])
+    rhs = mat_vec(rows, vector([rng.randint(-2, 2) for _ in range(9)]))
+    assert_solves_match_oracle(rows, rhs)
+    assert_solves_match_oracle(rows, vector([prime * i for i in range(24)]))
+    assert fallbacks
+
+
+def test_a_last_row_that_vanishes_mod_the_prime_is_caught_by_the_check(fallbacks):
+    # rank 3 mod p and over Q, then one row independent over Q but 0 mod p
+    rng = random.Random(11)
+    base = [[rng.randint(-3, 3) for _ in range(9)] for _ in range(3)]
+    coeffs = [[rng.randint(-2, 2) for _ in base] for _ in range(19)]
+    rows = [[sum(c * b[j] for c, b in zip(cs, base)) for j in range(9)] for cs in coeffs]
+    rows.append([linalg._PRIME * rng.randint(1, 3) for _ in range(9)])
+    assert len(linalg._independent_mod_p(rows, 9)) == 3
+    assert_solves_match_oracle(matrix(rows), vector([0] * 19 + [1]))
+    assert fallbacks
+
+
+@settings(max_examples=15, deadline=None)
+@given(tall_systems(scale=linalg._PRIME))
+def test_tall_systems_of_multiples_of_the_prime_match_oracle(system):
+    assert_solves_match_oracle(*system)
+
+
+@pytest.mark.parametrize(
+    "nrows, ncols, tall",
+    [(16, 8, True), (15, 8, False), (40, 7, False), (2, 0, False)],
+)
+def test_the_shape_rule_picks_the_path(nrows, ncols, tall, selections):
+    rng = random.Random(nrows * ncols)
+    rows = matrix([[rng.randint(-2, 2) for _ in range(ncols)] for _ in range(nrows)])
+    assert nullspace(rows, ncols) == oracle.nullspace(rows, ncols)
+    assert selections == ([ncols] if tall else [])
+
+
+def test_contact_reeb_system_stays_on_direct_elimination(selections):
+    # check_contact solves n+1 equations in n unknowns (Reeb) and an n x n system (radical)
+    g, _, alpha, _ = conjugated_heisenberg_sasakian(4, 1)
+    report, structure = lf.check_contact(g, alpha)
+    assert report.overall and structure is not None
+    assert selections == []
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_dense_leibniz_rows_keep_one_row_per_rank(m, selections, fallbacks):
+    # dense h5 and h7: 50 rows of rank 10 and 147 of rank 21, selected without fallback
+    g, _, _, _ = conjugated_heisenberg_sasakian(m, 7)
+    rows, _ = _leibniz_rows(g)
+    n = g.dim
+    der = nullspace(rows, n * n)
+    assert len(rows) == n * n * (n - 1) // 2
+    assert len(der) == 2 * m * m + 3 * m + 1
+    keep = linalg._independent_mod_p([r[::-1] for r in rows], n * n)
+    assert len(keep) == n * n - len(der)
+    assert selections == [n * n, n * n] and fallbacks == []
