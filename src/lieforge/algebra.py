@@ -8,10 +8,11 @@ forced to zero. The Jacobi identity is not enforced at construction,
 
 Brackets and Jacobi sums run on integers: each algebra caches D, the least
 common denominator of its structure constants, with the nonzero entries of
-D*c, and a result becomes Fractions once, one per output coordinate. The
-Jacobi sums pack each structure vector D*[e_m, e_r] into one int
-(``linalg.pack``), so a basis triple costs O(n) big-int multiply-adds and a
-triple that passes is never unpacked.
+D*c and their largest absolute value, and a result becomes Fractions once,
+one per output coordinate. Jacobi and the 2-cocycle test share one pairwise
+cyclic contraction (``_cyclic_failures``): per basis pair one packed sum
+(``linalg.pack``), O(n^3) big-int multiply-adds in all, and per triple three
+block reads and a test against 0. A triple that passes is never unpacked.
 """
 
 from __future__ import annotations
@@ -98,15 +99,17 @@ class LieAlgebra:
         return cls.from_brackets(dim, {}, labels)
 
     @cached_property
-    def _integer_terms(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
-        """(D, T): D is the least common denominator of the structure
-        constants and T[i][j] lists the nonzero (k, D*c_ijk) of [e_i, e_j]."""
+    def _integer_terms(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...], int]:
+        """(D, T, M): D is the least common denominator of the structure
+        constants, T[i][j] lists the nonzero (k, D*c_ijk) of [e_i, e_j] and M is
+        the largest |D*c_ijk|, 0 on an abelian algebra."""
         d = lcm(*(x.denominator for plane in self.c for v in plane for x in v))
         terms = tuple(
             tuple(tuple((k, x.numerator * (d // x.denominator)) for k, x in enumerate(v) if x) for v in plane)
             for plane in self.c
         )
-        return d, terms
+        big = max((abs(c) for plane in terms for row in plane for _, c in row), default=0)
+        return d, terms, big
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(Fraction(1) if j == i else ZERO for j in range(self.dim))
@@ -126,7 +129,7 @@ def bracket(g: LieAlgebra, x: Vector, y: Vector) -> Vector:
     """[x, y] by bilinear expansion through the structure constants."""
     if len(x) != g.dim or len(y) != g.dim:
         raise DimensionMismatch("vector length does not match algebra dimension")
-    d, terms = g._integer_terms
+    d, terms, _ = g._integer_terms
     xs, dx = clear_denominators(x)
     ys, dy = clear_denominators(y)
     y_terms = [(j, b) for j, b in enumerate(ys) if b]
@@ -146,32 +149,58 @@ def adjoint(g: LieAlgebra, x: Vector) -> Matrix:
     return transpose([bracket(g, x, g.basis_vector(j)) for j in range(g.dim)])
 
 
+def _cyclic_failures(
+    g: LieAlgebra, q: Sequence[int], width: int, triples: Iterable[tuple[int, int, int]]
+) -> list[tuple[tuple[int, int, int], int]]:
+    """The triples whose cyclic sum S_ij[k] + S_jk[i] + S_ki[j] is not 0, each with that sum, in
+    the order given; any triple is accepted, repeated or unordered indices included.
+
+    q[m] packs n blocks of ``width`` bits, and S_ij = sum over m of C_ij^m q[m], C = D*c, is
+    formed once per pair i < j and read back block by block with one balanced ``unpack``; the
+    table is antisymmetric, S_ji = -S_ij and S_ii = 0. The caller sizes ``width`` so that every
+    block of every S_ij lies in [-2^(width-1), 2^(width-1)), which makes the reads exact.
+    """
+    n = g.dim
+    _, terms, _ = g._integer_terms
+    zero = [0] * n
+    table = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            s = sum(c * q[m] for m, c in terms[i][j])
+            if s:
+                table[i][j] = unpack(s, n, width)
+                table[j][i] = [-x for x in table[i][j]]
+    failing = []
+    for i, j, k in triples:
+        total = table[i][j][k] + table[j][k][i] + table[k][i][j]
+        if total:
+            failing.append(((i, j, k), total))
+    return failing
+
+
 def _jacobi_failures(
     g: LieAlgebra, triples: Iterable[tuple[int, int, int]]
 ) -> list[tuple[tuple[int, int, int], Vector]]:
     """The triples with a nonzero cyclic sum, each with that sum, in the order given.
 
     D^2 times the cyclic sum of (i, j, k) is the integer vector
-    sum over m of C_ij^m C_mk plus its cyclic shifts, C = D*c. Each C_mr is
-    packed into one int (``linalg.pack``), so a triple costs one big-int
-    multiply-add per nonzero C_ij^m and is tested against 0 as a whole; only a
-    failing triple is unpacked. With M the largest |C_ij^m|, every coordinate
-    of the sum is at most 3*n*M^2 in absolute value: three sums of n products.
+    sum over m of C_ij^m C_mk plus its cyclic shifts, C = D*c. Here q[m] packs
+    the table (k, l) -> C_mk^l as n blocks of n slots, so block k of
+    S_ij = sum over m of C_ij^m q[m] is D^2 [[e_i, e_j], e_k] and the cyclic sum
+    is three blocks of ``_cyclic_failures``, unpacked only for a failing triple.
+    With M the largest |C_ij^m|, a coordinate of one block is at most n*M^2 in
+    absolute value and of the sum 3*n*M^2, the slot bound: 3*n*M^2 < 2^(w-1)
+    for slots of w bits. A block then lies within
+    n*M^2 * (2^(n*w) - 1)/(2^w - 1) < 2^(n*w - 1), so reading it at width n*w
+    is exact.
     """
-    d, terms = g._integer_terms
+    d, terms, big = g._integer_terms
     n = g.dim
-    big = max((abs(c) for plane in terms for row in plane for _, c in row), default=0)
     width = slot_width(3 * n * big * big)
-    packed = [[pack(terms[m][r], width) for m in range(n)] for r in range(n)]
-    failing = []
-    for i, j, k in triples:
-        total = 0
-        for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
-            col = packed[r]
-            total += sum(c * col[m] for m, c in terms[p][q])
-        if total:
-            failing.append(((i, j, k), vector_over(unpack(total, n, width), d * d)))
-    return failing
+    q = [pack(enumerate(pack(row, width) for row in terms[m]), n * width) for m in range(n)]
+    return [
+        (t, vector_over(unpack(total, n, width), d * d)) for t, total in _cyclic_failures(g, q, n * width, triples)
+    ]
 
 
 def check_jacobi(g: LieAlgebra) -> CheckReport:
@@ -223,7 +252,7 @@ def center(g: LieAlgebra) -> Subspace:
     """Nullspace of the stacked adjoint maps: row (j, k) is [C_ijk]_i, C = D*c,
     for the pairs (j, k) where it is not zero."""
     n = g.dim
-    _, terms = g._integer_terms
+    _, terms, _ = g._integer_terms
     rows: dict[tuple[int, int], list[int]] = {}
     for i in range(n):
         for j in range(n):

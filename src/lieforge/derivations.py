@@ -52,7 +52,7 @@ def is_derivation(g: LieAlgebra, d: Matrix) -> CheckReport:
     if not is_square(d, n):
         raise DimensionMismatch("map does not match algebra dimension")
     ai, da = _int_matrix(d)
-    lcd, terms = g._integer_terms
+    lcd, terms, _ = g._integer_terms
     den = lcd * da
     width, _, a_col, left, defect = _leibniz_defects(g, ai, lambda n, a, c: 3 * n * a * c)
     failures = []
@@ -112,7 +112,7 @@ def _leibniz_rows(g: LieAlgebra) -> tuple[list[list[int]], list[int]]:
     component k of D[e_p,e_q] - [De_p,e_q] - [e_p,De_q], using C_pjk = -C_jpk.
     """
     n = g.dim
-    _, terms = g._integer_terms
+    _, terms, _ = g._integer_terms
     # into[q][k] lists the (i, C_iqk) with C_iqk != 0
     into: list[list[list[tuple[int, int]]]] = [[[] for _ in range(n)] for _ in range(n)]
     for i in range(n):

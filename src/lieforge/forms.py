@@ -16,7 +16,9 @@ skew matrix [[0, alpha], [-alpha^T, d alpha]], an O(n^3) elimination.
 ``wedge`` and ``wedge_power`` stay public and are the tests' oracle for it.
 
 d(alpha) of a 1-form is built once per check, as an integer skew matrix
-over one denominator (``_dalpha``); ``ce_differential`` stays the general path.
+over one denominator (``_dalpha``), and d(theta) of a 2-form comes from the
+pairwise cyclic contraction of ``algebra._cyclic_failures`` (``_d_two_form``);
+``ce_differential`` stays the general path.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from itertools import combinations
 from math import factorial
 from typing import Mapping, Sequence
 
-from .algebra import LieAlgebra, Subspace
+from .algebra import LieAlgebra, Subspace, _cyclic_failures
 from .linalg import (
     ScalarLike,
     Vector,
@@ -36,8 +38,10 @@ from .linalg import (
     clear_denominators,
     det,
     nullspace,
+    pack,
     pfaffian,
     scalar,
+    slot_width,
 )
 from .report import DimensionMismatch
 
@@ -256,11 +260,35 @@ def _dalpha(g: LieAlgebra, coords: Sequence[Fraction]) -> tuple[list[list[int]],
     """d(alpha) of the 1-form with these coordinates as (A, den), d(alpha) = A/den.
 
     With a = da*alpha, da the least common denominator of alpha, and the
-    integers D*c of the algebra, A[i][j] = -sum_k a_k D c_ijk and den = D*da.
+    integers D*c of the algebra, A[i][j] = -sum_k a_k D c_ijk and den = D*da: one
+    sum per pair i < j, negated below the diagonal.
     """
-    d, terms = g._integer_terms
+    d, terms, _ = g._integer_terms
     a, da = clear_denominators(coords)
-    return [[-sum(a[k] * c for k, c in t) for t in row] for row in terms], d * da
+    n = g.dim
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = -sum(a[k] * c for k, c in terms[i][j])
+            out[i][j], out[j][i] = x, -x
+    return out, d * da
+
+
+def _d_two_form(g: LieAlgebra, t: list[list[int]], dt: int) -> list[tuple[tuple[int, int, int], Fraction]]:
+    """The nonzero coefficients ((i, j, k), d(theta)(e_i, e_j, e_k)), i < j < k in increasing
+    order, of the 2-form theta = t/dt given as an integer skew matrix.
+
+    d(theta)(e_i, e_j, e_k) is minus the cyclic sum of theta([e_i, e_j], e_k). With C = D*c
+    and q[m] row m of t packed (``linalg.pack``), slot k of S_ij = sum over m of C_ij^m q[m]
+    is D*dt*theta([e_i, e_j], e_k), so ``algebra._cyclic_failures`` gives D*dt times the cyclic
+    sum, and a Fraction is made only for a nonzero coefficient. With M the largest |C| and
+    t_max the largest |t|, a slot of S_ij is at most n*M*t_max in absolute value.
+    """
+    n = g.dim
+    d, _, big = g._integer_terms
+    width = slot_width(n * big * max((abs(x) for row in t for x in row), default=0))
+    q = [pack(enumerate(row), width) for row in t]
+    return [(idxs, Fraction(-s, d * dt)) for idxs, s in _cyclic_failures(g, q, width, combinations(range(n), 3))]
 
 
 def radical(g: LieAlgebra, form: KForm) -> Subspace:

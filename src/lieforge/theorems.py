@@ -50,6 +50,7 @@ from .linalg import (
     vec_add,
     vec_scale,
     vec_sub,
+    vector_over,
     zero_vector,
 )
 from .report import CheckReport, DimensionMismatch, PreconditionError, passed, refusal, require
@@ -57,13 +58,14 @@ from .structures import (
     FrobeniusStructure,
     KahlerStructure,
     SasakianStructure,
+    _int_matrix,
+    _nijenhuis_ints,
     apply_one_form,
     check_contact,
     check_frobenius,
     check_kahler,
     check_sasakian,
     kirillov_form,
-    nijenhuis,
     one_form_coords,
 )
 
@@ -262,7 +264,9 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix, d: Matrix | None =
 
     The lift sends the central element to the derivation slot and back
     with a sign; its torsion vanishes exactly when the derivation
-    commutes with J on the base, and both verdicts are reported.
+    commutes with J on the base, and both verdicts are reported. Both
+    torsions, of J on the base and of the lift, are read as integers
+    (``structures._nijenhuis_ints``); only a witness becomes Fractions.
     """
     if ext.central_index is None or ext.derivation_index is None:
         raise PreconditionError("expected the result of a double extension")
@@ -285,10 +289,11 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix, d: Matrix | None =
             "J^2 != -Id on the base",
         )
     )
+    base_torsion, _ = _nijenhuis_ints(base, *_int_matrix(j))
     pre.append(
         passed(
             "base_complex_integrable",
-            nijenhuis(base, j).is_zero(),
+            not any(any(v) for v in base_torsion.values()),
             "N_J != 0 on the base",
         )
     )
@@ -321,9 +326,8 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix, d: Matrix | None =
     s_img = vec_scale(-ONE, child.basis_vector(zi))
     jbar = transpose(jbar_cols + [z_img, s_img])
 
-    torsion = nijenhuis(child, jbar)
-    pairs = ((a, b) for a in range(child.dim) for b in range(a + 1, child.dim))
-    tw = next((pair for pair in pairs if not is_zero_vector(torsion.value(*pair))), None)
+    torsion, dt = _nijenhuis_ints(child, *_int_matrix(jbar))
+    tw = next((pair for pair, v in torsion.items() if any(v)), None)
     cw = _first_mismatch(
         range(n),
         lambda x: mat_vec(jbar, embed_vector(column(d, x), child.dim)),
@@ -334,7 +338,7 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix, d: Matrix | None =
     torsion_witness = (
         ""
         if tw is None
-        else f"N{fmt_basis_tuple(tw, child.labels)} = {fmt_vector(torsion.value(*tw), child.labels)}"
+        else f"N{fmt_basis_tuple(tw, child.labels)} = {fmt_vector(vector_over(torsion[tw], dt), child.labels)}"
     )
     commute_witness = (
         ""
@@ -424,16 +428,14 @@ def solve_double_extension_params(
     defaults to 1 when the factor vanishes. The params carry the extension
     built here, so the constructors given the same (g, s, theta, d) objects
     do not build and check it again.
+
+    The solved Reeb vector xi has no component t along the derivation slot:
+    ``_build_double_extension`` has refused alpha(D(z)) = 0, and
+    0 = d(alpha)(xi, z) = -t alpha(D(z)) then forces t = 0.
     """
     build = _build_double_extension(g, s, theta, d)
     ext, alpha, _, reeb = build
     n = g.dim
-    if reeb[ext.derivation_index] != 0:
-        raise refusal(
-            "Reeb vector has a component along the derivation slot",
-            "reeb_form",
-            f"solved Reeb = {fmt_vector(reeb, ext.algebra.labels)}",
-        )
     b = reeb[ext.central_index]
     g_part = reeb[:n]
     a = apply_one_form(s.alpha, g_part)

@@ -10,12 +10,14 @@ values, witnesses included.
 jacobi_residual_ints is the plain integer loop over the cached D*c that the
 packed Jacobi kernel replaced: one multiply-add per coefficient.
 packed_jacobi_residual reads one triple's cyclic sum from that packed kernel,
-lieforge.algebra._jacobi_failures.
+lieforge.algebra._jacobi_failures, and packed_jacobi_residuals every ordered
+triple's from one call of it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from lieforge.algebra import LieAlgebra, _jacobi_failures
 from lieforge.linalg import (
@@ -65,9 +67,16 @@ def packed_jacobi_residual(g: LieAlgebra, i: int, j: int, k: int) -> Vector:
     return failing[0][1] if failing else zero_vector(g.dim)
 
 
+def packed_jacobi_residuals(g: LieAlgebra) -> dict[tuple[int, int, int], Vector]:
+    """Every ordered triple's cyclic sum, repeated indices included, from one call of the packed kernel."""
+    triples = list(product(range(g.dim), repeat=3))
+    failing = dict(_jacobi_failures(g, triples))
+    return {t: failing.get(t, zero_vector(g.dim)) for t in triples}
+
+
 def jacobi_residual_ints(g: LieAlgebra, i: int, j: int, k: int) -> tuple[list[int], int]:
     """(acc, D^2) with acc/D^2 the cyclic sum: sum over m of C_ij^m C_mk^l plus its cyclic shifts, C = D*c."""
-    d, terms = g._integer_terms
+    d, terms, _ = g._integer_terms
     acc = [0] * g.dim
     for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
         for m, a in terms[p][q]:

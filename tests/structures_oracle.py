@@ -13,6 +13,14 @@ return exactly the same reports, witnesses, notes and structures.
 nijenhuis_ints is the plain integer loop over the cached D*c that the packed
 torsion kernel (structures._nijenhuis_ints) replaced, O(n^4) multiply-adds
 with the same output.
+
+Three single items keep the paths that the packed and certified ones
+replaced: is_cocycle reads d(theta) from the Fraction ``ce_differential``;
+contact_radical_item computes the radical of d(alpha) as a nullspace, as
+check_contact did before the bordered Pfaffian certified it; and
+sasakian_torsion_item unpacks the torsion of every pair
+(structures._nijenhuis_ints) and compares it with -d(alpha) (x) xi
+coordinate by coordinate, as check_sasakian did before its packed test.
 """
 
 from __future__ import annotations
@@ -21,11 +29,12 @@ from fractions import Fraction
 from math import factorial
 
 from lieforge.algebra import LieAlgebra, Subspace
-from lieforge.forms import KForm, TopContactResult, ce_differential, radical
+from lieforge.forms import KForm, TopContactResult, _dalpha, _top_contact, ce_differential, radical
 from lieforge.linalg import (
     Matrix,
     Vector,
     ZERO,
+    clear_denominators,
     column,
     fmt_basis_tuple,
     fmt_scalar,
@@ -34,6 +43,7 @@ from lieforge.linalg import (
     is_zero_vector,
     mat_mul,
     mat_vec,
+    nullspace,
     pfaffian,
     positive_definite,
     solve_affine,
@@ -41,13 +51,17 @@ from lieforge.linalg import (
     vec_add,
     vec_scale,
     vec_sub,
+    vector_over,
 )
-from lieforge.report import CheckReport, DimensionMismatch, passed
+from lieforge.report import CheckItem, CheckReport, DimensionMismatch, fail, ok, passed
 from lieforge.structures import (
     ContactStructure,
     KahlerStructure,
     SasakianStructure,
     _bind,
+    _int_matrix,
+    _nijenhuis_ints,
+    _same,
     apply_one_form,
     one_form_coords,
 )
@@ -134,6 +148,58 @@ def check_contact(g: LieAlgebra, alpha: KForm) -> tuple[CheckReport, ContactStru
     return report, ContactStructure(alpha, reeb)
 
 
+def is_cocycle(g: LieAlgebra, theta: KForm) -> CheckReport:
+    """d(theta) = 0 through the Fraction ce_differential: one failing item per nonzero coefficient."""
+    d = ce_differential(g, theta)
+    if d.is_zero():
+        return CheckReport((ok("cocycle_d_theta_zero"),))
+    return CheckReport(
+        tuple(
+            fail("cocycle(" + ",".join(g.labels[i] for i in idxs) + ")", f"d(theta) = {value}")
+            for idxs, value in d.coeffs
+        )
+    )
+
+
+def contact_radical_item(g: LieAlgebra, alpha: KForm) -> CheckItem | None:
+    """The radical_spanned_by_reeb item from the nullspace of the integer d(alpha), or None where
+    check_contact stops before that item (even dimension, top coefficient 0, no unique Reeb vector)."""
+    if g.dim % 2 == 0:
+        return None
+    coords = one_form_coords(alpha)
+    da, den = _dalpha(g, coords)
+    if not _top_contact(coords, da, den).holds:
+        return None
+    particular, homogeneous = solve_affine(da + [coords], [0] * g.dim + [1])
+    if particular is None or homogeneous:
+        return None
+    rad = Subspace(g.dim, nullspace(da, g.dim))
+    return passed(
+        "radical_spanned_by_reeb",
+        rad == Subspace.from_vectors(g.dim, (particular,)),
+        f"radical is {rad.describe(g.labels)}",
+    )
+
+
+def sasakian_torsion_item(g: LieAlgebra, reeb: Vector, alpha: KForm, phi: Matrix) -> CheckItem:
+    """The nijenhuis_torsion item from the unpacked torsion of every pair, compared with
+    -d(alpha)(e_i, e_j) xi over their two denominators."""
+    r, dr = clear_denominators(reeb)
+    p, dp = _int_matrix(phi)
+    da, den = _dalpha(g, one_form_coords(alpha))
+    torsion, dt = _nijenhuis_ints(g, p, dp)
+    expected = {(i, j): [-da[i][j] * y for y in r] for i, j in torsion}
+    bad_pair = next((pair for pair, v in torsion.items() if not _same(v, dt, expected[pair], den * dr)), None)
+    witness = (
+        ""
+        if bad_pair is None
+        else f"N_Phi{fmt_basis_tuple(bad_pair, g.labels)} = "
+        f"{fmt_vector(vector_over(torsion[bad_pair], dt), g.labels)}, expected "
+        f"{fmt_vector(vector_over(expected[bad_pair], den * dr), g.labels)}"
+    )
+    return passed("nijenhuis_torsion", bad_pair is None, witness)
+
+
 def nijenhuis_ints(g: LieAlgebra, ai: list[list[int]], da: int) -> tuple[dict[tuple[int, int], list[int]], int]:
     """The torsion of the map ai/da as (N, den): N[(i, j)], i < j, is N(e_i, e_j) times den = da^2*D.
 
@@ -141,7 +207,7 @@ def nijenhuis_ints(g: LieAlgebra, ai: list[list[int]], da: int) -> tuple[dict[tu
     N(e_i, e_j) = A(A[e_i,e_j] - L[i][j] + L[j][i]) + sum_b A_bj L[i][b].
     """
     n = g.dim
-    d, terms = g._integer_terms
+    d, terms, _ = g._integer_terms
     cols = [[(r, ai[r][j]) for r in range(n) if ai[r][j]] for j in range(n)]
     left = [[[0] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):

@@ -14,11 +14,15 @@ from lieforge import (
     center,
     check_jacobi,
 )
-from lieforge.linalg import matrix, slot_width, vector, vector_over
+from lieforge.extensions import is_cocycle
+from lieforge.forms import KForm
+from lieforge.linalg import identity, matrix, slot_width, vector, vector_over
 from lieforge.report import CheckReport, DimensionMismatch, ok
+from lieforge.structures import check_kahler
 
 import algebra_oracle as oracle
 import linalg_oracle
+import structures_oracle
 from conftest import (
     conjugate_algebra,
     heisenberg_plus_abelian,
@@ -184,9 +188,10 @@ def assert_jacobi_matches_oracle(g):
     """check_jacobi item by item (names and witness strings), and every residual, repeats included,
     against both the Fraction expansion and the unpacked integer loop."""
     assert check_jacobi(g) == oracle.check_jacobi(g)
+    packed = oracle.packed_jacobi_residuals(g)
     for i, j, k in product(range(g.dim), repeat=3):
         acc, den = oracle.jacobi_residual_ints(g, i, j, k)
-        assert oracle.packed_jacobi_residual(g, i, j, k) == oracle.jacobi_residual(g, i, j, k) == vector_over(acc, den)
+        assert packed[(i, j, k)] == oracle.jacobi_residual(g, i, j, k) == vector_over(acc, den)
 
 
 @settings(max_examples=150, deadline=None)
@@ -234,3 +239,22 @@ def test_jacobi_slot_width_boundary(scale):
     acc, _ = oracle.jacobi_residual_ints(g, 1, 2, 3)
     assert max(map(abs, acc)) == 9 * big >= 2 ** (slot_width(12 * big) - 2)
     assert_jacobi_matches_oracle(g)
+
+
+# [e_a, e_b] = M * (e_1 + ... + e_n) for a < b and theta(e_a, e_b) = T for a < b. Then block k of
+# the pair contraction S_ab is D^2 [[e_a, e_b], e_k] = M^2 (2k - n + 1) in every coordinate, and its
+# slot k for theta is M T (2k - n + 1): blocks 0 and n-1 sit at -/+(n-1)M^2 and -/+(n-1)MT, the
+# largest a single cyclic term reaches, in every coordinate. For n = 3 every cyclic sum cancels.
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("m, t", [(Fraction(1), Fraction(1)), (Fraction(-(2**130), 7), Fraction(3**80, 11))])
+def test_cyclic_blocks_at_bound(n, m, t):
+    g = LieAlgebra.from_brackets(n, {(a, b): dict.fromkeys(range(n), m) for a in range(n) for b in range(a + 1, n)})
+    theta = KForm.two_form(n, {(a, b): t for a in range(n) for b in range(a + 1, n)})
+    assert oracle.bracket(g, g.c[0][1], g.basis_vector(n - 1)) == ((n - 1) * m * m,) * n
+    assert oracle.bracket(g, g.c[0][1], g.basis_vector(0)) == (-(n - 1) * m * m,) * n
+    assert theta.evaluate((g.c[0][1], g.basis_vector(n - 1))) == (n - 1) * m * t
+    assert check_jacobi(g).overall == (n == 3)
+    assert_jacobi_matches_oracle(g)
+    assert is_cocycle(g, theta) == structures_oracle.is_cocycle(g, theta)
+    closed = check_kahler(g, identity(n), theta)[0].item("symplectic_closed")
+    assert closed == structures_oracle.check_kahler(g, identity(n), theta)[0].item("symplectic_closed")

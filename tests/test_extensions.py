@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieforge import (
     KForm,
@@ -16,10 +18,15 @@ from lieforge import (
     is_cocycle,
     reversed_double_extension,
 )
-from lieforge.linalg import diagonal, matrix, vector, zero_matrix
+from lieforge.algebra import _cyclic_failures
+from lieforge.forms import ce_differential
+from lieforge.linalg import diagonal, identity, matrix, pack, slot_width, vector, zero_matrix
 from lieforge.report import DimensionMismatch, PreconditionError
+from lieforge.structures import _int_matrix, check_kahler
 
+import structures_oracle
 from conftest import random_jacobi_algebra, random_matrix, random_two_form
+from strategies import BIG_RATIONALS, RATIONALS, antisymmetric_algebras, lie_or_not, rational_vectors
 
 H3 = builtin("h3").algebra
 D4 = builtin("d4half").algebra
@@ -178,3 +185,50 @@ def test_extension_iff_cocycle_and_leibniz():
         assert check_jacobi(ext2.algebra).overall == is_derivation(g, m).overall
         derivation_agree += 1
     assert cocycle_agree == derivation_agree == 60
+
+
+# --- the integer cocycle test against the Fraction ce_differential ------------
+
+
+@st.composite
+def two_form_inputs(draw):
+    """(g, theta): a Lie or non-Lie algebra of dimension 1-6, a non-Lie one of dimension 1-3, or one
+    with constants up to 10^40; theta random (RATIONALS or BIG_RATIONALS), exact (d of a 1-form, a
+    cocycle exactly on the Lie algebras), or zero."""
+    g = draw(st.one_of(lie_or_not(), antisymmetric_algebras(max_dim=3), antisymmetric_algebras(values=BIG_RATIONALS)))
+    n = g.dim
+    kind = draw(st.sampled_from(["random", "large", "exact", "zero"]))
+    if kind == "exact":
+        return g, ce_differential(g, KForm.one_form(n, draw(rational_vectors(n))))
+    if kind == "zero":
+        return g, KForm.zero(n, 2)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    values = BIG_RATIONALS if kind == "large" else RATIONALS
+    return g, KForm.two_form(n, dict(zip(pairs, draw(rational_vectors(len(pairs), values)))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_form_inputs())
+def test_is_cocycle_matches_oracle(case):
+    # every failing item and its d(theta) witness, and check_kahler's d(omega) item on the same form
+    g, theta = case
+    assert is_cocycle(g, theta) == structures_oracle.is_cocycle(g, theta)
+    j = identity(g.dim)
+    item = check_kahler(g, j, theta)[0].item("symplectic_closed")
+    assert item == structures_oracle.check_kahler(g, j, theta)[0].item("symplectic_closed")
+
+
+@settings(max_examples=80, deadline=None)
+@given(two_form_inputs())
+def test_cocycle_kernel_on_any_triple(case):
+    # the pair contraction read on repeated and unordered triples: minus D*dt times d(theta)(e_i, e_j, e_k)
+    g, theta = case
+    n = g.dim
+    d, _, big = g._integer_terms
+    t, dt = _int_matrix(theta.as_matrix())
+    width = slot_width(n * big * max(abs(x) for row in t for x in row))
+    q = [pack(enumerate(row), width) for row in t]
+    failing = dict(_cyclic_failures(g, q, width, product(range(n), repeat=3)))
+    d_theta = ce_differential(g, theta)
+    for idxs in product(range(n), repeat=3):
+        assert Fraction(-failing.get(idxs, 0), d * dt) == d_theta.value_on_basis(idxs)

@@ -21,7 +21,7 @@ from lieforge import (
     sasakian_metric,
     top_contact_test,
 )
-from lieforge.linalg import identity, matrix, slot_width, vec_scale
+from lieforge.linalg import identity, matrix, slot_width, vec_scale, zero_matrix
 from lieforge.report import DimensionMismatch, PreconditionError
 from lieforge.structures import _int_matrix, _nijenhuis_ints
 
@@ -319,6 +319,45 @@ def test_sasakian_large_entries_match_oracle(case):
     g, reeb, alpha, phi = case
     got = check_sasakian(g, reeb, alpha, phi)
     assert_same_result(got, structures_oracle.check_sasakian(g, reeb, alpha, phi))
+
+
+@st.composite
+def large_contact_inputs(draw):
+    """(g, alpha): constants and coordinates up to 10^40 on an antisymmetric tensor, mostly not Lie."""
+    g = draw(antisymmetric_algebras(values=BIG_RATIONALS))
+    return g, KForm.one_form(g.dim, draw(rational_vectors(g.dim, BIG_RATIONALS)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(contact_inputs(), large_contact_inputs()))
+def test_contact_radical_certificate_matches_nullspace(case):
+    # contact, degenerate and closed forms, Lie or not: where check_contact reaches the radical
+    # item (certified by the Pfaffian), the nullspace of d(alpha) reaches it too, with the same item
+    g, alpha = case
+    report, _ = check_contact(g, alpha)
+    names = [item.name for item in report.items]
+    got = report.item("radical_spanned_by_reeb") if "radical_spanned_by_reeb" in names else None
+    assert got == structures_oracle.contact_radical_item(g, alpha)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(sasakian_inputs(), large_sasakian_inputs()))
+def test_sasakian_packed_torsion_matches_unpacked(case):
+    # exact, negated and perturbed Phi (entries up to 10^40), and random data on non-Lie tensors
+    g, reeb, alpha, phi = case
+    item = check_sasakian(g, reeb, alpha, phi)[0].item("nijenhuis_torsion")
+    assert item == structures_oracle.sasakian_torsion_item(g, reeb, alpha, phi)
+
+
+@pytest.mark.parametrize("reeb", [(2, -1, 0), (0, 2, -1), (2**70, -(2**69), 1)])
+def test_sasakian_torsion_slots_hold_the_expected_side(reeb):
+    # Phi = 0 has no torsion, so on h3 with alpha = e3* the item fails at (e1, e2), where
+    # -d(alpha) (x) xi = xi; in slots sized for the torsion alone xi = (2, -1, 0) would pack to 0
+    reeb = tuple(map(Fraction, reeb))
+    alpha, phi = H3.sasakian_data[1], zero_matrix(3)
+    item = check_sasakian(H3.algebra, reeb, alpha, phi)[0].item("nijenhuis_torsion")
+    assert not item.passed
+    assert item == structures_oracle.sasakian_torsion_item(H3.algebra, reeb, alpha, phi)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,6 @@ of the Kahler obstruction.
 """
 
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 
@@ -33,8 +32,6 @@ from lieforge import (
 from lieforge.linalg import diagonal, matrix, zero_matrix
 from lieforge.report import CheckItem, PreconditionError
 from lieforge.structures import FrobeniusStructure
-
-import lieforge.theorems as theorems
 
 from conftest import conjugate_algebra, conjugate_map, conjugate_one_form, conjugate_two_form, mat_inverse
 
@@ -62,16 +59,6 @@ def _d4half_sheared():
     return g, f, check_kahler(g, conjugate_map(k.j, p, pinv), conjugate_two_form(k.omega, p))[1]
 
 
-def _solve_with_slotted_reeb():
-    """The Reeb vector of a contact double extension has no slot component when
-    alpha(D(z)) != 0, so this refusal is reached with a stubbed build only."""
-    build = theorems._build_double_extension(H3.algebra, H3.sasakian(), ZERO3, SLOT)
-    ext, alpha, rep, reeb = build
-    slotted = reeb[:-1] + (Fraction(1),)
-    with mock.patch.object(theorems, "_build_double_extension", lambda *a: (ext, alpha, rep, slotted)):
-        solve_double_extension_params(H3.algebra, H3.sasakian(), ZERO3, SLOT)
-
-
 def _params(a, b, c, d, u):
     return DoubleExtensionParams(*map(Fraction, (a, b, c, d)), tuple(map(Fraction, u)))
 
@@ -85,7 +72,6 @@ REFUSALS = {
     "contact_pairing_nonzero": lambda: solve_double_extension_params(
         H3.algebra, H3.sasakian(), ZERO3, diagonal(["1/2", "1/2", 1, 0])
     ),
-    "reeb_form_solve": _solve_with_slotted_reeb,
     "params_u_in_kernel": lambda: sasakian_double_extension_conditions(
         H3.algebra, H3.sasakian(), ZERO3, SLOT, _params(1, 0, 1, -1, (0, 0, 1))
     ),
@@ -126,11 +112,6 @@ REFUSED = {
         "center = {0}",
     ),
     "contact_pairing_nonzero": ("alpha(D(z)) must be nonzero", "contact_pairing_nonzero", "alpha(D(z)) = 0"),
-    "reeb_form_solve": (
-        "Reeb vector has a component along the derivation slot",
-        "reeb_form",
-        "solved Reeb = e3 + e5",
-    ),
     "params_u_in_kernel": ("u must lie in Ker(alpha)", "params_u_in_kernel", "alpha(u) = 1"),
     "reeb_form_setup": ("parameters do not reproduce the solved Reeb vector", "reeb_form", "solved Reeb = e3"),
     "exact_symplectic_coherence_fk": (
