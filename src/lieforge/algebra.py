@@ -32,7 +32,6 @@ from .linalg import (
     clear_denominators,
     fmt_basis_tuple,
     fmt_vector,
-    in_span,
     is_zero_vector,
     nullspace,
     pack,
@@ -61,14 +60,11 @@ class LieAlgebra:
         n = self.dim
         if n <= 0:
             raise ValueError("dimension must be positive")
-        if len(self.labels) != n or len(self.c) != n:
+        planes = all(len(plane) == n and all(len(v) == n for v in plane) for plane in self.c)
+        if len(self.labels) != n or len(self.c) != n or not planes:
             raise DimensionMismatch("structure tensor shape does not match dim")
         for i in range(n):
-            if len(self.c[i]) != n:
-                raise DimensionMismatch("structure tensor shape does not match dim")
-            for j in range(n):
-                if len(self.c[i][j]) != n:
-                    raise DimensionMismatch("structure tensor shape does not match dim")
+            for j in range(i, n):  # (i, j) fails antisymmetry exactly when (j, i) does
                 if self.c[i][j] != tuple(-x for x in self.c[j][i]):
                     raise ValueError(f"structure constants not antisymmetric at ({i},{j})")
 
@@ -240,7 +236,15 @@ class Subspace:
         return len(self.rows)
 
     def contains(self, v: Vector) -> bool:
-        return in_span(self.rows, v)
+        """Is v in the span? The rows are reduced: v is iff it is the sum of its pivot entries times its rows."""
+        if len(v) != self.ambient_dim:
+            raise DimensionMismatch(f"vector of length {len(v)} in a space of dimension {self.ambient_dim}")
+        rest = list(v)
+        for row in self.rows:
+            f = rest[next(j for j, x in enumerate(row) if x)]
+            if f:
+                rest = [x - f * y for x, y in zip(rest, row)]
+        return not any(rest)
 
     def describe(self, labels: Sequence[str]) -> str:
         if not self.rows:

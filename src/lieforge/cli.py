@@ -453,7 +453,7 @@ def _cmd_construct(args) -> tuple[ReportDocument, int]:
         algebra=result,
         sections=_structure_sections(result, structure),
     )
-    return doc, 0 if report.overall else 1
+    return _adjust_evaluations(doc, result.dim, args.wedge_convention), 0 if report.overall else 1
 
 
 def _cmd_solve(args) -> tuple[ReportDocument, int]:
@@ -467,11 +467,9 @@ def _cmd_solve(args) -> tuple[ReportDocument, int]:
         particular, basis = derivation_space(g, constraints)
         sections = []
         if particular is None:
-            culprit = "leibniz"
-            for idx in range(1, len(constraints) + 1):
-                if derivation_space(g, constraints[:idx])[0] is None:
-                    culprit = args.fix[idx - 2] if idx >= 2 else "leibniz"
-                    break
+            # Leibniz alone is homogeneous: the culprit is the first --fix whose prefix is inconsistent
+            inconsistent = (derivation_space(g, constraints[:idx])[0] is None for idx in range(2, len(constraints)))
+            culprit = next((spec for spec, bad in zip(args.fix, inconsistent) if bad), args.fix[-1])
             doc = ReportDocument(
                 command,
                 overall=False,

@@ -23,7 +23,6 @@ from .linalg import (
     ZERO,
     fmt_basis_tuple,
     fmt_vector,
-    in_span,
     is_square,
     mat_vec,
     nullspace,
@@ -229,6 +228,8 @@ def derivation_space(
 def map_in_family(g: LieAlgebra, d: Matrix, particular: Matrix, basis: tuple[Matrix, ...]) -> bool:
     """Is d = particular + (combination of basis maps)?"""
     n = g.dim
+    if not all(is_square(m, n) for m in (d, particular, *basis)):
+        raise DimensionMismatch("map does not match algebra dimension")
     flat_diff = tuple(d[i][j] - particular[i][j] for i in range(n) for j in range(n))
     flat_basis = [tuple(b[i][j] for i in range(n) for j in range(n)) for b in basis]
-    return in_span(flat_basis, flat_diff)
+    return Subspace.from_vectors(n * n, flat_basis).contains(flat_diff)

@@ -438,17 +438,6 @@ def solve_unique(rows: Sequence[Vector], rhs: Sequence[Fraction]) -> Vector | No
     return part
 
 
-def in_span(rows: Sequence[Vector], v: Vector) -> bool:
-    """Is v a linear combination of the given rows?"""
-    if is_zero_vector(v):
-        return True
-    if not rows:
-        return False
-    cols = [tuple(r[j] for r in rows) for j in range(len(v))]
-    part, _ = solve_affine(cols, v)
-    return part is not None
-
-
 def det(m: Matrix) -> Fraction:
     """Determinant: the product of the pivots of one forward elimination."""
     work, pivots, num, den = _eliminate(m, reduce=False)

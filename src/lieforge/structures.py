@@ -12,8 +12,10 @@ products cross-multiplied by their denominators; ``check_kahler`` tests J^2,
 omega(J., J.), d(omega) (``forms._d_two_form``) and the metric on the
 integer matrices of J and omega the same way. Fractions are made only for
 the results, the notes and the witness of an item that fails. The contact
-check certifies its radical item by the bordered Pfaffian it has already
-computed (see ``check_contact``), without a second elimination.
+check eliminates only the Reeb system: the bordered Pfaffian it has already
+computed certifies that the Reeb vector is unique and spans the radical (see
+``check_contact``). ``check_frobenius`` reads the radical and the principal
+element off one elimination of the Kirillov system.
 
 Both read the Nijenhuis torsion as integers, not through the public
 ``nijenhuis``, which builds a Fraction table. ``_packed_torsion`` packs each
@@ -45,7 +47,7 @@ from math import gcd
 from operator import mul
 
 from .algebra import LieAlgebra
-from .forms import KForm, _d_two_form, _dalpha, _top_contact, radical
+from .forms import KForm, _d_two_form, _dalpha, _top_contact
 from .linalg import (
     Matrix,
     Vector,
@@ -152,48 +154,49 @@ def kirillov_form(g: LieAlgebra, phi: KForm) -> KForm:
 
 def principal_element(g: LieAlgebra, phi: KForm) -> Vector:
     """The unique x with phi(ad(x) y) = phi(y) for all y."""
-    return _principal(kirillov_form(g, phi), phi)
+    x_p, rad = _principal(kirillov_form(g, phi), phi)
+    if x_p is None or rad:
+        raise PreconditionError("principal element needs a nondegenerate Kirillov form")
+    return x_p
 
 
-def _principal(b: KForm, phi: KForm) -> Vector:
-    """principal_element from the Kirillov form b of phi: B_phi(x, y) = phi(y) for all y."""
+def _principal(b: KForm, phi: KForm) -> tuple[Vector | None, tuple[Vector, ...]]:
+    """(x, radical) from one elimination of the Kirillov system B_phi(x, y) = phi(y) for all y:
+    its canonical solution or None, and its kernel, the canonical basis of the radical of b."""
     m = b.as_matrix()
     rows = [tuple(m[i][j] for i in range(b.dim)) for j in range(b.dim)]
-    particular, homogeneous = solve_affine(rows, one_form_coords(phi))
-    if particular is None or homogeneous:
-        raise PreconditionError("principal element needs a nondegenerate Kirillov form")
-    return particular
+    return solve_affine(rows, one_form_coords(phi))
 
 
 def check_frobenius(g: LieAlgebra, phi: KForm) -> tuple[CheckReport, FrobeniusStructure | None]:
     """Even dimension and nondegenerate Kirillov form; computes the principal element."""
-    items = [passed("even_dimension", g.dim % 2 == 0, f"dim = {g.dim}")]
-    structure = None
-    notes: list[tuple[str, str]] = []
     b = kirillov_form(g, phi)
-    rad = radical(g, b)
-    witness = fmt_vector(rad.rows[0], g.labels) if rad.rows else "everything"
-    items.append(passed("kirillov_nondegenerate", rad.dim == 0, f"radical contains {witness}"))
-    report = CheckReport(tuple(items))
-    if report.overall:
-        x_p = _principal(b, phi)
-        structure = _bind(FrobeniusStructure(phi, x_p), g, kirillov=b)
-        notes.append(("principal_element", fmt_vector(x_p, g.labels)))
-        notes.append(("kirillov_form", b.describe(g.labels)))
-        report = report.with_notes(*notes)
-    return report, structure
+    x_p, rad = _principal(b, phi)
+    witness = fmt_vector(rad[0], g.labels) if rad else "everything"
+    report = CheckReport(
+        (
+            passed("even_dimension", g.dim % 2 == 0, f"dim = {g.dim}"),
+            passed("kirillov_nondegenerate", not rad, f"radical contains {witness}"),
+        )
+    )
+    if rad:  # an odd dimension leaves a radical, so this is every failing report
+        return report, None
+    notes = (("principal_element", fmt_vector(x_p, g.labels)), ("kirillov_form", b.describe(g.labels)))
+    return report.with_notes(*notes), _bind(FrobeniusStructure(phi, x_p), g, kirillov=b)
 
 
 def check_contact(g: LieAlgebra, alpha: KForm) -> tuple[CheckReport, ContactStructure | None]:
     """Odd dimension, alpha ^ (d alpha)^n nonzero, unique Reeb vector.
 
-    The radical of d(alpha) is not computed: the nonzero Pfaffian of the
-    top-form test certifies it. That Pfaffian makes the bordered matrix
-    B = [[0, alpha], [-alpha^T, d(alpha)]] of size n+1 invertible, and deleting
-    one row and one column of B leaves d(alpha), so rank d(alpha) >= n-1; a
-    skew-symmetric matrix of odd size n has even rank, at most n-1. The exact
-    Reeb solution has d(alpha) xi = 0 and alpha(xi) = 1, so xi spans the
-    kernel of d(alpha), and ``radical_spanned_by_reeb`` passes.
+    The uniqueness of the Reeb vector and the radical of d(alpha) are not
+    computed: the nonzero Pfaffian of the top-form test certifies both. That
+    Pfaffian makes the bordered matrix B = [[0, alpha], [-alpha^T, d(alpha)]]
+    of size n+1 invertible, and deleting one row and one column of B leaves
+    d(alpha), so rank d(alpha) >= n-1; a skew-symmetric matrix of odd size n
+    has even rank, at most n-1. A v != 0 in the kernel of d(alpha) has
+    alpha(v) != 0, else B (0, v) = 0. So the Reeb system d(alpha) xi = 0,
+    alpha(xi) = 1 has exactly one solution, and ``reeb_unique`` passes; xi
+    spans the kernel of d(alpha), and ``radical_spanned_by_reeb`` passes.
     """
     if alpha.degree != 1 or alpha.dim != g.dim:
         raise DimensionMismatch("expected a 1-form on the algebra")
@@ -208,13 +211,8 @@ def check_contact(g: LieAlgebra, alpha: KForm) -> tuple[CheckReport, ContactStru
         return CheckReport(tuple(items)), None
     # d(alpha) is skew, so its rows span its columns: the Reeb system is
     # d(alpha)(xi, .) = 0, alpha(xi) = 1 on those rows
-    particular, homogeneous = solve_affine(da + [coords], [0] * g.dim + [1])
-    unique = particular is not None and not homogeneous
-    items.append(passed("reeb_unique", unique, "Reeb system has no unique solution"))
-    if not unique:
-        return CheckReport(tuple(items)), None
-    reeb = particular
-    items.append(ok("radical_spanned_by_reeb"))  # certified by the Pfaffian, see the docstring
+    reeb, _ = solve_affine(da + [coords], [0] * g.dim + [1])
+    items += [ok("reeb_unique"), ok("radical_spanned_by_reeb")]  # certified by the Pfaffian, see the docstring
     report = CheckReport(
         tuple(items),
         (
@@ -222,8 +220,6 @@ def check_contact(g: LieAlgebra, alpha: KForm) -> tuple[CheckReport, ContactStru
             ("top_coefficient", fmt_scalar(top.coefficient)),
         ),
     )
-    if not report.overall:
-        return report, None
     return report, ContactStructure(alpha, reeb)
 
 

@@ -13,6 +13,9 @@ of one failing item that names the condition and its witness
 is its first failure in basis order (``_first_mismatch``,
 ``_first_nonzero_pair``).
 
+The reduction reads coordinates off the reduced basis of Ker(alpha) instead
+of solving for them; the contact-ideal restriction forms each bracket once.
+
 Where the source formulas admit two sign choices, the worked
 low-dimensional examples fix the sign (see the module tests for the
 frozen values).
@@ -45,7 +48,6 @@ from .linalg import (
     mat_mul,
     mat_vec,
     nullspace,
-    solve_unique,
     transpose,
     vec_add,
     vec_scale,
@@ -161,25 +163,26 @@ def sasakian_reduction(g: LieAlgebra, s: SasakianStructure) -> tuple[LieAlgebra,
 
     Builds Ker(alpha) with the projected bracket, J the restriction of
     Phi, and omega(x,y) = alpha([x,y]), then verifies the Kahler axioms;
-    returns the quotient, that report and the structure.
+    returns the quotient, that report and the structure. The basis of
+    Ker(alpha) is reduced, so coordinates in it are read off its pivots.
     """
     _verify_sasakian_input(g, s)
     z = center(g)
-    if z != Subspace.from_vectors(g.dim, (s.reeb,)):
+    if z.dim != 1 or not z.contains(s.reeb):  # the checked s has alpha(reeb) = 1, so reeb != 0
         raise refusal(
             "center must be one-dimensional and spanned by the Reeb vector",
             "center_spanned_by_reeb",
             f"center = {z.describe(g.labels)}",
         )
-    basis = kernel_basis(g, s.alpha)
+    kernel = Subspace(g.dim, kernel_basis(g, s.alpha))
+    basis = kernel.rows
     m = len(basis)
-    cols = [tuple(b[i] for b in basis) for i in range(g.dim)]
+    pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
 
     def to_h(v: Vector) -> Vector:
-        coords = solve_unique(cols, v)
-        if coords is None:
+        if not kernel.contains(v):
             raise ValueError("vector does not lie in Ker(alpha)")
-        return coords
+        return tuple(v[p] for p in pivots)
 
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     omega_entries: dict[tuple[int, int], Fraction] = {}
@@ -259,14 +262,14 @@ def kahler_extension_obstruction(g: LieAlgebra, s: SasakianStructure, theta: KFo
     return CheckReport((item,), notes)
 
 
-def extend_complex_structure(ext: ExtensionResult, j: Matrix, d: Matrix | None = None) -> CheckReport:
+def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
     """Integrability of the lifted complex structure on a double extension.
 
     The lift sends the central element to the derivation slot and back
-    with a sign; its torsion vanishes exactly when the derivation
-    commutes with J on the base, and both verdicts are reported. Both
-    torsions, of J on the base and of the lift, are read as integers
-    (``structures._nijenhuis_ints``); only a witness becomes Fractions.
+    with a sign; its torsion vanishes exactly when the derivation (the slot
+    action in ``ext``) commutes with J on the base, and both verdicts are
+    reported. Both torsions, of J on the base and of the lift, are read as
+    integers (``structures._nijenhuis_ints``); only a witness is Fractions.
     """
     if ext.central_index is None or ext.derivation_index is None:
         raise PreconditionError("expected the result of a double extension")
@@ -305,20 +308,6 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix, d: Matrix | None =
             "the extension cocycle is degenerate on the base",
         )
     )
-    slot_action = tuple(
-        tuple(child.c[si][j2_][k] for j2_ in range(n + 1)) for k in range(n + 1)
-    )
-    if d is None:
-        d = slot_action
-    if not is_square(d, n + 1):
-        raise DimensionMismatch("derivation must act on the central extension")
-    pre.append(
-        passed(
-            "derivation_matches_slot",
-            d == slot_action,
-            "supplied map differs from the adjoined slot action",
-        )
-    )
     require("double extension does not satisfy the base hypotheses", CheckReport(tuple(pre)))
 
     jbar_cols = [embed_vector(column(j, k), child.dim) for k in range(n)]
@@ -326,6 +315,7 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix, d: Matrix | None =
     s_img = vec_scale(-ONE, child.basis_vector(zi))
     jbar = transpose(jbar_cols + [z_img, s_img])
 
+    d = tuple(tuple(child.c[si][x][k] for x in range(n + 1)) for k in range(n + 1))  # the slot action
     torsion, dt = _nijenhuis_ints(child, *_int_matrix(jbar))
     tw = next((pair for pair, v in torsion.items() if any(v)), None)
     cw = _first_mismatch(
@@ -684,22 +674,24 @@ def contact_ideal_restriction(
         rest = vec_sub(v, vec_scale(lam, xp))
         return lam, tuple(rest[i] for i in keep)
 
-    # ideal test in the adapted basis {x_P} + kept vectors: every bracket
-    # with a kept vector must have no x_P component
-    for v, name in [(xp, "x_P")] + [(g.basis_vector(a), g.labels[a]) for a in keep]:
-        for b in keep:
-            lam, _ = split(bracket(g, v, g.basis_vector(b)))
-            if lam != 0:
-                raise refusal(
-                    "complement of the principal element is not an ideal",
-                    "ideal_closed",
-                    f"[{name},{g.labels[b]}] leaves the complement",
-                )
+    def in_ideal(name: str, b: int, v: Vector) -> Vector:  # the kept coordinates of v = [name, e_b]
+        lam, rest = split(v)
+        if lam != 0:
+            raise refusal(
+                "complement of the principal element is not an ideal",
+                "ideal_closed",
+                f"[{name},{g.labels[b]}] leaves the complement",
+            )
+        return rest
+
+    # ideal test in the adapted basis {x_P} + kept vectors, one bracket per pair: [x_P, e_b] is a column
+    # of ad(x_P) on the ideal and [e_a, e_b], a < b, a bracket of h ([e_b, e_a] is its negative)
     m = g.dim - 1
+    ad_xp_mat = transpose([in_ideal("x_P", b, bracket(g, xp, g.basis_vector(b))) for b in keep])
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for ia in range(m):
+    for ia, a in enumerate(keep):
         for ib in range(ia + 1, m):
-            _, rest = split(g.c[keep[ia]][keep[ib]])
+            rest = in_ideal(g.labels[a], keep[ib], g.c[a][keep[ib]])
             entries = {kk: c for kk, c in enumerate(rest) if c != 0}
             if entries:
                 brackets[(ia, ib)] = entries
@@ -742,10 +734,6 @@ def contact_ideal_restriction(
             crit_reeb,
             "[ad(xi), Phi] != 0 on the ideal",
         )
-    )
-    ad_xp_mat = tuple(
-        tuple(split(bracket(g, xp, to_g(h.basis_vector(jj))))[1][ii] for jj in range(m))
-        for ii in range(m)
     )
     xp_hit = _first_mismatch(
         kernel_basis(h, alpha_h),

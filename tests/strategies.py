@@ -284,3 +284,93 @@ def derivation_inputs(draw):
     values = BIG_RATIONALS if kind == "large" else RATIONALS
     g = draw(antisymmetric_algebras(max_dim=2 if kind == "small" else 5, values=values))
     return g, tuple(draw(rational_vectors(g.dim, values)) for _ in range(g.dim))
+
+
+def _fixing(draw, n, pivot):
+    """(P, P^-1) for a random P that scales e_pivot and maps the other basis vectors among themselves."""
+    q = random_invertible(random.Random(draw(SEEDS)), n - 1)
+    rest = [i for i in range(n) if i != pivot]
+    p = [[Fraction(0)] * n for _ in range(n)]
+    p[pivot][pivot] = draw(RATIONALS.filter(bool))
+    for a, i in enumerate(rest):
+        for b, j in enumerate(rest):
+            p[i][j] = q[a][b]
+    p = tuple(map(tuple, p))
+    return p, mat_inverse(p)
+
+
+def _moved(draw, n, pivot):
+    """_fixing, or a random basis: (P, P^-1)."""
+    if draw(st.booleans()):
+        return _fixing(draw, n, pivot)
+    p = random_invertible(random.Random(draw(SEEDS)), n)
+    return p, mat_inverse(p)
+
+
+R2R2 = lf.LieAlgebra.from_brackets(4, {(0, 1): {1: 1}, (2, 3): {3: 1}})
+
+
+def _frobenius_kahler(draw):
+    """(algebra, Frobenius form, J, pivot of the principal element) of d4half, whose restriction to
+    the contact ideal is Sasakian, or of aff(R) + aff(R), whose J moves the contact ideal."""
+    if draw(st.booleans()):
+        d4 = lf.builtin("d4half")
+        return d4.algebra, d4.frobenius_form, d4.kahler_data[0], 3
+    j = lf.matrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    return R2R2, KForm.one_form(4, [0, 1, 0, 1]), j, 0
+
+
+@st.composite
+def frobenius_kahler_inputs(draw):
+    """(g, f, k) from check_frobenius and check_kahler: a _frobenius_kahler pair in a basis that keeps
+    the complement of the principal element's pivot (it stays an ideal), or in any random basis (the
+    complement is mostly not an ideal)."""
+    g, phi, j, pivot = _frobenius_kahler(draw)
+    p, pinv = _moved(draw, g.dim, pivot)
+    g = conjugate_algebra(g, p, pinv)
+    f = lf.check_frobenius(g, conjugate_one_form(phi, p))[1]
+    k = lf.check_kahler(g, conjugate_map(j, p, pinv), f.kirillov)[1]
+    assert k is not None
+    return g, f, k
+
+
+@st.composite
+def frobenius_inputs(draw):
+    """(g, phi) for check_frobenius: a _frobenius_kahler form in a random basis, exact or with a few
+    entries perturbed; a rational 1-form on a random algebra (Lie or not, odd or even dimension);
+    a closed 1-form (zero Kirillov form) or the zero form."""
+    kind = draw(st.sampled_from(["frobenius", "random", "closed", "zero"]))
+    if kind == "frobenius":
+        g, phi, _, pivot = _frobenius_kahler(draw)
+        p, pinv = _moved(draw, g.dim, pivot)
+        g, phi = conjugate_algebra(g, p, pinv), conjugate_one_form(phi, p)
+        return g, KForm.one_form(g.dim, draw(perturbed([phi.coeff((i,)) for i in range(g.dim)])))
+    g = draw(lie_or_not())
+    if kind == "closed":
+        return g, draw(closed_one_forms(g))
+    if kind == "zero":
+        return g, KForm.one_form(g.dim, [0] * g.dim)
+    return g, KForm.one_form(g.dim, draw(rational_vectors(g.dim)))
+
+
+@st.composite
+def sasakian_reduction_inputs(draw):
+    """(g, s) for sasakian_reduction: the Sasakian structure of a conjugated h_{2m+1} or of g5 (center
+    spanned by the Reeb vector) or of g0 (center 0) in a random basis, bound by check_sasakian or
+    built by hand; or the data of sasakian_inputs built by hand (mostly failing the axioms)."""
+    kind = draw(st.sampled_from(["heisenberg", "g5", "g0", "broken"]))
+    if kind == "broken":
+        g, reeb, alpha, phi = draw(sasakian_inputs())
+    elif kind == "heisenberg":
+        g, reeb, alpha, phi = conjugated_heisenberg_sasakian(draw(st.integers(1, 3)), draw(SEEDS))
+    else:
+        b = lf.builtin(kind)
+        (reeb, alpha, phi), n = b.sasakian_data, b.algebra.dim
+        p = random_invertible(random.Random(draw(SEEDS)), n)
+        pinv = mat_inverse(p)
+        g = conjugate_algebra(b.algebra, p, pinv)
+        reeb, alpha, phi = mat_vec(pinv, reeb), conjugate_one_form(alpha, p), conjugate_map(phi, p, pinv)
+    bound = lf.check_sasakian(g, reeb, alpha, phi)[1]
+    if bound is not None and draw(st.booleans()):
+        return g, bound
+    return g, lf.SasakianStructure(reeb, alpha, phi, identity(g.dim))

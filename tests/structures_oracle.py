@@ -1,8 +1,8 @@
 """Reference oracle for the contact, Kahler and Sasakian checks: plain Fraction versions.
 
 These are the straightforward Fraction-arithmetic kirillov_form,
-top_contact_test, check_contact, kahler_metric, check_kahler,
-sasakian_metric and check_sasakian that the integer paths in
+top_contact_test, check_contact, check_frobenius, kahler_metric,
+check_kahler, sasakian_metric and check_sasakian that the integer paths in
 lieforge.structures and lieforge.forms replaced:
 d(alpha) comes from the general-degree ``ce_differential`` each time it is
 needed, the matrix identities run through ``mat_mul`` and the torsion
@@ -13,6 +13,11 @@ return exactly the same reports, witnesses, notes and structures.
 nijenhuis_ints is the plain integer loop over the cached D*c that the packed
 torsion kernel (structures._nijenhuis_ints) replaced, O(n^4) multiply-adds
 with the same output.
+
+check_frobenius eliminates the Kirillov system twice, for the radical and
+then for the principal element, where lieforge.structures reads both from
+one elimination; check_contact solves the Reeb system and tests its
+uniqueness, which lieforge.structures reads off the bordered Pfaffian.
 
 Three single items keep the paths that the packed and certified ones
 replaced: is_cocycle reads d(theta) from the Fraction ``ce_differential``;
@@ -56,6 +61,7 @@ from lieforge.linalg import (
 from lieforge.report import CheckItem, CheckReport, DimensionMismatch, fail, ok, passed
 from lieforge.structures import (
     ContactStructure,
+    FrobeniusStructure,
     KahlerStructure,
     SasakianStructure,
     _bind,
@@ -146,6 +152,25 @@ def check_contact(g: LieAlgebra, alpha: KForm) -> tuple[CheckReport, ContactStru
     if not report.overall:
         return report, None
     return report, ContactStructure(alpha, reeb)
+
+
+def check_frobenius(g: LieAlgebra, phi: KForm) -> tuple[CheckReport, FrobeniusStructure | None]:
+    """Two eliminations of the Kirillov system: the radical as a nullspace, then, once it is 0,
+    the principal element as the unique solution of B_phi(x, y) = phi(y) for all y."""
+    items = [passed("even_dimension", g.dim % 2 == 0, f"dim = {g.dim}")]
+    b = kirillov_form(g, phi)
+    rad = radical(g, b)
+    witness = fmt_vector(rad.rows[0], g.labels) if rad.rows else "everything"
+    items.append(passed("kirillov_nondegenerate", rad.dim == 0, f"radical contains {witness}"))
+    report = CheckReport(tuple(items))
+    if not report.overall:
+        return report, None
+    m = b.as_matrix()
+    rows = [tuple(m[i][j] for i in range(g.dim)) for j in range(g.dim)]
+    x_p, homogeneous = solve_affine(rows, one_form_coords(phi))
+    assert x_p is not None and not homogeneous
+    report = report.with_notes(("principal_element", fmt_vector(x_p, g.labels)), ("kirillov_form", b.describe(g.labels)))
+    return report, _bind(FrobeniusStructure(phi, x_p), g, kirillov=b)
 
 
 def is_cocycle(g: LieAlgebra, theta: KForm) -> CheckReport:

@@ -97,6 +97,13 @@ def test_center_examples():
     assert center(LieAlgebra.abelian(4)) == Subspace.full(4)
 
 
+@pytest.mark.parametrize("length", [2, 4])
+def test_subspace_contains_rejects_misshapen_vectors(length):
+    for space in [Subspace.from_vectors(3, (H3.basis_vector(0),)), Subspace.from_vectors(3, ()), Subspace.full(3)]:
+        with pytest.raises(DimensionMismatch, match=f"vector of length {length} in a space of dimension 3"):
+            space.contains((Fraction(1),) + (Fraction(0),) * (length - 1))
+
+
 def center_oracle(g):
     """The center as the nullspace of all n^2 Fraction rows (j, k) -> [c_ijk]_i, zero rows included."""
     n = g.dim

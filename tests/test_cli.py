@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -537,6 +538,101 @@ def test_construct_checks_each_structure_once(argv, expected, monkeypatch):
     out, code = invoke(*argv)
     assert code == 0, out
     assert dict(counts) == expected
+
+
+# linalg._eliminate calls of each corpus command in text mode. Each matrix is eliminated once:
+# check_frobenius reads the radical and the principal element off one Kirillov elimination,
+# check_contact certifies that its Reeb vector is unique by the bordered Pfaffian, and
+# sasakian_reduction tests the center and reads coordinates against reduced bases. 37 in all.
+ELIMINATIONS = {
+    "check jacobi --builtin h3": 0,
+    "check cocycle --builtin h3 --two-form e1^e2": 0,
+    "check derivation --builtin h3 --map diag:1/2,1/2,1": 0,
+    "check contact --builtin h3 --form e3": 1,
+    "check frobenius --builtin d4half": 1,
+    "check kahler --builtin d4half": 1,
+    "check sasakian --builtin h3": 1,
+    "extend central --builtin h3 --two-form 0": 0,
+    "extend derivation --builtin h3 --map diag:1/2,1/2,1": 0,
+    "extend double --builtin h3 --two-form 0 --map diag:1/2,1/2,1,1": 0,
+    "extend double --builtin h3 --two-form 0 --map diag:0,0,0 --dz 0,0,0:1": 0,
+    "extend reversed --builtin h3 --form e3 --map diag:1/2,1/2,1": 1,
+    "construct fk-to-sasakian --builtin d4half --map E": 3,
+    "construct sasakian-to-fk --builtin h3 --map diag:1/2,1/2,1": 4,
+    "construct kahler-to-sasakian --builtin d4half": 2,
+    "construct sasakian-reduction --builtin g5": 4,
+    "construct sasakian-double --builtin h3 --two-form 0 --map diag:0,0,0,1": 3,
+    "construct contact-ideal --builtin d4half": 5,
+    "solve derivations --builtin h3": 1,
+    "solve derivations --builtin h3 --fix alpha∘D=alpha:e3": 2,
+    "solve reeb --builtin h3 --form e3": 1,
+    "solve principal --builtin d4half --form e3": 1,
+    "builtin h3": 2,
+    "builtin g0": 2,
+    "builtin g5": 2,
+}
+
+
+def test_corpus_elimination_budget(monkeypatch):
+    import lieforge.linalg
+
+    calls = []
+    original = lieforge.linalg._eliminate
+    monkeypatch.setattr(lieforge.linalg, "_eliminate", lambda *args, **kw: calls.append(1) or original(*args, **kw))
+    counts = {}
+    for entry in json.loads(CORPUS.read_text(encoding="utf-8"))["commands"]:
+        calls.clear()
+        run(entry["argv"])
+        counts[" ".join(entry["argv"])] = len(calls)
+    assert counts == ELIMINATIONS
+
+
+def test_contact_ideal_brackets_each_pair_once(monkeypatch):
+    # [x_P, e_b] for the 3 kept vectors, then ad(xi) on the 3-dimensional ideal
+    import lieforge.algebra
+
+    calls = []
+    original = lieforge.algebra.bracket
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lieforge") and getattr(module, "bracket", None) is original:
+            monkeypatch.setattr(module, "bracket", lambda *args: calls.append(1) or original(*args))
+    assert invoke("construct", "contact-ideal", "--builtin", "d4half")[1] == 0
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize(
+    "argv, default",
+    [
+        # the restriction is h3 with alpha = e3*, which check contact prints as 1 under paper
+        (["construct", "contact-ideal", "--builtin", "d4half"], "-1"),
+        # the child has dimension 7, its base 5
+        (["construct", "sasakian-double", "--builtin", "g5", "--two-form", "0", "--map", "diag:0,0,0,0,0,1"], "-6"),
+    ],
+    ids=["contact-ideal", "sasakian-double-g5"],
+)
+def test_wedge_convention_flips_construct_evaluations(argv, default):
+    out, code = invoke(*argv)
+    assert code == 0 and f"note top_coefficient = {default}" in out
+    flipped = default[1:] if default.startswith("-") else f"-{default}"
+    out, code = invoke("--wedge-convention", "paper", *argv)
+    assert code == 0 and f"note top_coefficient = {flipped}" in out
+    assert "note top_coefficient = 1\n" in invoke("--wedge-convention", "paper", "check", "contact", "--builtin", "h3", "--form", "e3")[0]
+
+
+@pytest.mark.parametrize(
+    "fixes, culprit",
+    [
+        (["sends:e1->e2", "sends:e1->e3"], "sends:e1->e3"),
+        (["sends:e1->e2", "sends:e2->e2", "sends:e1->e3"], "sends:e1->e3"),
+        (["sends:e3->e1", "sends:e1->e2"], "sends:e3->e1"),
+        (["sends:e1->e2", "sends:e3->e1", "sends:e1->e3"], "sends:e3->e1"),
+    ],
+)
+def test_inconsistent_fix_names_the_first_culprit(fixes, culprit):
+    argv = ["solve", "derivations", "--builtin", "h3"] + [a for spec in fixes for a in ("--fix", spec)]
+    out, code = invoke(*argv)
+    assert code == 1
+    assert f"item fail solution_exists | empty: inconsistent at constraint {culprit!r}\n" in out
 
 
 FUZZ_FILES = {

@@ -19,6 +19,7 @@ from lieforge import (
 from lieforge.algebra import Subspace
 from lieforge.derivations import Commute
 from lieforge.linalg import diagonal, identity, matrix, slot_width, vector
+from lieforge.report import DimensionMismatch
 
 from strategies import (
     RATIONALS,
@@ -57,6 +58,16 @@ def test_derivation_space_h3_has_dimension_six():
     assert len(basis) == 6
     for m in basis:
         assert is_derivation(H3, m).overall
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_map_in_family_rejects_misshapen_maps(size):
+    particular, basis = derivation_space(H3, [Leibniz()])
+    for args in [(identity(size), particular, basis), (particular, identity(size), basis)]:
+        with pytest.raises(DimensionMismatch, match="map does not match algebra dimension"):
+            map_in_family(H3, *args)
+    with pytest.raises(DimensionMismatch):
+        map_in_family(H3, particular, particular, basis + (identity(size),))
 
 
 def test_derivation_space_abelian_r2_is_everything():

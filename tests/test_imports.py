@@ -152,3 +152,27 @@ def test_unknown_name_raises_attribute_error_naming_it():
 def test_submodule_resolves_after_a_bare_import():
     got = loaded_by("import lieforge\nassert lieforge.linalg.det(((1, 2), (3, 4))) == -2")
     assert got == {"lieforge", "lieforge.linalg", "lieforge.report"}
+
+
+# --- no dead imports -----------------------------------------------------------
+
+
+def test_every_imported_name_is_used():
+    """Each name a module binds by ``import`` or ``from ... import`` is read somewhere in that
+    module, as a plain name, the root of an attribute or inside a quoted annotation."""
+    import ast
+
+    unused = []
+    for path in sorted((SRC / "lieforge").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+                used.add(node.value)
+        unused += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
+    assert unused == []

@@ -13,7 +13,6 @@ from lieforge.forms import KForm
 from lieforge.linalg import (
     det,
     fmt_vector,
-    in_span,
     mat_mul,
     mat_vec,
     matrix,
@@ -31,7 +30,7 @@ from lieforge.linalg import (
     vector,
 )
 
-from conftest import conjugate_algebra, conjugate_one_form, mat_inverse, random_matrix
+from conftest import conjugate_algebra, conjugate_one_form, mat_inverse, random_invertible, random_matrix
 from strategies import conjugated_heisenberg_sasakian
 
 
@@ -98,7 +97,7 @@ def test_solutions_satisfy_system():
         # rank-nullity
         red, pivots = rref(rows)
         assert len(pivots) + len(null) == n
-        assert in_span(null + (part,), x) or part == x or in_span(null, tuple(a - b for a, b in zip(x, part)))
+        assert oracle.in_span(null + (part,), x) or part == x or oracle.in_span(null, tuple(a - b for a, b in zip(x, part)))
 
 
 def test_nullspace_of_random_matrix_annihilates():
@@ -264,7 +263,8 @@ def test_solvers_match_oracle(data):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_in_span_matches_oracle(data):
+def test_subspace_contains_matches_in_span_oracle(data):
+    # Subspace.contains reduces v against the reduced rows; the oracle solves for coefficients
     rows = data.draw(matrices())
     ncols = len(rows[0]) if rows else data.draw(st.integers(0, 4))
     if rows and data.draw(st.booleans()):
@@ -272,7 +272,10 @@ def test_in_span_matches_oracle(data):
         v = tuple(sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0)) for j in range(ncols))
     else:
         v = tuple(data.draw(ENTRIES) for _ in range(ncols))
-    assert in_span(rows, v) == oracle.in_span(rows, v)
+    if rows and data.draw(st.booleans()):  # the same span in a random basis
+        p = random_invertible(random.Random(data.draw(st.integers(0, 10**6))), len(rows))
+        rows = mat_mul(p, rows)
+    assert lf.Subspace.from_vectors(ncols, rows).contains(v) == oracle.in_span(rows, v)
 
 
 @settings(max_examples=200, deadline=None)

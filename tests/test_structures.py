@@ -34,6 +34,7 @@ from strategies import (
     conjugated_d4half_kahler,
     conjugated_heisenberg_sasakian,
     contact_inputs,
+    frobenius_inputs,
     kahler_inputs,
     large_kahler_inputs,
     large_sasakian_inputs,
@@ -301,6 +302,21 @@ def test_contact_matches_oracle(case):
     assert_same_result(check_contact(g, alpha), structures_oracle.check_contact(g, alpha))
     assert kirillov_form(g, alpha) == structures_oracle.kirillov_form(g, alpha)
     assert top_contact_test(g, alpha) == structures_oracle.top_contact_test(g, alpha)
+
+
+@settings(max_examples=150, deadline=None)
+@given(frobenius_inputs())
+def test_frobenius_matches_oracle(case):
+    # one elimination of the Kirillov system gives the radical and the principal element
+    g, phi = case
+    got, want = check_frobenius(g, phi), structures_oracle.check_frobenius(g, phi)
+    assert_same_result(got, want)
+    if want[1] is None:
+        with pytest.raises(PreconditionError):
+            principal_element(g, phi)
+    else:
+        assert got[1].kirillov == want[1].kirillov
+        assert principal_element(g, phi) == want[1].principal
 
 
 @settings(max_examples=150, deadline=None)

@@ -179,7 +179,7 @@ def _r2r2_restriction():
 def _plane_double_extension_report():
     d = diagonal([1, -1, 0])
     ext = double_extension(LieAlgebra.abelian(2), KForm.two_form(2, {(0, 1): 1}), d)
-    return extend_complex_structure(ext, matrix([[0, -1], [1, 0]]), d)
+    return extend_complex_structure(ext, matrix([[0, -1], [1, 0]]))
 
 
 # name -> (call returning a report, failing item)
