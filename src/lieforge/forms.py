@@ -12,8 +12,9 @@ exposes that factor for display purposes only.
 
 The contact test never expands a wedge power: in dimension 2n+1 the top
 coefficient of alpha ^ (d alpha)^n is n! times the Pfaffian of the bordered
-skew matrix [[0, alpha], [-alpha^T, d alpha]], an O(n^3) elimination.
-``wedge`` and ``wedge_power`` stay public and are the tests' oracle for it.
+skew matrix [[0, alpha], [-alpha^T, d alpha]], read off the sub-Pfaffians
+of d(alpha) (``linalg.sub_pfaffians``, O(n^3)), which also give the Reeb
+vector. ``wedge`` and ``wedge_power`` stay public and are its test oracle.
 
 d(alpha) of a 1-form is built once per check, as an integer skew matrix
 over one denominator (``_dalpha``), and d(theta) of a 2-form comes from the
@@ -39,9 +40,10 @@ from .linalg import (
     det,
     nullspace,
     pack,
-    pfaffian,
     scalar,
     slot_width,
+    sub_pfaffians,
+    vector_over,
 )
 from .report import DimensionMismatch
 
@@ -322,13 +324,19 @@ def top_contact_test(g: LieAlgebra, alpha: KForm) -> TopContactResult:
     if g.dim % 2 == 0:
         return TopContactResult(False, None, f"dimension {g.dim} is even")
     coords = tuple(alpha.coeff((i,)) for i in range(g.dim))
-    return _top_contact(coords, *_dalpha(g, coords))
+    return _top_contact(coords, *_dalpha(g, coords))[0]
 
 
-def _top_contact(coords: Vector, da: list[list[int]], den: int) -> TopContactResult:
-    """The contact test of odd dimension on d(alpha) = da/den from ``_dalpha``."""
-    border = [int(x * den) for x in coords]
-    bordered = [[0] + border] + [[-x] + row for x, row in zip(border, da)]
-    n = len(coords) // 2
-    coeff = factorial(n) * pfaffian(bordered) / den ** (n + 1)
-    return TopContactResult(coeff != 0, coeff, None if coeff != 0 else "top coefficient is 0")
+def _top_contact(coords: Vector, da: list[list[int]], den: int) -> tuple[TopContactResult, Vector | None]:
+    """The contact test of odd dimension 2n+1 on d(alpha) = da/den, and the Reeb vector if it passes.
+
+    With w = sub_pfaffians(da) and b = den*alpha, Pf([[0, b], [-b^T, da]]) = w . b, so the top
+    coefficient is n! (w . b) / den^(n+1). If it is nonzero, da w = 0 and alpha(w) = (w . b)/den
+    != 0, so xi = w/alpha(w) solves the Reeb system d(alpha)(xi, .) = 0, alpha(xi) = 1.
+    """
+    w = sub_pfaffians(da)
+    wb = sum(x * int(y * den) for x, y in zip(w, coords))
+    coeff = Fraction(factorial(len(coords) // 2) * wb, den ** (len(coords) // 2 + 1))
+    if not wb:
+        return TopContactResult(False, coeff, "top coefficient is 0"), None
+    return TopContactResult(True, coeff), vector_over([x * den for x in w], wb)

@@ -33,15 +33,15 @@ derivations, the centers of dimension 8 and up), on part of its rows
 Once the check passes, the kept rows span the row space of all rows, and
 the reduced rows, the canonical basis and the canonical particular solution
 (or the verdict that there is none) are those of the whole system. Square,
-near-square and narrow systems, such as the Reeb system (n+1 rows, n
-unknowns) and the radical (n x n), are eliminated whole: there the
-selection saves no more than it costs.
+near-square and narrow systems, such as a radical (n x n), are eliminated
+whole: there the selection saves no more than it costs.
 
 pack, unpack and slot_width hold an integer vector in one Python int, one
 signed slot per coordinate (Kronecker substitution), so that a linear
 combination of many vectors is a few big-int multiply-adds. The structure
 constant kernels in algebra and structures size the slots from a bound they
-compute from their own inputs.
+compute from their own inputs; so does sub_pfaffians, the fraction-free skew
+elimination that pfaffian and the contact and Frobenius checks read off.
 """
 
 from __future__ import annotations
@@ -447,39 +447,54 @@ def det(m: Matrix) -> Fraction:
 
 
 def pfaffian(m: Matrix) -> Fraction:
-    """Pfaffian of an even-sized skew-symmetric matrix, by fraction-free skew elimination.
-
-    Only the strict upper triangle is read. After the denominators are
-    cleared, step k replaces every entry (i, j) of the trailing block by the
-    Pfaffian of the principal submatrix on indices 0..2k+1, i, j; Knuth's
-    overlapping-Pfaffian identity makes the division by the previous pivot
-    exact. A zero pivot is replaced by a symmetric exchange of two trailing
-    indices, which flips the sign; a trailing row of zeros makes the
-    Pfaffian 0. The last pivot is the Pfaffian of the whole matrix.
-    """
+    """Pfaffian of an even-sized skew-symmetric matrix, of which only the strict upper triangle
+    is read: with the denominators cleared, m = [[0, r], [-r^T, m']] and Pf(m) = sub_pfaffians(m') . r."""
     size = len(m)
     if size % 2:
         raise ValueError("the Pfaffian needs an even-sized matrix")
+    if not size:
+        return ONE
     flat, d = clear_denominators([m[i][j] if i < j else -m[j][i] for i in range(size) for j in range(size)])
-    a = [flat[i * size : (i + 1) * size] for i in range(size)]
-    sign, prev, p = 1, 1, 1
-    for k in range(0, size, 2):
-        j = next((j for j in range(k + 1, size) if a[k][j]), None)
-        if j is None:
-            return ZERO
-        if j != k + 1:
-            a[k + 1], a[j] = a[j], a[k + 1]
-            for row in a:
-                row[k + 1], row[j] = row[j], row[k + 1]
-            sign = -sign
+    w = sub_pfaffians([flat[i * size + 1 : (i + 1) * size] for i in range(1, size)])
+    return Fraction(sum(x * y for x, y in zip(w, flat[1:size])), d ** (size // 2))
+
+
+def sub_pfaffians(a: Sequence[Sequence[int]]) -> list[int]:
+    """The w with Pf([[0, u], [-u^T, a]]) = w . u for every u, for a an odd-sized integer skew
+    matrix: w_j = (-1)^j Pf(a without row and column j), and a w = 0.
+
+    Knuth's overlapping-Pfaffian elimination of [[a, u], [-u^T, 0]], which has the same Pfaffian,
+    with each border entry a packed integer vector in u: step k moves a pair i < j with a_ij != 0
+    to k, k+1 by symmetric exchanges (each flips the sign) and replaces each trailing entry (i, j),
+    border included, by the Pfaffian on 0..k+1, i, j, dividing exactly by the previous pivot. The
+    last border entry is the whole Pfaffian; a zero trailing block before that makes w = 0.
+    """
+    n = len(a)
+    # Hadamard: Pf(a')^4 = det(a')^2 < 2^bits for a' a principal submatrix, so |w_j| < 2^(width - 1)
+    bits = sum(max(1, sum(x * x for x in row)).bit_length() for row in a)
+    width = bits // 4 + 2
+    a = [list(row) for row in a]
+    border = [1 << (width * i) for i in range(n)]
+    sign, prev = 1, 1
+    for k in range(0, n - 1, 2):
+        pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None)
+        if pair is None:
+            return [0] * n
+        for i, j in zip(pair, (k, k + 1)):
+            if i != j:
+                a[i], a[j], border[i], border[j] = a[j], a[i], border[j], border[i]
+                for row in a:
+                    row[i], row[j] = row[j], row[i]
+                sign = -sign
         p, top, nxt = a[k][k + 1], a[k], a[k + 1]
-        for i in range(k + 2, size):
-            row = a[i]
-            for j in range(i + 1, size):
-                row[j] = (p * row[j] - top[i] * nxt[j] + top[j] * nxt[i]) // prev
+        for i in range(k + 2, n):
+            row, ti, ni = a[i], top[i], nxt[i]
+            for j in range(i + 1, n):
+                row[j] = (p * row[j] - ti * nxt[j] + top[j] * ni) // prev
                 a[j][i] = -row[j]
+            border[i] = (p * border[i] - ti * border[k + 1] + border[k] * ni) // prev
         prev = p
-    return Fraction(sign * p, d ** (size // 2))
+    return unpack(sign * border[n - 1], n, width)
 
 
 def positive_definite(m: Matrix) -> tuple[bool, int | None]:

@@ -12,10 +12,9 @@ products cross-multiplied by their denominators; ``check_kahler`` tests J^2,
 omega(J., J.), d(omega) (``forms._d_two_form``) and the metric on the
 integer matrices of J and omega the same way. Fractions are made only for
 the results, the notes and the witness of an item that fails. The contact
-check eliminates only the Reeb system: the bordered Pfaffian it has already
-computed certifies that the Reeb vector is unique and spans the radical (see
-``check_contact``). ``check_frobenius`` reads the radical and the principal
-element off one elimination of the Kirillov system.
+check and a passing Frobenius check read the Reeb vector, its certificate
+and the principal element off one skew elimination (``linalg.sub_pfaffians``,
+see ``check_contact`` and ``_principal``), with no Gauss-Jordan solve.
 
 Both read the Nijenhuis torsion as integers, not through the public
 ``nijenhuis``, which builds a Fraction table. ``_packed_torsion`` packs each
@@ -58,10 +57,11 @@ from .linalg import (
     fmt_vector,
     is_square,
     is_zero_vector,
+    nullspace,
     pack,
     positive_definite,
     slot_width,
-    solve_affine,
+    sub_pfaffians,
     transpose,
     unpack,
     vector_over,
@@ -143,60 +143,71 @@ def _int_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def kirillov_form(g: LieAlgebra, phi: KForm) -> KForm:
-    """B_phi(x, y) = phi([x, y]); equals -d(phi)."""
+def _kirillov(g: LieAlgebra, phi: KForm) -> tuple[Vector, list[list[int]], int, KForm]:
+    """(coords, da, den, B): phi's coordinates, d(phi) = da/den (``_dalpha``) and B_phi = -d(phi)."""
     if phi.degree != 1 or phi.dim != g.dim:
         raise DimensionMismatch("expected a 1-form on the algebra")
-    da, den = _dalpha(g, one_form_coords(phi))
-    n = g.dim
-    return KForm.from_coeffs(n, 2, {(i, j): Fraction(-da[i][j], den) for i in range(n) for j in range(i + 1, n)})
+    coords = one_form_coords(phi)
+    da, den = _dalpha(g, coords)
+    coeffs = {(i, j): Fraction(-x, den) for i, row in enumerate(da) for j, x in enumerate(row) if i < j}
+    return coords, da, den, KForm.from_coeffs(g.dim, 2, coeffs)
+
+
+def kirillov_form(g: LieAlgebra, phi: KForm) -> KForm:
+    """B_phi(x, y) = phi([x, y]); equals -d(phi)."""
+    return _kirillov(g, phi)[3]
 
 
 def principal_element(g: LieAlgebra, phi: KForm) -> Vector:
     """The unique x with phi(ad(x) y) = phi(y) for all y."""
-    x_p, rad = _principal(kirillov_form(g, phi), phi)
-    if x_p is None or rad:
+    x_p = _principal(*_kirillov(g, phi)[:3])
+    if x_p is None:
         raise PreconditionError("principal element needs a nondegenerate Kirillov form")
     return x_p
 
 
-def _principal(b: KForm, phi: KForm) -> tuple[Vector | None, tuple[Vector, ...]]:
-    """(x, radical) from one elimination of the Kirillov system B_phi(x, y) = phi(y) for all y:
-    its canonical solution or None, and its kernel, the canonical basis of the radical of b."""
-    m = b.as_matrix()
-    rows = [tuple(m[i][j] for i in range(b.dim)) for j in range(b.dim)]
-    return solve_affine(rows, one_form_coords(phi))
+def _principal(coords: Vector, da: list[list[int]], den: int) -> Vector | None:
+    """The x with B_phi(x, y) = phi(y) for all y, B_phi = -da/den, or None where B_phi is degenerate.
+
+    In even dimension n, with b = den*phi, A = [[-da, b], [-b^T, 0]] has sub-Pfaffians w with
+    A w = 0 and w_n = Pf(-da), nonzero exactly when B_phi is nondegenerate; then
+    -da w_<n = -b w_n, so x = w_<n / w_n. In odd dimension B_phi is always degenerate.
+    """
+    n = len(coords)
+    if n % 2:
+        return None
+    b = [int(x * den) for x in coords]
+    w = sub_pfaffians([[-x for x in row] + [y] for row, y in zip(da, b)] + [[-y for y in b] + [0]])
+    return vector_over(w[:n], w[n]) if w[n] else None
 
 
 def check_frobenius(g: LieAlgebra, phi: KForm) -> tuple[CheckReport, FrobeniusStructure | None]:
     """Even dimension and nondegenerate Kirillov form; computes the principal element."""
-    b = kirillov_form(g, phi)
-    x_p, rad = _principal(b, phi)
-    witness = fmt_vector(rad[0], g.labels) if rad else "everything"
+    coords, da, den, b = _kirillov(g, phi)
+    x_p = _principal(coords, da, den)
+    witness = "" if x_p is not None else f"radical contains {fmt_vector(nullspace(da, g.dim)[0], g.labels)}"
     report = CheckReport(
         (
             passed("even_dimension", g.dim % 2 == 0, f"dim = {g.dim}"),
-            passed("kirillov_nondegenerate", not rad, f"radical contains {witness}"),
+            passed("kirillov_nondegenerate", x_p is not None, witness),
         )
     )
-    if rad:  # an odd dimension leaves a radical, so this is every failing report
+    if x_p is None:  # an odd dimension leaves a radical, so this is every failing report
         return report, None
     notes = (("principal_element", fmt_vector(x_p, g.labels)), ("kirillov_form", b.describe(g.labels)))
     return report.with_notes(*notes), _bind(FrobeniusStructure(phi, x_p), g, kirillov=b)
 
 
 def check_contact(g: LieAlgebra, alpha: KForm) -> tuple[CheckReport, ContactStructure | None]:
-    """Odd dimension, alpha ^ (d alpha)^n nonzero, unique Reeb vector.
+    """Odd dimension 2n+1, alpha ^ (d alpha)^n nonzero, unique Reeb vector.
 
-    The uniqueness of the Reeb vector and the radical of d(alpha) are not
-    computed: the nonzero Pfaffian of the top-form test certifies both. That
-    Pfaffian makes the bordered matrix B = [[0, alpha], [-alpha^T, d(alpha)]]
-    of size n+1 invertible, and deleting one row and one column of B leaves
-    d(alpha), so rank d(alpha) >= n-1; a skew-symmetric matrix of odd size n
-    has even rank, at most n-1. A v != 0 in the kernel of d(alpha) has
-    alpha(v) != 0, else B (0, v) = 0. So the Reeb system d(alpha) xi = 0,
-    alpha(xi) = 1 has exactly one solution, and ``reeb_unique`` passes; xi
-    spans the kernel of d(alpha), and ``radical_spanned_by_reeb`` passes.
+    Nothing is eliminated. The top-form test reads the bordered Pfaffian off
+    the signed sub-Pfaffians w of d(alpha), with d(alpha) w = 0
+    (``forms._top_contact``). When it is nonzero, some entry of w, a
+    sub-Pfaffian of size 2n, is nonzero, so d(alpha) has rank 2n and its
+    kernel is the line of w, on which alpha(w) != 0. So xi = w/alpha(w) is
+    the one solution of d(alpha) xi = 0, alpha(xi) = 1 (``reeb_unique``) and
+    spans the kernel of d(alpha) (``radical_spanned_by_reeb``).
     """
     if alpha.degree != 1 or alpha.dim != g.dim:
         raise DimensionMismatch("expected a 1-form on the algebra")
@@ -204,15 +215,11 @@ def check_contact(g: LieAlgebra, alpha: KForm) -> tuple[CheckReport, ContactStru
     if not items[0].passed:
         return CheckReport(tuple(items)), None
     coords = one_form_coords(alpha)
-    da, den = _dalpha(g, coords)
-    top = _top_contact(coords, da, den)
+    top, reeb = _top_contact(coords, *_dalpha(g, coords))
     items.append(passed("contact_top_form_nonzero", top.holds, top.reason or ""))
     if not top.holds:
         return CheckReport(tuple(items)), None
-    # d(alpha) is skew, so its rows span its columns: the Reeb system is
-    # d(alpha)(xi, .) = 0, alpha(xi) = 1 on those rows
-    reeb, _ = solve_affine(da + [coords], [0] * g.dim + [1])
-    items += [ok("reeb_unique"), ok("radical_spanned_by_reeb")]  # certified by the Pfaffian, see the docstring
+    items += [ok("reeb_unique"), ok("radical_spanned_by_reeb")]  # certified by w, see the docstring
     report = CheckReport(
         tuple(items),
         (

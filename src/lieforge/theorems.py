@@ -13,8 +13,8 @@ of one failing item that names the condition and its witness
 is its first failure in basis order (``_first_mismatch``,
 ``_first_nonzero_pair``).
 
-The reduction reads coordinates off the reduced basis of Ker(alpha) instead
-of solving for them; the contact-ideal restriction forms each bracket once.
+The reduction reads coordinates off the written-down basis of Ker(alpha)
+(``kernel_basis``); the contact-ideal restriction forms each bracket once.
 
 Where the source formulas admit two sign choices, the worked
 low-dimensional examples fix the sign (see the module tests for the
@@ -47,7 +47,6 @@ from .linalg import (
     is_zero_vector,
     mat_mul,
     mat_vec,
-    nullspace,
     transpose,
     vec_add,
     vec_scale,
@@ -89,8 +88,15 @@ def extend_map_by_zero(m: Matrix, dim: int) -> Matrix:
 
 
 def kernel_basis(g: LieAlgebra, alpha: KForm) -> tuple[Vector, ...]:
-    """Echelon basis of Ker(alpha) for a 1-form."""
-    return nullspace([one_form_coords(alpha)], g.dim)
+    """The canonical basis of Ker(alpha) that ``linalg.nullspace`` gives for the row a of alpha,
+    with no elimination: e_f - (a_f/a_l) e_l for f < l and e_f for f > l, in increasing f, with
+    l the last index where a_l != 0 (every e_f when alpha = 0)."""
+    a = one_form_coords(alpha)
+    l = max((f for f, x in enumerate(a) if x), default=-1)
+    basis = [list(g.basis_vector(f)) for f in range(g.dim) if f != l]
+    for f, v in zip(range(l), basis):  # the rows of f < l come first
+        v[l] = -a[f] / a[l]
+    return tuple(map(tuple, basis))
 
 
 def _verify_sasakian_input(g: LieAlgebra, s: SasakianStructure) -> None:

@@ -5,6 +5,11 @@ nullspace, solve_affine, solve_unique, in_span, det and positive_definite
 that the integer elimination kernel in lieforge.linalg replaced. They are
 slow but obviously correct; tests/test_linalg.py checks that the fast path
 returns exactly the same values.
+
+pfaffian is the fraction-free skew elimination that lieforge.linalg ran
+before its Pfaffian was read off sub_pfaffians: Knuth's overlapping-Pfaffian
+elimination of the whole matrix, with no border. The contact oracle in
+structures_oracle uses it, so it stays independent of sub_pfaffians.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from lieforge.linalg import ONE, ZERO, Matrix, Vector, identity, is_zero_vector, zero_vector
+from lieforge.linalg import ONE, ZERO, Matrix, Vector, clear_denominators, identity, is_zero_vector, zero_vector
 
 
 def rref(rows: Sequence[Vector]) -> tuple[Matrix, tuple[int, ...]]:
@@ -126,3 +131,39 @@ def positive_definite(m: Matrix) -> tuple[bool, int | None]:
             return False, k
     return True, None
 
+
+
+def pfaffian(m: Matrix) -> Fraction:
+    """Pfaffian of an even-sized skew-symmetric matrix, by fraction-free skew elimination.
+
+    Only the strict upper triangle is read. After the denominators are
+    cleared, step k replaces every entry (i, j) of the trailing block by the
+    Pfaffian of the principal submatrix on indices 0..2k+1, i, j; Knuth's
+    overlapping-Pfaffian identity makes the division by the previous pivot
+    exact. A zero pivot is replaced by a symmetric exchange of two trailing
+    indices, which flips the sign; a trailing row of zeros makes the
+    Pfaffian 0. The last pivot is the Pfaffian of the whole matrix.
+    """
+    size = len(m)
+    if size % 2:
+        raise ValueError("the Pfaffian needs an even-sized matrix")
+    flat, d = clear_denominators([m[i][j] if i < j else -m[j][i] for i in range(size) for j in range(size)])
+    a = [flat[i * size : (i + 1) * size] for i in range(size)]
+    sign, prev, p = 1, 1, 1
+    for k in range(0, size, 2):
+        j = next((j for j in range(k + 1, size) if a[k][j]), None)
+        if j is None:
+            return ZERO
+        if j != k + 1:
+            a[k + 1], a[j] = a[j], a[k + 1]
+            for row in a:
+                row[k + 1], row[j] = row[j], row[k + 1]
+            sign = -sign
+        p, top, nxt = a[k][k + 1], a[k], a[k + 1]
+        for i in range(k + 2, size):
+            row = a[i]
+            for j in range(i + 1, size):
+                row[j] = (p * row[j] - top[i] * nxt[j] + top[j] * nxt[i]) // prev
+                a[j][i] = -row[j]
+        prev = p
+    return Fraction(sign * p, d ** (size // 2))

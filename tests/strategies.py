@@ -117,9 +117,13 @@ def perturbed(draw, values, entries=RATIONALS):
 
 @st.composite
 def contact_inputs(draw):
-    """(g, alpha): conjugated h_{2k+1} + R^{2(m-k)} with z* or a perturbed z*, a random
-    algebra (Lie or not) with a rational 1-form, or a closed 1-form; odd and even dimension."""
-    kind = draw(st.sampled_from(["heisenberg", "random", "closed"]))
+    """(g, alpha): conjugated h_{2k+1} + R^{2(m-k)} with z* or a perturbed z*, dense h_{2m+1} up to
+    h13 with z*, a random algebra (Lie or not) with a rational 1-form, a closed 1-form or the zero
+    form; odd and even dimension."""
+    kind = draw(st.sampled_from(["heisenberg", "dense", "random", "closed", "zero"]))
+    if kind == "dense":
+        g, _, alpha, _ = conjugated_heisenberg_sasakian(draw(st.integers(1, 6)), draw(SEEDS))
+        return g, alpha
     if kind == "heisenberg":
         m = draw(st.integers(1, 3))
         k = draw(st.integers(0, m))
@@ -131,6 +135,8 @@ def contact_inputs(draw):
     g = draw(lie_or_not())
     if kind == "closed":
         return g, draw(closed_one_forms(g))
+    if kind == "zero":
+        return g, KForm.one_form(g.dim, [0] * g.dim)
     return g, KForm.one_form(g.dim, draw(rational_vectors(g.dim)))
 
 
@@ -338,8 +344,14 @@ def frobenius_kahler_inputs(draw):
 def frobenius_inputs(draw):
     """(g, phi) for check_frobenius: a _frobenius_kahler form in a random basis, exact or with a few
     entries perturbed; a rational 1-form on a random algebra (Lie or not, odd or even dimension);
-    a closed 1-form (zero Kirillov form) or the zero form."""
-    kind = draw(st.sampled_from(["frobenius", "random", "closed", "zero"]))
+    a closed 1-form (zero Kirillov form) or the zero form; or a nonzero 1-form with a degenerate Kirillov
+    form on a conjugated h_{2k+1} + R^r of even dimension."""
+    kind = draw(st.sampled_from(["frobenius", "random", "closed", "zero", "degenerate"]))
+    if kind == "degenerate":
+        base = heisenberg_plus_abelian(draw(st.integers(0, 2)), draw(st.sampled_from([1, 3])))
+        p = random_invertible(random.Random(draw(SEEDS)), base.dim)
+        coords = draw(rational_vectors(base.dim).filter(any))
+        return conjugate_algebra(base, p, mat_inverse(p)), conjugate_one_form(KForm.one_form(base.dim, coords), p)
     if kind == "frobenius":
         g, phi, _, pivot = _frobenius_kahler(draw)
         p, pinv = _moved(draw, g.dim, pivot)

@@ -15,9 +15,11 @@ torsion kernel (structures._nijenhuis_ints) replaced, O(n^4) multiply-adds
 with the same output.
 
 check_frobenius eliminates the Kirillov system twice, for the radical and
-then for the principal element, where lieforge.structures reads both from
-one elimination; check_contact solves the Reeb system and tests its
-uniqueness, which lieforge.structures reads off the bordered Pfaffian.
+then for the principal element. check_contact takes the bordered Pfaffian
+from the plain skew elimination of linalg_oracle.pfaffian, then solves the
+Reeb system and tests its uniqueness by Gauss-Jordan elimination. Neither
+goes through linalg.sub_pfaffians, from which lieforge.structures reads
+the Pfaffian, the Reeb vector and the principal element.
 
 Three single items keep the paths that the packed and certified ones
 replaced: is_cocycle reads d(theta) from the Fraction ``ce_differential``;
@@ -34,7 +36,7 @@ from fractions import Fraction
 from math import factorial
 
 from lieforge.algebra import LieAlgebra, Subspace
-from lieforge.forms import KForm, TopContactResult, _dalpha, _top_contact, ce_differential, radical
+from lieforge.forms import KForm, TopContactResult, _dalpha, ce_differential, radical
 from lieforge.linalg import (
     Matrix,
     Vector,
@@ -49,7 +51,6 @@ from lieforge.linalg import (
     mat_mul,
     mat_vec,
     nullspace,
-    pfaffian,
     positive_definite,
     solve_affine,
     transpose,
@@ -73,6 +74,7 @@ from lieforge.structures import (
 )
 
 import algebra_oracle
+from linalg_oracle import pfaffian
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -191,10 +193,10 @@ def contact_radical_item(g: LieAlgebra, alpha: KForm) -> CheckItem | None:
     check_contact stops before that item (even dimension, top coefficient 0, no unique Reeb vector)."""
     if g.dim % 2 == 0:
         return None
-    coords = one_form_coords(alpha)
-    da, den = _dalpha(g, coords)
-    if not _top_contact(coords, da, den).holds:
+    if not top_contact_test(g, alpha).holds:
         return None
+    coords = one_form_coords(alpha)
+    da, _ = _dalpha(g, coords)
     particular, homogeneous = solve_affine(da + [coords], [0] * g.dim + [1])
     if particular is None or homogeneous:
         return None

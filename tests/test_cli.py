@@ -1,14 +1,19 @@
 import argparse
 import hashlib
 import json
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
+import lieforge as lf
 from lieforge import cli
 from lieforge.cli import run
 from lieforge.fileio import parse_algebra
+
+from conftest import conjugate_algebra, conjugate_one_form, mat_inverse, random_invertible
+from strategies import R2R2, conjugated_heisenberg_sasakian
 
 
 def invoke(*argv):
@@ -540,51 +545,100 @@ def test_construct_checks_each_structure_once(argv, expected, monkeypatch):
     assert dict(counts) == expected
 
 
-# linalg._eliminate calls of each corpus command in text mode. Each matrix is eliminated once:
-# check_frobenius reads the radical and the principal element off one Kirillov elimination,
-# check_contact certifies that its Reeb vector is unique by the bordered Pfaffian, and
-# sasakian_reduction tests the center and reads coordinates against reduced bases. 37 in all.
+# (linalg._eliminate, linalg.sub_pfaffians) calls of each corpus command in text mode. Each matrix
+# is eliminated once, and the contact and Frobenius checks eliminate nothing: check_contact reads
+# its Pfaffian and Reeb vector, and a passing check_frobenius its principal element, off one skew
+# elimination (sub_pfaffians); theorems.kernel_basis writes Ker(alpha) down; sasakian_reduction
+# tests the center and reads coordinates against reduced bases. 25 and 9 in all.
 ELIMINATIONS = {
-    "check jacobi --builtin h3": 0,
-    "check cocycle --builtin h3 --two-form e1^e2": 0,
-    "check derivation --builtin h3 --map diag:1/2,1/2,1": 0,
-    "check contact --builtin h3 --form e3": 1,
-    "check frobenius --builtin d4half": 1,
-    "check kahler --builtin d4half": 1,
-    "check sasakian --builtin h3": 1,
-    "extend central --builtin h3 --two-form 0": 0,
-    "extend derivation --builtin h3 --map diag:1/2,1/2,1": 0,
-    "extend double --builtin h3 --two-form 0 --map diag:1/2,1/2,1,1": 0,
-    "extend double --builtin h3 --two-form 0 --map diag:0,0,0 --dz 0,0,0:1": 0,
-    "extend reversed --builtin h3 --form e3 --map diag:1/2,1/2,1": 1,
-    "construct fk-to-sasakian --builtin d4half --map E": 3,
-    "construct sasakian-to-fk --builtin h3 --map diag:1/2,1/2,1": 4,
-    "construct kahler-to-sasakian --builtin d4half": 2,
-    "construct sasakian-reduction --builtin g5": 4,
-    "construct sasakian-double --builtin h3 --two-form 0 --map diag:0,0,0,1": 3,
-    "construct contact-ideal --builtin d4half": 5,
-    "solve derivations --builtin h3": 1,
-    "solve derivations --builtin h3 --fix alpha∘D=alpha:e3": 2,
-    "solve reeb --builtin h3 --form e3": 1,
-    "solve principal --builtin d4half --form e3": 1,
-    "builtin h3": 2,
-    "builtin g0": 2,
-    "builtin g5": 2,
+    "check jacobi --builtin h3": (0, 0),
+    "check cocycle --builtin h3 --two-form e1^e2": (0, 0),
+    "check derivation --builtin h3 --map diag:1/2,1/2,1": (0, 0),
+    "check contact --builtin h3 --form e3": (0, 1),
+    "check frobenius --builtin d4half": (0, 1),
+    "check kahler --builtin d4half": (1, 0),
+    "check sasakian --builtin h3": (1, 0),
+    "extend central --builtin h3 --two-form 0": (0, 0),
+    "extend derivation --builtin h3 --map diag:1/2,1/2,1": (0, 0),
+    "extend double --builtin h3 --two-form 0 --map diag:1/2,1/2,1,1": (0, 0),
+    "extend double --builtin h3 --two-form 0 --map diag:0,0,0 --dz 0,0,0:1": (0, 0),
+    "extend reversed --builtin h3 --form e3 --map diag:1/2,1/2,1": (1, 0),
+    "construct fk-to-sasakian --builtin d4half --map E": (2, 1),
+    "construct sasakian-to-fk --builtin h3 --map diag:1/2,1/2,1": (2, 1),
+    "construct kahler-to-sasakian --builtin d4half": (2, 0),
+    "construct sasakian-reduction --builtin g5": (3, 0),
+    "construct sasakian-double --builtin h3 --two-form 0 --map diag:0,0,0,1": (2, 1),
+    "construct contact-ideal --builtin d4half": (2, 2),
+    "solve derivations --builtin h3": (1, 0),
+    "solve derivations --builtin h3 --fix alpha∘D=alpha:e3": (2, 0),
+    "solve reeb --builtin h3 --form e3": (0, 1),
+    "solve principal --builtin d4half --form e3": (0, 1),
+    "builtin h3": (2, 0),
+    "builtin g0": (2, 0),
+    "builtin g5": (2, 0),
 }
 
 
-def test_corpus_elimination_budget(monkeypatch):
+def counting_kernels(monkeypatch):
+    """Patch linalg._eliminate and every binding of linalg.sub_pfaffians to log their calls."""
     import lieforge.linalg
 
     calls = []
-    original = lieforge.linalg._eliminate
-    monkeypatch.setattr(lieforge.linalg, "_eliminate", lambda *args, **kw: calls.append(1) or original(*args, **kw))
+    eliminate, kernel = lieforge.linalg._eliminate, lieforge.linalg.sub_pfaffians
+    monkeypatch.setattr(lieforge.linalg, "_eliminate", lambda *args, **kw: calls.append("eliminate") or eliminate(*args, **kw))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lieforge") and getattr(module, "sub_pfaffians", None) is kernel:
+            monkeypatch.setattr(module, "sub_pfaffians", lambda *args: calls.append("sub_pfaffians") or kernel(*args))
+    return calls
+
+
+def test_corpus_elimination_budget(monkeypatch):
+    calls = counting_kernels(monkeypatch)
     counts = {}
     for entry in json.loads(CORPUS.read_text(encoding="utf-8"))["commands"]:
         calls.clear()
         run(entry["argv"])
-        counts[" ".join(entry["argv"])] = len(calls)
+        counts[" ".join(entry["argv"])] = (calls.count("eliminate"), calls.count("sub_pfaffians"))
     assert counts == ELIMINATIONS
+
+
+def _conjugated(g, phi, seed):
+    p = random_invertible(random.Random(seed), g.dim)
+    return conjugate_algebra(g, p, mat_inverse(p)), conjugate_one_form(phi, p)
+
+
+H3R = lf.LieAlgebra.from_brackets(4, {(0, 1): {2: 1}})
+
+
+@pytest.mark.parametrize("m", [1, 3, 6])
+def test_a_passing_contact_check_eliminates_nothing(m, monkeypatch):
+    # dense h_{2m+1} up to h13 with z*: one skew elimination gives the Pfaffian and the Reeb vector
+    g, reeb, alpha, _ = conjugated_heisenberg_sasakian(m, 1)
+    calls = counting_kernels(monkeypatch)
+    report, structure = lf.check_contact(g, alpha)
+    assert report.overall and structure.reeb == reeb
+    assert calls == ["sub_pfaffians"]
+
+
+@pytest.mark.parametrize(
+    "g, phi, expected",
+    [
+        (lf.builtin("d4half").algebra, lf.builtin("d4half").frobenius_form, ["sub_pfaffians"]),
+        (R2R2, lf.KForm.one_form(4, [0, 1, 0, 1]), ["sub_pfaffians"]),
+        # degenerate Kirillov forms with phi != 0: one elimination of the Kirillov rows for the witness
+        (lf.LieAlgebra.abelian(2), lf.KForm.basis_one_form(2, 0), ["sub_pfaffians", "eliminate"]),
+        (lf.LieAlgebra.abelian(4), lf.KForm.basis_one_form(4, 0), ["sub_pfaffians", "eliminate"]),
+        (H3R, lf.KForm.basis_one_form(4, 2), ["sub_pfaffians", "eliminate"]),
+        (lf.builtin("h3").algebra, lf.KForm.basis_one_form(3, 2), ["eliminate"]),
+    ],
+    ids=["d4half", "aff-aff", "R2", "R4", "h3+R", "h3-odd"],
+)
+def test_frobenius_check_eliminates_only_to_name_a_radical_vector(g, phi, expected, monkeypatch):
+    g, phi = _conjugated(g, phi, 7)
+    calls = counting_kernels(monkeypatch)
+    report, structure = lf.check_frobenius(g, phi)
+    assert calls == expected
+    assert report.overall == (structure is not None) == ("eliminate" not in expected)
 
 
 def test_contact_ideal_brackets_each_pair_once(monkeypatch):

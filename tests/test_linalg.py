@@ -25,6 +25,7 @@ from lieforge.linalg import (
     slot_width,
     solve_affine,
     solve_unique,
+    sub_pfaffians,
     transpose,
     unpack,
     vector,
@@ -348,6 +349,7 @@ def test_pfaffian_squares_to_det_and_transforms_by_det(data):
     congruent = mat_mul(transpose(b), mat_mul(a, b))
     assert pfaffian(a) ** 2 == oracle.det(a)
     assert pfaffian(congruent) == oracle.det(b) * pfaffian(a)
+    assert pfaffian(a) == oracle.pfaffian(a)
 
 
 def test_pfaffian_small_cases():
@@ -359,6 +361,86 @@ def test_pfaffian_small_cases():
     assert pfaffian(matrix([[0, 0, 0, 0], [0, 0, 1, 2], [0, -1, 0, 3], [0, -2, -3, 0]])) == 0
     with pytest.raises(ValueError):
         pfaffian(matrix([[0]]))
+
+
+# --- sub_pfaffians: the bordered Pfaffian as a linear form in the border -------
+
+KERNEL_ENTRIES = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(10**40), 10**40))
+
+
+def skew_ints(n, upper):
+    """The n x n integer skew matrix whose strict upper triangle, row by row, is upper."""
+    a = [[0] * n for _ in range(n)]
+    entries = iter(upper)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i][j] = next(entries)
+            a[j][i] = -a[i][j]
+    return a
+
+
+def bordered(a, u):
+    """[[0, u], [-u^T, a]] as a Fraction matrix."""
+    return matrix([[0] + list(u)] + [[-x] + list(row) for x, row in zip(u, a)])
+
+
+def without(a, j):
+    return [[x for c, x in enumerate(row) if c != j] for r, row in enumerate(a) if r != j]
+
+
+@st.composite
+def odd_skew_ints(draw):
+    """An odd-sized integer skew matrix of size 1-9, entries up to 10^40, with its first rows and
+    columns zeroed (the pivot pair must move in: both indices exchanged) or its first pivot a_01
+    zeroed (only the second index exchanged)."""
+    n = draw(st.sampled_from([1, 3, 5, 7, 9]))
+    size = n * (n - 1) // 2
+    a = skew_ints(n, draw(st.lists(KERNEL_ENTRIES, min_size=size, max_size=size)))
+    for i in range(min(n, draw(st.integers(0, 2)))):
+        for j in range(n):
+            a[i][j] = a[j][i] = 0
+    if n > 1 and draw(st.booleans()):
+        a[0][1] = a[1][0] = 0
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(odd_skew_ints(), st.data())
+def test_sub_pfaffians_are_the_bordered_pfaffian(a, data):
+    n = len(a)
+    w = sub_pfaffians(a)
+    assert all(sum(x * y for x, y in zip(row, w)) == 0 for row in a)
+    assert w == [(-1) ** j * oracle.pfaffian(matrix(without(a, j))) for j in range(n)]
+    u = data.draw(st.lists(KERNEL_ENTRIES, min_size=n, max_size=n))
+    pf = oracle.pfaffian(bordered(a, u))
+    assert sum(x * y for x, y in zip(w, u)) == pf
+    assert pf**2 == oracle.det(bordered(a, u))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sub_pfaffians_vanish_below_rank_n_minus_1(data):
+    # a = C S C^T with S skew of even size r <= n - 3 has rank at most r < n - 1
+    n = data.draw(st.sampled_from([3, 5, 7, 9]))
+    r = data.draw(st.sampled_from(range(0, n - 2, 2)))
+    s = skew_ints(r, data.draw(st.lists(KERNEL_ENTRIES, min_size=r * (r - 1) // 2, max_size=r * (r - 1) // 2)))
+    c = [data.draw(st.lists(KERNEL_ENTRIES, min_size=r, max_size=r)) for _ in range(n)]
+    cs = [[sum(x * s[k][l] for k, x in enumerate(row)) for l in range(r)] for row in c]
+    a = [[sum(x * y for x, y in zip(left, right)) for right in c] for left in cs]
+    assert sub_pfaffians(a) == [0] * n
+
+
+def test_sub_pfaffians_small_cases():
+    assert sub_pfaffians([[0]]) == [1]  # Pf([[0, u], [-u, 0]]) = u
+    assert sub_pfaffians([[0, 2, 3], [-2, 0, 5], [-3, -5, 0]]) == [5, -3, 2]
+    assert sub_pfaffians(skew_ints(5, [0] * 10)) == [0] * 5
+    # row 0 is zero and a_12 = 0: the first pivot pair is (1, 3), so both of its indices are
+    # exchanged; only w_0 = Pf(a without 0) = a_12 a_34 - a_13 a_24 + a_14 a_23 is nonzero
+    a = skew_ints(5, [0, 0, 0, 0, 0, 2, 1, 3, 5, 7])
+    assert sub_pfaffians(a) == [0 * 7 - 2 * 5 + 1 * 3, 0, 0, 0, 0]
+    # a_01 = 0 with row 0 nonzero: only the second index is exchanged
+    a = skew_ints(3, [0, 4, 6])
+    assert sub_pfaffians(a) == [6, -4, 0]
 
 
 # --- tall systems: rows selected mod p, eliminated exactly, checked ------------
@@ -499,7 +581,7 @@ def test_the_shape_rule_picks_the_path(nrows, ncols, tall, selections):
 
 
 def test_contact_reeb_system_stays_on_direct_elimination(selections):
-    # check_contact solves n+1 equations in n unknowns (Reeb) and an n x n system (radical)
+    # check_contact reads the Reeb vector off linalg.sub_pfaffians and solves no system at all
     g, _, alpha, _ = conjugated_heisenberg_sasakian(4, 1)
     report, structure = lf.check_contact(g, alpha)
     assert report.overall and structure is not None

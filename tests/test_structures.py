@@ -107,6 +107,14 @@ def test_contact_g0():
     assert structure.reeb == G0.algebra.basis_vector(4)
 
 
+@pytest.mark.parametrize("a", [Fraction(1), Fraction(-2), Fraction(3, 7), Fraction(10**40, 3)])
+def test_dimension_one_contact(a):
+    # alpha = a e1*: d(alpha) = 0 has the one sub-Pfaffian w = (1), so the top coefficient is a and xi = e1/a
+    report, structure = check_contact(LieAlgebra.abelian(1), KForm.one_form(1, [a]))
+    assert report.overall and structure.reeb == (1 / a,)
+    assert dict(report.notes)["top_coefficient"] == str(a)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([Fraction(1, 2), Fraction(2), Fraction(-1), Fraction(3), Fraction(-2, 3)]))
 def test_contact_scaling_invariance(lam):
@@ -307,7 +315,7 @@ def test_contact_matches_oracle(case):
 @settings(max_examples=150, deadline=None)
 @given(frobenius_inputs())
 def test_frobenius_matches_oracle(case):
-    # one elimination of the Kirillov system gives the radical and the principal element
+    # one skew elimination gives the principal element; only a degenerate B_phi is eliminated, for the witness
     g, phi = case
     got, want = check_frobenius(g, phi), structures_oracle.check_frobenius(g, phi)
     assert_same_result(got, want)

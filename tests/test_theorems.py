@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from lieforge import (
     DoubleExtensionParams,
@@ -27,11 +27,12 @@ from lieforge import (
     solve_double_extension_params,
 )
 from lieforge.derivations import Commute, FormEigen, Leibniz, derivation_space
-from lieforge.linalg import diagonal, matrix, zero_matrix
+from lieforge.linalg import diagonal, matrix, nullspace, vector, zero_matrix
 from lieforge.report import DimensionMismatch, PreconditionError
+from lieforge.theorems import kernel_basis
 
 import theorems_oracle
-from strategies import frobenius_kahler_inputs, sasakian_reduction_inputs
+from strategies import RATIONALS, frobenius_kahler_inputs, sasakian_reduction_inputs
 
 
 H3 = builtin("h3")
@@ -545,3 +546,13 @@ def test_sasakian_reduction_matches_oracle(case):
 def test_contact_ideal_restriction_matches_oracle(case):
     # one bracket per pair for the ideal test, the brackets of the ideal and ad(x_P)
     assert outcome(contact_ideal_restriction, *case) == outcome(theorems_oracle.contact_ideal_restriction, *case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.lists(RATIONALS, min_size=n, max_size=n), st.integers(0, n))))
+def test_kernel_basis_is_the_nullspace_of_its_row(case):
+    # Fraction coordinates, zeroed from index k on: a zero row (k = 0) and trailing zeros
+    coords, k = case
+    coords = coords[:k] + [0] * (len(coords) - k)
+    n = len(coords)
+    assert kernel_basis(LieAlgebra.abelian(n), KForm.one_form(n, coords)) == nullspace([vector(coords)], n)
