@@ -4,9 +4,12 @@ Every structure input comes from the ``_SOURCES`` table through one resolver:
 the --structure file, else the source's complete set of inline flags, else
 the builtin's data. Some but not all of the inline flags is a usage error.
 
-Exit codes: 0 when the overall verdict passes, 1 when it fails or a
-precondition rejects the input, 2 on usage or parse errors. Output is
-deterministic byte for byte for identical invocations.
+Each ``_cmd_*`` handler returns the command's ``CheckReport`` with the
+sections and the output algebra to print; ``run`` alone renders it, a
+refused precondition as its report, and sets the exit code: 0 when the
+report passes, 1 when it fails or a precondition rejects the input. Usage
+and parse errors exit 2 from ``main``. Output is deterministic byte for byte
+for identical invocations.
 
 The argparse parser is built once per process, on the first ``run``, and
 every later ``run`` in the process parses with that same parser.
@@ -42,7 +45,6 @@ from .fileio import (
     STRUCTURE_KEYS,
     ParsedStructure,
     ParseError,
-    ReportDocument,
     _scalar_at,
     parse_algebra,
     parse_form_inline,
@@ -55,7 +57,7 @@ from .fileio import (
 )
 from .forms import evaluation_sign
 from .linalg import Matrix, fmt_scalar, fmt_vector, scalar, transpose
-from .report import CheckItem, LieforgeError, PreconditionError, fail, require
+from .report import CheckReport, LieforgeError, PreconditionError, fail, ok, require
 from .structures import (
     KahlerStructure,
     SasakianStructure,
@@ -357,10 +359,10 @@ def _parse_fix(spec: str, g: LieAlgebra, b: Builtin | None):
     raise ParseError(f"bad constraint {spec!r}", 0, "fix")
 
 
-def _cmd_check(args) -> tuple[ReportDocument, int]:
+def _cmd_check(args) -> tuple[CheckReport, tuple, LieAlgebra | None]:
+    """Also runs ``solve reeb`` and ``solve principal``, whose report is their checked source's."""
     # check jacobi reports a failing Jacobi identity itself, so it reads the bare algebra
     g, b = _read_algebra(args) if args.kind == "jacobi" else _load_algebra(args)
-    command = f"check {args.kind}"
     if args.kind == "jacobi":
         report = check_jacobi(g)
     elif args.kind == "cocycle":
@@ -371,17 +373,15 @@ def _cmd_check(args) -> tuple[ReportDocument, int]:
         from .derivations import is_derivation
 
         report = is_derivation(g, _required(args, "map", g.dim, b))
-    else:  # contact, frobenius, kahler, sasakian
+    else:  # contact, frobenius, kahler, sasakian; solve reeb and principal
         ((report, _),) = _checked_sources(args, g, b)
-    doc = _adjust_evaluations(ReportDocument.from_report(command, report), g.dim, args.wedge_convention)
-    return doc, 0 if report.overall else 1
+    return _adjust_evaluations(report, g.dim, args.wedge_convention), (), None
 
 
-def _cmd_extend(args) -> tuple[ReportDocument, int]:
+def _cmd_extend(args) -> tuple[CheckReport, tuple, LieAlgebra | None]:
     from .extensions import central_extension, derivation_extension, double_extension, reversed_double_extension
 
     g, b = _load_algebra(args)
-    command = f"extend {args.kind}"
     check = not args.force
     if args.kind == "central":
         ext = central_extension(g, _required(args, "two_form", g.dim, b), check=check)
@@ -395,14 +395,10 @@ def _cmd_extend(args) -> tuple[ReportDocument, int]:
         alpha = _required(args, "form", g.dim, b)
         d = _required(args, "map", g.dim, b)
         ext = reversed_double_extension(g, alpha, d, check=check)
-    report = check_jacobi(ext.algebra)
-    doc = ReportDocument.from_report(
-        command, report.with_notes(*_extension_notes(ext)), algebra=ext.algebra
-    )
-    return doc, 0 if report.overall else 1
+    return check_jacobi(ext.algebra).with_notes(*_extension_notes(ext)), (), ext.algebra
 
 
-def _cmd_construct(args) -> tuple[ReportDocument, int]:
+def _cmd_construct(args) -> tuple[CheckReport, tuple, LieAlgebra | None]:
     from .extensions import ExtensionResult
     from .theorems import (
         contact_ideal_restriction,
@@ -447,55 +443,32 @@ def _cmd_construct(args) -> tuple[ReportDocument, int]:
     if isinstance(result, ExtensionResult):
         notes = _extension_notes(result) + notes
         result = result.algebra
-    doc = ReportDocument.from_report(
-        f"construct {args.kind}",
-        report.with_notes(*notes),
-        algebra=result,
-        sections=_structure_sections(result, structure),
-    )
-    return _adjust_evaluations(doc, result.dim, args.wedge_convention), 0 if report.overall else 1
+    report = _adjust_evaluations(report.with_notes(*notes), result.dim, args.wedge_convention)
+    return report, _structure_sections(result, structure), result
 
 
-def _cmd_solve(args) -> tuple[ReportDocument, int]:
+def _cmd_solve(args) -> tuple[CheckReport, tuple, LieAlgebra | None]:
+    if args.kind != "derivations":  # reeb and principal: the contact or Frobenius form, checked
+        return _cmd_check(args)
     g, b = _load_algebra(args)
-    command = f"solve {args.kind}"
+    from .derivations import Leibniz, derivation_space
+
+    constraints = [Leibniz()] + [_parse_fix(spec, g, b) for spec in args.fix]
+    particular, basis = derivation_space(g, constraints)
+    if particular is None:
+        # Leibniz alone is homogeneous: the culprit is the first --fix whose prefix is inconsistent
+        inconsistent = (derivation_space(g, constraints[:idx])[0] is None for idx in range(2, len(constraints)))
+        culprit = next((spec for spec, bad in zip(args.fix, inconsistent) if bad), args.fix[-1])
+        return CheckReport((fail("solution_exists", f"empty: inconsistent at constraint {culprit!r}"),)), (), None
     star = tuple(f"{l}*" for l in g.labels)
-    if args.kind == "derivations":
-        from .derivations import Leibniz, derivation_space
-
-        constraints = [Leibniz()] + [_parse_fix(spec, g, b) for spec in args.fix]
-        particular, basis = derivation_space(g, constraints)
-        sections = []
-        if particular is None:
-            # Leibniz alone is homogeneous: the culprit is the first --fix whose prefix is inconsistent
-            inconsistent = (derivation_space(g, constraints[:idx])[0] is None for idx in range(2, len(constraints)))
-            culprit = next((spec for spec, bad in zip(args.fix, inconsistent) if bad), args.fix[-1])
-            doc = ReportDocument(
-                command,
-                overall=False,
-                items=(fail("solution_exists", f"empty: inconsistent at constraint {culprit!r}"),),
-            )
-            return doc, 1
-        rows = tuple((f"row {g.labels[i]}", fmt_vector(particular[i], star)) for i in range(g.dim))
-        sections.append(("particular", rows))
-        for idx, m in enumerate(basis, start=1):
-            rows = tuple((f"row {g.labels[i]}", fmt_vector(m[i], star)) for i in range(g.dim))
-            sections.append((f"basis_{idx}", rows))
-        doc = ReportDocument(
-            command,
-            overall=True,
-            items=(CheckItem("solution_exists", True),),
-            notes=(("basis_size", str(len(basis))),),
-            sections=tuple(sections),
-        )
-        return doc, 0
-    # reeb and principal: the contact or Frobenius form, checked
-    ((report, structure),) = _checked_sources(args, g, b)
-    doc = _adjust_evaluations(ReportDocument.from_report(command, report), g.dim, args.wedge_convention)
-    return doc, 0 if structure is not None else 1
+    matrices = [("particular", particular)] + [(f"basis_{idx}", m) for idx, m in enumerate(basis, start=1)]
+    sections = tuple(
+        (name, tuple((f"row {l}", fmt_vector(row, star)) for l, row in zip(g.labels, m))) for name, m in matrices
+    )
+    return CheckReport((ok("solution_exists"),), (("basis_size", str(len(basis))),)), sections, None
 
 
-def _cmd_builtin(args) -> tuple[ReportDocument, int]:
+def _cmd_builtin(args) -> tuple[CheckReport, tuple, LieAlgebra | None]:
     if args.name not in BUILTINS:
         raise ParseError(
             f"unknown builtin {args.name!r}; valid names: {', '.join(sorted(BUILTINS))}", 0, "builtin"
@@ -517,18 +490,10 @@ def _cmd_builtin(args) -> tuple[ReportDocument, int]:
         notes.append(("named_map", name))
     z = center(g)
     notes.append(("center", z.describe(g.labels)))
-    doc = ReportDocument(
-        f"builtin {args.name}",
-        overall=True,
-        items=(CheckItem("builtin_known", True),),
-        notes=tuple(notes),
-        sections=tuple(sections),
-        algebra=g,
-    )
-    return doc, 0
+    return CheckReport((ok("builtin_known"),), tuple(notes)), tuple(sections), g
 
 
-def _adjust_evaluations(doc: ReportDocument, dim: int, convention: str) -> ReportDocument:
+def _adjust_evaluations(report: CheckReport, dim: int, convention: str) -> CheckReport:
     """Flip printed top-form evaluations under the --wedge-convention flag.
 
     Only the displayed value changes; the nonvanishing verdict is
@@ -536,15 +501,18 @@ def _adjust_evaluations(doc: ReportDocument, dim: int, convention: str) -> Repor
     """
     sign = evaluation_sign(dim, convention)
     if sign == 1:
-        return doc
+        return report
     notes = tuple(
         (key, fmt_scalar(sign * scalar(value))) if key == "top_coefficient" else (key, value)
-        for key, value in doc.notes
+        for key, value in report.notes
     )
-    return ReportDocument(doc.command, doc.overall, doc.items, notes, doc.sections, doc.algebra)
+    return CheckReport(report.items, notes)
 
 
 def run(argv: list[str]) -> tuple[str, int]:
+    """The rendered report of the command line and its exit code, 0 exactly when the report passes.
+
+    A refused precondition is rendered as its report. Usage and parse errors propagate."""
     args = _build_parser().parse_args(argv)
     handlers = {
         "check": _cmd_check,
@@ -553,13 +521,13 @@ def run(argv: list[str]) -> tuple[str, int]:
         "solve": _cmd_solve,
         "builtin": _cmd_builtin,
     }
+    command = f"{args.command} {args.kind if 'kind' in args else args.name}"
     try:
-        doc, code = handlers[args.command](args)
+        report, sections, algebra = handlers[args.command](args)
     except PreconditionError as exc:
-        command = f"{args.command} {getattr(args, 'kind', '')}".strip()
-        doc, code = ReportDocument.from_report(command, exc.report), 1
-    rendered = render_json(doc) if args.output == "json" else render_text(doc)
-    return rendered, code
+        report, sections, algebra = exc.report, (), None
+    render = render_json if args.output == "json" else render_text
+    return render(command, report, sections, algebra), 0 if report.overall else 1
 
 
 def main(argv: list[str] | None = None) -> int:

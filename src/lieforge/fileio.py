@@ -1,4 +1,4 @@
-"""The lieforge/1 line-oriented text formats and inline argument parsers.
+"""The lieforge/1 line-oriented text formats, inline argument parsers and report renderers.
 
 Algebra files:
 
@@ -36,8 +36,8 @@ from fractions import Fraction
 
 from .algebra import LieAlgebra
 from .forms import KForm
-from .linalg import Matrix, Vector, fmt_scalar, scalar, vector
-from .report import CheckItem, CheckReport, LieforgeError
+from .linalg import Matrix, Vector, diagonal, fmt_scalar, identity, scalar, vector, zero_matrix
+from .report import CheckReport, LieforgeError
 
 FORMAT_TAG = "lieforge/1"
 
@@ -49,31 +49,21 @@ class ParseError(LieforgeError):
         self.fieldname = fieldname
 
 
-@dataclass
-class _Lines:
-    """Lines with byte offsets, comments and blanks stripped."""
-
-    entries: list[tuple[int, str]]
-
-    @classmethod
-    def split(cls, text: str) -> "_Lines":
-        entries = []
-        offset = 0
-        for raw in text.splitlines(keepends=True):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                entries.append((offset, line))
-            offset += len(raw)
-        return cls(entries)
-
-
-def _expect_header(lines: _Lines, kind: str) -> list[tuple[int, str]]:
-    if not lines.entries:
+def _expect_header(text: str, kind: str) -> list[tuple[int, str]]:
+    """The (byte offset, line) pairs after the header line, comments and blanks stripped."""
+    entries = []
+    offset = 0
+    for raw in text.splitlines(keepends=True):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            entries.append((offset, line))
+        offset += len(raw)
+    if not entries:
         raise ParseError("empty document", 0, "header")
-    offset, first = lines.entries[0]
+    offset, first = entries[0]
     if first != f"{FORMAT_TAG} {kind}":
         raise ParseError(f"expected header '{FORMAT_TAG} {kind}'", offset, "header")
-    return lines.entries[1:]
+    return entries[1:]
 
 
 def _scalar_at(token: str, offset: int, fieldname: str) -> Fraction:
@@ -95,7 +85,7 @@ def _int_at(token: str, offset: int, fieldname: str) -> int:
 
 
 def parse_algebra(text: str) -> LieAlgebra:
-    body = _expect_header(_Lines.split(text), "algebra")
+    body = _expect_header(text, "algebra")
     dim: int | None = None
     labels: tuple[str, ...] | None = None
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
@@ -203,7 +193,7 @@ class ParsedStructure:
 
 
 def parse_structure(text: str) -> ParsedStructure:
-    body = _expect_header(_Lines.split(text), "structure")
+    body = _expect_header(text, "structure")
     if not body:
         raise ParseError("missing kind", 0, "kind")
     offset, first = body[0]
@@ -330,19 +320,13 @@ def parse_map_inline(spec: str, dim: int, named: dict[str, Matrix] | None = None
             raise ParseError(f"named map {spec!r} has wrong dimension", 0, "map")
         return m
     if spec == "zero":
-        from .linalg import zero_matrix
-
         return zero_matrix(dim)
     if spec == "id":
-        from .linalg import identity
-
         return identity(dim)
     if spec.startswith("diag:"):
         entries = spec[len("diag:") :].split(",")
         if len(entries) != dim:
             raise ParseError(f"diag needs {dim} entries", 0, "map")
-        from .linalg import diagonal
-
         return diagonal(_vector_at(entries, 0, "map"))
     raise ParseError(f"bad map spec {spec!r}", 0, "map")
 
@@ -362,40 +346,27 @@ def parse_vector_inline(spec: str, dim: int) -> Vector:
 
 
 # ---------------------------------------------------------------------------
-# report documents
+# reports
 
-@dataclass
-class ReportDocument:
-    command: str
-    overall: bool | None = None
-    items: tuple[CheckItem, ...] = ()
-    notes: tuple[tuple[str, str], ...] = ()
-    sections: tuple[tuple[str, tuple[tuple[str, str], ...]], ...] = ()
-    algebra: LieAlgebra | None = None
-
-    @classmethod
-    def from_report(cls, command: str, report: CheckReport, **kwargs) -> "ReportDocument":
-        return cls(command, report.overall, report.items, report.notes, **kwargs)
-
-
-def render_text(doc: ReportDocument) -> str:
-    lines = [f"{FORMAT_TAG} report", f"command {doc.command}"]
-    for item in doc.items:
+def render_text(command: str, report: CheckReport, sections: tuple = (), algebra: LieAlgebra | None = None) -> str:
+    """The lieforge/1 report of ``command``: the report's items and notes, the sections, each a
+    (name, ((key, value), ...)) pair, the output algebra when there is one, and the overall verdict."""
+    lines = [f"{FORMAT_TAG} report", f"command {command}"]
+    for item in report.items:
         verdict = "pass" if item.passed else "fail"
         suffix = f" | {item.witness}" if item.witness else ""
         lines.append(f"item {verdict} {item.name}{suffix}")
-    for key, value in doc.notes:
+    for key, value in report.notes:
         lines.append(f"note {key} = {value}")
-    for name, pairs in doc.sections:
+    for name, pairs in sections:
         lines.append(f"section {name}")
         for key, value in pairs:
             lines.append(f"  {key} = {value}")
-    if doc.algebra is not None:
+    if algebra is not None:
         lines.append("begin algebra")
-        lines.append(serialize_algebra(doc.algebra).rstrip("\n"))
+        lines.append(serialize_algebra(algebra).rstrip("\n"))
         lines.append("end algebra")
-    if doc.overall is not None:
-        lines.append(f"overall {'pass' if doc.overall else 'fail'}")
+    lines.append(f"overall {'pass' if report.overall else 'fail'}")
     return "\n".join(lines) + "\n"
 
 
@@ -414,22 +385,23 @@ def algebra_as_json(g: LieAlgebra) -> dict:
     }
 
 
-def render_json(doc: ReportDocument) -> str:
+def render_json(command: str, report: CheckReport, sections: tuple = (), algebra: LieAlgebra | None = None) -> str:
+    """The JSON form of ``render_text``'s report, field for field."""
     import json  # only --output json needs it, so a text-mode process never loads it
 
     payload = {
         "format": FORMAT_TAG,
-        "command": doc.command,
+        "command": command,
         "items": [
             {"name": it.name, "verdict": "pass" if it.passed else "fail", "witness": it.witness}
-            for it in doc.items
+            for it in report.items
         ],
-        "notes": [{"key": k, "value": v} for k, v in doc.notes],
+        "notes": [{"key": k, "value": v} for k, v in report.notes],
         "sections": [
             {"name": name, "fields": [{"key": k, "value": v} for k, v in pairs]}
-            for name, pairs in doc.sections
+            for name, pairs in sections
         ],
-        "algebra": algebra_as_json(doc.algebra) if doc.algebra is not None else None,
-        "overall": None if doc.overall is None else ("pass" if doc.overall else "fail"),
+        "algebra": algebra_as_json(algebra) if algebra is not None else None,
+        "overall": "pass" if report.overall else "fail",
     }
     return json.dumps(payload, indent=2) + "\n"

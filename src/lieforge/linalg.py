@@ -41,7 +41,8 @@ signed slot per coordinate (Kronecker substitution), so that a linear
 combination of many vectors is a few big-int multiply-adds. The structure
 constant kernels in algebra and structures size the slots from a bound they
 compute from their own inputs; so does sub_pfaffians, the fraction-free skew
-elimination that pfaffian and the contact and Frobenius checks read off.
+elimination that the contact and Frobenius checks read off. There is no
+separate Pfaffian: Pf([[0, r], [-r^T, m']]) is sub_pfaffians(m') . r.
 """
 
 from __future__ import annotations
@@ -444,19 +445,6 @@ def det(m: Matrix) -> Fraction:
     if len(pivots) < len(m):
         return ZERO
     return Fraction(prod(row[c] * d for row, c, d in zip(work, pivots, den)), prod(num))
-
-
-def pfaffian(m: Matrix) -> Fraction:
-    """Pfaffian of an even-sized skew-symmetric matrix, of which only the strict upper triangle
-    is read: with the denominators cleared, m = [[0, r], [-r^T, m']] and Pf(m) = sub_pfaffians(m') . r."""
-    size = len(m)
-    if size % 2:
-        raise ValueError("the Pfaffian needs an even-sized matrix")
-    if not size:
-        return ONE
-    flat, d = clear_denominators([m[i][j] if i < j else -m[j][i] for i in range(size) for j in range(size)])
-    w = sub_pfaffians([flat[i * size + 1 : (i + 1) * size] for i in range(1, size)])
-    return Fraction(sum(x * y for x, y in zip(w, flat[1:size])), d ** (size // 2))
 
 
 def sub_pfaffians(a: Sequence[Sequence[int]]) -> list[int]:

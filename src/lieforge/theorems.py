@@ -27,7 +27,7 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import LieAlgebra, Subspace, adjoint, bracket, center
+from .algebra import LieAlgebra, adjoint, bracket, center
 from .extensions import (
     ExtensionResult,
     central_extension,
@@ -180,14 +180,12 @@ def sasakian_reduction(g: LieAlgebra, s: SasakianStructure) -> tuple[LieAlgebra,
             "center_spanned_by_reeb",
             f"center = {z.describe(g.labels)}",
         )
-    kernel = Subspace(g.dim, kernel_basis(g, s.alpha))
-    basis = kernel.rows
+    basis = kernel_basis(g, s.alpha)
     m = len(basis)
     pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
 
     def to_h(v: Vector) -> Vector:
-        if not kernel.contains(v):
-            raise ValueError("vector does not lie in Ker(alpha)")
+        # v - alpha(v) xi and Phi x lie in Ker(alpha) on the checked s (alpha(xi) = 1, alpha o Phi = 0)
         return tuple(v[p] for p in pivots)
 
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import importlib.util
 import json
 import random
 import sys
@@ -661,8 +662,10 @@ def test_contact_ideal_brackets_each_pair_once(monkeypatch):
         (["construct", "contact-ideal", "--builtin", "d4half"], "-1"),
         # the child has dimension 7, its base 5
         (["construct", "sasakian-double", "--builtin", "g5", "--two-form", "0", "--map", "diag:0,0,0,0,0,1"], "-6"),
+        # solve reeb prints the top coefficient of check contact
+        (["solve", "reeb", "--builtin", "h3", "--form", "e3"], "-1"),
     ],
-    ids=["contact-ideal", "sasakian-double-g5"],
+    ids=["contact-ideal", "sasakian-double-g5", "solve-reeb"],
 )
 def test_wedge_convention_flips_construct_evaluations(argv, default):
     out, code = invoke(*argv)
@@ -671,6 +674,96 @@ def test_wedge_convention_flips_construct_evaluations(argv, default):
     out, code = invoke("--wedge-convention", "paper", *argv)
     assert code == 0 and f"note top_coefficient = {flipped}" in out
     assert "note top_coefficient = 1\n" in invoke("--wedge-convention", "paper", "check", "contact", "--builtin", "h3", "--form", "e3")[0]
+
+
+# the parameters of this double extension have delta = ad - bc = 0; with the solved w scale
+# (no --w-scale) it passes and prints a top coefficient, which the paper convention flips
+REFUSED_DOUBLE = ["construct", "sasakian-double", "--builtin", "h3", "--two-form", "0", "--map", "diag:0,0,0,1", "--w-scale", "0"]
+
+
+def test_wedge_convention_leaves_a_refusal_as_it_is():
+    out, code = invoke(*REFUSED_DOUBLE)
+    assert code == 1 and "item fail params_delta_nonzero | delta = ad - bc = 0\n" in out
+    assert invoke("--wedge-convention", "paper", *REFUSED_DOUBLE) == (out, code)
+
+
+# a failing and a refused command of each family; {non_lie} is an algebra file that fails Jacobi
+FAILING_AND_REFUSED = [
+    ["check", "contact", "--builtin", "h3", "--form", "e1"],
+    ["check", "contact", "--algebra", "{non_lie}", "--form", "e3"],
+    ["extend", "central", "--builtin", "d4half", "--two-form", "e1^e2", "--force"],
+    ["extend", "central", "--builtin", "d4half", "--two-form", "e1^e2"],
+    ["construct", "sasakian-double", "--builtin", "h3", "--two-form", "0", "--map", "diag:0,0,0,1", "--w-scale", "-1"],
+    REFUSED_DOUBLE,
+    ["solve", "reeb", "--builtin", "g0", "--form", "e3"],
+    ["solve", "principal", "--algebra", "{non_lie}", "--form", "e3"],
+]
+
+
+def test_exit_code_is_the_overall_verdict(tmp_path):
+    # the exit code is 0 exactly when the text report ends "overall pass" and the JSON one has
+    # overall "pass", for every corpus command and for the failing and refused commands
+    (tmp_path / "non_lie.lf").write_text(NON_LIE)
+    extra = [[a.format(non_lie=tmp_path / "non_lie.lf") for a in argv] for argv in FAILING_AND_REFUSED]
+    corpus = [e["argv"] for e in json.loads(CORPUS.read_text(encoding="utf-8"))["commands"]]
+    runs = []
+    for argv in corpus + extra:
+        text, code = run(argv)
+        blob, json_code = run(["--output", "json", *argv])
+        verdict = json.loads(blob)["overall"]
+        assert code == json_code and text.endswith(f"\noverall {verdict}\n"), argv
+        assert (code == 0) == (verdict == "pass") and code in (0, 1), argv
+        runs.append((text, code))
+    assert [code for _, code in runs[len(corpus) :]] == [1] * len(extra)
+    # refused commands print the refusal's report, with no output algebra
+    assert ["begin algebra" in text for text, _ in runs[len(corpus) :]] == [False, False, True, False, True, False, False, False]
+
+
+def bench_tracing():
+    """bench/tracing.py, loaded from its file (bench is not a package)."""
+    spec = importlib.util.spec_from_file_location("lieforge_bench_tracing", CORPUS.with_name("tracing.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_reaches_the_renderers():
+    # one command of each family loads derivations, extensions and theorems, whose bindings the
+    # tracer has to find too; a JSON run under the tracer then records the renderer's span
+    import lieforge.fileio
+
+    tracing = bench_tracing()
+    for argv in (
+        ["check", "contact", "--builtin", "h3", "--form", "e3"],
+        ["extend", "derivation", "--builtin", "h3", "--map", "diag:1/2,1/2,1"],
+        ["construct", "sasakian-reduction", "--builtin", "g5"],
+        ["solve", "derivations", "--builtin", "h3"],
+        ["builtin", "h3"],
+    ):
+        assert cli.run(argv)[1] == 0
+    original = lieforge.fileio.render_json
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        out, code = cli.run(["--output", "json", "check", "contact", "--builtin", "h3", "--form", "e3"])
+    finally:
+        tracer.uninstall()
+    assert code == 0 and json.loads(out)["overall"] == "pass"
+    names = [span[0] for span in tracer.spans]
+    assert names[0] == "cli.run" and "fileio.render_json" in names and "structures.check_contact" in names
+    assert lieforge.fileio.render_json is original
+
+
+def test_tracer_stops_on_a_renderer_table(monkeypatch):
+    # a module-level table that holds a renderer keeps an untraced binding: the tracer must refuse
+    import lieforge.fileio
+
+    tracing = bench_tracing()
+    original = lieforge.fileio.render_text
+    monkeypatch.setattr(cli, "_RENDERERS", {"text": original}, raising=False)
+    with pytest.raises(tracing.IncompleteTrace, match="render_text"):
+        tracing.Tracer().install()
+    assert lieforge.fileio.render_text is original and cli.render_text is original
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from lieforge.linalg import (
     matrix,
     nullspace,
     pack,
-    pfaffian,
     positive_definite,
     rref,
     scalar,
@@ -26,7 +25,6 @@ from lieforge.linalg import (
     solve_affine,
     solve_unique,
     sub_pfaffians,
-    transpose,
     unpack,
     vector,
 )
@@ -327,42 +325,6 @@ def test_dense_leibniz_systems_match_oracle(case, inconsistent):
     assert (got[0] is None) == inconsistent
 
 
-@st.composite
-def skew_matrices(draw, max_half=4):
-    n = 2 * draw(st.integers(0, max_half))
-    a = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            a[i][j] = draw(ENTRIES)
-            a[j][i] = -a[i][j]
-    return tuple(map(tuple, a))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_pfaffian_squares_to_det_and_transforms_by_det(data):
-    # Pf(A)^2 = det A fixes the magnitude; Pf(B^T A B) = det(B) Pf(A) fixes the
-    # sign, including after the symmetric exchanges a zero pivot forces.
-    a = data.draw(skew_matrices())
-    n = len(a)
-    b = tuple(tuple(data.draw(st.one_of(st.just(Fraction(0)), SMALL)) for _ in range(n)) for _ in range(n))
-    congruent = mat_mul(transpose(b), mat_mul(a, b))
-    assert pfaffian(a) ** 2 == oracle.det(a)
-    assert pfaffian(congruent) == oracle.det(b) * pfaffian(a)
-    assert pfaffian(a) == oracle.pfaffian(a)
-
-
-def test_pfaffian_small_cases():
-    assert pfaffian(()) == 1
-    assert pfaffian(matrix([[0, "3/2"], ["-3/2", 0]])) == Fraction(3, 2)
-    # a14 a23 - a13 a24 + a12 a34 with a12 = 0: needs an exchange
-    four = matrix([[0, 0, 1, 2], [0, 0, 3, 4], [-1, -3, 0, 5], [-2, -4, -5, 0]])
-    assert pfaffian(four) == 2 * 3 - 1 * 4
-    assert pfaffian(matrix([[0, 0, 0, 0], [0, 0, 1, 2], [0, -1, 0, 3], [0, -2, -3, 0]])) == 0
-    with pytest.raises(ValueError):
-        pfaffian(matrix([[0]]))
-
-
 # --- sub_pfaffians: the bordered Pfaffian as a linear form in the border -------
 
 KERNEL_ENTRIES = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(10**40), 10**40))
@@ -402,6 +364,22 @@ def odd_skew_ints(draw):
     if n > 1 and draw(st.booleans()):
         a[0][1] = a[1][0] = 0
     return a
+
+
+def test_pfaffian_small_cases():
+    # Pf([[0, r], [-r^T, m']]) = sub_pfaffians(m') . r, against the plain skew elimination
+    def check(m_prime, r, expected):
+        w = sub_pfaffians(m_prime)
+        assert sum(x * y for x, y in zip(w, r)) == oracle.pfaffian(bordered(m_prime, r)) == expected
+
+    # the empty matrix: w_0 of a 1 x 1 matrix is Pf(()) = 1
+    assert sub_pfaffians([[0]]) == [1] == [oracle.pfaffian(())]
+    check([[0]], [Fraction(3, 2)], Fraction(3, 2))
+    # a14 a23 - a13 a24 + a12 a34 with a12 = 0: the skew elimination of the whole matrix needs an exchange
+    check([[0, 3, 4], [-3, 0, 5], [-4, -5, 0]], [0, 1, 2], 2 * 3 - 1 * 4)
+    check([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]], [0, 0, 0], 0)
+    # Fraction entries in the border: a12 a34 - a13 a24 + a14 a23
+    check([[0, 3, 4], [-3, 0, 5], [-4, -5, 0]], [Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)], Fraction(21, 2))
 
 
 @settings(max_examples=150, deadline=None)
