@@ -57,7 +57,7 @@ def _expect_header(text: str, kind: str) -> list[tuple[int, str]]:
         line = raw.split("#", 1)[0].strip()
         if line:
             entries.append((offset, line))
-        offset += len(raw)
+        offset += len(raw.encode())  # UTF-8 bytes, not characters
     if not entries:
         raise ParseError("empty document", 0, "header")
     offset, first = entries[0]

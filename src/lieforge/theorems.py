@@ -16,6 +16,22 @@ is its first failure in basis order (``_first_mismatch``,
 The reduction reads coordinates off the written-down basis of Ker(alpha)
 (``kernel_basis``); the contact-ideal restriction forms each bracket once.
 
+Every map a construction builds is one block matrix on the extension, with
+the base first, then the central element z, then the derivation slot:
+
+- the derivation extension of a Frobenius-Kahler algebra carries
+  Phi = [[J, 0], [-phi o J, 0]], that of a Sasakian algebra
+  J = [[Phi, xi], [-alpha, 0]];
+- a Sasakian double extension carries
+  Phi-bar = [[Phi - (d/delta) Phi u (x) alpha, (c/delta) Phi u, -c xi],
+  [0, 0, -d], [-(b/delta) alpha, a/delta, 0]];
+- the lift of a complex structure J to a double extension is
+  J-bar = [[J, 0, 0], [0, 0, -1], [0, 1, 0]].
+
+The derivation of a double extension is read once, as the slot action on
+the extension (column x is [slot, e_x]), and the four conditions "two maps
+commute on a basis" are one helper (``_commute_mismatch``).
+
 Where the source formulas admit two sign choices, the worked
 low-dimensional examples fix the sign (see the module tests for the
 frozen values).
@@ -136,6 +152,16 @@ def _first_mismatch(items: Iterable, lhs: Callable, rhs: Callable) -> tuple[int,
         if left != right:
             return k, left, right
     return None
+
+
+def _commute_mismatch(basis: Iterable[Vector], a: Matrix, b: Matrix) -> tuple[int, Vector, Vector] | None:
+    """``_first_mismatch`` of a(b(x)) and b(a(x)): the first basis vector x with [a, b] x != 0."""
+    return _first_mismatch(basis, lambda x: mat_vec(a, mat_vec(b, x)), lambda x: mat_vec(b, mat_vec(a, x)))
+
+
+def _slot_action(ext: ExtensionResult) -> Matrix:
+    """The derivation of an extension as a map on the extension: column x is [slot, e_x]."""
+    return transpose(ext.algebra.c[ext.derivation_index])
 
 
 def _first_nonzero_pair(
@@ -269,17 +295,19 @@ def kahler_extension_obstruction(g: LieAlgebra, s: SasakianStructure, theta: KFo
 def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
     """Integrability of the lifted complex structure on a double extension.
 
-    The lift sends the central element to the derivation slot and back
-    with a sign; its torsion vanishes exactly when the derivation (the slot
-    action in ``ext``) commutes with J on the base, and both verdicts are
-    reported. Both torsions, of J on the base and of the lift, are read as
-    integers (``structures._nijenhuis_ints``); only a witness is Fractions.
+    The lift J-bar = [[J, 0, 0], [0, 0, -1], [0, 1, 0]] sends the central
+    element z to the derivation slot and the slot to -z; its torsion
+    vanishes exactly when the derivation (the slot action in ``ext``)
+    commutes with J-bar on the base, and both verdicts are reported. The
+    extension must be a double extension, z at index n and the slot at n+1
+    (a reversed double extension adjoins the slot first and is refused).
+    Both torsions, of J on the base and of the lift, are read as integers
+    (``structures._nijenhuis_ints``); only a witness is Fractions.
     """
-    if ext.central_index is None or ext.derivation_index is None:
+    n = ext.parent_dim
+    if (ext.central_index, ext.derivation_index) != (n, n + 1):
         raise PreconditionError("expected the result of a double extension")
     child = ext.algebra
-    n = ext.parent_dim
-    zi, si = ext.central_index, ext.derivation_index
     base = LieAlgebra(
         n,
         tuple(tuple(tuple(child.c[i][j2][k] for k in range(n)) for j2 in range(n)) for i in range(n)),
@@ -304,7 +332,7 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
             "N_J != 0 on the base",
         )
     )
-    theta = KForm.two_form(n, {(a, b): child.c[a][b][zi] for a in range(n) for b in range(a + 1, n)})
+    theta = KForm.two_form(n, {(a, b): child.c[a][b][n] for a in range(n) for b in range(a + 1, n)})
     pre.append(
         passed(
             "cocycle_nondegenerate",
@@ -314,19 +342,11 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
     )
     require("double extension does not satisfy the base hypotheses", CheckReport(tuple(pre)))
 
-    jbar_cols = [embed_vector(column(j, k), child.dim) for k in range(n)]
-    z_img = child.basis_vector(si)
-    s_img = vec_scale(-ONE, child.basis_vector(zi))
-    jbar = transpose(jbar_cols + [z_img, s_img])
-
-    d = tuple(tuple(child.c[si][x][k] for x in range(n + 1)) for k in range(n + 1))  # the slot action
+    zero = zero_vector(n)
+    jbar = tuple((*row, ZERO, ZERO) for row in j) + ((*zero, ZERO, -ONE), (*zero, ONE, ZERO))
     torsion, dt = _nijenhuis_ints(child, *_int_matrix(jbar))
     tw = next((pair for pair, v in torsion.items() if any(v)), None)
-    cw = _first_mismatch(
-        range(n),
-        lambda x: mat_vec(jbar, embed_vector(column(d, x), child.dim)),
-        lambda x: embed_vector(mat_vec(d, embed_vector(column(j, x), n + 1)), child.dim),
-    )
+    cw = _commute_mismatch(map(child.basis_vector, range(n)), jbar, _slot_action(ext))
     torsion_ok = tw is None
     commute_ok = cw is None
     torsion_witness = (
@@ -383,16 +403,6 @@ class DoubleExtensionParams:
         return CheckReport(items)
 
 
-@dataclass(frozen=True)
-class _DoubleExtensionSetup:
-    extension: ExtensionResult
-    alpha: KForm
-    reeb: Vector
-    params: DoubleExtensionParams
-    phi: Matrix
-    contact_report: CheckReport
-
-
 def _build_double_extension(
     g: LieAlgebra, s: SasakianStructure, theta: KForm, d: Matrix
 ) -> tuple[ExtensionResult, KForm, CheckReport, Vector | None]:
@@ -400,12 +410,8 @@ def _build_double_extension(
     _verify_sasakian_input(g, s)
     ext = double_extension(g, theta, d)
     child = ext.algebra
-    zi = ext.central_index
-    alpha_coords = one_form_coords(s.alpha) + (ONE, ZERO)
-    alpha = KForm.one_form(child.dim, alpha_coords)
-    dz = embed_vector(column(d, zi), child.dim)
-    pairing = apply_one_form(alpha, dz)
-    if pairing == 0:
+    alpha = KForm.one_form(child.dim, one_form_coords(s.alpha) + (ONE, ZERO))
+    if apply_one_form(alpha, child.c[ext.derivation_index][ext.central_index]) == 0:  # alpha([slot, z])
         raise refusal("alpha(D(z)) must be nonzero", "contact_pairing_nonzero", "alpha(D(z)) = 0")
     contact_rep, contact = check_contact(child, alpha)
     require("extension is not contact for alpha = lifted alpha + z*", contact_rep)
@@ -430,14 +436,12 @@ def solve_double_extension_params(
     build = _build_double_extension(g, s, theta, d)
     ext, alpha, _, reeb = build
     n = g.dim
-    b = reeb[ext.central_index]
-    g_part = reeb[:n]
-    a = apply_one_form(s.alpha, g_part)
-    u = vec_sub(g_part, vec_scale(a, s.reeb))
+    b = reeb[n]
+    a = apply_one_form(s.alpha, reeb[:n])
+    u = vec_sub(reeb[:n], vec_scale(a, s.reeb))
     if c is None:
-        factor = apply_one_form(alpha, embed_vector(column(d, ext.central_index), ext.algebra.dim))
-        factor -= apply_one_form(alpha, embed_vector(mat_vec(d, embed_vector(s.reeb, n + 1)), ext.algebra.dim))
-        c = ONE if factor >= 0 else -ONE
+        z_minus_xi = vec_sub(ext.algebra.basis_vector(n), embed_vector(s.reeb, n + 2))
+        c = ONE if apply_one_form(alpha, mat_vec(_slot_action(ext), z_minus_xi)) >= 0 else -ONE
     params = DoubleExtensionParams(a=a, b=b, c=c, d=-c, u=u)
     object.__setattr__(params, "_build", (g, s, theta, d, build))  # the dataclass is frozen
     return params
@@ -445,13 +449,13 @@ def solve_double_extension_params(
 
 def _double_extension_setup(
     g: LieAlgebra, s: SasakianStructure, theta: KForm, d: Matrix, params: DoubleExtensionParams
-) -> _DoubleExtensionSetup:
+) -> tuple[ExtensionResult, KForm, Vector, Matrix, CheckReport]:
+    """(extension, its contact form, solved Reeb vector, Phi-bar, contact report) for checked params."""
     carried = params._build
     if carried is not None and all(x is y for x, y in zip(carried, (g, s, theta, d))):
         ext, alpha, contact_rep, reeb = carried[4]
     else:
         ext, alpha, contact_rep, reeb = _build_double_extension(g, s, theta, d)
-    child = ext.algebra
     n = g.dim
     require("inconsistent parameters", params.validate())
     if len(params.u) != n:
@@ -459,46 +463,30 @@ def _double_extension_setup(
     alpha_u = apply_one_form(s.alpha, params.u)
     if alpha_u != 0:
         raise refusal("u must lie in Ker(alpha)", "params_u_in_kernel", f"alpha(u) = {fmt_scalar(alpha_u)}")
-    claimed = embed_vector(params.u, child.dim)
-    claimed = vec_add(claimed, vec_scale(params.a, embed_vector(s.reeb, child.dim)))
-    claimed = vec_add(claimed, vec_scale(params.b, child.basis_vector(ext.central_index)))
-    if claimed != reeb:
+    if vec_add(params.u, vec_scale(params.a, s.reeb)) + (params.b, ZERO) != reeb:  # u + a xi + b z
         raise refusal(
             "parameters do not reproduce the solved Reeb vector",
             "reeb_form",
-            f"solved Reeb = {fmt_vector(reeb, child.labels)}",
+            f"solved Reeb = {fmt_vector(reeb, ext.algebra.labels)}",
         )
-    delta = params.delta
-    phi_u = embed_vector(mat_vec(s.phi, params.u), child.dim)
-    slot = child.basis_vector(ext.derivation_index)
-    z_vec = child.basis_vector(ext.central_index)
-    xi_bar = embed_vector(s.reeb, child.dim)
-    phi_xibar = vec_scale(-ONE / delta, vec_add(vec_scale(params.b, slot), vec_scale(params.d, phi_u)))
-    phi_z = vec_scale(ONE / delta, vec_add(vec_scale(params.a, slot), vec_scale(params.c, phi_u)))
-    phi_slot = vec_sub(vec_scale(-params.c, xi_bar), vec_scale(params.d, z_vec))
-    cols = []
-    for i in range(n):
-        base_img = embed_vector(column(s.phi, i), child.dim)
-        ai = apply_one_form(s.alpha, g.basis_vector(i))
-        cols.append(vec_add(base_img, vec_scale(ai, phi_xibar)))
-    cols.append(phi_z)
-    cols.append(phi_slot)
-    phi = transpose(cols)
-    return _DoubleExtensionSetup(ext, alpha, reeb, params, phi, contact_rep)
+    inv = ONE / params.delta
+    coords = one_form_coords(s.alpha)
+    phi_u = mat_vec(s.phi, params.u)
+    # [[Phi - (d/delta) Phi u (x) alpha, (c/delta) Phi u, -c xi], [0, 0, -d], [-(b/delta) alpha, a/delta, 0]]
+    phi = tuple(
+        (*(p - params.d * inv * pu * x for p, x in zip(row, coords)), params.c * inv * pu, -params.c * xi)
+        for row, pu, xi in zip(s.phi, phi_u, s.reeb)
+    ) + ((*zero_vector(n), ZERO, -params.d), (*(-params.b * inv * x for x in coords), params.a * inv, ZERO))
+    return ext, alpha, reeb, phi, contact_rep
 
 
 def sasakian_double_extension_conditions(
     g: LieAlgebra, s: SasakianStructure, theta: KForm, d: Matrix, params: DoubleExtensionParams
 ) -> CheckReport:
     """The five equivalent conditions for the extension to stay Sasakian."""
-    setup = _double_extension_setup(g, s, theta, d, params)
-    child = setup.extension.algebra
-    n = g.dim
+    ext, _, reeb, phi, _ = _double_extension_setup(g, s, theta, d, params)
+    child = ext.algebra
     basis = kernel_basis(g, s.alpha)
-
-    def phi_bar(v: Vector) -> Vector:
-        return mat_vec(s.phi, v)
-
     w1 = _phi_pairing_failure(basis, theta, s.phi)
     witness1 = (
         ""
@@ -507,18 +495,15 @@ def sasakian_double_extension_conditions(
     )
     item1 = passed("cocycle_phi_pairing", w1 is None, witness1)
     rad = radical(g, theta)
-    u_ok = rad.contains(setup.params.u)
+    u_ok = rad.contains(params.u)
     xi_ok = rad.contains(s.reeb)
     item2 = passed(
         "theta_radical_contains_u_and_reeb",
         u_ok and xi_ok,
         f"u in Rad(theta): {u_ok}, reeb in Rad(theta): {xi_ok}",
     )
-    w3 = _first_mismatch(
-        basis,
-        lambda x: embed_vector(mat_vec(d, embed_vector(phi_bar(x), n + 1)), child.dim),
-        lambda x: mat_vec(setup.phi, embed_vector(mat_vec(d, embed_vector(x, n + 1)), child.dim)),
-    )
+    # Phi-bar is Phi on Ker(alpha)
+    w3 = _commute_mismatch((embed_vector(x, child.dim) for x in basis), _slot_action(ext), phi)
     witness3 = (
         ""
         if w3 is None
@@ -526,9 +511,9 @@ def sasakian_double_extension_conditions(
         f"on kernel vector {w3[0]}"
     )
     item3 = passed("derivation_commutes_with_phi", w3 is None, witness3)
-    u = setup.params.u
+    u = params.u
     w4 = _first_mismatch(
-        basis, lambda x: bracket(g, u, x), lambda x: vec_scale(-ONE, phi_bar(bracket(g, u, phi_bar(x))))
+        basis, lambda x: bracket(g, u, x), lambda x: vec_scale(-ONE, mat_vec(s.phi, bracket(g, u, mat_vec(s.phi, x))))
     )
     witness4 = (
         ""
@@ -540,19 +525,14 @@ def sasakian_double_extension_conditions(
 
     def torsion(uu: Vector, vv: Vector) -> Vector:
         t = vec_scale(-ONE, bracket(child, uu, vv))
-        t = vec_add(t, bracket(child, mat_vec(setup.phi, uu), mat_vec(setup.phi, vv)))
-        t = vec_sub(t, mat_vec(setup.phi, bracket(child, mat_vec(setup.phi, uu), vv)))
-        t = vec_sub(t, mat_vec(setup.phi, bracket(child, uu, mat_vec(setup.phi, vv))))
+        t = vec_add(t, bracket(child, mat_vec(phi, uu), mat_vec(phi, vv)))
+        t = vec_sub(t, mat_vec(phi, bracket(child, mat_vec(phi, uu), vv)))
+        t = vec_sub(t, mat_vec(phi, bracket(child, uu, mat_vec(phi, vv))))
         return t
 
-    w_vec = vec_add(
-        vec_scale(setup.params.c, embed_vector(s.reeb, child.dim)),
-        vec_scale(setup.params.d, child.basis_vector(setup.extension.central_index)),
-    )
-    slot = child.basis_vector(setup.extension.derivation_index)
-    xi = setup.reeb
-    m_w = torsion(w_vec, xi)
-    m_d = torsion(slot, xi)
+    w_vec = vec_scale(params.c, s.reeb) + (params.d, ZERO)  # c xi + d z
+    m_w = torsion(w_vec, reeb)
+    m_d = torsion(child.basis_vector(ext.derivation_index), reeb)
     item5 = passed(
         "reeb_derivative_balance",
         is_zero_vector(m_w) and is_zero_vector(m_d),
@@ -561,7 +541,7 @@ def sasakian_double_extension_conditions(
     notes = (
         ("M(w,xi)", fmt_vector(m_w, child.labels)),
         ("M(D,xi)", fmt_vector(m_d, child.labels)),
-        ("solved_reeb", fmt_vector(setup.reeb, child.labels)),
+        ("solved_reeb", fmt_vector(reeb, child.labels)),
     )
     return CheckReport((item1, item2, item3, item4, item5), notes)
 
@@ -570,12 +550,10 @@ def sasakian_double_extension(
     g: LieAlgebra, s: SasakianStructure, theta: KForm, d: Matrix, params: DoubleExtensionParams
 ) -> tuple[ExtensionResult, CheckReport, SasakianStructure | None]:
     """Build the double extension and verify the Sasakian axioms directly."""
-    setup = _double_extension_setup(g, s, theta, d, params)
-    child = setup.extension.algebra
-    rep, structure = check_sasakian(child, setup.reeb, setup.alpha, setup.phi)
-    contact = setup.contact_report
+    ext, alpha, reeb, phi, contact = _double_extension_setup(g, s, theta, d, params)
+    rep, structure = check_sasakian(ext.algebra, reeb, alpha, phi)
     merged = CheckReport(contact.prefixed("contact:") + rep.items, contact.notes + rep.notes)
-    return setup.extension, merged, structure
+    return ext, merged, structure
 
 
 # ---------------------------------------------------------------------------
@@ -599,15 +577,10 @@ def frobenius_kahler_to_sasakian(
     if mat_mul(d, k.j) != mat_mul(k.j, d):
         raise refusal("D must commute with J", "d_commutes_with_j", "D o J != J o D")
     child = ext.algebra
-    xi = child.basis_vector(ext.derivation_index)
     alpha = KForm.one_form(child.dim, coords + (ONE,))
-    cols = []
-    for i in range(g.dim):
-        jx = column(k.j, i)
-        cols.append(vec_sub(embed_vector(jx, child.dim), vec_scale(apply_one_form(f.phi, jx), xi)))
-    cols.append(zero_vector(child.dim))
-    phi = transpose(cols)
-    rep, structure = check_sasakian(child, xi, alpha, phi)
+    phi_j = mat_vec(transpose(k.j), coords)  # the row phi o J
+    phi = tuple((*row, ZERO) for row in k.j) + ((*(-x for x in phi_j), ZERO),)  # [[J, 0], [-phi o J, 0]]
+    rep, structure = check_sasakian(child, child.basis_vector(ext.derivation_index), alpha, phi)
     return ext, rep, structure
 
 
@@ -629,19 +602,14 @@ def sasakian_to_frobenius_kahler(
         label = g.labels[bad]
         raise refusal("alpha o D must equal alpha", "alpha_d_invariance", f"alpha(D {label}) != alpha({label})")
     basis = kernel_basis(g, s.alpha)
-    hit = _first_mismatch(basis, lambda x: mat_vec(s.phi, mat_vec(d, x)), lambda x: mat_vec(d, mat_vec(s.phi, x)))
+    hit = _commute_mismatch(basis, s.phi, d)
     if hit is not None:
         witness = f"[Phi,D]({fmt_vector(basis[hit[0]], g.labels)}) != 0"
         raise refusal("Phi and D must commute on Ker(alpha)", "phi_d_commute_on_kernel", witness)
     child = ext.algebra
     slot = child.basis_vector(ext.derivation_index)
     phi_lift = KForm.one_form(child.dim, coords + (ZERO,))
-    cols = []
-    for i in range(g.dim):
-        img = embed_vector(column(s.phi, i), child.dim)
-        cols.append(vec_sub(img, vec_scale(coords[i], slot)))
-    cols.append(embed_vector(s.reeb, child.dim))
-    j = transpose(cols)
+    j = tuple((*row, x) for row, x in zip(s.phi, s.reeb)) + ((*(-x for x in coords), ZERO),)  # [[Phi, xi], [-alpha, 0]]
     rep_f, frob = check_frobenius(child, phi_lift)
     omega = frob.kirillov if frob is not None else kirillov_form(child, phi_lift)  # -d(phi_lift)
     rep_k, kahler = check_kahler(child, j, omega)
@@ -739,12 +707,7 @@ def contact_ideal_restriction(
             "[ad(xi), Phi] != 0 on the ideal",
         )
     )
-    xp_hit = _first_mismatch(
-        kernel_basis(h, alpha_h),
-        lambda v: mat_vec(ad_xp_mat, mat_vec(phi, v)),
-        lambda v: mat_vec(phi, mat_vec(ad_xp_mat, v)),
-    )
-    crit_xp = xp_hit is None
+    crit_xp = _commute_mismatch(kernel_basis(h, alpha_h), ad_xp_mat, phi) is None
     items.append(
         passed(
             "principal_adjoint_commutes_on_kernel",

@@ -83,12 +83,24 @@ def heisenberg_sasakian(m):
     return g, g.basis_vector(n - 1), KForm.basis_one_form(n, n - 1), lf.matrix(phi)
 
 
+def _random_basis(dim, seed):
+    """(P, P^-1) for the random rational basis e'_i = P e_i drawn from seed."""
+    p = random_invertible(random.Random(seed), dim)
+    return p, mat_inverse(p)
+
+
 def conjugated_heisenberg_sasakian(m, seed):
     """heisenberg_sasakian(m) moved to a random rational basis e'_i = P e_i."""
     g, reeb, alpha, phi = heisenberg_sasakian(m)
-    p = random_invertible(random.Random(seed), g.dim)
-    pinv = mat_inverse(p)
+    p, pinv = _random_basis(g.dim, seed)
     return conjugate_algebra(g, p, pinv), mat_vec(pinv, reeb), conjugate_one_form(alpha, p), conjugate_map(phi, p, pinv)
+
+
+def conjugated_grading_derivation(m, seed):
+    """The grading derivation of h_{2m+1} (1/2 on x and y, 1 on z) in the basis of
+    conjugated_heisenberg_sasakian(m, seed): alpha o D = alpha, and D commutes with Phi."""
+    p, pinv = _random_basis(2 * m + 1, seed)
+    return conjugate_map(diagonal([Fraction(1, 2)] * (2 * m) + [1]), p, pinv)
 
 
 def rational_vectors(dim, values=RATIONALS):

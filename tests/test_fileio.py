@@ -49,6 +49,24 @@ def test_parse_algebra_errors_carry_offsets():
     assert "bad rational" in str(err3.value)
 
 
+@pytest.mark.parametrize(
+    "head, bad",
+    [
+        ("lieforge/1 algebra\n# été, Kähler\n", "dim x\n"),
+        ("lieforge/1 structure\n# φ ∘ J\nkind form\n", "values 0 1/0\n"),
+    ],
+    ids=["algebra", "structure"],
+)
+def test_parse_error_offsets_count_utf8_bytes(head, bad):
+    # a non-ASCII comment before the bad line: the offset is where that line starts in the UTF-8 file
+    # (the parser is looked up here, not held by the parameters, where the benchmark tracer would find it)
+    parse = parse_algebra if "algebra" in head else parse_structure
+    with pytest.raises(ParseError) as err:
+        parse(head + bad)
+    assert err.value.offset == len(head.encode("utf-8")) > len(head)
+    assert f"(byte {len(head.encode('utf-8'))}," in str(err.value)
+
+
 def test_parse_structure_kinds():
     form = parse_structure("lieforge/1 structure\nkind form\nvalues 0 0 1\n")
     assert form.forms["values"] == (Fraction(0), Fraction(0), Fraction(1))

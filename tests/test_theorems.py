@@ -13,6 +13,7 @@ from lieforge import (
     center,
     central_extension,
     check_kahler,
+    check_sasakian,
     contact_ideal_restriction,
     double_extension,
     extend_complex_structure,
@@ -32,7 +33,13 @@ from lieforge.report import DimensionMismatch, PreconditionError
 from lieforge.theorems import kernel_basis
 
 import theorems_oracle
-from strategies import RATIONALS, frobenius_kahler_inputs, sasakian_reduction_inputs
+from strategies import (
+    RATIONALS,
+    conjugated_grading_derivation,
+    conjugated_heisenberg_sasakian,
+    frobenius_kahler_inputs,
+    sasakian_reduction_inputs,
+)
 
 
 H3 = builtin("h3")
@@ -138,6 +145,14 @@ def test_extend_complex_structure_d4half_presentation():
     assert ext.algebra.c == D4.algebra.c
     report = extend_complex_structure(ext, j)
     assert report.overall
+
+
+def test_extend_complex_structure_refuses_reversed_double_extension():
+    # the reversed extension adjoins the slot first (index 4) and z last (index 5): J-bar's blocks do not apply
+    ext = reversed_double_extension(D4.algebra, KForm.basis_one_form(4, 2), D4.named_map("E"), check=False)
+    assert (ext.derivation_index, ext.central_index) == (4, 5)
+    with pytest.raises(PreconditionError, match="expected the result of a double extension"):
+        extend_complex_structure(ext, D4.kahler().j)
 
 
 @pytest.mark.parametrize("j", [matrix([[0, -1], [1]])], ids=["ragged-j"])
@@ -546,6 +561,109 @@ def test_sasakian_reduction_matches_oracle(case):
 def test_contact_ideal_restriction_matches_oracle(case):
     # one bracket per pair for the ideal test, the brackets of the ideal and ad(x_P)
     assert outcome(contact_ideal_restriction, *case) == outcome(theorems_oracle.contact_ideal_restriction, *case)
+
+
+# --- block maps and one commutator helper against the column-by-column paths ---
+
+ORACLE_CASES = ["h3", "g5", "g0"] + [f"conjugated-h{2 * m + 1}" for m in range(1, 7)]
+
+
+def _sasakian_case(name):
+    """(g, s, D): a Sasakian built-in, or h_{2m+1} in the random basis of seed m, with D its grading derivation
+    (1/2 on x and y, 1 on z). No derivation of g5 with alpha o D = alpha commutes with Phi on Ker(alpha), and no
+    derivation of g0 has alpha o D = alpha: sasakian_to_frobenius_kahler refuses both."""
+    if not name.startswith("conjugated-"):
+        b = builtin(name)
+        d = {"h3": ["1/2", "1/2", 1], "g5": [1, 0, 1, 0, 1], "g0": [0] * 5}[name]
+        return b.algebra, b.sasakian(), diagonal(d)
+    m = int(name.removeprefix("conjugated-h")) // 2
+    _, s = check_sasakian(*conjugated_heisenberg_sasakian(m, m))
+    return s.algebra, s, conjugated_grading_derivation(m, m)
+
+
+def _plus_one(d):
+    """d (+) 1 on the central extension by theta = 0: d on the base, 1 on z."""
+    return matrix([(*row, 0) for row in d] + [[0] * len(d) + [1]])
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_derivation_extensions_match_oracle(name):
+    # J = [[Phi, xi], [-alpha, 0]] and Phi = [[J, 0], [-phi o J, 0]] as block matrices; [Phi, D] on Ker(alpha)
+    # and [ad(x_P), Phi] on the restricted kernel through the one commutator helper
+    g, s, d = _sasakian_case(name)
+    out = outcome(sasakian_to_frobenius_kahler, g, s, d)
+    assert out == outcome(theorems_oracle.sasakian_to_frobenius_kahler, g, s, d)
+    refusals = {"g5": "Phi and D must commute on Ker(alpha)", "g0": "alpha o D must equal alpha"}
+    if name in refusals:
+        assert out[:2] == (PreconditionError, refusals[name])
+        return
+    ext, report, frob, kahler = out
+    assert report.overall
+    fk = (ext.algebra, frob, kahler)
+    assert outcome(contact_ideal_restriction, *fk) == outcome(theorems_oracle.contact_ideal_restriction, *fk)
+    zero = zero_matrix(ext.algebra.dim)
+    assert outcome(frobenius_kahler_to_sasakian, *fk, zero) == outcome(
+        theorems_oracle.frobenius_kahler_to_sasakian, *fk, zero
+    )
+
+
+@pytest.mark.parametrize(
+    "d",
+    [D4.named_map("E"), zero_matrix(4), adjoint(D4.algebra, D4.algebra.basis_vector(3))],
+    ids=["E", "zero", "ad-e4"],
+)
+def test_fk_to_sasakian_on_d4half_matches_oracle(d):
+    args = (D4.algebra, D4.frobenius(), D4.kahler(), d)
+    assert outcome(frobenius_kahler_to_sasakian, *args) == outcome(theorems_oracle.frobenius_kahler_to_sasakian, *args)
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_double_extensions_match_oracle(name):
+    # Phi-bar as one block matrix and D read once, as the slot action; theta = 0 with D (+) 1 (not contact on
+    # the Heisenberg algebras), 0 (+) 1 (Sasakian) and ad(e_1) (+) 1 (fails [D, Phi] = 0)
+    g, s, d = _sasakian_case(name)
+    theta = KForm.zero(g.dim, 2)
+    for dd in (_plus_one(d), _plus_one(zero_matrix(g.dim)), _plus_one(adjoint(g, g.basis_vector(0)))):
+        params = outcome(solve_double_extension_params, g, s, theta, dd)
+        assert params == outcome(theorems_oracle.solve_double_extension_params, g, s, theta, dd)
+        if isinstance(params, DoubleExtensionParams):
+            args = (g, s, theta, dd, params)
+            assert outcome(sasakian_double_extension_conditions, *args) == outcome(
+                theorems_oracle.sasakian_double_extension_conditions, *args
+            )
+            assert outcome(sasakian_double_extension, *args) == outcome(
+                theorems_oracle.sasakian_double_extension, *args
+            )
+
+
+@pytest.mark.parametrize("weights", [[1, 1, 2, 3], [1, -1, 0, 1], [2, "1/2", "5/2", "9/2"]])
+def test_double_extension_by_a_cocycle_matches_oracle(weights):
+    # theta = e1^e3 on h3 and D diagonal on its central extension: the solved Reeb vector has u != 0, and b != 0
+    # except for the second weights, so every block of Phi-bar is nonzero
+    s = H3.sasakian()
+    theta = KForm.two_form(3, {(0, 2): 1})
+    d = diagonal(weights)
+    params = solve_double_extension_params(H3.algebra, s, theta, d)
+    assert params == theorems_oracle.solve_double_extension_params(H3.algebra, s, theta, d)
+    assert any(params.u) and (params.b != 0) == (weights[1] != -1)
+    args = (H3.algebra, s, theta, d, params)
+    assert sasakian_double_extension_conditions(*args) == theorems_oracle.sasakian_double_extension_conditions(*args)
+    assert sasakian_double_extension(*args) == theorems_oracle.sasakian_double_extension(*args)
+
+
+@pytest.mark.parametrize("name", [n for n in ORACLE_CASES if n not in ("g5", "g0")])
+def test_extend_complex_structure_matches_oracle(name):
+    # J-bar = [[J, 0, 0], [0, 0, -1], [0, 1, 0]] on the double extension of a Frobenius-Kahler algebra by its
+    # symplectic form: D = 0 commutes with J-bar, the inner derivations of e_1 and the slot do not
+    g, s, d = _sasakian_case(name)
+    ext, _, _, kahler = sasakian_to_frobenius_kahler(g, s, d)
+    central = central_extension(ext.algebra, kahler.omega).algebra
+    slot = central.basis_vector(g.dim)
+    for dd in (zero_matrix(central.dim), adjoint(central, central.basis_vector(0)), adjoint(central, slot)):
+        double = double_extension(ext.algebra, kahler.omega, dd)
+        assert outcome(extend_complex_structure, double, kahler.j) == outcome(
+            theorems_oracle.extend_complex_structure, double, kahler.j
+        )
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,4 +1,4 @@
-"""Reference oracle for two constructions of lieforge.theorems: the paths that computed a fact twice.
+"""Reference oracle for lieforge.theorems: the paths that computed a fact twice or assembled a map entry by entry.
 
 sasakian_reduction solves for the coordinates of every vector in the basis of
 Ker(alpha) with its own elimination (``solve_unique``), where lieforge reads
@@ -6,8 +6,18 @@ them off the pivots of that reduced basis. contact_ideal_restriction brackets
 x_P and every kept vector with every kept vector for the ideal test, takes
 the brackets of the ideal again from the structure constants, and brackets
 x_P with each kept vector once more for every entry of ad(x_P), where
-lieforge brackets each pair once. tests/test_theorems.py checks that both
-return exactly the same algebras, reports, structures and refusals.
+lieforge brackets each pair once.
+
+The derivation-extension and double-extension constructions here build each
+output map column by column from vectors embedded one at a time, n -> n+1 ->
+n+2, and test each "two maps commute on a basis" condition with its own pair
+of functions. They read the derivation of a double extension as the caller's
+(n+1)-map embedded twice, as column(d, z) embedded, or, in
+extend_complex_structure, as the block of the slot action on rows and
+columns 0..n, where lieforge writes each map as one block matrix on the
+extension and reads the derivation once, as the slot action on the
+extension. tests/test_theorems.py checks that both return exactly the same
+algebras, reports, structures and refusals.
 """
 
 from __future__ import annotations
@@ -15,36 +25,54 @@ from __future__ import annotations
 from fractions import Fraction
 
 from lieforge.algebra import LieAlgebra, Subspace, adjoint, bracket, center
-from lieforge.forms import KForm
+from lieforge.extensions import ExtensionResult, derivation_extension, double_extension
+from lieforge.forms import KForm, radical
 from lieforge.linalg import (
+    Matrix,
     Vector,
     ZERO,
+    column,
+    fmt_basis_tuple,
     fmt_scalar,
+    fmt_vector,
+    is_square,
+    is_zero_vector,
     mat_mul,
     mat_vec,
     solve_unique,
     transpose,
+    vec_add,
     vec_scale,
     vec_sub,
+    vector_over,
     zero_vector,
 )
-from lieforge.report import CheckReport, passed, refusal, require
+from lieforge.report import CheckReport, DimensionMismatch, PreconditionError, passed, refusal, require
 from lieforge.structures import (
     FrobeniusStructure,
     KahlerStructure,
     SasakianStructure,
+    _int_matrix,
+    _nijenhuis_ints,
     apply_one_form,
     check_contact,
+    check_frobenius,
     check_kahler,
     check_sasakian,
+    kirillov_form,
     one_form_coords,
 )
 from lieforge.theorems import (
+    DoubleExtensionParams,
     _first_mismatch,
+    _phi_pairing_failure,
     _verify_frobenius_kahler_input,
     _verify_sasakian_input,
+    embed_vector,
     kernel_basis,
 )
+
+ONE = Fraction(1)
 
 
 def sasakian_reduction(g: LieAlgebra, s: SasakianStructure) -> tuple[LieAlgebra, CheckReport, KahlerStructure]:
@@ -170,3 +198,285 @@ def contact_ideal_restriction(
     sas_rep, structure = check_sasakian(h, xi, alpha_h, phi)
     items.extend(sas_rep.items)
     return h, CheckReport(tuple(items), contact_rep.notes + sas_rep.notes), structure
+
+
+def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
+    n = ext.parent_dim
+    if (ext.central_index, ext.derivation_index) != (n, n + 1):
+        raise PreconditionError("expected the result of a double extension")
+    child = ext.algebra
+    zi, si = ext.central_index, ext.derivation_index
+    base = LieAlgebra(
+        n,
+        tuple(tuple(tuple(child.c[i][j2][k] for k in range(n)) for j2 in range(n)) for i in range(n)),
+        child.labels[:n],
+    )
+    if not is_square(j, n):
+        raise DimensionMismatch("complex structure must act on the base")
+    j2 = mat_mul(j, j)
+    base_torsion, _ = _nijenhuis_ints(base, *_int_matrix(j))
+    theta = KForm.two_form(n, {(a, b): child.c[a][b][zi] for a in range(n) for b in range(a + 1, n)})
+    pre = (
+        passed(
+            "base_complex_square",
+            all(column(j2, k) == vec_scale(-ONE, base.basis_vector(k)) for k in range(n)),
+            "J^2 != -Id on the base",
+        ),
+        passed("base_complex_integrable", not any(any(v) for v in base_torsion.values()), "N_J != 0 on the base"),
+        passed(
+            "cocycle_nondegenerate", radical(base, theta).dim == 0, "the extension cocycle is degenerate on the base"
+        ),
+    )
+    require("double extension does not satisfy the base hypotheses", CheckReport(pre))
+    jbar_cols = [embed_vector(column(j, k), child.dim) for k in range(n)]
+    jbar = transpose(jbar_cols + [child.basis_vector(si), vec_scale(-ONE, child.basis_vector(zi))])
+    # the slot action on rows and columns 0..n: the central extension, as the slot comes last
+    d = tuple(tuple(child.c[si][x][k] for x in range(n + 1)) for k in range(n + 1))
+    torsion, dt = _nijenhuis_ints(child, *_int_matrix(jbar))
+    tw = next((pair for pair, v in torsion.items() if any(v)), None)
+    cw = _first_mismatch(
+        range(n),
+        lambda x: mat_vec(jbar, embed_vector(column(d, x), child.dim)),
+        lambda x: embed_vector(mat_vec(d, embed_vector(column(j, x), n + 1)), child.dim),
+    )
+    torsion_ok, commute_ok = tw is None, cw is None
+    torsion_witness = (
+        ""
+        if tw is None
+        else f"N{fmt_basis_tuple(tw, child.labels)} = {fmt_vector(vector_over(torsion[tw], dt), child.labels)}"
+    )
+    commute_witness = (
+        ""
+        if cw is None
+        else f"Jbar(D {child.labels[cw[0]]}) = {fmt_vector(cw[1], child.labels)}, "
+        f"D(J {child.labels[cw[0]]}) = {fmt_vector(cw[2], child.labels)}"
+    )
+    return CheckReport(
+        (
+            passed("torsion_vanishes", torsion_ok, torsion_witness),
+            passed("derivation_commutes_with_j", commute_ok, commute_witness),
+            passed(
+                "equivalence_agrees",
+                torsion_ok == commute_ok,
+                f"torsion {'vanishes' if torsion_ok else 'persists'} but commutation "
+                f"{'holds' if commute_ok else 'fails'}",
+            ),
+        )
+    )
+
+
+def _build_double_extension(
+    g: LieAlgebra, s: SasakianStructure, theta: KForm, d: Matrix
+) -> tuple[ExtensionResult, KForm, CheckReport, Vector | None]:
+    _verify_sasakian_input(g, s)
+    ext = double_extension(g, theta, d)
+    child = ext.algebra
+    zi = ext.central_index
+    alpha = KForm.one_form(child.dim, one_form_coords(s.alpha) + (ONE, ZERO))
+    if apply_one_form(alpha, embed_vector(column(d, zi), child.dim)) == 0:
+        raise refusal("alpha(D(z)) must be nonzero", "contact_pairing_nonzero", "alpha(D(z)) = 0")
+    contact_rep, contact = check_contact(child, alpha)
+    require("extension is not contact for alpha = lifted alpha + z*", contact_rep)
+    return ext, alpha, contact_rep, contact.reeb
+
+
+def solve_double_extension_params(
+    g: LieAlgebra, s: SasakianStructure, theta: KForm, d: Matrix, c: Fraction | None = None
+) -> DoubleExtensionParams:
+    ext, alpha, _, reeb = _build_double_extension(g, s, theta, d)
+    n = g.dim
+    b = reeb[ext.central_index]
+    g_part = reeb[:n]
+    a = apply_one_form(s.alpha, g_part)
+    u = vec_sub(g_part, vec_scale(a, s.reeb))
+    if c is None:
+        factor = apply_one_form(alpha, embed_vector(column(d, ext.central_index), ext.algebra.dim))
+        factor -= apply_one_form(alpha, embed_vector(mat_vec(d, embed_vector(s.reeb, n + 1)), ext.algebra.dim))
+        c = ONE if factor >= 0 else -ONE
+    return DoubleExtensionParams(a=a, b=b, c=c, d=-c, u=u)
+
+
+def _double_extension_setup(
+    g: LieAlgebra, s: SasakianStructure, theta: KForm, d: Matrix, params: DoubleExtensionParams
+) -> tuple[ExtensionResult, KForm, Vector, Matrix, CheckReport]:
+    """(extension, contact form, solved Reeb vector, Phi-bar, contact report), Phi-bar column by column."""
+    ext, alpha, contact_rep, reeb = _build_double_extension(g, s, theta, d)
+    child = ext.algebra
+    n = g.dim
+    require("inconsistent parameters", params.validate())
+    if len(params.u) != n:
+        raise DimensionMismatch("u must live in the base algebra")
+    alpha_u = apply_one_form(s.alpha, params.u)
+    if alpha_u != 0:
+        raise refusal("u must lie in Ker(alpha)", "params_u_in_kernel", f"alpha(u) = {fmt_scalar(alpha_u)}")
+    claimed = embed_vector(params.u, child.dim)
+    claimed = vec_add(claimed, vec_scale(params.a, embed_vector(s.reeb, child.dim)))
+    claimed = vec_add(claimed, vec_scale(params.b, child.basis_vector(ext.central_index)))
+    if claimed != reeb:
+        raise refusal(
+            "parameters do not reproduce the solved Reeb vector",
+            "reeb_form",
+            f"solved Reeb = {fmt_vector(reeb, child.labels)}",
+        )
+    delta = params.delta
+    phi_u = embed_vector(mat_vec(s.phi, params.u), child.dim)
+    slot = child.basis_vector(ext.derivation_index)
+    z_vec = child.basis_vector(ext.central_index)
+    xi_bar = embed_vector(s.reeb, child.dim)
+    phi_xibar = vec_scale(-ONE / delta, vec_add(vec_scale(params.b, slot), vec_scale(params.d, phi_u)))
+    phi_z = vec_scale(ONE / delta, vec_add(vec_scale(params.a, slot), vec_scale(params.c, phi_u)))
+    phi_slot = vec_sub(vec_scale(-params.c, xi_bar), vec_scale(params.d, z_vec))
+    cols = []
+    for i in range(n):
+        base_img = embed_vector(column(s.phi, i), child.dim)
+        ai = apply_one_form(s.alpha, g.basis_vector(i))
+        cols.append(vec_add(base_img, vec_scale(ai, phi_xibar)))
+    cols.append(phi_z)
+    cols.append(phi_slot)
+    return ext, alpha, reeb, transpose(cols), contact_rep
+
+
+def sasakian_double_extension_conditions(
+    g: LieAlgebra, s: SasakianStructure, theta: KForm, d: Matrix, params: DoubleExtensionParams
+) -> CheckReport:
+    ext, _, reeb, phi, _ = _double_extension_setup(g, s, theta, d, params)
+    child = ext.algebra
+    n = g.dim
+    basis = kernel_basis(g, s.alpha)
+
+    def phi_bar(v: Vector) -> Vector:
+        return mat_vec(s.phi, v)
+
+    w1 = _phi_pairing_failure(basis, theta, s.phi)
+    witness1 = (
+        ""
+        if w1 is None
+        else f"theta(Phi x,y)+theta(x,Phi y) = {fmt_scalar(w1[2])} on kernel pair ({w1[0]},{w1[1]})"
+    )
+    item1 = passed("cocycle_phi_pairing", w1 is None, witness1)
+    rad = radical(g, theta)
+    u_ok = rad.contains(params.u)
+    xi_ok = rad.contains(s.reeb)
+    item2 = passed(
+        "theta_radical_contains_u_and_reeb",
+        u_ok and xi_ok,
+        f"u in Rad(theta): {u_ok}, reeb in Rad(theta): {xi_ok}",
+    )
+    w3 = _first_mismatch(
+        basis,
+        lambda x: embed_vector(mat_vec(d, embed_vector(phi_bar(x), n + 1)), child.dim),
+        lambda x: mat_vec(phi, embed_vector(mat_vec(d, embed_vector(x, n + 1)), child.dim)),
+    )
+    witness3 = (
+        ""
+        if w3 is None
+        else f"D(Phi x) = {fmt_vector(w3[1], child.labels)}, Phi(D x) = {fmt_vector(w3[2], child.labels)} "
+        f"on kernel vector {w3[0]}"
+    )
+    item3 = passed("derivation_commutes_with_phi", w3 is None, witness3)
+    u = params.u
+    w4 = _first_mismatch(
+        basis, lambda x: bracket(g, u, x), lambda x: vec_scale(-ONE, phi_bar(bracket(g, u, phi_bar(x))))
+    )
+    witness4 = (
+        ""
+        if w4 is None
+        else f"[u,x] = {fmt_vector(w4[1], g.labels)}, -Phi[u,Phi x] = {fmt_vector(w4[2], g.labels)} "
+        f"on kernel vector {w4[0]}"
+    )
+    item4 = passed("ad_u_phi_conjugation", w4 is None, witness4)
+
+    def torsion(uu: Vector, vv: Vector) -> Vector:
+        t = vec_scale(-ONE, bracket(child, uu, vv))
+        t = vec_add(t, bracket(child, mat_vec(phi, uu), mat_vec(phi, vv)))
+        t = vec_sub(t, mat_vec(phi, bracket(child, mat_vec(phi, uu), vv)))
+        t = vec_sub(t, mat_vec(phi, bracket(child, uu, mat_vec(phi, vv))))
+        return t
+
+    w_vec = vec_add(
+        vec_scale(params.c, embed_vector(s.reeb, child.dim)),
+        vec_scale(params.d, child.basis_vector(ext.central_index)),
+    )
+    m_w = torsion(w_vec, reeb)
+    m_d = torsion(child.basis_vector(ext.derivation_index), reeb)
+    item5 = passed(
+        "reeb_derivative_balance",
+        is_zero_vector(m_w) and is_zero_vector(m_d),
+        f"M(w,xi) = {fmt_vector(m_w, child.labels)}, M(D,xi) = {fmt_vector(m_d, child.labels)}",
+    )
+    notes = (
+        ("M(w,xi)", fmt_vector(m_w, child.labels)),
+        ("M(D,xi)", fmt_vector(m_d, child.labels)),
+        ("solved_reeb", fmt_vector(reeb, child.labels)),
+    )
+    return CheckReport((item1, item2, item3, item4, item5), notes)
+
+
+def sasakian_double_extension(
+    g: LieAlgebra, s: SasakianStructure, theta: KForm, d: Matrix, params: DoubleExtensionParams
+) -> tuple[ExtensionResult, CheckReport, SasakianStructure | None]:
+    ext, alpha, reeb, phi, contact = _double_extension_setup(g, s, theta, d, params)
+    rep, structure = check_sasakian(ext.algebra, reeb, alpha, phi)
+    merged = CheckReport(contact.prefixed("contact:") + rep.items, contact.notes + rep.notes)
+    return ext, merged, structure
+
+
+def frobenius_kahler_to_sasakian(
+    g: LieAlgebra, f: FrobeniusStructure, k: KahlerStructure, d: Matrix
+) -> tuple[ExtensionResult, CheckReport, SasakianStructure | None]:
+    _verify_frobenius_kahler_input(g, f, k)
+    ext = derivation_extension(g, d)
+    coords = one_form_coords(f.phi)
+    bad = next((j for j in range(g.dim) if apply_one_form(f.phi, column(d, j)) != 0), None)
+    if bad is not None:
+        raise refusal("phi o D must vanish", "phi_d_vanishes", f"phi(D {g.labels[bad]}) != 0")
+    if mat_mul(d, k.j) != mat_mul(k.j, d):
+        raise refusal("D must commute with J", "d_commutes_with_j", "D o J != J o D")
+    child = ext.algebra
+    xi = child.basis_vector(ext.derivation_index)
+    alpha = KForm.one_form(child.dim, coords + (ONE,))
+    cols = []
+    for i in range(g.dim):
+        jx = column(k.j, i)
+        cols.append(vec_sub(embed_vector(jx, child.dim), vec_scale(apply_one_form(f.phi, jx), xi)))
+    cols.append(zero_vector(child.dim))
+    rep, structure = check_sasakian(child, xi, alpha, transpose(cols))
+    return ext, rep, structure
+
+
+def sasakian_to_frobenius_kahler(
+    g: LieAlgebra, s: SasakianStructure, d: Matrix
+) -> tuple[ExtensionResult, CheckReport, FrobeniusStructure | None, KahlerStructure | None]:
+    _verify_sasakian_input(g, s)
+    ext = derivation_extension(g, d)
+    coords = one_form_coords(s.alpha)
+    bad = next((j for j in range(g.dim) if apply_one_form(s.alpha, column(d, j)) != coords[j]), None)
+    if bad is not None:
+        label = g.labels[bad]
+        raise refusal("alpha o D must equal alpha", "alpha_d_invariance", f"alpha(D {label}) != alpha({label})")
+    basis = kernel_basis(g, s.alpha)
+    hit = _first_mismatch(basis, lambda x: mat_vec(s.phi, mat_vec(d, x)), lambda x: mat_vec(d, mat_vec(s.phi, x)))
+    if hit is not None:
+        witness = f"[Phi,D]({fmt_vector(basis[hit[0]], g.labels)}) != 0"
+        raise refusal("Phi and D must commute on Ker(alpha)", "phi_d_commute_on_kernel", witness)
+    child = ext.algebra
+    slot = child.basis_vector(ext.derivation_index)
+    phi_lift = KForm.one_form(child.dim, coords + (ZERO,))
+    cols = []
+    for i in range(g.dim):
+        img = embed_vector(column(s.phi, i), child.dim)
+        cols.append(vec_sub(img, vec_scale(coords[i], slot)))
+    cols.append(embed_vector(s.reeb, child.dim))
+    j = transpose(cols)
+    rep_f, frob = check_frobenius(child, phi_lift)
+    omega = frob.kirillov if frob is not None else kirillov_form(child, phi_lift)
+    rep_k, kahler = check_kahler(child, j, omega)
+    items = rep_f.prefixed("frobenius:") + rep_k.prefixed("kahler:")
+    principal_ok = frob is not None and frob.principal == slot
+    witness = (
+        f"principal element = {fmt_vector(frob.principal, child.labels)}"
+        if frob is not None
+        else "no principal element"
+    )
+    items += (passed("principal_is_adjoined_slot", principal_ok, witness),)
+    return ext, CheckReport(items, rep_f.notes + rep_k.notes), frob, kahler
