@@ -169,10 +169,10 @@ def _load_algebra(args) -> tuple[LieAlgebra, Builtin | None]:
 
 
 def _read_file(path: str, flag: str) -> str:
-    """The UTF-8 text of the file given to ``--flag``; a file that cannot be
-    read or decoded is a usage error that names the flag and the path."""
+    """The UTF-8 text of the file given to ``--flag``, CRLF kept for byte offsets; a file
+    that cannot be read or decoded is a usage error that names the flag and the path."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise LieforgeError(f"cannot read --{flag.replace('_', '-')} {path}: {exc}") from exc
 

@@ -3,8 +3,9 @@
 Metric conventions, fixed by the worked four-dimensional example:
   * Kahler metric g(x,y) = omega(x, Jy);
   * Sasakian metric g(x,y) = -d(alpha)(x, Phi y) + alpha(x) alpha(y).
-Both are recomputed from the supplied data and verified axiom by axiom;
-positive definiteness is decided exactly through leading principal minors.
+Both are recomputed from the supplied data and verified axiom by axiom, an
+axiom that other items imply decided from them; positive definiteness is
+decided exactly through leading principal minors.
 
 The contact and Sasakian checks compute d(alpha) once per call, as integers
 over one denominator (``forms._dalpha``), and test every identity on integer
@@ -21,11 +22,15 @@ Both read the Nijenhuis torsion as integers, not through the public
 integer vector into one int (``linalg.pack``): O(n^3) big-int multiply-adds
 in all, and one unpack per basis pair. It starts from the packed Leibniz
 defect of ``_leibniz_defects``, which ``derivations.is_derivation`` tests
-against 0 by itself. ``check_kahler`` unpacks the torsion
-(``_nijenhuis_ints``); ``check_sasakian`` compares it with -d(alpha) (x) xi
-as one packed int per pair and unpacks only a failing pair. The two checks
-share their metric items (symmetric, positive definite) and ``metric_row_*``
-notes.
+against 0 by itself. ``check_kahler`` tests each packed pair against 0
+(``_first_torsion``), ``check_sasakian`` compares it with -d(alpha) (x) xi;
+both unpack only a failing pair and test J^2 or Phi^2 on the packed columns
+of the map (``_square_mismatch``). Metric identities that other items imply
+skip their O(n^3) products, as each check derives: with J^2 = -Id,
+omega(J., J.) = omega is the symmetry of omega J; with alpha o Phi = 0 and
+Phi^2 = xi (x) alpha - Id, g(., Phi .) = d(alpha) is d(alpha) xi = 0, and
+then g(Phi., Phi.) = g - alpha (x) alpha is the symmetry of g. The two
+checks share their metric items and ``metric_row_*`` notes.
 
 A Frobenius, Kahler or Sasakian structure returned by its ``check_*``
 function is bound to the algebra it was checked on (its ``algebra``
@@ -237,17 +242,18 @@ def nijenhuis(g: LieAlgebra, a: Matrix) -> NijenhuisTable:
     complex structure (leading term -[x,y]).
 
     Runs on integers over da^2*D, da the common denominator of A and D that
-    of the structure constants (see ``_nijenhuis_ints``).
+    of the structure constants: every pair of ``_packed_torsion`` unpacked.
     """
     if not is_square(a, g.dim):
         raise DimensionMismatch("map does not match algebra dimension")
     n = g.dim
-    ints, den = _nijenhuis_ints(g, *_int_matrix(a))
-    zero = (ZERO,) * n
-    table = [[zero] * n for _ in range(n)]
-    for (i, j), acc in ints.items():
-        table[i][j] = vector_over(acc, den)
-        table[j][i] = vector_over([-x for x in acc], den)
+    ai, da = _int_matrix(a)
+    width, _, torsion = _packed_torsion(g, ai)
+    den = da * da * g._integer_terms[0]
+    table = [[(ZERO,) * n] * n for _ in range(n)]
+    for (i, j), packed in torsion.items():
+        table[i][j] = vector_over(unpack(packed, n, width), den)
+        table[j][i] = tuple(-x for x in table[i][j])
     return NijenhuisTable(n, tuple(tuple(row) for row in table))
 
 
@@ -283,16 +289,17 @@ def _leibniz_defects(
 
 
 def _packed_torsion(
-    g: LieAlgebra, ai: list[list[int]], bound: Callable[[int, int, int], int]
-) -> tuple[int, dict[tuple[int, int], int]]:
-    """The torsion of the map A = ai/da, packed: (width, N), N[(i, j)], i < j, is da^2*D times N(e_i, e_j).
+    g: LieAlgebra, ai: list[list[int]], bound: Callable[[int, int, int], int] = lambda n, a, c: 4 * n * n * a * a * c
+) -> tuple[int, list[int], dict[tuple[int, int], int]]:
+    """The torsion of the map A = ai/da, packed: (width, a_col, N), with a_col the packed columns
+    of ai (``_leibniz_defects``) and N[(i, j)], i < j, da^2*D times N(e_i, e_j).
 
     With inner, left and cols the packed Leibniz defect, L[i][b] and the
     columns of ``_leibniz_defects``, N(e_i, e_j) = A(inner) + sum_b A_bj L[i][b]:
     a pair costs O(n) big-int multiply-adds plus one unpack, of inner. With a
     and c the largest |ai| and |C|, A(inner) has coordinates of at most
     3*n^2*a^2*c in absolute value and the last sum n^2*a^2*c, so the caller's
-    bound(n, a, c) must cover 4*n^2*a^2*c, which also bounds inner's 3*n*a*c.
+    bound(n, a, c) must cover 4*n^2*a^2*c, the default, which also bounds inner's 3*n*a*c.
     """
     n = g.dim
     width, cols, a_col, left, defect = _leibniz_defects(g, ai, bound)
@@ -300,14 +307,29 @@ def _packed_torsion(
     for (i, j), inner in defect.items():
         total = sum(map(mul, unpack(inner, n, width), a_col))
         torsion[(i, j)] = total + sum(x * left[i][b] for b, x in cols[j])
-    return width, torsion
+    return width, a_col, torsion
 
 
-def _nijenhuis_ints(g: LieAlgebra, ai: list[list[int]], da: int) -> tuple[dict[tuple[int, int], list[int]], int]:
-    """The torsion of the map A = ai/da as (N, den): N[(i, j)], i < j, is N(e_i, e_j) times
-    den = da^2*D, unpacked from ``_packed_torsion`` at slots of 4*n^2*a^2*c."""
-    width, torsion = _packed_torsion(g, ai, lambda n, a, c: 4 * n * n * a * a * c)
-    return {pair: unpack(v, g.dim, width) for pair, v in torsion.items()}, da * da * g._integer_terms[0]
+def _first_torsion(g: LieAlgebra, packed: tuple, da: int) -> tuple[tuple[int, int], Vector] | None:
+    """The first pair with a nonzero torsion vector and that vector, or None: each pair of the
+    ``_packed_torsion`` of a map over da is tested against 0, and only the failing one unpacked."""
+    width, _, torsion = packed
+    pair = next((pair for pair, t in torsion.items() if t), None)
+    if pair is None:
+        return None
+    return pair, vector_over(unpack(torsion[pair], g.dim, width), da * da * g._integer_terms[0])
+
+
+def _square_mismatch(
+    ai: list[list[int]], a_col: list[int], width: int, scale: int, expected: list[int]
+) -> tuple[int, list[int]] | None:
+    """(k, A^2 e_k) for the first k with scale * A^2 e_k != expected[k], or None: column k of A^2 is
+    sum_i A_ik a_col[i], a_col the packed columns of A = ai, and width holds each difference's slots."""
+    for k, column in enumerate(zip(*ai)):
+        square = sum(map(mul, column, a_col))
+        if square * scale != expected[k]:
+            return k, unpack(square, len(ai), width)
+    return None
 
 
 def _kahler_ints(g: LieAlgebra, j: Matrix, omega: KForm) -> tuple[list[list[int]], int, list[list[int]], int]:
@@ -353,38 +375,36 @@ def check_kahler(g: LieAlgebra, j: Matrix, omega: KForm) -> tuple[CheckReport, K
     """J^2 = -Id, vanishing torsion, closed invariant omega, definite metric.
 
     With J = ji/dj and omega = om/do as integer matrices, J^2 is tested
-    against -dj^2 Id, J^T (om J) against dj^2 om, and the metric om J over
-    do*dj for symmetry and definiteness (a positive scale keeps the signs of
-    the leading minors). The torsion comes from ``_nijenhuis_ints`` and
-    d(omega) from ``forms._d_two_form``.
+    against -dj^2 Id on the torsion's packed columns of ji, and the metric
+    om J over do*dj for symmetry and definiteness (a positive scale keeps
+    the signs of the leading minors). omega is skew, so omega J is symmetric
+    exactly when omega J = -J^T omega, which for J^2 = -Id is, times J on the
+    right, J^T omega J = omega: J^T (om J) is formed only where either fails.
     """
     n = g.dim
     ji, dj, om, do = _kahler_ints(g, j, omega)
     s = dj * dj
-    items = []
-    j2 = list(zip(*_int_mul(ji, ji)))
-    wrong = next((k for k in range(n) if any(x != (-s if r == k else 0) for r, x in enumerate(j2[k]))), None)
-    witness = "" if wrong is None else f"J^2({g.labels[wrong]}) = {fmt_vector(vector_over(j2[wrong], s), g.labels)}"
-    items.append(passed("complex_square_identity", wrong is None, witness))
-    torsion, dt = _nijenhuis_ints(g, ji, dj)
-    bad_pair = next((pair for pair, v in torsion.items() if any(v)), None)
-    witness = (
-        ""
-        if bad_pair is None
-        else f"N_J{fmt_basis_tuple(bad_pair, g.labels)} = "
-        f"{fmt_vector(vector_over(torsion[bad_pair], dt), g.labels)}"
-    )
-    items.append(passed("complex_integrable", bad_pair is None, witness))
+    packed = _packed_torsion(g, ji, lambda n, a, c: 4 * n * n * a * a * c + n * a * a + s)
+    width, a_col, _ = packed
+    wrong = _square_mismatch(ji, a_col, width, 1, [-s << width * k for k in range(n)])
+    witness = "" if wrong is None else f"J^2({g.labels[wrong[0]]}) = {fmt_vector(vector_over(wrong[1], s), g.labels)}"
+    items = [passed("complex_square_identity", wrong is None, witness)]
+    bad = _first_torsion(g, packed, dj)
+    witness = "" if bad is None else f"N_J{fmt_basis_tuple(bad[0], g.labels)} = {fmt_vector(bad[1], g.labels)}"
+    items.append(passed("complex_integrable", bad is None, witness))
     domega = KForm(n, 3, tuple(_d_two_form(g, om, do)))
     items.append(
         passed("symplectic_closed", domega.is_zero(), f"d(omega) = {domega.describe(g.labels)}")
     )
     metric = _int_mul(om, ji)
-    invariant = _int_mul(transpose(ji), metric)
-    bad_inv = next(
-        ((a, b) for a in range(n) for b in range(a + 1, n) if invariant[a][b] != s * om[a][b]),
-        None,
-    )
+    metric_items, rows, notes = _metric_checks(g, metric, do * dj, "omega(x, Jy) is not symmetric")
+    bad_inv = None
+    if wrong is not None or not metric_items[0].passed:
+        invariant = _int_mul(transpose(ji), metric)
+        bad_inv = next(
+            ((a, b) for a in range(n) for b in range(a + 1, n) if invariant[a][b] != s * om[a][b]),
+            None,
+        )
     witness = (
         ""
         if bad_inv is None
@@ -393,11 +413,10 @@ def check_kahler(g: LieAlgebra, j: Matrix, omega: KForm) -> tuple[CheckReport, K
         f"{fmt_scalar(Fraction(om[bad_inv[0]][bad_inv[1]], do))}"
     )
     items.append(passed("symplectic_j_invariant", bad_inv is None, witness))
-    metric_items, metric, notes = _metric_checks(g, metric, do * dj, "omega(x, Jy) is not symmetric")
     report = CheckReport(tuple(items) + metric_items, notes)
     if not report.overall:
         return report, None
-    return report, _bind(KahlerStructure(j, omega, metric), g)
+    return report, _bind(KahlerStructure(j, omega, rows), g)
 
 
 def _same(u, du: int, v, dv: int) -> bool:
@@ -435,6 +454,15 @@ def check_sasakian(
     identity N_Phi = -d(alpha) (x) reeb, and the compatibility axioms of the
     derived metric, plus the two consequences Phi(reeb) = 0 and
     alpha o Phi = 0.
+
+    Phi^2 is tested on the torsion's packed columns of Phi; the metric G =
+    -D Phi + a a^T, D = d(alpha) and a = alpha, is the one O(n^3) product of a
+    passing check (Blair, Riemannian Geometry of Contact and Symplectic
+    Manifolds, ch. 4 and 6). With P1 Phi^2 = xi a^T - Id and P2 a^T Phi = 0,
+    G Phi = D - (D xi) a^T, so G Phi = D exactly when P3 D xi = 0 (a = 0 gives
+    D = 0); with P1-P3, Phi^T G Phi = Phi^T D is the transpose of -D Phi =
+    G - a a^T (D is skew), so the isometry holds exactly when G is symmetric.
+    G Phi and Phi^T (G Phi) are formed only where P1, P2 or P3 fails.
     """
     if alpha.degree != 1 or alpha.dim != g.dim:
         raise DimensionMismatch("expected a 1-form on the algebra")
@@ -450,28 +478,28 @@ def check_sasakian(
     items = []
     pairing = Fraction(sum(x * y for x, y in zip(a, r)), dal * dr)
     items.append(passed("alpha_reeb_pairing", pairing == 1, f"alpha(xi) = {fmt_scalar(pairing)}"))
-    # Phi^2 over dp^2 against xi (x) alpha - Id = (r a^T - s Id) over s, column by column
-    s = dal * dr
-    phi2 = list(zip(*_int_mul(p, p)))
-    target = [[y * x - (s if i == j else 0) for i, y in enumerate(r)] for j, x in enumerate(a)]
-    wrong = next((k for k in range(n) if not _same(phi2[k], dp * dp, target[k], s)), None)
-    witness = (
-        ""
-        if wrong is None
-        else f"Phi^2({g.labels[wrong]}) = {fmt_vector(vector_over(phi2[wrong], dp * dp), g.labels)}, "
-        f"expected {fmt_vector(vector_over(target[wrong], s), g.labels)}"
-    )
-    items.append(passed("phi_square_identity", wrong is None, witness))
     # N_Phi(e_i, e_j) over dt = dp^2*D against -d(alpha)(e_i, e_j) xi over den*dr: with
     # u = den*dr/h and v = dt/h, h their gcd, the packed N*u + d(alpha)_ij*v*xi is 0 for each
-    # pair, in slots that hold both terms
+    # pair; s*Phi^2 e_k over s*dp^2 against (xi (x) alpha - Id) e_k = (a_k xi - s e_k) over s,
+    # s = dal*dr, is 0 packed on the same columns of Phi; the slots hold all four terms
+    s = dal * dr
     dt = dp * dp * g._integer_terms[0]
     h = gcd(den * dr, dt)
     u, v = den * dr // h, dt // h
-    big = max(abs(x) for row in da for x in row) * v * max(map(abs, r))
-    width, torsion = _packed_torsion(g, p, lambda n, a, c: 4 * n * n * a * a * c * u + big)
-    xi = v * pack(enumerate(r), width)
-    bad_pair = next(((i, j) for (i, j), t in torsion.items() if t * u + da[i][j] * xi), None)
+    r_max = max(map(abs, r))
+    big = max(abs(x) for row in da for x in row) * v * r_max + dp * dp * (max(map(abs, a)) * r_max + s)
+    width, a_col, torsion = _packed_torsion(g, p, lambda n, a, c: (4 * n * c * u + s) * n * a * a + big)
+    xi = pack(enumerate(r), width)
+    wrong = _square_mismatch(p, a_col, width, s, [dp * dp * (x * xi - (s << width * k)) for k, x in enumerate(a)])
+    k, square = wrong or (0, None)
+    witness = (
+        ""
+        if wrong is None
+        else f"Phi^2({g.labels[k]}) = {fmt_vector(vector_over(square, dp * dp), g.labels)}, expected "
+        f"{fmt_vector(vector_over([y * a[k] - (s if i == k else 0) for i, y in enumerate(r)], s), g.labels)}"
+    )
+    items.append(passed("phi_square_identity", wrong is None, witness))
+    bad_pair = next(((i, j) for (i, j), t in torsion.items() if t * u + da[i][j] * v * xi), None)
     witness = (
         ""
         if bad_pair is None
@@ -483,18 +511,22 @@ def check_sasakian(
     metric, dm = _sasakian_metric_ints(coords, p, dp, da, den)
     metric_items, rational_metric, notes = _metric_checks(g, metric, dm, "derived metric is not symmetric")
     items.extend(metric_items)
-    # Phi^T g Phi over dm*dp^2 against g - alpha (x) alpha over dm*dal^2
-    gphi = _int_mul(metric, p)
-    lhs = _int_mul(transpose(p), gphi)
-    rhs = [[z * dal * dal - x * y * dm for y, z in zip(a, row)] for x, row in zip(a, metric)]
-    isometry = all(_same(u, dm * dp * dp, v, dm * dal * dal) for u, v in zip(lhs, rhs))
-    items.append(passed("metric_phi_isometry", isometry, "g(Phi x, Phi y) != g(x,y) - alpha(x)alpha(y)"))
-    reproduces = all(_same(u, dm * dp, v, den) for u, v in zip(gphi, da))
-    items.append(passed("metric_reproduces_dalpha", reproduces, "g(x, Phi y) != d(alpha)(x,y)"))
     phi_reeb = [sum(map(mul, row, r)) for row in p]
+    alpha_phi = [sum(map(mul, a, col)) for col in zip(*p)]
+    if wrong is None and not any(alpha_phi) and not any(sum(map(mul, row, r)) for row in da):
+        # Phi^2 = xi (x) alpha - Id, alpha o Phi = 0 and d(alpha) xi = 0 decide both items (see the docstring)
+        isometry, reproduces = metric_items[0].passed, True
+    else:
+        # Phi^T g Phi over dm*dp^2 against g - alpha (x) alpha over dm*dal^2
+        gphi = _int_mul(metric, p)
+        lhs = _int_mul(transpose(p), gphi)
+        rhs = [[z * dal * dal - x * y * dm for y, z in zip(a, row)] for x, row in zip(a, metric)]
+        isometry = all(_same(u, dm * dp * dp, v, dm * dal * dal) for u, v in zip(lhs, rhs))
+        reproduces = all(_same(u, dm * dp, v, den) for u, v in zip(gphi, da))
+    items.append(passed("metric_phi_isometry", isometry, "g(Phi x, Phi y) != g(x,y) - alpha(x)alpha(y)"))
+    items.append(passed("metric_reproduces_dalpha", reproduces, "g(x, Phi y) != d(alpha)(x,y)"))
     witness = f"Phi(xi) = {fmt_vector(vector_over(phi_reeb, dp * dr), g.labels)}"
     items.append(passed("phi_kills_reeb", not any(phi_reeb), witness))
-    alpha_phi = [sum(map(mul, a, col)) for col in zip(*p)]
     witness = f"alpha(Phi e_j) = {fmt_vector(vector_over(alpha_phi, dal * dp), duals)}"
     items.append(passed("alpha_phi_vanishes", not any(alpha_phi), witness))
     report = CheckReport(tuple(items), notes)

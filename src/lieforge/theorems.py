@@ -67,7 +67,6 @@ from .linalg import (
     vec_add,
     vec_scale,
     vec_sub,
-    vector_over,
     zero_vector,
 )
 from .report import CheckReport, DimensionMismatch, PreconditionError, passed, refusal, require
@@ -75,8 +74,9 @@ from .structures import (
     FrobeniusStructure,
     KahlerStructure,
     SasakianStructure,
+    _first_torsion,
     _int_matrix,
-    _nijenhuis_ints,
+    _packed_torsion,
     apply_one_form,
     check_contact,
     check_frobenius,
@@ -301,8 +301,8 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
     commutes with J-bar on the base, and both verdicts are reported. The
     extension must be a double extension, z at index n and the slot at n+1
     (a reversed double extension adjoins the slot first and is refused).
-    Both torsions, of J on the base and of the lift, are read as integers
-    (``structures._nijenhuis_ints``); only a witness is Fractions.
+    Both torsions, of J on the base and of the lift, are tested packed
+    (``structures._first_torsion``); only a witness is Fractions.
     """
     n = ext.parent_dim
     if (ext.central_index, ext.derivation_index) != (n, n + 1):
@@ -324,14 +324,9 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
             "J^2 != -Id on the base",
         )
     )
-    base_torsion, _ = _nijenhuis_ints(base, *_int_matrix(j))
-    pre.append(
-        passed(
-            "base_complex_integrable",
-            not any(any(v) for v in base_torsion.values()),
-            "N_J != 0 on the base",
-        )
-    )
+    ji, dj = _int_matrix(j)
+    integrable = _first_torsion(base, _packed_torsion(base, ji), dj) is None
+    pre.append(passed("base_complex_integrable", integrable, "N_J != 0 on the base"))
     theta = KForm.two_form(n, {(a, b): child.c[a][b][n] for a in range(n) for b in range(a + 1, n)})
     pre.append(
         passed(
@@ -344,15 +339,15 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
 
     zero = zero_vector(n)
     jbar = tuple((*row, ZERO, ZERO) for row in j) + ((*zero, ZERO, -ONE), (*zero, ONE, ZERO))
-    torsion, dt = _nijenhuis_ints(child, *_int_matrix(jbar))
-    tw = next((pair for pair, v in torsion.items() if any(v)), None)
+    ji, dj = _int_matrix(jbar)
+    tw = _first_torsion(child, _packed_torsion(child, ji), dj)
     cw = _commute_mismatch(map(child.basis_vector, range(n)), jbar, _slot_action(ext))
     torsion_ok = tw is None
     commute_ok = cw is None
     torsion_witness = (
         ""
         if tw is None
-        else f"N{fmt_basis_tuple(tw, child.labels)} = {fmt_vector(vector_over(torsion[tw], dt), child.labels)}"
+        else f"N{fmt_basis_tuple(tw[0], child.labels)} = {fmt_vector(tw[1], child.labels)}"
     )
     commute_witness = (
         ""

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import lieforge as lf
 from lieforge.forms import KForm, ce_differential
-from lieforge.linalg import diagonal, identity, mat_vec, nullspace
+from lieforge.linalg import diagonal, identity, mat_mul, mat_vec, nullspace, vec_add, vec_scale, vec_sub
 
 from conftest import (
     conjugate_algebra,
@@ -175,6 +175,55 @@ def sasakian_inputs(draw):
     alpha = draw(closed_one_forms(g)) if kind == "closed" else KForm.one_form(n, draw(rational_vectors(n)))
     phi = tuple(draw(rational_vectors(n)) for _ in range(n))
     return g, draw(rational_vectors(n)), alpha, phi
+
+
+def _rank_one(v, w, c):
+    """Id + c v w^T."""
+    return tuple(tuple(int(i == j) + c * x * y for j, y in enumerate(w)) for i, x in enumerate(v))
+
+
+def _dot(v, w):
+    return sum(x * y for x, y in zip(v, w))
+
+
+def _killed(x, v, f):
+    """x - f(x) v, which f sends to 0 where f(v) = 1."""
+    return vec_sub(x, vec_scale(_dot(f, x), v))
+
+
+def moved_reeb(reeb, coords, phi, x):
+    """(xi', Phi o (Id - xi' (x) alpha)) for Sasakian data (xi, alpha = coords, Phi) and xi' = xi + v,
+    v = x - alpha(x) xi in Ker(alpha): alpha(xi') = 1, Phi'^2 = xi' (x) alpha - Id and
+    alpha o Phi' = 0 still hold, while d(alpha) xi' = d(alpha) v is nonzero unless v = 0."""
+    xi = vec_add(reeb, _killed(x, reeb, coords))
+    return xi, mat_mul(phi, _rank_one(xi, coords, -1))
+
+
+def conjugated_phi(reeb, coords, phi, x, y):
+    """Q Phi Q^-1 for Sasakian data (xi, alpha = coords, Phi) and Q = Id + u w^T, with
+    u = x - alpha(x) xi and w = y - y(xi) alpha (doubled where 1 + w(u) = 0): Q xi = xi and
+    alpha o Q = alpha, so Phi^2 = xi (x) alpha - Id, alpha o Phi = 0 and d(alpha) xi = 0 still
+    hold, while the derived metric is generally not symmetric."""
+    u, w = _killed(x, reeb, coords), _killed(y, coords, reeb)
+    if 1 + _dot(w, u) == 0:
+        w = vec_scale(Fraction(2), w)
+    q, qinv = _rank_one(u, w, 1), _rank_one(u, w, -1 / (1 + _dot(w, u)))
+    return mat_mul(mat_mul(q, phi), qinv)
+
+
+@st.composite
+def near_sasakian_inputs(draw):
+    """(g, reeb, alpha, phi): Sasakian data on a conjugated h_{2m+1} with the Reeb vector moved
+    inside Ker(alpha) (``moved_reeb``), or with Phi conjugated by a map that fixes xi and alpha
+    (``conjugated_phi``): inputs that keep the premises from which check_sasakian decides its
+    metric identities, but fail d(alpha) xi = 0 or the symmetry of the metric."""
+    g, reeb, alpha, phi = conjugated_heisenberg_sasakian(draw(st.integers(1, 3)), draw(SEEDS))
+    coords = [alpha.coeff((i,)) for i in range(g.dim)]
+    x, y = draw(rational_vectors(g.dim).filter(any)), draw(rational_vectors(g.dim).filter(any))
+    if draw(st.booleans()):
+        xi, moved = moved_reeb(reeb, coords, phi, x)
+        return g, xi, alpha, moved
+    return g, reeb, alpha, conjugated_phi(reeb, coords, phi, x, y)
 
 
 def _square(flat, n):

@@ -11,8 +11,8 @@ but obviously correct; tests/test_structures.py checks that the fast paths
 return exactly the same reports, witnesses, notes and structures.
 
 nijenhuis_ints is the plain integer loop over the cached D*c that the packed
-torsion kernel (structures._nijenhuis_ints) replaced, O(n^4) multiply-adds
-with the same output.
+torsion kernel (structures._packed_torsion) replaced, O(n^4) multiply-adds
+with the same numerators once unpacked.
 
 check_frobenius eliminates the Kirillov system twice, for the radical and
 then for the principal element. check_contact takes the bordered Pfaffian
@@ -25,8 +25,8 @@ Three single items keep the paths that the packed and certified ones
 replaced: is_cocycle reads d(theta) from the Fraction ``ce_differential``;
 contact_radical_item computes the radical of d(alpha) as a nullspace, as
 check_contact did before the bordered Pfaffian certified it; and
-sasakian_torsion_item unpacks the torsion of every pair
-(structures._nijenhuis_ints) and compares it with -d(alpha) (x) xi
+sasakian_torsion_item takes the torsion of every pair from
+nijenhuis_ints and compares it with -d(alpha) (x) xi
 coordinate by coordinate, as check_sasakian did before its packed test.
 """
 
@@ -67,7 +67,6 @@ from lieforge.structures import (
     SasakianStructure,
     _bind,
     _int_matrix,
-    _nijenhuis_ints,
     _same,
     apply_one_form,
     one_form_coords,
@@ -214,7 +213,7 @@ def sasakian_torsion_item(g: LieAlgebra, reeb: Vector, alpha: KForm, phi: Matrix
     r, dr = clear_denominators(reeb)
     p, dp = _int_matrix(phi)
     da, den = _dalpha(g, one_form_coords(alpha))
-    torsion, dt = _nijenhuis_ints(g, p, dp)
+    torsion, dt = nijenhuis_ints(g, p, dp)
     expected = {(i, j): [-da[i][j] * y for y in r] for i, j in torsion}
     bad_pair = next((pair for pair, v in torsion.items() if not _same(v, dt, expected[pair], den * dr)), None)
     witness = (

@@ -408,6 +408,33 @@ def test_bad_structure_file_is_a_parse_error(argv, files, culprit, tmp_path, cap
         assert f"(byte {files['a'].rindex(culprit)}," in err
 
 
+def test_crlf_parse_error_counts_every_byte(tmp_path, capsys):
+    from lieforge.cli import main
+
+    path = tmp_path / "crlf.lf"
+    path.write_bytes(b"lieforge/1 algebra\r\ndim 3\r\nbracket 2 1 = 3:1\r\n")
+    assert main(["check", "jacobi", "--algebra", str(path)]) == 2
+    assert "(byte 27," in capsys.readouterr().err  # the third line starts after two CRLF lines
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["check", "jacobi", "--algebra", "{path}"], "lieforge/1 algebra\ndim 3\nbracket 1 2 = 3:1\n"),
+        (["check", "sasakian", "--builtin", "h3", "--structure", "{path}"], SASAKIAN_H3),
+    ],
+    ids=["algebra", "structure"],
+)
+def test_crlf_file_reads_like_lf(argv, text, tmp_path):
+    (tmp_path / "lf").mkdir()
+    (tmp_path / "crlf").mkdir()
+    (tmp_path / "lf" / "f.lf").write_bytes(text.encode())
+    (tmp_path / "crlf" / "f.lf").write_bytes(text.replace("\n", "\r\n").encode())
+    lf_out = run([a.format(path=tmp_path / "lf" / "f.lf") for a in argv])
+    assert lf_out[1] == 0
+    assert run([a.format(path=tmp_path / "crlf" / "f.lf") for a in argv]) == lf_out
+
+
 @pytest.mark.parametrize(
     "argv",
     [

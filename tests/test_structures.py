@@ -21,9 +21,9 @@ from lieforge import (
     sasakian_metric,
     top_contact_test,
 )
-from lieforge.linalg import identity, matrix, slot_width, vec_scale, zero_matrix
+from lieforge.linalg import identity, matrix, slot_width, unpack, vec_scale, zero_matrix
 from lieforge.report import DimensionMismatch, PreconditionError
-from lieforge.structures import _int_matrix, _nijenhuis_ints
+from lieforge.structures import _int_matrix, _packed_torsion
 
 import algebra_oracle as oracle
 import structures_oracle
@@ -39,6 +39,8 @@ from strategies import (
     large_kahler_inputs,
     large_sasakian_inputs,
     lie_or_not,
+    moved_reeb,
+    near_sasakian_inputs,
     rational_vectors,
     sasakian_inputs,
 )
@@ -152,11 +154,13 @@ def test_nijenhuis_matches_oracle(data):
 
 
 def assert_nijenhuis_matches_oracle(g, a):
-    """The Fraction table against the Fraction expansion, and the packed integer kernel
-    against the unpacked integer loop, numerators and denominator alike."""
+    """The Fraction table against the Fraction expansion, and the packed integer kernel,
+    unpacked, against the plain integer loop, numerator by numerator."""
     assert nijenhuis(g, a) == oracle.nijenhuis(g, a)
-    ai, da = _int_matrix(a)
-    assert _nijenhuis_ints(g, ai, da) == structures_oracle.nijenhuis_ints(g, ai, da)
+    ai, _ = _int_matrix(a)
+    width, _, torsion = _packed_torsion(g, ai)
+    ints, _ = structures_oracle.nijenhuis_ints(g, ai, 1)
+    assert {pair: unpack(t, g.dim, width) for pair, t in torsion.items()} == ints
 
 
 @settings(max_examples=100, deadline=None)
@@ -337,6 +341,14 @@ def test_sasakian_matches_oracle(case):
     assert sasakian_metric(g, alpha, phi) == structures_oracle.sasakian_metric(g, alpha, phi)
 
 
+@settings(max_examples=50, deadline=None)
+@given(near_sasakian_inputs())
+def test_sasakian_near_misses_match_oracle(case):
+    # a moved Reeb vector or a conjugated Phi: the premises of the metric identities hold in part
+    g, reeb, alpha, phi = case
+    assert_same_result(check_sasakian(g, reeb, alpha, phi), structures_oracle.check_sasakian(g, reeb, alpha, phi))
+
+
 @settings(max_examples=100, deadline=None)
 @given(large_sasakian_inputs())
 def test_sasakian_large_entries_match_oracle(case):
@@ -448,3 +460,31 @@ def test_one_dalpha_per_check(case, monkeypatch):
                 monkeypatch.setattr(module, "ce_differential", forbidden)
     ONE_DALPHA[case]()
     assert len(calls) == 1
+
+
+DENSE_H7_MOVED = moved_reeb(
+    DENSE_H7[1], [DENSE_H7[2].coeff((i,)) for i in range(7)], DENSE_H7[3], DENSE_H7[0].basis_vector(0)
+)
+# check, whether it passes, and its O(n^3) integer products
+METRIC_PRODUCTS = {
+    # the metric d(alpha) Phi; Phi^2 and both metric identities come without products
+    "sasakian-dense-h7": (lambda: check_sasakian(*DENSE_H7), True, 1),
+    # d(alpha) xi != 0, so both identities are tested on G Phi and Phi^T (G Phi)
+    "sasakian-moved-reeb": (
+        lambda: check_sasakian(DENSE_H7[0], DENSE_H7_MOVED[0], DENSE_H7[2], DENSE_H7_MOVED[1]), False, 3
+    ),
+    # the metric omega J; J^2 and J^T omega J = omega come without products
+    "kahler-d4half": (lambda: check_kahler(*conjugated_d4half_kahler(1)), True, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(METRIC_PRODUCTS))
+def test_implied_identities_skip_their_products(case, monkeypatch):
+    import lieforge.structures
+
+    calls = []
+    int_mul = lieforge.structures._int_mul
+    monkeypatch.setattr(lieforge.structures, "_int_mul", lambda a, b: calls.append(1) or int_mul(a, b))
+    call, overall, products = METRIC_PRODUCTS[case]
+    assert call()[0].overall == overall
+    assert len(calls) == products

@@ -18,6 +18,7 @@ from lieforge import (
     builtin,
     check_frobenius,
     check_kahler,
+    check_sasakian,
     contact_ideal_restriction,
     double_extension,
     extend_complex_structure,
@@ -34,6 +35,7 @@ from lieforge.report import CheckItem, PreconditionError
 from lieforge.structures import FrobeniusStructure
 
 from conftest import conjugate_algebra, conjugate_map, conjugate_one_form, conjugate_two_form, mat_inverse
+from strategies import conjugated_phi, moved_reeb
 
 H3 = builtin("h3")
 D4 = builtin("d4half")
@@ -182,6 +184,21 @@ def _plane_double_extension_report():
     return extend_complex_structure(ext, matrix([[0, -1], [1, 0]]))
 
 
+def _h3_moved_reeb():
+    """h3 with xi = e1 + e3: Phi^2 = xi (x) alpha - Id and alpha o Phi = 0 hold, d(alpha)(xi, .) = -e2* != 0."""
+    reeb, alpha, phi = H3.sasakian_data
+    xi, moved = moved_reeb(reeb, [0, 0, 1], phi, H3.algebra.basis_vector(0))
+    return check_sasakian(H3.algebra, xi, alpha, moved)[0]
+
+
+def _g0_conjugated_phi():
+    """g0 with Phi conjugated by Id + e1 e3^T, which fixes xi = e5 and alpha = e3* + e5*."""
+    reeb, alpha, phi = G0.sasakian_data
+    g = G0.algebra
+    phi = conjugated_phi(reeb, [0, 0, 1, 0, 1], phi, g.basis_vector(0), g.basis_vector(2))
+    return check_sasakian(g, reeb, alpha, phi)[0]
+
+
 # name -> (call returning a report, failing item)
 FAILING_ITEMS = {
     "cocycle_phi_pairing": (lambda: _conditions(G5, G5_THETA, G5_D), "cocycle_phi_pairing"),
@@ -190,6 +207,8 @@ FAILING_ITEMS = {
     "torsion_vanishes": (_plane_double_extension_report, "torsion_vanishes"),
     "derivation_commutes_with_j": (_plane_double_extension_report, "derivation_commutes_with_j"),
     "phi_well_defined": (_r2r2_restriction, "phi_well_defined"),
+    "metric_reproduces_dalpha": (_h3_moved_reeb, "metric_reproduces_dalpha"),
+    "metric_phi_isometry": (_g0_conjugated_phi, "metric_phi_isometry"),
 }
 
 WITNESSES = {
@@ -199,6 +218,8 @@ WITNESSES = {
     "torsion_vanishes": "N(e1,e3) = 2*e2",
     "derivation_commutes_with_j": "Jbar(D e1) = e2, D(J e1) = -e2",
     "phi_well_defined": "J(kernel part of e4) has x_P component 1",
+    "metric_reproduces_dalpha": "g(x, Phi y) != d(alpha)(x,y)",
+    "metric_phi_isometry": "g(Phi x, Phi y) != g(x,y) - alpha(x)alpha(y)",
 }
 
 # name -> call returning the obstruction report

@@ -16,7 +16,8 @@ of functions. They read the derivation of a double extension as the caller's
 extend_complex_structure, as the block of the slot action on rows and
 columns 0..n, where lieforge writes each map as one block matrix on the
 extension and reads the derivation once, as the slot action on the
-extension. tests/test_theorems.py checks that both return exactly the same
+extension. Its torsions are the unpacked integer loop of
+structures_oracle.nijenhuis_ints. tests/test_theorems.py checks that both return exactly the same
 algebras, reports, structures and refusals.
 """
 
@@ -53,7 +54,6 @@ from lieforge.structures import (
     KahlerStructure,
     SasakianStructure,
     _int_matrix,
-    _nijenhuis_ints,
     apply_one_form,
     check_contact,
     check_frobenius,
@@ -71,6 +71,8 @@ from lieforge.theorems import (
     embed_vector,
     kernel_basis,
 )
+
+from structures_oracle import nijenhuis_ints
 
 ONE = Fraction(1)
 
@@ -214,7 +216,7 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
     if not is_square(j, n):
         raise DimensionMismatch("complex structure must act on the base")
     j2 = mat_mul(j, j)
-    base_torsion, _ = _nijenhuis_ints(base, *_int_matrix(j))
+    base_torsion, _ = nijenhuis_ints(base, *_int_matrix(j))
     theta = KForm.two_form(n, {(a, b): child.c[a][b][zi] for a in range(n) for b in range(a + 1, n)})
     pre = (
         passed(
@@ -232,7 +234,7 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
     jbar = transpose(jbar_cols + [child.basis_vector(si), vec_scale(-ONE, child.basis_vector(zi))])
     # the slot action on rows and columns 0..n: the central extension, as the slot comes last
     d = tuple(tuple(child.c[si][x][k] for x in range(n + 1)) for k in range(n + 1))
-    torsion, dt = _nijenhuis_ints(child, *_int_matrix(jbar))
+    torsion, dt = nijenhuis_ints(child, *_int_matrix(jbar))
     tw = next((pair for pair, v in torsion.items() if any(v)), None)
     cw = _first_mismatch(
         range(n),
