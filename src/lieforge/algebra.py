@@ -125,9 +125,14 @@ def bracket(g: LieAlgebra, x: Vector, y: Vector) -> Vector:
     """[x, y] by bilinear expansion through the structure constants."""
     if len(x) != g.dim or len(y) != g.dim:
         raise DimensionMismatch("vector length does not match algebra dimension")
-    d, terms, _ = g._integer_terms
     xs, dx = clear_denominators(x)
     ys, dy = clear_denominators(y)
+    return vector_over(_bracket_ints(g, xs, ys), g._integer_terms[0] * dx * dy)
+
+
+def _bracket_ints(g: LieAlgebra, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    """D times [x, y] for integer vectors x and y, D the least common denominator of the algebra."""
+    _, terms, _ = g._integer_terms
     y_terms = [(j, b) for j, b in enumerate(ys) if b]
     acc = [0] * g.dim
     for i, a in enumerate(xs):
@@ -137,7 +142,7 @@ def bracket(g: LieAlgebra, x: Vector, y: Vector) -> Vector:
                 f = a * b
                 for k, c in row[j]:
                     acc[k] += f * c
-    return vector_over(acc, d * dx * dy)
+    return acc
 
 
 def adjoint(g: LieAlgebra, x: Vector) -> Matrix:

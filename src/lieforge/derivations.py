@@ -2,9 +2,11 @@
 
 Unknowns are the n^2 entries of a map in row-major order, D[i][j] with
 column j the image of e_j; solution bases come back row-reduced in that
-flattening, so results are canonical. The Leibniz equations are integer
-rows from the algebra's cached integer structure constants; the elimination
-makes every row primitive, so their scale does not matter. ``is_derivation``
+flattening, so results are canonical. Every constraint gives integer rows:
+the Leibniz equations from the algebra's cached integer structure constants,
+the others scaled, with their right-hand sides, by the common denominators of
+their data. The elimination makes every row primitive, so their scale does
+not matter. ``is_derivation``
 tests the Leibniz rule on the packed integer defect that the Nijenhuis
 torsion kernel also starts from (``structures._leibniz_defects``).
 """
@@ -13,18 +15,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from operator import mul
 
 from .algebra import LieAlgebra, Subspace
 from .forms import KForm
 from .linalg import (
     Matrix,
     Vector,
-    ZERO,
+    clear_denominators,
     fmt_basis_tuple,
     fmt_vector,
     is_square,
-    mat_vec,
     nullspace,
     solve_affine,
     unpack,
@@ -133,51 +134,52 @@ def _leibniz_rows(g: LieAlgebra) -> tuple[list[list[int]], list[int]]:
     return rows, [0] * len(rows)
 
 
-def _form_eigen_rows(g: LieAlgebra, phi: KForm, factor: Fraction) -> tuple[list[Vector], list[Fraction]]:
+def _form_eigen_rows(g: LieAlgebra, phi: KForm, factor: Fraction) -> tuple[list[list[int]], list[int]]:
+    """dc*q times the equations (phi o D)_j = factor*phi_j, phi = c/dc and factor = p/q, as integer rows:
+    c_i*q at D[i][j], right-hand side p*c_j."""
     n = g.dim
-    coords = tuple(phi.coeff((i,)) for i in range(n))
-    rows: list[Vector] = []
-    rhs: list[Fraction] = []
+    c, _ = clear_denominators([phi.coeff((i,)) for i in range(n)])
+    p, q = factor.as_integer_ratio()
+    rows = []
     for j in range(n):
-        row = [ZERO] * (n * n)
-        for i in range(n):
-            row[i * n + j] += coords[i]
-        rows.append(tuple(row))
-        rhs.append(factor * coords[j])
-    return rows, rhs
+        row = [0] * (n * n)
+        row[j :: n] = [x * q for x in c]
+        rows.append(row)
+    return rows, [p * x for x in c]
 
 
-def _commute_rows(g: LieAlgebra, a: Matrix, on: Subspace | None) -> tuple[list[Vector], list[Fraction]]:
+def _commute_rows(g: LieAlgebra, a: Matrix, on: Subspace | None) -> tuple[list[list[int]], list[int]]:
+    """da*dv times the equations D(Av) = A(Dv), for each v of the subspace (every e_j without one), as
+    integer rows, A = ai/da and v = vi/dv: component k is sum_j (ai vi)_j D[k][j] - sum_i,j ai[k][i] vi[j] D[i][j]."""
     n = g.dim
+    ai, _ = _int_matrix(a)
     vectors = on.rows if on is not None else tuple(g.basis_vector(j) for j in range(n))
-    rows: list[Vector] = []
-    rhs: list[Fraction] = []
+    rows: list[list[int]] = []
     for v in vectors:
-        av = mat_vec(a, v)
+        vi, _ = clear_denominators(v)
+        av = [sum(map(mul, row, vi)) for row in ai]
+        support = [(j, x) for j, x in enumerate(vi) if x]
         for k in range(n):
-            row = [ZERO] * (n * n)
-            # D(Av)_k - A(Dv)_k = sum_j Av_j D[k][j] - sum_i A[k][i] sum_j v_j D[i][j]
-            for j in range(n):
-                row[k * n + j] += av[j]
-            for i in range(n):
-                for j in range(n):
-                    row[i * n + j] -= a[k][i] * v[j]
-            rows.append(tuple(row))
-            rhs.append(ZERO)
-    return rows, rhs
+            row = [0] * (n * n)
+            row[k * n : (k + 1) * n] = av
+            for i, y in enumerate(ai[k]):
+                if y:
+                    for j, x in support:
+                        row[i * n + j] -= y * x
+            rows.append(row)
+    return rows, [0] * len(rows)
 
 
-def _sends_rows(g: LieAlgebra, v: Vector, w: Vector) -> tuple[list[Vector], list[Fraction]]:
+def _sends_rows(g: LieAlgebra, v: Vector, w: Vector) -> tuple[list[list[int]], list[int]]:
+    """dv*dw times the equations D(v) = w, v = vi/dv and w = wi/dw, as integer rows."""
     n = g.dim
-    rows: list[Vector] = []
-    rhs: list[Fraction] = []
+    (vi, dv), (wi, dw) = clear_denominators(v), clear_denominators(w)
+    rows = []
     for k in range(n):
-        row = [ZERO] * (n * n)
-        for j in range(n):
-            row[k * n + j] += v[j]
-        rows.append(tuple(row))
-        rhs.append(w[k])
-    return rows, rhs
+        row = [0] * (n * n)
+        row[k * n : (k + 1) * n] = [x * dw for x in vi]
+        rows.append(row)
+    return rows, [x * dv for x in wi]
 
 
 def _unflatten(g: LieAlgebra, flat: Vector) -> Matrix:
@@ -194,8 +196,8 @@ def derivation_space(
     basis as matrices, row-reduced over the flattened entries).
     """
     n = g.dim
-    rows: list[Sequence[Fraction | int]] = []
-    rhs: list[Fraction | int] = []
+    rows: list[list[int]] = []
+    rhs: list[int] = []
     for con in constraints:
         if isinstance(con, Leibniz):
             r, b = _leibniz_rows(g)

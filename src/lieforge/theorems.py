@@ -13,8 +13,17 @@ of one failing item that names the condition and its witness
 is its first failure in basis order (``_first_mismatch``,
 ``_first_nonzero_pair``).
 
-The reduction reads coordinates off the written-down basis of Ker(alpha)
-(``kernel_basis``); the contact-ideal restriction forms each bracket once.
+The conditions and maps run on integers: a map is its integer matrix over one
+denominator (``structures._int_matrix``), a bracket the integer core of
+``algebra.bracket``. phi o D = 0, alpha o D = alpha, [D, J] = 0, J^2 = -Id and
+[ad(xi), Phi] = 0 are integer products; a condition "two maps agree on a
+basis" forms the integer difference of the maps once and tests each basis
+vector as one product, and a pairing condition tests each basis pair as one.
+The reduction reads its brackets, omega and J off integer brackets of the
+written-down basis of Ker(alpha) (``kernel_basis``) at its pivots; the
+contact-ideal restriction forms each bracket once, and a vector there has an
+x_P component exactly where its pivot coordinate is nonzero. Fractions are
+made only for output entries and, on a failure, for its witness.
 
 Every map a construction builds is one block matrix on the extension, with
 the base first, then the central element z, then the derivation slot:
@@ -39,11 +48,13 @@ frozen values).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
-from .algebra import LieAlgebra, adjoint, bracket, center
+from .algebra import LieAlgebra, _bracket_ints, center
 from .extensions import (
     ExtensionResult,
     central_extension,
@@ -55,18 +66,18 @@ from .linalg import (
     Matrix,
     Vector,
     ZERO,
+    clear_denominators,
     column,
     fmt_basis_tuple,
     fmt_scalar,
     fmt_vector,
     is_square,
     is_zero_vector,
-    mat_mul,
-    mat_vec,
     transpose,
     vec_add,
     vec_scale,
     vec_sub,
+    vector_over,
     zero_vector,
 )
 from .report import CheckReport, DimensionMismatch, PreconditionError, passed, refusal, require
@@ -76,6 +87,7 @@ from .structures import (
     SasakianStructure,
     _first_torsion,
     _int_matrix,
+    _int_mul,
     _packed_torsion,
     apply_one_form,
     check_contact,
@@ -87,6 +99,7 @@ from .structures import (
 )
 
 ONE = Fraction(1)
+IntMap = tuple[Sequence[Sequence[int]], int]  # (m, d): the map m/d
 
 
 def embed_vector(v: Vector, dim: int) -> Vector:
@@ -145,45 +158,67 @@ def _verify_frobenius_kahler_input(g: LieAlgebra, f: FrobeniusStructure, k: Kahl
         raise refusal("symplectic form must equal -d(phi)", "exact_symplectic_coherence", "omega != -d(phi)")
 
 
-def _first_mismatch(items: Iterable, lhs: Callable, rhs: Callable) -> tuple[int, object, object] | None:
-    """(k, lhs(x), rhs(x)) at the first item x, k its position, where the two sides differ; None if none does."""
-    for k, x in enumerate(items):
-        left, right = lhs(x), rhs(x)
-        if left != right:
-            return k, left, right
+def _apply(m: Iterable[Sequence[int]], v: Sequence[int]) -> list[int]:
+    """The integer product m v, m given by its rows."""
+    return [sum(map(mul, row, v)) for row in m]
+
+
+def _int_adjoint(g: LieAlgebra, x: Vector, on: Sequence[int] | None = None) -> IntMap:
+    """ad(x) as an integer map on the basis vectors e_j, j in on (all of them by default): a column is [x, e_j]."""
+    xs, dx = clear_denominators(x)
+    cols = [_bracket_ints(g, xs, [int(i == j) for i in range(g.dim)]) for j in (range(g.dim) if on is None else on)]
+    return list(zip(*cols)), g._integer_terms[0] * dx
+
+
+def _first_mismatch(basis: Iterable[Vector], left: IntMap, right: IntMap) -> tuple[int, Vector, Vector] | None:
+    """(k, l(x), r(x)) at the first basis vector x, k its position, where the maps l and r differ; None if none does.
+
+    The integer difference of the two maps over one denominator is formed once, each vector is tested as one
+    integer product, and only the failing vector's two images become Fractions.
+    """
+    (li, dl), (ri, dr) = left, right
+    f = gcd(dl, dr)
+    diff = [[x * (dr // f) - y * (dl // f) for x, y in zip(a, b)] for a, b in zip(li, ri)]
+    for k, x in enumerate(basis):
+        xs, dx = clear_denominators(x)
+        if any(_apply(diff, xs)):
+            return k, vector_over(_apply(li, xs), dl * dx), vector_over(_apply(ri, xs), dr * dx)
     return None
 
 
-def _commute_mismatch(basis: Iterable[Vector], a: Matrix, b: Matrix) -> tuple[int, Vector, Vector] | None:
+def _commute_mismatch(basis: Iterable[Vector], a: IntMap, b: IntMap) -> tuple[int, Vector, Vector] | None:
     """``_first_mismatch`` of a(b(x)) and b(a(x)): the first basis vector x with [a, b] x != 0."""
-    return _first_mismatch(basis, lambda x: mat_vec(a, mat_vec(b, x)), lambda x: mat_vec(b, mat_vec(a, x)))
+    (ai, da), (bi, db) = a, b
+    return _first_mismatch(basis, (_int_mul(ai, bi), da * db), (_int_mul(bi, ai), da * db))
 
 
-def _slot_action(ext: ExtensionResult) -> Matrix:
-    """The derivation of an extension as a map on the extension: column x is [slot, e_x]."""
-    return transpose(ext.algebra.c[ext.derivation_index])
+def _slot_action(ext: ExtensionResult) -> IntMap:
+    """The derivation of an extension as an integer map on the extension: column x is [slot, e_x]."""
+    return _int_matrix(transpose(ext.algebra.c[ext.derivation_index]))
 
 
-def _first_nonzero_pair(
-    basis: Sequence[Vector], value: Callable[[Vector, Vector], Fraction]
-) -> tuple[int, int, Fraction] | None:
-    """(a, b, value(x_a, x_b)) at the first pair a < b of basis vectors where the value is nonzero.
+def _first_nonzero_pair(basis: Sequence[Vector], form: IntMap) -> tuple[int, int, Fraction] | None:
+    """(a, b, S(x_a, x_b)) at the first pair a < b of basis vectors where the bilinear form S = s/d is nonzero.
 
     The pairs a = b are not tested: the values tested here vanish on them, theta being alternating.
     """
-    for a, x in enumerate(basis):
-        for b in range(a + 1, len(basis)):
-            val = value(x, basis[b])
-            if val != 0:
-                return a, b, val
+    s, d = form
+    vecs = [clear_denominators(x) for x in basis]
+    for a, (xa, da) in enumerate(vecs):
+        row = _apply(zip(*s), xa)  # x_a^T s
+        for b in range(a + 1, len(vecs)):
+            val = sum(map(mul, row, vecs[b][0]))
+            if val:
+                return a, b, Fraction(val, d * da * vecs[b][1])
     return None
 
 
-def _phi_pairing_failure(basis: Sequence[Vector], theta: KForm, phi: Matrix) -> tuple[int, int, Fraction] | None:
-    """The first pair of ``_first_nonzero_pair`` for theta(Phi x, y) + theta(x, Phi y)."""
-    return _first_nonzero_pair(
-        basis, lambda x, y: theta.evaluate((mat_vec(phi, x), y)) + theta.evaluate((x, mat_vec(phi, y)))
-    )
+def _phi_pairing_failure(basis: Sequence[Vector], theta: IntMap, phi: IntMap) -> tuple[int, int, Fraction] | None:
+    """The first pair of ``_first_nonzero_pair`` for theta(Phi x, y) + theta(x, Phi y), the form
+    Phi^T T + T Phi = T Phi - (T Phi)^T, T the skew matrix of theta."""
+    (t, dt), (p, dp) = theta, phi
+    tp = _int_mul(t, p)
+    return _first_nonzero_pair(basis, ([[x - y for x, y in zip(r, c)] for r, c in zip(tp, zip(*tp))], dt * dp))
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +232,11 @@ def sasakian_reduction(g: LieAlgebra, s: SasakianStructure) -> tuple[LieAlgebra,
     Phi, and omega(x,y) = alpha([x,y]), then verifies the Kahler axioms;
     returns the quotient, that report and the structure. The basis of
     Ker(alpha) is reduced, so coordinates in it are read off its pivots.
+    A 1-dimensional algebra is refused: its quotient is 0.
     """
     _verify_sasakian_input(g, s)
+    if g.dim == 1:
+        raise refusal("the quotient by the Reeb vector is 0-dimensional", "quotient_dimension_positive", "dim = 1")
     z = center(g)
     if z.dim != 1 or not z.contains(s.reeb):  # the checked s has alpha(reeb) = 1, so reeb != 0
         raise refusal(
@@ -206,28 +244,28 @@ def sasakian_reduction(g: LieAlgebra, s: SasakianStructure) -> tuple[LieAlgebra,
             "center_spanned_by_reeb",
             f"center = {z.describe(g.labels)}",
         )
-    basis = kernel_basis(g, s.alpha)
-    m = len(basis)
-    pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
-
-    def to_h(v: Vector) -> Vector:
-        # v - alpha(v) xi and Phi x lie in Ker(alpha) on the checked s (alpha(xi) = 1, alpha o Phi = 0)
-        return tuple(v[p] for p in pivots)
-
+    n, m = g.dim, g.dim - 1  # the checked alpha is nonzero (alpha(xi) = 1)
+    flat, db = clear_denominators([x for v in kernel_basis(g, s.alpha) for x in v])
+    basis = [flat[r * n : (r + 1) * n] for r in range(m)]  # db times the basis of Ker(alpha)
+    pivots = [next(i for i, x in enumerate(v) if x) for v in basis]
+    a, da = clear_denominators(one_form_coords(s.alpha))
+    xi, dx = clear_denominators(s.reeb)
+    den = g._integer_terms[0] * db * db * da  # of alpha([x_p, x_q]) = t/den
+    # v - alpha(v) xi and Phi x lie in Ker(alpha) on the checked s (alpha(xi) = 1, alpha o Phi = 0)
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     omega_entries: dict[tuple[int, int], Fraction] = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            v = bracket(g, basis[a], basis[b])
-            xi_part = apply_one_form(s.alpha, v)
-            h_part = vec_sub(v, vec_scale(xi_part, s.reeb))
-            coords = to_h(h_part)
-            entries = {k: c for k, c in enumerate(coords) if c != 0}
+    for p in range(m):
+        for q in range(p + 1, m):
+            v = _bracket_ints(g, basis[p], basis[q])
+            t = sum(map(mul, a, v))
+            h_part = [v[c] * da * dx - t * xi[c] for c in pivots]  # over den * dx
+            entries = {k: Fraction(x, den * dx) for k, x in enumerate(h_part) if x}
             if entries:
-                brackets[(a, b)] = entries
-            omega_entries[(a, b)] = xi_part
+                brackets[(p, q)] = entries
+            omega_entries[(p, q)] = Fraction(t, den)
     h = LieAlgebra.from_brackets(m, brackets)
-    j = transpose([to_h(mat_vec(s.phi, basis[a])) for a in range(m)])
+    phi, dp = _int_matrix(s.phi)
+    j = tuple(vector_over(_apply(basis, phi[c]), dp * db) for c in pivots)
     omega = KForm.two_form(m, omega_entries)
     rep, structure = check_kahler(h, j, omega)
     require("reduction did not produce a Kahler structure", rep)
@@ -261,11 +299,12 @@ def kahler_extension_obstruction(g: LieAlgebra, s: SasakianStructure, theta: KFo
     if theta.degree != 2 or theta.dim != g.dim:
         raise DimensionMismatch("expected a 2-form on the algebra")
     basis = kernel_basis(g, s.alpha)
-    invariance = _first_nonzero_pair(
-        basis, lambda x, y: theta.evaluate((x, y)) + theta.evaluate((mat_vec(s.phi, x), mat_vec(s.phi, y)))
-    )
-    pairing = _phi_pairing_failure(basis, theta, s.phi)
-    reeb_pair = _first_mismatch(basis, lambda x: theta.evaluate((x, s.reeb)), lambda x: 0)
+    (t, dt), (p, dp) = _int_matrix(theta.as_matrix()), _int_matrix(s.phi)
+    ptp = _int_mul(transpose(p), _int_mul(t, p))  # theta(x, y) + theta(Phi x, Phi y) is the form T + Phi^T T Phi
+    invariance = _first_nonzero_pair(basis, ([[x * dp * dp + y for x, y in zip(*r)] for r in zip(t, ptp)], dt * dp**2))
+    pairing = _phi_pairing_failure(basis, (t, dt), (p, dp))
+    xi, dx = clear_denominators(s.reeb)
+    reeb_pair = _first_mismatch(basis, ([_apply(t, xi)], dt * dx), ([[0] * g.dim], 1))  # theta(x, xi) against 0
     dxi = kirillov_form(g, s.alpha).neg()  # d(alpha) = -B_alpha
     integrability_broken = invariance is not None or pairing is not None or reeb_pair is not None
     closedness_broken = not dxi.is_zero()
@@ -279,7 +318,7 @@ def kahler_extension_obstruction(g: LieAlgebra, s: SasakianStructure, theta: KFo
         ("theta_phi_pairing", pair_note(pairing)),
         (
             "theta_reeb_pairing",
-            "holds" if reeb_pair is None else f"fails at kernel vector {reeb_pair[0]}: {fmt_scalar(reeb_pair[1])}",
+            "holds" if reeb_pair is None else f"fails at kernel vector {reeb_pair[0]}: {fmt_scalar(reeb_pair[1][0])}",
         ),
         ("dxi_star", "0" if dxi.is_zero() else dxi.describe(g.labels)),
         ("no_go_route", "integrability" if integrability_broken else ("closedness" if closedness_broken else "none")),
@@ -315,16 +354,9 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
     )
     if not is_square(j, n):
         raise DimensionMismatch("complex structure must act on the base")
-    pre = []
-    j2 = mat_mul(j, j)
-    pre.append(
-        passed(
-            "base_complex_square",
-            all(column(j2, k) == vec_scale(-ONE, base.basis_vector(k)) for k in range(n)),
-            "J^2 != -Id on the base",
-        )
-    )
     ji, dj = _int_matrix(j)
+    square = _int_mul(ji, ji) == [[-dj * dj * (r == c) for c in range(n)] for r in range(n)]
+    pre = [passed("base_complex_square", square, "J^2 != -Id on the base")]
     integrable = _first_torsion(base, _packed_torsion(base, ji), dj) is None
     pre.append(passed("base_complex_integrable", integrable, "N_J != 0 on the base"))
     theta = KForm.two_form(n, {(a, b): child.c[a][b][n] for a in range(n) for b in range(a + 1, n)})
@@ -341,7 +373,7 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
     jbar = tuple((*row, ZERO, ZERO) for row in j) + ((*zero, ZERO, -ONE), (*zero, ONE, ZERO))
     ji, dj = _int_matrix(jbar)
     tw = _first_torsion(child, _packed_torsion(child, ji), dj)
-    cw = _commute_mismatch(map(child.basis_vector, range(n)), jbar, _slot_action(ext))
+    cw = _commute_mismatch(map(child.basis_vector, range(n)), (ji, dj), _slot_action(ext))
     torsion_ok = tw is None
     commute_ok = cw is None
     torsion_witness = (
@@ -434,9 +466,10 @@ def solve_double_extension_params(
     b = reeb[n]
     a = apply_one_form(s.alpha, reeb[:n])
     u = vec_sub(reeb[:n], vec_scale(a, s.reeb))
-    if c is None:
-        z_minus_xi = vec_sub(ext.algebra.basis_vector(n), embed_vector(s.reeb, n + 2))
-        c = ONE if apply_one_form(alpha, mat_vec(_slot_action(ext), z_minus_xi)) >= 0 else -ONE
+    if c is None:  # the sign of alpha(D(z - xi)), from integers over positive denominators
+        z_minus_xi, _ = clear_denominators(vec_sub(ext.algebra.basis_vector(n), embed_vector(s.reeb, n + 2)))
+        a_ints, _ = clear_denominators(one_form_coords(alpha))
+        c = ONE if sum(map(mul, a_ints, _apply(_slot_action(ext)[0], z_minus_xi))) >= 0 else -ONE
     params = DoubleExtensionParams(a=a, b=b, c=c, d=-c, u=u)
     object.__setattr__(params, "_build", (g, s, theta, d, build))  # the dataclass is frozen
     return params
@@ -466,7 +499,8 @@ def _double_extension_setup(
         )
     inv = ONE / params.delta
     coords = one_form_coords(s.alpha)
-    phi_u = mat_vec(s.phi, params.u)
+    (sp, dsp), (u, du) = _int_matrix(s.phi), clear_denominators(params.u)
+    phi_u = vector_over(_apply(sp, u), dsp * du)
     # [[Phi - (d/delta) Phi u (x) alpha, (c/delta) Phi u, -c xi], [0, 0, -d], [-(b/delta) alpha, a/delta, 0]]
     phi = tuple(
         (*(p - params.d * inv * pu * x for p, x in zip(row, coords)), params.c * inv * pu, -params.c * xi)
@@ -482,7 +516,8 @@ def sasakian_double_extension_conditions(
     ext, _, reeb, phi, _ = _double_extension_setup(g, s, theta, d, params)
     child = ext.algebra
     basis = kernel_basis(g, s.alpha)
-    w1 = _phi_pairing_failure(basis, theta, s.phi)
+    p, dp = _int_matrix(s.phi)
+    w1 = _phi_pairing_failure(basis, _int_matrix(theta.as_matrix()), (p, dp))
     witness1 = (
         ""
         if w1 is None
@@ -498,7 +533,8 @@ def sasakian_double_extension_conditions(
         f"u in Rad(theta): {u_ok}, reeb in Rad(theta): {xi_ok}",
     )
     # Phi-bar is Phi on Ker(alpha)
-    w3 = _commute_mismatch((embed_vector(x, child.dim) for x in basis), _slot_action(ext), phi)
+    pb, dpb = _int_matrix(phi)
+    w3 = _commute_mismatch((embed_vector(x, child.dim) for x in basis), _slot_action(ext), (pb, dpb))
     witness3 = (
         ""
         if w3 is None
@@ -506,10 +542,8 @@ def sasakian_double_extension_conditions(
         f"on kernel vector {w3[0]}"
     )
     item3 = passed("derivation_commutes_with_phi", w3 is None, witness3)
-    u = params.u
-    w4 = _first_mismatch(
-        basis, lambda x: bracket(g, u, x), lambda x: vec_scale(-ONE, mat_vec(s.phi, bracket(g, u, mat_vec(s.phi, x))))
-    )
+    ad_u, du = _int_adjoint(g, params.u)  # [u, x] against -Phi[u, Phi x]
+    w4 = _first_mismatch(basis, (ad_u, du), ([[-x for x in r] for r in _int_mul(p, _int_mul(ad_u, p))], du * dp * dp))
     witness4 = (
         ""
         if w4 is None
@@ -519,11 +553,12 @@ def sasakian_double_extension_conditions(
     item4 = passed("ad_u_phi_conjugation", w4 is None, witness4)
 
     def torsion(uu: Vector, vv: Vector) -> Vector:
-        t = vec_scale(-ONE, bracket(child, uu, vv))
-        t = vec_add(t, bracket(child, mat_vec(phi, uu), mat_vec(phi, vv)))
-        t = vec_sub(t, mat_vec(phi, bracket(child, mat_vec(phi, uu), vv)))
-        t = vec_sub(t, mat_vec(phi, bracket(child, uu, mat_vec(phi, vv))))
-        return t
+        """-[u, v] + [Phi u, Phi v] - Phi[Phi u, v] - Phi[u, Phi v] from integer brackets, Phi = Phi-bar."""
+        (us, du), (vs, dv) = clear_denominators(uu), clear_denominators(vv)
+        pu, pv = _apply(pb, us), _apply(pb, vs)
+        inner = map(int.__add__, _bracket_ints(child, pu, vs), _bracket_ints(child, us, pv))
+        terms = zip(_bracket_ints(child, us, vs), _bracket_ints(child, pu, pv), _apply(pb, list(inner)))
+        return vector_over([y - x * dpb * dpb - z for x, y, z in terms], child._integer_terms[0] * du * dv * dpb * dpb)
 
     w_vec = vec_scale(params.c, s.reeb) + (params.d, ZERO)  # c xi + d z
     m_w = torsion(w_vec, reeb)
@@ -566,14 +601,15 @@ def frobenius_kahler_to_sasakian(
     _verify_frobenius_kahler_input(g, f, k)
     ext = derivation_extension(g, d)  # refuses a D that breaks the Leibniz rule
     coords = one_form_coords(f.phi)
-    bad = next((j for j in range(g.dim) if apply_one_form(f.phi, column(d, j)) != 0), None)
+    (c, dc), (di, _), (ji, dj) = clear_denominators(coords), _int_matrix(d), _int_matrix(k.j)
+    bad = next((j for j, x in enumerate(_apply(zip(*di), c)) if x), None)  # the row phi o D
     if bad is not None:
         raise refusal("phi o D must vanish", "phi_d_vanishes", f"phi(D {g.labels[bad]}) != 0")
-    if mat_mul(d, k.j) != mat_mul(k.j, d):
+    if _int_mul(di, ji) != _int_mul(ji, di):
         raise refusal("D must commute with J", "d_commutes_with_j", "D o J != J o D")
     child = ext.algebra
     alpha = KForm.one_form(child.dim, coords + (ONE,))
-    phi_j = mat_vec(transpose(k.j), coords)  # the row phi o J
+    phi_j = vector_over(_apply(zip(*ji), c), dc * dj)  # the row phi o J
     phi = tuple((*row, ZERO) for row in k.j) + ((*(-x for x in phi_j), ZERO),)  # [[J, 0], [-phi o J, 0]]
     rep, structure = check_sasakian(child, child.basis_vector(ext.derivation_index), alpha, phi)
     return ext, rep, structure
@@ -590,14 +626,13 @@ def sasakian_to_frobenius_kahler(
     _verify_sasakian_input(g, s)
     ext = derivation_extension(g, d)  # refuses a D that breaks the Leibniz rule
     coords = one_form_coords(s.alpha)
-    bad = next(
-        (j for j in range(g.dim) if apply_one_form(s.alpha, column(d, j)) != coords[j]), None
-    )
+    (a, _), (di, dd) = clear_denominators(coords), _int_matrix(d)
+    bad = next((j for j, (x, y) in enumerate(zip(_apply(zip(*di), a), a)) if x != y * dd), None)  # alpha o D, alpha
     if bad is not None:
         label = g.labels[bad]
         raise refusal("alpha o D must equal alpha", "alpha_d_invariance", f"alpha(D {label}) != alpha({label})")
     basis = kernel_basis(g, s.alpha)
-    hit = _commute_mismatch(basis, s.phi, d)
+    hit = _commute_mismatch(basis, _int_matrix(s.phi), (di, dd))
     if hit is not None:
         witness = f"[Phi,D]({fmt_vector(basis[hit[0]], g.labels)}) != 0"
         raise refusal("Phi and D must commute on Ker(alpha)", "phi_d_commute_on_kernel", witness)
@@ -631,30 +666,24 @@ def contact_ideal_restriction(
     on the kernel of the restricted form.
     """
     _verify_frobenius_kahler_input(g, f, k)
-    pivot = next(i for i, x in enumerate(f.principal) if x != 0)
-    keep = [i for i in range(g.dim) if i != pivot]
     xp = f.principal
+    pivot = next(i for i, x in enumerate(xp) if x != 0)
+    keep = [i for i in range(g.dim) if i != pivot]
 
-    def split(v: Vector) -> tuple[Fraction, Vector]:
-        """v = lam * x_P + (ideal part in the kept coordinates)."""
-        lam = v[pivot] / xp[pivot]
-        rest = vec_sub(v, vec_scale(lam, xp))
-        return lam, tuple(rest[i] for i in keep)
-
-    def in_ideal(name: str, b: int, v: Vector) -> Vector:  # the kept coordinates of v = [name, e_b]
-        lam, rest = split(v)
-        if lam != 0:
+    def in_ideal(name: str, b: int, v: Sequence) -> list:  # the kept coordinates of v = [name, e_b]
+        if v[pivot]:  # v has an x_P component
             raise refusal(
                 "complement of the principal element is not an ideal",
                 "ideal_closed",
                 f"[{name},{g.labels[b]}] leaves the complement",
             )
-        return rest
+        return [v[i] for i in keep]
 
     # ideal test in the adapted basis {x_P} + kept vectors, one bracket per pair: [x_P, e_b] is a column
     # of ad(x_P) on the ideal and [e_a, e_b], a < b, a bracket of h ([e_b, e_a] is its negative)
     m = g.dim - 1
-    ad_xp_mat = transpose([in_ideal("x_P", b, bracket(g, xp, g.basis_vector(b))) for b in keep])
+    ad, dad = _int_adjoint(g, xp, keep)
+    ad_xp = transpose([in_ideal("x_P", b, column(ad, t)) for t, b in enumerate(keep)])
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for ia, a in enumerate(keep):
         for ib in range(ia + 1, m):
@@ -664,37 +693,25 @@ def contact_ideal_restriction(
                 brackets[(ia, ib)] = entries
     h = LieAlgebra.from_brackets(m, brackets, tuple(g.labels[i] for i in keep))
 
-    def to_g(v: Vector) -> Vector:
-        out = [ZERO] * g.dim
-        for idx, val in zip(keep, v):
-            out[idx] = val
-        return tuple(out)
-
     alpha_h = KForm.one_form(m, tuple(one_form_coords(f.phi)[i] for i in keep))
     contact_rep, contact = check_contact(h, alpha_h)
     require("restricted form is not contact on the ideal", contact_rep)
     xi = contact.reeb
     items = list(contact_rep.prefixed("contact:"))
-    cols = []
-    well_defined = True
-    witness = ""
-    for i in range(m):
-        v = h.basis_vector(i)
-        k_part = vec_sub(v, vec_scale(apply_one_form(alpha_h, v), xi))
-        jimg = mat_vec(k.j, to_g(k_part))
-        lam, rest = split(jimg)
-        if lam != 0:
-            well_defined = False
-            witness = f"J(kernel part of {h.labels[i]}) has x_P component {fmt_scalar(lam)}"
-            cols.append(zero_vector(m))
-        else:
-            cols.append(rest)
-    items.append(passed("phi_well_defined", well_defined, witness))
-    if not well_defined:
+    # column i of J on the kernel part e_i - alpha_h(e_i) xi, in the coordinates of g over den
+    (a, da), (x, dx), (ji, dj) = clear_denominators(one_form_coords(alpha_h)), clear_denominators(xi), _int_matrix(k.j)
+    den = dj * da * dx
+    j_xi = [sum(row[c] * y for c, y in zip(keep, x)) for row in ji]
+    images = [[da * dx * row[c] - ai * y for row, y in zip(ji, j_xi)] for c, ai in zip(keep, a)]
+    bad = [i for i, v in enumerate(images) if v[pivot]]
+    lam = Fraction(images[bad[-1]][pivot], den) / xp[pivot] if bad else None  # the last x_P component
+    witness = f"J(kernel part of {h.labels[bad[-1]]}) has x_P component {fmt_scalar(lam)}" if bad else ""
+    items.append(passed("phi_well_defined", not bad, witness))
+    if bad:
         return h, CheckReport(tuple(items)), None
-    phi = transpose(cols)
-    ad_xi = adjoint(h, xi)
-    crit_reeb = mat_mul(ad_xi, phi) == mat_mul(phi, ad_xi)
+    phi = [[v[c] for v in images] for c in keep]
+    ad_xi, _ = _int_adjoint(h, xi)
+    crit_reeb = _int_mul(ad_xi, phi) == _int_mul(phi, ad_xi)
     items.append(
         passed(
             "reeb_adjoint_commutes_with_phi",
@@ -702,7 +719,7 @@ def contact_ideal_restriction(
             "[ad(xi), Phi] != 0 on the ideal",
         )
     )
-    crit_xp = _commute_mismatch(kernel_basis(h, alpha_h), ad_xp_mat, phi) is None
+    crit_xp = _commute_mismatch(kernel_basis(h, alpha_h), (ad_xp, dad), (phi, den)) is None
     items.append(
         passed(
             "principal_adjoint_commutes_on_kernel",
@@ -719,6 +736,6 @@ def contact_ideal_restriction(
     )
     if not (crit_reeb and crit_xp):
         return h, CheckReport(tuple(items), contact_rep.notes), None
-    sas_rep, structure = check_sasakian(h, xi, alpha_h, phi)
+    sas_rep, structure = check_sasakian(h, xi, alpha_h, tuple(vector_over(row, den) for row in phi))
     items.extend(sas_rep.items)
     return h, CheckReport(tuple(items), contact_rep.notes + sas_rep.notes), structure

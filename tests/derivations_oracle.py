@@ -3,10 +3,11 @@
 This is the straightforward Fraction-arithmetic is_derivation that the packed
 Leibniz defect (``structures._leibniz_defects``) replaced, the Fraction
 _leibniz_rows that the integer rows built from ``LieAlgebra._integer_terms``
-replaced, and a derivation_space that solves them, with the unchanged rows of
-the other constraints, through linalg_oracle.solve_affine. They are slow but
-obviously correct; tests/test_derivations.py checks that the fast paths return
-exactly the same reports, particular solution and basis.
+replaced, the Fraction rows of the FormEigen, Commute and Sends constraints
+that integer rows over the common denominators of their data replaced, and a
+derivation_space that solves them through linalg_oracle.solve_affine. They are
+slow but obviously correct; tests/test_derivations.py checks that the fast
+paths return exactly the same reports, particular solution and basis.
 """
 
 from __future__ import annotations
@@ -15,17 +16,8 @@ from fractions import Fraction
 
 import algebra_oracle
 import linalg_oracle
-from lieforge.algebra import LieAlgebra
-from lieforge.derivations import (
-    Commute,
-    Constraint,
-    FormEigen,
-    Leibniz,
-    Sends,
-    _commute_rows,
-    _form_eigen_rows,
-    _sends_rows,
-)
+from lieforge.algebra import LieAlgebra, Subspace
+from lieforge.derivations import Commute, Constraint, FormEigen, Leibniz, Sends
 from lieforge.linalg import ZERO, Matrix, Vector, fmt_basis_tuple, fmt_vector, mat_vec
 from lieforge.report import CheckReport, DimensionMismatch, fail, ok
 
@@ -78,6 +70,53 @@ def _leibniz_rows(g: LieAlgebra) -> tuple[list[Vector], list[Fraction]]:
                     row[j * n + q] -= g.c[p][j][k]
                 rows.append(tuple(row))
                 rhs.append(ZERO)
+    return rows, rhs
+
+
+def _form_eigen_rows(g: LieAlgebra, phi, factor: Fraction) -> tuple[list[Vector], list[Fraction]]:
+    n = g.dim
+    coords = tuple(phi.coeff((i,)) for i in range(n))
+    rows: list[Vector] = []
+    rhs: list[Fraction] = []
+    for j in range(n):
+        row = [ZERO] * (n * n)
+        for i in range(n):
+            row[i * n + j] += coords[i]
+        rows.append(tuple(row))
+        rhs.append(factor * coords[j])
+    return rows, rhs
+
+
+def _commute_rows(g: LieAlgebra, a: Matrix, on: Subspace | None) -> tuple[list[Vector], list[Fraction]]:
+    n = g.dim
+    vectors = on.rows if on is not None else tuple(g.basis_vector(j) for j in range(n))
+    rows: list[Vector] = []
+    rhs: list[Fraction] = []
+    for v in vectors:
+        av = mat_vec(a, v)
+        for k in range(n):
+            row = [ZERO] * (n * n)
+            # D(Av)_k - A(Dv)_k = sum_j Av_j D[k][j] - sum_i A[k][i] sum_j v_j D[i][j]
+            for j in range(n):
+                row[k * n + j] += av[j]
+            for i in range(n):
+                for j in range(n):
+                    row[i * n + j] -= a[k][i] * v[j]
+            rows.append(tuple(row))
+            rhs.append(ZERO)
+    return rows, rhs
+
+
+def _sends_rows(g: LieAlgebra, v: Vector, w: Vector) -> tuple[list[Vector], list[Fraction]]:
+    n = g.dim
+    rows: list[Vector] = []
+    rhs: list[Fraction] = []
+    for k in range(n):
+        row = [ZERO] * (n * n)
+        for j in range(n):
+            row[k * n + j] += v[j]
+        rows.append(tuple(row))
+        rhs.append(w[k])
     return rows, rhs
 
 

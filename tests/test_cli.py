@@ -630,6 +630,42 @@ def test_corpus_elimination_budget(monkeypatch):
     assert counts == ELIMINATIONS
 
 
+def test_constructions_make_no_fraction_products(monkeypatch):
+    # theorems tests its conditions and forms its maps as integer products: over the construct commands of
+    # the corpus, no Fraction mat_vec or mat_mul call comes from it
+    import lieforge.linalg
+
+    callers = []
+    for name in ("mat_vec", "mat_mul"):
+        original = getattr(lieforge.linalg, name)
+
+        def counted(*args, _original=original):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return _original(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("lieforge") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    counts = {}
+    for entry in json.loads(CORPUS.read_text(encoding="utf-8"))["commands"]:
+        if entry["argv"][0] == "construct":
+            callers.clear()
+            assert run(entry["argv"])[1] == 0
+            counts[" ".join(entry["argv"])] = callers.count("lieforge.theorems")
+    assert len(counts) == 6 and set(counts.values()) == {0}, counts
+
+
+def test_reduction_of_a_line_is_refused(tmp_path):
+    # R with alpha = e1*, xi = e1 and Phi = 0 is Sasakian; its reduction is refused, with exit 1, not a traceback
+    algebra, structure = tmp_path / "R.lf", tmp_path / "S.lf"
+    algebra.write_text("lieforge/1 algebra\ndim 1\n", encoding="utf-8")
+    structure.write_text("lieforge/1 structure\nkind sasakian\nxi = 1\nalpha = 1\nphi row 1 = 0\n", encoding="utf-8")
+    files = ["--algebra", str(algebra), "--structure", str(structure)]
+    assert invoke("check", "sasakian", *files)[1] == 0
+    out, code = invoke("construct", "sasakian-reduction", *files)
+    assert code == 1 and "item fail quotient_dimension_positive | dim = 1" in out
+
+
 def _conjugated(g, phi, seed):
     p = random_invertible(random.Random(seed), g.dim)
     return conjugate_algebra(g, p, mat_inverse(p)), conjugate_one_form(phi, p)
@@ -670,14 +706,14 @@ def test_frobenius_check_eliminates_only_to_name_a_radical_vector(g, phi, expect
 
 
 def test_contact_ideal_brackets_each_pair_once(monkeypatch):
-    # [x_P, e_b] for the 3 kept vectors, then ad(xi) on the 3-dimensional ideal
+    # [x_P, e_b] for the 3 kept vectors, then ad(xi) on the 3-dimensional ideal, each one integer bracket
     import lieforge.algebra
 
     calls = []
-    original = lieforge.algebra.bracket
+    original = lieforge.algebra._bracket_ints
     for name, module in list(sys.modules.items()):
-        if name.startswith("lieforge") and getattr(module, "bracket", None) is original:
-            monkeypatch.setattr(module, "bracket", lambda *args: calls.append(1) or original(*args))
+        if name.startswith("lieforge") and getattr(module, "_bracket_ints", None) is original:
+            monkeypatch.setattr(module, "_bracket_ints", lambda *args: calls.append(1) or original(*args))
     assert invoke("construct", "contact-ideal", "--builtin", "d4half")[1] == 0
     assert len(calls) == 6
 

@@ -166,25 +166,29 @@ def test_leibniz_defect_slot_width_boundary(s, t):
 
 @st.composite
 def constraint_sets(draw, g, phi=None, a=None):
-    """[Leibniz()], or Leibniz plus FormEigen or Commute (on everything or on a subspace).
+    """[Leibniz()], or Leibniz plus FormEigen, Commute (on everything or on a subspace), Sends, or
+    FormEigen and Commute together (the search of the Sasakian to Frobenius-Kahler extension).
 
     phi and a, when given, are the algebra's own 1-form and map (z* and Phi of a
     Heisenberg algebra); otherwise random ones are drawn.
     """
     n = g.dim
-    kind = draw(st.sampled_from(["leibniz", "eigen", "commute"]))
-    if kind == "leibniz":
-        return [Leibniz()]
-    if kind == "eigen":
+    kind = draw(st.sampled_from(["leibniz", "eigen", "commute", "sends", "both"]))
+    if kind == "sends":
+        return [Leibniz(), Sends(draw(rational_vectors(n)), draw(rational_vectors(n)))]
+    constraints = [Leibniz()]
+    if kind in ("eigen", "both"):
         if phi is None or draw(st.booleans()):
             phi = KForm.one_form(n, draw(rational_vectors(n)))
-        return [Leibniz(), FormEigen(phi, draw(RATIONALS))]
-    if a is None or draw(st.booleans()):
-        a = tuple(draw(rational_vectors(n)) for _ in range(n))
-    on = None
-    if draw(st.booleans()):
-        on = Subspace.from_vectors(n, draw(st.lists(rational_vectors(n), min_size=1, max_size=2)))
-    return [Leibniz(), Commute(a, on)]
+        constraints.append(FormEigen(phi, draw(RATIONALS)))
+    if kind in ("commute", "both"):
+        if a is None or draw(st.booleans()):
+            a = tuple(draw(rational_vectors(n)) for _ in range(n))
+        on = None
+        if draw(st.booleans()):
+            on = Subspace.from_vectors(n, draw(st.lists(rational_vectors(n), min_size=1, max_size=2)))
+        constraints.append(Commute(a, on))
+    return constraints
 
 
 @settings(max_examples=40, deadline=None)

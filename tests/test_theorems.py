@@ -28,12 +28,14 @@ from lieforge import (
     solve_double_extension_params,
 )
 from lieforge.derivations import Commute, FormEigen, Leibniz, derivation_space
-from lieforge.linalg import diagonal, matrix, nullspace, vector, zero_matrix
+from lieforge.linalg import diagonal, mat_mul, matrix, nullspace, vector, zero_matrix
 from lieforge.report import DimensionMismatch, PreconditionError
-from lieforge.theorems import kernel_basis
+from lieforge.structures import _int_matrix, kirillov_form
+from lieforge.theorems import _commute_mismatch, _phi_pairing_failure, kernel_basis
 
 import theorems_oracle
 from strategies import (
+    BIG_RATIONALS,
     RATIONALS,
     conjugated_grading_derivation,
     conjugated_heisenberg_sasakian,
@@ -674,3 +676,96 @@ def test_kernel_basis_is_the_nullspace_of_its_row(case):
     coords = coords[:k] + [0] * (len(coords) - k)
     n = len(coords)
     assert kernel_basis(LieAlgebra.abelian(n), KForm.one_form(n, coords)) == nullspace([vector(coords)], n)
+
+
+# --- integer conditions against the Fraction paths they replaced ---------------
+
+
+@st.composite
+def commuting_or_not(draw):
+    """(basis, a, b): an n x n map a with BIG_RATIONALS entries and b = c0 + c1 a + c2 a^2 (they commute),
+    that b with one entry moved, or an independent b (they mostly do not); the basis is up to n+1 vectors."""
+    n = draw(st.integers(1, 4))
+    a = tuple(tuple(draw(st.lists(BIG_RATIONALS, min_size=n, max_size=n))) for _ in range(n))
+    kind = draw(st.sampled_from(["polynomial", "moved", "random"]))
+    if kind == "random":
+        b = tuple(tuple(draw(st.lists(BIG_RATIONALS, min_size=n, max_size=n))) for _ in range(n))
+    else:
+        c0, c1, c2 = (draw(RATIONALS) for _ in range(3))
+        a2 = mat_mul(a, a)
+        b = [[c0 * (i == j) + c1 * a[i][j] + c2 * a2[i][j] for j in range(n)] for i in range(n)]
+        if kind == "moved":
+            b[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] += draw(BIG_RATIONALS)
+        b = tuple(map(tuple, b))
+    basis = draw(st.lists(st.lists(BIG_RATIONALS, min_size=n, max_size=n).map(tuple), max_size=n + 1))
+    return basis, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(commuting_or_not())
+def test_commute_mismatch_matches_fraction_pair(case):
+    # [a, b] formed once as an integer matrix, each vector one integer product; witness as the four mat_vec calls
+    basis, a, b = case
+    assert _commute_mismatch(basis, _int_matrix(a), _int_matrix(b)) == theorems_oracle.commute_mismatch(basis, a, b)
+
+
+@st.composite
+def pairing_inputs(draw):
+    """(basis, theta, Phi) with BIG_RATIONALS entries on dimension 1-4; Phi = 0 passes every pair."""
+    n = draw(st.integers(1, 4))
+    rows = st.lists(BIG_RATIONALS, min_size=n, max_size=n).map(tuple)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    theta = KForm.two_form(n, dict(zip(pairs, draw(st.lists(BIG_RATIONALS, min_size=len(pairs), max_size=len(pairs))))))
+    phi = draw(st.one_of(st.just(zero_matrix(n)), st.lists(rows, min_size=n, max_size=n).map(tuple)))
+    return draw(st.lists(rows, max_size=n + 1)), theta, phi
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairing_inputs())
+def test_phi_pairing_failure_matches_fraction_pairs(case):
+    # the form T Phi - (T Phi)^T on integers, one product per pair; the witness as KForm.evaluate gives it
+    basis, theta, phi = case
+    expected = theorems_oracle.phi_pairing_failure(basis, theta, phi)
+    assert _phi_pairing_failure(basis, _int_matrix(theta.as_matrix()), _int_matrix(phi)) == expected
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_kahler_extension_obstruction_matches_oracle(name):
+    # theta = 0 and -d(alpha) pass every pairing; a dense integer 2-form fails them
+    g, s, _ = _sasakian_case(name)
+    rng = random.Random(g.dim)
+    dense = KForm.two_form(g.dim, {(i, j): rng.randint(-2, 2) for i in range(g.dim) for j in range(i + 1, g.dim)})
+    for theta in (KForm.zero(g.dim, 2), kirillov_form(g, s.alpha), dense):
+        report = kahler_extension_obstruction(g, s, theta)
+        assert report == theorems_oracle.kahler_extension_obstruction(g, s, theta)
+    assert dict(report.notes)["no_go_route"] == "integrability"
+
+
+G0_THETA = {(0, 3): 1, (0, 4): 1, (1, 3): "-1/2", (1, 4): 2}
+G0_D = [[1, -1, 0, 0, 1, 0], [1, 1, 0, "1/2", 0, 0], [1, 0, 2, -1, 0, 0], [0] * 6, [0] * 6, [0, "5/2", 0, 1, 1, "1/2"]]
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_double_extension_conditions_with_both_sides_nonzero_match_oracle(seed):
+    # on g0 this u fails [u, x] = -Phi[u, Phi x] with both sides nonzero; a random basis (seed) gives Phi fractions,
+    # so the two sides of the failing vector have different denominators
+    from conftest import conjugate_algebra, conjugate_map, conjugate_one_form, conjugate_two_form, mat_inverse
+    from conftest import random_invertible
+    from lieforge.linalg import mat_vec
+
+    (reeb, alpha, phi), g = G0.sasakian_data, G0.algebra
+    theta, d = KForm.two_form(5, G0_THETA), matrix(G0_D)
+    if seed is not None:
+        p = random_invertible(random.Random(seed), 5)
+        pinv = mat_inverse(p)
+        g, reeb, alpha = conjugate_algebra(g, p, pinv), mat_vec(pinv, reeb), conjugate_one_form(alpha, p)
+        phi, theta = conjugate_map(phi, p, pinv), conjugate_two_form(theta, p)
+        p6, p6inv = (tuple((*row, 0) for row in m) + ((0,) * 5 + (1,),) for m in (p, pinv))  # z stays put
+        d = conjugate_map(d, p6, p6inv)
+    s = check_sasakian(g, reeb, alpha, phi)[1]
+    params = solve_double_extension_params(g, s, theta, d)
+    args = (g, s, theta, d, params)
+    report = sasakian_double_extension_conditions(*args)
+    assert report == theorems_oracle.sasakian_double_extension_conditions(*args)
+    witness = report.item("ad_u_phi_conjugation").witness
+    assert not report.item("ad_u_phi_conjugation").passed and "= 0 " not in witness

@@ -32,7 +32,7 @@ from lieforge import (
 )
 from lieforge.linalg import diagonal, matrix, zero_matrix
 from lieforge.report import CheckItem, PreconditionError
-from lieforge.structures import FrobeniusStructure
+from lieforge.structures import FrobeniusStructure, SasakianStructure
 
 from conftest import conjugate_algebra, conjugate_map, conjugate_one_form, conjugate_two_form, mat_inverse
 from strategies import conjugated_phi, moved_reeb
@@ -71,6 +71,11 @@ REFUSALS = {
         D4.algebra, FrobeniusStructure(D4.frobenius().phi, D4.algebra.basis_vector(0)), D4.kahler(), D4.maps[0][1]
     ),
     "center_spanned_by_reeb": lambda: sasakian_reduction(G0.algebra, G0.sasakian()),
+    # R with alpha = e1*, xi = e1 and Phi = 0 is Sasakian; its quotient by the Reeb vector would be 0
+    "quotient_dimension_positive": lambda: sasakian_reduction(
+        LieAlgebra.abelian(1),
+        SasakianStructure((Fraction(1),), KForm.basis_one_form(1, 0), ((Fraction(0),),), ((Fraction(1),),)),
+    ),
     "contact_pairing_nonzero": lambda: solve_double_extension_params(
         H3.algebra, H3.sasakian(), ZERO3, diagonal(["1/2", "1/2", 1, 0])
     ),
@@ -112,6 +117,11 @@ REFUSED = {
         "center must be one-dimensional and spanned by the Reeb vector",
         "center_spanned_by_reeb",
         "center = {0}",
+    ),
+    "quotient_dimension_positive": (
+        "the quotient by the Reeb vector is 0-dimensional",
+        "quotient_dimension_positive",
+        "dim = 1",
     ),
     "contact_pairing_nonzero": ("alpha(D(z)) must be nonzero", "contact_pairing_nonzero", "alpha(D(z)) = 0"),
     "params_u_in_kernel": ("u must lie in Ker(alpha)", "params_u_in_kernel", "alpha(u) = 1"),

@@ -1,4 +1,5 @@
-"""Reference oracle for lieforge.theorems: the paths that computed a fact twice or assembled a map entry by entry.
+"""Reference oracle for lieforge.theorems: the paths that computed a fact twice, assembled a map entry by
+entry or tested a condition in Fractions.
 
 sasakian_reduction solves for the coordinates of every vector in the basis of
 Ker(alpha) with its own elimination (``solve_unique``), where lieforge reads
@@ -19,6 +20,12 @@ extension and reads the derivation once, as the slot action on the
 extension. Its torsions are the unpacked integer loop of
 structures_oracle.nijenhuis_ints. tests/test_theorems.py checks that both return exactly the same
 algebras, reports, structures and refusals.
+
+Every condition here is tested in Fractions, vector by vector: a commutator as the four ``mat_vec`` calls
+of ``commute_mismatch``, a pairing as ``KForm.evaluate`` on each basis pair, [D, J] = 0 and J^2 = -Id as
+``mat_mul`` products, and the brackets and projections of the reduction and of the contact ideal as
+``bracket``, ``apply_one_form`` and ``mat_vec``, where lieforge tests integer products and makes
+Fractions only for outputs and witnesses.
 """
 
 from __future__ import annotations
@@ -64,8 +71,6 @@ from lieforge.structures import (
 )
 from lieforge.theorems import (
     DoubleExtensionParams,
-    _first_mismatch,
-    _phi_pairing_failure,
     _verify_frobenius_kahler_input,
     _verify_sasakian_input,
     embed_vector,
@@ -77,8 +82,76 @@ from structures_oracle import nijenhuis_ints
 ONE = Fraction(1)
 
 
+def _first_mismatch(items, lhs, rhs):
+    """(k, lhs(x), rhs(x)) at the first item x, k its position, where the two sides differ; None if none does."""
+    for k, x in enumerate(items):
+        left, right = lhs(x), rhs(x)
+        if left != right:
+            return k, left, right
+    return None
+
+
+def commute_mismatch(basis, a, b):
+    """``_first_mismatch`` of a(b(x)) and b(a(x)) for Fraction maps a and b."""
+    return _first_mismatch(basis, lambda x: mat_vec(a, mat_vec(b, x)), lambda x: mat_vec(b, mat_vec(a, x)))
+
+
+def _first_nonzero_pair(basis, value):
+    """(a, b, value(x_a, x_b)) at the first pair a < b of basis vectors where the value is nonzero."""
+    for a, x in enumerate(basis):
+        for b in range(a + 1, len(basis)):
+            val = value(x, basis[b])
+            if val != 0:
+                return a, b, val
+    return None
+
+
+def phi_pairing_failure(basis, theta, phi):
+    """The first pair of ``_first_nonzero_pair`` for theta(Phi x, y) + theta(x, Phi y)."""
+    return _first_nonzero_pair(
+        basis, lambda x, y: theta.evaluate((mat_vec(phi, x), y)) + theta.evaluate((x, mat_vec(phi, y)))
+    )
+
+
+def kahler_extension_obstruction(g: LieAlgebra, s: SasakianStructure, theta: KForm) -> CheckReport:
+    _verify_sasakian_input(g, s)
+    if theta.degree != 2 or theta.dim != g.dim:
+        raise DimensionMismatch("expected a 2-form on the algebra")
+    basis = kernel_basis(g, s.alpha)
+    invariance = _first_nonzero_pair(
+        basis, lambda x, y: theta.evaluate((x, y)) + theta.evaluate((mat_vec(s.phi, x), mat_vec(s.phi, y)))
+    )
+    pairing = phi_pairing_failure(basis, theta, s.phi)
+    reeb_pair = _first_mismatch(basis, lambda x: theta.evaluate((x, s.reeb)), lambda x: 0)
+    dxi = kirillov_form(g, s.alpha).neg()
+    integrability_broken = invariance is not None or pairing is not None or reeb_pair is not None
+    closedness_broken = not dxi.is_zero()
+
+    def pair_note(hit):
+        return "holds" if hit is None else f"fails at pair {hit[:2]}: {fmt_scalar(hit[2])}"
+
+    notes = (
+        ("theta_phi_invariance", pair_note(invariance)),
+        ("theta_phi_pairing", pair_note(pairing)),
+        (
+            "theta_reeb_pairing",
+            "holds" if reeb_pair is None else f"fails at kernel vector {reeb_pair[0]}: {fmt_scalar(reeb_pair[1])}",
+        ),
+        ("dxi_star", "0" if dxi.is_zero() else dxi.describe(g.labels)),
+        ("no_go_route", "integrability" if integrability_broken else ("closedness" if closedness_broken else "none")),
+    )
+    item = passed(
+        "no_kahler_central_extension",
+        integrability_broken or closedness_broken,
+        "all integrability constraints hold and d(xi*) = 0",
+    )
+    return CheckReport((item,), notes)
+
+
 def sasakian_reduction(g: LieAlgebra, s: SasakianStructure) -> tuple[LieAlgebra, CheckReport, KahlerStructure]:
     _verify_sasakian_input(g, s)
+    if g.dim == 1:
+        raise refusal("the quotient by the Reeb vector is 0-dimensional", "quotient_dimension_positive", "dim = 1")
     z = center(g)
     if z != Subspace.from_vectors(g.dim, (s.reeb,)):
         raise refusal(
@@ -349,7 +422,7 @@ def sasakian_double_extension_conditions(
     def phi_bar(v: Vector) -> Vector:
         return mat_vec(s.phi, v)
 
-    w1 = _phi_pairing_failure(basis, theta, s.phi)
+    w1 = phi_pairing_failure(basis, theta, s.phi)
     witness1 = (
         ""
         if w1 is None
