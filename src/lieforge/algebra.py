@@ -1,18 +1,21 @@
 """Lie algebras with exact rational structure constants.
 
-A LieAlgebra is the dimension plus the full antisymmetric tensor c with
-[e_i, e_j] = sum_k c[i][j][k] e_k. Constructors take only the i < j
-entries; the antisymmetric completion is automatic and the diagonal is
-forced to zero. The Jacobi identity is not enforced at construction,
-``check_jacobi`` reports it.
+A LieAlgebra is the dimension, the basis labels and its bracket table: the
+nonzero c_ijk of [e_i, e_j] = sum_k c_ijk e_k for i < j, sorted by (i, j)
+and then by k. This is the only stored form. The constructor validates the
+sparse input and builds the table, so antisymmetry holds by construction
+and two algebras with the same labels are equal exactly when their tables
+are; the dense tensor ``c`` is derived on first use. The Jacobi identity is not enforced at
+construction, ``check_jacobi`` reports it.
 
 Brackets and Jacobi sums run on integers: each algebra caches D, the least
 common denominator of its structure constants, with the nonzero entries of
-D*c and their largest absolute value, and a result becomes Fractions once,
-one per output coordinate. Jacobi and the 2-cocycle test share one pairwise
-cyclic contraction (``_cyclic_failures``): per basis pair one packed sum
-(``linalg.pack``), O(n^3) big-int multiply-adds in all, and per triple three
-block reads and a test against 0. A triple that passes is never unpacked.
+D*c, read off the table, and their largest absolute value, and a result
+becomes Fractions once, one per output coordinate. Jacobi and the 2-cocycle
+test share one pairwise cyclic contraction (``_cyclic_failures``): per basis
+pair one packed sum (``linalg.pack``), O(n^3) big-int multiply-adds in all,
+and per triple three block reads and a test against 0. A triple that passes
+is never unpacked.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .linalg import (
     transpose,
     unpack,
     vector_over,
-    zero_vector,
 )
 from .report import CheckReport, DimensionMismatch, fail, ok
 
@@ -50,75 +52,78 @@ def default_labels(dim: int) -> tuple[str, ...]:
     return tuple(f"e{i + 1}" for i in range(dim))
 
 
-@dataclass(frozen=True)
+Table = tuple[tuple[tuple[int, int], tuple[tuple[int, Fraction], ...]], ...]
+Brackets = Mapping[tuple[int, int], Mapping[int, ScalarLike]] | Iterable[tuple[tuple[int, int], Iterable]]
+
+
+@dataclass(frozen=True, init=False)
 class LieAlgebra:
     dim: int
-    c: tuple[tuple[Vector, ...], ...]  # c[i][j] is the vector [e_i, e_j]
+    brackets: Table  # ((i, j), ((k, c_ijk), ...)) for i < j: nonzero c_ijk, sorted by (i, j), then by k
     labels: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        n = self.dim
-        if n <= 0:
+    def __init__(self, dim: int, brackets: Brackets, labels: Sequence[str] | None = None) -> None:
+        """Validate sparse i < j data, brackets[(i, j)][k] = c_ijk (a mapping or its pairs), and store its table."""
+        if dim <= 0:
             raise ValueError("dimension must be positive")
-        planes = all(len(plane) == n and all(len(v) == n for v in plane) for plane in self.c)
-        if len(self.labels) != n or len(self.c) != n or not planes:
-            raise DimensionMismatch("structure tensor shape does not match dim")
-        for i in range(n):
-            for j in range(i, n):  # (i, j) fails antisymmetry exactly when (j, i) does
-                if self.c[i][j] != tuple(-x for x in self.c[j][i]):
-                    raise ValueError(f"structure constants not antisymmetric at ({i},{j})")
-
-    @classmethod
-    def from_brackets(
-        cls,
-        dim: int,
-        brackets: Mapping[tuple[int, int], Mapping[int, ScalarLike]],
-        labels: Sequence[str] | None = None,
-    ) -> "LieAlgebra":
-        """Build from sparse i < j data: brackets[(i, j)][k] = c_ijk."""
-        table = [[list(zero_vector(dim)) for _ in range(dim)] for _ in range(dim)]
-        for (i, j), coeffs in brackets.items():
-            if not (0 <= i < j < dim):
+        labels = default_labels(dim) if labels is None else tuple(labels)
+        if len(labels) != dim:
+            raise DimensionMismatch(f"{len(labels)} labels for dimension {dim}")
+        table = []
+        for (i, j), coeffs in dict(brackets).items():
+            if not 0 <= i < j < dim:
                 raise ValueError(f"bracket indices must satisfy 0 <= i < j < dim, got ({i},{j})")
-            for k, value in coeffs.items():
+            entries = []
+            for k, value in dict(coeffs).items():
                 if not 0 <= k < dim:
                     raise ValueError(f"target index {k} out of range")
                 v = scalar(value)
-                table[i][j][k] = v
-                table[j][i][k] = -v
-        c = tuple(tuple(tuple(row) for row in plane) for plane in table)
-        lbl = tuple(labels) if labels is not None else default_labels(dim)
-        return cls(dim, c, lbl)
+                if v:
+                    entries.append((k, v))
+            if entries:
+                table.append(((i, j), tuple(sorted(entries))))
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "brackets", tuple(sorted(table)))
+        object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def from_brackets(cls, dim: int, brackets: Brackets, labels: Sequence[str] | None = None) -> "LieAlgebra":
+        return cls(dim, brackets, labels)
 
     @classmethod
     def abelian(cls, dim: int, labels: Sequence[str] | None = None) -> "LieAlgebra":
-        return cls.from_brackets(dim, {}, labels)
+        return cls(dim, (), labels)
+
+    @cached_property
+    def c(self) -> tuple[tuple[Vector, ...], ...]:
+        """The dense antisymmetric tensor: c[i][j] is the vector [e_i, e_j]."""
+        n = self.dim
+        dense = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        for (i, j), entries in self.brackets:
+            for k, x in entries:
+                dense[i][j][k], dense[j][i][k] = x, -x
+        return tuple(tuple(map(tuple, plane)) for plane in dense)
 
     @cached_property
     def _integer_terms(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...], int]:
         """(D, T, M): D is the least common denominator of the structure
         constants, T[i][j] lists the nonzero (k, D*c_ijk) of [e_i, e_j] and M is
         the largest |D*c_ijk|, 0 on an abelian algebra."""
-        d = lcm(*(x.denominator for plane in self.c for v in plane for x in v))
-        terms = tuple(
-            tuple(tuple((k, x.numerator * (d // x.denominator)) for k, x in enumerate(v) if x) for v in plane)
-            for plane in self.c
-        )
+        d = lcm(*(x.denominator for _, entries in self.brackets for _, x in entries))
+        n = self.dim
+        terms = [[()] * n for _ in range(n)]
+        for (i, j), entries in self.brackets:
+            terms[i][j] = row = tuple((k, x.numerator * (d // x.denominator)) for k, x in entries)
+            terms[j][i] = tuple((k, -c) for k, c in row)
         big = max((abs(c) for plane in terms for row in plane for _, c in row), default=0)
-        return d, terms, big
+        return d, tuple(map(tuple, terms)), big
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(Fraction(1) if j == i else ZERO for j in range(self.dim))
 
-    def sparse_brackets(self) -> dict[tuple[int, int], dict[int, Fraction]]:
-        """The i < j entries with nonzero coefficients, for serialization."""
-        out: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                entries = {k: v for k, v in enumerate(self.c[i][j]) if v != 0}
-                if entries:
-                    out[(i, j)] = entries
-        return out
+    def sparse_brackets(self) -> Table:
+        """The bracket table, the i < j entries with nonzero coefficients."""
+        return self.brackets
 
 
 def bracket(g: LieAlgebra, x: Vector, y: Vector) -> Vector:

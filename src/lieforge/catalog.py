@@ -5,11 +5,14 @@ d4half  h3 extended by diag(1/2, 1/2, 1), Frobenius-Kahler.
 g0      d4half extended by the rotation E, Sasakian with trivial center.
 g5      central extension of d4half by its symplectic form, Sasakian
         with one-dimensional center.
+
+``BUILTINS`` maps each name to its entry, built at import: an algebra is
+its short bracket table. A structure is checked when it is read
+(``Builtin.sasakian`` and the like), not at import.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -141,29 +144,7 @@ def _g5() -> Builtin:
     return Builtin("g5", g, sasakian_data=(g.basis_vector(4), KForm.basis_one_form(5, 4), phi))
 
 
-class _Builtins(Mapping[str, Builtin]):
-    """The built-ins by name, each built on its first lookup: a command reads at most one."""
-
-    def __init__(self, builders: dict[str, Callable[[], Builtin]]) -> None:
-        self._builders = builders
-        self._built: dict[str, Builtin] = {}
-
-    def __getitem__(self, name: str) -> Builtin:
-        if name not in self._built:
-            self._built[name] = self._builders[name]()
-        return self._built[name]
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._builders
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._builders)
-
-    def __len__(self) -> int:
-        return len(self._builders)
-
-
-BUILTINS: Mapping[str, Builtin] = _Builtins({"h3": _h3, "d4half": _d4half, "g0": _g0, "g5": _g5})
+BUILTINS: dict[str, Builtin] = {b.name: b for b in (_h3(), _d4half(), _g0(), _g5())}
 
 
 def builtin(name: str) -> Builtin:

@@ -31,13 +31,13 @@ class ExtensionResult:
 
 def _adjoin(g: LieAlgebra, new: dict[tuple[int, int], dict[int, object]]) -> LieAlgebra:
     """g plus one basis vector e_n with a fresh label; ``new`` adds entries to g's bracket table."""
-    brackets = {pair: dict(entries) for pair, entries in g.sparse_brackets().items()}
+    brackets = {pair: dict(entries) for pair, entries in g.brackets}
     for pair, entries in new.items():
         brackets.setdefault(pair, {}).update(entries)
     i = g.dim + 1
     while f"e{i}" in g.labels:
         i += 1
-    return LieAlgebra.from_brackets(g.dim + 1, brackets, g.labels + (f"e{i}",))
+    return LieAlgebra(g.dim + 1, brackets, g.labels + (f"e{i}",))
 
 
 def is_cocycle(g: LieAlgebra, theta: KForm) -> CheckReport:

@@ -24,8 +24,8 @@ Indices are 1-based in files and reports; rationals are "p" or "p/q".
 Each structure kind declares its keys (``STRUCTURE_KEYS``): a key the kind
 does not declare, or a declared key that is missing, is a parse error; a
 two-form key may be left out and is then zero. A key may appear once per
-file: a repeated field, map row, two-form entry or bracket is a parse
-error. Parse errors carry the byte offset of the offending line.
+file: a repeated field, map row, two-form entry, bracket or basis label is a
+parse error. Parse errors carry the byte offset of the offending line.
 """
 
 from __future__ import annotations
@@ -100,7 +100,10 @@ def parse_algebra(text: str) -> LieAlgebra:
             if dim <= 0:
                 raise ParseError("dim must be positive", offset, "dim")
         elif key == "basis":
-            labels = tuple(rest.split())
+            labels, basis_offset = tuple(rest.split()), offset
+            repeat = next((x for i, x in enumerate(labels) if x in labels[:i]), None)
+            if repeat is not None:
+                raise ParseError(f"basis label {repeat!r} given twice", offset, "basis")
         elif key == "bracket":
             if dim is None:
                 raise ParseError("bracket before dim", offset, "bracket")
@@ -133,14 +136,14 @@ def parse_algebra(text: str) -> LieAlgebra:
     if dim is None:
         raise ParseError("missing dim", 0, "dim")
     if labels is not None and len(labels) != dim:
-        raise ParseError("basis label count does not match dim", 0, "basis")
-    return LieAlgebra.from_brackets(dim, brackets, labels)
+        raise ParseError("basis label count does not match dim", basis_offset, "basis")
+    return LieAlgebra(dim, brackets, labels)
 
 
 def serialize_algebra(g: LieAlgebra) -> str:
     lines = [f"{FORMAT_TAG} algebra", f"dim {g.dim}", "basis " + " ".join(g.labels)]
-    for (i, j), entries in sorted(g.sparse_brackets().items()):
-        coeffs = " ".join(f"{k + 1}:{fmt_scalar(v)}" for k, v in sorted(entries.items()))
+    for (i, j), entries in g.brackets:
+        coeffs = " ".join(f"{k + 1}:{fmt_scalar(v)}" for k, v in entries)
         lines.append(f"bracket {i + 1} {j + 1} = {coeffs}")
     return "\n".join(lines) + "\n"
 
@@ -378,9 +381,9 @@ def algebra_as_json(g: LieAlgebra) -> dict:
             {
                 "i": i + 1,
                 "j": j + 1,
-                "coeffs": [{"k": k + 1, "value": fmt_scalar(v)} for k, v in sorted(entries.items())],
+                "coeffs": [{"k": k + 1, "value": fmt_scalar(v)} for k, v in entries],
             }
-            for (i, j), entries in sorted(g.sparse_brackets().items())
+            for (i, j), entries in g.brackets
         ],
     }
 

@@ -21,8 +21,9 @@ basis" forms the integer difference of the maps once and tests each basis
 vector as one product, and a pairing condition tests each basis pair as one.
 The reduction reads its brackets, omega and J off integer brackets of the
 written-down basis of Ker(alpha) (``kernel_basis``) at its pivots; the
-contact-ideal restriction forms each bracket once, and a vector there has an
-x_P component exactly where its pivot coordinate is nonzero. Fractions are
+contact-ideal restriction takes its brackets from the bracket table of g,
+reindexed to the ideal, and a vector there has an x_P component exactly where
+its pivot coordinate is nonzero. Fractions are
 made only for output entries and, on a failure, for its witness.
 
 Every map a construction builds is one block matrix on the extension, with
@@ -67,7 +68,6 @@ from .linalg import (
     Vector,
     ZERO,
     clear_denominators,
-    column,
     fmt_basis_tuple,
     fmt_scalar,
     fmt_vector,
@@ -194,7 +194,13 @@ def _commute_mismatch(basis: Iterable[Vector], a: IntMap, b: IntMap) -> tuple[in
 
 def _slot_action(ext: ExtensionResult) -> IntMap:
     """The derivation of an extension as an integer map on the extension: column x is [slot, e_x]."""
-    return _int_matrix(transpose(ext.algebra.c[ext.derivation_index]))
+    g = ext.algebra
+    d, terms, _ = g._integer_terms
+    m = [[0] * g.dim for _ in range(g.dim)]
+    for x, image in enumerate(terms[ext.derivation_index]):
+        for k, c in image:
+            m[k][x] = c
+    return m, d
 
 
 def _first_nonzero_pair(basis: Sequence[Vector], form: IntMap) -> tuple[int, int, Fraction] | None:
@@ -347,11 +353,8 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
     if (ext.central_index, ext.derivation_index) != (n, n + 1):
         raise PreconditionError("expected the result of a double extension")
     child = ext.algebra
-    base = LieAlgebra(
-        n,
-        tuple(tuple(tuple(child.c[i][j2][k] for k in range(n)) for j2 in range(n)) for i in range(n)),
-        child.labels[:n],
-    )
+    base_table = [(pair, entries) for pair, entries in child.brackets if pair[1] < n]  # brackets of base vectors
+    base = LieAlgebra(n, [(pair, [(k, x) for k, x in xs if k < n]) for pair, xs in base_table], child.labels[:n])
     if not is_square(j, n):
         raise DimensionMismatch("complex structure must act on the base")
     ji, dj = _int_matrix(j)
@@ -359,7 +362,7 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
     pre = [passed("base_complex_square", square, "J^2 != -Id on the base")]
     integrable = _first_torsion(base, _packed_torsion(base, ji), dj) is None
     pre.append(passed("base_complex_integrable", integrable, "N_J != 0 on the base"))
-    theta = KForm.two_form(n, {(a, b): child.c[a][b][n] for a in range(n) for b in range(a + 1, n)})
+    theta = KForm.two_form(n, {pair: x for pair, xs in base_table for k, x in xs if k == n})
     pre.append(
         passed(
             "cocycle_nondegenerate",
@@ -437,8 +440,10 @@ def _build_double_extension(
     _verify_sasakian_input(g, s)
     ext = double_extension(g, theta, d)
     child = ext.algebra
-    alpha = KForm.one_form(child.dim, one_form_coords(s.alpha) + (ONE, ZERO))
-    if apply_one_form(alpha, child.c[ext.derivation_index][ext.central_index]) == 0:  # alpha([slot, z])
+    coords = one_form_coords(s.alpha) + (ONE, ZERO)
+    alpha = KForm.one_form(child.dim, coords)
+    _, terms, _ = child._integer_terms
+    if not sum(coords[k] * c for k, c in terms[ext.derivation_index][ext.central_index]):  # D alpha([slot, z])
         raise refusal("alpha(D(z)) must be nonzero", "contact_pairing_nonzero", "alpha(D(z)) = 0")
     contact_rep, contact = check_contact(child, alpha)
     require("extension is not contact for alpha = lifted alpha + z*", contact_rep)
@@ -670,28 +675,28 @@ def contact_ideal_restriction(
     pivot = next(i for i, x in enumerate(xp) if x != 0)
     keep = [i for i in range(g.dim) if i != pivot]
 
-    def in_ideal(name: str, b: int, v: Sequence) -> list:  # the kept coordinates of v = [name, e_b]
-        if v[pivot]:  # v has an x_P component
-            raise refusal(
-                "complement of the principal element is not an ideal",
-                "ideal_closed",
-                f"[{name},{g.labels[b]}] leaves the complement",
-            )
-        return [v[i] for i in keep]
+    def leaves(name: str, b: int) -> PreconditionError:  # [name, e_b] has an x_P component
+        return refusal(
+            "complement of the principal element is not an ideal",
+            "ideal_closed",
+            f"[{name},{g.labels[b]}] leaves the complement",
+        )
 
     # ideal test in the adapted basis {x_P} + kept vectors, one bracket per pair: [x_P, e_b] is a column
-    # of ad(x_P) on the ideal and [e_a, e_b], a < b, a bracket of h ([e_b, e_a] is its negative)
+    # of ad(x_P) on the ideal, and the brackets of h are g's table entries of the kept pairs, reindexed
     m = g.dim - 1
     ad, dad = _int_adjoint(g, xp, keep)
-    ad_xp = transpose([in_ideal("x_P", b, column(ad, t)) for t, b in enumerate(keep)])
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for ia, a in enumerate(keep):
-        for ib in range(ia + 1, m):
-            rest = in_ideal(g.labels[a], keep[ib], g.c[a][keep[ib]])
-            entries = {kk: c for kk, c in enumerate(rest) if c != 0}
-            if entries:
-                brackets[(ia, ib)] = entries
-    h = LieAlgebra.from_brackets(m, brackets, tuple(g.labels[i] for i in keep))
+    for t, b in enumerate(keep):
+        if ad[pivot][t]:
+            raise leaves("x_P", b)
+    ad_xp = [ad[i] for i in keep]
+    brackets = []
+    for (a, b), entries in g.brackets:
+        if pivot not in (a, b):
+            if any(c == pivot for c, _ in entries):
+                raise leaves(g.labels[a], b)
+            brackets.append(((a - (a > pivot), b - (b > pivot)), [(c - (c > pivot), x) for c, x in entries]))
+    h = LieAlgebra(m, brackets, tuple(g.labels[i] for i in keep))
 
     alpha_h = KForm.one_form(m, tuple(one_form_coords(f.phi)[i] for i in keep))
     contact_rep, contact = check_contact(h, alpha_h)

@@ -12,12 +12,17 @@ packed Jacobi kernel replaced: one multiply-add per coefficient.
 packed_jacobi_residual reads one triple's cyclic sum from that packed kernel,
 lieforge.algebra._jacobi_failures, and packed_jacobi_residuals every ordered
 triple's from one call of it.
+
+dense_tensor and integer_terms are the dense structure-constant path that
+the bracket table replaced: the full antisymmetric tensor filled from the
+sparse i < j data, and the n^3 scan of it that clears the denominators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from lieforge.algebra import LieAlgebra, _jacobi_failures
 from lieforge.linalg import (
@@ -30,6 +35,7 @@ from lieforge.linalg import (
     is_zero_vector,
     mat_mul,
     mat_vec,
+    scalar,
     vec_add,
     vec_scale,
     vec_sub,
@@ -37,6 +43,28 @@ from lieforge.linalg import (
 )
 from lieforge.report import CheckReport, DimensionMismatch, fail, ok
 from lieforge.structures import NijenhuisTable
+
+
+def dense_tensor(dim: int, brackets) -> tuple[tuple[Vector, ...], ...]:
+    """c[i][j] is the vector [e_i, e_j], filled from brackets[(i, j)][k] = c_ijk, i < j, and negated below."""
+    table = [[list(zero_vector(dim)) for _ in range(dim)] for _ in range(dim)]
+    for (i, j), coeffs in dict(brackets).items():
+        for k, value in dict(coeffs).items():
+            v = scalar(value)
+            table[i][j][k] = v
+            table[j][i][k] = -v
+    return tuple(tuple(tuple(row) for row in plane) for plane in table)
+
+
+def integer_terms(c: tuple[tuple[Vector, ...], ...]) -> tuple[int, tuple, int]:
+    """(D, T, M) of ``LieAlgebra._integer_terms`` by a scan of every entry of the dense tensor c."""
+    d = lcm(*(x.denominator for plane in c for v in plane for x in v))
+    terms = tuple(
+        tuple(tuple((k, x.numerator * (d // x.denominator)) for k, x in enumerate(v) if x) for v in plane)
+        for plane in c
+    )
+    big = max((abs(x) for plane in terms for row in plane for _, x in row), default=0)
+    return d, terms, big
 
 
 def bracket(g: LieAlgebra, x: Vector, y: Vector) -> Vector:

@@ -45,14 +45,19 @@ BIG_RATIONALS = st.one_of(RATIONALS, BIG_NONZERO)
 
 
 @st.composite
-def antisymmetric_algebras(draw, max_dim=5, values=RATIONALS):
-    """Any antisymmetric tensor with entries drawn from values: mostly not Lie."""
+def bracket_tables(draw, max_dim=5, values=RATIONALS):
+    """(dim, brackets): sparse i < j data brackets[(i, j)][k] with entries drawn from values, zeros included."""
     dim = draw(st.integers(1, max_dim))
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     brackets = {
         pair: draw(st.dictionaries(st.integers(0, dim - 1), values, max_size=dim)) for pair in pairs
     }
-    return lf.LieAlgebra.from_brackets(dim, brackets)
+    return dim, brackets
+
+
+def antisymmetric_algebras(max_dim=5, values=RATIONALS):
+    """Any antisymmetric tensor with entries drawn from values: mostly not Lie."""
+    return bracket_tables(max_dim, values).map(lambda table: lf.LieAlgebra.from_brackets(*table))
 
 
 @st.composite

@@ -33,7 +33,10 @@ from conftest import (
 from strategies import (
     BIG_RATIONALS,
     RATIONALS,
+    SEEDS,
     antisymmetric_algebras,
+    bracket_tables,
+    conjugated_heisenberg_sasakian,
     dense_antisymmetric_algebras,
     lie_or_not,
 )
@@ -134,6 +137,75 @@ def test_structure_constants_antisymmetric_completion():
     assert g.c[1][0][0] == Fraction(-1, 2)
     with pytest.raises(ValueError):
         LieAlgebra.from_brackets(2, {(1, 0): {0: 1}})
+
+
+def test_constructor_rejects_invalid_tables():
+    cases = [
+        (3, {(1, 0): {2: 1}}, None, ValueError),  # i > j
+        (3, {(1, 1): {2: 1}}, None, ValueError),  # i = j
+        (3, {(0, 3): {2: 1}}, None, ValueError),  # j out of range
+        (3, {(-1, 1): {2: 1}}, None, ValueError),  # i out of range
+        (3, {(0, 1): {3: 1}}, None, ValueError),  # target out of range
+        (3, {(0, 1): {-1: 1}}, None, ValueError),
+        (3, {}, ("a", "b"), DimensionMismatch),  # wrong label count
+        (2, {}, ("a", "b", "c"), DimensionMismatch),
+        (0, {}, (), ValueError),
+        (-1, {}, None, ValueError),
+        (3, {(0, 1): {2: True}}, None, TypeError),
+        (3, {(0, 1): {2: 0.5}}, None, TypeError),
+        (3, {(0, 1): {2: 0.0}}, None, TypeError),  # an inexact zero is rejected, not dropped
+    ]
+    for dim, brackets, labels, error in cases:
+        with pytest.raises(error):
+            LieAlgebra(dim, brackets, labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bracket_tables(values=BIG_RATIONALS), SEEDS)
+def test_table_is_canonical_and_matches_dense_oracle(table, seed):
+    dim, brackets = table
+    g = LieAlgebra(dim, brackets)
+    # the same brackets in another order, with every missing coefficient given as an explicit 0
+    rng = random.Random(seed)
+    zeros = [(k, 0) for k in range(dim)]
+    items = [(pair, [*coeffs.items(), *(z for z in zeros if z[0] not in coeffs)]) for pair, coeffs in brackets.items()]
+    rng.shuffle(items)
+    for _, entries in items:
+        rng.shuffle(entries)
+    shuffled = LieAlgebra(dim, {pair: dict(entries) for pair, entries in items})
+    assert shuffled == g and hash(shuffled) == hash(g) and shuffled.brackets == g.brackets
+    assert LieAlgebra.from_brackets(dim, g.sparse_brackets(), g.labels) == g
+    assert all(x for _, entries in g.brackets for _, x in entries)
+    c = oracle.dense_tensor(dim, brackets)
+    assert g.c == c and g._integer_terms == oracle.integer_terms(c)
+
+
+def assert_derived_views_match_oracle(g):
+    c = oracle.dense_tensor(g.dim, g.sparse_brackets())
+    assert g.c == c and g._integer_terms == oracle.integer_terms(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(antisymmetric_algebras(), dense_antisymmetric_algebras(), lie_or_not()))
+def test_derived_views_match_dense_oracle(g):
+    assert_derived_views_match_oracle(g)
+
+
+def test_dense_h13_views_match_oracle_without_fraction_negation(monkeypatch):
+    g = conjugated_heisenberg_sasakian(6, 1)[0]
+    assert_derived_views_match_oracle(g)
+    brackets = {pair: dict(entries) for pair, entries in dict(g.sparse_brackets()).items()}
+    negations = []
+    negate = Fraction.__neg__
+
+    def counted(x):
+        negations.append(x)
+        return negate(x)
+
+    monkeypatch.setattr(Fraction, "__neg__", counted)
+    h = LieAlgebra.from_brackets(13, brackets)
+    h._integer_terms
+    assert h == g and len(negations) == 0
 
 
 def test_adjoint_is_derivation_on_random_algebras():

@@ -1,11 +1,6 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-from lieforge import Subspace, builtin, catalog, center, check_jacobi
+from lieforge import Subspace, builtin, center, check_jacobi
 from lieforge.catalog import BUILTINS
 
 
@@ -56,30 +51,3 @@ def test_missing_structures_raise():
         builtin("h3").kahler()
     with pytest.raises(PreconditionError):
         builtin("g5").frobenius()
-
-
-def test_builtins_are_built_on_first_lookup():
-    calls = []
-
-    def build(name):
-        def builder():
-            calls.append(name)
-            return builtin(name)
-
-        return builder
-
-    lazy = catalog._Builtins({"h3": build("h3"), "g0": build("g0")})
-    assert list(lazy) == ["h3", "g0"] and len(lazy) == 2
-    assert "g0" in lazy and "g5" not in lazy and calls == []
-    assert lazy["g0"] is lazy["g0"] is builtin("g0")
-    assert calls == ["g0"]
-    with pytest.raises(KeyError):
-        lazy["g5"]
-
-
-def test_importing_the_cli_builds_no_builtin():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    code = "import lieforge.cli, lieforge.catalog as c; print(len(c.BUILTINS._built))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.split() == ["0"]

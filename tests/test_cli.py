@@ -655,6 +655,22 @@ def test_constructions_make_no_fraction_products(monkeypatch):
     assert len(counts) == 6 and set(counts.values()) == {0}, counts
 
 
+def test_corpus_runs_without_the_dense_tensor(monkeypatch):
+    # every corpus command works from the bracket table and its integer terms alone: with the
+    # dense tensor LieAlgebra.c made to raise, each run still gives its frozen output and exit code
+    def no_dense_tensor(g):
+        raise AssertionError("LieAlgebra.c was read")
+
+    monkeypatch.setattr(lf.LieAlgebra, "c", property(no_dense_tensor))
+    for entry in json.loads(CORPUS.read_text(encoding="utf-8"))["commands"]:
+        for mode, prefix in (("text", []), ("json", ["--output", "json"])):
+            out, code = run(prefix + entry["argv"])
+            assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (
+                entry[mode]["code"],
+                entry[mode]["sha256"],
+            ), entry["argv"]
+
+
 def test_reduction_of_a_line_is_refused(tmp_path):
     # R with alpha = e1*, xi = e1 and Phi = 0 is Sasakian; its reduction is refused, with exit 1, not a traceback
     algebra, structure = tmp_path / "R.lf", tmp_path / "S.lf"

@@ -49,6 +49,33 @@ def test_parse_algebra_errors_carry_offsets():
     assert "bad rational" in str(err3.value)
 
 
+def test_basis_errors_report_the_basis_line():
+    head = "lieforge/1 algebra\ndim 3\n"
+    with pytest.raises(ParseError) as err:
+        parse_algebra(head + "basis a b\n")
+    assert "label count" in str(err.value)
+    assert (err.value.offset, err.value.fieldname) == (len(head), "basis")
+    # the basis may come before dim; the count is checked once dim is known
+    with pytest.raises(ParseError) as err:
+        parse_algebra("lieforge/1 algebra\nbasis a b\ndim 3\n")
+    assert (err.value.offset, err.value.fieldname) == (len("lieforge/1 algebra\n"), "basis")
+
+
+def test_repeated_basis_labels_are_a_parse_error(tmp_path, capsys):
+    from lieforge.cli import main
+
+    head = "lieforge/1 algebra\ndim 3\n"
+    with pytest.raises(ParseError) as err:
+        parse_algebra(head + "basis a a b\nbracket 1 2 = 3:1\n")
+    assert "'a' given twice" in str(err.value)
+    assert (err.value.offset, err.value.fieldname) == (len(head), "basis")
+    assert parse_algebra(head + "basis a A b\n").labels == ("a", "A", "b")
+    path = tmp_path / "aab.lf"
+    path.write_text(head + "basis a a b\n", encoding="utf-8")
+    assert main(["check", "jacobi", "--algebra", str(path)]) == 2
+    assert f"(byte {len(head)}, field 'basis')" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "head, bad",
     [

@@ -260,19 +260,6 @@ def test_kform_constructor_validation():
     assert KForm.from_coeffs(3, 2, {(0, 1): 0}).is_zero()
 
 
-def test_algebra_constructor_rejects_non_antisymmetric_tensor():
-    from lieforge import LieAlgebra
-    from lieforge.linalg import ZERO, ONE
-
-    good = LieAlgebra.from_brackets(2, {(0, 1): {0: 1}})
-    bad_c = (
-        ((ZERO, ZERO), (ONE, ZERO)),
-        ((ONE, ZERO), (ZERO, ZERO)),  # c[1][0] must be -c[0][1]
-    )
-    with pytest.raises(ValueError):
-        LieAlgebra(2, bad_c, good.labels)
-
-
 def test_differential_matches_pointwise_definition():
     # (dw)(x0..xk) = sum_{i<j} (-1)^(i+j) w([xi,xj], x0..^i..^j..xk)
     # evaluated on arbitrary vectors, independent of the coefficient path

@@ -283,7 +283,7 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
     zi, si = ext.central_index, ext.derivation_index
     base = LieAlgebra(
         n,
-        tuple(tuple(tuple(child.c[i][j2][k] for k in range(n)) for j2 in range(n)) for i in range(n)),
+        {(i, j2): dict(enumerate(child.c[i][j2][:n])) for i in range(n) for j2 in range(i + 1, n)},
         child.labels[:n],
     )
     if not is_square(j, n):
