@@ -13,17 +13,16 @@ __version__ = "0.1.0"
 
 # The public names, by home module.
 _EXPORTS = {
-    "algebra": "LieAlgebra Subspace adjoint bracket center check_jacobi",
+    "algebra": "LieAlgebra Subspace bracket center check_jacobi",
     "catalog": "BUILTINS Builtin builtin",
-    "derivations": "Commute FormEigen Leibniz Sends derivation_space is_derivation map_in_family",
+    "derivations": "Commute FormEigen Leibniz Sends derivation_space is_derivation",
     "extensions": "ExtensionResult central_extension derivation_extension double_extension is_cocycle "
     "lift_one_form reversed_double_extension",
-    "forms": "KForm ce_differential evaluation_sign radical top_contact_test wedge wedge_power",
+    "forms": "KForm ce_differential evaluation_sign radical",
     "linalg": "Matrix Scalar Vector matrix scalar vector",
     "report": "CheckItem CheckReport DimensionMismatch LieforgeError PreconditionError",
     "structures": "ContactStructure FrobeniusStructure KahlerStructure NijenhuisTable SasakianStructure "
-    "check_contact check_frobenius check_kahler check_sasakian kahler_metric kirillov_form nijenhuis "
-    "principal_element sasakian_metric",
+    "check_contact check_frobenius check_kahler check_sasakian kirillov_form nijenhuis principal_element",
     "theorems": "DoubleExtensionParams contact_ideal_restriction extend_complex_structure "
     "frobenius_kahler_to_sasakian kahler_extension_obstruction kahler_to_sasakian_central "
     "sasakian_double_extension sasakian_double_extension_conditions sasakian_reduction "

@@ -3,10 +3,10 @@
 A LieAlgebra is the dimension, the basis labels and its bracket table: the
 nonzero c_ijk of [e_i, e_j] = sum_k c_ijk e_k for i < j, sorted by (i, j)
 and then by k. This is the only stored form. The constructor validates the
-sparse input and builds the table, so antisymmetry holds by construction
-and two algebras with the same labels are equal exactly when their tables
-are; the dense tensor ``c`` is derived on first use. The Jacobi identity is not enforced at
-construction, ``check_jacobi`` reports it.
+distinct labels and the sparse input and builds the table, so antisymmetry
+holds by construction and two algebras with the same labels are equal exactly
+when their tables are; the dense tensor ``c`` is derived on first use. The
+Jacobi identity is not enforced at construction, ``check_jacobi`` reports it.
 
 Brackets and Jacobi sums run on integers: each algebra caches D, the least
 common denominator of its structure constants, with the nonzero entries of
@@ -28,7 +28,6 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import (
-    Matrix,
     ScalarLike,
     Vector,
     ZERO,
@@ -41,11 +40,10 @@ from .linalg import (
     rref,
     scalar,
     slot_width,
-    transpose,
     unpack,
     vector_over,
 )
-from .report import CheckReport, DimensionMismatch, fail, ok
+from .report import CheckReport, DimensionMismatch, LieforgeError, fail, ok
 
 
 def default_labels(dim: int) -> tuple[str, ...]:
@@ -69,6 +67,9 @@ class LieAlgebra:
         labels = default_labels(dim) if labels is None else tuple(labels)
         if len(labels) != dim:
             raise DimensionMismatch(f"{len(labels)} labels for dimension {dim}")
+        if len(set(labels)) != dim:
+            repeat = next(x for i, x in enumerate(labels) if x in labels[:i])
+            raise LieforgeError(f"basis label {repeat!r} given twice")
         table = []
         for (i, j), coeffs in dict(brackets).items():
             if not 0 <= i < j < dim:
@@ -148,11 +149,6 @@ def _bracket_ints(g: LieAlgebra, xs: Sequence[int], ys: Sequence[int]) -> list[i
                 for k, c in row[j]:
                     acc[k] += f * c
     return acc
-
-
-def adjoint(g: LieAlgebra, x: Vector) -> Matrix:
-    """ad(x): column j is [x, e_j]."""
-    return transpose([bracket(g, x, g.basis_vector(j)) for j in range(g.dim)])
 
 
 def _cyclic_failures(

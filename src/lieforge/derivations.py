@@ -225,13 +225,3 @@ def derivation_space(
     if particular is None:
         return None, basis_maps
     return _unflatten(g, particular), basis_maps
-
-
-def map_in_family(g: LieAlgebra, d: Matrix, particular: Matrix, basis: tuple[Matrix, ...]) -> bool:
-    """Is d = particular + (combination of basis maps)?"""
-    n = g.dim
-    if not all(is_square(m, n) for m in (d, particular, *basis)):
-        raise DimensionMismatch("map does not match algebra dimension")
-    flat_diff = tuple(d[i][j] - particular[i][j] for i in range(n) for j in range(n))
-    flat_basis = [tuple(b[i][j] for i in range(n) for j in range(n)) for b in basis]
-    return Subspace.from_vectors(n * n, flat_basis).contains(flat_diff)

@@ -1,4 +1,4 @@
-"""Alternating k-forms, wedge products and the Chevalley-Eilenberg differential.
+"""Alternating k-forms and the Chevalley-Eilenberg differential.
 
 Conventions (fixed package-wide):
   * evaluation follows the determinant rule, (a^b)(x,y) = a(x)b(y) - a(y)b(x);
@@ -14,7 +14,7 @@ The contact test never expands a wedge power: in dimension 2n+1 the top
 coefficient of alpha ^ (d alpha)^n is n! times the Pfaffian of the bordered
 skew matrix [[0, alpha], [-alpha^T, d alpha]], read off the sub-Pfaffians
 of d(alpha) (``linalg.sub_pfaffians``, O(n^3)), which also give the Reeb
-vector. ``wedge`` and ``wedge_power`` stay public and are its test oracle.
+vector.
 
 d(alpha) of a 1-form is built once per check, as an integer skew matrix
 over one denominator (``_dalpha``), and d(theta) of a 2-form comes from the
@@ -48,14 +48,11 @@ from .linalg import (
 from .report import DimensionMismatch
 
 
-def merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Sign of sorting the concatenation of two increasing index tuples.
-
-    Returns (0, ()) when the tuples share an index.
-    """
-    if set(left) & set(right):
+def sort_index_tuple(idxs: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """(sign of the sorting permutation, sorted tuple); (0, ()) on repeated indices."""
+    if len(set(idxs)) != len(idxs):
         return 0, ()
-    combined = list(left + right)
+    combined = list(idxs)
     sign = 1
     # insertion sort; count inversions
     for i in range(1, len(combined)):
@@ -65,11 +62,6 @@ def merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, tupl
             sign = -sign
             j -= 1
     return sign, tuple(combined)
-
-
-def sort_index_tuple(idxs: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """(sign, sorted tuple); sign 0 on repeated indices."""
-    return merge_sign(tuple(idxs), ())
 
 
 @dataclass(frozen=True)
@@ -202,30 +194,6 @@ class KForm:
         return " ".join(parts)
 
 
-def wedge(a: KForm, b: KForm) -> KForm:
-    """Graded-commutative wedge in the determinant convention."""
-    if a.dim != b.dim:
-        raise DimensionMismatch("forms live on different spaces")
-    degree = a.degree + b.degree
-    if degree > a.dim:
-        return KForm.zero(a.dim, degree)
-    table: dict[tuple[int, ...], Fraction] = {}
-    for ia, va in a.coeffs:
-        for ib, vb in b.coeffs:
-            sign, merged = merge_sign(ia, ib)
-            if sign == 0:
-                continue
-            table[merged] = table.get(merged, ZERO) + sign * va * vb
-    return KForm.from_coeffs(a.dim, degree, table)
-
-
-def wedge_power(a: KForm, n: int) -> KForm:
-    out = KForm.from_coeffs(a.dim, 0, {(): 1})
-    for _ in range(n):
-        out = wedge(out, a)
-    return out
-
-
 def evaluation_sign(degree: int, convention: str) -> int:
     """Display factor between evaluation conventions; verdicts never use it."""
     if convention == "determinant":
@@ -311,25 +279,12 @@ class TopContactResult:
     reason: str | None = None
 
 
-def top_contact_test(g: LieAlgebra, alpha: KForm) -> TopContactResult:
-    """Does alpha ^ (d alpha)^n have a nonzero top coefficient (dim = 2n+1)?
-
-    With a new index 0 in front, the 2-form e^0 ^ alpha + d alpha has
-    (n+1)-st power (n+1) e^0 ^ alpha ^ (d alpha)^n, and that power is
-    (n+1)! Pf(M) e^0 ^ ... ^ e^2n+1, M = [[0, alpha], [-alpha^T, d alpha]].
-    So the coefficient is n! Pf(M).
-    """
-    if alpha.degree != 1 or alpha.dim != g.dim:
-        raise DimensionMismatch("expected a 1-form on the algebra")
-    if g.dim % 2 == 0:
-        return TopContactResult(False, None, f"dimension {g.dim} is even")
-    coords = tuple(alpha.coeff((i,)) for i in range(g.dim))
-    return _top_contact(coords, *_dalpha(g, coords))[0]
-
-
 def _top_contact(coords: Vector, da: list[list[int]], den: int) -> tuple[TopContactResult, Vector | None]:
     """The contact test of odd dimension 2n+1 on d(alpha) = da/den, and the Reeb vector if it passes.
 
+    With a new index 0 in front, the 2-form e^0 ^ alpha + d alpha has (n+1)-st power
+    (n+1) e^0 ^ alpha ^ (d alpha)^n, and that power is (n+1)! Pf(M) e^0 ^ ... ^ e^2n+1,
+    M = [[0, alpha], [-alpha^T, d alpha]], so the top coefficient of alpha ^ (d alpha)^n is n! Pf(M).
     With w = sub_pfaffians(da) and b = den*alpha, Pf([[0, b], [-b^T, da]]) = w . b, so the top
     coefficient is n! (w . b) / den^(n+1). If it is nonzero, da w = 0 and alpha(w) = (w . b)/den
     != 0, so xi = w/alpha(w) solves the Reeb system d(alpha)(xi, .) = 0, alpha(xi) = 1.

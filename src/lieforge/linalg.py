@@ -431,14 +431,6 @@ def _integer_null_basis(work: list[list[int]], pivots: Sequence[int], ncols: int
     return rref(basis)[0] if basis else ()
 
 
-def solve_unique(rows: Sequence[Vector], rhs: Sequence[Fraction]) -> Vector | None:
-    """Unique solution of rows @ x = rhs, or None when absent/non-unique."""
-    part, null = solve_affine(rows, rhs)
-    if part is None or null:
-        return None
-    return part
-
-
 def det(m: Matrix) -> Fraction:
     """Determinant: the product of the pivots of one forward elimination."""
     work, pivots, num, den = _eliminate(m, reduce=False)

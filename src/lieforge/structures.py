@@ -332,23 +332,6 @@ def _square_mismatch(
     return None
 
 
-def _kahler_ints(g: LieAlgebra, j: Matrix, omega: KForm) -> tuple[list[list[int]], int, list[list[int]], int]:
-    """(ji, dj, om, do) with J = ji/dj and omega = om/do as integer matrices;
-    data of the wrong shape for ``g`` raises ``DimensionMismatch``."""
-    n = g.dim
-    if not is_square(j, n):
-        raise DimensionMismatch("map does not match algebra dimension")
-    if omega.degree != 2 or omega.dim != n:
-        raise DimensionMismatch("expected a 2-form on the algebra")
-    return (*_int_matrix(j), *_int_matrix(omega.as_matrix()))
-
-
-def kahler_metric(g: LieAlgebra, j: Matrix, omega: KForm) -> Matrix:
-    """Candidate metric g(x,y) = omega(x, Jy): the integer om J over do*dj."""
-    ji, dj, om, do = _kahler_ints(g, j, omega)
-    return tuple(vector_over(row, do * dj) for row in _int_mul(om, ji))
-
-
 def _metric_checks(
     g: LieAlgebra, metric: list[list[int]], dm: int, asymmetry: str
 ) -> tuple[tuple[CheckItem, CheckItem], Matrix, tuple[tuple[str, str], ...]]:
@@ -382,7 +365,12 @@ def check_kahler(g: LieAlgebra, j: Matrix, omega: KForm) -> tuple[CheckReport, K
     right, J^T omega J = omega: J^T (om J) is formed only where either fails.
     """
     n = g.dim
-    ji, dj, om, do = _kahler_ints(g, j, omega)
+    if not is_square(j, n):
+        raise DimensionMismatch("map does not match algebra dimension")
+    if omega.degree != 2 or omega.dim != n:
+        raise DimensionMismatch("expected a 2-form on the algebra")
+    ji, dj = _int_matrix(j)
+    om, do = _int_matrix(omega.as_matrix())
     s = dj * dj
     packed = _packed_torsion(g, ji, lambda n, a, c: 4 * n * n * a * a * c + n * a * a + s)
     width, a_col, _ = packed
@@ -422,27 +410,6 @@ def check_kahler(g: LieAlgebra, j: Matrix, omega: KForm) -> tuple[CheckReport, K
 def _same(u, du: int, v, dv: int) -> bool:
     """u/du == v/dv, entry by entry, for integer vectors u and v."""
     return all(x * dv == y * du for x, y in zip(u, v, strict=True))
-
-
-def _sasakian_metric_ints(
-    coords: Vector, p: list[list[int]], dp: int, da: list[list[int]], den: int
-) -> tuple[list[list[int]], int]:
-    """-d(alpha) Phi + alpha (x) alpha as (M, dm), for Phi = p/dp and d(alpha) = da/den
-    from ``_dalpha``: with a = dal*alpha integers, M = (a a^T)(den/dal)dp - (da p)dal
-    over dm = den*dal*dp."""
-    a, dal = clear_denominators(coords)
-    k = den // dal * dp
-    dap = _int_mul(da, p)
-    return [[x * y * k - z * dal for y, z in zip(a, row)] for x, row in zip(a, dap)], den * dal * dp
-
-
-def sasakian_metric(g: LieAlgebra, alpha: KForm, phi: Matrix) -> Matrix:
-    """Candidate metric g(x,y) = -d(alpha)(x, Phi y) + alpha(x) alpha(y)."""
-    if alpha.dim != g.dim or not is_square(phi, g.dim):
-        raise DimensionMismatch("structure data does not match algebra dimension")
-    coords = one_form_coords(alpha)
-    metric, dm = _sasakian_metric_ints(coords, *_int_matrix(phi), *_dalpha(g, coords))
-    return tuple(vector_over(row, dm) for row in metric)
 
 
 def check_sasakian(
@@ -508,7 +475,9 @@ def check_sasakian(
         f"{fmt_vector(vector_over([-da[bad_pair[0]][bad_pair[1]] * y for y in r], den * dr), g.labels)}"
     )
     items.append(passed("nijenhuis_torsion", bad_pair is None, witness))
-    metric, dm = _sasakian_metric_ints(coords, p, dp, da, den)
+    # G = -d(alpha) Phi + alpha (x) alpha = (a a^T)(den/dal)dp - (da p)dal over dm = den*dal*dp
+    dm, scale = den * dal * dp, den // dal * dp
+    metric = [[x * y * scale - z * dal for y, z in zip(a, row)] for x, row in zip(a, _int_mul(da, p))]
     metric_items, rational_metric, notes = _metric_checks(g, metric, dm, "derived metric is not symmetric")
     items.extend(metric_items)
     phi_reeb = [sum(map(mul, row, r)) for row in p]

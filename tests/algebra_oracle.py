@@ -3,7 +3,8 @@
 These are the straightforward Fraction-arithmetic versions of bracket,
 jacobi_residual, check_jacobi and nijenhuis that the integer
 structure-constant kernels in lieforge.algebra and lieforge.structures
-replaced. They are slow but obviously correct; tests/test_algebra.py and
+replaced, and adjoint, the matrix of ad(x) from bracket, which the tests use
+to build inner derivations. They are slow but obviously correct; tests/test_algebra.py and
 tests/test_structures.py check that the fast paths return exactly the same
 values, witnesses included.
 
@@ -36,6 +37,7 @@ from lieforge.linalg import (
     mat_mul,
     mat_vec,
     scalar,
+    transpose,
     vec_add,
     vec_scale,
     vec_sub,
@@ -80,6 +82,11 @@ def bracket(g: LieAlgebra, x: Vector, y: Vector) -> Vector:
                 continue
             out = vec_add(out, vec_scale(xi * yj, g.c[i][j]))
     return out
+
+
+def adjoint(g: LieAlgebra, x: Vector) -> Matrix:
+    """ad(x): column j is [x, e_j]."""
+    return transpose([bracket(g, x, g.basis_vector(j)) for j in range(g.dim)])
 
 
 def jacobi_residual(g: LieAlgebra, i: int, j: int, k: int) -> Vector:

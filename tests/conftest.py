@@ -14,7 +14,7 @@ from itertools import combinations
 
 import lieforge as lf
 from lieforge.forms import KForm, ce_differential
-from lieforge.linalg import identity, nullspace, solve_unique
+from lieforge.linalg import identity, nullspace, rref
 
 SCALARS = [Fraction(n) for n in (-2, -1, 0, 1, 2)] + [Fraction(1, 2), Fraction(-1, 2)]
 NONZERO = [s for s in SCALARS if s != 0]
@@ -106,15 +106,12 @@ def heisenberg_plus_abelian(k: int, r: int = 0) -> lf.LieAlgebra:
 
 
 def mat_inverse(m):
+    """m^-1, the right half of rref([m | I]), or None when m is singular."""
     n = len(m)
-    cols = []
-    basis = identity(n)
-    for k in range(n):
-        col = solve_unique(m, basis[k])
-        if col is None:
-            return None
-        cols.append(col)
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    rows, pivots = rref([tuple(row) + unit for row, unit in zip(m, identity(n))])
+    if pivots != tuple(range(n)):
+        return None
+    return tuple(row[n:] for row in rows)
 
 
 def random_invertible(rng: random.Random, dim: int):

@@ -8,6 +8,9 @@ that integer rows over the common denominators of their data replaced, and a
 derivation_space that solves them through linalg_oracle.solve_affine. They are
 slow but obviously correct; tests/test_derivations.py checks that the fast
 paths return exactly the same reports, particular solution and basis.
+
+map_in_family tests a map against a solved affine family with
+linalg_oracle.in_span on the row-major flattening.
 """
 
 from __future__ import annotations
@@ -147,3 +150,10 @@ def derivation_space(g: LieAlgebra, constraints: list[Constraint]) -> tuple[Matr
         return tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
 
     return (None if particular is None else unflatten(particular)), tuple(unflatten(v) for v in basis)
+
+
+def map_in_family(g: LieAlgebra, d: Matrix, particular: Matrix, basis: tuple[Matrix, ...]) -> bool:
+    """Is d = particular + (combination of basis maps)?"""
+    n = g.dim
+    flat_basis = [tuple(b[i][j] for i in range(n) for j in range(n)) for b in basis]
+    return linalg_oracle.in_span(flat_basis, tuple(d[i][j] - particular[i][j] for i in range(n) for j in range(n)))

@@ -1,9 +1,10 @@
 """Reference oracle for the contact, Kahler and Sasakian checks: plain Fraction versions.
 
 These are the straightforward Fraction-arithmetic kirillov_form,
-top_contact_test, check_contact, check_frobenius, kahler_metric,
-check_kahler, sasakian_metric and check_sasakian that the integer paths in
-lieforge.structures and lieforge.forms replaced:
+top_contact_test, check_contact, check_frobenius, check_kahler and
+check_sasakian that the integer paths in lieforge.structures and
+lieforge.forms replaced, and kahler_metric and sasakian_metric, the metrics
+that a passing check_kahler and check_sasakian return:
 d(alpha) comes from the general-degree ``ce_differential`` each time it is
 needed, the matrix identities run through ``mat_mul`` and the torsion
 through the Fraction Nijenhuis expansion of algebra_oracle. They are slow
@@ -21,6 +22,10 @@ Reeb system and tests its uniqueness by Gauss-Jordan elimination. Neither
 goes through linalg.sub_pfaffians, from which lieforge.structures reads
 the Pfaffian, the Reeb vector and the principal element.
 
+wedge and wedge_power expand alpha ^ (d alpha)^n term by term, the
+definition that the Pfaffian of the contact test (forms._top_contact) and
+top_contact_test here both stand in for.
+
 Three single items keep the paths that the packed and certified ones
 replaced: is_cocycle reads d(theta) from the Fraction ``ce_differential``;
 contact_radical_item computes the radical of d(alpha) as a nullspace, as
@@ -36,7 +41,7 @@ from fractions import Fraction
 from math import factorial
 
 from lieforge.algebra import LieAlgebra, Subspace
-from lieforge.forms import KForm, TopContactResult, _dalpha, ce_differential, radical
+from lieforge.forms import KForm, TopContactResult, _dalpha, ce_differential, radical, sort_index_tuple
 from lieforge.linalg import (
     Matrix,
     Vector,
@@ -101,6 +106,29 @@ def kirillov_form(g: LieAlgebra, phi: KForm) -> KForm:
         for j in range(i + 1, g.dim):
             entries[(i, j)] = apply_one_form(phi, g.c[i][j])
     return KForm.from_coeffs(g.dim, 2, entries)
+
+
+def wedge(a: KForm, b: KForm) -> KForm:
+    """Graded-commutative wedge in the determinant convention."""
+    if a.dim != b.dim:
+        raise DimensionMismatch("forms live on different spaces")
+    degree = a.degree + b.degree
+    if degree > a.dim:
+        return KForm.zero(a.dim, degree)
+    table: dict[tuple[int, ...], Fraction] = {}
+    for ia, va in a.coeffs:
+        for ib, vb in b.coeffs:
+            sign, merged = sort_index_tuple(ia + ib)
+            if sign:
+                table[merged] = table.get(merged, ZERO) + sign * va * vb
+    return KForm.from_coeffs(a.dim, degree, table)
+
+
+def wedge_power(a: KForm, n: int) -> KForm:
+    out = KForm.from_coeffs(a.dim, 0, {(): 1})
+    for _ in range(n):
+        out = wedge(out, a)
+    return out
 
 
 def top_contact_test(g: LieAlgebra, alpha: KForm) -> TopContactResult:

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from lieforge import (
     LieAlgebra,
     Subspace,
-    adjoint,
     bracket,
     builtin,
     center,
@@ -17,10 +16,11 @@ from lieforge import (
 from lieforge.extensions import is_cocycle
 from lieforge.forms import KForm
 from lieforge.linalg import identity, matrix, slot_width, vector, vector_over
-from lieforge.report import CheckReport, DimensionMismatch, ok
+from lieforge.report import CheckReport, DimensionMismatch, LieforgeError, ok
 from lieforge.structures import check_kahler
 
 import algebra_oracle as oracle
+from algebra_oracle import adjoint
 import linalg_oracle
 import structures_oracle
 from conftest import (
@@ -149,6 +149,7 @@ def test_constructor_rejects_invalid_tables():
         (3, {(0, 1): {-1: 1}}, None, ValueError),
         (3, {}, ("a", "b"), DimensionMismatch),  # wrong label count
         (2, {}, ("a", "b", "c"), DimensionMismatch),
+        (3, {(0, 1): {2: 1}}, ("a", "a", "b"), LieforgeError),  # a witness jacobi(a,a,b) would be ambiguous
         (0, {}, (), ValueError),
         (-1, {}, None, ValueError),
         (3, {(0, 1): {2: True}}, None, TypeError),
@@ -158,7 +159,6 @@ def test_constructor_rejects_invalid_tables():
     for dim, brackets, labels, error in cases:
         with pytest.raises(error):
             LieAlgebra(dim, brackets, labels)
-
 
 @settings(max_examples=60, deadline=None)
 @given(bracket_tables(values=BIG_RATIONALS), SEEDS)

@@ -100,6 +100,14 @@ def test_reversed_double_extension_rejects_misshapen_map(d, check):
         reversed_double_extension(D4, KForm.basis_one_form(4, 2), d, check=check)
 
 
+def test_extensions_pick_a_label_the_algebra_does_not_have():
+    # LieAlgebra rejects a repeated label, so the adjoined vector must skip the labels in use
+    g = LieAlgebra.abelian(2, ("e3", "e4"))
+    assert central_extension(g, KForm.two_form(2, {(0, 1): 1})).algebra.labels == ("e3", "e4", "e5")
+    assert derivation_extension(g, identity(2)).algebra.labels == ("e3", "e4", "e5")
+    assert double_extension(g, KForm.zero(2, 2), identity(3)).algebra.labels == ("e3", "e4", "e5", "e6")
+
+
 def test_derivation_extension_by_zero():
     ext = derivation_extension(LieAlgebra.abelian(2), zero_matrix(2))
     assert ext.algebra.c == LieAlgebra.abelian(3).c

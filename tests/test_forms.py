@@ -9,14 +9,12 @@ from lieforge import (
     LieAlgebra,
     builtin,
     ce_differential,
+    check_contact,
     kirillov_form,
     radical,
-    top_contact_test,
-    wedge,
-    wedge_power,
 )
 from lieforge.algebra import Subspace
-from lieforge.forms import evaluation_sign
+from lieforge.forms import _dalpha, _top_contact, evaluation_sign, sort_index_tuple
 from lieforge.linalg import vector
 
 from conftest import (
@@ -30,12 +28,19 @@ from conftest import (
     random_one_form,
     shuffle_wedge_eval,
 )
+from structures_oracle import wedge, wedge_power
 
 H3 = builtin("h3").algebra
 D4 = builtin("d4half").algebra
 G0 = builtin("g0").algebra
 E3_H3 = KForm.basis_one_form(3, 2)
 E3_D4 = KForm.basis_one_form(4, 2)
+
+
+def top_contact_test(g, alpha):
+    """The top-form test that check_contact runs, on an odd-dimensional g."""
+    coords = tuple(alpha.coeff((i,)) for i in range(g.dim))
+    return _top_contact(coords, *_dalpha(g, coords))[0]
 
 
 def test_differential_of_e3_on_h3():
@@ -105,8 +110,10 @@ def test_top_contact_abelian_fails():
 
 
 def test_top_contact_even_dimension():
-    res = top_contact_test(D4, E3_D4)
-    assert not res.holds and res.coefficient is None
+    # check_contact stops at the dimension and never reaches the top-form test
+    report, structure = check_contact(D4, E3_D4)
+    assert [(item.name, item.passed, item.witness) for item in report.items] == [("odd_dimension", False, "dim = 4")]
+    assert structure is None
 
 
 def test_top_contact_g0_via_shuffle_oracle():
@@ -229,6 +236,26 @@ def test_wedge_power_of_symplectic():
     omega = KForm.two_form(4, {(0, 1): 1, (2, 3): -1})
     top = wedge_power(omega, 2)
     assert top.coeff((0, 1, 2, 3)) == -2
+
+
+def test_sort_index_tuple_signs_permutations_and_zeroes_repeats():
+    assert sort_index_tuple(()) == (1, ())
+    assert sort_index_tuple((0, 1, 2)) == (1, (0, 1, 2))
+    assert sort_index_tuple((1, 0, 2)) == (-1, (0, 1, 2))
+    assert sort_index_tuple((2, 0, 1)) == (1, (0, 1, 2))
+    assert sort_index_tuple((3, 1)) == (-1, (1, 3))
+    for repeated in [(1, 1), (0, 2, 0), (2, 1, 2, 3)]:
+        assert sort_index_tuple(repeated) == (0, ())
+    omega = KForm.two_form(3, {(0, 1): 2, (1, 2): -1})
+    assert omega.value_on_basis((0, 1)) == 2 and omega.value_on_basis((1, 0)) == -2
+    assert omega.value_on_basis((2, 1)) == 1
+    assert omega.value_on_basis((1, 1)) == 0 and omega.value_on_basis((0, 0)) == 0
+    rng = random.Random(17)
+    for _ in range(30):
+        form = random_kform(rng, 5, 3)
+        idxs = tuple(rng.randrange(5) for _ in range(3))
+        vectors = [vector([int(i == k) for i in range(5)]) for k in idxs]
+        assert form.value_on_basis(idxs) == form.evaluate(vectors)
 
 
 def test_kform_evaluation_is_alternating():

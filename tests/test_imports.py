@@ -97,17 +97,16 @@ def test_cli_command_loads_only_what_it_runs(argv, extra):
 
 # Every public name of the package, by home module.
 PUBLIC = {
-    "algebra": "LieAlgebra Subspace adjoint bracket center check_jacobi",
+    "algebra": "LieAlgebra Subspace bracket center check_jacobi",
     "catalog": "BUILTINS Builtin builtin",
-    "derivations": "Commute FormEigen Leibniz Sends derivation_space is_derivation map_in_family",
+    "derivations": "Commute FormEigen Leibniz Sends derivation_space is_derivation",
     "extensions": "ExtensionResult central_extension derivation_extension double_extension is_cocycle "
     "lift_one_form reversed_double_extension",
-    "forms": "KForm ce_differential evaluation_sign radical top_contact_test wedge wedge_power",
+    "forms": "KForm ce_differential evaluation_sign radical",
     "linalg": "Matrix Scalar Vector matrix scalar vector",
     "report": "CheckItem CheckReport DimensionMismatch LieforgeError PreconditionError",
     "structures": "ContactStructure FrobeniusStructure KahlerStructure NijenhuisTable SasakianStructure "
-    "check_contact check_frobenius check_kahler check_sasakian kahler_metric kirillov_form nijenhuis "
-    "principal_element sasakian_metric",
+    "check_contact check_frobenius check_kahler check_sasakian kirillov_form nijenhuis principal_element",
     "theorems": "DoubleExtensionParams contact_ideal_restriction extend_complex_structure "
     "frobenius_kahler_to_sasakian kahler_extension_obstruction kahler_to_sasakian_central "
     "sasakian_double_extension sasakian_double_extension_conditions sasakian_reduction "
@@ -152,6 +151,30 @@ def test_unknown_name_raises_attribute_error_naming_it():
 def test_submodule_resolves_after_a_bare_import():
     got = loaded_by("import lieforge\nassert lieforge.linalg.det(((1, 2), (3, 4))) == -2")
     assert got == {"lieforge", "lieforge.linalg", "lieforge.report"}
+
+
+# --- the test helpers the benchmark loads -----------------------------------------
+
+
+def test_conftest_loads_by_file_path_with_only_src_on_the_path(tmp_path):
+    # the dense benchmark workloads load tests/conftest.py this way for its conjugation helpers,
+    # so it may import lieforge alone, and only names that lieforge still has
+    code = f"""
+import importlib.util
+spec = importlib.util.spec_from_file_location("helpers", {str(Path(__file__).with_name("conftest.py"))!r})
+helpers = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(helpers)
+print(helpers.mat_inverse(((2, 1, 0), (0, 1, 0), (1, 0, 1))))
+print(helpers.mat_inverse(((1, 2, 3), (2, 4, 6), (0, 0, 1))))
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    f = "Fraction"
+    assert done.stdout.splitlines() == [
+        f"(({f}(1, 2), {f}(-1, 2), {f}(0, 1)), ({f}(0, 1), {f}(1, 1), {f}(0, 1)), ({f}(-1, 2), {f}(1, 2), {f}(1, 1)))",
+        "None",
+    ]
 
 
 # --- no dead imports -----------------------------------------------------------

@@ -23,7 +23,6 @@ from lieforge.linalg import (
     scalar,
     slot_width,
     solve_affine,
-    solve_unique,
     sub_pfaffians,
     unpack,
     vector,
@@ -64,12 +63,6 @@ def test_nullspace_canonical():
 def test_solve_affine_inconsistent():
     part, null = solve_affine(matrix([[1, 0], [1, 0]]), vector([1, 2]))
     assert part is None
-
-
-def test_solve_unique():
-    sol = solve_unique(matrix([[2, 0], [0, 4]]), vector([1, 1]))
-    assert sol == vector(["1/2", "1/4"])
-    assert solve_unique(matrix([[1, 1], [2, 2]]), vector([1, 2])) is None
 
 
 def test_det_and_positive_definite():
@@ -257,7 +250,6 @@ def test_solvers_match_oracle(data):
     rows = data.draw(matrices())
     rhs = with_rhs(rows, data.draw)
     assert solve_affine(rows, rhs) == oracle.solve_affine(rows, rhs)
-    assert solve_unique(rows, rhs) == oracle.solve_unique(rows, rhs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -466,7 +458,6 @@ def assert_solves_match_oracle(rows, rhs):
     zeros = (Fraction(0),) * len(rows)
     assert solve_affine(rows, zeros) == oracle.solve_affine(rows, zeros)
     assert solve_affine(rows, rhs) == oracle.solve_affine(rows, rhs)
-    assert solve_unique(rows, rhs) == oracle.solve_unique(rows, rhs)
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,7 +8,6 @@ from lieforge import (
     DoubleExtensionParams,
     KForm,
     LieAlgebra,
-    adjoint,
     builtin,
     center,
     central_extension,
@@ -34,6 +33,7 @@ from lieforge.structures import _int_matrix, kirillov_form
 from lieforge.theorems import _commute_mismatch, _phi_pairing_failure, kernel_basis
 
 import theorems_oracle
+from algebra_oracle import adjoint
 from strategies import (
     BIG_RATIONALS,
     RATIONALS,

@@ -14,7 +14,6 @@ from lieforge import (
     DoubleExtensionParams,
     KForm,
     LieAlgebra,
-    adjoint,
     builtin,
     check_frobenius,
     check_kahler,
@@ -34,6 +33,7 @@ from lieforge.linalg import diagonal, matrix, zero_matrix
 from lieforge.report import CheckItem, PreconditionError
 from lieforge.structures import FrobeniusStructure, SasakianStructure
 
+from algebra_oracle import adjoint
 from conftest import conjugate_algebra, conjugate_map, conjugate_one_form, conjugate_two_form, mat_inverse
 from strategies import conjugated_phi, moved_reeb
 

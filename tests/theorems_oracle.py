@@ -2,7 +2,7 @@
 entry or tested a condition in Fractions.
 
 sasakian_reduction solves for the coordinates of every vector in the basis of
-Ker(alpha) with its own elimination (``solve_unique``), where lieforge reads
+Ker(alpha) with its own elimination (``linalg_oracle.solve_unique``), where lieforge reads
 them off the pivots of that reduced basis. contact_ideal_restriction brackets
 x_P and every kept vector with every kept vector for the ideal test, takes
 the brackets of the ideal again from the structure constants, and brackets
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from lieforge.algebra import LieAlgebra, Subspace, adjoint, bracket, center
+from lieforge.algebra import LieAlgebra, Subspace, bracket, center
 from lieforge.extensions import ExtensionResult, derivation_extension, double_extension
 from lieforge.forms import KForm, radical
 from lieforge.linalg import (
@@ -47,7 +47,6 @@ from lieforge.linalg import (
     is_zero_vector,
     mat_mul,
     mat_vec,
-    solve_unique,
     transpose,
     vec_add,
     vec_scale,
@@ -77,6 +76,8 @@ from lieforge.theorems import (
     kernel_basis,
 )
 
+from algebra_oracle import adjoint
+from linalg_oracle import solve_unique
 from structures_oracle import nijenhuis_ints
 
 ONE = Fraction(1)
