@@ -1,8 +1,13 @@
 """Command line front end.
 
-Every structure input comes from the ``_SOURCES`` table through one resolver:
-the --structure file, else the source's complete set of inline flags, else
-the builtin's data. Some but not all of the inline flags is a usage error.
+``_COMMANDS`` declares, once per command kind, the structure sources the
+kind reads and the flags it reads; the parser is built from it and from the
+flag help of ``_FLAGS``. A flag the kind does not read, and ``--builtin``
+with ``--algebra``, are usage errors. Every structure input comes from the
+``_SOURCES`` table through one resolver: the --structure file, else the
+source's complete set of inline flags, else the builtin's data. Some but not
+all of the inline flags is a usage error. Structure files are parsed at the
+algebra's dimension, so a value that does not fit is refused at its line.
 
 Each ``_cmd_*`` handler returns the command's ``CheckReport`` with the
 sections and the output algebra to print; ``run`` alone renders it, a
@@ -43,7 +48,6 @@ from .algebra import LieAlgebra, center, check_jacobi
 from .catalog import BUILTINS, Builtin, builtin
 from .fileio import (
     STRUCTURE_KEYS,
-    ParsedStructure,
     ParseError,
     _scalar_at,
     parse_algebra,
@@ -72,9 +76,65 @@ if TYPE_CHECKING:
     from .extensions import ExtensionResult
 
 
+# Each command's kinds: the structure sources the kind reads, in order (see
+# ``_SOURCES``), and the flags it reads. A flag the kind does not read is a
+# usage error; a source takes its inline flags only where the kind reads all
+# of them, so in the constructions that take a derivation --map is that
+# derivation. The tables hold strings only, so that a parser or check rebound
+# in its module (as bench/tracing.py does) is the one called.
+_COMMANDS: dict[str, tuple[str, dict[str, tuple[str, str]]]] = {
+    "check": ("verify an axiom system", {
+        "jacobi": ("", ""),
+        "cocycle": ("", "two_form"),
+        "derivation": ("", "map"),
+        "contact": ("contact", "form"),
+        "frobenius": ("frobenius", "form"),
+        "kahler": ("kahler", "map two_form structure"),
+        "sasakian": ("sasakian", "xi form map structure"),
+    }),
+    "extend": ("build an extension", {
+        "central": ("", "two_form force"),
+        "derivation": ("", "map force"),
+        "double": ("", "two_form map dz force"),
+        "reversed": ("", "form map force"),
+    }),
+    "construct": ("theorem-level constructions with re-verification", {
+        "fk-to-sasakian": ("frobenius kahler", "form map structure"),
+        "sasakian-to-fk": ("sasakian", "map structure"),
+        "kahler-to-sasakian": ("kahler", "map two_form structure"),
+        "sasakian-reduction": ("sasakian", "structure"),
+        "sasakian-double": ("sasakian", "two_form map dz structure w_scale"),
+        "contact-ideal": ("frobenius kahler", "form structure"),
+    }),
+    "solve": ("linear solves: derivation spaces, Reeb, principal element", {
+        "derivations": ("", "fix"),
+        "reeb": ("contact", "form"),
+        "principal": ("frobenius", "form"),
+    }),
+}
+
+_FLAGS = {
+    "form": "1-form, inline (e3, e3+e5, 2e1-1/2e3) or @file",
+    "two_form": "2-form, inline (0, e1^e2-e3^e4) or @file",
+    "map": "linear map (the derivation where the kind takes one): diag:.., zero, id, named builtin map, or @file",
+    "xi": "vector, inline (e3 or 0,0,1)",
+    "dz": "complete --map to the double extension's: 'w1,..,wn:s' appends D(z)=w+sz",
+    "structure": "path to a structure file with the source data (kind sasakian or kahler)",
+    "w_scale": "scale c of the w vector for sasakian-double (default: solved sign)",
+    "force": "skip precondition enforcement",
+    "fix": "extra derivation constraint: 'alpha∘D=alpha:e3', 'alpha∘D=0:e3', 'commute:MAP', 'sends:V->W'",
+}
+_ACTIONS = {"force": {"action": "store_true"}, "fix": {"action": "append", "default": []}}
+
+
+def _option(flag: str) -> str:
+    return f"--{flag.replace('_', '-')}"
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on first use.
+    """The one parser of the process, built on first use from ``_COMMANDS``
+    and ``_FLAGS``: each command takes the flags some kind of it reads.
 
     ``parse_args`` leaves the parser as it was: each call fills a fresh
     Namespace, and ``append`` copies the ``--fix`` default before it appends.
@@ -91,71 +151,26 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sign convention for printed form evaluations; never changes verdicts",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_source(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--builtin", choices=sorted(BUILTINS))
-        p.add_argument("--algebra", help="path to a lieforge/1 algebra file")
-
-    p = sub.add_parser("check", help="verify an axiom system")
-    p.add_argument("kind", choices=("jacobi", "cocycle", "derivation", "contact", "frobenius", "kahler", "sasakian"))
-    add_source(p)
-    p.add_argument("--form", help="1-form, inline (e3, e3+e5, 2e1-1/2e3) or @file")
-    p.add_argument("--two-form", help="2-form, inline (0, e1^e2-e3^e4) or @file")
-    p.add_argument("--map", help="linear map: diag:.., zero, id, named builtin map, or @file")
-    p.add_argument("--xi", help="vector, inline (e3 or 0,0,1)")
-    p.add_argument("--structure", help="path to a structure file (kind sasakian or kahler)")
-
-    p = sub.add_parser("extend", help="build an extension")
-    p.add_argument("kind", choices=("central", "derivation", "double", "reversed"))
-    add_source(p)
-    p.add_argument("--form", help="1-form for reversed extensions")
-    p.add_argument("--two-form", help="2-cocycle for central/double extensions")
-    p.add_argument("--map", help="derivation; for double extensions it acts on the central extension")
-    p.add_argument("--dz", help="assemble the double-extension map: 'w1,..,wn:s' appends D(z)=w+sz")
-    p.add_argument("--force", action="store_true", help="skip precondition enforcement")
-
-    p = sub.add_parser("construct", help="theorem-level constructions with re-verification")
-    p.add_argument(
-        "kind",
-        choices=(
-            "fk-to-sasakian",
-            "sasakian-to-fk",
-            "kahler-to-sasakian",
-            "sasakian-reduction",
-            "sasakian-double",
-            "contact-ideal",
-        ),
-    )
-    add_source(p)
-    p.add_argument("--form", help="1-form when the source structure is not built in")
-    p.add_argument("--two-form", help="2-cocycle for sasakian-double")
-    p.add_argument("--map", help="derivation input")
-    p.add_argument("--dz", help="assemble the (n+1)-map as for extend double")
-    p.add_argument("--structure", help="structure file with the source data")
-    p.add_argument("--w-scale", help="scale c of the w vector for sasakian-double (default: solved sign)")
-
-    p = sub.add_parser("solve", help="linear solves: derivation spaces, Reeb, principal element")
-    p.add_argument("kind", choices=("derivations", "reeb", "principal"))
-    add_source(p)
-    p.add_argument("--form", help="1-form input for reeb/principal")
-    p.add_argument(
-        "--fix",
-        action="append",
-        default=[],
-        help="extra derivation constraint: 'alpha∘D=alpha:e3', 'alpha∘D=0:e3', 'commute:MAP', 'sends:V->W'",
-    )
-
+    for command, (help_text, kinds) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("kind", choices=tuple(kinds))
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--builtin", choices=sorted(BUILTINS))
+        source.add_argument("--algebra", help="path to a lieforge/1 algebra file")
+        read = {flag for _, flags in kinds.values() for flag in flags.split()}
+        for flag, flag_help in _FLAGS.items():
+            if flag in read:
+                p.add_argument(_option(flag), help=flag_help, **_ACTIONS.get(flag, {}))
     p = sub.add_parser("builtin", help="print a built-in algebra and its structures")
     p.add_argument("name")
-
     return parser
 
 
 def _read_algebra(args) -> tuple[LieAlgebra, Builtin | None]:
-    if getattr(args, "builtin", None):
+    if args.builtin:
         b = builtin(args.builtin)
         return b.algebra, b
-    if getattr(args, "algebra", None):
+    if args.algebra:
         return parse_algebra(_read_file(args.algebra, "algebra")), None
     raise ParseError("need --builtin or --algebra", 0, "algebra")
 
@@ -174,14 +189,7 @@ def _read_file(path: str, flag: str) -> str:
     try:
         return Path(path).read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise LieforgeError(f"cannot read --{flag.replace('_', '-')} {path}: {exc}") from exc
-
-
-def _structure_file(path: str, kind: str, flag: str) -> ParsedStructure:
-    parsed = parse_structure(_read_file(path, flag))
-    if parsed.kind != kind:
-        raise ParseError(f"expected a structure file of kind {kind}", 0, kind)
-    return parsed
+        raise LieforgeError(f"cannot read {_option(flag)} {path}: {exc}") from exc
 
 
 def _value(spec: str | None, flag: str, dim: int, b: Builtin | None):
@@ -190,7 +198,8 @@ def _value(spec: str | None, flag: str, dim: int, b: Builtin | None):
     if spec is None:
         return None
     if spec.startswith("@") and flag in STRUCTURE_KEYS:
-        return _structure_file(spec[1:], flag, flag).value("values", dim)
+        (value,) = parse_structure(_read_file(spec[1:], flag), flag, dim)
+        return value
     if flag == "xi":
         return parse_vector_inline(spec, dim)
     if flag == "form":
@@ -217,7 +226,7 @@ def _required(args, flag: str, dim: int, b: Builtin | None):
     """The value of ``--flag``, or the usage error for its absence."""
     value = _value(getattr(args, flag), flag, dim, b)
     if value is None:
-        raise ParseError(f"need --{flag.replace('_', '-')}", 0, flag)
+        raise ParseError(f"need {_option(flag)}", 0, flag)
     return value
 
 
@@ -230,51 +239,24 @@ def _extension_map(args, g: LieAlgebra, b: Builtin | None) -> Matrix:
 
 @dataclass(frozen=True)
 class _Source:
-    """A structure input: its --structure file keys (none when it has no
-    file), the inline flags that spell the same values, the builtin's data
-    and the check, given in the argument order of the check."""
+    """A structure input: the inline flags that spell its values, the
+    builtin's data and the check, given in the argument order of the check.
+    A source with ``STRUCTURE_KEYS`` of its name is also read from --structure."""
 
-    keys: tuple[str, ...]
     flags: tuple[str, ...]
     builtin: Callable[[Builtin], tuple | None]
     check: Callable  # looked up at call time, so a rebound module name is used
 
 
 _SOURCES = {
-    "sasakian": _Source(
-        ("xi", "alpha", "phi"), ("xi", "form", "map"),
-        lambda b: b.sasakian_data, lambda g, *d: check_sasakian(g, *d),
-    ),
-    "kahler": _Source(
-        ("j", "omega"), ("map", "two_form"),
-        lambda b: b.kahler_data, lambda g, *d: check_kahler(g, *d),
-    ),
+    "sasakian": _Source(("xi", "form", "map"), lambda b: b.sasakian_data, lambda g, *d: check_sasakian(g, *d)),
+    "kahler": _Source(("map", "two_form"), lambda b: b.kahler_data, lambda g, *d: check_kahler(g, *d)),
     "contact": _Source(
-        (), ("form",),
-        lambda b: b.sasakian_data and b.sasakian_data[1:2], lambda g, *d: check_contact(g, *d),
+        ("form",), lambda b: b.sasakian_data and b.sasakian_data[1:2], lambda g, *d: check_contact(g, *d)
     ),
     "frobenius": _Source(
-        (), ("form",),
-        lambda b: b.frobenius_form and (b.frobenius_form,), lambda g, *d: check_frobenius(g, *d),
+        ("form",), lambda b: b.frobenius_form and (b.frobenius_form,), lambda g, *d: check_frobenius(g, *d)
     ),
-}
-
-# The sources each command reads, in order, and whether the command's inline
-# flags spell the source out. In the construct commands that take a
-# derivation, --map is that derivation; construct has no --xi.
-_COMMAND_SOURCES: dict[str, tuple[tuple[str, bool], ...]] = {
-    "check contact": (("contact", True),),
-    "check frobenius": (("frobenius", True),),
-    "check kahler": (("kahler", True),),
-    "check sasakian": (("sasakian", True),),
-    "solve reeb": (("contact", True),),
-    "solve principal": (("frobenius", True),),
-    "construct fk-to-sasakian": (("frobenius", True), ("kahler", False)),
-    "construct sasakian-to-fk": (("sasakian", False),),
-    "construct kahler-to-sasakian": (("kahler", True),),
-    "construct sasakian-reduction": (("sasakian", False),),
-    "construct sasakian-double": (("sasakian", False),),
-    "construct contact-ideal": (("frobenius", True), ("kahler", False)),
 }
 
 
@@ -284,10 +266,9 @@ def _resolve(args, g: LieAlgebra, b: Builtin | None, name: str, inline: bool) ->
     inline flags, or no data at all, is a usage error."""
     source = _SOURCES[name]
     path = getattr(args, "structure", None)
-    if source.keys and path:
-        parsed = _structure_file(path, name, "structure")
-        return tuple(parsed.value(key, g.dim) for key in source.keys)
-    spelled = "/".join(f"--{flag.replace('_', '-')}" for flag in source.flags)
+    if name in STRUCTURE_KEYS and path:
+        return parse_structure(_read_file(path, "structure"), name, g.dim)
+    spelled = "/".join(_option(flag) for flag in source.flags)
     given = [flag for flag in source.flags if getattr(args, flag, None) is not None] if inline else []
     if given and len(given) < len(source.flags):
         raise ParseError(f"need all of {spelled} for inline {name} input", 0, name)
@@ -295,7 +276,7 @@ def _resolve(args, g: LieAlgebra, b: Builtin | None, name: str, inline: bool) ->
         return tuple(_value(getattr(args, flag), flag, g.dim, b) for flag in source.flags)
     data = source.builtin(b) if b is not None else None
     if data is None:
-        ways = [f"--structure (kind {name})"] if source.keys else []
+        ways = [f"--structure (kind {name})"] if name in STRUCTURE_KEYS else []
         ways += [spelled] if inline else []
         raise ParseError(f"need {name} data from {' or '.join(ways + ['a builtin that has it'])}", 0, name)
     return data
@@ -303,7 +284,9 @@ def _resolve(args, g: LieAlgebra, b: Builtin | None, name: str, inline: bool) ->
 
 def _checked_sources(args, g: LieAlgebra, b: Builtin | None):
     """(report, structure or None) for each source of the command, each read and checked in turn."""
-    for name, inline in _COMMAND_SOURCES[f"{args.command} {args.kind}"]:
+    names, reads = (field.split() for field in _COMMANDS[args.command][1][args.kind])
+    for name in names:
+        inline = all(flag in reads for flag in _SOURCES[name].flags)
         yield _SOURCES[name].check(g, *_resolve(args, g, b, name, inline))
 
 
@@ -514,6 +497,11 @@ def run(argv: list[str]) -> tuple[str, int]:
 
     A refused precondition is rendered as its report. Usage and parse errors propagate."""
     args = _build_parser().parse_args(argv)
+    if args.command != "builtin":
+        reads = _COMMANDS[args.command][1][args.kind][1].split()
+        unread = [flag for flag in _FLAGS if flag not in reads and getattr(args, flag, None) not in (None, False, [])]
+        if unread:
+            raise ParseError(f"{args.command} {args.kind} does not read {_option(unread[0])}", 0, unread[0])
     handlers = {
         "check": _cmd_check,
         "extend": _cmd_extend,

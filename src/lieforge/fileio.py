@@ -21,17 +21,21 @@ Structure files declare one object per file:
     row 2 = 1 0                 omega entry 1 2 = 1
 
 Indices are 1-based in files and reports; rationals are "p" or "p/q".
-Each structure kind declares its keys (``STRUCTURE_KEYS``): a key the kind
-does not declare, or a declared key that is missing, is a parse error; a
-two-form key may be left out and is then zero. A key may appear once per
-file: a repeated field, map row, two-form entry, bracket or basis label is a
-parse error. Parse errors carry the byte offset of the offending line.
+Each structure kind declares its keys (``STRUCTURE_KEYS``, the one schema):
+a key the kind does not declare, or a declared key that is missing, is a
+parse error; a two-form key may be left out and is then zero. A key may
+appear once per file: a repeated field, map row, two-form entry, bracket or
+basis label is a parse error. ``parse_structure`` reads a file of the kind
+its caller expects at the algebra's dimension and returns typed values, so a
+wrong kind, a vector or row of the wrong length and an index past the
+dimension are refused at their line. Parse errors carry the byte offset of
+the offending line; only a missing key or map row, which has no line, reports
+byte 0.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import LieAlgebra
@@ -73,7 +77,9 @@ def _scalar_at(token: str, offset: int, fieldname: str) -> Fraction:
         raise ParseError(f"bad rational {token!r}", offset, fieldname)
 
 
-def _vector_at(tokens: list[str], offset: int, fieldname: str) -> Vector:
+def _vector_at(tokens: list[str], offset: int, fieldname: str, dim: int) -> Vector:
+    if len(tokens) != dim:
+        raise ParseError(f"{fieldname} needs {dim} entries", offset, fieldname)
     return tuple(_scalar_at(t, offset, fieldname) for t in tokens)
 
 
@@ -94,7 +100,9 @@ def parse_algebra(text: str) -> LieAlgebra:
         key, _, rest = line.partition(" ")
         rest = rest.strip()
         if key in ("dim", "basis"):
-            _assign_once(assigned, key, offset)
+            if key in assigned:
+                raise ParseError(f"{key!r} given twice", offset, key)
+            assigned.add(key)
         if key == "dim":
             dim = _int_at(rest, offset, "dim")
             if dim <= 0:
@@ -148,8 +156,9 @@ def serialize_algebra(g: LieAlgebra) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The keys each structure kind declares, with the type of each value. A form,
-# two_form or map file holds one object, named "values".
+# The keys each structure kind declares, with the type of each value, in the
+# argument order of the check that reads them. A form, two_form or map file
+# holds one object, named "values".
 STRUCTURE_KEYS: dict[str, dict[str, str]] = {
     "form": {"values": "form"},
     "two_form": {"values": "two_form"},
@@ -159,54 +168,18 @@ STRUCTURE_KEYS: dict[str, dict[str, str]] = {
 }
 
 
-@dataclass
-class ParsedStructure:
-    kind: str
-    vectors: dict[str, Vector] = field(default_factory=dict)
-    forms: dict[str, Vector] = field(default_factory=dict)  # 1-form coefficient lists
-    two_forms: dict[str, dict[tuple[int, int], Fraction]] = field(default_factory=dict)
-    maps: dict[str, dict[int, Vector]] = field(default_factory=dict)  # rows by index
-
-    def matrix_of(self, name: str, dim: int) -> Matrix:
-        rows = self.maps.get(name, {})
-        if sorted(rows) != list(range(dim)):
-            raise ParseError(f"map {name!r} needs rows 1..{dim}", 0, name)
-        if any(len(r) != dim for r in rows.values()):
-            raise ParseError(f"map {name!r} rows must have {dim} entries", 0, name)
-        return tuple(rows[i] for i in range(dim))
-
-    def two_form_of(self, name: str, dim: int) -> KForm:
-        """The two-form ``name`` on a dim-dimensional algebra; absent entries are 0."""
-        entries = self.two_forms.get(name, {})
-        bad = next((ij for ij in entries if ij[1] >= dim), None)
-        if bad is not None:
-            raise ParseError(f"two-form {name!r} entry {bad[0] + 1} {bad[1] + 1} exceeds dim {dim}", 0, name)
-        return KForm.two_form(dim, entries)
-
-    def value(self, name: str, dim: int) -> Vector | KForm | Matrix:
-        """The declared key ``name`` as its type says, on a dim-dimensional algebra."""
-        value_kind = STRUCTURE_KEYS[self.kind][name]
-        if value_kind == "vector":
-            return self.vectors[name]
-        if value_kind == "form":
-            return KForm.one_form(dim, self.forms[name])
-        if value_kind == "map":
-            return self.matrix_of(name, dim)
-        return self.two_form_of(name, dim)
-
-
-def parse_structure(text: str) -> ParsedStructure:
+def parse_structure(text: str, kind: str, dim: int) -> tuple[Vector | KForm | Matrix, ...]:
+    """The values of a structure file of kind ``kind`` on a dim-dimensional
+    algebra, in ``STRUCTURE_KEYS`` order: vectors, ``KForm``s and matrices.
+    Each line is checked against dim where it stands."""
     body = _expect_header(text, "structure")
     if not body:
         raise ParseError("missing kind", 0, "kind")
     offset, first = body[0]
-    key, _, kind = first.partition(" ")
-    kind = kind.strip()
-    if key != "kind" or kind not in STRUCTURE_KEYS:
-        raise ParseError(f"expected 'kind' in {tuple(STRUCTURE_KEYS)}", offset, "kind")
+    if first.split() != ["kind", kind]:
+        raise ParseError(f"expected a structure file of kind {kind}", offset, "kind")
     keys = STRUCTURE_KEYS[kind]
-    out = ParsedStructure(kind)
-    assigned: set[str] = set()  # names given by a "values" or "name = ..." line
+    given: dict[str, dict | Vector] = {}  # map rows and two-form entries by index, vectors
     for offset, line in body[1:]:
         tokens = line.split()
         if "values" in keys:  # the one object's lines: 'values v..', 'row I = ..', 'entry I J = v'
@@ -217,42 +190,49 @@ def parse_structure(text: str) -> ParsedStructure:
         if value_kind is None:
             raise ParseError(f"unknown field {name!r} for kind {kind}", offset, name)
         if value_kind == "map" and marker == "row":
-            _parse_map_row(out.maps.setdefault(name, {}), rest, offset)
+            _parse_map_row(given.setdefault(name, {}), rest, offset, dim)
         elif value_kind == "two_form" and marker == "entry":
-            _parse_two_form_entry(out.two_forms.setdefault(name, {}), rest, offset)
+            _parse_two_form_entry(given.setdefault(name, {}), rest, offset, dim)
         elif value_kind in ("vector", "form") and marker == "=":
-            _assign_once(assigned, name, offset)
-            (out.vectors if value_kind == "vector" else out.forms)[name] = _vector_at(rest, offset, name)
+            if name in given:
+                raise ParseError(f"{name!r} given twice", offset, name)
+            given[name] = _vector_at(rest, offset, name, dim)
         else:
             raise ParseError(f"bad line {line!r}", offset, name)
+    values = []
     for name, value_kind in keys.items():
-        if value_kind != "two_form" and name not in assigned and name not in out.maps:
+        value = given.get(name)
+        if value_kind == "two_form":  # absent entries are 0
+            values.append(KForm.two_form(dim, value or {}))
+        elif value is None:
             raise ParseError(f"missing {name!r} for kind {kind}", 0, name)
-    return out
+        elif value_kind == "map":
+            if len(value) != dim:
+                raise ParseError(f"map {name!r} needs rows 1..{dim}", 0, name)
+            values.append(tuple(value[i] for i in range(dim)))
+        else:
+            values.append(KForm.one_form(dim, value) if value_kind == "form" else value)
+    return tuple(values)
 
 
-def _assign_once(assigned: set[str], name: str, offset: int) -> None:
-    if name in assigned:
-        raise ParseError(f"{name!r} given twice", offset, name)
-    assigned.add(name)
-
-
-def _parse_map_row(rows: dict[int, Vector], tokens: list[str], offset: int) -> None:
+def _parse_map_row(rows: dict[int, Vector], tokens: list[str], offset: int, dim: int) -> None:
     if len(tokens) < 3 or tokens[1] != "=":
         raise ParseError("map row needs 'row I = entries'", offset, "row")
     idx = _int_at(tokens[0], offset, "row") - 1
+    if not 0 <= idx < dim:
+        raise ParseError(f"row index {idx + 1} outside 1..{dim}", offset, "row")
     if idx in rows:
         raise ParseError(f"row {idx + 1} given twice", offset, "row")
-    rows[idx] = _vector_at(tokens[2:], offset, "row")
+    rows[idx] = _vector_at(tokens[2:], offset, "row", dim)
 
 
-def _parse_two_form_entry(entries: dict[tuple[int, int], Fraction], tokens: list[str], offset: int) -> None:
+def _parse_two_form_entry(entries: dict[tuple[int, int], Fraction], tokens: list[str], offset: int, dim: int) -> None:
     if len(tokens) != 4 or tokens[2] != "=":
         raise ParseError("two-form entry needs 'entry I J = value'", offset, "entry")
     i = _int_at(tokens[0], offset, "entry") - 1
     j = _int_at(tokens[1], offset, "entry") - 1
-    if not 0 <= i < j:
-        raise ParseError("two-form entry needs i < j", offset, "entry")
+    if not 0 <= i < j < dim:
+        raise ParseError(f"two-form entry needs 1 <= i < j <= {dim}", offset, "entry")
     if (i, j) in entries:
         raise ParseError(f"entry {i + 1} {j + 1} given twice", offset, "entry")
     entries[(i, j)] = _scalar_at(tokens[3], offset, "entry")
@@ -261,16 +241,21 @@ def _parse_two_form_entry(entries: dict[tuple[int, int], Fraction], tokens: list
 # ---------------------------------------------------------------------------
 # inline argument syntax for the command line
 
-_TERM = re.compile(r"([+-]?)\s*([0-9][0-9/]*)?\s*\*?\s*e([0-9]+)$")
-_TWO_TERM = re.compile(r"([+-]?)\s*([0-9][0-9/]*)?\s*\*?\s*e([0-9]+)\^e([0-9]+)$")
+_TERM = re.compile(r"([+-]?)\s*([0-9][0-9/]*)?\s*\*?\s*e([0-9]+)(?:\^e([0-9]+))?$")
 
 
-def _split_terms(spec: str, fieldname: str) -> list[str]:
-    """The signed terms of an inline spec; an empty spec is an error, zero is spelled "0"."""
+def _inline_terms(spec: str, degree: int, fieldname: str):
+    """(term, signed coefficient, 0-based indices) of each term of an inline 1- or 2-form;
+    an empty spec is an error, zero is spelled "0"."""
     terms = [t for t in re.split(r"(?=[+-])", spec.replace(" ", "")) if t]
     if not terms:
         raise ParseError(f"empty {fieldname} spec; write 0 for zero", 0, fieldname)
-    return terms
+    for term in terms:
+        m = _TERM.match(term)
+        if not m or (m.group(4) is None) != (degree == 1):
+            raise ParseError(f"bad {degree}-form term {term!r}", 0, fieldname)
+        coef = _scalar_at(m.group(2), 0, fieldname) if m.group(2) else Fraction(1)
+        yield term, -coef if m.group(1) == "-" else coef, tuple(int(i) - 1 for i in m.groups()[2:] if i)
 
 
 def parse_form_inline(spec: str, dim: int) -> KForm:
@@ -278,16 +263,10 @@ def parse_form_inline(spec: str, dim: int) -> KForm:
     if spec.strip() == "0":
         return KForm.zero(dim, 1)
     coords = [Fraction(0)] * dim
-    for term in _split_terms(spec, "form"):
-        m = _TERM.match(term)
-        if not m:
-            raise ParseError(f"bad 1-form term {term!r}", 0, "form")
-        sign = -1 if m.group(1) == "-" else 1
-        coef = _scalar_at(m.group(2), 0, "form") if m.group(2) else Fraction(1)
-        idx = int(m.group(3)) - 1
+    for _, value, (idx,) in _inline_terms(spec, 1, "form"):
         if not 0 <= idx < dim:
             raise ParseError(f"index e{idx + 1} out of range", 0, "form")
-        coords[idx] += sign * coef
+        coords[idx] += value
     return KForm.one_form(dim, coords)
 
 
@@ -296,20 +275,11 @@ def parse_two_form_inline(spec: str, dim: int) -> KForm:
     if spec.strip() == "0":
         return KForm.zero(dim, 2)
     entries: dict[tuple[int, int], Fraction] = {}
-    for term in _split_terms(spec, "two-form"):
-        m = _TWO_TERM.match(term)
-        if not m:
-            raise ParseError(f"bad 2-form term {term!r}", 0, "two-form")
-        sign = -1 if m.group(1) == "-" else 1
-        coef = _scalar_at(m.group(2), 0, "two-form") if m.group(2) else Fraction(1)
-        i = int(m.group(3)) - 1
-        j = int(m.group(4)) - 1
+    for term, value, (i, j) in _inline_terms(spec, 2, "two-form"):
         if not (0 <= i < dim and 0 <= j < dim and i != j):
             raise ParseError(f"bad index pair in {term!r}", 0, "two-form")
-        value = sign * coef
         if i > j:
-            i, j = j, i
-            value = -value
+            i, j, value = j, i, -value
         entries[(i, j)] = entries.get((i, j), Fraction(0)) + value
     return KForm.two_form(dim, entries)
 
@@ -327,10 +297,7 @@ def parse_map_inline(spec: str, dim: int, named: dict[str, Matrix] | None = None
     if spec == "id":
         return identity(dim)
     if spec.startswith("diag:"):
-        entries = spec[len("diag:") :].split(",")
-        if len(entries) != dim:
-            raise ParseError(f"diag needs {dim} entries", 0, "map")
-        return diagonal(_vector_at(entries, 0, "map"))
+        return diagonal(_vector_at(spec[len("diag:") :].split(","), 0, "diag", dim))
     raise ParseError(f"bad map spec {spec!r}", 0, "map")
 
 
@@ -340,10 +307,7 @@ def parse_vector_inline(spec: str, dim: int) -> Vector:
     if spec == "0":
         return vector([0] * dim)
     if "," in spec:
-        entries = spec.split(",")
-        if len(entries) != dim:
-            raise ParseError(f"vector needs {dim} entries", 0, "vector")
-        return _vector_at(entries, 0, "vector")
+        return _vector_at(spec.split(","), 0, "vector", dim)
     form = parse_form_inline(spec, dim)
     return tuple(form.coeff((i,)) for i in range(dim))
 

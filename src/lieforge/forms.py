@@ -267,9 +267,7 @@ def radical(g: LieAlgebra, form: KForm) -> Subspace:
         raise ValueError("radical is defined for degree-2 forms")
     if form.dim != g.dim:
         raise DimensionMismatch("form does not match algebra dimension")
-    b = form.as_matrix()
-    rows = [tuple(b[i][j] for i in range(g.dim)) for j in range(g.dim)]
-    return Subspace(g.dim, nullspace(rows, g.dim))
+    return Subspace(g.dim, nullspace(form.as_matrix(), g.dim))  # B is skew: Ker B^T = Ker B
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@ import hashlib
 import importlib.util
 import json
 import random
+import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -258,6 +260,17 @@ def test_output_determinism():
 CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus.json"
 
 
+def test_readme_commands_are_the_corpus():
+    # every lieforge line of README's sh blocks is a corpus command, and each corpus command but
+    # `builtin g0` and `builtin g5` is in README
+    readme = (CORPUS.parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S) for line in block.splitlines()]
+    documented = [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("lieforge ")]
+    corpus = [e["argv"] for e in json.loads(CORPUS.read_text(encoding="utf-8"))["commands"]]
+    assert sorted(documented) == sorted(a for a in corpus if a not in (["builtin", "g0"], ["builtin", "g5"]))
+    assert len(documented) == len(corpus) - 2
+
+
 def test_parser_is_built_once_per_process():
     assert cli._build_parser() is cli._build_parser()
 
@@ -361,10 +374,10 @@ SASAKIAN_H3 = (
     "argv, files, culprit",
     [
         (["check", "cocycle", "--builtin", "h3", "--two-form", "@{a}"],
-         {"a": "lieforge/1 structure\nkind two_form\nentry 1 7 = 1\n"}, None),
-        (["check", "kahler", "--algebra", "{a}", "--structure", "{b}"],
-         {"a": ABELIAN2, "b": "lieforge/1 structure\nkind kahler\nj row 1 = 0 -1\nj row 2 = 1 0\nomega entry 1 5 = 1\n"},
-         None),
+         {"a": "lieforge/1 structure\nkind two_form\nentry 1 7 = 1\n"}, "entry 1 7"),
+        (["check", "kahler", "--algebra", "{b}", "--structure", "{a}"],
+         {"a": "lieforge/1 structure\nkind kahler\nj row 1 = 0 -1\nj row 2 = 1 0\nomega entry 1 5 = 1\n", "b": ABELIAN2},
+         "omega entry 1 5"),
         (["check", "sasakian", "--builtin", "h3", "--structure", "{a}"],
          {"a": SASAKIAN_H3 + "phi row 3 = 0 0 0\n"}, "phi row 3"),
         (["check", "sasakian", "--builtin", "h3", "--structure", "{a}"],
@@ -389,10 +402,29 @@ SASAKIAN_H3 = (
          {"a": SASAKIAN_H3 + "foo = 1 2 3\n"}, "foo ="),
         (["check", "sasakian", "--builtin", "h3", "--structure", "{a}"],
          {"a": SASAKIAN_H3 + "bar row 1 = 1\n"}, "bar row"),
+        # a value that does not fit the algebra's dimension is refused on its own line
+        (["check", "sasakian", "--builtin", "h3", "--structure", "{a}"],
+         {"a": SASAKIAN_H3.replace("xi = 0 0 1", "xi = 0 0 1 0")}, "xi ="),
+        (["check", "sasakian", "--builtin", "h3", "--structure", "{a}"],
+         {"a": SASAKIAN_H3.replace("alpha = 0 0 1", "alpha = 0 0")}, "alpha ="),
+        (["check", "sasakian", "--builtin", "h3", "--structure", "{a}"],
+         {"a": SASAKIAN_H3 + "phi row 4 = 0 0 0\n"}, "phi row 4"),
+        (["check", "sasakian", "--builtin", "h3", "--structure", "{a}"],
+         {"a": SASAKIAN_H3.replace("phi row 3", "phi row 0")}, "phi row 0"),
+        (["check", "derivation", "--builtin", "h3", "--map", "@{a}"],
+         {"a": "lieforge/1 structure\nkind map\nrow 1 = 1 0 0\nrow 2 = 0 1\nrow 3 = 0 0 1\n"}, "row 2"),
+        (["check", "cocycle", "--builtin", "h3", "--two-form", "@{a}"],
+         {"a": "lieforge/1 structure\nkind two_form\nentry 1 4 = 1\n"}, "entry 1 4"),
+        (["check", "contact", "--builtin", "h3", "--form", "@{a}"],
+         {"a": "lieforge/1 structure\nkind form\nvalues 0 1\n"}, "values"),
+        (["check", "sasakian", "--builtin", "h3", "--structure", "{a}"],
+         {"a": "lieforge/1 structure\nkind kahler\nj row 1 = 0 -1\nj row 2 = 1 0\n"}, "kind kahler"),
     ],
     ids=["two-form-index", "kahler-omega-index", "repeated-map-row", "repeated-field",
          "repeated-two-form-entry", "repeated-bracket", "repeated-bracket-target", "repeated-dim",
-         "missing-xi", "missing-alpha", "missing-phi", "missing-values", "unknown-field", "unknown-map"],
+         "missing-xi", "missing-alpha", "missing-phi", "missing-values", "unknown-field", "unknown-map",
+         "long-xi", "short-alpha", "phi-row-past-dim", "phi-row-zero", "short-map-row",
+         "two-form-entry-past-dim", "short-form-values", "wrong-kind"],
 )
 def test_bad_structure_file_is_a_parse_error(argv, files, culprit, tmp_path, capsys):
     from lieforge.cli import main
@@ -404,7 +436,7 @@ def test_bad_structure_file_is_a_parse_error(argv, files, culprit, tmp_path, cap
     assert main([a.format(**paths) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-    if culprit is not None:  # the error points at the repeated or undeclared line
+    if culprit is not None:  # the error points at the repeated, undeclared or misfitting line
         assert f"(byte {files['a'].rindex(culprit)}," in err
 
 
@@ -453,6 +485,33 @@ def test_partial_or_missing_source_is_a_usage_error(argv, capsys):
 
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: need")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["check", "jacobi", "--builtin", "h3", "--structure", "/nonexistent.lf", "--form", "e9"], "--form"),
+        (["check", "contact", "--builtin", "h3", "--structure", "/nonexistent.lf"], "--structure"),
+        (["check", "kahler", "--builtin", "d4half", "--form", "e1", "--xi", "e2"], "--form"),
+        (["extend", "central", "--builtin", "h3", "--two-form", "0", "--dz", "1,2:3"], "--dz"),
+        (["solve", "derivations", "--builtin", "h3", "--form", "e1"], "--form"),
+        (["construct", "contact-ideal", "--builtin", "d4half", "--map", "E"], "--map"),
+        (["construct", "sasakian-reduction", "--builtin", "g5", "--map", "E", "--two-form", "e1^e2"], "--two-form"),
+        (["check", "jacobi", "--builtin", "h3", "--algebra", "/nonexistent.lf"], "--algebra"),
+    ],
+    ids=["jacobi-structure-form", "contact-structure", "kahler-form-xi", "central-dz", "derivations-form",
+         "contact-ideal-map", "reduction-map-two-form", "builtin-and-algebra"],
+)
+def test_a_flag_the_kind_does_not_read_is_a_usage_error(argv, flag, capsys):
+    # each of these once exited 0 with the flag ignored
+    from lieforge.cli import main
+
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: --builtin and --algebra exclude each other
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2 and "error: " in err and flag in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

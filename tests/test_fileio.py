@@ -87,7 +87,7 @@ def test_repeated_basis_labels_are_a_parse_error(tmp_path, capsys):
 def test_parse_error_offsets_count_utf8_bytes(head, bad):
     # a non-ASCII comment before the bad line: the offset is where that line starts in the UTF-8 file
     # (the parser is looked up here, not held by the parameters, where the benchmark tracer would find it)
-    parse = parse_algebra if "algebra" in head else parse_structure
+    parse = parse_algebra if "algebra" in head else (lambda text: parse_structure(text, "form", 2))
     with pytest.raises(ParseError) as err:
         parse(head + bad)
     assert err.value.offset == len(head.encode("utf-8")) > len(head)
@@ -95,25 +95,26 @@ def test_parse_error_offsets_count_utf8_bytes(head, bad):
 
 
 def test_parse_structure_kinds():
-    form = parse_structure("lieforge/1 structure\nkind form\nvalues 0 0 1\n")
-    assert form.forms["values"] == (Fraction(0), Fraction(0), Fraction(1))
-    two = parse_structure("lieforge/1 structure\nkind two_form\nentry 1 2 = 1\nentry 3 4 = -1\n")
-    assert two.two_forms["values"] == {(0, 1): Fraction(1), (2, 3): Fraction(-1)}
-    mp = parse_structure(
-        "lieforge/1 structure\nkind map\nrow 1 = 0 -1\nrow 2 = 1 0\n"
-    )
-    assert mp.matrix_of("values", 2) == ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0)))
-    sas = parse_structure(
+    (form,) = parse_structure("lieforge/1 structure\nkind form\nvalues 0 0 1\n", "form", 3)
+    assert form == KForm.basis_one_form(3, 2)
+    (two,) = parse_structure("lieforge/1 structure\nkind two_form\nentry 1 2 = 1\nentry 3 4 = -1\n", "two_form", 4)
+    assert two == KForm.two_form(4, {(0, 1): 1, (2, 3): -1})
+    (mp,) = parse_structure("lieforge/1 structure\nkind map\nrow 1 = 0 -1\nrow 2 = 1 0\n", "map", 2)
+    assert mp == ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0)))
+    xi, alpha, phi = parse_structure(
         "lieforge/1 structure\nkind sasakian\nxi = 0 0 1\nalpha = 0 0 1\n"
-        "phi row 1 = 0 -1 0\nphi row 2 = 1 0 0\nphi row 3 = 0 0 0\n"
+        "phi row 1 = 0 -1 0\nphi row 2 = 1 0 0\nphi row 3 = 0 0 0\n",
+        "sasakian",
+        3,
     )
-    assert sas.vectors["xi"] == (Fraction(0), Fraction(0), Fraction(1))
-    assert sas.matrix_of("phi", 3)[0][1] == Fraction(-1)
+    assert (xi, alpha, phi) == builtin("h3").sasakian_data
 
 
 def test_parse_structure_bad_kind():
-    with pytest.raises(ParseError):
-        parse_structure("lieforge/1 structure\nkind vectorsoup\n")
+    for kind in ("vectorsoup", "form"):
+        with pytest.raises(ParseError) as err:
+            parse_structure(f"lieforge/1 structure\nkind {kind}\n", "sasakian", 3)
+        assert (err.value.offset, err.value.fieldname) == (len("lieforge/1 structure\n"), "kind")
 
 
 def test_inline_forms():
