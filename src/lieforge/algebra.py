@@ -15,11 +15,13 @@ becomes Fractions once, one per output coordinate. Jacobi and the 2-cocycle
 test share one pairwise cyclic contraction (``_cyclic_failures``): per basis
 pair one packed sum (``linalg.pack``), O(n^3) big-int multiply-adds in all,
 and per triple three block reads and a test against 0. A triple that passes
-is never unpacked.
+is never unpacked. The packed Leibniz defect of an integer map
+(``_leibniz_defects``) serves the derivation test and the Nijenhuis torsion.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -149,6 +151,37 @@ def _bracket_ints(g: LieAlgebra, xs: Sequence[int], ys: Sequence[int]) -> list[i
                 for k, c in row[j]:
                     acc[k] += f * c
     return acc
+
+
+def _leibniz_defects(
+    g: LieAlgebra, ai: list[list[int]], bound: Callable[[int, int, int], int]
+) -> tuple[int, list[list[tuple[int, int]]], list[int], list[list[int]], dict[tuple[int, int], int]]:
+    """The Leibniz defects of the integer map A = ai, packed: (width, cols, a_col, left, defect).
+
+    With C = D*c from ``LieAlgebra._integer_terms``, cols[j] lists the nonzero
+    (r, A_rj), a_col[j] is column j of A, left[i][b] = sum_r A_ri C_rb is
+    D*[Ae_i, e_b], and defect[(i, j)], i < j in row-major order, is
+    A C_ij - left[i][j] + left[j][i]: D times the Leibniz defect
+    A[e_i,e_j] - [Ae_i,e_j] - [e_i,Ae_j], or da*D times that of ai/da. Every
+    vector is one packed int (``linalg.pack``), built by O(n^3) big-int
+    multiply-adds in all, at width slot_width(bound(n, a, c)) for a and c the
+    largest |ai| and |C|: the caller's bound covers every coordinate of what it
+    unpacks or tests against 0.
+    """
+    n = g.dim
+    _, terms, c = g._integer_terms
+    a = max(abs(x) for row in ai for x in row)
+    width = slot_width(bound(n, a, c))
+    cols = [[(r, ai[r][j]) for r in range(n) if ai[r][j]] for j in range(n)]
+    a_col = [pack(col, width) for col in cols]
+    c_rb = [[pack(row, width) for row in plane] for plane in terms]
+    left = [[sum(x * c_rb[r][b] for r, x in col) for b in range(n)] for col in cols]
+    defect = {
+        (i, j): sum(y * a_col[k] for k, y in terms[i][j]) - left[i][j] + left[j][i]
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    return width, cols, a_col, left, defect
 
 
 def _cyclic_failures(

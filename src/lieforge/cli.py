@@ -13,8 +13,9 @@ Each ``_cmd_*`` handler returns the command's ``CheckReport`` with the
 sections and the output algebra to print; ``run`` alone renders it, a
 refused precondition as its report, and sets the exit code: 0 when the
 report passes, 1 when it fails or a precondition rejects the input. Usage
-and parse errors exit 2 from ``main``. Output is deterministic byte for byte
-for identical invocations.
+and parse errors exit 2 from ``main``: a usage error, a bad inline value
+included, names its flag, and only a fault in a file has a byte offset.
+Output is deterministic byte for byte for identical invocations.
 
 The argparse parser is built once per process, on the first ``run``, and
 every later ``run`` in the process parses with that same parser.
@@ -48,7 +49,6 @@ from .algebra import LieAlgebra, center, check_jacobi
 from .catalog import BUILTINS, Builtin, builtin
 from .fileio import (
     STRUCTURE_KEYS,
-    ParseError,
     _scalar_at,
     parse_algebra,
     parse_form_inline,
@@ -59,7 +59,7 @@ from .fileio import (
     render_json,
     render_text,
 )
-from .forms import evaluation_sign
+from .forms import evaluation_sign, one_form_coords
 from .linalg import Matrix, fmt_scalar, fmt_vector, scalar, transpose
 from .report import CheckReport, LieforgeError, PreconditionError, fail, ok, require
 from .structures import (
@@ -69,7 +69,6 @@ from .structures import (
     check_frobenius,
     check_kahler,
     check_sasakian,
-    one_form_coords,
 )
 
 if TYPE_CHECKING:
@@ -171,8 +170,8 @@ def _read_algebra(args) -> tuple[LieAlgebra, Builtin | None]:
         b = builtin(args.builtin)
         return b.algebra, b
     if args.algebra:
-        return parse_algebra(_read_file(args.algebra, "algebra")), None
-    raise ParseError("need --builtin or --algebra", 0, "algebra")
+        return parse_algebra(_read_file(args.algebra, "--algebra")), None
+    raise LieforgeError("need --builtin or --algebra")
 
 
 def _load_algebra(args) -> tuple[LieAlgebra, Builtin | None]:
@@ -183,40 +182,41 @@ def _load_algebra(args) -> tuple[LieAlgebra, Builtin | None]:
     return g, b
 
 
-def _read_file(path: str, flag: str) -> str:
-    """The UTF-8 text of the file given to ``--flag``, CRLF kept for byte offsets; a file
-    that cannot be read or decoded is a usage error that names the flag and the path."""
+def _read_file(path: str, option: str) -> str:
+    """The UTF-8 text of the file given to ``option``, CRLF kept for byte offsets; a file
+    that cannot be read or decoded is a usage error that names the option and the path."""
     try:
         return Path(path).read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise LieforgeError(f"cannot read {_option(flag)} {path}: {exc}") from exc
+        raise LieforgeError(f"cannot read {option} {path}: {exc}") from exc
 
 
-def _value(spec: str | None, flag: str, dim: int, b: Builtin | None):
-    """The vector (xi), 1-form, two-form or map ``spec`` spells for ``--flag``, inline
-    or as @file of the structure kind named like the flag; None when absent."""
+def _value(spec: str | None, flag: str, dim: int, b: Builtin | None, option: str | None = None):
+    """The vector (xi), 1-form, two-form or map ``spec`` spells, inline or as @file of the
+    structure kind named like ``flag``, for ``option`` (``--flag`` by default); None when absent."""
     if spec is None:
         return None
+    option = option or _option(flag)
     if spec.startswith("@") and flag in STRUCTURE_KEYS:
-        (value,) = parse_structure(_read_file(spec[1:], flag), flag, dim)
+        (value,) = parse_structure(_read_file(spec[1:], option), flag, dim)
         return value
     if flag == "xi":
-        return parse_vector_inline(spec, dim)
+        return parse_vector_inline(spec, dim, option)
     if flag == "form":
-        return parse_form_inline(spec, dim)
+        return parse_form_inline(spec, dim, option)
     if flag == "two_form":
-        return parse_two_form_inline(spec, dim)
-    return parse_map_inline(spec, dim, dict(b.maps) if b is not None else {})
+        return parse_two_form_inline(spec, dim, option)
+    return parse_map_inline(spec, dim, dict(b.maps) if b is not None else {}, option)
 
 
 def _assemble_dz(base: Matrix, dz_spec: str) -> Matrix:
     """Append D(z) = w + s z to an n-dim map, z-row zero on the base."""
     w_str, colon, s_str = dz_spec.partition(":")
     if not colon:
-        raise ParseError("--dz needs 'w1,..,wn:s'", 0, "dz")
+        raise LieforgeError("--dz needs 'w1,..,wn:s'")
     n = len(base)
-    w = parse_vector_inline(w_str, n)
-    s = _scalar_at(s_str, 0, "dz")
+    w = parse_vector_inline(w_str, n, "--dz")
+    s = _scalar_at(s_str, None, "--dz")
     rows = [tuple(base[i]) + (w[i],) for i in range(n)]
     rows.append((Fraction(0),) * n + (s,))
     return tuple(rows)
@@ -226,7 +226,7 @@ def _required(args, flag: str, dim: int, b: Builtin | None):
     """The value of ``--flag``, or the usage error for its absence."""
     value = _value(getattr(args, flag), flag, dim, b)
     if value is None:
-        raise ParseError(f"need {_option(flag)}", 0, flag)
+        raise LieforgeError(f"need {_option(flag)}")
     return value
 
 
@@ -267,18 +267,18 @@ def _resolve(args, g: LieAlgebra, b: Builtin | None, name: str, inline: bool) ->
     source = _SOURCES[name]
     path = getattr(args, "structure", None)
     if name in STRUCTURE_KEYS and path:
-        return parse_structure(_read_file(path, "structure"), name, g.dim)
+        return parse_structure(_read_file(path, "--structure"), name, g.dim)
     spelled = "/".join(_option(flag) for flag in source.flags)
     given = [flag for flag in source.flags if getattr(args, flag, None) is not None] if inline else []
     if given and len(given) < len(source.flags):
-        raise ParseError(f"need all of {spelled} for inline {name} input", 0, name)
+        raise LieforgeError(f"need all of {spelled} for inline {name} input")
     if given:
         return tuple(_value(getattr(args, flag), flag, g.dim, b) for flag in source.flags)
     data = source.builtin(b) if b is not None else None
     if data is None:
         ways = [f"--structure (kind {name})"] if name in STRUCTURE_KEYS else []
         ways += [spelled] if inline else []
-        raise ParseError(f"need {name} data from {' or '.join(ways + ['a builtin that has it'])}", 0, name)
+        raise LieforgeError(f"need {name} data from {' or '.join(ways + ['a builtin that has it'])}")
     return data
 
 
@@ -328,18 +328,18 @@ def _parse_fix(spec: str, g: LieAlgebra, b: Builtin | None):
         if lam_str == "alpha":
             lam = Fraction(1)
         elif lam_str.endswith("*alpha"):
-            lam = _scalar_at(lam_str[: -len("*alpha")], 0, "fix")
+            lam = _scalar_at(lam_str[: -len("*alpha")], None, "--fix")
         else:
-            lam = _scalar_at(lam_str, 0, "fix")
-        return FormEigen(parse_form_inline(form_str, g.dim), lam)
+            lam = _scalar_at(lam_str, None, "--fix")
+        return FormEigen(parse_form_inline(form_str, g.dim, "--fix"), lam)
     if spec.startswith("commute:"):
-        return Commute(_value(spec[len("commute:") :], "map", g.dim, b))
+        return Commute(_value(spec[len("commute:") :], "map", g.dim, b, "--fix"))
     if spec.startswith("sends:"):
         v_str, arrow, w_str = spec[len("sends:") :].partition("->")
         if not arrow:
-            raise ParseError("sends constraint needs 'sends:V->W'", 0, "fix")
-        return Sends(parse_vector_inline(v_str, g.dim), parse_vector_inline(w_str, g.dim))
-    raise ParseError(f"bad constraint {spec!r}", 0, "fix")
+            raise LieforgeError("--fix sends constraint needs 'sends:V->W'")
+        return Sends(parse_vector_inline(v_str, g.dim, "--fix"), parse_vector_inline(w_str, g.dim, "--fix"))
+    raise LieforgeError(f"bad --fix constraint {spec!r}")
 
 
 def _cmd_check(args) -> tuple[CheckReport, tuple, LieAlgebra | None]:
@@ -414,7 +414,7 @@ def _cmd_construct(args) -> tuple[CheckReport, tuple, LieAlgebra | None]:
     elif args.kind == "sasakian-double":
         theta = _required(args, "two_form", g.dim, b)
         d = _extension_map(args, g, b)
-        c = _scalar_at(args.w_scale, 0, "w-scale") if args.w_scale else None
+        c = _scalar_at(args.w_scale, None, "--w-scale") if args.w_scale else None
         params = solve_double_extension_params(g, *sources, theta, d, c)
         result, report, structure = sasakian_double_extension(g, *sources, theta, d, params)
         notes = (
@@ -453,9 +453,7 @@ def _cmd_solve(args) -> tuple[CheckReport, tuple, LieAlgebra | None]:
 
 def _cmd_builtin(args) -> tuple[CheckReport, tuple, LieAlgebra | None]:
     if args.name not in BUILTINS:
-        raise ParseError(
-            f"unknown builtin {args.name!r}; valid names: {', '.join(sorted(BUILTINS))}", 0, "builtin"
-        )
+        raise LieforgeError(f"unknown builtin {args.name!r}; valid names: {', '.join(sorted(BUILTINS))}")
     b = builtin(args.name)
     g = b.algebra
     sections = []
@@ -501,7 +499,7 @@ def run(argv: list[str]) -> tuple[str, int]:
         reads = _COMMANDS[args.command][1][args.kind][1].split()
         unread = [flag for flag in _FLAGS if flag not in reads and getattr(args, flag, None) not in (None, False, [])]
         if unread:
-            raise ParseError(f"{args.command} {args.kind} does not read {_option(unread[0])}", 0, unread[0])
+            raise LieforgeError(f"{args.command} {args.kind} does not read {_option(unread[0])}")
     handlers = {
         "check": _cmd_check,
         "extend": _cmd_extend,
@@ -522,7 +520,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else argv
     try:
         rendered, code = run(argv)
-    # ParseError and an input file that cannot be read (see _read_file) are LieforgeErrors
+    # usage errors, file faults (fileio.ParseError) and unreadable files (see _read_file) are LieforgeErrors
     except LieforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

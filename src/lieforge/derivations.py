@@ -8,16 +8,15 @@ the others scaled, with their right-hand sides, by the common denominators of
 their data. The elimination makes every row primitive, so their scale does
 not matter. ``is_derivation``
 tests the Leibniz rule on the packed integer defect that the Nijenhuis
-torsion kernel also starts from (``structures._leibniz_defects``).
+torsion kernel also starts from (``algebra._leibniz_defects``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
-from .algebra import LieAlgebra, Subspace
+from .algebra import LieAlgebra, Subspace, _leibniz_defects
 from .forms import KForm
 from .linalg import (
     Matrix,
@@ -25,6 +24,8 @@ from .linalg import (
     clear_denominators,
     fmt_basis_tuple,
     fmt_vector,
+    int_apply,
+    int_matrix,
     is_square,
     nullspace,
     solve_affine,
@@ -33,14 +34,13 @@ from .linalg import (
     zero_vector,
 )
 from .report import CheckReport, DimensionMismatch, fail, ok
-from .structures import _int_matrix, _leibniz_defects
 
 
 def is_derivation(g: LieAlgebra, d: Matrix) -> CheckReport:
     """Leibniz rule D[e_i,e_j] = [De_i,e_j] + [e_i,De_j] on all pairs.
 
     With the map A = ai/da and C = D*c over integers, each pair's defect is
-    one packed int from ``structures._leibniz_defects``, da*D times
+    one packed int from ``algebra._leibniz_defects``, da*D times
     A[e_i,e_j] - [Ae_i,e_j] - [e_i,Ae_j], tested against 0: O(n^3) big-int
     multiply-adds in all. Only a failing pair is unpacked, into its two sides
     A C_ij and L[i][j] - L[j][i], L[i][b] = D*da*[Ae_i, e_b]. With a and c the
@@ -51,7 +51,7 @@ def is_derivation(g: LieAlgebra, d: Matrix) -> CheckReport:
     n = g.dim
     if not is_square(d, n):
         raise DimensionMismatch("map does not match algebra dimension")
-    ai, da = _int_matrix(d)
+    ai, da = int_matrix(d)
     lcd, terms, _ = g._integer_terms
     den = lcd * da
     width, _, a_col, left, defect = _leibniz_defects(g, ai, lambda n, a, c: 3 * n * a * c)
@@ -152,12 +152,12 @@ def _commute_rows(g: LieAlgebra, a: Matrix, on: Subspace | None) -> tuple[list[l
     """da*dv times the equations D(Av) = A(Dv), for each v of the subspace (every e_j without one), as
     integer rows, A = ai/da and v = vi/dv: component k is sum_j (ai vi)_j D[k][j] - sum_i,j ai[k][i] vi[j] D[i][j]."""
     n = g.dim
-    ai, _ = _int_matrix(a)
+    ai, _ = int_matrix(a)
     vectors = on.rows if on is not None else tuple(g.basis_vector(j) for j in range(n))
     rows: list[list[int]] = []
     for v in vectors:
         vi, _ = clear_denominators(v)
-        av = [sum(map(mul, row, vi)) for row in ai]
+        av = int_apply(ai, vi)
         support = [(j, x) for j, x in enumerate(vi) if x]
         for k in range(n):
             row = [0] * (n * n)

@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 from .algebra import LieAlgebra
 from .derivations import is_derivation
-from .forms import KForm, _d_two_form, radical
-from .linalg import Matrix, fmt_vector, is_square, is_zero_matrix
+from .forms import KForm, _d_two_form, kirillov_form, radical
+from .linalg import Matrix, fmt_vector, int_matrix, is_square, is_zero_matrix
 from .report import CheckReport, DimensionMismatch, fail, ok, refusal, require
-from .structures import _int_matrix, kirillov_form
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,7 @@ def is_cocycle(g: LieAlgebra, theta: KForm) -> CheckReport:
             "cocycle(" + ",".join(g.labels[i] for i in idxs) + ")",
             f"d(theta) = {value}",
         )
-        for idxs, value in _d_two_form(g, *_int_matrix(theta.as_matrix()))
+        for idxs, value in _d_two_form(g, *int_matrix(theta.as_matrix()))
     )
     return CheckReport(failures or (ok("cocycle_d_theta_zero"),))
 

@@ -28,9 +28,9 @@ appear once per file: a repeated field, map row, two-form entry, bracket or
 basis label is a parse error. ``parse_structure`` reads a file of the kind
 its caller expects at the algebra's dimension and returns typed values, so a
 wrong kind, a vector or row of the wrong length and an index past the
-dimension are refused at their line. Parse errors carry the byte offset of
-the offending line; only a missing key or map row, which has no line, reports
-byte 0.
+dimension are refused at their line. File faults (``ParseError``) carry the
+byte offset of the offending line; only a missing key or map row, which has
+no line, reports byte 0. A fault in an inline value names its flag instead.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from fractions import Fraction
 
 from .algebra import LieAlgebra
 from .forms import KForm
-from .linalg import Matrix, Vector, diagonal, fmt_scalar, identity, scalar, vector, zero_matrix
+from .linalg import Matrix, Vector, diagonal, fmt_scalar, identity, scalar, zero_matrix
 from .report import CheckReport, LieforgeError
 
 FORMAT_TAG = "lieforge/1"
@@ -70,16 +70,22 @@ def _expect_header(text: str, kind: str) -> list[tuple[int, str]]:
     return entries[1:]
 
 
-def _scalar_at(token: str, offset: int, fieldname: str) -> Fraction:
+def _fault(message: str, offset: int | None, fieldname: str) -> LieforgeError:
+    """A fault at byte ``offset`` of a file, in field ``fieldname``; with no offset, a fault in the
+    value of the command-line flag ``fieldname``, which the message names in place of a position."""
+    return LieforgeError(f"{message} in {fieldname}") if offset is None else ParseError(message, offset, fieldname)
+
+
+def _scalar_at(token: str, offset: int | None, fieldname: str) -> Fraction:
     try:
         return scalar(token)
     except (ValueError, ZeroDivisionError, TypeError):
-        raise ParseError(f"bad rational {token!r}", offset, fieldname)
+        raise _fault(f"bad rational {token!r}", offset, fieldname)
 
 
-def _vector_at(tokens: list[str], offset: int, fieldname: str, dim: int) -> Vector:
+def _vector_at(tokens: list[str], offset: int | None, fieldname: str, dim: int) -> Vector:
     if len(tokens) != dim:
-        raise ParseError(f"{fieldname} needs {dim} entries", offset, fieldname)
+        raise _fault(f"expected {dim} entries", offset, fieldname)
     return tuple(_scalar_at(t, offset, fieldname) for t in tokens)
 
 
@@ -239,76 +245,74 @@ def _parse_two_form_entry(entries: dict[tuple[int, int], Fraction], tokens: list
 
 
 # ---------------------------------------------------------------------------
-# inline argument syntax for the command line
+# inline argument syntax for the command line: a fault is a LieforgeError that
+# names the flag the value was given to, ``flag``, and no byte offset
 
 _TERM = re.compile(r"([+-]?)\s*([0-9][0-9/]*)?\s*\*?\s*e([0-9]+)(?:\^e([0-9]+))?$")
 
 
-def _inline_terms(spec: str, degree: int, fieldname: str):
+def _inline_terms(spec: str, degree: int, flag: str):
     """(term, signed coefficient, 0-based indices) of each term of an inline 1- or 2-form;
     an empty spec is an error, zero is spelled "0"."""
     terms = [t for t in re.split(r"(?=[+-])", spec.replace(" ", "")) if t]
     if not terms:
-        raise ParseError(f"empty {fieldname} spec; write 0 for zero", 0, fieldname)
+        raise LieforgeError(f"empty {flag} spec; write 0 for zero")
     for term in terms:
         m = _TERM.match(term)
         if not m or (m.group(4) is None) != (degree == 1):
-            raise ParseError(f"bad {degree}-form term {term!r}", 0, fieldname)
-        coef = _scalar_at(m.group(2), 0, fieldname) if m.group(2) else Fraction(1)
+            raise LieforgeError(f"bad {degree}-form term {term!r} in {flag}")
+        coef = _scalar_at(m.group(2), None, flag) if m.group(2) else Fraction(1)
         yield term, -coef if m.group(1) == "-" else coef, tuple(int(i) - 1 for i in m.groups()[2:] if i)
 
 
-def parse_form_inline(spec: str, dim: int) -> KForm:
+def parse_form_inline(spec: str, dim: int, flag: str = "--form") -> KForm:
     """1-form syntax: "e3", "e3+e5", "2e1-1/2e3", "0"."""
     if spec.strip() == "0":
         return KForm.zero(dim, 1)
     coords = [Fraction(0)] * dim
-    for _, value, (idx,) in _inline_terms(spec, 1, "form"):
+    for _, value, (idx,) in _inline_terms(spec, 1, flag):
         if not 0 <= idx < dim:
-            raise ParseError(f"index e{idx + 1} out of range", 0, "form")
+            raise LieforgeError(f"index e{idx + 1} out of range in {flag}")
         coords[idx] += value
     return KForm.one_form(dim, coords)
 
 
-def parse_two_form_inline(spec: str, dim: int) -> KForm:
+def parse_two_form_inline(spec: str, dim: int, flag: str = "--two-form") -> KForm:
     """2-form syntax: "0", "e1^e2", "e1^e2-e3^e4", "1/2e1^e3"."""
     if spec.strip() == "0":
         return KForm.zero(dim, 2)
     entries: dict[tuple[int, int], Fraction] = {}
-    for term, value, (i, j) in _inline_terms(spec, 2, "two-form"):
+    for term, value, (i, j) in _inline_terms(spec, 2, flag):
         if not (0 <= i < dim and 0 <= j < dim and i != j):
-            raise ParseError(f"bad index pair in {term!r}", 0, "two-form")
+            raise LieforgeError(f"bad index pair {term!r} in {flag}")
         if i > j:
             i, j, value = j, i, -value
         entries[(i, j)] = entries.get((i, j), Fraction(0)) + value
     return KForm.two_form(dim, entries)
 
 
-def parse_map_inline(spec: str, dim: int, named: dict[str, Matrix] | None = None) -> Matrix:
+def parse_map_inline(spec: str, dim: int, named: dict[str, Matrix] | None = None, flag: str = "--map") -> Matrix:
     """Map syntax: "diag:1/2,1/2,1", "zero", "id", or a named builtin map."""
     spec = spec.strip()
     if named and spec in named:
         m = named[spec]
         if len(m) != dim:
-            raise ParseError(f"named map {spec!r} has wrong dimension", 0, "map")
+            raise LieforgeError(f"named map {spec!r} has wrong dimension in {flag}")
         return m
     if spec == "zero":
         return zero_matrix(dim)
     if spec == "id":
         return identity(dim)
     if spec.startswith("diag:"):
-        return diagonal(_vector_at(spec[len("diag:") :].split(","), 0, "diag", dim))
-    raise ParseError(f"bad map spec {spec!r}", 0, "map")
+        return diagonal(_vector_at(spec[len("diag:") :].split(","), None, flag, dim))
+    raise LieforgeError(f"bad map spec {spec!r} in {flag}")
 
 
-def parse_vector_inline(spec: str, dim: int) -> Vector:
+def parse_vector_inline(spec: str, dim: int, flag: str = "--xi") -> Vector:
     """Vector syntax: "e2", "1,0,0", "0"."""
-    spec = spec.strip()
-    if spec == "0":
-        return vector([0] * dim)
     if "," in spec:
-        return _vector_at(spec.split(","), 0, "vector", dim)
-    form = parse_form_inline(spec, dim)
+        return _vector_at(spec.split(","), None, flag, dim)
+    form = parse_form_inline(spec, dim, flag)
     return tuple(form.coeff((i,)) for i in range(dim))
 
 

@@ -17,9 +17,11 @@ of d(alpha) (``linalg.sub_pfaffians``, O(n^3)), which also give the Reeb
 vector.
 
 d(alpha) of a 1-form is built once per check, as an integer skew matrix
-over one denominator (``_dalpha``), and d(theta) of a 2-form comes from the
-pairwise cyclic contraction of ``algebra._cyclic_failures`` (``_d_two_form``);
-``ce_differential`` stays the general path.
+over one denominator (``_dalpha``); the Kirillov form B_phi = -d(phi) of
+``kirillov_form`` and the structure checks read it there (``_kirillov``).
+d(theta) of a 2-form comes from the pairwise cyclic contraction of
+``algebra._cyclic_failures`` (``_d_two_form``); ``ce_differential`` stays
+the general path.
 """
 
 from __future__ import annotations
@@ -242,6 +244,31 @@ def _dalpha(g: LieAlgebra, coords: Sequence[Fraction]) -> tuple[list[list[int]],
             x = -sum(a[k] * c for k, c in terms[i][j])
             out[i][j], out[j][i] = x, -x
     return out, d * da
+
+
+def one_form_coords(alpha: KForm) -> Vector:
+    if alpha.degree != 1:
+        raise DimensionMismatch("expected a 1-form")
+    return tuple(alpha.coeff((i,)) for i in range(alpha.dim))
+
+
+def apply_one_form(alpha: KForm, v: Vector) -> Fraction:
+    return sum((c * x for c, x in zip(one_form_coords(alpha), v, strict=True)), ZERO)
+
+
+def _kirillov(g: LieAlgebra, phi: KForm) -> tuple[Vector, list[list[int]], int, KForm]:
+    """(coords, da, den, B): phi's coordinates, d(phi) = da/den (``_dalpha``) and B_phi = -d(phi)."""
+    if phi.degree != 1 or phi.dim != g.dim:
+        raise DimensionMismatch("expected a 1-form on the algebra")
+    coords = one_form_coords(phi)
+    da, den = _dalpha(g, coords)
+    coeffs = {(i, j): Fraction(-x, den) for i, row in enumerate(da) for j, x in enumerate(row) if i < j}
+    return coords, da, den, KForm.from_coeffs(g.dim, 2, coeffs)
+
+
+def kirillov_form(g: LieAlgebra, phi: KForm) -> KForm:
+    """B_phi(x, y) = phi([x, y]); equals -d(phi)."""
+    return _kirillov(g, phi)[3]
 
 
 def _d_two_form(g: LieAlgebra, t: list[list[int]], dt: int) -> list[tuple[tuple[int, int, int], Fraction]]:

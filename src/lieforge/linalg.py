@@ -43,6 +43,8 @@ constant kernels in algebra and structures size the slots from a bound they
 compute from their own inputs; so does sub_pfaffians, the fraction-free skew
 elimination that the contact and Frobenius checks read off. There is no
 separate Pfaffian: Pf([[0, r], [-r^T, m']]) is sub_pfaffians(m') . r.
+int_matrix writes a map as integers over one denominator, and int_mul and
+int_apply are the integer products that the checks and constructions share.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ import sys
 from array import array
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from .report import DimensionMismatch
@@ -151,6 +154,24 @@ def clear_denominators(v: Sequence[Fraction]) -> tuple[list[int], int]:
     ratios = [x.as_integer_ratio() for x in v]
     d = lcm(*[q for _, q in ratios])
     return [p * (d // q) for p, q in ratios], d
+
+
+def int_matrix(m: Matrix) -> tuple[list[list[int]], int]:
+    """(rows, d) with m == rows / d for a square m, d the least common denominator."""
+    n = len(m)
+    flat, d = clear_denominators([x for row in m for x in row])
+    return [flat[r * n : (r + 1) * n] for r in range(n)], d
+
+
+def int_apply(m: Iterable[Sequence[int]], v: Sequence[int]) -> list[int]:
+    """The integer product m v, m given by its rows."""
+    return [sum(map(mul, row, v)) for row in m]
+
+
+def int_mul(a: Iterable[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The integer product a b, row by row through ``int_apply`` on the columns of b."""
+    cols = list(zip(*b))
+    return [int_apply(cols, row) for row in a]
 
 
 def vector_over(ints: Sequence[int], d: int) -> Vector:

@@ -1,7 +1,8 @@
-"""Per-axiom verdict reports shared by all verifiers."""
+"""Per-axiom verdict reports and the item helpers shared by all verifiers."""
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 
@@ -58,6 +59,12 @@ def fail(name: str, witness: str) -> CheckItem:
 
 def passed(name: str, condition: bool, witness: str) -> CheckItem:
     return CheckItem(name, condition, None if condition else witness)
+
+
+def first_failure(name: str, hit, witness: Callable[..., str]) -> CheckItem:
+    """The item ``name`` of a search for a first failing vector or pair: it passes when ``hit``
+    is None and otherwise fails with ``witness(hit)``, so a passing item formats nothing."""
+    return CheckItem(name, hit is None, None if hit is None else witness(hit))
 
 
 class LieforgeError(ValueError):

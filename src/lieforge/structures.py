@@ -11,18 +11,19 @@ The contact and Sasakian checks compute d(alpha) once per call, as integers
 over one denominator (``forms._dalpha``), and test every identity on integer
 products cross-multiplied by their denominators; ``check_kahler`` tests J^2,
 omega(J., J.), d(omega) (``forms._d_two_form``) and the metric on the
-integer matrices of J and omega the same way. Fractions are made only for
-the results, the notes and the witness of an item that fails. The contact
-check and a passing Frobenius check read the Reeb vector, its certificate
-and the principal element off one skew elimination (``linalg.sub_pfaffians``,
-see ``check_contact`` and ``_principal``), with no Gauss-Jordan solve.
+integer matrices of J and omega (``linalg.int_matrix``) the same way.
+Fractions are made only for the results, the notes and the witness of an item
+that fails (``report.first_failure``). The contact check and a passing
+Frobenius check read the Reeb vector, its certificate and the principal
+element off one skew elimination (``linalg.sub_pfaffians``, see
+``check_contact`` and ``_principal``), with no Gauss-Jordan solve.
 
 Both read the Nijenhuis torsion as integers, not through the public
 ``nijenhuis``, which builds a Fraction table. ``_packed_torsion`` packs each
 integer vector into one int (``linalg.pack``): O(n^3) big-int multiply-adds
 in all, and one unpack per basis pair. It starts from the packed Leibniz
-defect of ``_leibniz_defects``, which ``derivations.is_derivation`` tests
-against 0 by itself. ``check_kahler`` tests each packed pair against 0
+defect of ``algebra._leibniz_defects``, which ``derivations.is_derivation``
+tests against 0 by itself. ``check_kahler`` tests each packed pair against 0
 (``_first_torsion``), ``check_sasakian`` compares it with -d(alpha) (x) xi;
 both unpack only a failing pair and test J^2 or Phi^2 on the packed columns
 of the map (``_square_mismatch``). Metric identities that other items imply
@@ -50,8 +51,8 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .algebra import LieAlgebra
-from .forms import KForm, _d_two_form, _dalpha, _top_contact
+from .algebra import LieAlgebra, _leibniz_defects
+from .forms import KForm, _d_two_form, _dalpha, _kirillov, _top_contact, one_form_coords
 from .linalg import (
     Matrix,
     Vector,
@@ -60,18 +61,20 @@ from .linalg import (
     fmt_basis_tuple,
     fmt_scalar,
     fmt_vector,
+    int_apply,
+    int_matrix,
+    int_mul,
     is_square,
     is_zero_vector,
     nullspace,
     pack,
     positive_definite,
-    slot_width,
     sub_pfaffians,
     transpose,
     unpack,
     vector_over,
 )
-from .report import CheckItem, CheckReport, DimensionMismatch, PreconditionError, ok, passed
+from .report import CheckItem, CheckReport, DimensionMismatch, PreconditionError, first_failure, ok, passed
 
 
 @dataclass(frozen=True)
@@ -126,43 +129,6 @@ def _bind(structure, g: LieAlgebra, **checked):
     return structure
 
 
-def one_form_coords(alpha: KForm) -> Vector:
-    if alpha.degree != 1:
-        raise DimensionMismatch("expected a 1-form")
-    return tuple(alpha.coeff((i,)) for i in range(alpha.dim))
-
-
-def apply_one_form(alpha: KForm, v: Vector) -> Fraction:
-    return sum((c * x for c, x in zip(one_form_coords(alpha), v, strict=True)), ZERO)
-
-
-def _int_matrix(m: Matrix) -> tuple[list[list[int]], int]:
-    """(rows, d) with m == rows / d for a square m, d the least common denominator."""
-    n = len(m)
-    flat, d = clear_denominators([x for row in m for x in row])
-    return [flat[r * n : (r + 1) * n] for r in range(n)], d
-
-
-def _int_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-
-def _kirillov(g: LieAlgebra, phi: KForm) -> tuple[Vector, list[list[int]], int, KForm]:
-    """(coords, da, den, B): phi's coordinates, d(phi) = da/den (``_dalpha``) and B_phi = -d(phi)."""
-    if phi.degree != 1 or phi.dim != g.dim:
-        raise DimensionMismatch("expected a 1-form on the algebra")
-    coords = one_form_coords(phi)
-    da, den = _dalpha(g, coords)
-    coeffs = {(i, j): Fraction(-x, den) for i, row in enumerate(da) for j, x in enumerate(row) if i < j}
-    return coords, da, den, KForm.from_coeffs(g.dim, 2, coeffs)
-
-
-def kirillov_form(g: LieAlgebra, phi: KForm) -> KForm:
-    """B_phi(x, y) = phi([x, y]); equals -d(phi)."""
-    return _kirillov(g, phi)[3]
-
-
 def principal_element(g: LieAlgebra, phi: KForm) -> Vector:
     """The unique x with phi(ad(x) y) = phi(y) for all y."""
     x_p = _principal(*_kirillov(g, phi)[:3])
@@ -190,11 +156,14 @@ def check_frobenius(g: LieAlgebra, phi: KForm) -> tuple[CheckReport, FrobeniusSt
     """Even dimension and nondegenerate Kirillov form; computes the principal element."""
     coords, da, den, b = _kirillov(g, phi)
     x_p = _principal(coords, da, den)
-    witness = "" if x_p is not None else f"radical contains {fmt_vector(nullspace(da, g.dim)[0], g.labels)}"
     report = CheckReport(
         (
             passed("even_dimension", g.dim % 2 == 0, f"dim = {g.dim}"),
-            passed("kirillov_nondegenerate", x_p is not None, witness),
+            first_failure(  # the hit is the degenerate d(phi)
+                "kirillov_nondegenerate",
+                da if x_p is None else None,
+                lambda m: f"radical contains {fmt_vector(nullspace(m, g.dim)[0], g.labels)}",
+            ),
         )
     )
     if x_p is None:  # an odd dimension leaves a radical, so this is every failing report
@@ -247,7 +216,7 @@ def nijenhuis(g: LieAlgebra, a: Matrix) -> NijenhuisTable:
     if not is_square(a, g.dim):
         raise DimensionMismatch("map does not match algebra dimension")
     n = g.dim
-    ai, da = _int_matrix(a)
+    ai, da = int_matrix(a)
     width, _, torsion = _packed_torsion(g, ai)
     den = da * da * g._integer_terms[0]
     table = [[(ZERO,) * n] * n for _ in range(n)]
@@ -257,42 +226,11 @@ def nijenhuis(g: LieAlgebra, a: Matrix) -> NijenhuisTable:
     return NijenhuisTable(n, tuple(tuple(row) for row in table))
 
 
-def _leibniz_defects(
-    g: LieAlgebra, ai: list[list[int]], bound: Callable[[int, int, int], int]
-) -> tuple[int, list[list[tuple[int, int]]], list[int], list[list[int]], dict[tuple[int, int], int]]:
-    """The Leibniz defects of the integer map A = ai, packed: (width, cols, a_col, left, defect).
-
-    With C = D*c from ``LieAlgebra._integer_terms``, cols[j] lists the nonzero
-    (r, A_rj), a_col[j] is column j of A, left[i][b] = sum_r A_ri C_rb is
-    D*[Ae_i, e_b], and defect[(i, j)], i < j in row-major order, is
-    A C_ij - left[i][j] + left[j][i]: D times the Leibniz defect
-    A[e_i,e_j] - [Ae_i,e_j] - [e_i,Ae_j], or da*D times that of ai/da. Every
-    vector is one packed int (``linalg.pack``), built by O(n^3) big-int
-    multiply-adds in all, at width slot_width(bound(n, a, c)) for a and c the
-    largest |ai| and |C|: the caller's bound covers every coordinate of what it
-    unpacks or tests against 0.
-    """
-    n = g.dim
-    _, terms, c = g._integer_terms
-    a = max(abs(x) for row in ai for x in row)
-    width = slot_width(bound(n, a, c))
-    cols = [[(r, ai[r][j]) for r in range(n) if ai[r][j]] for j in range(n)]
-    a_col = [pack(col, width) for col in cols]
-    c_rb = [[pack(row, width) for row in plane] for plane in terms]
-    left = [[sum(x * c_rb[r][b] for r, x in col) for b in range(n)] for col in cols]
-    defect = {
-        (i, j): sum(y * a_col[k] for k, y in terms[i][j]) - left[i][j] + left[j][i]
-        for i in range(n)
-        for j in range(i + 1, n)
-    }
-    return width, cols, a_col, left, defect
-
-
 def _packed_torsion(
     g: LieAlgebra, ai: list[list[int]], bound: Callable[[int, int, int], int] = lambda n, a, c: 4 * n * n * a * a * c
 ) -> tuple[int, list[int], dict[tuple[int, int], int]]:
     """The torsion of the map A = ai/da, packed: (width, a_col, N), with a_col the packed columns
-    of ai (``_leibniz_defects``) and N[(i, j)], i < j, da^2*D times N(e_i, e_j).
+    of ai (``algebra._leibniz_defects``) and N[(i, j)], i < j, da^2*D times N(e_i, e_j).
 
     With inner, left and cols the packed Leibniz defect, L[i][b] and the
     columns of ``_leibniz_defects``, N(e_i, e_j) = A(inner) + sum_b A_bj L[i][b]:
@@ -369,39 +307,39 @@ def check_kahler(g: LieAlgebra, j: Matrix, omega: KForm) -> tuple[CheckReport, K
         raise DimensionMismatch("map does not match algebra dimension")
     if omega.degree != 2 or omega.dim != n:
         raise DimensionMismatch("expected a 2-form on the algebra")
-    ji, dj = _int_matrix(j)
-    om, do = _int_matrix(omega.as_matrix())
+    ji, dj = int_matrix(j)
+    om, do = int_matrix(omega.as_matrix())
     s = dj * dj
     packed = _packed_torsion(g, ji, lambda n, a, c: 4 * n * n * a * a * c + n * a * a + s)
     width, a_col, _ = packed
     wrong = _square_mismatch(ji, a_col, width, 1, [-s << width * k for k in range(n)])
-    witness = "" if wrong is None else f"J^2({g.labels[wrong[0]]}) = {fmt_vector(vector_over(wrong[1], s), g.labels)}"
-    items = [passed("complex_square_identity", wrong is None, witness)]
     bad = _first_torsion(g, packed, dj)
-    witness = "" if bad is None else f"N_J{fmt_basis_tuple(bad[0], g.labels)} = {fmt_vector(bad[1], g.labels)}"
-    items.append(passed("complex_integrable", bad is None, witness))
     domega = KForm(n, 3, tuple(_d_two_form(g, om, do)))
-    items.append(
-        passed("symplectic_closed", domega.is_zero(), f"d(omega) = {domega.describe(g.labels)}")
-    )
-    metric = _int_mul(om, ji)
+    metric = int_mul(om, ji)
     metric_items, rows, notes = _metric_checks(g, metric, do * dj, "omega(x, Jy) is not symmetric")
     bad_inv = None
     if wrong is not None or not metric_items[0].passed:
-        invariant = _int_mul(transpose(ji), metric)
-        bad_inv = next(
-            ((a, b) for a in range(n) for b in range(a + 1, n) if invariant[a][b] != s * om[a][b]),
-            None,
-        )
-    witness = (
-        ""
-        if bad_inv is None
-        else f"omega(J.,J.) {fmt_basis_tuple(bad_inv, g.labels)}: "
-        f"{fmt_scalar(Fraction(invariant[bad_inv[0]][bad_inv[1]], do * s))} != "
-        f"{fmt_scalar(Fraction(om[bad_inv[0]][bad_inv[1]], do))}"
+        invariant = int_mul(transpose(ji), metric)
+        bad_inv = next(((a, b) for a in range(n) for b in range(a + 1, n) if invariant[a][b] != s * om[a][b]), None)
+    items = (
+        first_failure(
+            "complex_square_identity",
+            wrong,
+            lambda w: f"J^2({g.labels[w[0]]}) = {fmt_vector(vector_over(w[1], s), g.labels)}",
+        ),
+        first_failure(
+            "complex_integrable", bad, lambda t: f"N_J{fmt_basis_tuple(t[0], g.labels)} = {fmt_vector(t[1], g.labels)}"
+        ),
+        passed("symplectic_closed", domega.is_zero(), f"d(omega) = {domega.describe(g.labels)}"),
+        first_failure(
+            "symplectic_j_invariant",
+            bad_inv,
+            lambda pair: f"omega(J.,J.) {fmt_basis_tuple(pair, g.labels)}: "
+            f"{fmt_scalar(Fraction(invariant[pair[0]][pair[1]], do * s))} != "
+            f"{fmt_scalar(Fraction(om[pair[0]][pair[1]], do))}",
+        ),
     )
-    items.append(passed("symplectic_j_invariant", bad_inv is None, witness))
-    report = CheckReport(tuple(items) + metric_items, notes)
+    report = CheckReport(items + metric_items, notes)
     if not report.overall:
         return report, None
     return report, _bind(KahlerStructure(j, omega, rows), g)
@@ -436,15 +374,12 @@ def check_sasakian(
     if len(reeb) != g.dim or not is_square(phi, g.dim):
         raise DimensionMismatch("structure data does not match algebra dimension")
     n = g.dim
-    duals = tuple(f"{l}*" for l in g.labels)
     coords = one_form_coords(alpha)
     a, dal = clear_denominators(coords)
     r, dr = clear_denominators(reeb)
-    p, dp = _int_matrix(phi)
+    p, dp = int_matrix(phi)
     da, den = _dalpha(g, coords)
-    items = []
     pairing = Fraction(sum(x * y for x, y in zip(a, r)), dal * dr)
-    items.append(passed("alpha_reeb_pairing", pairing == 1, f"alpha(xi) = {fmt_scalar(pairing)}"))
     # N_Phi(e_i, e_j) over dt = dp^2*D against -d(alpha)(e_i, e_j) xi over den*dr: with
     # u = den*dr/h and v = dt/h, h their gcd, the packed N*u + d(alpha)_ij*v*xi is 0 for each
     # pair; s*Phi^2 e_k over s*dp^2 against (xi (x) alpha - Id) e_k = (a_k xi - s e_k) over s,
@@ -458,47 +393,55 @@ def check_sasakian(
     width, a_col, torsion = _packed_torsion(g, p, lambda n, a, c: (4 * n * c * u + s) * n * a * a + big)
     xi = pack(enumerate(r), width)
     wrong = _square_mismatch(p, a_col, width, s, [dp * dp * (x * xi - (s << width * k)) for k, x in enumerate(a)])
-    k, square = wrong or (0, None)
-    witness = (
-        ""
-        if wrong is None
-        else f"Phi^2({g.labels[k]}) = {fmt_vector(vector_over(square, dp * dp), g.labels)}, expected "
-        f"{fmt_vector(vector_over([y * a[k] - (s if i == k else 0) for i, y in enumerate(r)], s), g.labels)}"
-    )
-    items.append(passed("phi_square_identity", wrong is None, witness))
     bad_pair = next(((i, j) for (i, j), t in torsion.items() if t * u + da[i][j] * v * xi), None)
-    witness = (
-        ""
-        if bad_pair is None
-        else f"N_Phi{fmt_basis_tuple(bad_pair, g.labels)} = "
-        f"{fmt_vector(vector_over(unpack(torsion[bad_pair], n, width), dt), g.labels)}, expected "
-        f"{fmt_vector(vector_over([-da[bad_pair[0]][bad_pair[1]] * y for y in r], den * dr), g.labels)}"
-    )
-    items.append(passed("nijenhuis_torsion", bad_pair is None, witness))
     # G = -d(alpha) Phi + alpha (x) alpha = (a a^T)(den/dal)dp - (da p)dal over dm = den*dal*dp
     dm, scale = den * dal * dp, den // dal * dp
-    metric = [[x * y * scale - z * dal for y, z in zip(a, row)] for x, row in zip(a, _int_mul(da, p))]
+    metric = [[x * y * scale - z * dal for y, z in zip(a, row)] for x, row in zip(a, int_mul(da, p))]
     metric_items, rational_metric, notes = _metric_checks(g, metric, dm, "derived metric is not symmetric")
-    items.extend(metric_items)
-    phi_reeb = [sum(map(mul, row, r)) for row in p]
-    alpha_phi = [sum(map(mul, a, col)) for col in zip(*p)]
-    if wrong is None and not any(alpha_phi) and not any(sum(map(mul, row, r)) for row in da):
+    phi_reeb = int_apply(p, r)
+    alpha_phi = int_apply(zip(*p), a)
+    if wrong is None and not any(alpha_phi) and not any(int_apply(da, r)):
         # Phi^2 = xi (x) alpha - Id, alpha o Phi = 0 and d(alpha) xi = 0 decide both items (see the docstring)
         isometry, reproduces = metric_items[0].passed, True
     else:
         # Phi^T g Phi over dm*dp^2 against g - alpha (x) alpha over dm*dal^2
-        gphi = _int_mul(metric, p)
-        lhs = _int_mul(transpose(p), gphi)
+        gphi = int_mul(metric, p)
+        lhs = int_mul(transpose(p), gphi)
         rhs = [[z * dal * dal - x * y * dm for y, z in zip(a, row)] for x, row in zip(a, metric)]
         isometry = all(_same(u, dm * dp * dp, v, dm * dal * dal) for u, v in zip(lhs, rhs))
         reproduces = all(_same(u, dm * dp, v, den) for u, v in zip(gphi, da))
-    items.append(passed("metric_phi_isometry", isometry, "g(Phi x, Phi y) != g(x,y) - alpha(x)alpha(y)"))
-    items.append(passed("metric_reproduces_dalpha", reproduces, "g(x, Phi y) != d(alpha)(x,y)"))
-    witness = f"Phi(xi) = {fmt_vector(vector_over(phi_reeb, dp * dr), g.labels)}"
-    items.append(passed("phi_kills_reeb", not any(phi_reeb), witness))
-    witness = f"alpha(Phi e_j) = {fmt_vector(vector_over(alpha_phi, dal * dp), duals)}"
-    items.append(passed("alpha_phi_vanishes", not any(alpha_phi), witness))
-    report = CheckReport(tuple(items), notes)
+    items = (
+        first_failure(
+            "alpha_reeb_pairing", None if pairing == 1 else pairing, lambda q: f"alpha(xi) = {fmt_scalar(q)}"
+        ),
+        first_failure(
+            "phi_square_identity",
+            wrong,
+            lambda w: f"Phi^2({g.labels[w[0]]}) = {fmt_vector(vector_over(w[1], dp * dp), g.labels)}, expected "
+            f"{fmt_vector(vector_over([y * a[w[0]] - (s if i == w[0] else 0) for i, y in enumerate(r)], s), g.labels)}",
+        ),
+        first_failure(
+            "nijenhuis_torsion",
+            bad_pair,
+            lambda pair: f"N_Phi{fmt_basis_tuple(pair, g.labels)} = "
+            f"{fmt_vector(vector_over(unpack(torsion[pair], n, width), dt), g.labels)}, expected "
+            f"{fmt_vector(vector_over([-da[pair[0]][pair[1]] * y for y in r], den * dr), g.labels)}",
+        ),
+        *metric_items,
+        passed("metric_phi_isometry", isometry, "g(Phi x, Phi y) != g(x,y) - alpha(x)alpha(y)"),
+        passed("metric_reproduces_dalpha", reproduces, "g(x, Phi y) != d(alpha)(x,y)"),
+        first_failure(
+            "phi_kills_reeb",
+            phi_reeb if any(phi_reeb) else None,
+            lambda w: f"Phi(xi) = {fmt_vector(vector_over(w, dp * dr), g.labels)}",
+        ),
+        first_failure(
+            "alpha_phi_vanishes",
+            alpha_phi if any(alpha_phi) else None,
+            lambda w: f"alpha(Phi e_j) = {fmt_vector(vector_over(w, dal * dp), tuple(f'{l}*' for l in g.labels))}",
+        ),
+    )
+    report = CheckReport(items, notes)
     if not report.overall:
         return report, None
     return report, _bind(SasakianStructure(reeb, alpha, phi, rational_metric), g)

@@ -14,7 +14,7 @@ is its first failure in basis order (``_first_mismatch``,
 ``_first_nonzero_pair``).
 
 The conditions and maps run on integers: a map is its integer matrix over one
-denominator (``structures._int_matrix``), a bracket the integer core of
+denominator (``linalg.int_matrix``), a bracket the integer core of
 ``algebra.bracket``. phi o D = 0, alpha o D = alpha, [D, J] = 0, J^2 = -Id and
 [ad(xi), Phi] = 0 are integer products; a condition "two maps agree on a
 basis" forms the integer difference of the maps once and tests each basis
@@ -62,7 +62,7 @@ from .extensions import (
     derivation_extension,
     double_extension,
 )
-from .forms import KForm, radical
+from .forms import KForm, apply_one_form, kirillov_form, one_form_coords, radical
 from .linalg import (
     Matrix,
     Vector,
@@ -71,6 +71,9 @@ from .linalg import (
     fmt_basis_tuple,
     fmt_scalar,
     fmt_vector,
+    int_apply,
+    int_matrix,
+    int_mul,
     is_square,
     is_zero_vector,
     transpose,
@@ -80,22 +83,17 @@ from .linalg import (
     vector_over,
     zero_vector,
 )
-from .report import CheckReport, DimensionMismatch, PreconditionError, passed, refusal, require
+from .report import CheckReport, DimensionMismatch, PreconditionError, first_failure, passed, refusal, require
 from .structures import (
     FrobeniusStructure,
     KahlerStructure,
     SasakianStructure,
     _first_torsion,
-    _int_matrix,
-    _int_mul,
     _packed_torsion,
-    apply_one_form,
     check_contact,
     check_frobenius,
     check_kahler,
     check_sasakian,
-    kirillov_form,
-    one_form_coords,
 )
 
 ONE = Fraction(1)
@@ -158,11 +156,6 @@ def _verify_frobenius_kahler_input(g: LieAlgebra, f: FrobeniusStructure, k: Kahl
         raise refusal("symplectic form must equal -d(phi)", "exact_symplectic_coherence", "omega != -d(phi)")
 
 
-def _apply(m: Iterable[Sequence[int]], v: Sequence[int]) -> list[int]:
-    """The integer product m v, m given by its rows."""
-    return [sum(map(mul, row, v)) for row in m]
-
-
 def _int_adjoint(g: LieAlgebra, x: Vector, on: Sequence[int] | None = None) -> IntMap:
     """ad(x) as an integer map on the basis vectors e_j, j in on (all of them by default): a column is [x, e_j]."""
     xs, dx = clear_denominators(x)
@@ -181,15 +174,15 @@ def _first_mismatch(basis: Iterable[Vector], left: IntMap, right: IntMap) -> tup
     diff = [[x * (dr // f) - y * (dl // f) for x, y in zip(a, b)] for a, b in zip(li, ri)]
     for k, x in enumerate(basis):
         xs, dx = clear_denominators(x)
-        if any(_apply(diff, xs)):
-            return k, vector_over(_apply(li, xs), dl * dx), vector_over(_apply(ri, xs), dr * dx)
+        if any(int_apply(diff, xs)):
+            return k, vector_over(int_apply(li, xs), dl * dx), vector_over(int_apply(ri, xs), dr * dx)
     return None
 
 
 def _commute_mismatch(basis: Iterable[Vector], a: IntMap, b: IntMap) -> tuple[int, Vector, Vector] | None:
     """``_first_mismatch`` of a(b(x)) and b(a(x)): the first basis vector x with [a, b] x != 0."""
     (ai, da), (bi, db) = a, b
-    return _first_mismatch(basis, (_int_mul(ai, bi), da * db), (_int_mul(bi, ai), da * db))
+    return _first_mismatch(basis, (int_mul(ai, bi), da * db), (int_mul(bi, ai), da * db))
 
 
 def _slot_action(ext: ExtensionResult) -> IntMap:
@@ -211,7 +204,7 @@ def _first_nonzero_pair(basis: Sequence[Vector], form: IntMap) -> tuple[int, int
     s, d = form
     vecs = [clear_denominators(x) for x in basis]
     for a, (xa, da) in enumerate(vecs):
-        row = _apply(zip(*s), xa)  # x_a^T s
+        row = int_apply(zip(*s), xa)  # x_a^T s
         for b in range(a + 1, len(vecs)):
             val = sum(map(mul, row, vecs[b][0]))
             if val:
@@ -223,7 +216,7 @@ def _phi_pairing_failure(basis: Sequence[Vector], theta: IntMap, phi: IntMap) ->
     """The first pair of ``_first_nonzero_pair`` for theta(Phi x, y) + theta(x, Phi y), the form
     Phi^T T + T Phi = T Phi - (T Phi)^T, T the skew matrix of theta."""
     (t, dt), (p, dp) = theta, phi
-    tp = _int_mul(t, p)
+    tp = int_mul(t, p)
     return _first_nonzero_pair(basis, ([[x - y for x, y in zip(r, c)] for r, c in zip(tp, zip(*tp))], dt * dp))
 
 
@@ -270,8 +263,8 @@ def sasakian_reduction(g: LieAlgebra, s: SasakianStructure) -> tuple[LieAlgebra,
                 brackets[(p, q)] = entries
             omega_entries[(p, q)] = Fraction(t, den)
     h = LieAlgebra.from_brackets(m, brackets)
-    phi, dp = _int_matrix(s.phi)
-    j = tuple(vector_over(_apply(basis, phi[c]), dp * db) for c in pivots)
+    phi, dp = int_matrix(s.phi)
+    j = tuple(vector_over(int_apply(basis, phi[c]), dp * db) for c in pivots)
     omega = KForm.two_form(m, omega_entries)
     rep, structure = check_kahler(h, j, omega)
     require("reduction did not produce a Kahler structure", rep)
@@ -305,12 +298,12 @@ def kahler_extension_obstruction(g: LieAlgebra, s: SasakianStructure, theta: KFo
     if theta.degree != 2 or theta.dim != g.dim:
         raise DimensionMismatch("expected a 2-form on the algebra")
     basis = kernel_basis(g, s.alpha)
-    (t, dt), (p, dp) = _int_matrix(theta.as_matrix()), _int_matrix(s.phi)
-    ptp = _int_mul(transpose(p), _int_mul(t, p))  # theta(x, y) + theta(Phi x, Phi y) is the form T + Phi^T T Phi
+    (t, dt), (p, dp) = int_matrix(theta.as_matrix()), int_matrix(s.phi)
+    ptp = int_mul(transpose(p), int_mul(t, p))  # theta(x, y) + theta(Phi x, Phi y) is the form T + Phi^T T Phi
     invariance = _first_nonzero_pair(basis, ([[x * dp * dp + y for x, y in zip(*r)] for r in zip(t, ptp)], dt * dp**2))
     pairing = _phi_pairing_failure(basis, (t, dt), (p, dp))
     xi, dx = clear_denominators(s.reeb)
-    reeb_pair = _first_mismatch(basis, ([_apply(t, xi)], dt * dx), ([[0] * g.dim], 1))  # theta(x, xi) against 0
+    reeb_pair = _first_mismatch(basis, ([int_apply(t, xi)], dt * dx), ([[0] * g.dim], 1))  # theta(x, xi) against 0
     dxi = kirillov_form(g, s.alpha).neg()  # d(alpha) = -B_alpha
     integrability_broken = invariance is not None or pairing is not None or reeb_pair is not None
     closedness_broken = not dxi.is_zero()
@@ -357,42 +350,37 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
     base = LieAlgebra(n, [(pair, [(k, x) for k, x in xs if k < n]) for pair, xs in base_table], child.labels[:n])
     if not is_square(j, n):
         raise DimensionMismatch("complex structure must act on the base")
-    ji, dj = _int_matrix(j)
-    square = _int_mul(ji, ji) == [[-dj * dj * (r == c) for c in range(n)] for r in range(n)]
-    pre = [passed("base_complex_square", square, "J^2 != -Id on the base")]
+    ji, dj = int_matrix(j)
+    square = int_mul(ji, ji) == [[-dj * dj * (r == c) for c in range(n)] for r in range(n)]
     integrable = _first_torsion(base, _packed_torsion(base, ji), dj) is None
-    pre.append(passed("base_complex_integrable", integrable, "N_J != 0 on the base"))
     theta = KForm.two_form(n, {pair: x for pair, xs in base_table for k, x in xs if k == n})
-    pre.append(
-        passed(
-            "cocycle_nondegenerate",
-            radical(base, theta).dim == 0,
-            "the extension cocycle is degenerate on the base",
-        )
+    nondegenerate = radical(base, theta).dim == 0
+    pre = (
+        passed("base_complex_square", square, "J^2 != -Id on the base"),
+        passed("base_complex_integrable", integrable, "N_J != 0 on the base"),
+        passed("cocycle_nondegenerate", nondegenerate, "the extension cocycle is degenerate on the base"),
     )
-    require("double extension does not satisfy the base hypotheses", CheckReport(tuple(pre)))
+    require("double extension does not satisfy the base hypotheses", CheckReport(pre))
 
     zero = zero_vector(n)
     jbar = tuple((*row, ZERO, ZERO) for row in j) + ((*zero, ZERO, -ONE), (*zero, ONE, ZERO))
-    ji, dj = _int_matrix(jbar)
+    ji, dj = int_matrix(jbar)
     tw = _first_torsion(child, _packed_torsion(child, ji), dj)
     cw = _commute_mismatch(map(child.basis_vector, range(n)), (ji, dj), _slot_action(ext))
     torsion_ok = tw is None
     commute_ok = cw is None
-    torsion_witness = (
-        ""
-        if tw is None
-        else f"N{fmt_basis_tuple(tw[0], child.labels)} = {fmt_vector(tw[1], child.labels)}"
-    )
-    commute_witness = (
-        ""
-        if cw is None
-        else f"Jbar(D {child.labels[cw[0]]}) = {fmt_vector(cw[1], child.labels)}, "
-        f"D(J {child.labels[cw[0]]}) = {fmt_vector(cw[2], child.labels)}"
-    )
     items = (
-        passed("torsion_vanishes", torsion_ok, torsion_witness),
-        passed("derivation_commutes_with_j", commute_ok, commute_witness),
+        first_failure(
+            "torsion_vanishes",
+            tw,
+            lambda t: f"N{fmt_basis_tuple(t[0], child.labels)} = {fmt_vector(t[1], child.labels)}",
+        ),
+        first_failure(
+            "derivation_commutes_with_j",
+            cw,
+            lambda c: f"Jbar(D {child.labels[c[0]]}) = {fmt_vector(c[1], child.labels)}, "
+            f"D(J {child.labels[c[0]]}) = {fmt_vector(c[2], child.labels)}",
+        ),
         passed(
             "equivalence_agrees",
             torsion_ok == commute_ok,
@@ -474,7 +462,7 @@ def solve_double_extension_params(
     if c is None:  # the sign of alpha(D(z - xi)), from integers over positive denominators
         z_minus_xi, _ = clear_denominators(vec_sub(ext.algebra.basis_vector(n), embed_vector(s.reeb, n + 2)))
         a_ints, _ = clear_denominators(one_form_coords(alpha))
-        c = ONE if sum(map(mul, a_ints, _apply(_slot_action(ext)[0], z_minus_xi))) >= 0 else -ONE
+        c = ONE if sum(map(mul, a_ints, int_apply(_slot_action(ext)[0], z_minus_xi))) >= 0 else -ONE
     params = DoubleExtensionParams(a=a, b=b, c=c, d=-c, u=u)
     object.__setattr__(params, "_build", (g, s, theta, d, build))  # the dataclass is frozen
     return params
@@ -504,8 +492,8 @@ def _double_extension_setup(
         )
     inv = ONE / params.delta
     coords = one_form_coords(s.alpha)
-    (sp, dsp), (u, du) = _int_matrix(s.phi), clear_denominators(params.u)
-    phi_u = vector_over(_apply(sp, u), dsp * du)
+    (sp, dsp), (u, du) = int_matrix(s.phi), clear_denominators(params.u)
+    phi_u = vector_over(int_apply(sp, u), dsp * du)
     # [[Phi - (d/delta) Phi u (x) alpha, (c/delta) Phi u, -c xi], [0, 0, -d], [-(b/delta) alpha, a/delta, 0]]
     phi = tuple(
         (*(p - params.d * inv * pu * x for p, x in zip(row, coords)), params.c * inv * pu, -params.c * xi)
@@ -521,58 +509,46 @@ def sasakian_double_extension_conditions(
     ext, _, reeb, phi, _ = _double_extension_setup(g, s, theta, d, params)
     child = ext.algebra
     basis = kernel_basis(g, s.alpha)
-    p, dp = _int_matrix(s.phi)
-    w1 = _phi_pairing_failure(basis, _int_matrix(theta.as_matrix()), (p, dp))
-    witness1 = (
-        ""
-        if w1 is None
-        else f"theta(Phi x,y)+theta(x,Phi y) = {fmt_scalar(w1[2])} on kernel pair ({w1[0]},{w1[1]})"
+    p, dp = int_matrix(s.phi)
+    item1 = first_failure(
+        "cocycle_phi_pairing",
+        _phi_pairing_failure(basis, int_matrix(theta.as_matrix()), (p, dp)),
+        lambda w: f"theta(Phi x,y)+theta(x,Phi y) = {fmt_scalar(w[2])} on kernel pair ({w[0]},{w[1]})",
     )
-    item1 = passed("cocycle_phi_pairing", w1 is None, witness1)
     rad = radical(g, theta)
     u_ok = rad.contains(params.u)
     xi_ok = rad.contains(s.reeb)
-    item2 = passed(
-        "theta_radical_contains_u_and_reeb",
-        u_ok and xi_ok,
-        f"u in Rad(theta): {u_ok}, reeb in Rad(theta): {xi_ok}",
-    )
+    witness = f"u in Rad(theta): {u_ok}, reeb in Rad(theta): {xi_ok}"
+    item2 = passed("theta_radical_contains_u_and_reeb", u_ok and xi_ok, witness)
     # Phi-bar is Phi on Ker(alpha)
-    pb, dpb = _int_matrix(phi)
-    w3 = _commute_mismatch((embed_vector(x, child.dim) for x in basis), _slot_action(ext), (pb, dpb))
-    witness3 = (
-        ""
-        if w3 is None
-        else f"D(Phi x) = {fmt_vector(w3[1], child.labels)}, Phi(D x) = {fmt_vector(w3[2], child.labels)} "
-        f"on kernel vector {w3[0]}"
+    pb, dpb = int_matrix(phi)
+    item3 = first_failure(
+        "derivation_commutes_with_phi",
+        _commute_mismatch((embed_vector(x, child.dim) for x in basis), _slot_action(ext), (pb, dpb)),
+        lambda w: f"D(Phi x) = {fmt_vector(w[1], child.labels)}, Phi(D x) = {fmt_vector(w[2], child.labels)} "
+        f"on kernel vector {w[0]}",
     )
-    item3 = passed("derivation_commutes_with_phi", w3 is None, witness3)
     ad_u, du = _int_adjoint(g, params.u)  # [u, x] against -Phi[u, Phi x]
-    w4 = _first_mismatch(basis, (ad_u, du), ([[-x for x in r] for r in _int_mul(p, _int_mul(ad_u, p))], du * dp * dp))
-    witness4 = (
-        ""
-        if w4 is None
-        else f"[u,x] = {fmt_vector(w4[1], g.labels)}, -Phi[u,Phi x] = {fmt_vector(w4[2], g.labels)} "
-        f"on kernel vector {w4[0]}"
+    item4 = first_failure(
+        "ad_u_phi_conjugation",
+        _first_mismatch(basis, (ad_u, du), ([[-x for x in r] for r in int_mul(p, int_mul(ad_u, p))], du * dp * dp)),
+        lambda w: f"[u,x] = {fmt_vector(w[1], g.labels)}, -Phi[u,Phi x] = {fmt_vector(w[2], g.labels)} "
+        f"on kernel vector {w[0]}",
     )
-    item4 = passed("ad_u_phi_conjugation", w4 is None, witness4)
 
     def torsion(uu: Vector, vv: Vector) -> Vector:
         """-[u, v] + [Phi u, Phi v] - Phi[Phi u, v] - Phi[u, Phi v] from integer brackets, Phi = Phi-bar."""
         (us, du), (vs, dv) = clear_denominators(uu), clear_denominators(vv)
-        pu, pv = _apply(pb, us), _apply(pb, vs)
+        pu, pv = int_apply(pb, us), int_apply(pb, vs)
         inner = map(int.__add__, _bracket_ints(child, pu, vs), _bracket_ints(child, us, pv))
-        terms = zip(_bracket_ints(child, us, vs), _bracket_ints(child, pu, pv), _apply(pb, list(inner)))
+        terms = zip(_bracket_ints(child, us, vs), _bracket_ints(child, pu, pv), int_apply(pb, list(inner)))
         return vector_over([y - x * dpb * dpb - z for x, y, z in terms], child._integer_terms[0] * du * dv * dpb * dpb)
 
     w_vec = vec_scale(params.c, s.reeb) + (params.d, ZERO)  # c xi + d z
     m_w = torsion(w_vec, reeb)
     m_d = torsion(child.basis_vector(ext.derivation_index), reeb)
-    item5 = passed(
-        "reeb_derivative_balance",
-        is_zero_vector(m_w) and is_zero_vector(m_d),
-        f"M(w,xi) = {fmt_vector(m_w, child.labels)}, M(D,xi) = {fmt_vector(m_d, child.labels)}",
-    )
+    witness = f"M(w,xi) = {fmt_vector(m_w, child.labels)}, M(D,xi) = {fmt_vector(m_d, child.labels)}"
+    item5 = passed("reeb_derivative_balance", is_zero_vector(m_w) and is_zero_vector(m_d), witness)
     notes = (
         ("M(w,xi)", fmt_vector(m_w, child.labels)),
         ("M(D,xi)", fmt_vector(m_d, child.labels)),
@@ -606,15 +582,15 @@ def frobenius_kahler_to_sasakian(
     _verify_frobenius_kahler_input(g, f, k)
     ext = derivation_extension(g, d)  # refuses a D that breaks the Leibniz rule
     coords = one_form_coords(f.phi)
-    (c, dc), (di, _), (ji, dj) = clear_denominators(coords), _int_matrix(d), _int_matrix(k.j)
-    bad = next((j for j, x in enumerate(_apply(zip(*di), c)) if x), None)  # the row phi o D
+    (c, dc), (di, _), (ji, dj) = clear_denominators(coords), int_matrix(d), int_matrix(k.j)
+    bad = next((j for j, x in enumerate(int_apply(zip(*di), c)) if x), None)  # the row phi o D
     if bad is not None:
         raise refusal("phi o D must vanish", "phi_d_vanishes", f"phi(D {g.labels[bad]}) != 0")
-    if _int_mul(di, ji) != _int_mul(ji, di):
+    if int_mul(di, ji) != int_mul(ji, di):
         raise refusal("D must commute with J", "d_commutes_with_j", "D o J != J o D")
     child = ext.algebra
     alpha = KForm.one_form(child.dim, coords + (ONE,))
-    phi_j = vector_over(_apply(zip(*ji), c), dc * dj)  # the row phi o J
+    phi_j = vector_over(int_apply(zip(*ji), c), dc * dj)  # the row phi o J
     phi = tuple((*row, ZERO) for row in k.j) + ((*(-x for x in phi_j), ZERO),)  # [[J, 0], [-phi o J, 0]]
     rep, structure = check_sasakian(child, child.basis_vector(ext.derivation_index), alpha, phi)
     return ext, rep, structure
@@ -631,13 +607,13 @@ def sasakian_to_frobenius_kahler(
     _verify_sasakian_input(g, s)
     ext = derivation_extension(g, d)  # refuses a D that breaks the Leibniz rule
     coords = one_form_coords(s.alpha)
-    (a, _), (di, dd) = clear_denominators(coords), _int_matrix(d)
-    bad = next((j for j, (x, y) in enumerate(zip(_apply(zip(*di), a), a)) if x != y * dd), None)  # alpha o D, alpha
+    (a, _), (di, dd) = clear_denominators(coords), int_matrix(d)
+    bad = next((j for j, (x, y) in enumerate(zip(int_apply(zip(*di), a), a)) if x != y * dd), None)  # alpha o D, alpha
     if bad is not None:
         label = g.labels[bad]
         raise refusal("alpha o D must equal alpha", "alpha_d_invariance", f"alpha(D {label}) != alpha({label})")
     basis = kernel_basis(g, s.alpha)
-    hit = _commute_mismatch(basis, _int_matrix(s.phi), (di, dd))
+    hit = _commute_mismatch(basis, int_matrix(s.phi), (di, dd))
     if hit is not None:
         witness = f"[Phi,D]({fmt_vector(basis[hit[0]], g.labels)}) != 0"
         raise refusal("Phi and D must commute on Ker(alpha)", "phi_d_commute_on_kernel", witness)
@@ -704,40 +680,29 @@ def contact_ideal_restriction(
     xi = contact.reeb
     items = list(contact_rep.prefixed("contact:"))
     # column i of J on the kernel part e_i - alpha_h(e_i) xi, in the coordinates of g over den
-    (a, da), (x, dx), (ji, dj) = clear_denominators(one_form_coords(alpha_h)), clear_denominators(xi), _int_matrix(k.j)
+    (a, da), (x, dx), (ji, dj) = clear_denominators(one_form_coords(alpha_h)), clear_denominators(xi), int_matrix(k.j)
     den = dj * da * dx
     j_xi = [sum(row[c] * y for c, y in zip(keep, x)) for row in ji]
     images = [[da * dx * row[c] - ai * y for row, y in zip(ji, j_xi)] for c, ai in zip(keep, a)]
-    bad = [i for i, v in enumerate(images) if v[pivot]]
-    lam = Fraction(images[bad[-1]][pivot], den) / xp[pivot] if bad else None  # the last x_P component
-    witness = f"J(kernel part of {h.labels[bad[-1]]}) has x_P component {fmt_scalar(lam)}" if bad else ""
-    items.append(passed("phi_well_defined", not bad, witness))
-    if bad:
+    last = max((i for i, v in enumerate(images) if v[pivot]), default=None)  # the last with an x_P component
+    items.append(
+        first_failure(
+            "phi_well_defined",
+            last,
+            lambda i: f"J(kernel part of {h.labels[i]}) has x_P component "
+            f"{fmt_scalar(Fraction(images[i][pivot], den) / xp[pivot])}",
+        )
+    )
+    if last is not None:
         return h, CheckReport(tuple(items)), None
     phi = [[v[c] for v in images] for c in keep]
     ad_xi, _ = _int_adjoint(h, xi)
-    crit_reeb = _int_mul(ad_xi, phi) == _int_mul(phi, ad_xi)
-    items.append(
-        passed(
-            "reeb_adjoint_commutes_with_phi",
-            crit_reeb,
-            "[ad(xi), Phi] != 0 on the ideal",
-        )
-    )
+    crit_reeb = int_mul(ad_xi, phi) == int_mul(phi, ad_xi)
     crit_xp = _commute_mismatch(kernel_basis(h, alpha_h), (ad_xp, dad), (phi, den)) is None
-    items.append(
-        passed(
-            "principal_adjoint_commutes_on_kernel",
-            crit_xp,
-            "[ad(x_P), Phi] != 0 on Ker(restricted alpha)",
-        )
-    )
-    items.append(
-        passed(
-            "criteria_agree",
-            crit_reeb == crit_xp,
-            f"reeb criterion {crit_reeb}, principal criterion {crit_xp}",
-        )
+    items += (
+        passed("reeb_adjoint_commutes_with_phi", crit_reeb, "[ad(xi), Phi] != 0 on the ideal"),
+        passed("principal_adjoint_commutes_on_kernel", crit_xp, "[ad(x_P), Phi] != 0 on Ker(restricted alpha)"),
+        passed("criteria_agree", crit_reeb == crit_xp, f"reeb criterion {crit_reeb}, principal criterion {crit_xp}"),
     )
     if not (crit_reeb and crit_xp):
         return h, CheckReport(tuple(items), contact_rep.notes), None

@@ -1,7 +1,7 @@
 """Reference oracle for lieforge.derivations: the Fraction Leibniz rule and system.
 
 This is the straightforward Fraction-arithmetic is_derivation that the packed
-Leibniz defect (``structures._leibniz_defects``) replaced, the Fraction
+Leibniz defect (``algebra._leibniz_defects``) replaced, the Fraction
 _leibniz_rows that the integer rows built from ``LieAlgebra._integer_terms``
 replaced, the Fraction rows of the FormEigen, Commute and Sends constraints
 that integer rows over the common denominators of their data replaced, and a

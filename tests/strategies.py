@@ -6,6 +6,7 @@ helpers and which therefore must not pull in hypothesis.
 
 import random
 from fractions import Fraction
+from functools import cache
 
 from hypothesis import strategies as st
 
@@ -94,8 +95,10 @@ def _random_basis(dim, seed):
     return p, mat_inverse(p)
 
 
+@cache
 def conjugated_heisenberg_sasakian(m, seed):
-    """heisenberg_sasakian(m) moved to a random rational basis e'_i = P e_i."""
+    """heisenberg_sasakian(m) moved to a random rational basis e'_i = P e_i. Cached: the result
+    is deterministic in (m, seed) and immutable, and no test needs a fresh algebra object."""
     g, reeb, alpha, phi = heisenberg_sasakian(m)
     p, pinv = _random_basis(g.dim, seed)
     return conjugate_algebra(g, p, pinv), mat_vec(pinv, reeb), conjugate_one_form(alpha, p), conjugate_map(phi, p, pinv)

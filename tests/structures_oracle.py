@@ -41,7 +41,16 @@ from fractions import Fraction
 from math import factorial
 
 from lieforge.algebra import LieAlgebra, Subspace
-from lieforge.forms import KForm, TopContactResult, _dalpha, ce_differential, radical, sort_index_tuple
+from lieforge.forms import (
+    KForm,
+    TopContactResult,
+    _dalpha,
+    apply_one_form,
+    ce_differential,
+    one_form_coords,
+    radical,
+    sort_index_tuple,
+)
 from lieforge.linalg import (
     Matrix,
     Vector,
@@ -52,6 +61,7 @@ from lieforge.linalg import (
     fmt_scalar,
     fmt_vector,
     identity,
+    int_matrix,
     is_zero_vector,
     mat_mul,
     mat_vec,
@@ -71,10 +81,7 @@ from lieforge.structures import (
     KahlerStructure,
     SasakianStructure,
     _bind,
-    _int_matrix,
     _same,
-    apply_one_form,
-    one_form_coords,
 )
 
 import algebra_oracle
@@ -239,7 +246,7 @@ def sasakian_torsion_item(g: LieAlgebra, reeb: Vector, alpha: KForm, phi: Matrix
     """The nijenhuis_torsion item from the unpacked torsion of every pair, compared with
     -d(alpha)(e_i, e_j) xi over their two denominators."""
     r, dr = clear_denominators(reeb)
-    p, dp = _int_matrix(phi)
+    p, dp = int_matrix(phi)
     da, den = _dalpha(g, one_form_coords(alpha))
     torsion, dt = nijenhuis_ints(g, p, dp)
     expected = {(i, j): [-da[i][j] * y for y in r] for i, j in torsion}

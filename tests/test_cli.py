@@ -551,6 +551,70 @@ def test_empty_inline_spec_is_a_parse_error(argv, capsys):
     assert "error: empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["extend", "derivation", "--builtin", "h3"], "--map"),
+        (["check", "kahler", "--builtin", "h3", "--form", "e3"], "--form"),
+        (["check", "jacobi"], "--builtin"),
+        (["check", "sasakian", "--builtin", "h3", "--xi", "e5", "--form", "e3", "--map", "id"], "--xi"),
+        (["check", "sasakian", "--builtin", "h3", "--xi", "@xi.lf", "--form", "e3", "--map", "id"], "--xi"),
+        (["check", "sasakian", "--builtin", "h3", "--xi", "1,0", "--form", "e3", "--map", "id"], "--xi"),
+        (["check", "contact", "--builtin", "h3", "--form", "e9"], "--form"),
+        (["check", "cocycle", "--builtin", "h3", "--two-form", "e1^e1"], "--two-form"),
+        (["check", "derivation", "--builtin", "h3", "--map", "spin"], "--map"),
+        (["check", "derivation", "--builtin", "h3", "--map", "diag:1,2"], "--map"),
+        (["extend", "double", "--builtin", "h3", "--two-form", "0", "--map", "diag:0,0,0", "--dz", "0,0,0:x"], "--dz"),
+        (["extend", "double", "--builtin", "h3", "--two-form", "0", "--map", "diag:0,0,0", "--dz", "0,0:1"], "--dz"),
+        (["extend", "double", "--builtin", "h3", "--two-form", "0", "--map", "diag:0,0,0", "--dz", "0,0,0"], "--dz"),
+        (
+            ["construct", "sasakian-double", "--builtin", "h3", "--two-form", "0", "--map", "diag:0,0,0,1",
+             "--w-scale", "x"],
+            "--w-scale",
+        ),
+        (["solve", "derivations", "--builtin", "h3", "--fix", "alpha∘D=x:e3"], "--fix"),
+        (["solve", "derivations", "--builtin", "h3", "--fix", "alpha∘D=alpha:e9"], "--fix"),
+        (["solve", "derivations", "--builtin", "h3", "--fix", "commute:@/nonexistent"], "--fix"),
+        (["solve", "derivations", "--builtin", "h3", "--fix", "commute:spin"], "--fix"),
+        (["solve", "derivations", "--builtin", "h3", "--fix", "sends:e1"], "--fix"),
+        (["solve", "derivations", "--builtin", "h3", "--fix", "sends:e1->e5"], "--fix"),
+        (["solve", "derivations", "--builtin", "h3", "--fix", "bogus"], "--fix"),
+    ],
+    ids=["need-map", "unread-form", "no-algebra", "xi-index", "xi-at-file", "xi-length", "form-index",
+         "two-form-pair", "map-spec", "diag-length", "dz-scale", "dz-length", "dz-colon", "w-scale", "fix-factor",
+         "fix-form", "fix-map-file", "fix-map-spec", "fix-arrow", "fix-vector", "fix-unknown"],
+)
+def test_a_usage_error_names_its_flag_and_no_byte_offset(argv, flag, capsys):
+    # only a fault inside a file has a byte offset; a fault in the command line names the flag given
+    from lieforge.cli import main
+
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err and "(byte" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, inline, kind, body",
+    [
+        (["check", "contact", "--builtin", "h3", "--form"], "e3", "form", "values 0 0 1\n"),
+        (["check", "cocycle", "--builtin", "h3", "--two-form"], "e1^e2", "two_form", "entry 1 2 = 1\n"),
+        (
+            ["check", "derivation", "--builtin", "h3", "--map"],
+            "diag:1/2,1/2,1",
+            "map",
+            "row 1 = 1/2 0 0\nrow 2 = 0 1/2 0\nrow 3 = 0 0 1\n",
+        ),
+    ],
+    ids=["form", "two-form", "map"],
+)
+def test_an_at_file_value_runs_like_its_inline_spelling(argv, inline, kind, body, tmp_path):
+    path = tmp_path / f"{kind}.lf"
+    path.write_text(f"lieforge/1 structure\nkind {kind}\n{body}", encoding="utf-8")
+    out, code = run(argv + [f"@{path}"])
+    assert (out, code) == run(argv + [inline])
+    assert code == 0
+
+
 def test_alpha_phi_witness_is_a_dual_vector():
     out, code = invoke("check", "sasakian", "--builtin", "h3", "--xi", "e3", "--form", "e3", "--map", "id")
     assert code == 1

@@ -73,7 +73,7 @@ def test_affine_family_contains_weighted_scaling():
     assert map_in_family(H3, target, particular, basis)
     # every member satisfies both constraints
     assert is_derivation(H3, particular).overall
-    from lieforge.structures import apply_one_form
+    from lieforge.forms import apply_one_form
     from lieforge.linalg import column
 
     for j in range(3):

@@ -20,9 +20,9 @@ from lieforge import (
 )
 from lieforge.algebra import _cyclic_failures
 from lieforge.forms import ce_differential
-from lieforge.linalg import diagonal, identity, matrix, pack, slot_width, vector, zero_matrix
+from lieforge.linalg import diagonal, identity, int_matrix, matrix, pack, slot_width, vector, zero_matrix
 from lieforge.report import DimensionMismatch, PreconditionError
-from lieforge.structures import _int_matrix, check_kahler
+from lieforge.structures import check_kahler
 
 import structures_oracle
 from conftest import random_jacobi_algebra, random_matrix, random_two_form
@@ -233,7 +233,7 @@ def test_cocycle_kernel_on_any_triple(case):
     g, theta = case
     n = g.dim
     d, _, big = g._integer_terms
-    t, dt = _int_matrix(theta.as_matrix())
+    t, dt = int_matrix(theta.as_matrix())
     width = slot_width(n * big * max(abs(x) for row in t for x in row))
     q = [pack(enumerate(row), width) for row in t]
     failing = dict(_cyclic_failures(g, q, width, product(range(n), repeat=3)))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieforge import KForm, builtin
+from lieforge import KForm, LieforgeError, builtin
 from lieforge.fileio import (
     ParseError,
     parse_algebra,
@@ -124,7 +124,7 @@ def test_inline_forms():
     assert g.coeff((0,)) == 2 and g.coeff((2,)) == Fraction(-1, 2)
     assert parse_form_inline("e3+e5", 5).coeff((4,)) == 1
     assert parse_form_inline("0", 3).is_zero()
-    with pytest.raises(ParseError):
+    with pytest.raises(LieforgeError, match=r"^index e9 out of range in --form$"):
         parse_form_inline("e9", 3)
 
 
@@ -133,7 +133,7 @@ def test_inline_two_forms():
     assert w.coeff((0, 1)) == 1 and w.coeff((2, 3)) == -1
     assert parse_two_form_inline("0", 4).is_zero()
     assert parse_two_form_inline("e2^e1", 2).coeff((0, 1)) == -1
-    with pytest.raises(ParseError):
+    with pytest.raises(LieforgeError, match=r"^bad index pair 'e1\^e1' in --two-form$"):
         parse_two_form_inline("e1^e1", 3)
 
 
@@ -144,10 +144,10 @@ def test_inline_maps():
     assert parse_map_inline("id", 2)[0][0] == 1
     e = parse_map_inline("E", 4, dict(builtin("d4half").maps))
     assert e[0][1] == 1
-    with pytest.raises(ParseError):
+    with pytest.raises(LieforgeError, match=r"^expected 3 entries in --map$"):
         parse_map_inline("diag:1,2", 3)
-    with pytest.raises(ParseError):
-        parse_map_inline("spin", 3)
+    with pytest.raises(LieforgeError, match=r"^bad map spec 'spin' in --fix$"):
+        parse_map_inline("spin", 3, flag="--fix")
 
 
 def test_inline_vectors():

@@ -88,6 +88,20 @@ def test_a_name_loads_only_its_home_module_and_what_that_needs():
     assert got == {"lieforge", "lieforge.algebra", "lieforge.linalg", "lieforge.report"}
 
 
+# Derivations, extensions and the Kirillov form build on forms and linalg, never on the
+# structure checks: each name loads its home module and what that needs, without structures.
+@pytest.mark.parametrize(
+    "name, modules",
+    [
+        ("derivation_space", {"algebra", "derivations", "forms", "linalg", "report"}),
+        ("central_extension", {"algebra", "derivations", "extensions", "forms", "linalg", "report"}),
+        ("kirillov_form", {"algebra", "forms", "linalg", "report"}),
+    ],
+)
+def test_constructions_load_no_structure_check(name, modules):
+    assert loaded_by(f"import lieforge\nlieforge.{name}") == {"lieforge"} | {f"lieforge.{m}" for m in modules}
+
+
 @pytest.mark.parametrize("argv, extra", COMMANDS, ids=[" ".join(argv[:2]) for argv, _ in COMMANDS])
 def test_cli_command_loads_only_what_it_runs(argv, extra):
     assert loaded_by(_RUN_CLI, *argv) == {"lieforge"} | CLI_BASE | {f"lieforge.{m}" for m in extra}
@@ -102,11 +116,11 @@ PUBLIC = {
     "derivations": "Commute FormEigen Leibniz Sends derivation_space is_derivation",
     "extensions": "ExtensionResult central_extension derivation_extension double_extension is_cocycle "
     "lift_one_form reversed_double_extension",
-    "forms": "KForm ce_differential evaluation_sign radical",
+    "forms": "KForm ce_differential evaluation_sign kirillov_form radical",
     "linalg": "Matrix Scalar Vector matrix scalar vector",
     "report": "CheckItem CheckReport DimensionMismatch LieforgeError PreconditionError",
     "structures": "ContactStructure FrobeniusStructure KahlerStructure NijenhuisTable SasakianStructure "
-    "check_contact check_frobenius check_kahler check_sasakian kirillov_form nijenhuis principal_element",
+    "check_contact check_frobenius check_kahler check_sasakian nijenhuis principal_element",
     "theorems": "DoubleExtensionParams contact_ideal_restriction extend_complex_structure "
     "frobenius_kahler_to_sasakian kahler_extension_obstruction kahler_to_sasakian_central "
     "sasakian_double_extension sasakian_double_extension_conditions sasakian_reduction "

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import lieforge as lf
 from lieforge.forms import _dalpha, _top_contact
 from lieforge.linalg import det, mat_vec
-from lieforge.structures import one_form_coords
+from lieforge.forms import one_form_coords
 
 from conftest import (
     conjugate_algebra,

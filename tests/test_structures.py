@@ -18,10 +18,10 @@ from lieforge import (
     nijenhuis,
     principal_element,
 )
-from lieforge.forms import _dalpha, _top_contact
-from lieforge.linalg import identity, matrix, slot_width, unpack, vec_scale, zero_matrix
+from lieforge.forms import _dalpha, _top_contact, one_form_coords
+from lieforge.linalg import identity, int_matrix, matrix, slot_width, unpack, vec_scale, zero_matrix
 from lieforge.report import DimensionMismatch, PreconditionError
-from lieforge.structures import _int_matrix, _packed_torsion, one_form_coords
+from lieforge.structures import _packed_torsion
 
 import algebra_oracle as oracle
 import structures_oracle
@@ -155,7 +155,7 @@ def assert_nijenhuis_matches_oracle(g, a):
     """The Fraction table against the Fraction expansion, and the packed integer kernel,
     unpacked, against the plain integer loop, numerator by numerator."""
     assert nijenhuis(g, a) == oracle.nijenhuis(g, a)
-    ai, _ = _int_matrix(a)
+    ai, _ = int_matrix(a)
     width, _, torsion = _packed_torsion(g, ai)
     ints, _ = structures_oracle.nijenhuis_ints(g, ai, 1)
     assert {pair: unpack(t, g.dim, width) for pair, t in torsion.items()} == ints
@@ -190,7 +190,7 @@ def test_nijenhuis_slot_width_boundary(s, t):
     g = LieAlgebra.from_brackets(4, brackets)
     a = tuple(tuple(x * t for x in row) for row in TIGHT_MAP)
     big = t.numerator**2 * s.numerator
-    torsion, _ = structures_oracle.nijenhuis_ints(g, *_int_matrix(a))
+    torsion, _ = structures_oracle.nijenhuis_ints(g, *int_matrix(a))
     assert max(map(abs, torsion[(1, 2)])) == 132 * big // 3 >= 2 ** (slot_width(64 * big) - 2)
     assert_nijenhuis_matches_oracle(g, a)
 
@@ -480,8 +480,26 @@ def test_implied_identities_skip_their_products(case, monkeypatch):
     import lieforge.structures
 
     calls = []
-    int_mul = lieforge.structures._int_mul
-    monkeypatch.setattr(lieforge.structures, "_int_mul", lambda a, b: calls.append(1) or int_mul(a, b))
+    int_mul = lieforge.structures.int_mul
+    monkeypatch.setattr(lieforge.structures, "int_mul", lambda a, b: calls.append(1) or int_mul(a, b))
     call, overall, products = METRIC_PRODUCTS[case]
     assert call()[0].overall == overall
     assert len(calls) == products
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(builtin("h3").algebra, *builtin("h3").sasakian_data), DENSE_H7],
+    ids=["h3", "dense-h7"],
+)
+def test_a_passing_sasakian_check_formats_only_its_notes(args, monkeypatch):
+    # a witness is formatted only for a failing item, so all a passing check formats is its notes
+    import lieforge.structures
+
+    formatted = []
+    for name in ("fmt_basis_tuple", "fmt_scalar", "fmt_vector"):
+        fmt = getattr(lieforge.structures, name)
+        monkeypatch.setattr(lieforge.structures, name, lambda *a, fmt=fmt: formatted.append(fmt(*a)) or formatted[-1])
+    report, structure = check_sasakian(*args)
+    assert report.overall and structure is not None
+    assert formatted and set(formatted) <= {value for _, value in report.notes}

@@ -27,9 +27,9 @@ from lieforge import (
     solve_double_extension_params,
 )
 from lieforge.derivations import Commute, FormEigen, Leibniz, derivation_space
-from lieforge.linalg import diagonal, mat_mul, matrix, nullspace, vector, zero_matrix
+from lieforge.linalg import diagonal, int_matrix, mat_mul, matrix, nullspace, vector, zero_matrix
+from lieforge.forms import kirillov_form
 from lieforge.report import DimensionMismatch, PreconditionError
-from lieforge.structures import _int_matrix, kirillov_form
 from lieforge.theorems import _commute_mismatch, _phi_pairing_failure, kernel_basis
 
 import theorems_oracle
@@ -290,6 +290,31 @@ def test_fk_to_sasakian_rejects_bad_frobenius():
     fake = FrobeniusStructure(KForm.basis_one_form(2, 1), g.basis_vector(0))
     with pytest.raises(PreconditionError):
         frobenius_kahler_to_sasakian(g, fake, structure, zero_matrix(2))
+
+
+@pytest.mark.parametrize(
+    "construct",
+    [
+        lambda f: frobenius_kahler_to_sasakian(D4.algebra, f, D4.kahler(), D4.named_map("E")),
+        lambda f: contact_ideal_restriction(D4.algebra, f, D4.kahler()),
+    ],
+    ids=["fk-to-sasakian", "contact-ideal"],
+)
+def test_a_correct_unbound_frobenius_structure_is_checked_and_accepted(construct, monkeypatch):
+    # a hand-built structure is not bound to the algebra, so the construction checks it again; the
+    # check finds the same principal element, and the result is the one the bound structure gives
+    import lieforge.theorems as theorems
+    from lieforge.structures import FrobeniusStructure
+
+    bound = D4.frobenius()
+    hand = FrobeniusStructure(bound.phi, bound.principal)
+    assert bound.algebra is D4.algebra and hand.algebra is None
+    calls = []
+    original = theorems.check_frobenius
+    monkeypatch.setattr(theorems, "check_frobenius", lambda *a: calls.append(a) or original(*a))
+    expected = construct(bound)
+    assert calls == []
+    assert construct(hand) == expected and len(calls) == 1
 
 
 def test_fk_to_sasakian_rejects_nonvanishing_pairing():
@@ -706,7 +731,7 @@ def commuting_or_not(draw):
 def test_commute_mismatch_matches_fraction_pair(case):
     # [a, b] formed once as an integer matrix, each vector one integer product; witness as the four mat_vec calls
     basis, a, b = case
-    assert _commute_mismatch(basis, _int_matrix(a), _int_matrix(b)) == theorems_oracle.commute_mismatch(basis, a, b)
+    assert _commute_mismatch(basis, int_matrix(a), int_matrix(b)) == theorems_oracle.commute_mismatch(basis, a, b)
 
 
 @st.composite
@@ -726,7 +751,7 @@ def test_phi_pairing_failure_matches_fraction_pairs(case):
     # the form T Phi - (T Phi)^T on integers, one product per pair; the witness as KForm.evaluate gives it
     basis, theta, phi = case
     expected = theorems_oracle.phi_pairing_failure(basis, theta, phi)
-    assert _phi_pairing_failure(basis, _int_matrix(theta.as_matrix()), _int_matrix(phi)) == expected
+    assert _phi_pairing_failure(basis, int_matrix(theta.as_matrix()), int_matrix(phi)) == expected
 
 
 @pytest.mark.parametrize("name", ORACLE_CASES)

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from lieforge.algebra import LieAlgebra, Subspace, bracket, center
 from lieforge.extensions import ExtensionResult, derivation_extension, double_extension
-from lieforge.forms import KForm, radical
+from lieforge.forms import KForm, apply_one_form, kirillov_form, one_form_coords, radical
 from lieforge.linalg import (
     Matrix,
     Vector,
@@ -43,6 +43,7 @@ from lieforge.linalg import (
     fmt_basis_tuple,
     fmt_scalar,
     fmt_vector,
+    int_matrix,
     is_square,
     is_zero_vector,
     mat_mul,
@@ -59,14 +60,10 @@ from lieforge.structures import (
     FrobeniusStructure,
     KahlerStructure,
     SasakianStructure,
-    _int_matrix,
-    apply_one_form,
     check_contact,
     check_frobenius,
     check_kahler,
     check_sasakian,
-    kirillov_form,
-    one_form_coords,
 )
 from lieforge.theorems import (
     DoubleExtensionParams,
@@ -290,7 +287,7 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
     if not is_square(j, n):
         raise DimensionMismatch("complex structure must act on the base")
     j2 = mat_mul(j, j)
-    base_torsion, _ = nijenhuis_ints(base, *_int_matrix(j))
+    base_torsion, _ = nijenhuis_ints(base, *int_matrix(j))
     theta = KForm.two_form(n, {(a, b): child.c[a][b][zi] for a in range(n) for b in range(a + 1, n)})
     pre = (
         passed(
@@ -308,7 +305,7 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
     jbar = transpose(jbar_cols + [child.basis_vector(si), vec_scale(-ONE, child.basis_vector(zi))])
     # the slot action on rows and columns 0..n: the central extension, as the slot comes last
     d = tuple(tuple(child.c[si][x][k] for x in range(n + 1)) for k in range(n + 1))
-    torsion, dt = nijenhuis_ints(child, *_int_matrix(jbar))
+    torsion, dt = nijenhuis_ints(child, *int_matrix(jbar))
     tw = next((pair for pair, v in torsion.items() if any(v)), None)
     cw = _first_mismatch(
         range(n),
