@@ -26,7 +26,7 @@ _EXPORTS = {
     "theorems": "DoubleExtensionParams contact_ideal_restriction extend_complex_structure "
     "frobenius_kahler_to_sasakian kahler_extension_obstruction kahler_to_sasakian_central "
     "sasakian_double_extension sasakian_double_extension_conditions sasakian_reduction "
-    "sasakian_to_frobenius_kahler solve_double_extension_params",
+    "sasakian_to_frobenius_kahler",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = frozenset(_EXPORTS) | {"cli", "fileio"}

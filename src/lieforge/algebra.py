@@ -3,9 +3,10 @@
 A LieAlgebra is the dimension, the basis labels and its bracket table: the
 nonzero c_ijk of [e_i, e_j] = sum_k c_ijk e_k for i < j, sorted by (i, j)
 and then by k. This is the only stored form. The constructor validates the
-distinct labels and the sparse input and builds the table, so antisymmetry
-holds by construction and two algebras with the same labels are equal exactly
-when their tables are; the dense tensor ``c`` is derived on first use. The
+distinct labels and the sparse input, refusing a bracket or a target given
+twice, and builds the table, so antisymmetry holds by construction and two
+algebras with the same labels are equal exactly when their tables are; the
+dense tensor ``c`` is derived on first use. The
 Jacobi identity is not enforced at construction, ``check_jacobi`` reports it.
 
 Brackets and Jacobi sums run on integers: each algebra caches D, the least
@@ -72,14 +73,20 @@ class LieAlgebra:
         if len(set(labels)) != dim:
             repeat = next(x for i, x in enumerate(labels) if x in labels[:i])
             raise LieforgeError(f"basis label {repeat!r} given twice")
-        table = []
-        for (i, j), coeffs in dict(brackets).items():
+        table, pairs = [], set()
+        for (i, j), coeffs in _items(brackets):
             if not 0 <= i < j < dim:
                 raise ValueError(f"bracket indices must satisfy 0 <= i < j < dim, got ({i},{j})")
-            entries = []
-            for k, value in dict(coeffs).items():
+            if (i, j) in pairs:
+                raise LieforgeError(f"bracket ({i},{j}) given twice")
+            pairs.add((i, j))
+            entries, targets = [], set()
+            for k, value in _items(coeffs):
                 if not 0 <= k < dim:
                     raise ValueError(f"target index {k} out of range")
+                if k in targets:
+                    raise LieforgeError(f"target index {k} given twice in bracket ({i},{j})")
+                targets.add(k)
                 v = scalar(value)
                 if v:
                     entries.append((k, v))
@@ -124,9 +131,10 @@ class LieAlgebra:
     def basis_vector(self, i: int) -> Vector:
         return tuple(Fraction(1) if j == i else ZERO for j in range(self.dim))
 
-    def sparse_brackets(self) -> Table:
-        """The bracket table, the i < j entries with nonzero coefficients."""
-        return self.brackets
+
+def _items(data: Mapping | Iterable[tuple]) -> Iterable[tuple]:
+    """The (key, value) pairs of a mapping, or the pairs given, repeats kept for the caller to refuse."""
+    return data.items() if isinstance(data, Mapping) else data
 
 
 def bracket(g: LieAlgebra, x: Vector, y: Vector) -> Vector:

@@ -390,7 +390,6 @@ def _cmd_construct(args) -> tuple[CheckReport, tuple, LieAlgebra | None]:
         sasakian_double_extension,
         sasakian_reduction,
         sasakian_to_frobenius_kahler,
-        solve_double_extension_params,
     )
 
     g, b = _load_algebra(args)
@@ -415,8 +414,7 @@ def _cmd_construct(args) -> tuple[CheckReport, tuple, LieAlgebra | None]:
         theta = _required(args, "two_form", g.dim, b)
         d = _extension_map(args, g, b)
         c = _scalar_at(args.w_scale, None, "--w-scale") if args.w_scale else None
-        params = solve_double_extension_params(g, *sources, theta, d, c)
-        result, report, structure = sasakian_double_extension(g, *sources, theta, d, params)
+        result, report, structure, params = sasakian_double_extension(g, *sources, theta, d, c)
         notes = (
             ("params", f"a={fmt_scalar(params.a)} b={fmt_scalar(params.b)} c={fmt_scalar(params.c)} d={fmt_scalar(params.d)}"),
             ("params_u", fmt_vector(params.u, g.labels)),

@@ -38,9 +38,9 @@ function is bound to the algebra it was checked on (its ``algebra``
 field). The constructions in ``theorems`` accept such a structure on that
 same algebra object as already verified; any other structure, including
 one built by hand, is checked again. Only ``check_*`` binds: the field is
-not a constructor argument, and ``dataclasses.replace`` resets it. A bound
-Frobenius structure also carries the Kirillov form its check computed
-(``kirillov``), so a construction that needs -d(phi) does not build it again.
+not a constructor argument, and ``dataclasses.replace`` resets it. The
+binding is the only hidden field: a construction that needs the Kirillov form
+-d(phi) of a Frobenius structure builds it (``forms.kirillov_form``).
 """
 
 from __future__ import annotations
@@ -88,8 +88,6 @@ class FrobeniusStructure:
     phi: KForm
     principal: Vector
     algebra: LieAlgebra | None = field(default=None, init=False, repr=False, compare=False)
-    # B_phi = -d(phi) as check_frobenius found it nondegenerate; bound with algebra
-    kirillov: KForm | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -123,9 +121,8 @@ class NijenhuisTable:
         return all(is_zero_vector(v) for row in self.entries for v in row)
 
 
-def _bind(structure, g: LieAlgebra, **checked):
-    for name, value in {"algebra": g, **checked}.items():
-        object.__setattr__(structure, name, value)  # the dataclass is frozen
+def _bind(structure, g: LieAlgebra):
+    object.__setattr__(structure, "algebra", g)  # the dataclass is frozen
     return structure
 
 
@@ -169,7 +166,7 @@ def check_frobenius(g: LieAlgebra, phi: KForm) -> tuple[CheckReport, FrobeniusSt
     if x_p is None:  # an odd dimension leaves a radical, so this is every failing report
         return report, None
     notes = (("principal_element", fmt_vector(x_p, g.labels)), ("kirillov_form", b.describe(g.labels)))
-    return report.with_notes(*notes), _bind(FrobeniusStructure(phi, x_p), g, kirillov=b)
+    return report.with_notes(*notes), _bind(FrobeniusStructure(phi, x_p), g)
 
 
 def check_contact(g: LieAlgebra, alpha: KForm) -> tuple[CheckReport, ContactStructure | None]:
@@ -330,7 +327,9 @@ def check_kahler(g: LieAlgebra, j: Matrix, omega: KForm) -> tuple[CheckReport, K
         first_failure(
             "complex_integrable", bad, lambda t: f"N_J{fmt_basis_tuple(t[0], g.labels)} = {fmt_vector(t[1], g.labels)}"
         ),
-        passed("symplectic_closed", domega.is_zero(), f"d(omega) = {domega.describe(g.labels)}"),
+        first_failure(
+            "symplectic_closed", None if domega.is_zero() else domega, lambda f: f"d(omega) = {f.describe(g.labels)}"
+        ),
         first_failure(
             "symplectic_j_invariant",
             bad_inv,

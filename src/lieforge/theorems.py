@@ -4,7 +4,8 @@ Every constructor re-verifies its output with the axiom checkers from
 ``structures``; nothing is trusted by construction. An input structure is
 verified once: a structure that ``check_*`` bound to the very algebra
 object passed alongside it is accepted as is, and any other structure
-(checked on another algebra, or built by hand) is checked again.
+(checked on another algebra, or built by hand) is checked again. A structure
+carries no derived value, so omega = -d(phi) is tested on -d(phi) built anew.
 
 A construction refuses its input with ``PreconditionError``, whose report is
 the evidence: the failing report of a check (``report.require``), or a report
@@ -34,12 +35,19 @@ the base first, then the central element z, then the derivation slot:
   J = [[Phi, xi], [-alpha, 0]];
 - a Sasakian double extension carries
   Phi-bar = [[Phi - (d/delta) Phi u (x) alpha, (c/delta) Phi u, -c xi],
-  [0, 0, -d], [-(b/delta) alpha, a/delta, 0]];
+  [0, 0, -d], [-(b/delta) alpha, a/delta, 0]], which with d = -c and
+  delta = -c is [[Phi - Phi u (x) alpha, -Phi u, -c xi], [0, 0, c],
+  [(b/c) alpha, -a/c, 0]];
 - the lift of a complex structure J to a double extension is
   J-bar = [[J, 0, 0], [0, 0, -1], [0, 1, 0]].
 
-The derivation of a double extension is read once, as the slot action on
-the extension (column x is [slot, e_x]), and the four conditions "two maps
+A Sasakian double extension takes only the scale c of w = c xi + d z. The
+rest is read off the Reeb vector u + a xi + b z of the lifted contact form,
+which is unique, so a + b = 1, alpha(u) = 0, d = -c and delta = ad - bc = -c
+(``DoubleExtensionParams``, an output). Each call verifies the input, builds
+the extension and checks it contact once (``_double_extension``). The
+derivation of a double extension is read once, as the slot action on the
+extension (column x is [slot, e_x]), and the four conditions "two maps
 commute on a basis" are one helper (``_commute_mismatch``).
 
 Where the source formulas admit two sign choices, the worked
@@ -50,7 +58,7 @@ frozen values).
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -77,7 +85,6 @@ from .linalg import (
     is_square,
     is_zero_vector,
     transpose,
-    vec_add,
     vec_scale,
     vec_sub,
     vector_over,
@@ -136,23 +143,16 @@ def _verify_kahler_input(g: LieAlgebra, k: KahlerStructure) -> None:
         require("input structure fails the Kahler axioms", check_kahler(g, k.j, k.omega)[0])
 
 
-def _verify_frobenius_input(g: LieAlgebra, f: FrobeniusStructure) -> KForm:
-    """Checks f unless it is bound to g; returns its Kirillov form -d(phi)."""
-    if f.algebra is g:
-        return f.kirillov
-    rep, frob = check_frobenius(g, f.phi)
-    require("input is not Frobenius", rep)
-    if frob.principal != f.principal:
-        witness = f"solved {fmt_vector(frob.principal, g.labels)}"
-        raise refusal("supplied principal element is wrong", "principal_element", witness)
-    return frob.kirillov
-
-
 def _verify_frobenius_kahler_input(g: LieAlgebra, f: FrobeniusStructure, k: KahlerStructure) -> None:
     """Checks f and k as the inputs above, and that omega = -d(phi)."""
-    kirillov = _verify_frobenius_input(g, f)
+    if f.algebra is not g:
+        rep, frob = check_frobenius(g, f.phi)
+        require("input is not Frobenius", rep)
+        if frob.principal != f.principal:
+            witness = f"solved {fmt_vector(frob.principal, g.labels)}"
+            raise refusal("supplied principal element is wrong", "principal_element", witness)
     _verify_kahler_input(g, k)
-    if k.omega != kirillov:
+    if k.omega != kirillov_form(g, f.phi):
         raise refusal("symplectic form must equal -d(phi)", "exact_symplectic_coherence", "omega != -d(phi)")
 
 
@@ -381,11 +381,10 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
             lambda c: f"Jbar(D {child.labels[c[0]]}) = {fmt_vector(c[1], child.labels)}, "
             f"D(J {child.labels[c[0]]}) = {fmt_vector(c[2], child.labels)}",
         ),
-        passed(
+        first_failure(  # the hit is torsion_ok, commute_ok being its negation
             "equivalence_agrees",
-            torsion_ok == commute_ok,
-            f"torsion {'vanishes' if torsion_ok else 'persists'} but commutation "
-            f"{'holds' if commute_ok else 'fails'}",
+            None if torsion_ok == commute_ok else torsion_ok,
+            lambda t: f"torsion {'vanishes' if t else 'persists'} but commutation {'fails' if t else 'holds'}",
         ),
     )
     return CheckReport(items)
@@ -397,116 +396,64 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
 
 @dataclass(frozen=True)
 class DoubleExtensionParams:
-    """Reeb decomposition (a, b, u) plus the scale (c, d) of the w vector."""
+    """The solved Reeb vector u + a xi + b z of a double extension and the scale c of w = c xi + d z, d = -c."""
 
     a: Fraction
     b: Fraction
     c: Fraction
-    d: Fraction
     u: Vector
-    # (g, s, theta, d, build) from solve_double_extension_params, reused by the
-    # constructors for those very objects; hand-built and replace()d params have none
-    _build: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
-    def delta(self) -> Fraction:
-        return self.a * self.d - self.b * self.c
-
-    def validate(self) -> CheckReport:
-        items = (
-            passed("params_a_plus_b", self.a + self.b == 1, f"a+b = {fmt_scalar(self.a + self.b)}"),
-            passed("params_c_plus_d", self.c + self.d == 0, f"c+d = {fmt_scalar(self.c + self.d)}"),
-            passed("params_delta_nonzero", self.delta != 0, "delta = ad - bc = 0"),
-        )
-        return CheckReport(items)
+    def d(self) -> Fraction:
+        return -self.c
 
 
-def _build_double_extension(
-    g: LieAlgebra, s: SasakianStructure, theta: KForm, d: Matrix
-) -> tuple[ExtensionResult, KForm, CheckReport, Vector | None]:
-    """Shared preconditions: cocycle, derivation, contact pairing, contact."""
+def _double_extension(
+    g: LieAlgebra, s: SasakianStructure, theta: KForm, d: Matrix, c: Fraction | None
+) -> tuple[ExtensionResult, KForm, Vector, DoubleExtensionParams, Matrix, CheckReport]:
+    """(extension, its contact form, solved Reeb vector, params, Phi-bar, contact report).
+
+    The extension must be contact for alpha + z*, which needs alpha(D(z)) != 0. Its Reeb vector then
+    has no component t along the derivation slot, as 0 = d(alpha)(xi, z) = -t alpha(D(z)), so it reads
+    u + a xi + b z with alpha(u) = 0 and a + b = 1. The candidate metric gives g(D, D) = c (alpha(D z) -
+    alpha(D xi)), so when no scale is supplied c is chosen as the sign of that bracket, and defaults to 1
+    when the factor vanishes. With d = -c, delta = ad - bc = -c, so c = 0 is refused.
+    """
     _verify_sasakian_input(g, s)
     ext = double_extension(g, theta, d)
     child = ext.algebra
-    coords = one_form_coords(s.alpha) + (ONE, ZERO)
-    alpha = KForm.one_form(child.dim, coords)
-    _, terms, _ = child._integer_terms
-    if not sum(coords[k] * c for k, c in terms[ext.derivation_index][ext.central_index]):  # D alpha([slot, z])
+    n = g.dim
+    coords = one_form_coords(s.alpha)
+    alpha = KForm.one_form(child.dim, coords + (ONE, ZERO))
+    a_ints, _ = clear_denominators(one_form_coords(alpha))
+    alpha_d = int_apply(zip(*_slot_action(ext)[0]), a_ints)  # the row alpha o D, over a positive denominator
+    if not alpha_d[n]:
         raise refusal("alpha(D(z)) must be nonzero", "contact_pairing_nonzero", "alpha(D(z)) = 0")
     contact_rep, contact = check_contact(child, alpha)
     require("extension is not contact for alpha = lifted alpha + z*", contact_rep)
-    return ext, alpha, contact_rep, contact.reeb
-
-
-def solve_double_extension_params(
-    g: LieAlgebra, s: SasakianStructure, theta: KForm, d: Matrix, c: Fraction | None = None
-) -> DoubleExtensionParams:
-    """Read (a, b, u) off the solved Reeb vector; pick c by the metric sign.
-
-    The candidate metric gives g(D, D) = c (alpha(D z) - alpha(D xi)), so
-    when no scale is supplied c is chosen as the sign of that bracket, and
-    defaults to 1 when the factor vanishes. The params carry the extension
-    built here, so the constructors given the same (g, s, theta, d) objects
-    do not build and check it again.
-
-    The solved Reeb vector xi has no component t along the derivation slot:
-    ``_build_double_extension`` has refused alpha(D(z)) = 0, and
-    0 = d(alpha)(xi, z) = -t alpha(D(z)) then forces t = 0.
-    """
-    build = _build_double_extension(g, s, theta, d)
-    ext, alpha, _, reeb = build
-    n = g.dim
-    b = reeb[n]
+    reeb = contact.reeb
+    if c is None:  # the sign of alpha(D(z - xi))
+        xi, dx = clear_denominators(s.reeb)
+        c = ONE if alpha_d[n] * dx >= sum(map(mul, alpha_d, xi)) else -ONE
+    elif c == 0:
+        raise refusal("the scale c of w = c xi + d z must be nonzero", "params_delta_nonzero", "delta = ad - bc = 0")
+    c = Fraction(c)
     a = apply_one_form(s.alpha, reeb[:n])
-    u = vec_sub(reeb[:n], vec_scale(a, s.reeb))
-    if c is None:  # the sign of alpha(D(z - xi)), from integers over positive denominators
-        z_minus_xi, _ = clear_denominators(vec_sub(ext.algebra.basis_vector(n), embed_vector(s.reeb, n + 2)))
-        a_ints, _ = clear_denominators(one_form_coords(alpha))
-        c = ONE if sum(map(mul, a_ints, int_apply(_slot_action(ext)[0], z_minus_xi))) >= 0 else -ONE
-    params = DoubleExtensionParams(a=a, b=b, c=c, d=-c, u=u)
-    object.__setattr__(params, "_build", (g, s, theta, d, build))  # the dataclass is frozen
-    return params
-
-
-def _double_extension_setup(
-    g: LieAlgebra, s: SasakianStructure, theta: KForm, d: Matrix, params: DoubleExtensionParams
-) -> tuple[ExtensionResult, KForm, Vector, Matrix, CheckReport]:
-    """(extension, its contact form, solved Reeb vector, Phi-bar, contact report) for checked params."""
-    carried = params._build
-    if carried is not None and all(x is y for x, y in zip(carried, (g, s, theta, d))):
-        ext, alpha, contact_rep, reeb = carried[4]
-    else:
-        ext, alpha, contact_rep, reeb = _build_double_extension(g, s, theta, d)
-    n = g.dim
-    require("inconsistent parameters", params.validate())
-    if len(params.u) != n:
-        raise DimensionMismatch("u must live in the base algebra")
-    alpha_u = apply_one_form(s.alpha, params.u)
-    if alpha_u != 0:
-        raise refusal("u must lie in Ker(alpha)", "params_u_in_kernel", f"alpha(u) = {fmt_scalar(alpha_u)}")
-    if vec_add(params.u, vec_scale(params.a, s.reeb)) + (params.b, ZERO) != reeb:  # u + a xi + b z
-        raise refusal(
-            "parameters do not reproduce the solved Reeb vector",
-            "reeb_form",
-            f"solved Reeb = {fmt_vector(reeb, ext.algebra.labels)}",
-        )
-    inv = ONE / params.delta
-    coords = one_form_coords(s.alpha)
+    params = DoubleExtensionParams(a, reeb[n], c, vec_sub(reeb[:n], vec_scale(a, s.reeb)))
     (sp, dsp), (u, du) = int_matrix(s.phi), clear_denominators(params.u)
     phi_u = vector_over(int_apply(sp, u), dsp * du)
-    # [[Phi - (d/delta) Phi u (x) alpha, (c/delta) Phi u, -c xi], [0, 0, -d], [-(b/delta) alpha, a/delta, 0]]
+    # with delta = -c: [[Phi - Phi u (x) alpha, -Phi u, -c xi], [0, 0, c], [(b/c) alpha, -a/c, 0]]
     phi = tuple(
-        (*(p - params.d * inv * pu * x for p, x in zip(row, coords)), params.c * inv * pu, -params.c * xi)
-        for row, pu, xi in zip(s.phi, phi_u, s.reeb)
-    ) + ((*zero_vector(n), ZERO, -params.d), (*(-params.b * inv * x for x in coords), params.a * inv, ZERO))
-    return ext, alpha, reeb, phi, contact_rep
+        (*(p - pu * x for p, x in zip(row, coords)), -pu, -c * xi) for row, pu, xi in zip(s.phi, phi_u, s.reeb)
+    ) + ((*zero_vector(n), ZERO, c), (*(params.b / c * x for x in coords), -params.a / c, ZERO))
+    return ext, alpha, reeb, params, phi, contact_rep
 
 
 def sasakian_double_extension_conditions(
-    g: LieAlgebra, s: SasakianStructure, theta: KForm, d: Matrix, params: DoubleExtensionParams
+    g: LieAlgebra, s: SasakianStructure, theta: KForm, d: Matrix, c: Fraction | None = None
 ) -> CheckReport:
-    """The five equivalent conditions for the extension to stay Sasakian."""
-    ext, _, reeb, phi, _ = _double_extension_setup(g, s, theta, d, params)
+    """The five equivalent conditions for the extension to stay Sasakian, at the scale c (solved when None)."""
+    ext, _, reeb, params, phi, _ = _double_extension(g, s, theta, d, c)
     child = ext.algebra
     basis = kernel_basis(g, s.alpha)
     p, dp = int_matrix(s.phi)
@@ -547,24 +494,25 @@ def sasakian_double_extension_conditions(
     w_vec = vec_scale(params.c, s.reeb) + (params.d, ZERO)  # c xi + d z
     m_w = torsion(w_vec, reeb)
     m_d = torsion(child.basis_vector(ext.derivation_index), reeb)
-    witness = f"M(w,xi) = {fmt_vector(m_w, child.labels)}, M(D,xi) = {fmt_vector(m_d, child.labels)}"
-    item5 = passed("reeb_derivative_balance", is_zero_vector(m_w) and is_zero_vector(m_d), witness)
     notes = (
         ("M(w,xi)", fmt_vector(m_w, child.labels)),
         ("M(D,xi)", fmt_vector(m_d, child.labels)),
         ("solved_reeb", fmt_vector(reeb, child.labels)),
     )
+    witness = f"M(w,xi) = {notes[0][1]}, M(D,xi) = {notes[1][1]}"
+    item5 = passed("reeb_derivative_balance", is_zero_vector(m_w) and is_zero_vector(m_d), witness)
     return CheckReport((item1, item2, item3, item4, item5), notes)
 
 
 def sasakian_double_extension(
-    g: LieAlgebra, s: SasakianStructure, theta: KForm, d: Matrix, params: DoubleExtensionParams
-) -> tuple[ExtensionResult, CheckReport, SasakianStructure | None]:
-    """Build the double extension and verify the Sasakian axioms directly."""
-    ext, alpha, reeb, phi, contact = _double_extension_setup(g, s, theta, d, params)
+    g: LieAlgebra, s: SasakianStructure, theta: KForm, d: Matrix, c: Fraction | None = None
+) -> tuple[ExtensionResult, CheckReport, SasakianStructure | None, DoubleExtensionParams]:
+    """Build the double extension at the scale c (solved when None) and verify the Sasakian axioms directly;
+    returns the extension, the report, the structure and the solved params."""
+    ext, alpha, reeb, params, phi, contact = _double_extension(g, s, theta, d, c)
     rep, structure = check_sasakian(ext.algebra, reeb, alpha, phi)
     merged = CheckReport(contact.prefixed("contact:") + rep.items, contact.notes + rep.notes)
-    return ext, merged, structure
+    return ext, merged, structure, params
 
 
 # ---------------------------------------------------------------------------
@@ -622,16 +570,18 @@ def sasakian_to_frobenius_kahler(
     phi_lift = KForm.one_form(child.dim, coords + (ZERO,))
     j = tuple((*row, x) for row, x in zip(s.phi, s.reeb)) + ((*(-x for x in coords), ZERO),)  # [[Phi, xi], [-alpha, 0]]
     rep_f, frob = check_frobenius(child, phi_lift)
-    omega = frob.kirillov if frob is not None else kirillov_form(child, phi_lift)  # -d(phi_lift)
-    rep_k, kahler = check_kahler(child, j, omega)
+    rep_k, kahler = check_kahler(child, j, kirillov_form(child, phi_lift))  # omega = -d(phi_lift)
     items = rep_f.prefixed("frobenius:") + rep_k.prefixed("kahler:")
-    principal_ok = frob is not None and frob.principal == slot
-    witness = (
-        f"principal element = {fmt_vector(frob.principal, child.labels)}"
-        if frob is not None
-        else "no principal element"
+    principal = None if frob is None else frob.principal
+    items += (
+        first_failure(  # the hit is (principal,), None where phi_lift is not Frobenius
+            "principal_is_adjoined_slot",
+            None if principal == slot else (principal,),
+            lambda h: "no principal element"
+            if h[0] is None
+            else f"principal element = {fmt_vector(h[0], child.labels)}",
+        ),
     )
-    items += (passed("principal_is_adjoined_slot", principal_ok, witness),)
     merged = CheckReport(items, rep_f.notes + rep_k.notes)
     return ext, merged, frob, kahler
 

@@ -404,7 +404,7 @@ def frobenius_kahler_inputs(draw):
     p, pinv = _moved(draw, g.dim, pivot)
     g = conjugate_algebra(g, p, pinv)
     f = lf.check_frobenius(g, conjugate_one_form(phi, p))[1]
-    k = lf.check_kahler(g, conjugate_map(j, p, pinv), f.kirillov)[1]
+    k = lf.check_kahler(g, conjugate_map(j, p, pinv), lf.kirillov_form(g, f.phi))[1]
     assert k is not None
     return g, f, k
 

@@ -206,7 +206,7 @@ def check_frobenius(g: LieAlgebra, phi: KForm) -> tuple[CheckReport, FrobeniusSt
     x_p, homogeneous = solve_affine(rows, one_form_coords(phi))
     assert x_p is not None and not homogeneous
     report = report.with_notes(("principal_element", fmt_vector(x_p, g.labels)), ("kirillov_form", b.describe(g.labels)))
-    return report, _bind(FrobeniusStructure(phi, x_p), g, kirillov=b)
+    return report, _bind(FrobeniusStructure(phi, x_p), g)
 
 
 def is_cocycle(g: LieAlgebra, theta: KForm) -> CheckReport:

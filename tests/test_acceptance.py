@@ -124,7 +124,8 @@ def _heisenberg_double_extension_instances(rng: random.Random, minimum: int):
 
     Base is the Heisenberg Sasakian algebra; theta ranges over its cocycle
     space (all 2-forms), D over diagonal derivations of the central
-    extension with alpha(D z) != 0, and the Reeb parameters are solved.
+    extension with alpha(D z) != 0, and each instance carries its solved
+    construction: the extension, its report, its structure and its params.
     """
     h3 = lf.builtin("h3")
     s = h3.sasakian()
@@ -171,10 +172,10 @@ def _heisenberg_double_extension_instances(rng: random.Random, minimum: int):
         if not lf.is_derivation(central.algebra, d).overall:
             continue
         try:
-            params = lf.solve_double_extension_params(h3.algebra, s, theta, d)
+            result = lf.sasakian_double_extension(h3.algebra, s, theta, d)
         except PreconditionError:
             continue
-        instances.append((s, theta, d, params))
+        instances.append((s, theta, d, result))
     return instances
 
 
@@ -187,9 +188,8 @@ def test_acceptance_3_double_extension_oracle_equivalence():
             instances = _heisenberg_double_extension_instances(rng, 100)
             assert len(instances) >= 100
             passes = failures = 0
-            for s, theta, d, params in instances:
-                conditions = lf.sasakian_double_extension_conditions(h3, s, theta, d, params)
-                _, report, structure = lf.sasakian_double_extension(h3, s, theta, d, params)
+            for s, theta, d, (_, report, structure, params) in instances:
+                conditions = lf.sasakian_double_extension_conditions(h3, s, theta, d)
                 direct = structure is not None
                 assert conditions.overall == direct == report.overall, (
                     theta.coeffs,

@@ -160,6 +160,21 @@ def test_constructor_rejects_invalid_tables():
         with pytest.raises(error):
             LieAlgebra(dim, brackets, labels)
 
+
+@pytest.mark.parametrize(
+    "brackets, message",
+    [
+        ([((0, 1), {2: 1}), ((0, 1), {2: 5})], "bracket (0,1) given twice"),
+        ([((0, 1), [(2, 1), (2, 3)])], "target index 2 given twice in bracket (0,1)"),
+    ],
+    ids=["pair", "target"],
+)
+def test_constructor_refuses_repeated_input(brackets, message):
+    # as parse_algebra does, a repeat is refused rather than the last value kept
+    with pytest.raises(LieforgeError) as err:
+        LieAlgebra(3, brackets)
+    assert str(err.value) == message
+
 @settings(max_examples=60, deadline=None)
 @given(bracket_tables(values=BIG_RATIONALS), SEEDS)
 def test_table_is_canonical_and_matches_dense_oracle(table, seed):
@@ -174,14 +189,14 @@ def test_table_is_canonical_and_matches_dense_oracle(table, seed):
         rng.shuffle(entries)
     shuffled = LieAlgebra(dim, {pair: dict(entries) for pair, entries in items})
     assert shuffled == g and hash(shuffled) == hash(g) and shuffled.brackets == g.brackets
-    assert LieAlgebra.from_brackets(dim, g.sparse_brackets(), g.labels) == g
+    assert LieAlgebra.from_brackets(dim, g.brackets, g.labels) == g
     assert all(x for _, entries in g.brackets for _, x in entries)
     c = oracle.dense_tensor(dim, brackets)
     assert g.c == c and g._integer_terms == oracle.integer_terms(c)
 
 
 def assert_derived_views_match_oracle(g):
-    c = oracle.dense_tensor(g.dim, g.sparse_brackets())
+    c = oracle.dense_tensor(g.dim, g.brackets)
     assert g.c == c and g._integer_terms == oracle.integer_terms(c)
 
 
@@ -194,7 +209,7 @@ def test_derived_views_match_dense_oracle(g):
 def test_dense_h13_views_match_oracle_without_fraction_negation(monkeypatch):
     g = conjugated_heisenberg_sasakian(6, 1)[0]
     assert_derived_views_match_oracle(g)
-    brackets = {pair: dict(entries) for pair, entries in dict(g.sparse_brackets()).items()}
+    brackets = {pair: dict(entries) for pair, entries in dict(g.brackets).items()}
     negations = []
     negate = Fraction.__neg__
 

@@ -124,7 +124,7 @@ PUBLIC = {
     "theorems": "DoubleExtensionParams contact_ideal_restriction extend_complex_structure "
     "frobenius_kahler_to_sasakian kahler_extension_obstruction kahler_to_sasakian_central "
     "sasakian_double_extension sasakian_double_extension_conditions sasakian_reduction "
-    "sasakian_to_frobenius_kahler solve_double_extension_params",
+    "sasakian_to_frobenius_kahler",
 }
 HOME = {name: module for module, names in PUBLIC.items() for name in names.split()}
 

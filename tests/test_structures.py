@@ -281,13 +281,12 @@ def test_checked_structures_are_bound_to_their_algebra():
     assert sas.algebra is H3.algebra
     assert kah.algebra is D4.algebra
     assert frob.algebra is D4.algebra
-    assert frob.kirillov == kirillov_form(D4.algebra, D4.frobenius_form)
     # only check_* binds: a hand-built copy (equal in value) and an edited one are unbound
     copy = type(sas)(sas.reeb, sas.alpha, sas.phi, sas.metric)
     assert copy == sas and copy.algebra is None
     assert dataclasses.replace(sas, phi=identity(3)).algebra is None
     frob_copy = type(frob)(frob.phi, frob.principal)
-    assert frob_copy == frob and frob_copy.algebra is None and frob_copy.kirillov is None
+    assert frob_copy == frob and frob_copy.algebra is None
 
 
 # --- the integer d(alpha) paths against the Fraction oracle -------------------
@@ -323,7 +322,6 @@ def test_frobenius_matches_oracle(case):
         with pytest.raises(PreconditionError):
             principal_element(g, phi)
     else:
-        assert got[1].kirillov == want[1].kirillov
         assert principal_element(g, phi) == want[1].principal
 
 
@@ -503,3 +501,13 @@ def test_a_passing_sasakian_check_formats_only_its_notes(args, monkeypatch):
     report, structure = check_sasakian(*args)
     assert report.overall and structure is not None
     assert formatted and set(formatted) <= {value for _, value in report.notes}
+
+
+def test_a_passing_kahler_check_describes_no_form(monkeypatch):
+    # d(omega) is described only as the witness of a failing symplectic_closed
+    described = []
+    describe = KForm.describe
+    monkeypatch.setattr(KForm, "describe", lambda self, *a: described.append(self) or describe(self, *a))
+    report, structure = check_kahler(D4.algebra, *D4.kahler_data)
+    assert report.overall and structure is not None
+    assert described == []

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lieforge import (
-    DoubleExtensionParams,
     KForm,
     LieAlgebra,
     builtin,
@@ -24,7 +23,6 @@ from lieforge import (
     sasakian_reduction,
     sasakian_to_frobenius_kahler,
     reversed_double_extension,
-    solve_double_extension_params,
 )
 from lieforge.derivations import Commute, FormEigen, Leibniz, derivation_space
 from lieforge.linalg import diagonal, int_matrix, mat_mul, matrix, nullspace, vector, zero_matrix
@@ -170,54 +168,43 @@ def test_double_extension_positive_instance():
     s = H3.sasakian()
     theta = KForm.zero(3, 2)
     d = diagonal([0, 0, 0, 1])
-    params = solve_double_extension_params(H3.algebra, s, theta, d)
+    ext, report, structure, params = sasakian_double_extension(H3.algebra, s, theta, d)
     assert (params.a, params.b) == (Fraction(1), Fraction(0))
-    conditions = sasakian_double_extension_conditions(H3.algebra, s, theta, d, params)
-    assert conditions.overall
-    ext, report, structure = sasakian_double_extension(H3.algebra, s, theta, d, params)
     assert report.overall and structure is not None
     assert ext.algebra.dim == 5
+    conditions = sasakian_double_extension_conditions(H3.algebra, s, theta, d)
+    assert conditions.overall
 
 
 def test_double_extension_negative_scale_needs_sign_solve():
     s = H3.sasakian()
     theta = KForm.zero(3, 2)
     d = diagonal([0, 0, 0, -1])
-    params = solve_double_extension_params(H3.algebra, s, theta, d)
+    _, report, structure, params = sasakian_double_extension(H3.algebra, s, theta, d)
     assert params.c == Fraction(-1)
-    _, report, structure = sasakian_double_extension(H3.algebra, s, theta, d, params)
     assert report.overall and structure is not None
     # the default scale c = 1 satisfies the five conditions but fails the metric
-    forced = DoubleExtensionParams(params.a, params.b, Fraction(1), Fraction(-1), params.u)
-    conditions = sasakian_double_extension_conditions(H3.algebra, s, theta, d, forced)
+    conditions = sasakian_double_extension_conditions(H3.algebra, s, theta, d, Fraction(1))
     assert conditions.overall
-    _, report2, structure2 = sasakian_double_extension(H3.algebra, s, theta, d, forced)
+    _, report2, structure2, forced = sasakian_double_extension(H3.algebra, s, theta, d, Fraction(1))
+    assert (forced.a, forced.b, forced.u) == (params.a, params.b, params.u) and forced.c == 1
     assert structure2 is None
     assert not report2.item("metric_positive_definite").passed
 
 
-def test_solved_params_carry_their_build_for_the_same_inputs_only(monkeypatch):
-    import dataclasses
-
+def test_a_double_extension_is_built_and_checked_contact_once(monkeypatch):
     import lieforge.theorems as theorems
 
-    builds = []
-    original = theorems._build_double_extension
-    monkeypatch.setattr(theorems, "_build_double_extension", lambda *a: builds.append(a) or original(*a))
-    s = H3.sasakian()
-    theta = KForm.zero(3, 2)
-    d = diagonal([0, 0, 0, 1])
-    params = solve_double_extension_params(H3.algebra, s, theta, d)
-    sasakian_double_extension_conditions(H3.algebra, s, theta, d, params)
-    _, report, _ = sasakian_double_extension(H3.algebra, s, theta, d, params)
-    assert report.overall and len(builds) == 1
-    # an equal but distinct map, a replace() result and a hand-built copy are built again
-    sasakian_double_extension(H3.algebra, s, theta, diagonal([0, 0, 0, 1]), params)
-    copy = DoubleExtensionParams(params.a, params.b, params.c, params.d, params.u)
-    for other in (dataclasses.replace(params), copy):
-        assert other == params
-        sasakian_double_extension(H3.algebra, s, theta, d, other)
-    assert len(builds) == 4
+    calls = []
+    for name in ("double_extension", "check_contact"):
+        original = getattr(theorems, name)
+        monkeypatch.setattr(theorems, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+    args = (H3.algebra, H3.sasakian(), KForm.zero(3, 2), diagonal([0, 0, 0, 1]), -1)
+    _, report, _, params = sasakian_double_extension(*args)
+    assert sorted(calls) == ["check_contact", "double_extension"]
+    assert report.item("contact:contact_top_form_nonzero").passed
+    # the scale c is the one choice: d = -c follows it, and (a, b, u) are read off the solved Reeb vector e3
+    assert (params.a, params.b, params.c, params.d, params.u) == (1, 0, -1, 1, (0, 0, 0))
 
 
 def test_double_extension_rejects_non_contact_scaling():
@@ -225,7 +212,7 @@ def test_double_extension_rejects_non_contact_scaling():
     s = H3.sasakian()
     d = diagonal(["1/2", "1/2", 1, 1])
     with pytest.raises(PreconditionError) as err:
-        solve_double_extension_params(H3.algebra, s, KForm.zero(3, 2), d)
+        sasakian_double_extension(H3.algebra, s, KForm.zero(3, 2), d)
     assert "not contact" in str(err.value)
 
 
@@ -233,7 +220,7 @@ def test_double_extension_rejects_zero_pairing():
     s = H3.sasakian()
     d = diagonal(["1/2", "1/2", 1, 0])
     with pytest.raises(PreconditionError) as err:
-        solve_double_extension_params(H3.algebra, s, KForm.zero(3, 2), d)
+        sasakian_double_extension(H3.algebra, s, KForm.zero(3, 2), d)
     assert "alpha(D(z))" in str(err.value)
 
 
@@ -241,31 +228,17 @@ def test_double_extension_rejects_degenerate_params():
     s = H3.sasakian()
     theta = KForm.zero(3, 2)
     d = diagonal([0, 0, 0, 1])
-    bad = DoubleExtensionParams(Fraction(1), Fraction(0), Fraction(0), Fraction(0), (Fraction(0),) * 3)
     with pytest.raises(PreconditionError):
-        sasakian_double_extension_conditions(H3.algebra, s, theta, d, bad)
-
-
-def test_double_extension_rejects_wrong_reeb_params():
-    s = H3.sasakian()
-    theta = KForm.zero(3, 2)
-    d = diagonal([0, 0, 0, 1])
-    wrong = DoubleExtensionParams(
-        Fraction(0), Fraction(1), Fraction(1), Fraction(-1), (Fraction(0),) * 3
-    )
-    with pytest.raises(PreconditionError) as err:
-        sasakian_double_extension_conditions(H3.algebra, s, theta, d, wrong)
-    assert "Reeb" in str(err.value)
+        sasakian_double_extension_conditions(H3.algebra, s, theta, d, c=Fraction(0))
 
 
 def test_double_extension_condition_three_failure_matches_direct_check():
     s = H3.sasakian()
     theta = KForm.zero(3, 2)
     d = diagonal([1, -1, 0, 1])
-    params = solve_double_extension_params(H3.algebra, s, theta, d)
-    conditions = sasakian_double_extension_conditions(H3.algebra, s, theta, d, params)
+    conditions = sasakian_double_extension_conditions(H3.algebra, s, theta, d)
     assert not conditions.item("derivation_commutes_with_phi").passed
-    _, report, structure = sasakian_double_extension(H3.algebra, s, theta, d, params)
+    _, report, structure, _ = sasakian_double_extension(H3.algebra, s, theta, d)
     assert structure is None
     assert conditions.overall == report.overall == False
 
@@ -362,24 +335,25 @@ def test_exact_two_forms_are_kirillov_forms(monkeypatch):
     assert reversed_double_extension(H3.algebra, H3.sasakian().alpha, d).algebra.c == G5.algebra.c
 
 
-# d(alpha) builds per construction on bound inputs: the Kirillov form check_frobenius binds to a
-# Frobenius structure serves as omega = -d(phi) in both directions, and contact-ideal builds only
-# the restricted contact form's, for its contact and Sasakian checks
+# d(alpha) builds per construction on bound inputs: no structure carries its Kirillov form, so
+# sasakian-to-fk builds -d(phi) on the extension for check_frobenius and again as omega, the other
+# two build -d(phi) once for omega = -d(phi), then fk-to-sasakian the extension's d(alpha) for its
+# Sasakian check and contact-ideal the restricted contact form's for its contact and Sasakian checks
 KIRILLOV_BUILDS = {
     "sasakian-to-fk": (
         lambda: (H3.sasakian(),),
         lambda s: sasakian_to_frobenius_kahler(H3.algebra, s, diagonal(["1/2", "1/2", 1])),
-        1,
+        2,
     ),
     "fk-to-sasakian": (
         lambda: (D4.frobenius(), D4.kahler()),
         lambda f, k: frobenius_kahler_to_sasakian(D4.algebra, f, k, D4.maps[0][1]),
-        1,
+        2,
     ),
     "contact-ideal": (
         lambda: (D4.frobenius(), D4.kahler()),
         lambda f, k: contact_ideal_restriction(D4.algebra, f, k),
-        2,
+        3,
     ),
 }
 
@@ -513,9 +487,8 @@ def test_double_extension_oracle_on_five_dimensional_base():
     for scale in (1, -2):
         theta = KForm.zero(5, 2)
         d = diagonal([0, 0, 0, 0, 0, scale])
-        params = solve_double_extension_params(G0.algebra, s, theta, d)
-        conditions = sasakian_double_extension_conditions(G0.algebra, s, theta, d, params)
-        ext, report, structure = sasakian_double_extension(G0.algebra, s, theta, d, params)
+        conditions = sasakian_double_extension_conditions(G0.algebra, s, theta, d)
+        ext, report, structure, _ = sasakian_double_extension(G0.algebra, s, theta, d)
         assert conditions.overall and report.overall and structure is not None
         assert ext.algebra.dim == 7
 
@@ -538,11 +511,10 @@ def test_double_extension_oracle_on_five_dimensional_base():
                     d[i][j] += c * m[i][j]
         d = tuple(tuple(row) for row in d)
         try:
-            params = solve_double_extension_params(G0.algebra, s, theta, d)
+            ext, report, structure, _ = sasakian_double_extension(G0.algebra, s, theta, d)
         except PreconditionError:
             continue
-        conditions = sasakian_double_extension_conditions(G0.algebra, s, theta, d, params)
-        ext, report, structure = sasakian_double_extension(G0.algebra, s, theta, d, params)
+        conditions = sasakian_double_extension_conditions(G0.algebra, s, theta, d)
         assert conditions.overall == report.overall == (structure is not None)
         constructed += 1
     assert constructed >= 10
@@ -651,16 +623,11 @@ def test_double_extensions_match_oracle(name):
     g, s, d = _sasakian_case(name)
     theta = KForm.zero(g.dim, 2)
     for dd in (_plus_one(d), _plus_one(zero_matrix(g.dim)), _plus_one(adjoint(g, g.basis_vector(0)))):
-        params = outcome(solve_double_extension_params, g, s, theta, dd)
-        assert params == outcome(theorems_oracle.solve_double_extension_params, g, s, theta, dd)
-        if isinstance(params, DoubleExtensionParams):
-            args = (g, s, theta, dd, params)
-            assert outcome(sasakian_double_extension_conditions, *args) == outcome(
-                theorems_oracle.sasakian_double_extension_conditions, *args
-            )
-            assert outcome(sasakian_double_extension, *args) == outcome(
-                theorems_oracle.sasakian_double_extension, *args
-            )
+        args = (g, s, theta, dd)
+        assert outcome(sasakian_double_extension_conditions, *args) == outcome(
+            theorems_oracle.sasakian_double_extension_conditions, *args
+        )
+        assert outcome(sasakian_double_extension, *args) == outcome(theorems_oracle.sasakian_double_extension, *args)
 
 
 @pytest.mark.parametrize("weights", [[1, 1, 2, 3], [1, -1, 0, 1], [2, "1/2", "5/2", "9/2"]])
@@ -669,13 +636,12 @@ def test_double_extension_by_a_cocycle_matches_oracle(weights):
     # except for the second weights, so every block of Phi-bar is nonzero
     s = H3.sasakian()
     theta = KForm.two_form(3, {(0, 2): 1})
-    d = diagonal(weights)
-    params = solve_double_extension_params(H3.algebra, s, theta, d)
-    assert params == theorems_oracle.solve_double_extension_params(H3.algebra, s, theta, d)
+    args = (H3.algebra, s, theta, diagonal(weights))
+    result = sasakian_double_extension(*args)
+    assert result == theorems_oracle.sasakian_double_extension(*args)
+    params = result[3]
     assert any(params.u) and (params.b != 0) == (weights[1] != -1)
-    args = (H3.algebra, s, theta, d, params)
     assert sasakian_double_extension_conditions(*args) == theorems_oracle.sasakian_double_extension_conditions(*args)
-    assert sasakian_double_extension(*args) == theorems_oracle.sasakian_double_extension(*args)
 
 
 @pytest.mark.parametrize("name", [n for n in ORACLE_CASES if n not in ("g5", "g0")])
@@ -788,8 +754,7 @@ def test_double_extension_conditions_with_both_sides_nonzero_match_oracle(seed):
         p6, p6inv = (tuple((*row, 0) for row in m) + ((0,) * 5 + (1,),) for m in (p, pinv))  # z stays put
         d = conjugate_map(d, p6, p6inv)
     s = check_sasakian(g, reeb, alpha, phi)[1]
-    params = solve_double_extension_params(g, s, theta, d)
-    args = (g, s, theta, d, params)
+    args = (g, s, theta, d)
     report = sasakian_double_extension_conditions(*args)
     assert report == theorems_oracle.sasakian_double_extension_conditions(*args)
     witness = report.item("ad_u_phi_conjugation").witness

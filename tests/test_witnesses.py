@@ -11,7 +11,6 @@ from fractions import Fraction
 import pytest
 
 from lieforge import (
-    DoubleExtensionParams,
     KForm,
     LieAlgebra,
     builtin,
@@ -23,11 +22,12 @@ from lieforge import (
     extend_complex_structure,
     frobenius_kahler_to_sasakian,
     kahler_extension_obstruction,
+    kirillov_form,
     reversed_double_extension,
+    sasakian_double_extension,
     sasakian_double_extension_conditions,
     sasakian_reduction,
     sasakian_to_frobenius_kahler,
-    solve_double_extension_params,
 )
 from lieforge.linalg import diagonal, matrix, zero_matrix
 from lieforge.report import CheckItem, PreconditionError
@@ -61,10 +61,6 @@ def _d4half_sheared():
     return g, f, check_kahler(g, conjugate_map(k.j, p, pinv), conjugate_two_form(k.omega, p))[1]
 
 
-def _params(a, b, c, d, u):
-    return DoubleExtensionParams(*map(Fraction, (a, b, c, d)), tuple(map(Fraction, u)))
-
-
 # name -> call that refuses
 REFUSALS = {
     "principal_element": lambda: frobenius_kahler_to_sasakian(
@@ -76,15 +72,10 @@ REFUSALS = {
         LieAlgebra.abelian(1),
         SasakianStructure((Fraction(1),), KForm.basis_one_form(1, 0), ((Fraction(0),),), ((Fraction(1),),)),
     ),
-    "contact_pairing_nonzero": lambda: solve_double_extension_params(
+    "contact_pairing_nonzero": lambda: sasakian_double_extension(
         H3.algebra, H3.sasakian(), ZERO3, diagonal(["1/2", "1/2", 1, 0])
     ),
-    "params_u_in_kernel": lambda: sasakian_double_extension_conditions(
-        H3.algebra, H3.sasakian(), ZERO3, SLOT, _params(1, 0, 1, -1, (0, 0, 1))
-    ),
-    "reeb_form_setup": lambda: sasakian_double_extension_conditions(
-        H3.algebra, H3.sasakian(), ZERO3, SLOT, _params(0, 1, 1, -1, (0, 0, 0))
-    ),
+    "params_delta_nonzero": lambda: sasakian_double_extension_conditions(H3.algebra, H3.sasakian(), ZERO3, SLOT, 0),
     "exact_symplectic_coherence_fk": lambda: frobenius_kahler_to_sasakian(
         D4.algebra, D4.frobenius(), _d4half_rescaled_omega(), D4.maps[0][1]
     ),
@@ -124,8 +115,11 @@ REFUSED = {
         "dim = 1",
     ),
     "contact_pairing_nonzero": ("alpha(D(z)) must be nonzero", "contact_pairing_nonzero", "alpha(D(z)) = 0"),
-    "params_u_in_kernel": ("u must lie in Ker(alpha)", "params_u_in_kernel", "alpha(u) = 1"),
-    "reeb_form_setup": ("parameters do not reproduce the solved Reeb vector", "reeb_form", "solved Reeb = e3"),
+    "params_delta_nonzero": (
+        "the scale c of w = c xi + d z must be nonzero",
+        "params_delta_nonzero",
+        "delta = ad - bc = 0",
+    ),
     "exact_symplectic_coherence_fk": (
         "symplectic form must equal -d(phi)",
         "exact_symplectic_coherence",
@@ -161,8 +155,7 @@ REFUSED = {
 
 
 def _conditions(base, theta, d):
-    params = solve_double_extension_params(base.algebra, base.sasakian(), theta, d)
-    return sasakian_double_extension_conditions(base.algebra, base.sasakian(), theta, d, params)
+    return sasakian_double_extension_conditions(base.algebra, base.sasakian(), theta, d)
 
 
 H3_THETA = KForm.two_form(3, {(0, 1): -1, (0, 2): 1, (1, 2): 1})
@@ -183,8 +176,9 @@ R2R2 = LieAlgebra.from_brackets(4, {(0, 1): {1: 1}, (2, 3): {3: 1}})
 
 def _r2r2_restriction():
     """aff(R) + aff(R) with phi = e2* + e4*: J(e2 - e4) = e3 - e1 leaves the contact ideal."""
-    f = check_frobenius(R2R2, KForm.one_form(4, [0, 1, 0, 1]))[1]
-    k = check_kahler(R2R2, matrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]), f.kirillov)[1]
+    phi = KForm.one_form(4, [0, 1, 0, 1])
+    f = check_frobenius(R2R2, phi)[1]
+    k = check_kahler(R2R2, matrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]), kirillov_form(R2R2, phi))[1]
     return contact_ideal_restriction(R2R2, f, k)[1]
 
 

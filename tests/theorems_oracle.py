@@ -353,45 +353,30 @@ def _build_double_extension(
     return ext, alpha, contact_rep, contact.reeb
 
 
-def solve_double_extension_params(
-    g: LieAlgebra, s: SasakianStructure, theta: KForm, d: Matrix, c: Fraction | None = None
-) -> DoubleExtensionParams:
-    ext, alpha, _, reeb = _build_double_extension(g, s, theta, d)
-    n = g.dim
-    b = reeb[ext.central_index]
-    g_part = reeb[:n]
-    a = apply_one_form(s.alpha, g_part)
-    u = vec_sub(g_part, vec_scale(a, s.reeb))
-    if c is None:
-        factor = apply_one_form(alpha, embed_vector(column(d, ext.central_index), ext.algebra.dim))
-        factor -= apply_one_form(alpha, embed_vector(mat_vec(d, embed_vector(s.reeb, n + 1)), ext.algebra.dim))
-        c = ONE if factor >= 0 else -ONE
-    return DoubleExtensionParams(a=a, b=b, c=c, d=-c, u=u)
-
-
 def _double_extension_setup(
-    g: LieAlgebra, s: SasakianStructure, theta: KForm, d: Matrix, params: DoubleExtensionParams
-) -> tuple[ExtensionResult, KForm, Vector, Matrix, CheckReport]:
-    """(extension, contact form, solved Reeb vector, Phi-bar, contact report), Phi-bar column by column."""
+    g: LieAlgebra, s: SasakianStructure, theta: KForm, d: Matrix, c: Fraction | None
+) -> tuple[ExtensionResult, KForm, Vector, DoubleExtensionParams, Matrix, CheckReport]:
+    """(extension, contact form, solved Reeb vector, params, Phi-bar, contact report): the params read off the
+    solved Reeb vector and tested against it, and Phi-bar column by column from the general formula in a, b, c,
+    d and delta = ad - bc."""
     ext, alpha, contact_rep, reeb = _build_double_extension(g, s, theta, d)
     child = ext.algebra
     n = g.dim
-    require("inconsistent parameters", params.validate())
-    if len(params.u) != n:
-        raise DimensionMismatch("u must live in the base algebra")
-    alpha_u = apply_one_form(s.alpha, params.u)
-    if alpha_u != 0:
-        raise refusal("u must lie in Ker(alpha)", "params_u_in_kernel", f"alpha(u) = {fmt_scalar(alpha_u)}")
+    b = reeb[ext.central_index]
+    a = apply_one_form(s.alpha, reeb[:n])
+    u = vec_sub(reeb[:n], vec_scale(a, s.reeb))
+    if c is None:
+        factor = apply_one_form(alpha, embed_vector(column(d, ext.central_index), child.dim))
+        factor -= apply_one_form(alpha, embed_vector(mat_vec(d, embed_vector(s.reeb, n + 1)), child.dim))
+        c = ONE if factor >= 0 else -ONE
+    params = DoubleExtensionParams(a=a, b=b, c=Fraction(c), u=u)
+    delta = params.a * params.d - params.b * params.c
+    if delta == 0:
+        raise refusal("the scale c of w = c xi + d z must be nonzero", "params_delta_nonzero", "delta = ad - bc = 0")
     claimed = embed_vector(params.u, child.dim)
     claimed = vec_add(claimed, vec_scale(params.a, embed_vector(s.reeb, child.dim)))
     claimed = vec_add(claimed, vec_scale(params.b, child.basis_vector(ext.central_index)))
-    if claimed != reeb:
-        raise refusal(
-            "parameters do not reproduce the solved Reeb vector",
-            "reeb_form",
-            f"solved Reeb = {fmt_vector(reeb, child.labels)}",
-        )
-    delta = params.delta
+    assert claimed == reeb and apply_one_form(s.alpha, params.u) == 0 and a + b == 1
     phi_u = embed_vector(mat_vec(s.phi, params.u), child.dim)
     slot = child.basis_vector(ext.derivation_index)
     z_vec = child.basis_vector(ext.central_index)
@@ -406,13 +391,13 @@ def _double_extension_setup(
         cols.append(vec_add(base_img, vec_scale(ai, phi_xibar)))
     cols.append(phi_z)
     cols.append(phi_slot)
-    return ext, alpha, reeb, transpose(cols), contact_rep
+    return ext, alpha, reeb, params, transpose(cols), contact_rep
 
 
 def sasakian_double_extension_conditions(
-    g: LieAlgebra, s: SasakianStructure, theta: KForm, d: Matrix, params: DoubleExtensionParams
+    g: LieAlgebra, s: SasakianStructure, theta: KForm, d: Matrix, c: Fraction | None = None
 ) -> CheckReport:
-    ext, _, reeb, phi, _ = _double_extension_setup(g, s, theta, d, params)
+    ext, _, reeb, params, phi, _ = _double_extension_setup(g, s, theta, d, c)
     child = ext.algebra
     n = g.dim
     basis = kernel_basis(g, s.alpha)
@@ -486,12 +471,12 @@ def sasakian_double_extension_conditions(
 
 
 def sasakian_double_extension(
-    g: LieAlgebra, s: SasakianStructure, theta: KForm, d: Matrix, params: DoubleExtensionParams
-) -> tuple[ExtensionResult, CheckReport, SasakianStructure | None]:
-    ext, alpha, reeb, phi, contact = _double_extension_setup(g, s, theta, d, params)
+    g: LieAlgebra, s: SasakianStructure, theta: KForm, d: Matrix, c: Fraction | None = None
+) -> tuple[ExtensionResult, CheckReport, SasakianStructure | None, DoubleExtensionParams]:
+    ext, alpha, reeb, params, phi, contact = _double_extension_setup(g, s, theta, d, c)
     rep, structure = check_sasakian(ext.algebra, reeb, alpha, phi)
     merged = CheckReport(contact.prefixed("contact:") + rep.items, contact.notes + rep.notes)
-    return ext, merged, structure
+    return ext, merged, structure, params
 
 
 def frobenius_kahler_to_sasakian(
@@ -542,7 +527,7 @@ def sasakian_to_frobenius_kahler(
     cols.append(embed_vector(s.reeb, child.dim))
     j = transpose(cols)
     rep_f, frob = check_frobenius(child, phi_lift)
-    omega = frob.kirillov if frob is not None else kirillov_form(child, phi_lift)
+    omega = kirillov_form(child, phi_lift)
     rep_k, kahler = check_kahler(child, j, omega)
     items = rep_f.prefixed("frobenius:") + rep_k.prefixed("kahler:")
     principal_ok = frob is not None and frob.principal == slot
