@@ -23,7 +23,6 @@ is never unpacked. The packed Leibniz defect of an integer map
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -46,7 +45,7 @@ from .linalg import (
     unpack,
     vector_over,
 )
-from .report import CheckReport, DimensionMismatch, LieforgeError, fail, ok
+from .report import CheckReport, DimensionMismatch, LieforgeError, Record, fail, ok
 
 
 def default_labels(dim: int) -> tuple[str, ...]:
@@ -57,11 +56,8 @@ Table = tuple[tuple[tuple[int, int], tuple[tuple[int, Fraction], ...]], ...]
 Brackets = Mapping[tuple[int, int], Mapping[int, ScalarLike]] | Iterable[tuple[tuple[int, int], Iterable]]
 
 
-@dataclass(frozen=True, init=False)
-class LieAlgebra:
-    dim: int
-    brackets: Table  # ((i, j), ((k, c_ijk), ...)) for i < j: nonzero c_ijk, sorted by (i, j), then by k
-    labels: tuple[str, ...]
+class LieAlgebra(Record):
+    _fields = ("dim", "brackets", "labels")
 
     def __init__(self, dim: int, brackets: Brackets, labels: Sequence[str] | None = None) -> None:
         """Validate sparse i < j data, brackets[(i, j)][k] = c_ijk (a mapping or its pairs), and store its table."""
@@ -92,9 +88,7 @@ class LieAlgebra:
                     entries.append((k, v))
             if entries:
                 table.append(((i, j), tuple(sorted(entries))))
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "brackets", tuple(sorted(table)))
-        object.__setattr__(self, "labels", labels)
+        self.__dict__.update(dim=dim, brackets=tuple(sorted(table)), labels=labels)
 
     @classmethod
     def from_brackets(cls, dim: int, brackets: Brackets, labels: Sequence[str] | None = None) -> "LieAlgebra":
@@ -257,12 +251,10 @@ def check_jacobi(g: LieAlgebra) -> CheckReport:
     return CheckReport((ok("jacobi_all_triples"),))
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """Canonical subspace: reduced-echelon basis rows, pivots increasing."""
 
-    ambient_dim: int
-    rows: tuple[Vector, ...]
+    _fields = ("ambient_dim", "rows")
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Sequence[Vector]) -> "Subspace":

@@ -13,13 +13,12 @@ its short bracket table. A structure is checked when it is read
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import LieAlgebra
 from .forms import KForm
 from .linalg import Matrix, matrix
-from .report import PreconditionError, require
+from .report import PreconditionError, Record, require
 from .structures import (
     FrobeniusStructure,
     KahlerStructure,
@@ -32,14 +31,15 @@ from .structures import (
 H = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class Builtin:
-    name: str
-    algebra: LieAlgebra
-    sasakian_data: tuple | None = None  # (reeb, alpha, phi)
-    kahler_data: tuple | None = None  # (j, omega)
-    frobenius_form: KForm | None = None
-    maps: tuple[tuple[str, Matrix], ...] = ()
+class Builtin(Record):
+    """A named algebra and its structure data: sasakian_data is (reeb, alpha, phi), kahler_data (j, omega)."""
+
+    _fields = ("name", "algebra", "sasakian_data", "kahler_data", "frobenius_form", "maps")
+
+    def __init__(self, name: str, algebra: LieAlgebra, sasakian_data: tuple | None = None,
+                 kahler_data: tuple | None = None, frobenius_form: KForm | None = None,
+                 maps: tuple[tuple[str, Matrix], ...] = ()) -> None:
+        super().__init__(name, algebra, sasakian_data, kahler_data, frobenius_form, maps)
 
     def sasakian(self) -> SasakianStructure:
         return self._checked("Sasakian", check_sasakian, self.sasakian_data)

@@ -38,8 +38,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -61,7 +59,7 @@ from .fileio import (
 )
 from .forms import evaluation_sign, one_form_coords
 from .linalg import Matrix, fmt_scalar, fmt_vector, scalar, transpose
-from .report import CheckReport, LieforgeError, PreconditionError, fail, ok, require
+from .report import CheckReport, LieforgeError, PreconditionError, Record, fail, ok, require
 from .structures import (
     KahlerStructure,
     SasakianStructure,
@@ -237,15 +235,13 @@ def _extension_map(args, g: LieAlgebra, b: Builtin | None) -> Matrix:
     return _assemble_dz(_required(args, "map", g.dim, b), args.dz)
 
 
-@dataclass(frozen=True)
-class _Source:
+class _Source(Record):
     """A structure input: the inline flags that spell its values, the
     builtin's data and the check, given in the argument order of the check.
-    A source with ``STRUCTURE_KEYS`` of its name is also read from --structure."""
+    A source with ``STRUCTURE_KEYS`` of its name is also read from --structure.
+    The check looks its function up at call time, so a rebound module name is used."""
 
-    flags: tuple[str, ...]
-    builtin: Callable[[Builtin], tuple | None]
-    check: Callable  # looked up at call time, so a rebound module name is used
+    _fields = ("flags", "builtin", "check")
 
 
 _SOURCES = {

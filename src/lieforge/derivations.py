@@ -13,7 +13,6 @@ torsion kernel also starts from (``algebra._leibniz_defects``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import LieAlgebra, Subspace, _leibniz_defects
@@ -33,7 +32,7 @@ from .linalg import (
     vector_over,
     zero_vector,
 )
-from .report import CheckReport, DimensionMismatch, fail, ok
+from .report import CheckReport, DimensionMismatch, Record, fail, ok
 
 
 def is_derivation(g: LieAlgebra, d: Matrix) -> CheckReport:
@@ -72,33 +71,29 @@ def is_derivation(g: LieAlgebra, d: Matrix) -> CheckReport:
     return CheckReport((ok("leibniz_all_pairs"),))
 
 
-@dataclass(frozen=True)
-class Leibniz:
+class Leibniz(Record):
     """D is a derivation of the algebra."""
 
 
-@dataclass(frozen=True)
-class FormEigen:
+class FormEigen(Record):
     """phi o D = lambda * phi for a fixed 1-form."""
 
-    phi: KForm
-    factor: Fraction
+    _fields = ("phi", "factor")
 
 
-@dataclass(frozen=True)
-class Commute:
+class Commute(Record):
     """D o A = A o D, restricted to a subspace when given."""
 
-    a: Matrix
-    on: Subspace | None = None
+    _fields = ("a", "on")
+
+    def __init__(self, a: Matrix, on: Subspace | None = None) -> None:
+        super().__init__(a, on)
 
 
-@dataclass(frozen=True)
-class Sends:
+class Sends(Record):
     """D(v) = w for fixed vectors."""
 
-    v: Vector
-    w: Vector
+    _fields = ("v", "w")
 
 
 Constraint = Leibniz | FormEigen | Commute | Sends

@@ -7,21 +7,19 @@ the identity on indices, which keeps golden outputs stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import LieAlgebra
 from .derivations import is_derivation
 from .forms import KForm, _d_two_form, kirillov_form, radical
 from .linalg import Matrix, fmt_vector, int_matrix, is_square, is_zero_matrix
-from .report import CheckReport, DimensionMismatch, fail, ok, refusal, require
+from .report import CheckReport, DimensionMismatch, Record, fail, ok, refusal, require
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
-    algebra: LieAlgebra
-    embedding: tuple[int, ...]
-    central_index: int | None = None
-    derivation_index: int | None = None
+class ExtensionResult(Record):
+    _fields = ("algebra", "embedding", "central_index", "derivation_index")
+
+    def __init__(self, algebra: LieAlgebra, embedding: tuple[int, ...], central_index: int | None = None,
+                 derivation_index: int | None = None) -> None:
+        super().__init__(algebra, embedding, central_index, derivation_index)
 
     @property
     def parent_dim(self) -> int:

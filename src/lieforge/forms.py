@@ -26,7 +26,6 @@ the general path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -47,7 +46,7 @@ from .linalg import (
     sub_pfaffians,
     vector_over,
 )
-from .report import DimensionMismatch
+from .report import DimensionMismatch, Record
 
 
 def sort_index_tuple(idxs: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -66,26 +65,24 @@ def sort_index_tuple(idxs: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     return sign, tuple(combined)
 
 
-@dataclass(frozen=True)
-class KForm:
+class KForm(Record):
     """Alternating k-form as rational coefficients on increasing index tuples."""
 
-    dim: int
-    degree: int
-    coeffs: tuple[tuple[tuple[int, ...], Fraction], ...]
+    _fields = ("dim", "degree", "coeffs")
 
-    def __post_init__(self) -> None:
-        if self.degree < 0:
+    def __init__(self, dim: int, degree: int, coeffs: tuple[tuple[tuple[int, ...], Fraction], ...]) -> None:
+        if degree < 0:
             raise ValueError("degree must be non-negative")
-        for idxs, value in self.coeffs:
-            if len(idxs) != self.degree:
+        for idxs, value in coeffs:
+            if len(idxs) != degree:
                 raise ValueError(f"coefficient tuple {idxs} has wrong length")
-            if any(not 0 <= i < self.dim for i in idxs):
+            if any(not 0 <= i < dim for i in idxs):
                 raise ValueError(f"index out of range in {idxs}")
             if any(a >= b for a, b in zip(idxs, idxs[1:])):
                 raise ValueError(f"indices must be strictly increasing: {idxs}")
             if value == 0:
                 raise ValueError("zero coefficients must be dropped")
+        self.__dict__.update(dim=dim, degree=degree, coeffs=coeffs)
 
     @classmethod
     def from_coeffs(cls, dim: int, degree: int, coeffs: Mapping[tuple[int, ...], ScalarLike]) -> "KForm":
@@ -297,11 +294,11 @@ def radical(g: LieAlgebra, form: KForm) -> Subspace:
     return Subspace(g.dim, nullspace(form.as_matrix(), g.dim))  # B is skew: Ker B^T = Ker B
 
 
-@dataclass(frozen=True)
-class TopContactResult:
-    holds: bool
-    coefficient: Fraction | None
-    reason: str | None = None
+class TopContactResult(Record):
+    _fields = ("holds", "coefficient", "reason")
+
+    def __init__(self, holds: bool, coefficient: Fraction | None, reason: str | None = None) -> None:
+        super().__init__(holds, coefficient, reason)
 
 
 def _top_contact(coords: Vector, da: list[list[int]], den: int) -> tuple[TopContactResult, Vector | None]:

@@ -1,32 +1,63 @@
-"""Per-axiom verdict reports and the item helpers shared by all verifiers."""
+"""Per-axiom verdict reports, the item helpers shared by all verifiers, and their ``Record`` base."""
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class CheckItem:
-    name: str
-    passed: bool
-    witness: str | None = None
+class Record:
+    """A frozen value over the fields named in ``_fields``: equality (within one class), hash and
+    repr ``Name(field=value, ...)`` by the fields, and ``AttributeError`` on assigning or deleting.
+    The fields live in the instance ``__dict__``, beside any ``cached_property`` values."""
 
-    def __post_init__(self) -> None:
-        if not self.passed and self.witness is None:
-            raise ValueError(f"failed item {self.name!r} needs a witness")
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values, **named) -> None:  # by position, then by name; defaults need an own __init__
+        fields = self._fields
+        if named:
+            values += tuple(named.pop(f) for f in fields[len(values):] if f in named)
+        if len(values) != len(fields) or named:
+            raise TypeError(f"{type(self).__name__} takes the fields ({', '.join(fields)})")
+        self.__dict__.update(zip(fields, values))
+
+    def _values(self) -> tuple:
+        return tuple([self.__dict__[f] for f in self._fields])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={self.__dict__[f]!r}' for f in self._fields)})"
+
+    def _frozen(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign or delete {name!r}: {type(self).__name__} is frozen")
+
+    __setattr__ = __delattr__ = _frozen
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckItem(Record):
+    _fields = ("name", "passed", "witness")
+
+    def __init__(self, name: str, passed: bool, witness: str | None = None) -> None:
+        if not passed and witness is None:
+            raise ValueError(f"failed item {name!r} needs a witness")
+        self.__dict__.update(name=name, passed=passed, witness=witness)
+
+
+class CheckReport(Record):
     """Verdict list; overall passes iff every item passes.
 
     ``notes`` carry informational exact values (metrics, solved vectors)
     that do not participate in the verdict.
     """
 
-    items: tuple[CheckItem, ...]
-    notes: tuple[tuple[str, str], ...] = ()
+    _fields = ("items", "notes")
+
+    def __init__(self, items: tuple[CheckItem, ...], notes: tuple[tuple[str, str], ...] = ()) -> None:
+        self.__dict__.update(items=items, notes=notes)
 
     @property
     def overall(self) -> bool:

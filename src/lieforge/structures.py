@@ -35,10 +35,11 @@ checks share their metric items and ``metric_row_*`` notes.
 
 A Frobenius, Kahler or Sasakian structure returned by its ``check_*``
 function is bound to the algebra it was checked on (its ``algebra``
-field). The constructions in ``theorems`` accept such a structure on that
+attribute). The constructions in ``theorems`` accept such a structure on that
 same algebra object as already verified; any other structure, including
-one built by hand, is checked again. Only ``check_*`` binds: the field is
-not a constructor argument, and ``dataclasses.replace`` resets it. The
+one built by hand, is checked again. Only ``check_*`` binds: ``algebra`` is
+a class attribute, None, outside the record's ``_fields``, and only ``_bind``
+sets it on an instance, so a copy built from the fields is unbound. The
 binding is the only hidden field: a construction that needs the Kirillov form
 -d(phi) of a Frobenius structure builds it (``forms.kirillov_form``).
 """
@@ -46,7 +47,6 @@ binding is the only hidden field: a construction that needs the Kirillov form
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -74,45 +74,32 @@ from .linalg import (
     unpack,
     vector_over,
 )
-from .report import CheckItem, CheckReport, DimensionMismatch, PreconditionError, first_failure, ok, passed
+from .report import CheckItem, CheckReport, DimensionMismatch, PreconditionError, Record, first_failure, ok, passed
 
 
-@dataclass(frozen=True)
-class ContactStructure:
-    alpha: KForm
-    reeb: Vector
+class ContactStructure(Record):
+    _fields = ("alpha", "reeb")
 
 
-@dataclass(frozen=True)
-class FrobeniusStructure:
-    phi: KForm
-    principal: Vector
-    algebra: LieAlgebra | None = field(default=None, init=False, repr=False, compare=False)
+class FrobeniusStructure(Record):
+    _fields = ("phi", "principal")
+    algebra: LieAlgebra | None = None
 
 
-@dataclass(frozen=True)
-class KahlerStructure:
-    j: Matrix
-    omega: KForm
-    metric: Matrix
-    algebra: LieAlgebra | None = field(default=None, init=False, repr=False, compare=False)
+class KahlerStructure(Record):
+    _fields = ("j", "omega", "metric")
+    algebra: LieAlgebra | None = None
 
 
-@dataclass(frozen=True)
-class SasakianStructure:
-    reeb: Vector
-    alpha: KForm
-    phi: Matrix
-    metric: Matrix
-    algebra: LieAlgebra | None = field(default=None, init=False, repr=False, compare=False)
+class SasakianStructure(Record):
+    _fields = ("reeb", "alpha", "phi", "metric")
+    algebra: LieAlgebra | None = None
 
 
-@dataclass(frozen=True)
-class NijenhuisTable:
+class NijenhuisTable(Record):
     """Antisymmetric table of torsion values N(e_i, e_j)."""
 
-    dim: int
-    entries: tuple[tuple[Vector, ...], ...]
+    _fields = ("dim", "entries")
 
     def value(self, i: int, j: int) -> Vector:
         return self.entries[i][j]
@@ -122,7 +109,7 @@ class NijenhuisTable:
 
 
 def _bind(structure, g: LieAlgebra):
-    object.__setattr__(structure, "algebra", g)  # the dataclass is frozen
+    structure.__dict__["algebra"] = g  # over the class default None; assignment is refused
     return structure
 
 
@@ -149,9 +136,12 @@ def _principal(coords: Vector, da: list[list[int]], den: int) -> Vector | None:
     return vector_over(w[:n], w[n]) if w[n] else None
 
 
-def check_frobenius(g: LieAlgebra, phi: KForm) -> tuple[CheckReport, FrobeniusStructure | None]:
-    """Even dimension and nondegenerate Kirillov form; computes the principal element."""
-    coords, da, den, b = _kirillov(g, phi)
+def check_frobenius(
+    g: LieAlgebra, phi: KForm, kirillov: tuple | None = None
+) -> tuple[CheckReport, FrobeniusStructure | None]:
+    """Even dimension and nondegenerate Kirillov form; computes the principal element. A caller
+    that also needs B_phi = -d(phi) passes phi's ``forms._kirillov`` tuple, built once."""
+    coords, da, den, b = kirillov or _kirillov(g, phi)
     x_p = _principal(coords, da, den)
     report = CheckReport(
         (

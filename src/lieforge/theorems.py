@@ -58,7 +58,6 @@ frozen values).
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -70,7 +69,7 @@ from .extensions import (
     derivation_extension,
     double_extension,
 )
-from .forms import KForm, apply_one_form, kirillov_form, one_form_coords, radical
+from .forms import KForm, _kirillov, apply_one_form, kirillov_form, one_form_coords, radical
 from .linalg import (
     Matrix,
     Vector,
@@ -90,7 +89,7 @@ from .linalg import (
     vector_over,
     zero_vector,
 )
-from .report import CheckReport, DimensionMismatch, PreconditionError, first_failure, passed, refusal, require
+from .report import CheckReport, DimensionMismatch, PreconditionError, Record, first_failure, passed, refusal, require
 from .structures import (
     FrobeniusStructure,
     KahlerStructure,
@@ -145,14 +144,15 @@ def _verify_kahler_input(g: LieAlgebra, k: KahlerStructure) -> None:
 
 def _verify_frobenius_kahler_input(g: LieAlgebra, f: FrobeniusStructure, k: KahlerStructure) -> None:
     """Checks f and k as the inputs above, and that omega = -d(phi)."""
+    kirillov = _kirillov(g, f.phi)
     if f.algebra is not g:
-        rep, frob = check_frobenius(g, f.phi)
+        rep, frob = check_frobenius(g, f.phi, kirillov)
         require("input is not Frobenius", rep)
         if frob.principal != f.principal:
             witness = f"solved {fmt_vector(frob.principal, g.labels)}"
             raise refusal("supplied principal element is wrong", "principal_element", witness)
     _verify_kahler_input(g, k)
-    if k.omega != kirillov_form(g, f.phi):
+    if k.omega != kirillov[3]:
         raise refusal("symplectic form must equal -d(phi)", "exact_symplectic_coherence", "omega != -d(phi)")
 
 
@@ -394,14 +394,10 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
 # double extensions of Sasakian algebras
 
 
-@dataclass(frozen=True)
-class DoubleExtensionParams:
+class DoubleExtensionParams(Record):
     """The solved Reeb vector u + a xi + b z of a double extension and the scale c of w = c xi + d z, d = -c."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    u: Vector
+    _fields = ("a", "b", "c", "u")
 
     @property
     def d(self) -> Fraction:
@@ -569,8 +565,9 @@ def sasakian_to_frobenius_kahler(
     slot = child.basis_vector(ext.derivation_index)
     phi_lift = KForm.one_form(child.dim, coords + (ZERO,))
     j = tuple((*row, x) for row, x in zip(s.phi, s.reeb)) + ((*(-x for x in coords), ZERO),)  # [[Phi, xi], [-alpha, 0]]
-    rep_f, frob = check_frobenius(child, phi_lift)
-    rep_k, kahler = check_kahler(child, j, kirillov_form(child, phi_lift))  # omega = -d(phi_lift)
+    kirillov = _kirillov(child, phi_lift)
+    rep_f, frob = check_frobenius(child, phi_lift, kirillov)
+    rep_k, kahler = check_kahler(child, j, kirillov[3])  # omega = -d(phi_lift)
     items = rep_f.prefixed("frobenius:") + rep_k.prefixed("kahler:")
     principal = None if frob is None else frob.principal
     items += (

@@ -20,12 +20,14 @@ import lieforge
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # What a fresh interpreter runs: ``code`` after recording the modules already
-# loaded, then the lieforge modules and stdlib json it loaded since, one line.
+# loaded, then the lieforge modules and the stdlib json, dataclasses and inspect
+# it loaded since, one line.
 _CHILD = """
 import sys
 _before = set(sys.modules)
 {code}
-print(" ".join(sorted(m for m in set(sys.modules) - _before if m == "json" or m.startswith("lieforge"))))
+_shown = ("json", "dataclasses", "inspect")
+print(" ".join(sorted(m for m in set(sys.modules) - _before if m in _shown or m.startswith("lieforge"))))
 """
 
 # ``python -m lieforge.cli ARGV`` in-process, its output swallowed; runpy runs
@@ -105,6 +107,13 @@ def test_constructions_load_no_structure_check(name, modules):
 @pytest.mark.parametrize("argv, extra", COMMANDS, ids=[" ".join(argv[:2]) for argv, _ in COMMANDS])
 def test_cli_command_loads_only_what_it_runs(argv, extra):
     assert loaded_by(_RUN_CLI, *argv) == {"lieforge"} | CLI_BASE | {f"lieforge.{m}" for m in extra}
+
+
+def test_no_module_loads_dataclasses_or_inspect():
+    # the records are report.Record, so no command pays for importing dataclasses and inspect
+    every = "\n".join(f"import lieforge.{m}" for m in sorted(lieforge._SUBMODULES))
+    got = loaded_by(f"from lieforge import *\n{every}")
+    assert got == {"lieforge"} | {f"lieforge.{m}" for m in lieforge._SUBMODULES}
 
 
 # --- the lazy package contract --------------------------------------------------

@@ -336,14 +336,14 @@ def test_exact_two_forms_are_kirillov_forms(monkeypatch):
 
 
 # d(alpha) builds per construction on bound inputs: no structure carries its Kirillov form, so
-# sasakian-to-fk builds -d(phi) on the extension for check_frobenius and again as omega, the other
+# sasakian-to-fk builds -d(phi) on the extension once, for its Frobenius check and as omega, the other
 # two build -d(phi) once for omega = -d(phi), then fk-to-sasakian the extension's d(alpha) for its
 # Sasakian check and contact-ideal the restricted contact form's for its contact and Sasakian checks
 KIRILLOV_BUILDS = {
     "sasakian-to-fk": (
         lambda: (H3.sasakian(),),
         lambda s: sasakian_to_frobenius_kahler(H3.algebra, s, diagonal(["1/2", "1/2", 1])),
-        2,
+        1,
     ),
     "fk-to-sasakian": (
         lambda: (D4.frobenius(), D4.kahler()),
