@@ -1,9 +1,12 @@
 """Command line front end.
 
 ``_COMMANDS`` declares, once per command kind, the structure sources the
-kind reads and the flags it reads; the parser is built from it and from the
-flag help of ``_FLAGS``. A flag the kind does not read, and ``--builtin``
-with ``--algebra``, are usage errors. Every structure input comes from the
+kind reads and the flags it reads. ``_parse_args`` reads argv straight from
+it and from ``_FLAGS``, and ``-h``/``--help`` prints help built from the same
+tables. Flags are spelled exactly (an abbreviation is a usage error), as
+``--flag value`` or ``--flag=value``, and a value may start with ``-``
+(``--form -e3``). A flag the kind does not read, and ``--builtin`` with
+``--algebra``, are usage errors. Every structure input comes from the
 ``_SOURCES`` table through one resolver: the --structure file, else the
 source's complete set of inline flags, else the builtin's data. Some but not
 all of the inline flags is a usage error. Structure files are parsed at the
@@ -13,12 +16,10 @@ Each ``_cmd_*`` handler returns the command's ``CheckReport`` with the
 sections and the output algebra to print; ``run`` alone renders it, a
 refused precondition as its report, and sets the exit code: 0 when the
 report passes, 1 when it fails or a precondition rejects the input. Usage
-and parse errors exit 2 from ``main``: a usage error, a bad inline value
-included, names its flag, and only a fault in a file has a byte offset.
-Output is deterministic byte for byte for identical invocations.
-
-The argparse parser is built once per process, on the first ``run``, and
-every later ``run`` in the process parses with that same parser.
+and parse errors exit 2 from ``main``, with one ``error:`` line: a usage
+error, a bad inline value included, names its flag, and only a fault in a
+file has a byte offset. Output is deterministic byte for byte for identical
+invocations.
 
 Importing this module loads ``algebra``, ``catalog``, ``fileio``, ``forms``,
 ``linalg``, ``report`` and ``structures``: enough for ``check`` jacobi,
@@ -35,12 +36,11 @@ contact, frobenius, kahler and sasakian, ``solve reeb``/``principal`` and
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
 from fractions import Fraction
-from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .algebra import LieAlgebra, center, check_jacobi
@@ -121,46 +121,132 @@ _FLAGS = {
     "force": "skip precondition enforcement",
     "fix": "extra derivation constraint: 'alpha∘D=alpha:e3', 'alpha∘D=0:e3', 'commute:MAP', 'sends:V->W'",
 }
-_ACTIONS = {"force": {"action": "store_true"}, "fix": {"action": "append", "default": []}}
+# The flags given before the command, each with its values, default first, and its help.
+_GLOBALS = {
+    "output": (("text", "json"), "report format"),
+    "wedge_convention": (("determinant", "paper"), "sign convention for printed form evaluations; never changes verdicts"),
+}
+_BUILTIN_HELP = "print a built-in algebra and its structures"
 
 
 def _option(flag: str) -> str:
     return f"--{flag.replace('_', '-')}"
 
 
-@cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on first use from ``_COMMANDS``
-    and ``_FLAGS``: each command takes the flags some kind of it reads.
+# Every flag by its exact spelling: before the command the global flags, after it the algebra
+# sources and the flags of ``_FLAGS``. ``builtin NAME`` takes no flag.
+_GLOBAL_OPTIONS = {_option(flag): flag for flag in _GLOBALS}
+_COMMAND_OPTIONS = {_option(flag): flag for flag in ("builtin", "algebra", *_FLAGS)}
 
-    ``parse_args`` leaves the parser as it was: each call fills a fresh
-    Namespace, and ``append`` copies the ``--fix`` default before it appends.
-    """
-    parser = argparse.ArgumentParser(
-        prog="lieforge",
-        description="Exact-arithmetic Lie algebra extensions and geometric structure checks.",
-    )
-    parser.add_argument("--output", choices=("text", "json"), default="text")
-    parser.add_argument(
-        "--wedge-convention",
-        choices=("determinant", "paper"),
-        default="determinant",
-        help="sign convention for printed form evaluations; never changes verdicts",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, kinds) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
-        p.add_argument("kind", choices=tuple(kinds))
-        source = p.add_mutually_exclusive_group()
-        source.add_argument("--builtin", choices=sorted(BUILTINS))
-        source.add_argument("--algebra", help="path to a lieforge/1 algebra file")
+
+def _choose(value: str, choices, what: str) -> str:
+    if value not in choices:
+        raise LieforgeError(f"unknown {what} {value!r}; valid names: {', '.join(choices)}")
+    return value
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace | str:
+    """The values of the command line, or the help text that -h/--help asks for.
+
+    Global flags come first, then the command, then its kind (a built-in's name for
+    ``builtin``) and its flags in any order, each spelled exactly, as --flag value or
+    --flag=value; the value may start with '-'. --force is a switch, every --fix is kept, and
+    a repeated flag keeps its last value. Anything else is a usage error: a word or flag the
+    tables do not declare, a missing value, --builtin with --algebra, and a flag the kind does
+    not read."""
+    args = dict.fromkeys(("command", "kind", "name", "builtin", "algebra", *_FLAGS))
+    args.update({flag: choices[0] for flag, (choices, _) in _GLOBALS.items()}, force=False, fix=[])
+    positional = []
+    words = iter(argv)
+    for word in words:
+        command = args["command"]
+        if word in ("-h", "--help"):
+            return _help(command)
+        if not word.startswith("-"):
+            if command is None:
+                args["command"] = _choose(word, (*_COMMANDS, "builtin"), "command")
+            else:
+                positional.append(word)
+            continue
+        option, eq, value = word.partition("=")
+        options = _GLOBAL_OPTIONS if command is None else {} if command == "builtin" else _COMMAND_OPTIONS
+        flag = options.get(option)
+        if flag is None:
+            hint = " (global flags go before the command)" if option in _GLOBAL_OPTIONS else ""
+            raise LieforgeError(f"unknown flag {option}{hint}")
+        if flag == "force":
+            if eq:
+                raise LieforgeError("--force takes no value")
+            args["force"] = True
+            continue
+        if not eq:
+            value = next(words, None)
+            if value is None:
+                raise LieforgeError(f"{option} needs a value")
+        if flag == "fix":
+            args["fix"].append(value)
+        else:
+            args[flag] = value
+    for flag, (choices, _) in _GLOBALS.items():
+        _choose(args[flag], choices, _option(flag))
+    command = args["command"]
+    if command is None:
+        raise LieforgeError(f"need a command: {', '.join((*_COMMANDS, 'builtin'))}")
+    if command == "builtin":
+        slot, what, choices = "name", "builtin", sorted(BUILTINS)
+    else:
+        slot, what, choices = "kind", f"{command} kind", tuple(_COMMANDS[command][1])
+    if not positional:
+        raise LieforgeError(f"{command} needs a {slot}: {', '.join(choices)}")
+    if len(positional) > 1:
+        raise LieforgeError(f"unknown word {positional[1]!r} after {command} {positional[0]}")
+    args[slot] = _choose(positional[0], choices, what)
+    if command != "builtin":
+        if args["builtin"] is not None:
+            _choose(args["builtin"], sorted(BUILTINS), "builtin")
+            if args["algebra"] is not None:
+                raise LieforgeError("--builtin and --algebra exclude each other")
+        reads = _COMMANDS[command][1][args["kind"]][1].split()
+        unread = [flag for flag in _FLAGS if flag not in reads and args[flag] not in (None, False, [])]
+        if unread:
+            raise LieforgeError(f"{command} {args['kind']} does not read {_option(unread[0])}")
+    return SimpleNamespace(**args)
+
+
+def _help(command: str | None) -> str:
+    """The help of ``command``, or of the program when it is None, from the tables the parser reads."""
+    if command is None:
+        lines = [
+            "usage: lieforge [--output text|json] [--wedge-convention determinant|paper] COMMAND ...",
+            "",
+            "Exact-arithmetic Lie algebra extensions and geometric structure checks.",
+            "",
+            "commands (lieforge COMMAND --help lists each one's kinds and flags):",
+            *(f"  {name:<10} {text}" for name, (text, _) in _COMMANDS.items()),
+            f"  {'builtin':<10} {_BUILTIN_HELP}",
+            "",
+            "global flags, before the command:",
+            *(f"  {_option(flag)} {'|'.join(choices)}: {text}" for flag, (choices, text) in _GLOBALS.items()),
+        ]
+    elif command == "builtin":
+        lines = ["usage: lieforge builtin NAME", "", _BUILTIN_HELP, "", f"names: {', '.join(sorted(BUILTINS))}"]
+    else:
+        text, kinds = _COMMANDS[command]
         read = {flag for _, flags in kinds.values() for flag in flags.split()}
-        for flag, flag_help in _FLAGS.items():
-            if flag in read:
-                p.add_argument(_option(flag), help=flag_help, **_ACTIONS.get(flag, {}))
-    p = sub.add_parser("builtin", help="print a built-in algebra and its structures")
-    p.add_argument("name")
-    return parser
+        lines = [
+            f"usage: lieforge {command} KIND (--builtin NAME | --algebra FILE) [flags]",
+            "",
+            text,
+            "",
+            "kinds, with the flags each reads:",
+            *(f"  {kind:<20} {' '.join(map(_option, flags.split())) or '(none)'}" for kind, (_, flags) in kinds.items()),
+            "",
+            "flags:",
+            f"  {'--builtin':<12} built-in algebra: {', '.join(sorted(BUILTINS))}",
+            f"  {'--algebra':<12} path to a lieforge/1 algebra file",
+            *(f"  {_option(flag):<12} {flag_help}" for flag, flag_help in _FLAGS.items() if flag in read),
+        ]
+    return "\n".join(lines) + "\n"
 
 
 def _read_algebra(args) -> tuple[LieAlgebra, Builtin | None]:
@@ -261,11 +347,10 @@ def _resolve(args, g: LieAlgebra, b: Builtin | None, name: str, inline: bool) ->
     set of inline flags, else the builtin's data. Some but not all of the
     inline flags, or no data at all, is a usage error."""
     source = _SOURCES[name]
-    path = getattr(args, "structure", None)
-    if name in STRUCTURE_KEYS and path:
-        return parse_structure(_read_file(path, "--structure"), name, g.dim)
+    if name in STRUCTURE_KEYS and args.structure:
+        return parse_structure(_read_file(args.structure, "--structure"), name, g.dim)
     spelled = "/".join(_option(flag) for flag in source.flags)
-    given = [flag for flag in source.flags if getattr(args, flag, None) is not None] if inline else []
+    given = [flag for flag in source.flags if getattr(args, flag) is not None] if inline else []
     if given and len(given) < len(source.flags):
         raise LieforgeError(f"need all of {spelled} for inline {name} input")
     if given:
@@ -446,8 +531,6 @@ def _cmd_solve(args) -> tuple[CheckReport, tuple, LieAlgebra | None]:
 
 
 def _cmd_builtin(args) -> tuple[CheckReport, tuple, LieAlgebra | None]:
-    if args.name not in BUILTINS:
-        raise LieforgeError(f"unknown builtin {args.name!r}; valid names: {', '.join(sorted(BUILTINS))}")
     b = builtin(args.name)
     g = b.algebra
     sections = []
@@ -485,15 +568,13 @@ def _adjust_evaluations(report: CheckReport, dim: int, convention: str) -> Check
 
 
 def run(argv: list[str]) -> tuple[str, int]:
-    """The rendered report of the command line and its exit code, 0 exactly when the report passes.
+    """The rendered report of the command line and its exit code, 0 exactly when the report passes;
+    the help text and 0 for -h/--help.
 
     A refused precondition is rendered as its report. Usage and parse errors propagate."""
-    args = _build_parser().parse_args(argv)
-    if args.command != "builtin":
-        reads = _COMMANDS[args.command][1][args.kind][1].split()
-        unread = [flag for flag in _FLAGS if flag not in reads and getattr(args, flag, None) not in (None, False, [])]
-        if unread:
-            raise LieforgeError(f"{args.command} {args.kind} does not read {_option(unread[0])}")
+    args = _parse_args(argv)
+    if isinstance(args, str):
+        return args, 0
     handlers = {
         "check": _cmd_check,
         "extend": _cmd_extend,
@@ -501,7 +582,7 @@ def run(argv: list[str]) -> tuple[str, int]:
         "solve": _cmd_solve,
         "builtin": _cmd_builtin,
     }
-    command = f"{args.command} {args.kind if 'kind' in args else args.name}"
+    command = f"{args.command} {args.kind or args.name}"
     try:
         report, sections, algebra = handlers[args.command](args)
     except PreconditionError as exc:

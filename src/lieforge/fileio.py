@@ -357,8 +357,27 @@ def algebra_as_json(g: LieAlgebra) -> dict:
 
 
 def render_json(command: str, report: CheckReport, sections: tuple = (), algebra: LieAlgebra | None = None) -> str:
-    """The JSON form of ``render_text``'s report, field for field."""
-    import json  # only --output json needs it, so a text-mode process never loads it
+    """The JSON form of ``render_text``'s report, field for field, byte for byte the document
+    ``json.dumps(payload, indent=2)`` writes. With an indent ``json.dumps`` runs its pure-Python
+    encoder, so the layout is written here; strings are escaped by the C escaper it uses."""
+    from json.encoder import encode_basestring_ascii as quote  # only --output json loads json
+
+    def encode(value, pad: str) -> str:
+        """``value``, a str, int or None or a list or dict of them, opened at indent ``pad``."""
+        if type(value) is str:
+            return quote(value)
+        if type(value) is int:
+            return str(value)
+        if value is None:
+            return "null"
+        inner = pad + "  "
+        if type(value) is dict:
+            body, brackets = [f"{quote(key)}: {encode(item, inner)}" for key, item in value.items()], "{}"
+        else:
+            body, brackets = [encode(item, inner) for item in value], "[]"
+        if not body:
+            return brackets
+        return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(body) + f"\n{pad}{brackets[1]}"
 
     payload = {
         "format": FORMAT_TAG,
@@ -375,4 +394,4 @@ def render_json(command: str, report: CheckReport, sections: tuple = (), algebra
         "algebra": algebra_as_json(algebra) if algebra is not None else None,
         "overall": "pass" if report.overall else "fail",
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return encode(payload, "") + "\n"

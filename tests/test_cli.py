@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import importlib.util
 import json
@@ -15,6 +14,7 @@ from lieforge import cli
 from lieforge.cli import run
 from lieforge.fileio import parse_algebra
 
+import cli_oracle
 from conftest import conjugate_algebra, conjugate_one_form, mat_inverse, random_invertible
 from strategies import R2R2, conjugated_heisenberg_sasakian
 
@@ -72,12 +72,11 @@ def test_parse_error_exit_code_two(capsys):
         os.unlink(path)
 
 
-def test_usage_error_exit_code_two():
+def test_usage_error_exit_code_two(capsys):
     from lieforge.cli import main
 
-    with pytest.raises(SystemExit) as err:
-        main(["check", "nonsense", "--builtin", "h3"])
-    assert err.value.code == 2
+    assert main(["check", "nonsense", "--builtin", "h3"]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown check kind 'nonsense'")
 
 
 def test_missing_input_is_usage_error(capsys):
@@ -271,26 +270,17 @@ def test_readme_commands_are_the_corpus():
     assert len(documented) == len(corpus) - 2
 
 
-def test_parser_is_built_once_per_process():
-    assert cli._build_parser() is cli._build_parser()
-
-
-def test_reused_parser_reproduces_first_runs():
-    # every corpus command on a new parser, then on the same parser again after a usage error
-    # and an appended --fix: each output and exit code is the first run's, and --fix's default
-    # is still empty
+def test_reused_parser_reproduces_first_runs(capsys):
+    # every corpus command, then the same again in the same process after a usage error and an
+    # appended --fix: each output and exit code is the first run's, so no run leaves state behind
     entries = json.loads(CORPUS.read_text(encoding="utf-8"))["commands"]
     runs = [prefix + e["argv"] for e in entries for prefix in ([], ["--output", "json"])]
-    cli._build_parser.cache_clear()
     first = [run(argv) for argv in runs]
-    with pytest.raises(SystemExit) as err:
-        run(["check", "nonsense", "--builtin", "h3"])
-    assert err.value.code == 2
+    assert cli.main(["check", "nonsense", "--builtin", "h3"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
     fix = ["solve", "derivations", "--builtin", "h3", "--fix", "alpha∘D=alpha:e3"]
     assert run(fix) == first[runs.index(fix)]
     assert [run(argv) for argv in runs] == first
-    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert next(a for a in sub.choices["solve"]._actions if a.dest == "fix").default == []
     # the first runs are the outputs frozen in the corpus
     frozen = [(e[mode]["code"], e[mode]["sha256"]) for e in entries for mode in ("text", "json")]
     assert [(code, hashlib.sha256(out.encode("utf-8")).hexdigest()) for out, code in first] == frozen
@@ -506,12 +496,9 @@ def test_a_flag_the_kind_does_not_read_is_a_usage_error(argv, flag, capsys):
     # each of these once exited 0 with the flag ignored
     from lieforge.cli import main
 
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse: --builtin and --algebra exclude each other
-        code = exc.code
+    assert main(argv) == 2
     err = capsys.readouterr().err
-    assert code == 2 and "error: " in err and flag in err and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
 
 
 @pytest.mark.parametrize(
@@ -1042,10 +1029,150 @@ def test_cli_fuzz_exit_codes(tmp_path):
         argv = [command, data.draw(st.sampled_from(kinds)), *data.draw(st.sampled_from(sources))]
         for flag in data.draw(st.lists(st.sampled_from(flags), unique=True, max_size=4)):
             argv += [flag, data.draw(st.sampled_from(FUZZ_VALUES[flag]))]
-        try:
-            code = main([a.format(**paths) for a in argv])
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
-        assert code in (0, 1, 2), argv
+        assert main([a.format(**paths) for a in argv]) in (0, 1, 2), argv
 
     run_one()
+
+
+# --- the parser: argv read from the command tables, pinned to the argparse parser it replaced ----
+
+
+def parsed(argv):
+    """``cli._parse_args``'s values as a dict, or None for a usage error, like ``cli_oracle.parse``."""
+    try:
+        return vars(cli._parse_args(argv))
+    except lf.LieforgeError:
+        return None
+
+
+def assert_parses_as_argparse(argv):
+    # argparse leaves out the flags no kind of the command reads; the table parser holds them at their defaults
+    want, got = cli_oracle.parse(argv), parsed(argv)
+    assert (want is None) == (got is None), (argv, want, got)
+    if want is not None:
+        assert {key: got[key] for key in want} == want, argv
+        assert all(got[key] in (None, False, []) for key in got.keys() - want.keys()), argv
+
+
+FUZZ_SOURCES = [["--builtin", name] for name in ("h3", "d4half", "g0", "g5", "nope")]
+FUZZ_SOURCES += [["--algebra", "{h3}"], [], ["--builtin", "h3", "--algebra", "{h3}"]]
+
+
+def test_parser_matches_argparse_on_the_corpus():
+    entries = json.loads(CORPUS.read_text(encoding="utf-8"))["commands"]
+    prefixes = ([], ["--output", "json"], ["--wedge-convention", "paper"], ["--output=json", "--wedge-convention=paper"])
+    for argv in (prefix + e["argv"] for e in entries for prefix in prefixes):
+        assert parsed(argv) is not None, argv
+        assert_parses_as_argparse(argv)
+
+
+def test_parser_matches_argparse_on_every_fuzz_flag():
+    # each command and kind (and one it lacks), each source, and no flag, each flag with each
+    # fuzz value, or two flags at once
+    argvs = [[], ["check"], ["nonsense"], ["builtin"], ["builtin", "h3"], ["builtin", "nope"], ["builtin", "h3", "g0"]]
+    for command, (kinds, flags) in FUZZ_COMMANDS.items():
+        for kind in kinds + ["bogus"]:
+            for source in FUZZ_SOURCES:
+                base = [command, kind, *source]
+                argvs.append(base)
+                argvs += [base + [flag, value] for flag in flags for value in FUZZ_VALUES[flag]]
+                argvs += [base + [f, FUZZ_VALUES[f][0], g, FUZZ_VALUES[g][-1]] for i, f in enumerate(flags) for g in flags[i:]]
+    for argv in argvs:
+        assert_parses_as_argparse(argv)
+
+
+def test_parser_matches_argparse_on_fuzz_command_lines():
+    from hypothesis import given, settings, strategies as st
+
+    globals_ = [[], ["--output", "json"], ["--wedge-convention", "paper"], ["--output", "xml"], ["--output"]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def check_one(data):
+        command = data.draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+        kinds, flags = FUZZ_COMMANDS[command]
+        argv = [*data.draw(st.sampled_from(globals_)), command, data.draw(st.sampled_from(kinds))]
+        argv += data.draw(st.sampled_from(FUZZ_SOURCES))
+        for flag in data.draw(st.lists(st.sampled_from(flags + ["--force"]), max_size=4)):
+            argv += [flag] if flag == "--force" else [flag, data.draw(st.sampled_from(FUZZ_VALUES[flag]))]
+        assert_parses_as_argparse(argv)
+
+    check_one()
+
+
+def test_parser_differs_from_argparse_only_as_documented():
+    # argparse takes an abbreviated flag; the table parser refuses it
+    abbreviated = ["check", "contact", "--buil", "h3", "--form", "e3"]
+    assert cli_oracle.parse(abbreviated)["builtin"] == "h3" and parsed(abbreviated) is None
+    # argparse refuses a value that starts with '-'; the table parser takes it
+    negative = ["check", "contact", "--builtin", "h3", "--form", "-e3"]
+    assert cli_oracle.parse(negative) is None and parsed(negative)["form"] == "-e3"
+    out, code = run(negative)
+    assert code == 0 and "note reeb = -e3" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "need a command"),
+        (["nonsense", "h3"], "unknown command 'nonsense'"),
+        (["check", "nonsense", "--builtin", "h3"], "unknown check kind 'nonsense'"),
+        (["check"], "check needs a kind: jacobi, cocycle"),
+        (["check", "jacobi", "--builtin", "nope"], "unknown builtin 'nope'; valid names: d4half, g0, g5, h3"),
+        (["builtin", "nope"], "unknown builtin 'nope'; valid names: d4half, g0, g5, h3"),
+        (["builtin"], "builtin needs a name: d4half, g0, g5, h3"),
+        (["builtin", "h3", "g0"], "unknown word 'g0' after builtin h3"),
+        (["builtin", "h3", "--builtin", "h3"], "unknown flag --builtin"),
+        (["check", "jacobi", "--builtin", "h3", "--bogus", "1"], "unknown flag --bogus"),
+        (["check", "jacobi", "--builtin=h3", "--bogus=1"], "unknown flag --bogus"),
+        (["check", "contact", "--buil", "h3", "--form", "e3"], "unknown flag --buil"),
+        (["check", "contact", "--builtin", "h3", "--form"], "--form needs a value"),
+        (["check", "jacobi", "--builtin", "h3", "--output", "json"], "unknown flag --output (global flags go before"),
+        (["--form", "e3", "check", "contact", "--builtin", "h3"], "unknown flag --form"),
+        (["--output", "xml", "builtin", "h3"], "unknown --output 'xml'; valid names: text, json"),
+        (["--out", "json", "builtin", "h3"], "unknown flag --out"),
+        (["extend", "central", "--builtin", "h3", "--two-form", "0", "--force=yes"], "--force takes no value"),
+        (["check", "jacobi", "--algebra", "x", "--builtin", "h3"], "--builtin and --algebra exclude each other"),
+        (["check", "jacobi", "--builtin", "h3", "--fix", "bogus"], "check jacobi does not read --fix"),
+    ],
+    ids=["no-command", "unknown-command", "unknown-kind", "no-kind", "unknown-builtin", "unknown-builtin-name",
+         "builtin-no-name", "extra-word", "builtin-flag", "unknown-flag", "unknown-flag-equals", "abbreviated-flag",
+         "missing-value", "global-after-command", "command-flag-before-command", "global-choice",
+         "abbreviated-global", "force-value", "builtin-and-algebra", "unread-fix"],
+)
+def test_a_command_line_the_tables_do_not_declare_is_a_usage_error(argv, message, capsys):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_help_lists_every_command_and_the_global_flags(capsys):
+    for argv in (["--help"], ["-h"], ["--output", "json", "-h"]):
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: lieforge ")
+        for command, (text, _) in cli._COMMANDS.items():
+            assert re.search(rf"^  {command} +{re.escape(text)}$", out, re.M), command
+        assert re.search(r"^  builtin +print a built-in algebra", out, re.M)
+        assert "--output text|json" in out and "--wedge-convention determinant|paper" in out
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_command_help_lists_each_kind_and_the_flags_it_reads(command, capsys):
+    _, kinds = cli._COMMANDS[command]
+    for argv in ([command, "--help"], [command, "-h"], [command, next(iter(kinds)), "--builtin", "h3", "--help"]):
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: lieforge {command} KIND")
+        for kind, (_, flags) in kinds.items():
+            spelled = " ".join(f"--{flag.replace('_', '-')}" for flag in flags.split()) or "(none)"
+            assert re.search(rf"^  {kind} +{re.escape(spelled)}$", out, re.M), kind
+        read = {flag for _, flags in kinds.values() for flag in flags.split()}
+        for flag, flag_help in cli._FLAGS.items():
+            listed = re.search(rf"^  --{flag.replace('_', '-')} +{re.escape(flag_help)}$", out, re.M)
+            assert bool(listed) == (flag in read), flag
+
+
+def test_builtin_help_lists_the_names(capsys):
+    assert cli.main(["builtin", "--help"]) == 0
+    assert capsys.readouterr().out.endswith("names: d4half, g0, g5, h3\n")

@@ -1,8 +1,10 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from lieforge import KForm, LieforgeError, builtin
+from lieforge import CheckItem, CheckReport, KForm, LieAlgebra, LieforgeError, builtin, cli
 from lieforge.fileio import (
     ParseError,
     parse_algebra,
@@ -11,8 +13,11 @@ from lieforge.fileio import (
     parse_structure,
     parse_two_form_inline,
     parse_vector_inline,
+    render_json,
     serialize_algebra,
 )
+
+import fileio_oracle
 
 H3_TEXT = """lieforge/1 algebra
 dim 3
@@ -168,3 +173,74 @@ def test_round_trip_over_random_algebras():
         back = parse_algebra(text)
         assert back.c == g.c and back.dim == g.dim
         assert serialize_algebra(back) == text
+
+
+# --- render_json, pinned to json.dumps(payload, indent=2) -------------------------
+
+CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus.json"
+
+
+def test_render_json_is_json_dumps_on_every_corpus_report(monkeypatch):
+    pairs = []
+
+    def both(*args):
+        pairs.append((render_json(*args), fileio_oracle.render_json(*args)))
+        return pairs[-1][0]
+
+    monkeypatch.setattr(cli, "render_json", both)
+    entries = json.loads(CORPUS.read_text(encoding="utf-8"))["commands"]
+    for entry in entries:
+        cli.run(["--output", "json", *entry["argv"]])
+    assert len(pairs) == len(entries)
+    assert [got for got, _ in pairs] == [want for _, want in pairs]
+
+
+# what json.dumps escapes: a quote, a backslash, control characters, DEL, non-ASCII characters and
+# an astral one (a surrogate pair); then all of them in one string, and the empty string
+AWKWARD = ['"', "\\", "\n", "\t", "\x00", "\x7f", "é", "∘", "\U0001d54a", 'a"b\\c\nd\te\x00f\x7fgé∘\U0001d54a', ""]
+ABELIAN = LieAlgebra(2, {})
+ODD_LABELS = LieAlgebra(3, {(0, 1): {2: Fraction(-1, 2)}, (0, 2): {1: 3}}, ("é", "∘\"", "\U0001d54a"))
+
+
+@pytest.mark.parametrize(
+    "command, report, sections, algebra",
+    [
+        (
+            AWKWARD[-1],
+            CheckReport(
+                tuple(CheckItem(text, False, text) for text in AWKWARD) + (CheckItem("ok", True),),
+                tuple((text, text) for text in AWKWARD),
+            ),
+            tuple((text, ((text, text), ("k", text))) for text in AWKWARD),
+            None,
+        ),
+        ("empty", CheckReport(()), (), None),
+        ("empty-section", CheckReport((CheckItem("x", True),)), (("nothing", ()),), None),
+        ("abelian", CheckReport((CheckItem("x", True),), (("n", "v"),)), (), ABELIAN),
+        ("odd labels", CheckReport((CheckItem("x", False, "w"),)), (("s", (("k", "v"),)),), ODD_LABELS),
+        ("d4half", CheckReport(()), (), builtin("d4half").algebra),
+    ],
+    ids=["awkward-strings", "empty", "empty-section", "abelian", "odd-labels", "d4half"],
+)
+def test_render_json_is_json_dumps_on_hand_built_reports(command, report, sections, algebra):
+    assert render_json(command, report, sections, algebra) == fileio_oracle.render_json(command, report, sections, algebra)
+
+
+def test_render_json_is_json_dumps_on_any_text():
+    from hypothesis import given, settings, strategies as st
+
+    text = st.text(max_size=6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        text,
+        st.lists(st.tuples(text, st.booleans(), text), max_size=3),
+        st.lists(st.tuples(text, text), max_size=3),
+        st.lists(st.tuples(text, st.lists(st.tuples(text, text), max_size=3)), max_size=3),
+    )
+    def check_one(command, items, notes, sections):
+        report = CheckReport(tuple(CheckItem(n, p, None if p else w) for n, p, w in items), tuple(notes))
+        sections = tuple((name, tuple(pairs)) for name, pairs in sections)
+        assert render_json(command, report, sections) == fileio_oracle.render_json(command, report, sections)
+
+    check_one()

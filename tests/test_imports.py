@@ -20,13 +20,13 @@ import lieforge
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # What a fresh interpreter runs: ``code`` after recording the modules already
-# loaded, then the lieforge modules and the stdlib json, dataclasses and inspect
-# it loaded since, one line.
+# loaded, then the lieforge modules and the stdlib json, dataclasses, inspect and
+# argparse it loaded since, one line.
 _CHILD = """
 import sys
 _before = set(sys.modules)
 {code}
-_shown = ("json", "dataclasses", "inspect")
+_shown = ("json", "dataclasses", "inspect", "argparse")
 print(" ".join(sorted(m for m in set(sys.modules) - _before if m in _shown or m.startswith("lieforge"))))
 """
 
