@@ -22,16 +22,8 @@ file has a byte offset. Output is deterministic byte for byte for identical
 invocations.
 
 Importing this module loads ``algebra``, ``catalog``, ``fileio``, ``forms``,
-``linalg``, ``report`` and ``structures``: enough for ``check`` jacobi,
-contact, frobenius, kahler and sasakian, ``solve reeb``/``principal`` and
-``builtin``. The other modules are imported by the commands that run them:
-
-* ``derivations``: ``check derivation`` and ``solve derivations``;
-* ``extensions`` (which imports ``derivations``): ``check cocycle`` and
-  every ``extend``;
-* ``theorems`` (which imports both): every ``construct``.
-
-``json`` is imported only to render ``--output json``.
+``linalg``, ``report`` and ``structures``; a kind loads, when it runs, the module
+its ``_COMMANDS`` row names, and ``json`` is imported only to render ``--output json``.
 """
 
 from __future__ import annotations
@@ -39,6 +31,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
@@ -60,53 +53,50 @@ from .fileio import (
 from .forms import evaluation_sign, one_form_coords
 from .linalg import Matrix, fmt_scalar, fmt_vector, scalar, transpose
 from .report import CheckReport, LieforgeError, PreconditionError, Record, fail, ok, require
-from .structures import (
-    KahlerStructure,
-    SasakianStructure,
-    check_contact,
-    check_frobenius,
-    check_kahler,
-    check_sasakian,
-)
+from .structures import KahlerStructure, SasakianStructure
 
 if TYPE_CHECKING:
     from .extensions import ExtensionResult
 
 
 # Each command's kinds: the structure sources the kind reads, in order (see
-# ``_SOURCES``), and the flags it reads. A flag the kind does not read is a
-# usage error; a source takes its inline flags only where the kind reads all
-# of them, so in the constructions that take a derivation --map is that
-# derivation. The tables hold strings only, so that a parser or check rebound
-# in its module (as bench/tracing.py does) is the one called.
-_COMMANDS: dict[str, tuple[str, dict[str, tuple[str, str]]]] = {
+# ``_SOURCES``), the flags it reads, and the ``module.name`` of the lieforge
+# function it runs, empty where the kind only checks its sources. A flag the
+# kind does not read is a usage error; a source takes its inline flags only
+# where the kind reads all of them, so in the constructions that take a
+# derivation --map is that derivation. The function takes the algebra, then the
+# checked sources, then the values ``_values`` reads, in flag order. The tables
+# hold strings only and ``_library`` looks a function up when the command runs,
+# so that a function rebound in its module (as bench/tracing.py does) is the one
+# called and a command loads only the modules it runs.
+_COMMANDS: dict[str, tuple[str, dict[str, tuple[str, str, str]]]] = {
     "check": ("verify an axiom system", {
-        "jacobi": ("", ""),
-        "cocycle": ("", "two_form"),
-        "derivation": ("", "map"),
-        "contact": ("contact", "form"),
-        "frobenius": ("frobenius", "form"),
-        "kahler": ("kahler", "map two_form structure"),
-        "sasakian": ("sasakian", "xi form map structure"),
+        "jacobi": ("", "", "algebra.check_jacobi"),
+        "cocycle": ("", "two_form", "extensions.is_cocycle"),
+        "derivation": ("", "map", "derivations.is_derivation"),
+        "contact": ("contact", "form", ""),
+        "frobenius": ("frobenius", "form", ""),
+        "kahler": ("kahler", "map two_form structure", ""),
+        "sasakian": ("sasakian", "xi form map structure", ""),
     }),
     "extend": ("build an extension", {
-        "central": ("", "two_form force"),
-        "derivation": ("", "map force"),
-        "double": ("", "two_form map dz force"),
-        "reversed": ("", "form map force"),
+        "central": ("", "two_form force", "extensions.central_extension"),
+        "derivation": ("", "map force", "extensions.derivation_extension"),
+        "double": ("", "two_form map dz force", "extensions.double_extension"),
+        "reversed": ("", "form map force", "extensions.reversed_double_extension"),
     }),
     "construct": ("theorem-level constructions with re-verification", {
-        "fk-to-sasakian": ("frobenius kahler", "form map structure"),
-        "sasakian-to-fk": ("sasakian", "map structure"),
-        "kahler-to-sasakian": ("kahler", "map two_form structure"),
-        "sasakian-reduction": ("sasakian", "structure"),
-        "sasakian-double": ("sasakian", "two_form map dz structure w_scale"),
-        "contact-ideal": ("frobenius kahler", "form structure"),
+        "fk-to-sasakian": ("frobenius kahler", "form map structure", "theorems.frobenius_kahler_to_sasakian"),
+        "sasakian-to-fk": ("sasakian", "map structure", "theorems.sasakian_to_frobenius_kahler"),
+        "kahler-to-sasakian": ("kahler", "map two_form structure", "theorems.kahler_to_sasakian_central"),
+        "sasakian-reduction": ("sasakian", "structure", "theorems.sasakian_reduction"),
+        "sasakian-double": ("sasakian", "two_form map dz structure w_scale", "theorems.sasakian_double_extension"),
+        "contact-ideal": ("frobenius kahler", "form structure", "theorems.contact_ideal_restriction"),
     }),
     "solve": ("linear solves: derivation spaces, Reeb, principal element", {
-        "derivations": ("", "fix"),
-        "reeb": ("contact", "form"),
-        "principal": ("frobenius", "form"),
+        "derivations": ("", "fix", "derivations.derivation_space"),
+        "reeb": ("contact", "form", ""),
+        "principal": ("frobenius", "form", ""),
     }),
 }
 
@@ -232,14 +222,14 @@ def _help(command: str | None) -> str:
         lines = ["usage: lieforge builtin NAME", "", _BUILTIN_HELP, "", f"names: {', '.join(sorted(BUILTINS))}"]
     else:
         text, kinds = _COMMANDS[command]
-        read = {flag for _, flags in kinds.values() for flag in flags.split()}
+        read = {flag for _, flags, _ in kinds.values() for flag in flags.split()}
         lines = [
             f"usage: lieforge {command} KIND (--builtin NAME | --algebra FILE) [flags]",
             "",
             text,
             "",
             "kinds, with the flags each reads:",
-            *(f"  {kind:<20} {' '.join(map(_option, flags.split())) or '(none)'}" for kind, (_, flags) in kinds.items()),
+            *(f"  {kind:<20} {' '.join(map(_option, row[1].split())) or '(none)'}" for kind, row in kinds.items()),
             "",
             "flags:",
             f"  {'--builtin':<12} built-in algebra: {', '.join(sorted(BUILTINS))}",
@@ -250,10 +240,10 @@ def _help(command: str | None) -> str:
 
 
 def _read_algebra(args) -> tuple[LieAlgebra, Builtin | None]:
-    if args.builtin:
+    if args.builtin is not None:
         b = builtin(args.builtin)
         return b.algebra, b
-    if args.algebra:
+    if args.algebra is not None:
         return parse_algebra(_read_file(args.algebra, "--algebra")), None
     raise LieforgeError("need --builtin or --algebra")
 
@@ -275,11 +265,9 @@ def _read_file(path: str, option: str) -> str:
         raise LieforgeError(f"cannot read {option} {path}: {exc}") from exc
 
 
-def _value(spec: str | None, flag: str, dim: int, b: Builtin | None, option: str | None = None):
+def _value(spec: str, flag: str, dim: int, b: Builtin | None, option: str | None = None):
     """The vector (xi), 1-form, two-form or map ``spec`` spells, inline or as @file of the
-    structure kind named like ``flag``, for ``option`` (``--flag`` by default); None when absent."""
-    if spec is None:
-        return None
+    structure kind named like ``flag``, for ``option`` (``--flag`` by default)."""
     option = option or _option(flag)
     if spec.startswith("@") and flag in STRUCTURE_KEYS:
         (value,) = parse_structure(_read_file(spec[1:], option), flag, dim)
@@ -308,36 +296,37 @@ def _assemble_dz(base: Matrix, dz_spec: str) -> Matrix:
 
 def _required(args, flag: str, dim: int, b: Builtin | None):
     """The value of ``--flag``, or the usage error for its absence."""
-    value = _value(getattr(args, flag), flag, dim, b)
-    if value is None:
+    spec = getattr(args, flag)
+    if spec is None:
         raise LieforgeError(f"need {_option(flag)}")
-    return value
+    return _value(spec, flag, dim, b)
 
 
-def _extension_map(args, g: LieAlgebra, b: Builtin | None) -> Matrix:
-    """The map of a double extension: --map on the central extension, or --map on g completed by --dz."""
-    if args.dz is None:
-        return _required(args, "map", g.dim + 1, b)
-    return _assemble_dz(_required(args, "map", g.dim, b), args.dz)
+def _library(path: str):
+    """The lieforge function ``module.name``, looked up in its module now (see ``_COMMANDS``)."""
+    module, name = path.split(".")
+    return getattr(import_module(f"lieforge.{module}"), name)
+
+
+def _row(args) -> tuple[str, str, str]:
+    return _COMMANDS[args.command][1][args.kind]
 
 
 class _Source(Record):
     """A structure input: the inline flags that spell its values, the
-    builtin's data and the check, given in the argument order of the check.
-    A source with ``STRUCTURE_KEYS`` of its name is also read from --structure.
-    The check looks its function up at call time, so a rebound module name is used."""
+    builtin's data, and the ``module.name`` of its check (see ``_library``),
+    given in the argument order of the check. A source with
+    ``STRUCTURE_KEYS`` of its name is also read from --structure."""
 
     _fields = ("flags", "builtin", "check")
 
 
 _SOURCES = {
-    "sasakian": _Source(("xi", "form", "map"), lambda b: b.sasakian_data, lambda g, *d: check_sasakian(g, *d)),
-    "kahler": _Source(("map", "two_form"), lambda b: b.kahler_data, lambda g, *d: check_kahler(g, *d)),
-    "contact": _Source(
-        ("form",), lambda b: b.sasakian_data and b.sasakian_data[1:2], lambda g, *d: check_contact(g, *d)
-    ),
+    "sasakian": _Source(("xi", "form", "map"), lambda b: b.sasakian_data, "structures.check_sasakian"),
+    "kahler": _Source(("map", "two_form"), lambda b: b.kahler_data, "structures.check_kahler"),
+    "contact": _Source(("form",), lambda b: b.sasakian_data and b.sasakian_data[1:2], "structures.check_contact"),
     "frobenius": _Source(
-        ("form",), lambda b: b.frobenius_form and (b.frobenius_form,), lambda g, *d: check_frobenius(g, *d)
+        ("form",), lambda b: b.frobenius_form and (b.frobenius_form,), "structures.check_frobenius"
     ),
 }
 
@@ -347,7 +336,7 @@ def _resolve(args, g: LieAlgebra, b: Builtin | None, name: str, inline: bool) ->
     set of inline flags, else the builtin's data. Some but not all of the
     inline flags, or no data at all, is a usage error."""
     source = _SOURCES[name]
-    if name in STRUCTURE_KEYS and args.structure:
+    if name in STRUCTURE_KEYS and args.structure is not None:
         return parse_structure(_read_file(args.structure, "--structure"), name, g.dim)
     spelled = "/".join(_option(flag) for flag in source.flags)
     given = [flag for flag in source.flags if getattr(args, flag) is not None] if inline else []
@@ -363,12 +352,35 @@ def _resolve(args, g: LieAlgebra, b: Builtin | None, name: str, inline: bool) ->
     return data
 
 
+def _sources(args) -> list[tuple[str, bool]]:
+    """Each source of the kind, with whether it takes its inline flags (the kind reads all of them)."""
+    names, reads, _ = (field.split() for field in _row(args))
+    return [(name, all(flag in reads for flag in _SOURCES[name].flags)) for name in names]
+
+
 def _checked_sources(args, g: LieAlgebra, b: Builtin | None):
     """(report, structure or None) for each source of the command, each read and checked in turn."""
-    names, reads = (field.split() for field in _COMMANDS[args.command][1][args.kind])
-    for name in names:
-        inline = all(flag in reads for flag in _SOURCES[name].flags)
-        yield _SOURCES[name].check(g, *_resolve(args, g, b, name, inline))
+    for name, inline in _sources(args):
+        yield _library(_SOURCES[name].check)(g, *_resolve(args, g, b, name, inline))
+
+
+def _values(args, g: LieAlgebra, b: Builtin | None) -> list:
+    """The values the kind's function takes after its sources, in flag order: each --form,
+    --two-form and --map that no source reads inline, and --w-scale, None when absent. Where the
+    kind reads --dz, --map is a double extension's map: on the central extension, or on g
+    completed by --dz."""
+    reads = _row(args)[1].split()
+    inline = {flag for name, takes in _sources(args) if takes for flag in _SOURCES[name].flags}
+    values = []
+    for flag in reads:
+        if flag == "w_scale":
+            values.append(None if args.w_scale is None else _scalar_at(args.w_scale, None, "--w-scale"))
+        elif flag == "map" and "dz" in reads:
+            d = _required(args, "map", g.dim + (args.dz is None), b)
+            values.append(d if args.dz is None else _assemble_dz(d, args.dz))
+        elif flag in ("form", "two_form", "map") and flag not in inline:
+            values.append(_required(args, flag, g.dim, b))
+    return values
 
 
 def _structure_sections(g: LieAlgebra, structure) -> tuple[tuple[str, tuple[tuple[str, str], ...]], ...]:
@@ -400,109 +412,70 @@ def _extension_notes(ext: ExtensionResult) -> tuple[tuple[str, str], ...]:
 _FIX_EIGEN = re.compile(r"^alpha\s*(?:∘|o|\.)\s*D\s*=\s*(.+):(.+)$")
 
 
-def _parse_fix(spec: str, g: LieAlgebra, b: Builtin | None):
-    from .derivations import Commute, FormEigen, Sends
+def _constraints(args, g: LieAlgebra, b: Builtin | None) -> list:
+    """The Leibniz rule, then the constraint each --fix spells."""
+    from .derivations import Commute, FormEigen, Leibniz, Sends
 
-    m = _FIX_EIGEN.match(spec.strip())
-    if m:
-        lam_str, form_str = m.group(1).strip(), m.group(2).strip()
-        if lam_str == "alpha":
-            lam = Fraction(1)
-        elif lam_str.endswith("*alpha"):
-            lam = _scalar_at(lam_str[: -len("*alpha")], None, "--fix")
+    constraints = [Leibniz()]
+    for spec in args.fix:
+        m = _FIX_EIGEN.match(spec.strip())
+        if m:
+            lam_str, form_str = m.group(1).strip(), m.group(2).strip()
+            lam = Fraction(1) if lam_str == "alpha" else _scalar_at(lam_str.removesuffix("*alpha"), None, "--fix")
+            constraints.append(FormEigen(parse_form_inline(form_str, g.dim, "--fix"), lam))
+        elif spec.startswith("commute:"):
+            constraints.append(Commute(_value(spec[len("commute:") :], "map", g.dim, b, "--fix")))
+        elif spec.startswith("sends:"):
+            v_str, arrow, w_str = spec[len("sends:") :].partition("->")
+            if not arrow:
+                raise LieforgeError("--fix sends constraint needs 'sends:V->W'")
+            constraints.append(
+                Sends(parse_vector_inline(v_str, g.dim, "--fix"), parse_vector_inline(w_str, g.dim, "--fix"))
+            )
         else:
-            lam = _scalar_at(lam_str, None, "--fix")
-        return FormEigen(parse_form_inline(form_str, g.dim, "--fix"), lam)
-    if spec.startswith("commute:"):
-        return Commute(_value(spec[len("commute:") :], "map", g.dim, b, "--fix"))
-    if spec.startswith("sends:"):
-        v_str, arrow, w_str = spec[len("sends:") :].partition("->")
-        if not arrow:
-            raise LieforgeError("--fix sends constraint needs 'sends:V->W'")
-        return Sends(parse_vector_inline(v_str, g.dim, "--fix"), parse_vector_inline(w_str, g.dim, "--fix"))
-    raise LieforgeError(f"bad --fix constraint {spec!r}")
+            raise LieforgeError(f"bad --fix constraint {spec!r}")
+    return constraints
 
 
 def _cmd_check(args) -> tuple[CheckReport, tuple, LieAlgebra | None]:
     """Also runs ``solve reeb`` and ``solve principal``, whose report is their checked source's."""
     # check jacobi reports a failing Jacobi identity itself, so it reads the bare algebra
     g, b = _read_algebra(args) if args.kind == "jacobi" else _load_algebra(args)
-    if args.kind == "jacobi":
-        report = check_jacobi(g)
-    elif args.kind == "cocycle":
-        from .extensions import is_cocycle
-
-        report = is_cocycle(g, _required(args, "two_form", g.dim, b))
-    elif args.kind == "derivation":
-        from .derivations import is_derivation
-
-        report = is_derivation(g, _required(args, "map", g.dim, b))
-    else:  # contact, frobenius, kahler, sasakian; solve reeb and principal
+    function = _row(args)[2]
+    if function:
+        report = _library(function)(g, *_values(args, g, b))
+    else:  # a kind that only checks its one source
         ((report, _),) = _checked_sources(args, g, b)
     return _adjust_evaluations(report, g.dim, args.wedge_convention), (), None
 
 
 def _cmd_extend(args) -> tuple[CheckReport, tuple, LieAlgebra | None]:
-    from .extensions import central_extension, derivation_extension, double_extension, reversed_double_extension
-
     g, b = _load_algebra(args)
-    check = not args.force
-    if args.kind == "central":
-        ext = central_extension(g, _required(args, "two_form", g.dim, b), check=check)
-    elif args.kind == "derivation":
-        ext = derivation_extension(g, _required(args, "map", g.dim, b), check=check)
-    elif args.kind == "double":
-        theta = _required(args, "two_form", g.dim, b)
-        d = _extension_map(args, g, b)
-        ext = double_extension(g, theta, d, check=check)
-    else:  # reversed
-        alpha = _required(args, "form", g.dim, b)
-        d = _required(args, "map", g.dim, b)
-        ext = reversed_double_extension(g, alpha, d, check=check)
+    ext = _library(_row(args)[2])(g, *_values(args, g, b), check=not args.force)
     return check_jacobi(ext.algebra).with_notes(*_extension_notes(ext)), (), ext.algebra
 
 
 def _cmd_construct(args) -> tuple[CheckReport, tuple, LieAlgebra | None]:
-    from .extensions import ExtensionResult
-    from .theorems import (
-        contact_ideal_restriction,
-        frobenius_kahler_to_sasakian,
-        kahler_to_sasakian_central,
-        sasakian_double_extension,
-        sasakian_reduction,
-        sasakian_to_frobenius_kahler,
-    )
-
     g, b = _load_algebra(args)
-    sources = []  # each theorem takes them after g, in table order
+    sources = []
     for report, structure in _checked_sources(args, g, b):
         require("input fails its axioms", report)
         sources.append(structure)
+    built = _library(_row(args)[2])(g, *sources, *_values(args, g, b))
     notes = ()
-    if args.kind == "fk-to-sasakian":
-        d = _required(args, "map", g.dim, b)
-        result, report, structure = frobenius_kahler_to_sasakian(g, *sources, d)
-    elif args.kind == "sasakian-to-fk":
-        d = _required(args, "map", g.dim, b)
-        result, report, frob, structure = sasakian_to_frobenius_kahler(g, *sources, d)
+    if args.kind == "sasakian-to-fk":
+        result, report, frob, structure = built
         if frob is not None:
             notes = (("principal_element", fmt_vector(frob.principal, result.algebra.labels)),)
-    elif args.kind == "kahler-to-sasakian":
-        result, report, structure = kahler_to_sasakian_central(g, *sources)
-    elif args.kind == "sasakian-reduction":
-        result, report, structure = sasakian_reduction(g, *sources)
     elif args.kind == "sasakian-double":
-        theta = _required(args, "two_form", g.dim, b)
-        d = _extension_map(args, g, b)
-        c = _scalar_at(args.w_scale, None, "--w-scale") if args.w_scale else None
-        result, report, structure, params = sasakian_double_extension(g, *sources, theta, d, c)
+        result, report, structure, params = built
         notes = (
             ("params", f"a={fmt_scalar(params.a)} b={fmt_scalar(params.b)} c={fmt_scalar(params.c)} d={fmt_scalar(params.d)}"),
             ("params_u", fmt_vector(params.u, g.labels)),
         )
-    else:  # contact-ideal
-        result, report, structure = contact_ideal_restriction(g, *sources)
-    if isinstance(result, ExtensionResult):
+    else:
+        result, report, structure = built
+    if not isinstance(result, LieAlgebra):  # an ExtensionResult
         notes = _extension_notes(result) + notes
         result = result.algebra
     report = _adjust_evaluations(report.with_notes(*notes), result.dim, args.wedge_convention)
@@ -510,12 +483,12 @@ def _cmd_construct(args) -> tuple[CheckReport, tuple, LieAlgebra | None]:
 
 
 def _cmd_solve(args) -> tuple[CheckReport, tuple, LieAlgebra | None]:
-    if args.kind != "derivations":  # reeb and principal: the contact or Frobenius form, checked
+    function = _row(args)[2]
+    if not function:  # reeb and principal: the contact or Frobenius form, checked
         return _cmd_check(args)
     g, b = _load_algebra(args)
-    from .derivations import Leibniz, derivation_space
-
-    constraints = [Leibniz()] + [_parse_fix(spec, g, b) for spec in args.fix]
+    derivation_space = _library(function)
+    constraints = _constraints(args, g, b)
     particular, basis = derivation_space(g, constraints)
     if particular is None:
         # Leibniz alone is homogeneous: the culprit is the first --fix whose prefix is inconsistent

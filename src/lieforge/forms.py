@@ -39,6 +39,7 @@ from .linalg import (
     ZERO,
     clear_denominators,
     det,
+    fmt_vector,
     nullspace,
     pack,
     scalar,
@@ -173,24 +174,8 @@ class KForm(Record):
         return self.scale(-1)
 
     def describe(self, labels: Sequence[str]) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for idxs, value in self.coeffs:
-            mono = "^".join(labels[i] for i in idxs) if idxs else "1"
-            if value == 1:
-                term = mono
-            elif value == -1:
-                term = f"-{mono}"
-            else:
-                term = f"{value}*{mono}"
-            if parts and not term.startswith("-"):
-                parts.append(f"+ {term}")
-            elif parts:
-                parts.append(f"- {term[1:]}")
-            else:
-                parts.append(term)
-        return " ".join(parts)
+        monomials = ["^".join(labels[i] for i in idxs) or "1" for idxs, _ in self.coeffs]
+        return fmt_vector([value for _, value in self.coeffs], monomials)
 
 
 def evaluation_sign(degree: int, convention: str) -> int:

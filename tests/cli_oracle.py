@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
         source = p.add_mutually_exclusive_group()
         source.add_argument("--builtin", choices=sorted(BUILTINS))
         source.add_argument("--algebra", help="path to a lieforge/1 algebra file")
-        read = {flag for _, flags in kinds.values() for flag in flags.split()}
+        read = {flag for _, flags, _ in kinds.values() for flag in flags.split()}
         for flag, flag_help in _FLAGS.items():
             if flag in read:
                 p.add_argument(_option(flag), help=flag_help, **_ACTIONS.get(flag, {}))

@@ -270,6 +270,25 @@ def test_readme_commands_are_the_corpus():
     assert len(documented) == len(corpus) - 2
 
 
+def test_readme_flag_table_is_the_command_table():
+    # README's "command kind | flags it reads" table names each kind once, some rows naming two,
+    # with the flags of its _COMMANDS row in the row's order
+    readme = (CORPUS.parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| command kind | flags it reads |\n| --- | --- |\n")[1].split("\n\n")[0]
+    documented = {}
+    for line in table.splitlines():
+        kinds, flags = line.strip("|").split("|")
+        for kind in re.findall(r"`([^`]+)`", kinds):
+            assert kind not in documented, kind
+            documented[kind] = re.findall(r"--[a-z-]+", flags)
+    declared = {
+        f"{command} {kind}": [cli._option(flag) for flag in flags.split()]
+        for command, (_, kinds) in cli._COMMANDS.items()
+        for kind, (_, flags, _) in kinds.items()
+    }
+    assert documented == declared
+
+
 def test_reused_parser_reproduces_first_runs(capsys):
     # every corpus command, then the same again in the same process after a usage error and an
     # appended --fix: each output and exit code is the first run's, so no run leaves state behind
@@ -628,13 +647,16 @@ def test_non_lie_algebra_file_is_refused(tmp_path):
 
 
 def test_jacobi_runs_once_per_file_algebra(tmp_path, monkeypatch):
+    import lieforge.algebra
     import lieforge.cli as cli
 
     path = tmp_path / "h3.lf"
     path.write_text("lieforge/1 algebra\ndim 3\nbracket 1 2 = 3:1\n")
     calls = []
     original = cli.check_jacobi
-    monkeypatch.setattr(cli, "check_jacobi", lambda g: calls.append(g) or original(g))
+    # cli calls it to refuse a file algebra, and check jacobi looks it up in its home module
+    for module in (cli, lieforge.algebra):
+        monkeypatch.setattr(module, "check_jacobi", lambda g: calls.append(g) or original(g))
     for argv, expected in [
         (["check", "jacobi", "--algebra", str(path)], 1),
         (["check", "contact", "--algebra", str(path), "--form", "e3"], 1),
@@ -1134,11 +1156,16 @@ def test_parser_differs_from_argparse_only_as_documented():
         (["extend", "central", "--builtin", "h3", "--two-form", "0", "--force=yes"], "--force takes no value"),
         (["check", "jacobi", "--algebra", "x", "--builtin", "h3"], "--builtin and --algebra exclude each other"),
         (["check", "jacobi", "--builtin", "h3", "--fix", "bogus"], "check jacobi does not read --fix"),
+        (["check", "sasakian", "--builtin", "h3", "--structure", ""], "cannot read --structure "),
+        (["construct", "sasakian-double", "--builtin", "h3", "--two-form", "0", "--map", "diag:0,0,0,1",
+          "--w-scale", ""], "bad rational '' in --w-scale"),
+        (["check", "jacobi", "--algebra", ""], "cannot read --algebra "),
     ],
     ids=["no-command", "unknown-command", "unknown-kind", "no-kind", "unknown-builtin", "unknown-builtin-name",
          "builtin-no-name", "extra-word", "builtin-flag", "unknown-flag", "unknown-flag-equals", "abbreviated-flag",
          "missing-value", "global-after-command", "command-flag-before-command", "global-choice",
-         "abbreviated-global", "force-value", "builtin-and-algebra", "unread-fix"],
+         "abbreviated-global", "force-value", "builtin-and-algebra", "unread-fix", "empty-structure",
+         "empty-w-scale", "empty-algebra"],
 )
 def test_a_command_line_the_tables_do_not_declare_is_a_usage_error(argv, message, capsys):
     assert cli.main(argv) == 2
@@ -1164,13 +1191,23 @@ def test_command_help_lists_each_kind_and_the_flags_it_reads(command, capsys):
         assert cli.main(argv) == 0
         out = capsys.readouterr().out
         assert out.startswith(f"usage: lieforge {command} KIND")
-        for kind, (_, flags) in kinds.items():
+        for kind, (_, flags, _) in kinds.items():
             spelled = " ".join(f"--{flag.replace('_', '-')}" for flag in flags.split()) or "(none)"
             assert re.search(rf"^  {kind} +{re.escape(spelled)}$", out, re.M), kind
-        read = {flag for _, flags in kinds.values() for flag in flags.split()}
+        read = {flag for _, flags, _ in kinds.values() for flag in flags.split()}
         for flag, flag_help in cli._FLAGS.items():
             listed = re.search(rf"^  --{flag.replace('_', '-')} +{re.escape(flag_help)}$", out, re.M)
             assert bool(listed) == (flag in read), flag
+
+
+def test_every_function_the_tables_name_is_public_in_its_home_module():
+    # a typo in a row fails here rather than when its command runs
+    named = [function for _, kinds in cli._COMMANDS.values() for _, _, function in kinds.values() if function]
+    checks = [source.check for source in cli._SOURCES.values()]
+    assert len(named) == 14 and len(checks) == 4
+    for path in named + checks:
+        module, name = path.split(".")
+        assert name in lf.__all__ and lf._HOME[name] == module, path
 
 
 def test_builtin_help_lists_the_names(capsys):
