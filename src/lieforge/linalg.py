@@ -7,12 +7,14 @@ rows of plain integers. Nothing here mutates its inputs, so every value is
 safe to share across threads.
 
 All elimination runs in one fraction-free integer kernel, _eliminate, on
-primitive integer rows that become Fractions once, at the end. nullspace is
-one elimination with the columns reversed, whose free-variable basis is
-already the canonical (row-reduced) one, so a homogeneous solve_affine is a
-single elimination too. An inhomogeneous solve_affine reduces the augmented
-system once, reads the particular solution from its integer rows and
-reduces the integer null basis once more to make it canonical.
+primitive integer rows that become Fractions once, at the end; a row of
+plain ints has no denominators to clear. nullspace is one elimination with
+the columns reversed, whose free-variable basis is already the canonical
+(row-reduced) one, so a homogeneous solve_affine is a single elimination
+too. An inhomogeneous solve_affine reduces the augmented system once and
+reads the particular solution from its integer rows; its canonical null
+basis is the nullspace of the rows that elimination ran on, which span the
+row space.
 positive_definite reads every leading minor's sign from one forward pass
 without row exchanges.
 
@@ -20,16 +22,22 @@ nullspace and solve_affine reduce a tall system, one with at least 8
 columns and at least twice as many rows as columns (the Leibniz systems of
 derivations, the centers of dimension 8 and up), on part of its rows
 (_row_reduce):
-- selection: the rows, cleared of denominators once, are reduced mod the
-  prime 2^20 - 3, packed 64 bits a slot, and kept in order when independent
-  mod p of the rows kept before them, and so independent over Q;
+- selection: the rows, cleared of denominators once, are kept in order
+  when independent mod the prime p = 2^20 - 3 of the rows kept before them,
+  and so independent over Q. Each row is first projected on a kernel vector
+  z of the kept rows mod p, one dot product: a projection of 0 skips the
+  row, which then almost always lies in their span. The others are reduced
+  mod p, packed 64 bits a slot, against the kept rows; z is rebuilt only
+  when that reduction finds a dependent row. So the reduction, O(rank)
+  big-int steps, runs on the kept rows and about one more row after each,
+  and every other row costs one O(ncols) dot product (_independent_mod_p);
 - the exact solve: _eliminate runs on the kept rows alone;
 - the check: every other row must annihilate the kernel of the result,
   whose coordinates are packed one int per column (pack), so a row costs
   one big-int multiply-add per nonzero entry; for solve_affine the kernel
   of the augmented rows holds (x, -1) for the particular solution x;
 - the fallback: the rows that fail join the kept rows and the exact solve
-  runs again, so the result is exact whatever the prime.
+  runs again, so the result is exact whatever the prime or the projection.
 Once the check passes, the kept rows span the row space of all rows, and
 the reduced rows, the canonical basis and the canonical particular solution
 (or the verdict that there is none) are those of the whole system. Square,
@@ -150,7 +158,9 @@ def column(m: Matrix, j: int) -> Vector:
 
 
 def clear_denominators(v: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(ints, d) with v == ints / d, d the least common denominator of v."""
+    """(ints, d) with v == ints / d, d the least common denominator of v; ints is a new list."""
+    if all(map(int.__instancecheck__, v)):
+        return list(v), 1
     ratios = [x.as_integer_ratio() for x in v]
     d = lcm(*[q for _, q in ratios])
     return [p * (d // q) for p, q in ratios], d
@@ -226,7 +236,7 @@ def _eliminate(
     for row in rows:
         ints, d = clear_denominators(row)
         g = gcd(*ints) or 1
-        work.append([x // g for x in ints])
+        work.append([x // g for x in ints] if g > 1 else ints)
         num.append(d)
         den.append(g)
     nrows, ncols = len(work), len(work[0]) if work else 0
@@ -264,8 +274,9 @@ def _eliminate(
     return work, pivots, num, den
 
 
-def _row_reduce(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], list[int]]:
-    """The rows and pivots _eliminate(rows) returns, from as few of the rows as it can.
+def _row_reduce(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], list[int], list[Sequence]]:
+    """The rows and pivots _eliminate(rows) returns, from as few of the rows as it can,
+    and the rows it eliminated, which span the row space of all rows.
 
     A system with fewer than 8 columns or fewer rows than twice its columns is
     eliminated whole: there the selection saves no more than it costs
@@ -280,14 +291,15 @@ def _row_reduce(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int
     ncols = len(rows[0])
     if len(rows) < 2 * ncols or ncols < 8:
         work, pivots, _, _ = _eliminate(rows)
-        return work, pivots
-    ints = [row if all(map(int.__instancecheck__, row)) else clear_denominators(row)[0] for row in rows]
+        return work, pivots, rows
+    ints = [clear_denominators(row)[0] for row in rows]
     keep = _independent_mod_p(ints, ncols)
     while True:
-        work, pivots, _, _ = _eliminate([ints[i] for i in keep])
+        kept = [ints[i] for i in keep]
+        work, pivots, _, _ = _eliminate(kept)
         failing = _unsatisfied(ints, keep, work, pivots, ncols)
         if not failing:
-            return work, pivots
+            return work, pivots, kept
         keep = sorted(keep + failing)
 
 
@@ -301,35 +313,68 @@ def _pack64(entries: Sequence[int]) -> int:
     return int.from_bytes(array("Q", entries), sys.byteorder)
 
 
+def _probe(ncols: int, p: int) -> list[int]:
+    """Fixed pseudo-random values in [1, p), one per column: the Lehmer generator
+    x -> 48271 x mod 2^31 - 1 from x = 1, folded into [1, p)."""
+    x, out = 1, []
+    for _ in range(ncols):
+        x = x * 48271 % 2147483647
+        out.append(x % (p - 1) + 1)
+    return out
+
+
 def _independent_mod_p(ints: Sequence[Sequence[int]], ncols: int) -> list[int]:
     """Indices, in order, of the rows independent mod _PRIME of the rows kept before them.
 
     The kept rows are held in echelon form mod p: each is reduced by the ones
     kept before it, scaled to 1 at its pivot, its first nonzero column, and
-    packed by _pack64. A row is reduced by each kept row in turn, with one
-    big-int multiply-add by p minus its current entry at that pivot. Its
-    slots stay below p + rank*p^2 < 2^64, so only the entry at each pivot is
-    reduced mod p on the way, and every slot once at the end, to test the
-    result against 0.
+    packed by _pack64. So a kept row is 0 at the pivots of the rows kept
+    before it, and a kernel vector z of them all is back-substituted in
+    reverse order of keeping from fixed values (_probe) at the free columns.
+
+    Each row is first projected on z, one dot product (Freivalds' check): a
+    row in the span of the kept rows has projection 0 mod p and is skipped
+    in O(ncols) small-int steps. A row with a nonzero projection is reduced
+    by each kept row in turn, with one big-int multiply-add by p minus its
+    current entry at that pivot. Its slots stay below p + rank*p^2 < 2^64,
+    so only the entry at each pivot is reduced mod p on the way, and every
+    slot once at the end, to test the result against 0. z is refreshed
+    lazily, in O(rank*ncols) steps: a kept row leaves it stale, and only a
+    reduction that finds its row dependent rebuilds it. So the O(rank)
+    reduction runs on the kept rows and on about one dependent row after
+    each, not on every row; rebuilding z after every kept row costs more
+    than it saves on the sparse systems of g0 and g5.
+
+    An independent row whose projection is 0 mod p, about one in p, is
+    skipped too: it fails _unsatisfied and joins the elimination through the
+    fallback, so the result stays exact.
     """
     p, size, mask = _PRIME, 8 * ncols, (1 << 64) - 1
-    basis: list[tuple[int, int]] = []  # (bit offset of the pivot's slot, packed row)
+    probe = _probe(ncols, p)
+    z = probe
+    basis: list[tuple[int, int, list[int]]] = []  # (bit offset of the pivot's slot, packed row, row)
     keep = []
     for i, row in enumerate(ints):
-        if not any(row):
+        if not sum(map(mul, row, z)) % p:
             continue
         v = _pack64([x % p for x in row])
-        for shift, packed in basis:
+        for shift, packed, _ in basis:
             f = (v >> shift & mask) % p
             if f:
                 v += (p - f) * packed
         slots = memoryview(v.to_bytes(size, sys.byteorder)).cast("Q")
         if not any(map(p.__rmod__, slots)):
+            z = list(probe)
+            for shift, _, kept in reversed(basis):
+                c = shift // 64
+                z[c] = 0
+                z[c] = -sum(map(mul, kept, z)) % p
             continue
         res = [x % p for x in slots]
         c = next(j for j, x in enumerate(res) if x)
         inv = pow(res[c], -1, p)
-        basis.append((64 * c, _pack64([x * inv % p for x in res])))
+        res = [x * inv % p for x in res]
+        basis.append((64 * c, _pack64(res), res))
         keep.append(i)
         if len(keep) == ncols:
             break
@@ -365,8 +410,21 @@ def _unsatisfied(
     return [i for i in others if sum(a * packed[j] for j, a in enumerate(ints[i]) if a)]
 
 
+def _check_width(rows: Sequence[Sequence], ncols: int) -> None:
+    for row in rows:
+        if len(row) != ncols:
+            raise DimensionMismatch(f"row of width {len(row)} in a system of {ncols} columns")
+
+
+def _check_square(m: Matrix) -> None:
+    if not is_square(m, len(m)):
+        raise DimensionMismatch(f"a matrix of {len(m)} rows that is not square")
+
+
 def rref(rows: Sequence[Vector]) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    if rows:
+        _check_width(rows, len(rows[0]))
     work, pivots, _, _ = _eliminate(rows)
     red = tuple(
         tuple(Fraction(x, row[c]) if x else ZERO for x in row) for row, c in zip(work, pivots)
@@ -386,12 +444,10 @@ def nullspace(rows: Sequence[Vector], ncols: int) -> tuple[Vector, ...]:
     at each p_k > f and 0 elsewhere: it is already the RREF basis, which is
     unique.
     """
-    for row in rows:
-        if len(row) != ncols:
-            raise DimensionMismatch(f"row of width {len(row)} in a system of {ncols} columns")
+    _check_width(rows, ncols)
     if not rows:
         return identity(ncols)
-    work, pivots = _row_reduce([row[::-1] for row in rows])
+    work, pivots, _ = _row_reduce([row[::-1] for row in rows])
     last = ncols - 1
     reduced = [(row, row[c], last - c) for row, c in zip(work, pivots)]
     basis = []
@@ -410,20 +466,22 @@ def solve_affine(rows: Sequence[Vector], rhs: Sequence[Fraction]) -> tuple[Vecto
 
     A homogeneous system is one nullspace elimination with the zero vector.
     Otherwise one elimination of the augmented system (_row_reduce) gives
-    both: its first ncols columns are the RREF of rows, the particular
-    solution sets all free variables to zero, making it canonical for a given
-    system, and the free variables' null basis, as integer rows, is reduced
-    once more to the canonical basis.
+    the particular solution: its first ncols columns are the RREF of rows,
+    and the particular solution sets all free variables to zero, making it
+    canonical for a given system. The rows that elimination ran on span the
+    augmented row space, so their first ncols entries span that of rows, and
+    the canonical null basis is the nullspace of those few rows.
     """
     if not rows:
         return (), ()
     ncols = len(rows[0])
+    _check_width(rows, ncols)
     if len(rhs) != len(rows):
         raise DimensionMismatch(f"{len(rhs)} right-hand sides for {len(rows)} equations")
     if not any(rhs):
         return zero_vector(ncols), nullspace(rows, ncols)
-    work, pivots = _row_reduce([tuple(r) + (b,) for r, b in zip(rows, rhs)])
-    basis = _integer_null_basis(work, pivots, ncols)
+    work, pivots, kept = _row_reduce([tuple(r) + (b,) for r, b in zip(rows, rhs)])
+    basis = nullspace([row[:ncols] for row in kept], ncols)
     if ncols in pivots:
         return None, basis
     x = [ZERO] * ncols
@@ -433,27 +491,9 @@ def solve_affine(rows: Sequence[Vector], rhs: Sequence[Fraction]) -> tuple[Vecto
     return tuple(x), basis
 
 
-def _integer_null_basis(work: list[list[int]], pivots: Sequence[int], ncols: int) -> tuple[Vector, ...]:
-    """Canonical basis of {x : work @ x = 0}, work reduced by _eliminate on its first ncols columns.
-
-    Each free variable's basis vector is scaled by the lcm of the pivots to
-    integers, which leaves its primitive row, and so the reduction, as the
-    Fraction vector would give.
-    """
-    reduced = [(row, p) for row, p in zip(work, pivots) if p < ncols]
-    scale = lcm(*(row[p] for row, p in reduced))
-    basis = []
-    for f in sorted(set(range(ncols)).difference(pivots)):
-        v = [0] * ncols
-        v[f] = scale
-        for row, p in reduced:
-            v[p] = -row[f] * (scale // row[p])
-        basis.append(v)
-    return rref(basis)[0] if basis else ()
-
-
 def det(m: Matrix) -> Fraction:
     """Determinant: the product of the pivots of one forward elimination."""
+    _check_square(m)
     work, pivots, num, den = _eliminate(m, reduce=False)
     if len(pivots) < len(m):
         return ZERO
@@ -504,6 +544,7 @@ def positive_definite(m: Matrix) -> tuple[bool, int | None]:
     While minors 1..k-1 are positive, rows are only scaled by positive
     factors, so pivot k has the sign of minor k; a zero pivot ends the pass.
     """
+    _check_square(m)
     work, pivots, _, _ = _eliminate(m, reduce=False, swap=False)
     for k, (row, c) in enumerate(zip(work, pivots), start=1):
         if row[c] < 0:

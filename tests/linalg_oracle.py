@@ -6,6 +6,10 @@ that the integer elimination kernel in lieforge.linalg replaced. They are
 slow but obviously correct; tests/test_linalg.py checks that the fast path
 returns exactly the same values.
 
+independent_mod_p is the row selection of lieforge.linalg's tall solves
+before it tested each row by a projection: every row is reduced mod p by
+every row kept before it, and kept when something is left.
+
 pfaffian is the fraction-free skew elimination that lieforge.linalg ran
 before its Pfaffian was read off sub_pfaffians: Knuth's overlapping-Pfaffian
 elimination of the whole matrix, with no border. The contact oracle in
@@ -131,6 +135,31 @@ def positive_definite(m: Matrix) -> tuple[bool, int | None]:
             return False, k
     return True, None
 
+
+
+def independent_mod_p(ints: Sequence[Sequence[int]], ncols: int, p: int) -> list[int]:
+    """Indices, in order, of the rows independent mod p of the rows kept before them.
+
+    The kept rows are held in echelon form mod p: each is reduced by the ones
+    kept before it and scaled to 1 at its pivot, its first nonzero column.
+    """
+    basis: list[tuple[int, list[int]]] = []
+    keep = []
+    for i, row in enumerate(ints):
+        v = [x % p for x in row]
+        for c, kept in basis:
+            f = v[c]
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, kept)]
+        c = next((j for j, x in enumerate(v) if x), None)
+        if c is None:
+            continue
+        inv = pow(v[c], -1, p)
+        basis.append((c, [x * inv % p for x in v]))
+        keep.append(i)
+        if len(keep) == ncols:
+            break
+    return keep
 
 
 def pfaffian(m: Matrix) -> Fraction:

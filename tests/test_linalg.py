@@ -244,6 +244,22 @@ def test_nullspace_rejects_rows_of_the_wrong_width():
         nullspace(((),), 1)
 
 
+def test_eliminations_reject_misshapen_input():
+    # ragged rows and non-square matrices are refused, as nullspace refuses rows of the wrong width
+    with pytest.raises(lf.DimensionMismatch):
+        solve_affine(matrix([[1, 2], [3]]), vector([1, 1]))
+    with pytest.raises(lf.DimensionMismatch):
+        solve_affine(matrix([[1, 2], [3]]), vector([0, 0]))
+    with pytest.raises(lf.DimensionMismatch):
+        rref(matrix([[1, 2], [3, 4, 5]]))
+    with pytest.raises(lf.DimensionMismatch):
+        det(matrix([[1, 2, 3], [4, 5, 6]]))
+    with pytest.raises(lf.DimensionMismatch):
+        det(matrix([[1, 2], [3]]))
+    with pytest.raises(lf.DimensionMismatch):
+        positive_definite(matrix([[2, 0, 0], [0, 2, 0]]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_solvers_match_oracle(data):
@@ -569,3 +585,36 @@ def test_dense_leibniz_rows_keep_one_row_per_rank(m, selections, fallbacks):
     keep = linalg._independent_mod_p([r[::-1] for r in rows], n * n)
     assert len(keep) == n * n - len(der)
     assert selections == [n * n, n * n] and fallbacks == []
+
+
+def selection_systems():
+    """The Leibniz systems of conjugated h5, h7 and h9 and of g0 and g5, as the row selection
+    sees them: integer rows with the columns reversed, as nullspace passes them."""
+    algebras = [conjugated_heisenberg_sasakian(m, 1)[0] for m in (2, 3, 4)]
+    algebras += [lf.builtin(name).algebra for name in ("g0", "g5")]
+    return [([r[::-1] for r in _leibniz_rows(g)[0]], g.dim * g.dim) for g in algebras]
+
+
+def test_projected_selection_keeps_the_rows_of_the_echelon_selection():
+    for rows, ncols in selection_systems():
+        assert linalg._independent_mod_p(rows, ncols) == oracle.independent_mod_p(rows, ncols, linalg._PRIME)
+
+
+def test_an_independent_row_with_projection_0_comes_back_through_the_check(fallbacks):
+    # rows e_0..e_3 are kept, a repeat of e_0 refreshes the kernel vector z, which is then
+    # 0 at columns 0..3 and _probe at the rest; w = z_5 e_4 - z_4 e_5 is independent of the
+    # kept rows, mod p too, but w . z = 0, so the selection skips it and the check finds it
+    ncols = 9
+    z = linalg._probe(ncols, linalg._PRIME)
+    units = [[int(i == j) for j in range(ncols)] for i in range(4)]
+    w = [0] * ncols
+    w[4], w[5] = z[5], -z[4]
+    rng = random.Random(5)
+    spans = [[sum(c * u[j] for c, u in zip(cs, units)) for j in range(ncols)]
+             for cs in ([rng.randint(-3, 3) for _ in units] for _ in range(14))]
+    rows = units + [units[0], w] + spans
+    assert linalg._independent_mod_p(rows, ncols) == [0, 1, 2, 3]
+    assert oracle.independent_mod_p(rows, ncols, linalg._PRIME) == [0, 1, 2, 3, 5]
+    reversed_rows = matrix([r[::-1] for r in rows])
+    assert nullspace(reversed_rows, ncols) == oracle.nullspace(reversed_rows, ncols)
+    assert fallbacks == [1]
