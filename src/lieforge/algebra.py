@@ -33,10 +33,10 @@ from .linalg import (
     ScalarLike,
     Vector,
     ZERO,
+    _check_width,
     clear_denominators,
     fmt_basis_tuple,
     fmt_vector,
-    is_zero_vector,
     nullspace,
     pack,
     rref,
@@ -133,8 +133,7 @@ def _items(data: Mapping | Iterable[tuple]) -> Iterable[tuple]:
 
 def bracket(g: LieAlgebra, x: Vector, y: Vector) -> Vector:
     """[x, y] by bilinear expansion through the structure constants."""
-    if len(x) != g.dim or len(y) != g.dim:
-        raise DimensionMismatch("vector length does not match algebra dimension")
+    _check_width((x, y), g.dim)
     xs, dx = clear_denominators(x)
     ys, dy = clear_denominators(y)
     return vector_over(_bracket_ints(g, xs, ys), g._integer_terms[0] * dx * dy)
@@ -258,11 +257,8 @@ class Subspace(Record):
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Sequence[Vector]) -> "Subspace":
-        nonzero = [v for v in vectors if not is_zero_vector(v)]
-        if not nonzero:
-            return cls(ambient_dim, ())
-        reduced, _ = rref(nonzero)
-        return cls(ambient_dim, reduced)
+        _check_width(vectors, ambient_dim)
+        return cls(ambient_dim, rref(vectors)[0])
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":

@@ -35,11 +35,7 @@ class Builtin(Record):
     """A named algebra and its structure data: sasakian_data is (reeb, alpha, phi), kahler_data (j, omega)."""
 
     _fields = ("name", "algebra", "sasakian_data", "kahler_data", "frobenius_form", "maps")
-
-    def __init__(self, name: str, algebra: LieAlgebra, sasakian_data: tuple | None = None,
-                 kahler_data: tuple | None = None, frobenius_form: KForm | None = None,
-                 maps: tuple[tuple[str, Matrix], ...] = ()) -> None:
-        super().__init__(name, algebra, sasakian_data, kahler_data, frobenius_form, maps)
+    _defaults = {"sasakian_data": None, "kahler_data": None, "frobenius_form": None, "maps": ()}
 
     def sasakian(self) -> SasakianStructure:
         return self._checked("Sasakian", check_sasakian, self.sasakian_data)

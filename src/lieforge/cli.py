@@ -51,7 +51,7 @@ from .fileio import (
     render_text,
 )
 from .forms import evaluation_sign, one_form_coords
-from .linalg import Matrix, fmt_scalar, fmt_vector, scalar, transpose
+from .linalg import Matrix, fmt_dual, fmt_scalar, fmt_vector, scalar, transpose
 from .report import CheckReport, LieforgeError, PreconditionError, Record, fail, ok, require
 from .structures import KahlerStructure, SasakianStructure
 
@@ -109,7 +109,8 @@ _FLAGS = {
     "structure": "path to a structure file with the source data (kind sasakian or kahler)",
     "w_scale": "scale c of the w vector for sasakian-double (default: solved sign)",
     "force": "skip precondition enforcement",
-    "fix": "extra derivation constraint: 'alpha∘D=alpha:e3', 'alpha∘D=0:e3', 'commute:MAP', 'sends:V->W'",
+    "fix": "extra derivation constraint: 'alpha∘D=F:FORM' with F a rational (0, 1/2), alpha, -alpha or a multiple "
+    "such as 2*alpha; 'commute:MAP', 'sends:V->W'",
 }
 # The flags given before the command, each with its values, default first, and its help.
 _GLOBALS = {
@@ -384,11 +385,10 @@ def _values(args, g: LieAlgebra, b: Builtin | None) -> list:
 
 
 def _structure_sections(g: LieAlgebra, structure) -> tuple[tuple[str, tuple[tuple[str, str], ...]], ...]:
-    star = tuple(f"{l}*" for l in g.labels)
     if isinstance(structure, SasakianStructure):
         fields = [
             ("xi", fmt_vector(structure.reeb, g.labels)),
-            ("alpha", fmt_vector(one_form_coords(structure.alpha), star)),
+            ("alpha", fmt_dual(one_form_coords(structure.alpha), g.labels)),
         ]
         fields += [(f"phi({l})", fmt_vector(col, g.labels)) for l, col in zip(g.labels, transpose(structure.phi))]
         return (("sasakian", tuple(fields)),)
@@ -412,6 +412,14 @@ def _extension_notes(ext: ExtensionResult) -> tuple[tuple[str, str], ...]:
 _FIX_EIGEN = re.compile(r"^alpha\s*(?:∘|o|\.)\s*D\s*=\s*(.+):(.+)$")
 
 
+def _fix_factor(text: str) -> Fraction:
+    """The factor of 'alpha∘D=F:FORM': F is a rational, or alpha times one (alpha, -alpha, 2*alpha, 1/2alpha)."""
+    head = text.removesuffix("alpha")
+    if head in ("", "+", "-"):
+        head += "1"
+    return _scalar_at(head.removesuffix("*") if head != text else text, None, "--fix")
+
+
 def _constraints(args, g: LieAlgebra, b: Builtin | None) -> list:
     """The Leibniz rule, then the constraint each --fix spells."""
     from .derivations import Commute, FormEigen, Leibniz, Sends
@@ -421,8 +429,7 @@ def _constraints(args, g: LieAlgebra, b: Builtin | None) -> list:
         m = _FIX_EIGEN.match(spec.strip())
         if m:
             lam_str, form_str = m.group(1).strip(), m.group(2).strip()
-            lam = Fraction(1) if lam_str == "alpha" else _scalar_at(lam_str.removesuffix("*alpha"), None, "--fix")
-            constraints.append(FormEigen(parse_form_inline(form_str, g.dim, "--fix"), lam))
+            constraints.append(FormEigen(parse_form_inline(form_str, g.dim, "--fix"), _fix_factor(lam_str)))
         elif spec.startswith("commute:"):
             constraints.append(Commute(_value(spec[len("commute:") :], "map", g.dim, b, "--fix")))
         elif spec.startswith("sends:"):
@@ -495,10 +502,9 @@ def _cmd_solve(args) -> tuple[CheckReport, tuple, LieAlgebra | None]:
         inconsistent = (derivation_space(g, constraints[:idx])[0] is None for idx in range(2, len(constraints)))
         culprit = next((spec for spec, bad in zip(args.fix, inconsistent) if bad), args.fix[-1])
         return CheckReport((fail("solution_exists", f"empty: inconsistent at constraint {culprit!r}"),)), (), None
-    star = tuple(f"{l}*" for l in g.labels)
     matrices = [("particular", particular)] + [(f"basis_{idx}", m) for idx, m in enumerate(basis, start=1)]
     sections = tuple(
-        (name, tuple((f"row {l}", fmt_vector(row, star)) for l, row in zip(g.labels, m))) for name, m in matrices
+        (name, tuple((f"row {l}", fmt_dual(row, g.labels)) for l, row in zip(g.labels, m))) for name, m in matrices
     )
     return CheckReport((ok("solution_exists"),), (("basis_size", str(len(basis))),)), sections, None
 
@@ -514,8 +520,7 @@ def _cmd_builtin(args) -> tuple[CheckReport, tuple, LieAlgebra | None]:
     notes = []
     if b.frobenius_form is not None:
         frob = b.frobenius()
-        star = tuple(f"{l}*" for l in g.labels)
-        notes.append(("frobenius_form", fmt_vector(one_form_coords(frob.phi), star)))
+        notes.append(("frobenius_form", fmt_dual(one_form_coords(frob.phi), g.labels)))
         notes.append(("principal_element", fmt_vector(frob.principal, g.labels)))
     for name, _ in b.maps:
         notes.append(("named_map", name))

@@ -2,37 +2,37 @@
 
 Unknowns are the n^2 entries of a map in row-major order, D[i][j] with
 column j the image of e_j; solution bases come back row-reduced in that
-flattening, so results are canonical. Every constraint gives integer rows:
-the Leibniz equations from the algebra's cached integer structure constants,
-the others scaled, with their right-hand sides, by the common denominators of
-their data. The elimination makes every row primitive, so their scale does
-not matter. ``is_derivation``
-tests the Leibniz rule on the packed integer defect that the Nijenhuis
-torsion kernel also starts from (``algebra._leibniz_defects``).
+flattening, so results are canonical. Each constraint refuses data of the
+wrong shape and builds its own integer rows (``rows(g)``): the Leibniz
+equations from the algebra's cached integer structure constants, the others
+scaled, with their right-hand sides, by the common denominators of their
+data. The elimination makes every row primitive, so their scale does not
+matter. ``is_derivation`` tests the Leibniz rule on the packed integer
+defect that the Nijenhuis torsion kernel also starts from
+(``algebra._leibniz_defects``).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .algebra import LieAlgebra, Subspace, _leibniz_defects
-from .forms import KForm
+from .algebra import LieAlgebra, _leibniz_defects
+from .forms import _check_form, one_form_coords
 from .linalg import (
     Matrix,
     Vector,
+    _check_square,
+    _check_width,
     clear_denominators,
     fmt_basis_tuple,
     fmt_vector,
     int_apply,
     int_matrix,
-    is_square,
     nullspace,
     solve_affine,
     unpack,
     vector_over,
     zero_vector,
 )
-from .report import CheckReport, DimensionMismatch, Record, fail, ok
+from .report import CheckReport, Record, fail, ok
 
 
 def is_derivation(g: LieAlgebra, d: Matrix) -> CheckReport:
@@ -48,8 +48,7 @@ def is_derivation(g: LieAlgebra, d: Matrix) -> CheckReport:
     hold 3*n*a*c.
     """
     n = g.dim
-    if not is_square(d, n):
-        raise DimensionMismatch("map does not match algebra dimension")
+    _check_square(d, n)
     ai, da = int_matrix(d)
     lcd, terms, _ = g._integer_terms
     den = lcd * da
@@ -74,20 +73,83 @@ def is_derivation(g: LieAlgebra, d: Matrix) -> CheckReport:
 class Leibniz(Record):
     """D is a derivation of the algebra."""
 
+    def rows(self, g: LieAlgebra) -> tuple[list[list[int]], list[int]]:
+        """D times the homogeneous Leibniz equations, one per (p < q, k), as integer rows.
+
+        With C = D*c from ``LieAlgebra._integer_terms``, the row of (p, q, k) is
+        sum_m C_pqm D[k][m] - sum_i C_iqk D[i][p] + sum_j C_jpk D[j][q]: the
+        component k of D[e_p,e_q] - [De_p,e_q] - [e_p,De_q], using C_pjk = -C_jpk.
+        """
+        n = g.dim
+        _, terms, _ = g._integer_terms
+        # into[q][k] lists the (i, C_iqk) with C_iqk != 0
+        into: list[list[list[tuple[int, int]]]] = [[[] for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for q in range(n):
+                for k, c in terms[i][q]:
+                    into[q][k].append((i, c))
+        rows: list[list[int]] = []
+        for p in range(n):
+            for q in range(p + 1, n):
+                for k in range(n):
+                    row = [0] * (n * n)
+                    for m, c in terms[p][q]:
+                        row[k * n + m] += c
+                    for i, c in into[q][k]:
+                        row[i * n + p] -= c
+                    for j, c in into[p][k]:
+                        row[j * n + q] += c
+                    rows.append(row)
+        return rows, [0] * len(rows)
+
 
 class FormEigen(Record):
     """phi o D = lambda * phi for a fixed 1-form."""
 
     _fields = ("phi", "factor")
 
+    def rows(self, g: LieAlgebra) -> tuple[list[list[int]], list[int]]:
+        """dc*q times the equations (phi o D)_j = factor*phi_j, phi = c/dc and factor = p/q, as integer
+        rows: c_i*q at D[i][j], right-hand side p*c_j."""
+        _check_form(self.phi, g.dim, 1)
+        n = g.dim
+        c, _ = clear_denominators(one_form_coords(self.phi))
+        p, q = self.factor.as_integer_ratio()
+        rows = [[0] * (n * n) for _ in range(n)]
+        for j, row in enumerate(rows):
+            row[j::n] = [x * q for x in c]
+        return rows, [p * x for x in c]
+
 
 class Commute(Record):
     """D o A = A o D, restricted to a subspace when given."""
 
     _fields = ("a", "on")
+    _defaults = {"on": None}
 
-    def __init__(self, a: Matrix, on: Subspace | None = None) -> None:
-        super().__init__(a, on)
+    def rows(self, g: LieAlgebra) -> tuple[list[list[int]], list[int]]:
+        """da*dv times the equations D(Av) = A(Dv), for each v of the subspace (every e_j without one),
+        as integer rows, A = ai/da and v = vi/dv: component k is
+        sum_j (ai vi)_j D[k][j] - sum_i,j ai[k][i] vi[j] D[i][j]."""
+        n = g.dim
+        _check_square(self.a, n)
+        ai, _ = int_matrix(self.a)
+        vectors = self.on.rows if self.on is not None else tuple(g.basis_vector(j) for j in range(n))
+        _check_width(vectors, n)
+        rows: list[list[int]] = []
+        for v in vectors:
+            vi, _ = clear_denominators(v)
+            av = int_apply(ai, vi)
+            support = [(j, x) for j, x in enumerate(vi) if x]
+            for k in range(n):
+                row = [0] * (n * n)
+                row[k * n : (k + 1) * n] = av
+                for i, y in enumerate(ai[k]):
+                    if y:
+                        for j, x in support:
+                            row[i * n + j] -= y * x
+                rows.append(row)
+        return rows, [0] * len(rows)
 
 
 class Sends(Record):
@@ -95,86 +157,16 @@ class Sends(Record):
 
     _fields = ("v", "w")
 
+    def rows(self, g: LieAlgebra) -> tuple[list[list[int]], list[int]]:
+        """dv*dw times the equations D(v) = w, v = vi/dv and w = wi/dw, as integer rows."""
+        n = g.dim
+        _check_width((self.v, self.w), n)
+        (vi, dv), (wi, dw) = clear_denominators(self.v), clear_denominators(self.w)
+        zero = [0] * n
+        return [zero * k + [x * dw for x in vi] + zero * (n - 1 - k) for k in range(n)], [x * dv for x in wi]
+
 
 Constraint = Leibniz | FormEigen | Commute | Sends
-
-
-def _leibniz_rows(g: LieAlgebra) -> tuple[list[list[int]], list[int]]:
-    """D times the homogeneous Leibniz equations, one per (p < q, k), as integer rows.
-
-    With C = D*c from ``LieAlgebra._integer_terms``, the row of (p, q, k) is
-    sum_m C_pqm D[k][m] - sum_i C_iqk D[i][p] + sum_j C_jpk D[j][q]: the
-    component k of D[e_p,e_q] - [De_p,e_q] - [e_p,De_q], using C_pjk = -C_jpk.
-    """
-    n = g.dim
-    _, terms, _ = g._integer_terms
-    # into[q][k] lists the (i, C_iqk) with C_iqk != 0
-    into: list[list[list[tuple[int, int]]]] = [[[] for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for q in range(n):
-            for k, c in terms[i][q]:
-                into[q][k].append((i, c))
-    rows: list[list[int]] = []
-    for p in range(n):
-        for q in range(p + 1, n):
-            for k in range(n):
-                row = [0] * (n * n)
-                for m, c in terms[p][q]:
-                    row[k * n + m] += c
-                for i, c in into[q][k]:
-                    row[i * n + p] -= c
-                for j, c in into[p][k]:
-                    row[j * n + q] += c
-                rows.append(row)
-    return rows, [0] * len(rows)
-
-
-def _form_eigen_rows(g: LieAlgebra, phi: KForm, factor: Fraction) -> tuple[list[list[int]], list[int]]:
-    """dc*q times the equations (phi o D)_j = factor*phi_j, phi = c/dc and factor = p/q, as integer rows:
-    c_i*q at D[i][j], right-hand side p*c_j."""
-    n = g.dim
-    c, _ = clear_denominators([phi.coeff((i,)) for i in range(n)])
-    p, q = factor.as_integer_ratio()
-    rows = []
-    for j in range(n):
-        row = [0] * (n * n)
-        row[j :: n] = [x * q for x in c]
-        rows.append(row)
-    return rows, [p * x for x in c]
-
-
-def _commute_rows(g: LieAlgebra, a: Matrix, on: Subspace | None) -> tuple[list[list[int]], list[int]]:
-    """da*dv times the equations D(Av) = A(Dv), for each v of the subspace (every e_j without one), as
-    integer rows, A = ai/da and v = vi/dv: component k is sum_j (ai vi)_j D[k][j] - sum_i,j ai[k][i] vi[j] D[i][j]."""
-    n = g.dim
-    ai, _ = int_matrix(a)
-    vectors = on.rows if on is not None else tuple(g.basis_vector(j) for j in range(n))
-    rows: list[list[int]] = []
-    for v in vectors:
-        vi, _ = clear_denominators(v)
-        av = int_apply(ai, vi)
-        support = [(j, x) for j, x in enumerate(vi) if x]
-        for k in range(n):
-            row = [0] * (n * n)
-            row[k * n : (k + 1) * n] = av
-            for i, y in enumerate(ai[k]):
-                if y:
-                    for j, x in support:
-                        row[i * n + j] -= y * x
-            rows.append(row)
-    return rows, [0] * len(rows)
-
-
-def _sends_rows(g: LieAlgebra, v: Vector, w: Vector) -> tuple[list[list[int]], list[int]]:
-    """dv*dw times the equations D(v) = w, v = vi/dv and w = wi/dw, as integer rows."""
-    n = g.dim
-    (vi, dv), (wi, dw) = clear_denominators(v), clear_denominators(w)
-    rows = []
-    for k in range(n):
-        row = [0] * (n * n)
-        row[k * n : (k + 1) * n] = [x * dw for x in vi]
-        rows.append(row)
-    return rows, [x * dv for x in wi]
 
 
 def _unflatten(g: LieAlgebra, flat: Vector) -> Matrix:
@@ -194,22 +186,7 @@ def derivation_space(
     rows: list[list[int]] = []
     rhs: list[int] = []
     for con in constraints:
-        if isinstance(con, Leibniz):
-            r, b = _leibniz_rows(g)
-        elif isinstance(con, FormEigen):
-            if con.phi.degree != 1 or con.phi.dim != n:
-                raise DimensionMismatch("constraint form does not match the algebra")
-            r, b = _form_eigen_rows(g, con.phi, con.factor)
-        elif isinstance(con, Commute):
-            if len(con.a) != n:
-                raise DimensionMismatch("constraint map does not match the algebra")
-            r, b = _commute_rows(g, con.a, con.on)
-        elif isinstance(con, Sends):
-            if len(con.v) != n or len(con.w) != n:
-                raise DimensionMismatch("constraint vectors do not match the algebra")
-            r, b = _sends_rows(g, con.v, con.w)
-        else:
-            raise TypeError(f"unknown constraint {con!r}")
+        r, b = con.rows(g)
         rows.extend(r)
         rhs.extend(b)
     if rows:

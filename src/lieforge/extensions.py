@@ -9,17 +9,14 @@ from __future__ import annotations
 
 from .algebra import LieAlgebra
 from .derivations import is_derivation
-from .forms import KForm, _d_two_form, kirillov_form, radical
-from .linalg import Matrix, fmt_vector, int_matrix, is_square, is_zero_matrix
-from .report import CheckReport, DimensionMismatch, Record, fail, ok, refusal, require
+from .forms import KForm, _check_form, _d_two_form, kirillov_form, radical
+from .linalg import Matrix, _check_square, fmt_vector, int_matrix, is_zero_matrix
+from .report import CheckReport, Record, fail, ok, refusal, require
 
 
 class ExtensionResult(Record):
     _fields = ("algebra", "embedding", "central_index", "derivation_index")
-
-    def __init__(self, algebra: LieAlgebra, embedding: tuple[int, ...], central_index: int | None = None,
-                 derivation_index: int | None = None) -> None:
-        super().__init__(algebra, embedding, central_index, derivation_index)
+    _defaults = {"central_index": None, "derivation_index": None}
 
     @property
     def parent_dim(self) -> int:
@@ -40,8 +37,7 @@ def _adjoin(g: LieAlgebra, new: dict[tuple[int, int], dict[int, object]]) -> Lie
 def is_cocycle(g: LieAlgebra, theta: KForm) -> CheckReport:
     """d(theta) = 0 under the Chevalley-Eilenberg differential, on the integer skew matrix of
     theta (``forms._d_two_form``): one failing item per nonzero coefficient of d(theta)."""
-    if theta.degree != 2 or theta.dim != g.dim:
-        raise DimensionMismatch("expected a 2-form on the algebra")
+    _check_form(theta, g.dim, 2)
     failures = tuple(
         fail(
             "cocycle(" + ",".join(g.labels[i] for i in idxs) + ")",
@@ -54,8 +50,7 @@ def is_cocycle(g: LieAlgebra, theta: KForm) -> CheckReport:
 
 def central_extension(g: LieAlgebra, theta: KForm, *, check: bool = True) -> ExtensionResult:
     """[x,y]_new = [x,y] + theta(x,y) z with z central; needs d(theta) = 0."""
-    if theta.degree != 2 or theta.dim != g.dim:
-        raise DimensionMismatch("expected a 2-form on the algebra")
+    _check_form(theta, g.dim, 2)
     if check:
         require("theta is not a 2-cocycle", is_cocycle(g, theta))
     n = g.dim
@@ -65,8 +60,7 @@ def central_extension(g: LieAlgebra, theta: KForm, *, check: bool = True) -> Ext
 
 def derivation_extension(g: LieAlgebra, d: Matrix, *, check: bool = True) -> ExtensionResult:
     """Adjoin a slot with [slot, x] = D(x); needs the Leibniz rule."""
-    if not is_square(d, g.dim):
-        raise DimensionMismatch("map does not match algebra dimension")
+    _check_square(d, g.dim)
     if check:
         require("map is not a derivation", is_derivation(g, d))
     n = g.dim
@@ -81,8 +75,6 @@ def double_extension(g: LieAlgebra, theta: KForm, d: Matrix, *, check: bool = Tr
     ``d`` acts on the (n+1)-dimensional central extension.
     """
     central = central_extension(g, theta, check=check)
-    if len(d) != central.algebra.dim:
-        raise DimensionMismatch("map must act on the central extension (dim n+1)")
     outer = derivation_extension(central.algebra, d, check=check)
     return ExtensionResult(
         outer.algebra,
@@ -103,10 +95,8 @@ def reversed_double_extension(g: LieAlgebra, alpha: KForm, d: Matrix, *, check: 
     The zero derivation contributes nothing, so in that case the exact
     form is taken on g itself and only the central step runs.
     """
-    if alpha.degree != 1 or alpha.dim != g.dim:
-        raise DimensionMismatch("expected a 1-form on the algebra")
-    if not is_square(d, g.dim):
-        raise DimensionMismatch("map does not match algebra dimension")
+    _check_form(alpha, g.dim, 1)
+    _check_square(d, g.dim)
     if is_zero_matrix(d):
         base = ExtensionResult(g, tuple(range(g.dim)))
         lifted = alpha

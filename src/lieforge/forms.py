@@ -37,6 +37,7 @@ from .linalg import (
     ScalarLike,
     Vector,
     ZERO,
+    _check_width,
     clear_denominators,
     det,
     fmt_vector,
@@ -100,8 +101,7 @@ class KForm(Record):
 
     @classmethod
     def one_form(cls, dim: int, coords: Sequence[ScalarLike]) -> "KForm":
-        if len(coords) != dim:
-            raise DimensionMismatch("coefficient list does not match dim")
+        _check_width((coords,), dim)
         return cls.from_coeffs(dim, 1, {(i,): v for i, v in enumerate(coords)})
 
     @classmethod
@@ -135,9 +135,7 @@ class KForm(Record):
         """Determinant-convention evaluation on k vectors."""
         if len(vectors) != self.degree:
             raise DimensionMismatch("wrong number of arguments")
-        for v in vectors:
-            if len(v) != self.dim:
-                raise DimensionMismatch("vector length does not match form dimension")
+        _check_width(vectors, self.dim)
         if self.degree == 0:
             return self._table.get((), ZERO)
         total = ZERO
@@ -148,8 +146,7 @@ class KForm(Record):
 
     def as_matrix(self) -> tuple[Vector, ...]:
         """Degree-2 form as the antisymmetric matrix B[i][j] = w(e_i, e_j)."""
-        if self.degree != 2:
-            raise ValueError("matrix view only for degree-2 forms")
+        _check_form(self, self.dim, 2)
         m = [[ZERO] * self.dim for _ in range(self.dim)]
         for (i, j), value in self.coeffs:
             m[i][j] = value
@@ -163,8 +160,7 @@ class KForm(Record):
         return KForm(self.dim, self.degree, tuple((idxs, f * v) for idxs, v in self.coeffs))
 
     def add(self, other: "KForm") -> "KForm":
-        if self.dim != other.dim or self.degree != other.degree:
-            raise DimensionMismatch("form shapes differ")
+        _check_form(other, self.dim, self.degree)
         table = dict(self.coeffs)
         for idxs, value in other.coeffs:
             table[idxs] = table.get(idxs, ZERO) + value
@@ -178,6 +174,13 @@ class KForm(Record):
         return fmt_vector([value for _, value in self.coeffs], monomials)
 
 
+def _check_form(form: KForm, dim: int, degree: int | None = None) -> None:
+    """Refuses ``form`` unless it is a form on a space of dimension ``dim``, of ``degree`` when given."""
+    if form.dim != dim or degree not in (None, form.degree):
+        k = "k" if degree is None else degree
+        raise DimensionMismatch(f"expected a {k}-form in dimension {dim}, not a {form.degree}-form in {form.dim}")
+
+
 def evaluation_sign(degree: int, convention: str) -> int:
     """Display factor between evaluation conventions; verdicts never use it."""
     if convention == "determinant":
@@ -189,8 +192,7 @@ def evaluation_sign(degree: int, convention: str) -> int:
 
 def ce_differential(g: LieAlgebra, form: KForm) -> KForm:
     """Chevalley-Eilenberg differential, d(phi)(x,y) = -phi([x,y]) in degree 1."""
-    if form.dim != g.dim:
-        raise DimensionMismatch("form does not match algebra dimension")
+    _check_form(form, g.dim)
     k = form.degree
     if k >= g.dim:
         return KForm.zero(g.dim, k + 1)
@@ -229,8 +231,7 @@ def _dalpha(g: LieAlgebra, coords: Sequence[Fraction]) -> tuple[list[list[int]],
 
 
 def one_form_coords(alpha: KForm) -> Vector:
-    if alpha.degree != 1:
-        raise DimensionMismatch("expected a 1-form")
+    _check_form(alpha, alpha.dim, 1)
     return tuple(alpha.coeff((i,)) for i in range(alpha.dim))
 
 
@@ -240,8 +241,7 @@ def apply_one_form(alpha: KForm, v: Vector) -> Fraction:
 
 def _kirillov(g: LieAlgebra, phi: KForm) -> tuple[Vector, list[list[int]], int, KForm]:
     """(coords, da, den, B): phi's coordinates, d(phi) = da/den (``_dalpha``) and B_phi = -d(phi)."""
-    if phi.degree != 1 or phi.dim != g.dim:
-        raise DimensionMismatch("expected a 1-form on the algebra")
+    _check_form(phi, g.dim, 1)
     coords = one_form_coords(phi)
     da, den = _dalpha(g, coords)
     coeffs = {(i, j): Fraction(-x, den) for i, row in enumerate(da) for j, x in enumerate(row) if i < j}
@@ -272,18 +272,13 @@ def _d_two_form(g: LieAlgebra, t: list[list[int]], dt: int) -> list[tuple[tuple[
 
 def radical(g: LieAlgebra, form: KForm) -> Subspace:
     """{x : B(x, y) = 0 for all y} of a degree-2 form, as a nullspace."""
-    if form.degree != 2:
-        raise ValueError("radical is defined for degree-2 forms")
-    if form.dim != g.dim:
-        raise DimensionMismatch("form does not match algebra dimension")
+    _check_form(form, g.dim, 2)
     return Subspace(g.dim, nullspace(form.as_matrix(), g.dim))  # B is skew: Ker B^T = Ker B
 
 
 class TopContactResult(Record):
     _fields = ("holds", "coefficient", "reason")
-
-    def __init__(self, holds: bool, coefficient: Fraction | None, reason: str | None = None) -> None:
-        super().__init__(holds, coefficient, reason)
+    _defaults = {"reason": None}
 
 
 def _top_contact(coords: Vector, da: list[list[int]], den: int) -> tuple[TopContactResult, Vector | None]:

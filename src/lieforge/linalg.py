@@ -413,12 +413,13 @@ def _unsatisfied(
 def _check_width(rows: Sequence[Sequence], ncols: int) -> None:
     for row in rows:
         if len(row) != ncols:
-            raise DimensionMismatch(f"row of width {len(row)} in a system of {ncols} columns")
+            raise DimensionMismatch(f"a vector of length {len(row)} where {ncols} entries are expected")
 
 
-def _check_square(m: Matrix) -> None:
-    if not is_square(m, len(m)):
-        raise DimensionMismatch(f"a matrix of {len(m)} rows that is not square")
+def _check_square(m: Matrix, n: int | None = None) -> None:
+    """Refuses m unless it is an n x n map, or square when n is None."""
+    if not is_square(m, len(m) if n is None else n):
+        raise DimensionMismatch(f"a matrix of {len(m)} rows that is not {'square' if n is None else f'{n} x {n}'}")
 
 
 def rref(rows: Sequence[Vector]) -> tuple[Matrix, tuple[int, ...]]:
@@ -577,6 +578,11 @@ def fmt_vector(v: Vector, labels: Sequence[str]) -> str:
         else:
             parts.append(term)
     return " ".join(parts) if parts else "0"
+
+
+def fmt_dual(v: Vector, labels: Sequence[str]) -> str:
+    """Render a covector as a signed combination of the dual labels ``l*``."""
+    return fmt_vector(v, [f"{l}*" for l in labels])
 
 
 def fmt_basis_tuple(idxs: Sequence[int], labels: Sequence[str]) -> str:

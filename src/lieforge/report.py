@@ -8,16 +8,22 @@ from collections.abc import Callable
 class Record:
     """A frozen value over the fields named in ``_fields``: equality (within one class), hash and
     repr ``Name(field=value, ...)`` by the fields, and ``AttributeError`` on assigning or deleting.
-    The fields live in the instance ``__dict__``, beside any ``cached_property`` values."""
+    The fields are given by position, then by name; a field left out takes its value in
+    ``_defaults``, which maps some of the last fields to their defaults (never mutated). The
+    fields live in the instance ``__dict__``, beside any ``cached_property`` values."""
 
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
 
-    def __init__(self, *values, **named) -> None:  # by position, then by name; defaults need an own __init__
+    def __init__(self, *values, **named) -> None:
         fields = self._fields
-        if named:
-            values += tuple(named.pop(f) for f in fields[len(values):] if f in named)
-        if len(values) != len(fields) or named:
-            raise TypeError(f"{type(self).__name__} takes the fields ({', '.join(fields)})")
+        if named or len(values) != len(fields):
+            try:
+                values += tuple(named.pop(f) if f in named else self._defaults[f] for f in fields[len(values) :])
+            except KeyError:  # a field with no value
+                values = ()
+            if named or len(values) != len(fields):
+                raise TypeError(f"{type(self).__name__} takes the fields ({', '.join(fields)})")
         self.__dict__.update(zip(fields, values))
 
     def _values(self) -> tuple:

@@ -52,19 +52,21 @@ from math import gcd
 from operator import mul
 
 from .algebra import LieAlgebra, _leibniz_defects
-from .forms import KForm, _d_two_form, _dalpha, _kirillov, _top_contact, one_form_coords
+from .forms import KForm, _check_form, _d_two_form, _dalpha, _kirillov, _top_contact, one_form_coords
 from .linalg import (
     Matrix,
     Vector,
     ZERO,
+    _check_square,
+    _check_width,
     clear_denominators,
     fmt_basis_tuple,
+    fmt_dual,
     fmt_scalar,
     fmt_vector,
     int_apply,
     int_matrix,
     int_mul,
-    is_square,
     is_zero_vector,
     nullspace,
     pack,
@@ -74,7 +76,7 @@ from .linalg import (
     unpack,
     vector_over,
 )
-from .report import CheckItem, CheckReport, DimensionMismatch, PreconditionError, Record, first_failure, ok, passed
+from .report import CheckItem, CheckReport, PreconditionError, Record, first_failure, ok, passed
 
 
 class ContactStructure(Record):
@@ -170,8 +172,7 @@ def check_contact(g: LieAlgebra, alpha: KForm) -> tuple[CheckReport, ContactStru
     the one solution of d(alpha) xi = 0, alpha(xi) = 1 (``reeb_unique``) and
     spans the kernel of d(alpha) (``radical_spanned_by_reeb``).
     """
-    if alpha.degree != 1 or alpha.dim != g.dim:
-        raise DimensionMismatch("expected a 1-form on the algebra")
+    _check_form(alpha, g.dim, 1)
     items = [passed("odd_dimension", g.dim % 2 == 1, f"dim = {g.dim}")]
     if not items[0].passed:
         return CheckReport(tuple(items)), None
@@ -200,8 +201,7 @@ def nijenhuis(g: LieAlgebra, a: Matrix) -> NijenhuisTable:
     Runs on integers over da^2*D, da the common denominator of A and D that
     of the structure constants: every pair of ``_packed_torsion`` unpacked.
     """
-    if not is_square(a, g.dim):
-        raise DimensionMismatch("map does not match algebra dimension")
+    _check_square(a, g.dim)
     n = g.dim
     ai, da = int_matrix(a)
     width, _, torsion = _packed_torsion(g, ai)
@@ -274,8 +274,7 @@ def _metric_checks(
         ),
     )
     rows = tuple(vector_over(row, dm) for row in metric)
-    duals = tuple(f"{l}*" for l in g.labels)
-    notes = tuple((f"metric_row_{label}", fmt_vector(row, duals)) for label, row in zip(g.labels, rows))
+    notes = tuple((f"metric_row_{label}", fmt_dual(row, g.labels)) for label, row in zip(g.labels, rows))
     return items, rows, notes
 
 
@@ -290,10 +289,8 @@ def check_kahler(g: LieAlgebra, j: Matrix, omega: KForm) -> tuple[CheckReport, K
     right, J^T omega J = omega: J^T (om J) is formed only where either fails.
     """
     n = g.dim
-    if not is_square(j, n):
-        raise DimensionMismatch("map does not match algebra dimension")
-    if omega.degree != 2 or omega.dim != n:
-        raise DimensionMismatch("expected a 2-form on the algebra")
+    _check_square(j, n)
+    _check_form(omega, n, 2)
     ji, dj = int_matrix(j)
     om, do = int_matrix(omega.as_matrix())
     s = dj * dj
@@ -358,11 +355,10 @@ def check_sasakian(
     G - a a^T (D is skew), so the isometry holds exactly when G is symmetric.
     G Phi and Phi^T (G Phi) are formed only where P1, P2 or P3 fails.
     """
-    if alpha.degree != 1 or alpha.dim != g.dim:
-        raise DimensionMismatch("expected a 1-form on the algebra")
-    if len(reeb) != g.dim or not is_square(phi, g.dim):
-        raise DimensionMismatch("structure data does not match algebra dimension")
     n = g.dim
+    _check_form(alpha, n, 1)
+    _check_width((reeb,), n)
+    _check_square(phi, n)
     coords = one_form_coords(alpha)
     a, dal = clear_denominators(coords)
     r, dr = clear_denominators(reeb)
@@ -427,7 +423,7 @@ def check_sasakian(
         first_failure(
             "alpha_phi_vanishes",
             alpha_phi if any(alpha_phi) else None,
-            lambda w: f"alpha(Phi e_j) = {fmt_vector(vector_over(w, dal * dp), tuple(f'{l}*' for l in g.labels))}",
+            lambda w: f"alpha(Phi e_j) = {fmt_dual(vector_over(w, dal * dp), g.labels)}",
         ),
     )
     report = CheckReport(items, notes)

@@ -46,9 +46,10 @@ rest is read off the Reeb vector u + a xi + b z of the lifted contact form,
 which is unique, so a + b = 1, alpha(u) = 0, d = -c and delta = ad - bc = -c
 (``DoubleExtensionParams``, an output). Each call verifies the input, builds
 the extension and checks it contact once (``_double_extension``). The
-derivation of a double extension is read once, as the slot action on the
-extension (column x is [slot, e_x]), and the four conditions "two maps
-commute on a basis" are one helper (``_commute_mismatch``).
+derivation of a double extension is read as ad(slot) on the extension
+(column x is [slot, e_x]), from the one integer ad(x) (``_int_adjoint``),
+and the four conditions "two maps commute on a basis" are one helper
+(``_commute_mismatch``).
 
 Where the source formulas admit two sign choices, the worked
 low-dimensional examples fix the sign (see the module tests for the
@@ -69,11 +70,12 @@ from .extensions import (
     derivation_extension,
     double_extension,
 )
-from .forms import KForm, _kirillov, apply_one_form, kirillov_form, one_form_coords, radical
+from .forms import KForm, _check_form, _kirillov, apply_one_form, kirillov_form, one_form_coords, radical
 from .linalg import (
     Matrix,
     Vector,
     ZERO,
+    _check_square,
     clear_denominators,
     fmt_basis_tuple,
     fmt_scalar,
@@ -81,7 +83,6 @@ from .linalg import (
     int_apply,
     int_matrix,
     int_mul,
-    is_square,
     is_zero_vector,
     transpose,
     vec_scale,
@@ -157,10 +158,18 @@ def _verify_frobenius_kahler_input(g: LieAlgebra, f: FrobeniusStructure, k: Kahl
 
 
 def _int_adjoint(g: LieAlgebra, x: Vector, on: Sequence[int] | None = None) -> IntMap:
-    """ad(x) as an integer map on the basis vectors e_j, j in on (all of them by default): a column is [x, e_j]."""
+    """ad(x) as an integer map on the basis vectors e_j, j in on (all of them by default), read off
+    the integer structure constants C = D*c: with x = xs/dx, column t is D*dx*[x, e_j] = sum_i xs_i C_ij."""
     xs, dx = clear_denominators(x)
-    cols = [_bracket_ints(g, xs, [int(i == j) for i in range(g.dim)]) for j in (range(g.dim) if on is None else on)]
-    return list(zip(*cols)), g._integer_terms[0] * dx
+    d, terms, _ = g._integer_terms
+    on = range(g.dim) if on is None else on
+    m = [[0] * len(on) for _ in range(g.dim)]
+    for i, a in enumerate(xs):
+        if a:
+            for t, j in enumerate(on):
+                for k, c in terms[i][j]:
+                    m[k][t] += a * c
+    return m, d * dx
 
 
 def _first_mismatch(basis: Iterable[Vector], left: IntMap, right: IntMap) -> tuple[int, Vector, Vector] | None:
@@ -183,17 +192,6 @@ def _commute_mismatch(basis: Iterable[Vector], a: IntMap, b: IntMap) -> tuple[in
     """``_first_mismatch`` of a(b(x)) and b(a(x)): the first basis vector x with [a, b] x != 0."""
     (ai, da), (bi, db) = a, b
     return _first_mismatch(basis, (int_mul(ai, bi), da * db), (int_mul(bi, ai), da * db))
-
-
-def _slot_action(ext: ExtensionResult) -> IntMap:
-    """The derivation of an extension as an integer map on the extension: column x is [slot, e_x]."""
-    g = ext.algebra
-    d, terms, _ = g._integer_terms
-    m = [[0] * g.dim for _ in range(g.dim)]
-    for x, image in enumerate(terms[ext.derivation_index]):
-        for k, c in image:
-            m[k][x] = c
-    return m, d
 
 
 def _first_nonzero_pair(basis: Sequence[Vector], form: IntMap) -> tuple[int, int, Fraction] | None:
@@ -295,8 +293,7 @@ def kahler_extension_obstruction(g: LieAlgebra, s: SasakianStructure, theta: KFo
     passes when at least one of them rules the extension out.
     """
     _verify_sasakian_input(g, s)
-    if theta.degree != 2 or theta.dim != g.dim:
-        raise DimensionMismatch("expected a 2-form on the algebra")
+    _check_form(theta, g.dim, 2)
     basis = kernel_basis(g, s.alpha)
     (t, dt), (p, dp) = int_matrix(theta.as_matrix()), int_matrix(s.phi)
     ptp = int_mul(transpose(p), int_mul(t, p))  # theta(x, y) + theta(Phi x, Phi y) is the form T + Phi^T T Phi
@@ -348,8 +345,7 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
     child = ext.algebra
     base_table = [(pair, entries) for pair, entries in child.brackets if pair[1] < n]  # brackets of base vectors
     base = LieAlgebra(n, [(pair, [(k, x) for k, x in xs if k < n]) for pair, xs in base_table], child.labels[:n])
-    if not is_square(j, n):
-        raise DimensionMismatch("complex structure must act on the base")
+    _check_square(j, n)
     ji, dj = int_matrix(j)
     square = int_mul(ji, ji) == [[-dj * dj * (r == c) for c in range(n)] for r in range(n)]
     integrable = _first_torsion(base, _packed_torsion(base, ji), dj) is None
@@ -366,7 +362,8 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
     jbar = tuple((*row, ZERO, ZERO) for row in j) + ((*zero, ZERO, -ONE), (*zero, ONE, ZERO))
     ji, dj = int_matrix(jbar)
     tw = _first_torsion(child, _packed_torsion(child, ji), dj)
-    cw = _commute_mismatch(map(child.basis_vector, range(n)), (ji, dj), _slot_action(ext))
+    ad_slot = _int_adjoint(child, child.basis_vector(n + 1))  # D on the extension
+    cw = _commute_mismatch(map(child.basis_vector, range(n)), (ji, dj), ad_slot)
     torsion_ok = tw is None
     commute_ok = cw is None
     items = (
@@ -422,7 +419,8 @@ def _double_extension(
     coords = one_form_coords(s.alpha)
     alpha = KForm.one_form(child.dim, coords + (ONE, ZERO))
     a_ints, _ = clear_denominators(one_form_coords(alpha))
-    alpha_d = int_apply(zip(*_slot_action(ext)[0]), a_ints)  # the row alpha o D, over a positive denominator
+    ad_slot, _ = _int_adjoint(child, child.basis_vector(n + 1))  # D on the extension
+    alpha_d = int_apply(zip(*ad_slot), a_ints)  # the row alpha o D, over a positive denominator
     if not alpha_d[n]:
         raise refusal("alpha(D(z)) must be nonzero", "contact_pairing_nonzero", "alpha(D(z)) = 0")
     contact_rep, contact = check_contact(child, alpha)
@@ -465,9 +463,10 @@ def sasakian_double_extension_conditions(
     item2 = passed("theta_radical_contains_u_and_reeb", u_ok and xi_ok, witness)
     # Phi-bar is Phi on Ker(alpha)
     pb, dpb = int_matrix(phi)
+    ad_slot = _int_adjoint(child, child.basis_vector(ext.derivation_index))  # D on the extension
     item3 = first_failure(
         "derivation_commutes_with_phi",
-        _commute_mismatch((embed_vector(x, child.dim) for x in basis), _slot_action(ext), (pb, dpb)),
+        _commute_mismatch((embed_vector(x, child.dim) for x in basis), ad_slot, (pb, dpb)),
         lambda w: f"D(Phi x) = {fmt_vector(w[1], child.labels)}, Phi(D x) = {fmt_vector(w[2], child.labels)} "
         f"on kernel vector {w[0]}",
     )

@@ -105,6 +105,8 @@ def test_subspace_contains_rejects_misshapen_vectors(length):
     for space in [Subspace.from_vectors(3, (H3.basis_vector(0),)), Subspace.from_vectors(3, ()), Subspace.full(3)]:
         with pytest.raises(DimensionMismatch, match=f"vector of length {length} in a space of dimension 3"):
             space.contains((Fraction(1),) + (Fraction(0),) * (length - 1))
+    with pytest.raises(DimensionMismatch):  # and so is a spanning vector (a subspace of dimension 1 before)
+        Subspace.from_vectors(3, ((Fraction(1),) + (Fraction(0),) * (length - 1),))
 
 
 def center_oracle(g):

@@ -51,3 +51,21 @@ def test_missing_structures_raise():
         builtin("h3").kahler()
     with pytest.raises(PreconditionError):
         builtin("g5").frobenius()
+
+
+def test_builtins_are_the_constructions_of_the_low_dimensional_examples():
+    # the catalog is written out by hand, as building it at import would load theorems in every
+    # command; each built-in equals what the construction that defines it returns
+    from lieforge import frobenius_kahler_to_sasakian, kahler_to_sasakian_central, sasakian_to_frobenius_kahler
+    from lieforge.linalg import diagonal
+
+    h3, d4, g0, g5 = (builtin(name) for name in ("h3", "d4half", "g0", "g5"))
+    ext, report, frob, kahler = sasakian_to_frobenius_kahler(h3.algebra, h3.sasakian(), diagonal(["1/2", "1/2", 1]))
+    assert report.overall and ext.algebra == d4.algebra
+    assert (kahler.j, kahler.omega) == d4.kahler_data and frob.phi == d4.frobenius_form
+    ext, report, sasakian = kahler_to_sasakian_central(d4.algebra, d4.kahler())
+    assert report.overall and ext.algebra == g5.algebra
+    assert (sasakian.reeb, sasakian.alpha, sasakian.phi) == g5.sasakian_data
+    ext, report, sasakian = frobenius_kahler_to_sasakian(d4.algebra, d4.frobenius(), d4.kahler(), d4.named_map("E"))
+    assert report.overall and ext.algebra == g0.algebra
+    assert (sasakian.reeb, sasakian.alpha, sasakian.phi) == g0.sasakian_data

@@ -579,6 +579,7 @@ def test_empty_inline_spec_is_a_parse_error(argv, capsys):
             "--w-scale",
         ),
         (["solve", "derivations", "--builtin", "h3", "--fix", "alpha∘D=x:e3"], "--fix"),
+        (["solve", "derivations", "--builtin", "h3", "--fix", "alpha∘D=2**alpha:e3"], "--fix"),
         (["solve", "derivations", "--builtin", "h3", "--fix", "alpha∘D=alpha:e9"], "--fix"),
         (["solve", "derivations", "--builtin", "h3", "--fix", "commute:@/nonexistent"], "--fix"),
         (["solve", "derivations", "--builtin", "h3", "--fix", "commute:spin"], "--fix"),
@@ -588,7 +589,7 @@ def test_empty_inline_spec_is_a_parse_error(argv, capsys):
     ],
     ids=["need-map", "unread-form", "no-algebra", "xi-index", "xi-at-file", "xi-length", "form-index",
          "two-form-pair", "map-spec", "diag-length", "dz-scale", "dz-length", "dz-colon", "w-scale", "fix-factor",
-         "fix-form", "fix-map-file", "fix-map-spec", "fix-arrow", "fix-vector", "fix-unknown"],
+         "fix-alpha-factor", "fix-form", "fix-map-file", "fix-map-spec", "fix-arrow", "fix-vector", "fix-unknown"],
 )
 def test_a_usage_error_names_its_flag_and_no_byte_offset(argv, flag, capsys):
     # only a fault inside a file has a byte offset; a fault in the command line names the flag given
@@ -854,16 +855,20 @@ def test_frobenius_check_eliminates_only_to_name_a_radical_vector(g, phi, expect
 
 
 def test_contact_ideal_brackets_each_pair_once(monkeypatch):
-    # [x_P, e_b] for the 3 kept vectors, then ad(xi) on the 3-dimensional ideal, each one integer bracket
+    # [x_P, e_b] for the 3 kept vectors, then ad(xi) on the 3-dimensional ideal: 6 columns of the
+    # integer ad(x), each read off the bracket table, and no other integer bracket
     import lieforge.algebra
+    import lieforge.theorems
 
-    calls = []
+    calls, adjoints = [], []
     original = lieforge.algebra._bracket_ints
     for name, module in list(sys.modules.items()):
         if name.startswith("lieforge") and getattr(module, "_bracket_ints", None) is original:
             monkeypatch.setattr(module, "_bracket_ints", lambda *args: calls.append(1) or original(*args))
+    adjoint = lieforge.theorems._int_adjoint
+    monkeypatch.setattr(lieforge.theorems, "_int_adjoint", lambda *a: adjoints.append(adjoint(*a)) or adjoints[-1])
     assert invoke("construct", "contact-ideal", "--builtin", "d4half")[1] == 0
-    assert len(calls) == 6
+    assert calls == [] and [len(m[0]) for m, _ in adjoints] == [3, 3]
 
 
 @pytest.mark.parametrize(
@@ -991,6 +996,17 @@ def test_inconsistent_fix_names_the_first_culprit(fixes, culprit):
     out, code = invoke(*argv)
     assert code == 1
     assert f"item fail solution_exists | empty: inconsistent at constraint {culprit!r}\n" in out
+
+
+@pytest.mark.parametrize(
+    "factor, rational",
+    [("alpha", "1"), ("-alpha", "-1"), ("+alpha", "1"), ("2*alpha", "2"), ("-1/2*alpha", "-1/2"), ("3alpha", "3")],
+)
+def test_fix_factor_is_a_rational_or_a_signed_multiple_of_alpha(factor, rational):
+    # alpha∘D=F:FORM reads F as a rational or as a rational times alpha, the rational 1 when none is written
+    solve = ["solve", "derivations", "--builtin", "h3", "--fix"]
+    out, code = invoke(*solve, f"alpha∘D={factor}:e3")
+    assert code == 0 and (out, code) == invoke(*solve, f"alpha∘D={rational}:e3")
 
 
 FUZZ_FILES = {

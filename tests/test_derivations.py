@@ -20,6 +20,7 @@ from lieforge import (
 from lieforge.algebra import Subspace
 from lieforge.derivations import Commute
 from lieforge.linalg import diagonal, identity, matrix, slot_width, vector
+from lieforge.report import DimensionMismatch
 
 from strategies import (
     RATIONALS,
@@ -96,6 +97,29 @@ def test_commute_constraint():
         from lieforge.linalg import mat_mul
 
         assert mat_mul(m, j) == mat_mul(j, m)
+
+
+I3 = identity(3)
+
+
+@pytest.mark.parametrize(
+    "constraint",
+    [
+        Commute((I3[0], I3[1][:2], I3[2])),  # ragged: 3 rows, the second of 2 entries
+        Commute(tuple(row + (Fraction(0),) for row in I3)),  # 3 x 4
+        Commute(I3, Subspace(2, identity(2))),  # a subspace of a 2-dimensional space
+        Commute(I3, Subspace(5, identity(5))),  # and of a 5-dimensional one
+        FormEigen(KForm.basis_one_form(4, 2), Fraction(1)),
+        FormEigen(KForm.zero(3, 2), Fraction(1)),
+        Sends(H3.basis_vector(0), vector([0, 1])),
+    ],
+    ids=["commute-ragged", "commute-3x4", "commute-on-2", "commute-on-5", "form-dim-4", "form-degree-2", "sends-short"],
+)
+def test_misshapen_constraints_are_refused(constraint):
+    # before each constraint checked its own shape, the four Commute cases solved without an error
+    # (bases of 4, 1 and 6 derivations) or failed with IndexError (the last)
+    with pytest.raises(DimensionMismatch):
+        derivation_space(H3, [Leibniz(), constraint])
 
 
 def test_inner_derivations_lie_in_the_solved_family():

@@ -8,7 +8,7 @@ import derivations_oracle
 import lieforge as lf
 import linalg_oracle as oracle
 from lieforge import linalg
-from lieforge.derivations import _form_eigen_rows, _leibniz_rows
+from lieforge.derivations import FormEigen, Leibniz
 from lieforge.forms import KForm
 from lieforge.linalg import (
     det,
@@ -322,9 +322,9 @@ def dense_h5(draw):
 @given(dense_h5(), st.booleans())
 def test_dense_leibniz_systems_match_oracle(case, inconsistent):
     g, alpha = case
-    rows, rhs = _leibniz_rows(g)
+    rows, rhs = Leibniz().rows(g)
     assert nullspace(rows, 25) == oracle.nullspace(derivations_oracle._leibniz_rows(g)[0], 25)
-    eigen_rows, eigen_rhs = _form_eigen_rows(g, alpha, Fraction(1))
+    eigen_rows, eigen_rhs = FormEigen(alpha, Fraction(1)).rows(g)
     rows, rhs = rows + eigen_rows, rhs + eigen_rhs
     if inconsistent:  # a repeated equation with another right-hand side
         rows, rhs = rows + [rows[0]], rhs + [rhs[0] + 1]
@@ -577,7 +577,7 @@ def test_contact_reeb_system_stays_on_direct_elimination(selections):
 def test_dense_leibniz_rows_keep_one_row_per_rank(m, selections, fallbacks):
     # dense h5 and h7: 50 rows of rank 10 and 147 of rank 21, selected without fallback
     g, _, _, _ = conjugated_heisenberg_sasakian(m, 7)
-    rows, _ = _leibniz_rows(g)
+    rows, _ = Leibniz().rows(g)
     n = g.dim
     der = nullspace(rows, n * n)
     assert len(rows) == n * n * (n - 1) // 2
@@ -592,7 +592,7 @@ def selection_systems():
     sees them: integer rows with the columns reversed, as nullspace passes them."""
     algebras = [conjugated_heisenberg_sasakian(m, 1)[0] for m in (2, 3, 4)]
     algebras += [lf.builtin(name).algebra for name in ("g0", "g5")]
-    return [([r[::-1] for r in _leibniz_rows(g)[0]], g.dim * g.dim) for g in algebras]
+    return [([r[::-1] for r in Leibniz().rows(g)[0]], g.dim * g.dim) for g in algebras]
 
 
 def test_projected_selection_keeps_the_rows_of_the_echelon_selection():

@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from lieforge import (
     builtin,
     check_contact,
     check_frobenius,
+    check_jacobi,
     check_kahler,
     check_sasakian,
     kirillov_form,
@@ -494,7 +496,7 @@ def test_a_passing_sasakian_check_formats_only_its_notes(args, monkeypatch):
     import lieforge.structures
 
     formatted = []
-    for name in ("fmt_basis_tuple", "fmt_scalar", "fmt_vector"):
+    for name in ("fmt_basis_tuple", "fmt_dual", "fmt_scalar", "fmt_vector"):
         fmt = getattr(lieforge.structures, name)
         monkeypatch.setattr(lieforge.structures, name, lambda *a, fmt=fmt: formatted.append(fmt(*a)) or formatted[-1])
     report, structure = check_sasakian(*args)
@@ -510,3 +512,25 @@ def test_a_passing_kahler_check_describes_no_form(monkeypatch):
     report, structure = check_kahler(D4.algebra, *D4.kahler_data)
     assert report.overall and structure is not None
     assert described == []
+
+
+# --- a fixed exhaustive slice of the small world ------------------------------
+
+
+def test_a_fixed_slice_of_the_small_tables_matches_the_oracles():
+    # every 11th of the 3^9 = 19,683 tables of [e1,e2], [e1,e3], [e2,e3] with constants in
+    # {-1, 0, 1}, in product order (11 is prime to 3, so each constant takes all three values):
+    # Jacobi on each against the oracle, and on the Lie ones check_contact for every nonzero
+    # 1-form in {-1, 0, 1}^3 against the wedge-power oracle
+    pairs = ((0, 1), (0, 2), (1, 2))
+    forms = [KForm.one_form(3, c) for c in product((-1, 0, 1), repeat=3) if any(c)]
+    lie = 0
+    for consts in islice(product((-1, 0, 1), repeat=9), 0, None, 11):
+        g = LieAlgebra(3, {pair: dict(enumerate(consts[3 * i : 3 * i + 3])) for i, pair in enumerate(pairs)})
+        report = check_jacobi(g)
+        assert report == oracle.check_jacobi(g)
+        if report.overall:
+            lie += 1
+            for alpha in forms:
+                assert check_contact(g, alpha) == structures_oracle.check_contact(g, alpha)
+    assert len(forms) == 26 and lie == 119
