@@ -251,9 +251,13 @@ def check_jacobi(g: LieAlgebra) -> CheckReport:
 
 
 class Subspace(Record):
-    """Canonical subspace: reduced-echelon basis rows, pivots increasing."""
+    """Canonical subspace: reduced-echelon basis rows, pivots increasing, each of ambient_dim entries."""
 
     _fields = ("ambient_dim", "rows")
+
+    def __init__(self, ambient_dim: int, rows: tuple[Vector, ...]) -> None:
+        _check_width(rows, ambient_dim)
+        self.__dict__.update(ambient_dim=ambient_dim, rows=rows)
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Sequence[Vector]) -> "Subspace":

@@ -3,13 +3,14 @@
 Unknowns are the n^2 entries of a map in row-major order, D[i][j] with
 column j the image of e_j; solution bases come back row-reduced in that
 flattening, so results are canonical. Each constraint refuses data of the
-wrong shape and builds its own integer rows (``rows(g)``): the Leibniz
-equations from the algebra's cached integer structure constants, the others
-scaled, with their right-hand sides, by the common denominators of their
-data. The elimination makes every row primitive, so their scale does not
-matter. ``is_derivation`` tests the Leibniz rule on the packed integer
-defect that the Nijenhuis torsion kernel also starts from
-(``algebra._leibniz_defects``).
+wrong shape or inexact entries (through ``linalg.scalar``: a float raises
+TypeError, a "p/q" string is read exactly), and builds its own integer rows
+(``rows(g)``): the Leibniz equations from the algebra's cached integer
+structure constants, the others scaled, with their right-hand sides, by the
+common denominators of their data. The elimination makes every row
+primitive, so their scale does not matter. ``is_derivation`` tests the
+Leibniz rule on the packed integer defect that the Nijenhuis torsion kernel
+also starts from (``algebra._leibniz_defects``).
 """
 
 from __future__ import annotations
@@ -26,9 +27,12 @@ from .linalg import (
     fmt_vector,
     int_apply,
     int_matrix,
+    matrix,
     nullspace,
+    scalar,
     solve_affine,
     unpack,
+    vector,
     vector_over,
     zero_vector,
 )
@@ -114,7 +118,7 @@ class FormEigen(Record):
         _check_form(self.phi, g.dim, 1)
         n = g.dim
         c, _ = clear_denominators(one_form_coords(self.phi))
-        p, q = self.factor.as_integer_ratio()
+        p, q = scalar(self.factor).as_integer_ratio()
         rows = [[0] * (n * n) for _ in range(n)]
         for j, row in enumerate(rows):
             row[j::n] = [x * q for x in c]
@@ -133,12 +137,12 @@ class Commute(Record):
         sum_j (ai vi)_j D[k][j] - sum_i,j ai[k][i] vi[j] D[i][j]."""
         n = g.dim
         _check_square(self.a, n)
-        ai, _ = int_matrix(self.a)
+        ai, _ = int_matrix(matrix(self.a))
         vectors = self.on.rows if self.on is not None else tuple(g.basis_vector(j) for j in range(n))
         _check_width(vectors, n)
         rows: list[list[int]] = []
         for v in vectors:
-            vi, _ = clear_denominators(v)
+            vi, _ = clear_denominators(vector(v))
             av = int_apply(ai, vi)
             support = [(j, x) for j, x in enumerate(vi) if x]
             for k in range(n):
@@ -161,7 +165,7 @@ class Sends(Record):
         """dv*dw times the equations D(v) = w, v = vi/dv and w = wi/dw, as integer rows."""
         n = g.dim
         _check_width((self.v, self.w), n)
-        (vi, dv), (wi, dw) = clear_denominators(self.v), clear_denominators(self.w)
+        (vi, dv), (wi, dw) = clear_denominators(vector(self.v)), clear_denominators(vector(self.w))
         zero = [0] * n
         return [zero * k + [x * dw for x in vi] + zero * (n - 1 - k) for k in range(n)], [x * dv for x in wi]
 

@@ -11,10 +11,10 @@ primitive integer rows that become Fractions once, at the end; a row of
 plain ints has no denominators to clear. nullspace is one elimination with
 the columns reversed, whose free-variable basis is already the canonical
 (row-reduced) one, so a homogeneous solve_affine is a single elimination
-too. An inhomogeneous solve_affine reduces the augmented system once and
-reads the particular solution from its integer rows; its canonical null
-basis is the nullspace of the rows that elimination ran on, which span the
-row space.
+too. An inhomogeneous solve_affine runs only the forward pass on the
+augmented system and back-substitutes its last column, 0 at every free
+column: the canonical particular solution. Its canonical null basis is the
+nullspace of the rows that pass ran on, which span the row space.
 positive_definite reads every leading minor's sign from one forward pass
 without row exchanges.
 
@@ -31,11 +31,11 @@ derivations, the centers of dimension 8 and up), on part of its rows
   when that reduction finds a dependent row. So the reduction, O(rank)
   big-int steps, runs on the kept rows and about one more row after each,
   and every other row costs one O(ncols) dot product (_independent_mod_p);
-- the exact solve: _eliminate runs on the kept rows alone;
-- the check: every other row must annihilate the kernel of the result,
-  whose coordinates are packed one int per column (pack), so a row costs
-  one big-int multiply-add per nonzero entry; for solve_affine the kernel
-  of the augmented rows holds (x, -1) for the particular solution x;
+- the exact solve: it runs on the kept rows alone;
+- the check: every other row must annihilate the kernel of the kept rows,
+  integer vectors packed one int per column (pack), so a row costs one
+  big-int multiply-add per nonzero entry; for solve_affine that kernel is
+  the null basis padded with 0, plus (x, -1) for the particular solution x;
 - the fallback: the rows that fail join the kept rows and the exact solve
   runs again, so the result is exact whatever the prime or the projection.
 Once the check passes, the kept rows span the row space of all rows, and
@@ -62,7 +62,7 @@ from array import array
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .report import DimensionMismatch
 
@@ -223,14 +223,15 @@ def unpack(p: int, n: int, width: int) -> list[int]:
 def _eliminate(
     rows: Sequence[Vector], reduce: bool = True, swap: bool = True
 ) -> tuple[list[list[int]], list[int], list[int], list[int]]:
-    """Fraction-free Gauss-Jordan (forward only unless reduce) on primitive integer rows.
+    """Fraction-free Gaussian elimination on primitive integer rows: a forward pass, then, if reduce,
+    a back pass to the reduced echelon form.
 
-    Per column the row with the smallest usable pivot p moves up; every other
-    row with entry f there becomes (p/g*row - f/g*pivot_row) / content, g =
-    gcd(p, f), the subtraction touching only the pivot row's nonzero columns.
-    Without swap the pass stops at the first zero on the diagonal. Pivot row k
-    of work is num[k]/den[k] times the row Fraction elimination with the same
-    exchanges would hold; the exchanges' signs are folded into num.
+    Forward, per column the row with the smallest usable pivot p moves up, and clear makes each row
+    below with entry f there (p/g*row - f/g*pivot_row) / content, g = gcd(p, f); without swap the
+    pass stops at the first zero on the diagonal. Then pivot row k of work is num[k]/den[k] times the
+    row Fraction elimination with the same exchanges (signs folded into num) would hold. The back
+    pass clears above each pivot from the last one up, when its row is 0 at every later pivot: an
+    update touches only that row's pivot and free columns.
     """
     work, num, den = [], [], []
     for row in rows:
@@ -241,6 +242,26 @@ def _eliminate(
         den.append(g)
     nrows, ncols = len(work), len(work[0]) if work else 0
     pivots: list[int] = []
+
+    def clear(r: int, c: int, targets: range) -> None:  # column c of the rows targets, by pivot row r
+        p, support = work[r][c], None
+        for i in targets:
+            row = work[i]
+            f = row[c]
+            if not f:
+                continue
+            support = support or [(j, y) for j, y in enumerate(work[r]) if y]
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                row = [a * x for x in row]
+            for j, y in support:
+                row[j] -= b * y
+            g = gcd(*row)
+            work[i] = [x // g for x in row] if g > 1 else row
+            num[i] *= a
+            den[i] *= g or 1
+
     for c in range(ncols):
         r = len(pivots)
         if r == nrows or not (swap or work[r][c]):
@@ -253,53 +274,34 @@ def _eliminate(
             work[r], work[pr] = work[pr], work[r]
             num[r], num[pr] = -num[pr], num[r]
             den[r], den[pr] = den[pr], den[r]
-        p = work[r][c]
-        support = [(j, y) for j, y in enumerate(work[r]) if y]
-        for i in range(0 if reduce else r + 1, nrows):
-            row = work[i]
-            f = row[c]
-            if i == r or not f:
-                continue
-            g = gcd(p, f)
-            a, b = p // g, f // g
-            if a != 1:
-                row = [a * x for x in row]
-            for j, y in support:
-                row[j] -= b * y
-            g = gcd(*row)
-            work[i] = [x // g for x in row] if g > 1 else row
-            num[i] *= a
-            den[i] *= g or 1
         pivots.append(c)
+        clear(r, c, range(r + 1, nrows))
+    if reduce:
+        for r in range(len(pivots) - 1, 0, -1):
+            clear(r, pivots[r], range(r))
     return work, pivots, num, den
 
 
-def _row_reduce(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], list[int], list[Sequence]]:
-    """The rows and pivots _eliminate(rows) returns, from as few of the rows as it can,
-    and the rows it eliminated, which span the row space of all rows.
+def _row_reduce(rows: Sequence[Sequence[Fraction | int]], solve: Callable[[list], tuple]):
+    """The result of solve(rows), from as few of the rows as it can; solve returns (result, kernel),
+    kernel the callable that _unsatisfied reads, called only for a tall system.
 
-    A system with fewer than 8 columns or fewer rows than twice its columns is
-    eliminated whole: there the selection saves no more than it costs
-    (measured on the center and Leibniz systems of dimension 5 to 9). A
-    taller one is cleared of denominators once; _independent_mod_p keeps the
-    rows independent mod _PRIME, and only they are eliminated. Every other
-    row is checked against the kernel of the result, and the rows that fail
-    join the kept ones for another elimination. Once the check passes, the
-    kept rows span the row space of all rows, so the reduced rows are those
-    of the whole system.
+    A system with fewer than 8 columns or fewer rows than twice its columns is solved whole: the
+    selection saves no more than it costs there (measured on the center and Leibniz systems of
+    dimension 5 to 9). A taller one is cleared of denominators once and solved on the rows
+    _independent_mod_p keeps, then again with the rows the check (_unsatisfied) fails, until it
+    passes: the kept rows then span the row space of all rows, so the result is the whole system's.
     """
     ncols = len(rows[0])
     if len(rows) < 2 * ncols or ncols < 8:
-        work, pivots, _, _ = _eliminate(rows)
-        return work, pivots, rows
+        return solve(rows)[0]
     ints = [clear_denominators(row)[0] for row in rows]
     keep = _independent_mod_p(ints, ncols)
     while True:
-        kept = [ints[i] for i in keep]
-        work, pivots, _, _ = _eliminate(kept)
-        failing = _unsatisfied(ints, keep, work, pivots, ncols)
+        result, kernel = solve([ints[i] for i in keep])
+        failing = _unsatisfied(ints, keep, kernel)
         if not failing:
-            return work, pivots, kept
+            return result
         keep = sorted(keep + failing)
 
 
@@ -381,33 +383,36 @@ def _independent_mod_p(ints: Sequence[Sequence[int]], ncols: int) -> list[int]:
     return keep
 
 
-def _unsatisfied(
-    ints: Sequence[Sequence[int]], keep: Sequence[int], work: list[list[int]], pivots: Sequence[int], ncols: int
-) -> list[int]:
-    """Indices of the rows outside keep that the kernel of work, reduced by _eliminate, does not satisfy.
-
-    With s the lcm of the pivots, free column f has the kernel vector with s
-    at f and -row[f]*s/row[c] at the pivot c of each reduced row. Coordinate
-    j of all of them is packed into one int P_j (``pack``), so a row a is
-    checked by one multiply-add per nonzero a_j: sum of a_j P_j is 0 iff a
-    annihilates every kernel vector. The slots hold sum |a_j| times the
-    largest kernel coordinate.
-    """
-    free = sorted(set(range(ncols)).difference(pivots))
+def _unsatisfied(ints: Sequence[Sequence[int]], keep: Sequence[int], kernel: Callable[[], tuple]) -> list[int]:
+    """Indices of the rows outside keep that do not annihilate the kernel of the kept rows: kernel()
+    gives (bound, packed), bound the largest |coordinate| of its vectors (0 for none) and packed(width)
+    coordinate j of all of them in one int P_j (``pack``). So a row a is checked by one multiply-add
+    per nonzero a_j: sum of a_j P_j is 0 iff a annihilates them all. The slots hold sum |a_j| times bound."""
     kept = set(keep)
     others = [i for i in range(len(ints)) if i not in kept]
-    if not free or not others:
+    big, packed = kernel() if others else (0, None)
+    if not big:
         return []
-    scale = lcm(*(row[c] for row, c in zip(work, pivots)))
-    reduced = [(c, scale // row[c], [row[f] for f in free]) for row, c in zip(work, pivots)]
-    big = max([scale] + [abs(m) * max(map(abs, at_free)) for _, m, at_free in reduced])
-    width = slot_width(big * max(sum(map(abs, ints[i])) for i in others))
-    packed = [0] * ncols
-    for t, f in enumerate(free):
-        packed[f] = scale << (width * t)
-    for c, m, at_free in reduced:
-        packed[c] = -m * pack(enumerate(at_free), width)
+    packed = packed(slot_width(big * max(sum(map(abs, ints[i])) for i in others)))
     return [i for i in others if sum(a * packed[j] for j, a in enumerate(ints[i]) if a)]
+
+
+def _kernel(work: list[list[int]], pivots: Sequence[int], ncols: int) -> tuple[int, Callable[[int], list[int]]]:
+    """The kernel of the rows _eliminate reduced to work, for _unsatisfied: vector t, of the t-th free
+    column f, is s at f and -row[f]*s/row[c] at the pivot c of each row, s the lcm of the pivots."""
+    free = sorted(set(range(ncols)).difference(pivots))
+    s = lcm(*(row[c] for row, c in zip(work, pivots)))
+    reduced = [(c, s // row[c], [row[f] for f in free]) for row, c in zip(work, pivots)]
+
+    def packed(width: int) -> list[int]:
+        out = [0] * ncols
+        for t, f in enumerate(free):
+            out[f] = s << (width * t)
+        for c, m, at_free in reduced:
+            out[c] = -m * pack(enumerate(at_free), width)
+        return out
+
+    return max([s] + [abs(m) * max(map(abs, at_free)) for _, m, at_free in reduced]) if free else 0, packed
 
 
 def _check_width(rows: Sequence[Sequence], ncols: int) -> None:
@@ -448,7 +453,12 @@ def nullspace(rows: Sequence[Vector], ncols: int) -> tuple[Vector, ...]:
     _check_width(rows, ncols)
     if not rows:
         return identity(ncols)
-    work, pivots, _ = _row_reduce([row[::-1] for row in rows])
+    return _row_reduce([row[::-1] for row in rows], lambda kept: _null_basis(kept, ncols))
+
+
+def _null_basis(rows: Sequence[Sequence], ncols: int) -> tuple[tuple[Vector, ...], Callable[[], tuple]]:
+    """(the nullspace basis, its _kernel in the reversed coordinates) of rows given with their columns reversed."""
+    work, pivots, _, _ = _eliminate(rows)
     last = ncols - 1
     reduced = [(row, row[c], last - c) for row, c in zip(work, pivots)]
     basis = []
@@ -459,19 +469,18 @@ def nullspace(rows: Sequence[Vector], ncols: int) -> tuple[Vector, ...]:
             if row[last - f]:
                 v[at] = Fraction(-row[last - f], p)
         basis.append(tuple(v))
-    return tuple(basis)
+    return tuple(basis), lambda: _kernel(work, pivots, ncols)
 
 
 def solve_affine(rows: Sequence[Vector], rhs: Sequence[Fraction]) -> tuple[Vector | None, tuple[Vector, ...]]:
     """Solve rows @ x = rhs; returns (particular or None, nullspace basis).
 
     A homogeneous system is one nullspace elimination with the zero vector.
-    Otherwise one elimination of the augmented system (_row_reduce) gives
-    the particular solution: its first ncols columns are the RREF of rows,
-    and the particular solution sets all free variables to zero, making it
-    canonical for a given system. The rows that elimination ran on span the
-    augmented row space, so their first ncols entries span that of rows, and
-    the canonical null basis is the nullspace of those few rows.
+    Otherwise the augmented system (_row_reduce) gets only the forward pass of
+    _eliminate, whose pivots are those of its RREF; the particular solution, 0
+    at every free column and so canonical, is back-substituted from the last
+    column over one integer denominator. The rows that pass ran on span the
+    augmented row space: the null basis is the nullspace of their first ncols.
     """
     if not rows:
         return (), ()
@@ -481,15 +490,30 @@ def solve_affine(rows: Sequence[Vector], rhs: Sequence[Fraction]) -> tuple[Vecto
         raise DimensionMismatch(f"{len(rhs)} right-hand sides for {len(rows)} equations")
     if not any(rhs):
         return zero_vector(ncols), nullspace(rows, ncols)
-    work, pivots, kept = _row_reduce([tuple(r) + (b,) for r, b in zip(rows, rhs)])
-    basis = nullspace([row[:ncols] for row in kept], ncols)
-    if ncols in pivots:
-        return None, basis
-    x = [ZERO] * ncols
-    for row, p in zip(work, pivots):
-        if row[ncols]:
-            x[p] = Fraction(row[ncols], row[p])
-    return tuple(x), basis
+    return _row_reduce([tuple(r) + (b,) for r, b in zip(rows, rhs)], lambda kept: _affine(kept, ncols))
+
+
+def _affine(rows: Sequence[Sequence], ncols: int) -> tuple[tuple[Vector | None, tuple[Vector, ...]], Callable]:
+    """((particular x or None, nullspace basis), kernel) of augmented rows, for solve_affine."""
+    work, pivots, _, _ = _eliminate(rows, reduce=False)
+    basis, null = _null_basis([row[:ncols][::-1] for row in rows], ncols)
+    x, d = [0] * ncols, 1
+    if ncols in pivots:  # no solution: the kernel is the null basis padded with 0
+        d, pivots = 0, []
+    for k in range(len(pivots) - 1, -1, -1):
+        row, c = work[k], pivots[k]
+        xc = Fraction(row[ncols] * d - sum(row[j] * x[j] for j in pivots[k + 1 :]), row[c] * d)
+        m = xc.denominator // gcd(xc.denominator, d)
+        if m > 1:
+            x, d = [m * y for y in x], d * m
+        x[c] = xc.numerator * (d // xc.denominator)
+
+    def kernel():  # the null basis padded with 0, then (x, -d) in slot t
+        big, packed = null()
+        t = len(basis)
+        return max(big, d, *map(abs, x)), lambda w: [p + (y << w * t) for p, y in zip(packed(w)[::-1], x)] + [-d << w * t]
+
+    return (vector_over(x, d) if d else None, basis), kernel
 
 
 def det(m: Matrix) -> Fraction:

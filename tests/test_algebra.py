@@ -109,6 +109,15 @@ def test_subspace_contains_rejects_misshapen_vectors(length):
         Subspace.from_vectors(3, ((Fraction(1),) + (Fraction(0),) * (length - 1),))
 
 
+def test_a_subspace_refuses_rows_of_another_width():
+    # contains zipped a 3-vector with 2-entry rows before: Subspace(3, I2).contains((1, 0, 0)) was True
+    with pytest.raises(DimensionMismatch):
+        Subspace(3, identity(2))
+    with pytest.raises(DimensionMismatch):
+        Subspace(2, (vector([1, 0]), vector([0, 1, 0])))
+    assert Subspace(3, ()).dim == 0 and Subspace(2, identity(2)) == Subspace.full(2)
+
+
 def center_oracle(g):
     """The center as the nullspace of all n^2 Fraction rows (j, k) -> [c_ijk]_i, zero rows included."""
     n = g.dim

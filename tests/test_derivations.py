@@ -122,6 +122,34 @@ def test_misshapen_constraints_are_refused(constraint):
         derivation_space(H3, [Leibniz(), constraint])
 
 
+E3 = KForm.basis_one_form(3, 2)
+
+
+def test_form_eigen_reads_its_factor_exactly():
+    # the factor goes through linalg.scalar: "1/2" is read as the rational (it raised AttributeError
+    # from rows before), and a float is refused instead of solving with its binary expansion
+    half = derivation_space(H3, [Leibniz(), FormEigen(E3, Fraction(1, 2))])
+    assert derivation_space(H3, [Leibniz(), FormEigen(E3, "1/2")]) == half
+    with pytest.raises(TypeError):
+        derivation_space(H3, [Leibniz(), FormEigen(E3, 0.1)])
+
+
+def test_sends_refuses_float_entries():
+    exact = derivation_space(H3, [Leibniz(), Sends(H3.basis_vector(2), vector(["1/2", 0, 0]))])
+    assert derivation_space(H3, [Leibniz(), Sends(H3.basis_vector(2), ("1/2", 0, 0))]) == exact
+    for v, w in [((0, 0, 1.0), (0, 0, 1)), ((0, 0, 1), (0.5, 0, 0))]:
+        with pytest.raises(TypeError):
+            derivation_space(H3, [Leibniz(), Sends(v, w)])
+
+
+def test_commute_refuses_float_entries():
+    with pytest.raises(TypeError):
+        derivation_space(H3, [Leibniz(), Commute(((1.0, 0, 0), (0, 1, 0), (0, 0, 1)))])
+    on = Subspace(3, ((0.5, 1, 0),))
+    with pytest.raises(TypeError):
+        derivation_space(H3, [Leibniz(), Commute(identity(3), on)])
+
+
 def test_inner_derivations_lie_in_the_solved_family():
     from conftest import random_jacobi_algebra
 

@@ -235,6 +235,19 @@ def test_affine_solve_matches_oracle_on_rank_deficient_rows(data):
     assert solve_affine(rows, rhs) == oracle.solve_affine(rows, rhs)
 
 
+@settings(max_examples=150, deadline=None)
+@given(rank_deficient())
+def test_both_passes_match_the_oracle_on_rank_deficient_rows(rows):
+    # _eliminate's forward pass and its back pass against Fraction Gauss-Jordan, on the rows as drawn
+    # (zero, repeated and dependent rows) and sorted so that rows with zeros in the first columns
+    # come first, which makes the forward pass exchange them for the rows below
+    exchanged = tuple(sorted(rows, key=lambda row: [x != 0 for x in row]))
+    for system in (rows, exchanged):
+        red, pivots = oracle.rref(system)
+        assert rref(system) == (red, pivots)
+        assert tuple(linalg._eliminate(system, reduce=False)[1]) == pivots
+
+
 def test_nullspace_rejects_rows_of_the_wrong_width():
     with pytest.raises(lf.DimensionMismatch):
         nullspace(matrix([[1, 2, 3]]), 2)
@@ -618,3 +631,53 @@ def test_an_independent_row_with_projection_0_comes_back_through_the_check(fallb
     reversed_rows = matrix([r[::-1] for r in rows])
     assert nullspace(reversed_rows, ncols) == oracle.nullspace(reversed_rows, ncols)
     assert fallbacks == [1]
+
+
+# --- inhomogeneous solves: one forward pass and a back-substituted solution ---
+
+
+def test_a_tall_affine_solve_runs_one_forward_pass_and_one_null_basis_elimination(monkeypatch, selections, fallbacks):
+    # dense h7 Leibniz + FormEigen: 154 augmented rows of rank 28 over 50 columns. The kept rows get
+    # the forward pass alone, and only their first 49 columns a full elimination, for the null basis
+    g, _, alpha, _ = conjugated_heisenberg_sasakian(3, 1)
+    rows, rhs = Leibniz().rows(g)
+    eigen_rows, eigen_rhs = FormEigen(alpha, Fraction(1)).rows(g)
+    rows, rhs = rows + eigen_rows, rhs + eigen_rhs
+    calls = []
+    eliminate = linalg._eliminate
+
+    def spy(rows, reduce=True, swap=True):
+        calls.append((len(rows), len(rows[0]), reduce))
+        return eliminate(rows, reduce, swap)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    got = solve_affine(rows, rhs)
+    assert calls == [(28, 50, False), (28, 49, True)]
+    assert selections == [50] and fallbacks == []
+    monkeypatch.undo()
+    assert got == oracle.solve_affine(rows, rhs)
+
+
+@st.composite
+def inconsistent_systems(draw, tall):
+    """A consistent system over 8 to 11 columns plus one of its rows again with another right-hand
+    side: tall (at least twice as many rows as augmented columns) or eliminated whole."""
+    ncols = draw(st.integers(8, 11))
+    nrows = draw(st.integers(2 * ncols + 1, 2 * ncols + 9) if tall else st.integers(1, 2 * ncols - 2))
+    rows = tall_rows(draw, ncols, nrows)
+    rhs = mat_vec(rows, tuple(draw(ENTRIES) for _ in range(ncols)))
+    i = draw(st.integers(0, nrows - 1))
+    return rows + (rows[i],), rhs + (rhs[i] + 1,)
+
+
+@pytest.mark.parametrize("prime", [2, 3, linalg._PRIME])
+@pytest.mark.parametrize("tall", [True, False])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_inconsistent_systems_match_oracle(prime, tall, data):
+    rows, rhs = data.draw(inconsistent_systems(tall))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_PRIME", prime)
+        got = solve_affine(rows, rhs)
+    assert got[0] is None
+    assert got == oracle.solve_affine(rows, rhs)
