@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import (
@@ -156,33 +157,46 @@ def _bracket_ints(g: LieAlgebra, xs: Sequence[int], ys: Sequence[int]) -> list[i
 
 def _leibniz_defects(
     g: LieAlgebra, ai: list[list[int]], bound: Callable[[int, int, int], int]
-) -> tuple[int, list[list[tuple[int, int]]], list[int], list[list[int]], dict[tuple[int, int], int]]:
+) -> tuple[int, list[tuple[int, ...]], list[int], list[list[int]], dict[tuple[int, int], int]]:
     """The Leibniz defects of the integer map A = ai, packed: (width, cols, a_col, left, defect).
 
-    With C = D*c from ``LieAlgebra._integer_terms``, cols[j] lists the nonzero
-    (r, A_rj), a_col[j] is column j of A, left[i][b] = sum_r A_ri C_rb is
+    With C = D*c from ``LieAlgebra._integer_terms``, cols[j] is column j of
+    A, a_col[j] that column packed, left[i][b] = sum_r A_ri C_rb = -sum_r C_br A_ri is
     D*[Ae_i, e_b], and defect[(i, j)], i < j in row-major order, is
     A C_ij - left[i][j] + left[j][i]: D times the Leibniz defect
     A[e_i,e_j] - [Ae_i,e_j] - [e_i,Ae_j], or da*D times that of ai/da. Every
     vector is one packed int (``linalg.pack``), built by O(n^3) big-int
     multiply-adds in all, at width slot_width(bound(n, a, c)) for a and c the
     largest |ai| and |C|: the caller's bound covers every coordinate of what it
-    unpacks or tests against 0.
+    unpacks or tests against 0. Each antisymmetric pair of structure vectors
+    is packed once per call, C_rb for r < b (``_packed_pairs``), at that width.
     """
     n = g.dim
     _, terms, c = g._integer_terms
     a = max(abs(x) for row in ai for x in row)
     width = slot_width(bound(n, a, c))
-    cols = [[(r, ai[r][j]) for r in range(n) if ai[r][j]] for j in range(n)]
-    a_col = [pack(col, width) for col in cols]
-    c_rb = [[pack(row, width) for row in plane] for plane in terms]
-    left = [[sum(x * c_rb[r][b] for r, x in col) for b in range(n)] for col in cols]
+    cols = list(zip(*ai))
+    a_col = [pack(enumerate(col), width) for col in cols]
+    c_rb = _packed_pairs(terms, width)
+    left = [[-sum(map(mul, row, col)) for row in c_rb] for col in cols]
     defect = {
         (i, j): sum(y * a_col[k] for k, y in terms[i][j]) - left[i][j] + left[j][i]
         for i in range(n)
         for j in range(i + 1, n)
     }
     return width, cols, a_col, left, defect
+
+
+def _packed_pairs(terms: Sequence[Sequence[Sequence[tuple[int, int]]]], width: int) -> list[list[int]]:
+    """p[r][b] = pack(C_rb, width) for the integer table C = terms: C_rb is packed once, for r < b,
+    and p[b][r] = -p[r][b], as the constructor's table has C_br = -C_rb and C_rr = 0."""
+    n = len(terms)
+    p = [[0] * n for _ in range(n)]
+    for r in range(n):
+        for b in range(r + 1, n):
+            v = pack(terms[r][b], width)
+            p[r][b], p[b][r] = v, -v
+    return p
 
 
 def _cyclic_failures(
@@ -202,7 +216,9 @@ def _cyclic_failures(
     table = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            s = sum(c * q[m] for m, c in terms[i][j])
+            s = 0
+            for m, c in terms[i][j]:
+                s += c * q[m]
             if s:
                 table[i][j] = unpack(s, n, width)
                 table[j][i] = [-x for x in table[i][j]]
@@ -228,12 +244,12 @@ def _jacobi_failures(
     absolute value and of the sum 3*n*M^2, the slot bound: 3*n*M^2 < 2^(w-1)
     for slots of w bits. A block then lies within
     n*M^2 * (2^(n*w) - 1)/(2^w - 1) < 2^(n*w - 1), so reading it at width n*w
-    is exact.
+    is exact. Each antisymmetric pair C_mk = -C_km is packed once per call (``_packed_pairs``).
     """
     d, terms, big = g._integer_terms
     n = g.dim
     width = slot_width(3 * n * big * big)
-    q = [pack(enumerate(pack(row, width) for row in terms[m]), n * width) for m in range(n)]
+    q = [pack(enumerate(row), n * width) for row in _packed_pairs(terms, width)]
     return [
         (t, vector_over(unpack(total, n, width), d * d)) for t, total in _cyclic_failures(g, q, n * width, triples)
     ]

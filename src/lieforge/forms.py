@@ -68,7 +68,7 @@ def sort_index_tuple(idxs: Sequence[int]) -> tuple[int, tuple[int, ...]]:
 
 
 class KForm(Record):
-    """Alternating k-form as rational coefficients on increasing index tuples."""
+    """Alternating k-form as exact coefficients (int or Fraction, never 0) on increasing index tuples."""
 
     _fields = ("dim", "degree", "coeffs")
 
@@ -82,7 +82,9 @@ class KForm(Record):
                 raise ValueError(f"index out of range in {idxs}")
             if any(a >= b for a, b in zip(idxs, idxs[1:])):
                 raise ValueError(f"indices must be strictly increasing: {idxs}")
-            if value == 0:
+            if isinstance(value, str):
+                raise TypeError(f"not an exact scalar: {value!r}")
+            if scalar(value) == 0:  # scalar refuses a bool, a float and any other inexact value
                 raise ValueError("zero coefficients must be dropped")
         self.__dict__.update(dim=dim, degree=degree, coeffs=coeffs)
 
@@ -225,7 +227,9 @@ def _dalpha(g: LieAlgebra, coords: Sequence[Fraction]) -> tuple[list[list[int]],
     out = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            x = -sum(a[k] * c for k, c in terms[i][j])
+            x = 0
+            for k, c in terms[i][j]:
+                x -= a[k] * c
             out[i][j], out[j][i] = x, -x
     return out, d * da
 

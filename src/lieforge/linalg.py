@@ -202,9 +202,14 @@ def pack(entries: Iterable[tuple[int, int]], width: int) -> int:
     Packing is linear, so sums and integer multiples of packed vectors are the
     packed sums and multiples, whatever the slots of intermediate values hold;
     unpack reads the result back exactly while every coordinate of it lies in
-    [-bound, bound] for width = slot_width(bound).
+    [-bound, bound] for width = slot_width(bound). In particular the packed
+    -v is -pack(v): the kernels of algebra pack each antisymmetric pair of
+    structure vectors once per call and negate it for the other order.
     """
-    return sum(x << (width * l) for l, x in entries)
+    acc = 0
+    for l, x in entries:
+        acc += x << (width * l)
+    return acc
 
 
 def unpack(p: int, n: int, width: int) -> list[int]:
@@ -587,14 +592,15 @@ def fmt_vector(v: Vector, labels: Sequence[str]) -> str:
     """Render a vector as a signed combination of basis labels."""
     parts: list[str] = []
     for coef, label in zip(v, labels):
-        if coef == 0:
+        if not coef:
             continue
-        if coef == 1:
+        text = str(coef)  # an exact scalar is 1 or -1 exactly when its text is
+        if text == "1":
             term = label
-        elif coef == -1:
+        elif text == "-1":
             term = f"-{label}"
         else:
-            term = f"{coef}*{label}"
+            term = f"{text}*{label}"
         if parts and not term.startswith("-"):
             parts.append(f"+ {term}")
         elif parts:

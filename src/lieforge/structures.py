@@ -231,7 +231,7 @@ def _packed_torsion(
     torsion = {}
     for (i, j), inner in defect.items():
         total = sum(map(mul, unpack(inner, n, width), a_col))
-        torsion[(i, j)] = total + sum(x * left[i][b] for b, x in cols[j])
+        torsion[(i, j)] = total + sum(map(mul, cols[j], left[i]))
     return width, a_col, torsion
 
 

@@ -14,6 +14,9 @@ pfaffian is the fraction-free skew elimination that lieforge.linalg ran
 before its Pfaffian was read off sub_pfaffians: Knuth's overlapping-Pfaffian
 elimination of the whole matrix, with no border. The contact oracle in
 structures_oracle uses it, so it stays independent of sub_pfaffians.
+
+fmt_vector is the formatter that lieforge.linalg.fmt_vector replaced: it
+compares each coefficient with 0, 1 and -1 instead of reading its text.
 """
 
 from __future__ import annotations
@@ -196,3 +199,24 @@ def pfaffian(m: Matrix) -> Fraction:
                 a[j][i] = -row[j]
         prev = p
     return Fraction(sign * p, d ** (size // 2))
+
+
+def fmt_vector(v: Vector, labels: Sequence[str]) -> str:
+    """Render a vector as a signed combination of basis labels, one comparison per case."""
+    parts: list[str] = []
+    for coef, label in zip(v, labels):
+        if coef == 0:
+            continue
+        if coef == 1:
+            term = label
+        elif coef == -1:
+            term = f"-{label}"
+        else:
+            term = f"{coef}*{label}"
+        if parts and not term.startswith("-"):
+            parts.append(f"+ {term}")
+        elif parts:
+            parts.append(f"- {term[1:]}")
+        else:
+            parts.append(term)
+    return " ".join(parts) if parts else "0"

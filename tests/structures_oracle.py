@@ -33,6 +33,8 @@ check_contact did before the bordered Pfaffian certified it; and
 sasakian_torsion_item takes the torsion of every pair from
 nijenhuis_ints and compares it with -d(alpha) (x) xi
 coordinate by coordinate, as check_sasakian did before its packed test.
+Both read d(alpha) from ``ce_differential`` too, not from the integer
+``forms._dalpha`` of the fast paths, so a fault there shows.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from lieforge.algebra import LieAlgebra, Subspace
 from lieforge.forms import (
     KForm,
     TopContactResult,
-    _dalpha,
     apply_one_form,
     ce_differential,
     one_form_coords,
@@ -230,8 +231,8 @@ def contact_radical_item(g: LieAlgebra, alpha: KForm) -> CheckItem | None:
     if not top_contact_test(g, alpha).holds:
         return None
     coords = one_form_coords(alpha)
-    da, _ = _dalpha(g, coords)
-    particular, homogeneous = solve_affine(da + [coords], [0] * g.dim + [1])
+    da = ce_differential(g, alpha).as_matrix()
+    particular, homogeneous = solve_affine(da + (coords,), [0] * g.dim + [1])
     if particular is None or homogeneous:
         return None
     rad = Subspace(g.dim, nullspace(da, g.dim))
@@ -247,7 +248,7 @@ def sasakian_torsion_item(g: LieAlgebra, reeb: Vector, alpha: KForm, phi: Matrix
     -d(alpha)(e_i, e_j) xi over their two denominators."""
     r, dr = clear_denominators(reeb)
     p, dp = int_matrix(phi)
-    da, den = _dalpha(g, one_form_coords(alpha))
+    da, den = int_matrix(ce_differential(g, alpha).as_matrix())
     torsion, dt = nijenhuis_ints(g, p, dp)
     expected = {(i, j): [-da[i][j] * y for y in r] for i, j in torsion}
     bad_pair = next((pair for pair, v in torsion.items() if not _same(v, dt, expected[pair], den * dr)), None)

@@ -337,7 +337,8 @@ TIGHT_JACOBI = {
 }
 
 
-@pytest.mark.parametrize("scale", [Fraction(1), Fraction(-(2**130), 7)])
+# a negative scale flips the sign of each packed C_ij, i < j, and of its negation stored at (j, i)
+@pytest.mark.parametrize("scale", [Fraction(1), Fraction(-1), Fraction(-(2**130), 7), Fraction(3**90, 11)])
 def test_jacobi_slot_width_boundary(scale):
     g = LieAlgebra.from_brackets(4, {p: {k: x * scale for k, x in v.items()} for p, v in TIGHT_JACOBI.items()})
     big = scale.numerator**2
@@ -351,7 +352,15 @@ def test_jacobi_slot_width_boundary(scale):
 # slot k for theta is M T (2k - n + 1): blocks 0 and n-1 sit at -/+(n-1)M^2 and -/+(n-1)MT, the
 # largest a single cyclic term reaches, in every coordinate. For n = 3 every cyclic sum cancels.
 @pytest.mark.parametrize("n", [3, 4, 5])
-@pytest.mark.parametrize("m, t", [(Fraction(1), Fraction(1)), (Fraction(-(2**130), 7), Fraction(3**80, 11))])
+@pytest.mark.parametrize(
+    "m, t",
+    [
+        (Fraction(1), Fraction(1)),
+        (Fraction(-1), Fraction(-1)),
+        (Fraction(-(2**130), 7), Fraction(3**80, 11)),
+        (Fraction(2**130, 7), Fraction(-(3**80), 11)),
+    ],
+)
 def test_cyclic_blocks_at_bound(n, m, t):
     g = LieAlgebra.from_brackets(n, {(a, b): dict.fromkeys(range(n), m) for a in range(n) for b in range(a + 1, n)})
     theta = KForm.two_form(n, {(a, b): t for a in range(n) for b in range(a + 1, n)})

@@ -28,6 +28,7 @@ from conftest import (
     random_one_form,
     shuffle_wedge_eval,
 )
+from strategies import BIG_RATIONALS, antisymmetric_algebras, rational_vectors
 from structures_oracle import wedge, wedge_power
 
 H3 = builtin("h3").algebra
@@ -285,6 +286,25 @@ def test_kform_constructor_validation():
         KForm(3, 1, (((4,), Fraction(1)),))  # index out of range
     # from_coeffs normalizes instead of raising
     assert KForm.from_coeffs(3, 2, {(0, 1): 0}).is_zero()
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, True, "1/2", None, 1j])
+def test_kform_refuses_inexact_coefficients(value):
+    # a float would otherwise reach the solvers as its binary expansion
+    with pytest.raises(TypeError, match="bool is not a scalar" if value is True else "not an exact scalar"):
+        KForm(3, 1, (((2,), value),))
+    assert KForm(3, 1, (((2,), 2),)).coeff((2,)) == 2 == KForm(3, 1, (((2,), Fraction(2)),)).coeff((2,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_dalpha_matches_ce_differential(data):
+    # any antisymmetric table, Lie or not, and 1-forms over mixed denominators
+    g = data.draw(antisymmetric_algebras(values=BIG_RATIONALS))
+    coords = data.draw(rational_vectors(g.dim, BIG_RATIONALS))
+    da, den = _dalpha(g, coords)
+    expected = ce_differential(g, KForm.one_form(g.dim, coords)).as_matrix()
+    assert tuple(tuple(Fraction(x, den) for x in row) for row in da) == expected
 
 
 def test_differential_matches_pointwise_definition():

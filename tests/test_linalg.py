@@ -108,6 +108,39 @@ def test_fmt_vector():
     assert fmt_vector(vector([0, 0, 0]), labels) == "0"
 
 
+FORMAT_COEFFICIENTS = st.one_of(
+    st.sampled_from([0, 1, -1, Fraction(0), Fraction(1), Fraction(-1), Fraction(-1, 2), Fraction(2, -3)]),
+    st.integers(-(10**20), 10**20),
+    st.integers(-(10**20), 10**20).map(Fraction),
+    st.builds(Fraction, st.integers(-(10**6), -1), st.integers(1, 10**6)),
+    st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FORMAT_COEFFICIENTS, max_size=6))
+def test_fmt_vector_matches_the_comparison_formatter(v):
+    # 0, +-1, ints, integer-valued and negative Fractions, mixed: the same bytes as the formatter
+    # that compared each coefficient with 0, 1 and -1
+    labels = [f"e{i + 1}" for i in range(len(v))]
+    assert fmt_vector(v, labels) == oracle.fmt_vector(v, labels)
+    assert fmt_vector(tuple(map(Fraction, v)), labels) == oracle.fmt_vector(v, labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pack_matches_the_generator_sum(data):
+    # signed entries up to the slot's extremes +-(2^(w-1) - 1), in any order, repeats and none included
+    width = data.draw(st.integers(1, 130))
+    top = (1 << (width - 1)) - 1
+    value = st.one_of(st.sampled_from([top, -top, 0]), st.integers(-top, top))
+    entries = data.draw(st.lists(st.tuples(st.integers(0, 12), value), max_size=14))
+    assert pack(entries, width) == sum(x << (width * l) for l, x in entries)
+    assert pack(iter(entries), width) == pack(entries, width)
+    distinct = dict(entries)
+    assert unpack(pack(distinct.items(), width), 13, width) == [distinct.get(l, 0) for l in range(13)]
+
+
 @pytest.mark.parametrize("bound", [0, 1, 2, 3, 4, 7, 8, 255, 256, 2**64 - 1, 2**64, 10**40])
 def test_packed_slots_at_the_bound(bound):
     # coordinates at +-bound, the largest magnitude slot_width(bound) allows, reached the way

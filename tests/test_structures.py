@@ -185,12 +185,21 @@ TIGHT_TORSION = {
 TIGHT_MAP = ((-1, -1, 1, 1), (-1, 1, 1, 1), (1, 1, 1, -1), (1, 1, -1, -1))
 
 
-@pytest.mark.parametrize("s, t", [(Fraction(3), Fraction(1)), (Fraction(3 * 2**130, 7), Fraction(-(2**60), 5))])
+# a negative s negates every packed structure vector, so N(e2, e3) sits at the bound's other sign
+@pytest.mark.parametrize(
+    "s, t",
+    [
+        (Fraction(3), Fraction(1)),
+        (Fraction(-3), Fraction(1)),
+        (Fraction(3 * 2**130, 7), Fraction(-(2**60), 5)),
+        (Fraction(-3 * 2**130, 7), Fraction(2**60, 5)),
+    ],
+)
 def test_nijenhuis_slot_width_boundary(s, t):
     brackets = {p: {k: x * s for k, x in enumerate(v) if x} for p, v in TIGHT_TORSION.items()}
     g = LieAlgebra.from_brackets(4, brackets)
     a = tuple(tuple(x * t for x in row) for row in TIGHT_MAP)
-    big = t.numerator**2 * s.numerator
+    big = t.numerator**2 * abs(s.numerator)
     torsion, _ = structures_oracle.nijenhuis_ints(g, *int_matrix(a))
     assert max(map(abs, torsion[(1, 2)])) == 132 * big // 3 >= 2 ** (slot_width(64 * big) - 2)
     assert_nijenhuis_matches_oracle(g, a)
