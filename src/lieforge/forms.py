@@ -68,7 +68,8 @@ def sort_index_tuple(idxs: Sequence[int]) -> tuple[int, tuple[int, ...]]:
 
 
 class KForm(Record):
-    """Alternating k-form as exact coefficients (int or Fraction, never 0) on increasing index tuples."""
+    """Alternating k-form as exact coefficients (int or Fraction, never 0) on increasing index tuples,
+    each tuple given once and the tuples in increasing order, as ``from_coeffs`` sorts them."""
 
     _fields = ("dim", "degree", "coeffs")
 
@@ -76,6 +77,8 @@ class KForm(Record):
         if degree < 0:
             raise ValueError("degree must be non-negative")
         for idxs, value in coeffs:
+            if not isinstance(idxs, tuple):
+                raise TypeError(f"index {idxs!r} is not a tuple")
             if len(idxs) != degree:
                 raise ValueError(f"coefficient tuple {idxs} has wrong length")
             if any(not 0 <= i < dim for i in idxs):
@@ -86,6 +89,8 @@ class KForm(Record):
                 raise TypeError(f"not an exact scalar: {value!r}")
             if scalar(value) == 0:  # scalar refuses a bool, a float and any other inexact value
                 raise ValueError("zero coefficients must be dropped")
+        if any(a >= b for (a, _), (b, _) in zip(coeffs, coeffs[1:])):
+            raise ValueError("index tuples must be given once each, in increasing order")
         self.__dict__.update(dim=dim, degree=degree, coeffs=coeffs)
 
     @classmethod

@@ -6,17 +6,18 @@ Fractions, matrices are tuples of row tuples; the eliminations also take
 rows of plain integers. Nothing here mutates its inputs, so every value is
 safe to share across threads.
 
-All elimination runs in one fraction-free integer kernel, _eliminate, on
-primitive integer rows that become Fractions once, at the end; a row of
-plain ints has no denominators to clear. nullspace is one elimination with
-the columns reversed, whose free-variable basis is already the canonical
-(row-reduced) one, so a homogeneous solve_affine is a single elimination
-too. An inhomogeneous solve_affine runs only the forward pass on the
-augmented system and back-substitutes its last column, 0 at every free
+Every elimination but positive_definite's runs in one fraction-free integer
+kernel, _eliminate, on primitive integer rows that become Fractions once, at
+the end; a row of plain ints has no denominators to clear. nullspace is one
+elimination with the columns reversed, whose free-variable basis is already
+the canonical (row-reduced) one, so a homogeneous solve_affine is a single
+elimination too. An inhomogeneous solve_affine runs only the forward pass on
+the augmented system and back-substitutes its last column, 0 at every free
 column: the canonical particular solution. Its canonical null basis is the
 nullspace of the rows that pass ran on, which span the row space.
-positive_definite reads every leading minor's sign from one forward pass
-without row exchanges.
+positive_definite reads every leading minor's sign from its own
+Schur-complement sweep without row exchanges, which keeps only the upper
+triangle of a symmetric matrix.
 
 nullspace and solve_affine reduce a tall system, one with at least 8
 columns and at least twice as many rows as columns (the Leibniz systems of
@@ -186,7 +187,7 @@ def int_mul(a: Iterable[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list
 
 def vector_over(ints: Sequence[int], d: int) -> Vector:
     """The vector ints / d, one Fraction per nonzero coordinate."""
-    return tuple(Fraction(x, d) if x else ZERO for x in ints)
+    return tuple([Fraction(x, d) if x else ZERO for x in ints])
 
 
 def slot_width(bound: int) -> int:
@@ -225,18 +226,16 @@ def unpack(p: int, n: int, width: int) -> list[int]:
     return out
 
 
-def _eliminate(
-    rows: Sequence[Vector], reduce: bool = True, swap: bool = True
-) -> tuple[list[list[int]], list[int], list[int], list[int]]:
+def _eliminate(rows: Sequence[Vector], reduce: bool = True) -> tuple[list[list[int]], list[int], list[int], list[int]]:
     """Fraction-free Gaussian elimination on primitive integer rows: a forward pass, then, if reduce,
     a back pass to the reduced echelon form.
 
     Forward, per column the row with the smallest usable pivot p moves up, and clear makes each row
-    below with entry f there (p/g*row - f/g*pivot_row) / content, g = gcd(p, f); without swap the
-    pass stops at the first zero on the diagonal. Then pivot row k of work is num[k]/den[k] times the
-    row Fraction elimination with the same exchanges (signs folded into num) would hold. The back
-    pass clears above each pivot from the last one up, when its row is 0 at every later pivot: an
-    update touches only that row's pivot and free columns.
+    below with entry f there (p/g*row - f/g*pivot_row) / content, g = gcd(p, f). Then pivot row k of
+    work is num[k]/den[k] times the row Fraction elimination with the same exchanges (signs folded
+    into num) would hold. The back pass clears above each pivot from the last one up, when its row
+    is 0 at every later pivot: an update touches only that row's pivot and free columns.
+    positive_definite, which reads leading minors and so must not exchange rows, runs its own sweep.
     """
     work, num, den = [], [], []
     for row in rows:
@@ -269,9 +268,9 @@ def _eliminate(
 
     for c in range(ncols):
         r = len(pivots)
-        if r == nrows or not (swap or work[r][c]):
+        if r == nrows:
             break
-        usable = [i for i in range(r, nrows if swap else r + 1) if work[i][c]]
+        usable = [i for i in range(r, nrows) if work[i][c]]
         if not usable:
             continue
         pr = min(usable, key=lambda i: abs(work[i][c]))
@@ -571,16 +570,33 @@ def sub_pfaffians(a: Sequence[Sequence[int]]) -> list[int]:
 def positive_definite(m: Matrix) -> tuple[bool, int | None]:
     """Sylvester's criterion; returns (ok, first failing minor size).
 
-    While minors 1..k-1 are positive, rows are only scaled by positive
-    factors, so pivot k has the sign of minor k; a zero pivot ends the pass.
+    One Schur-complement sweep without row exchanges on m cleared to integers
+    (``int_matrix``). Step k divides the block of rows k.. by the gcd of the
+    entries it keeps (m's own content at k = 0), so the entries stay about
+    as wide as the minors, and then, with pivot p = a_kk > 0, makes each
+    trailing row i p*row_i - f*row_k. Every scale is positive, so while
+    minors 1..k are positive the pivot k+1 has the sign of minor k+1, and
+    the first pivot that is not positive names the failing minor. A
+    symmetric m keeps its trailing block symmetric, so only the upper
+    triangle is kept, row i from column i on, with f = a_ki; any other
+    square m keeps row i from column k+1 on, with f = a_ik.
     """
     _check_square(m)
-    work, pivots, _, _ = _eliminate(m, reduce=False, swap=False)
-    for k, (row, c) in enumerate(zip(work, pivots), start=1):
-        if row[c] < 0:
-            return False, k
-    if len(pivots) < len(m):
-        return False, len(pivots) + 1
+    rows, _ = int_matrix(m)
+    upper = rows == [list(col) for col in zip(*rows)]
+    rows = [row[i if upper else 0 :] for i, row in enumerate(rows)]  # symmetric: row i from its diagonal on
+    for k in range(len(rows)):
+        g = gcd(*[x for row in rows for x in row])
+        if g > 1:
+            rows = [[x // g for x in row] for row in rows]
+        p, top = rows[0][0], rows[0]
+        if p <= 0:
+            return False, k + 1
+        trailing = []
+        for t, row in enumerate(rows[1:], 1):
+            f, row, pivot_row = (top[t], row, top[t:]) if upper else (row[0], row[1:], top[1:])
+            trailing.append([p * x - f * y for x, y in zip(row, pivot_row)])
+        rows = trailing
     return True, None
 
 

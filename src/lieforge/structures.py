@@ -31,7 +31,10 @@ skip their O(n^3) products, as each check derives: with J^2 = -Id,
 omega(J., J.) = omega is the symmetry of omega J; with alpha o Phi = 0 and
 Phi^2 = xi (x) alpha - Id, g(., Phi .) = d(alpha) is d(alpha) xi = 0, and
 then g(Phi., Phi.) = g - alpha (x) alpha is the symmetry of g. The two
-checks share their metric items and ``metric_row_*`` notes.
+checks share their metric items and ``metric_row_*`` notes
+(``_metric_checks``): the metric's leading minors come from the symmetric
+sweep of ``linalg.positive_definite``, and its Fractions are built once for
+each pair of mirrored entries.
 
 A Frobenius, Kahler or Sasakian structure returned by its ``check_*``
 function is bound to the algebra it was checked on (its ``algebra``
@@ -261,9 +264,12 @@ def _metric_checks(
     g: LieAlgebra, metric: list[list[int]], dm: int, asymmetry: str
 ) -> tuple[tuple[CheckItem, CheckItem], Matrix, tuple[tuple[str, str], ...]]:
     """The symmetry and definiteness items of the metric ``metric``/dm, with ``asymmetry`` the
-    witness of the first, the metric as Fractions and its ``metric_row_*`` notes."""
-    n = g.dim
-    symmetric = all(metric[i][j] == metric[j][i] for i in range(n) for j in range(i))
+    witness of the first, the metric as Fractions and its ``metric_row_*`` notes.
+
+    Each pair of equal entries (i, j), (j, i) gets one Fraction: row i reuses those of rows j < i
+    where it mirrors them and builds the rest as ``vector_over`` does. The notes are ``fmt_vector``
+    over the dual labels, built once, so their text is that of ``fmt_dual``."""
+    symmetric = metric == [list(col) for col in zip(*metric)]
     pos, minor = positive_definite(metric)
     items = (
         passed("metric_symmetric", symmetric, asymmetry),
@@ -273,9 +279,13 @@ def _metric_checks(
             f"leading {minor}x{minor} minor is not positive" if not pos else "metric not symmetric",
         ),
     )
-    rows = tuple(vector_over(row, dm) for row in metric)
-    notes = tuple((f"metric_row_{label}", fmt_dual(row, g.labels)) for label, row in zip(g.labels, rows))
-    return items, rows, notes
+    rows: list[Vector] = []
+    for i, (row, col) in enumerate(zip(metric, zip(*metric))):  # col[j] is entry (j, i), rows[j][i] its Fraction
+        mirrored = [rows[j][i] if j < i and x == col[j] else Fraction(x, dm) if x else ZERO for j, x in enumerate(row)]
+        rows.append(tuple(mirrored))
+    dual = [f"{label}*" for label in g.labels]
+    notes = tuple((f"metric_row_{label}", fmt_vector(row, dual)) for label, row in zip(g.labels, rows))
+    return items, tuple(rows), notes
 
 
 def check_kahler(g: LieAlgebra, j: Matrix, omega: KForm) -> tuple[CheckReport, KahlerStructure | None]:

@@ -35,6 +35,11 @@ nijenhuis_ints and compares it with -d(alpha) (x) xi
 coordinate by coordinate, as check_sasakian did before its packed test.
 Both read d(alpha) from ``ce_differential`` too, not from the integer
 ``forms._dalpha`` of the fast paths, so a fault there shows.
+
+The metric items of check_kahler and check_sasakian decide positive
+definiteness with linalg_oracle.positive_definite, a determinant per leading
+minor, not with the sweep of linalg.positive_definite, and build each row of
+the metric and each ``metric_row_*`` note on its own.
 """
 
 from __future__ import annotations
@@ -67,7 +72,6 @@ from lieforge.linalg import (
     mat_mul,
     mat_vec,
     nullspace,
-    positive_definite,
     solve_affine,
     transpose,
     vec_add,
@@ -86,7 +90,7 @@ from lieforge.structures import (
 )
 
 import algebra_oracle
-from linalg_oracle import pfaffian
+from linalg_oracle import pfaffian, positive_definite
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:

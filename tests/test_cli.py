@@ -706,11 +706,12 @@ def test_construct_checks_each_structure_once(argv, expected, monkeypatch):
     assert dict(counts) == expected
 
 
-# (linalg._eliminate, linalg.sub_pfaffians) calls of each corpus command in text mode. Each matrix
-# is eliminated once, and the contact and Frobenius checks eliminate nothing: check_contact reads
-# its Pfaffian and Reeb vector, and a passing check_frobenius its principal element, off one skew
-# elimination (sub_pfaffians); theorems.kernel_basis writes Ker(alpha) down; sasakian_reduction
-# tests the center and reads coordinates against reduced bases. 25 and 9 in all.
+# (eliminations, linalg.sub_pfaffians calls) of each corpus command in text mode, an elimination a
+# call of linalg._eliminate or of the sweep of linalg.positive_definite. Each matrix is eliminated
+# once, and the contact and Frobenius checks eliminate nothing: check_contact reads its Pfaffian
+# and Reeb vector, and a passing check_frobenius its principal element, off one skew elimination
+# (sub_pfaffians); theorems.kernel_basis writes Ker(alpha) down; sasakian_reduction tests the
+# center and reads coordinates against reduced bases. 25 and 9 in all.
 ELIMINATIONS = {
     "check jacobi --builtin h3": (0, 0),
     "check cocycle --builtin h3 --two-form e1^e2": (0, 0),
@@ -741,15 +742,18 @@ ELIMINATIONS = {
 
 
 def counting_kernels(monkeypatch):
-    """Patch linalg._eliminate and every binding of linalg.sub_pfaffians to log their calls."""
+    """Patch linalg._eliminate and every binding of linalg.sub_pfaffians and linalg.positive_definite
+    to log their calls."""
     import lieforge.linalg
 
     calls = []
-    eliminate, kernel = lieforge.linalg._eliminate, lieforge.linalg.sub_pfaffians
+    eliminate = lieforge.linalg._eliminate
     monkeypatch.setattr(lieforge.linalg, "_eliminate", lambda *args, **kw: calls.append("eliminate") or eliminate(*args, **kw))
-    for name, module in list(sys.modules.items()):
-        if name.startswith("lieforge") and getattr(module, "sub_pfaffians", None) is kernel:
-            monkeypatch.setattr(module, "sub_pfaffians", lambda *args: calls.append("sub_pfaffians") or kernel(*args))
+    for kernel in (lieforge.linalg.sub_pfaffians, lieforge.linalg.positive_definite):
+        for name, module in list(sys.modules.items()):
+            if name.startswith("lieforge") and getattr(module, kernel.__name__, None) is kernel:
+                logged = lambda *args, kernel=kernel: calls.append(kernel.__name__) or kernel(*args)
+                monkeypatch.setattr(module, kernel.__name__, logged)
     return calls
 
 
@@ -759,7 +763,8 @@ def test_corpus_elimination_budget(monkeypatch):
     for entry in json.loads(CORPUS.read_text(encoding="utf-8"))["commands"]:
         calls.clear()
         run(entry["argv"])
-        counts[" ".join(entry["argv"])] = (calls.count("eliminate"), calls.count("sub_pfaffians"))
+        eliminations = calls.count("eliminate") + calls.count("positive_definite")
+        counts[" ".join(entry["argv"])] = (eliminations, calls.count("sub_pfaffians"))
     assert counts == ELIMINATIONS
 
 

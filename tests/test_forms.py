@@ -288,6 +288,20 @@ def test_kform_constructor_validation():
     assert KForm.from_coeffs(3, 2, {(0, 1): 0}).is_zero()
 
 
+@pytest.mark.parametrize(
+    "degree, coeffs, error",
+    [
+        (1, (((2,), 1), ((2,), 3)), ValueError),  # given twice: coeff read 3, describe printed both
+        (2, (((1, 2), 1), ((0, 1), 3)), ValueError),  # out of order: unequal to the from_coeffs form
+        (1, (([2], 1),), TypeError),  # a list: coeff raised "unhashable type"
+    ],
+    ids=["repeated", "unordered", "list"],
+)
+def test_kform_refuses_repeated_unordered_or_untupled_indices(degree, coeffs, error):
+    with pytest.raises(error):
+        KForm(3, degree, coeffs)
+
+
 @pytest.mark.parametrize("value", [0.1, 1.0, True, "1/2", None, 1j])
 def test_kform_refuses_inexact_coefficients(value):
     # a float would otherwise reach the solvers as its binary expansion

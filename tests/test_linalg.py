@@ -337,9 +337,38 @@ def test_det_matches_oracle(m):
     assert det(m) == oracle.det(m)
 
 
+def ldu(lower, d, upper):
+    """L diag(d) U. With L unit lower and U unit upper triangular, leading minor k is d_1 ... d_k,
+    so the first zero or negative d_k fails minor k whatever follows; U = L^T makes it symmetric."""
+    n = len(d)
+    return tuple(
+        tuple(sum((lower[i][t] * d[t] * upper[t][j] for t in range(n)), Fraction(0)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def unit_triangular(entries, lower):
+    """The unit lower (or upper) triangular part of a square matrix of entries."""
+    n = len(entries)
+    return tuple(
+        tuple(entries[i][j] if (j < i if lower else j > i) else Fraction(int(i == j)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def leading_minors_verdict(d):
+    """The (ok, first failing minor) of L diag(d) U, read off the running products of d."""
+    minor = Fraction(1)
+    for k, x in enumerate(d, start=1):
+        minor *= x
+        if minor <= 0:
+            return False, k
+    return True, None
+
+
 @settings(max_examples=200, deadline=None)
-@given(matrices(square=True), st.integers(-3, 3))
-def test_positive_definite_matches_oracle(m, shift):
+@given(matrices(square=True), st.integers(-3, 3), st.data())
+def test_positive_definite_matches_oracle(m, shift, data):
     # M^T M + shift*I: positive definite, semidefinite or indefinite, with
     # negative and zero pivots at every position.
     n = len(m)
@@ -352,6 +381,54 @@ def test_positive_definite_matches_oracle(m, shift):
     )
     assert positive_definite(gram) == oracle.positive_definite(gram)
     assert positive_definite(m) == oracle.positive_definite(m)
+    # L D L^T (the symmetric sweep) and L D U (the general one) from the entries of m, with a drawn
+    # diagonal: positive, or with a zero or negative entry at any position
+    diagonal_entries = st.one_of(st.sampled_from([1, 2, 0, -1]).map(Fraction), SMALL, WIDE)
+    d = data.draw(st.lists(diagonal_entries, min_size=n, max_size=n))
+    lower = unit_triangular(m, lower=True)
+    for upper in (tuple(zip(*lower)), unit_triangular(m, lower=False)):
+        a = ldu(lower, d, upper)
+        assert positive_definite(a) == oracle.positive_definite(a) == leading_minors_verdict(d)
+        if all(x.denominator == 1 for row in a for x in row):  # the integer rows _metric_checks passes
+            assert positive_definite([[int(x) for x in row] for row in a]) == leading_minors_verdict(d)
+
+
+@pytest.mark.parametrize("bad", [0, -1, Fraction(-2, 3)])
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_positive_definite_fails_at_each_pivot(n, bad):
+    # a zero or negative d_k at each position k of L D L^T and of a non-symmetric L D U, over integer
+    # and Fraction L: the sweep names minor k, as the oracle does; with every d_k positive, it passes
+    rng = random.Random(n)
+    for k in [None, *range(n)]:
+        for den in (1, 3):
+            entries = [[Fraction(rng.randint(-3, 3), rng.randint(1, den)) for _ in range(n)] for _ in range(n)]
+            lower = unit_triangular(entries, lower=True)
+            d = [Fraction(rng.randint(1, 4)) for _ in range(n)]
+            if k is not None:
+                d[k] = Fraction(bad)
+            expected = (True, None) if k is None else (False, k + 1)
+            for upper in (tuple(zip(*lower)), unit_triangular(entries, lower=False)):
+                a = ldu(lower, d, upper)
+                assert positive_definite(a) == oracle.positive_definite(a) == expected
+                if all(x.denominator == 1 for row in a for x in row):
+                    assert positive_definite([[int(x) for x in row] for row in a]) == expected
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9])
+def test_positive_definite_matches_oracle_on_sasakian_metrics(m):
+    # the metric check_sasakian decides on dense h7..h19, as Fractions and over one denominator, then
+    # with its pivot at k = 0, n/2 or n - 1 brought to 0 and below: minor k + 1 fails there
+    g, reeb, alpha, phi = conjugated_heisenberg_sasakian(m, 1)
+    metric = lf.check_sasakian(g, reeb, alpha, phi)[1].metric
+    n = len(metric)
+    assert positive_definite(metric) == oracle.positive_definite(metric) == (True, None)
+    assert positive_definite(linalg.int_matrix(metric)[0]) == (True, None)
+    for k in (0, n // 2, n - 1):
+        minor, previous = (oracle.det(tuple(row[:j] for row in metric[:j])) for j in (k + 1, k))
+        pivot = minor / previous
+        for drop in (pivot, 2 * pivot):
+            a = tuple(tuple(x - drop if i == j == k else x for j, x in enumerate(row)) for i, row in enumerate(metric))
+            assert positive_definite(a) == oracle.positive_definite(a) == (False, k + 1)
 
 
 @st.composite
@@ -679,9 +756,9 @@ def test_a_tall_affine_solve_runs_one_forward_pass_and_one_null_basis_eliminatio
     calls = []
     eliminate = linalg._eliminate
 
-    def spy(rows, reduce=True, swap=True):
+    def spy(rows, reduce=True):
         calls.append((len(rows), len(rows[0]), reduce))
-        return eliminate(rows, reduce, swap)
+        return eliminate(rows, reduce)
 
     monkeypatch.setattr(linalg, "_eliminate", spy)
     got = solve_affine(rows, rhs)

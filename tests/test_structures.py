@@ -20,11 +20,22 @@ from lieforge import (
     principal_element,
 )
 from lieforge.forms import _dalpha, _top_contact, one_form_coords
-from lieforge.linalg import identity, int_matrix, matrix, slot_width, unpack, vec_scale, zero_matrix
-from lieforge.report import DimensionMismatch, PreconditionError
-from lieforge.structures import _packed_torsion
+from lieforge.linalg import (
+    fmt_dual,
+    identity,
+    int_matrix,
+    matrix,
+    slot_width,
+    unpack,
+    vec_scale,
+    vector_over,
+    zero_matrix,
+)
+from lieforge.report import DimensionMismatch, PreconditionError, passed
+from lieforge.structures import _metric_checks, _packed_torsion
 
 import algebra_oracle as oracle
+import linalg_oracle
 import structures_oracle
 from strategies import (
     BIG_RATIONALS,
@@ -493,6 +504,41 @@ def test_implied_identities_skip_their_products(case, monkeypatch):
     call, overall, products = METRIC_PRODUCTS[case]
     assert call()[0].overall == overall
     assert len(calls) == products
+
+
+@st.composite
+def integer_metrics(draw):
+    """(n x n integer metric, denominator): symmetric, symmetric with a few entries changed, or drawn
+    entry by entry, so that rows mirror all, some or none of the entries above them."""
+    n = draw(st.integers(1, 6))
+    entries = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(10**20), 10**20))
+    metric = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        metric = [[metric[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        for _ in range(draw(st.integers(0, 2))):
+            metric[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(entries)
+    return metric, draw(st.sampled_from([1, 2, 6, 10**15]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_metrics())
+def test_metric_checks_mirror_the_full_build(case):
+    # one Fraction per mirrored pair: the rows are vector_over of every row, the notes fmt_dual's, and
+    # the items those of the transpose test and the minor oracle
+    metric, dm = case
+    n = len(metric)
+    g = LieAlgebra.abelian(n)
+    items, rows, notes = _metric_checks(g, metric, dm, "not symmetric")
+    assert rows == tuple(vector_over(row, dm) for row in metric)
+    assert notes == tuple((f"metric_row_{label}", fmt_dual(row, g.labels)) for label, row in zip(g.labels, rows))
+    assert all(rows[i][j] is rows[j][i] for i in range(n) for j in range(i) if metric[i][j] == metric[j][i])
+    symmetric = metric == [list(col) for col in zip(*metric)]
+    pos, minor = linalg_oracle.positive_definite(matrix(metric))
+    witness = f"leading {minor}x{minor} minor is not positive" if not pos else "metric not symmetric"
+    assert items == (
+        passed("metric_symmetric", symmetric, "not symmetric"),
+        passed("metric_positive_definite", symmetric and pos, witness),
+    )
 
 
 @pytest.mark.parametrize(

@@ -203,6 +203,19 @@ def _g0_conjugated_phi():
     return check_sasakian(g, reeb, alpha, phi)[0]
 
 
+def _h3_unsymmetric_metric():
+    """h3 with Phi = [[-1, -1, 0], [1, 2, 0], [0, 0, 0]]: the metric [[1, 2, 0], [1, 1, 0], [0, 0, 1]] is not
+    symmetric, and its leading 2x2 minor is -1."""
+    reeb, alpha, _ = H3.sasakian_data
+    return check_sasakian(H3.algebra, reeb, alpha, matrix([[-1, -1, 0], [1, 2, 0], [0, 0, 0]]))[0]
+
+
+def _d4half_unsymmetric_metric():
+    """d4half with J e3 = e1 - e4 added to its J: omega J is not symmetric, and its leading 3x3 minor is -1."""
+    j = matrix([[0, -1, 1, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    return check_kahler(D4.algebra, j, D4.kahler_data[1])[0]
+
+
 # name -> (call returning a report, failing item)
 FAILING_ITEMS = {
     "cocycle_phi_pairing": (lambda: _conditions(G5, G5_THETA, G5_D), "cocycle_phi_pairing"),
@@ -213,6 +226,8 @@ FAILING_ITEMS = {
     "phi_well_defined": (_r2r2_restriction, "phi_well_defined"),
     "metric_reproduces_dalpha": (_h3_moved_reeb, "metric_reproduces_dalpha"),
     "metric_phi_isometry": (_g0_conjugated_phi, "metric_phi_isometry"),
+    "sasakian_metric_positive_definite": (_h3_unsymmetric_metric, "metric_positive_definite"),
+    "kahler_metric_positive_definite": (_d4half_unsymmetric_metric, "metric_positive_definite"),
 }
 
 WITNESSES = {
@@ -224,6 +239,8 @@ WITNESSES = {
     "phi_well_defined": "J(kernel part of e4) has x_P component 1",
     "metric_reproduces_dalpha": "g(x, Phi y) != d(alpha)(x,y)",
     "metric_phi_isometry": "g(Phi x, Phi y) != g(x,y) - alpha(x)alpha(y)",
+    "sasakian_metric_positive_definite": "leading 2x2 minor is not positive",
+    "kahler_metric_positive_definite": "leading 3x3 minor is not positive",
 }
 
 # name -> call returning the obstruction report
