@@ -13,16 +13,16 @@ __version__ = "0.1.0"
 
 # The public names, by home module.
 _EXPORTS = {
-    "algebra": "LieAlgebra Subspace bracket center check_jacobi",
+    "algebra": "LieAlgebra Subspace center check_jacobi",
     "catalog": "BUILTINS Builtin builtin",
     "derivations": "Commute FormEigen Leibniz Sends derivation_space is_derivation",
     "extensions": "ExtensionResult central_extension derivation_extension double_extension is_cocycle "
     "lift_one_form reversed_double_extension",
-    "forms": "KForm ce_differential evaluation_sign kirillov_form radical",
+    "forms": "KForm evaluation_sign kirillov_form radical",
     "linalg": "Matrix Scalar Vector matrix scalar vector",
     "report": "CheckItem CheckReport DimensionMismatch LieforgeError PreconditionError",
-    "structures": "ContactStructure FrobeniusStructure KahlerStructure NijenhuisTable SasakianStructure "
-    "check_contact check_frobenius check_kahler check_sasakian nijenhuis principal_element",
+    "structures": "ContactStructure FrobeniusStructure KahlerStructure SasakianStructure check_contact "
+    "check_frobenius check_kahler check_sasakian principal_element",
     "theorems": "DoubleExtensionParams contact_ideal_restriction extend_complex_structure "
     "frobenius_kahler_to_sasakian kahler_extension_obstruction kahler_to_sasakian_central "
     "sasakian_double_extension sasakian_double_extension_conditions sasakian_reduction "

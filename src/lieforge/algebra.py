@@ -5,14 +5,13 @@ nonzero c_ijk of [e_i, e_j] = sum_k c_ijk e_k for i < j, sorted by (i, j)
 and then by k. This is the only stored form. The constructor validates the
 distinct labels and the sparse input, refusing a bracket or a target given
 twice, and builds the table, so antisymmetry holds by construction and two
-algebras with the same labels are equal exactly when their tables are; the
-dense tensor ``c`` is derived on first use. The
+algebras with the same labels are equal exactly when their tables are. The
 Jacobi identity is not enforced at construction, ``check_jacobi`` reports it.
 
-Brackets and Jacobi sums run on integers: each algebra caches D, the least
-common denominator of its structure constants, with the nonzero entries of
-D*c, read off the table, and their largest absolute value, and a result
-becomes Fractions once, one per output coordinate. Jacobi and the 2-cocycle
+Brackets (``_bracket_ints``) and Jacobi sums run on integers: each algebra
+caches D, the least common denominator of its structure constants, with the
+nonzero entries of D*c, read off the table, and their largest absolute
+value, and a result becomes Fractions once, one per output coordinate. Jacobi and the 2-cocycle
 test share one pairwise cyclic contraction (``_cyclic_failures``): per basis
 pair one packed sum (``linalg.pack``), O(n^3) big-int multiply-adds in all,
 and per triple three block reads and a test against 0. A triple that passes
@@ -34,8 +33,8 @@ from .linalg import (
     ScalarLike,
     Vector,
     ZERO,
+    _check_exact,
     _check_width,
-    clear_denominators,
     fmt_basis_tuple,
     fmt_vector,
     nullspace,
@@ -100,16 +99,6 @@ class LieAlgebra(Record):
         return cls(dim, (), labels)
 
     @cached_property
-    def c(self) -> tuple[tuple[Vector, ...], ...]:
-        """The dense antisymmetric tensor: c[i][j] is the vector [e_i, e_j]."""
-        n = self.dim
-        dense = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        for (i, j), entries in self.brackets:
-            for k, x in entries:
-                dense[i][j][k], dense[j][i][k] = x, -x
-        return tuple(tuple(map(tuple, plane)) for plane in dense)
-
-    @cached_property
     def _integer_terms(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...], int]:
         """(D, T, M): D is the least common denominator of the structure
         constants, T[i][j] lists the nonzero (k, D*c_ijk) of [e_i, e_j] and M is
@@ -130,14 +119,6 @@ class LieAlgebra(Record):
 def _items(data: Mapping | Iterable[tuple]) -> Iterable[tuple]:
     """The (key, value) pairs of a mapping, or the pairs given, repeats kept for the caller to refuse."""
     return data.items() if isinstance(data, Mapping) else data
-
-
-def bracket(g: LieAlgebra, x: Vector, y: Vector) -> Vector:
-    """[x, y] by bilinear expansion through the structure constants."""
-    _check_width((x, y), g.dim)
-    xs, dx = clear_denominators(x)
-    ys, dy = clear_denominators(y)
-    return vector_over(_bracket_ints(g, xs, ys), g._integer_terms[0] * dx * dy)
 
 
 def _bracket_ints(g: LieAlgebra, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
@@ -294,6 +275,7 @@ class Subspace(Record):
         """Is v in the span? The rows are reduced: v is iff it is the sum of its pivot entries times its rows."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch(f"vector of length {len(v)} in a space of dimension {self.ambient_dim}")
+        _check_exact(v)
         rest = list(v)
         for row in self.rows:
             f = rest[next(j for j, x in enumerate(row) if x)]

@@ -20,8 +20,7 @@ d(alpha) of a 1-form is built once per check, as an integer skew matrix
 over one denominator (``_dalpha``); the Kirillov form B_phi = -d(phi) of
 ``kirillov_form`` and the structure checks read it there (``_kirillov``).
 d(theta) of a 2-form comes from the pairwise cyclic contraction of
-``algebra._cyclic_failures`` (``_d_two_form``); ``ce_differential`` stays
-the general path.
+``algebra._cyclic_failures`` (``_d_two_form``). No other degree is needed.
 """
 
 from __future__ import annotations
@@ -49,22 +48,6 @@ from .linalg import (
     vector_over,
 )
 from .report import DimensionMismatch, Record
-
-
-def sort_index_tuple(idxs: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """(sign of the sorting permutation, sorted tuple); (0, ()) on repeated indices."""
-    if len(set(idxs)) != len(idxs):
-        return 0, ()
-    combined = list(idxs)
-    sign = 1
-    # insertion sort; count inversions
-    for i in range(1, len(combined)):
-        j = i
-        while j > 0 and combined[j - 1] > combined[j]:
-            combined[j - 1], combined[j] = combined[j], combined[j - 1]
-            sign = -sign
-            j -= 1
-    return sign, tuple(combined)
 
 
 class KForm(Record):
@@ -129,15 +112,6 @@ class KForm(Record):
     def coeff(self, idxs: tuple[int, ...]) -> Fraction:
         return self._table.get(idxs, ZERO)
 
-    def value_on_basis(self, idxs: Sequence[int]) -> Fraction:
-        """Evaluation on a tuple of basis vectors, any order, 0 on repeats."""
-        if len(idxs) != self.degree:
-            raise DimensionMismatch("wrong number of arguments")
-        sign, key = sort_index_tuple(idxs)
-        if sign == 0:
-            return ZERO
-        return sign * self._table.get(key, ZERO)
-
     def evaluate(self, vectors: Sequence[Vector]) -> Fraction:
         """Determinant-convention evaluation on k vectors."""
         if len(vectors) != self.degree:
@@ -195,28 +169,6 @@ def evaluation_sign(degree: int, convention: str) -> int:
     if convention == "paper":
         return -1 if (degree * (degree - 1) // 2) % 2 else 1
     raise ValueError(f"unknown convention {convention!r}")
-
-
-def ce_differential(g: LieAlgebra, form: KForm) -> KForm:
-    """Chevalley-Eilenberg differential, d(phi)(x,y) = -phi([x,y]) in degree 1."""
-    _check_form(form, g.dim)
-    k = form.degree
-    if k >= g.dim:
-        return KForm.zero(g.dim, k + 1)
-    table: dict[tuple[int, ...], Fraction] = {}
-    for idxs in combinations(range(g.dim), k + 1):
-        total = ZERO
-        for a in range(k + 1):
-            for b in range(a + 1, k + 1):
-                w = g.c[idxs[a]][idxs[b]]
-                rest = idxs[:a] + idxs[a + 1 : b] + idxs[b + 1 :]
-                sign = -1 if (a + b) % 2 else 1
-                for m, wm in enumerate(w):
-                    if wm != 0:
-                        total += sign * wm * form.value_on_basis((m,) + rest)
-        if total != 0:
-            table[idxs] = total
-    return KForm.from_coeffs(g.dim, k + 1, table)
 
 
 def _dalpha(g: LieAlgebra, coords: Sequence[Fraction]) -> tuple[list[list[int]], int]:

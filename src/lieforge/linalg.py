@@ -1,10 +1,11 @@
 """Exact rational linear algebra on immutable tuples.
 
 Scalars are fractions.Fraction (canonical reduced form, positive
-denominator); floats are rejected at the boundary. Vectors are tuples of
-Fractions, matrices are tuples of row tuples; the eliminations also take
-rows of plain integers. Nothing here mutates its inputs, so every value is
-safe to share across threads.
+denominator); floats are rejected at the boundary, by scalar and by
+clear_denominators, through which every integer kernel reads its entries.
+Vectors are tuples of Fractions, matrices are tuples of row tuples; the
+eliminations also take rows of plain integers. Nothing here mutates its
+inputs, so every value is safe to share across threads.
 
 Every elimination but positive_definite's runs in one fraction-free integer
 kernel, _eliminate, on primitive integer rows that become Fractions once, at
@@ -149,19 +150,29 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in m)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in bt) for row in a)
-
-
 def column(m: Matrix, j: int) -> Vector:
     return tuple(row[j] for row in m)
 
 
-def clear_denominators(v: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(ints, d) with v == ints / d, d the least common denominator of v; ints is a new list."""
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
+def _check_exact(v: Sequence) -> None:
+    """Refuses, with the TypeError of ``scalar``, an entry of v that is neither an int nor a Fraction;
+    only a vector with an entry of another type (a subclass of int included) is tested entry by entry."""
+    if _EXACT_TYPES.issuperset(map(type, v)):
+        return
+    for x in v:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"not an exact scalar: {x!r}")
+
+
+def clear_denominators(v: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """(ints, d) with v == ints / d, d the least common denominator of v; ints is a new list.
+    An entry that is neither an int nor a Fraction is refused: a float has an integer ratio too."""
     if all(map(int.__instancecheck__, v)):
         return list(v), 1
+    _check_exact(v)
     ratios = [x.as_integer_ratio() for x in v]
     d = lcm(*[q for _, q in ratios])
     return [p * (d // q) for p, q in ratios], d
@@ -492,6 +503,7 @@ def solve_affine(rows: Sequence[Vector], rhs: Sequence[Fraction]) -> tuple[Vecto
     _check_width(rows, ncols)
     if len(rhs) != len(rows):
         raise DimensionMismatch(f"{len(rhs)} right-hand sides for {len(rows)} equations")
+    _check_exact(rhs)
     if not any(rhs):
         return zero_vector(ncols), nullspace(rows, ncols)
     return _row_reduce([tuple(r) + (b,) for r, b in zip(rows, rhs)], lambda kept: _affine(kept, ncols))

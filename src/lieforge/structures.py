@@ -18,9 +18,8 @@ Frobenius check read the Reeb vector, its certificate and the principal
 element off one skew elimination (``linalg.sub_pfaffians``, see
 ``check_contact`` and ``_principal``), with no Gauss-Jordan solve.
 
-Both read the Nijenhuis torsion as integers, not through the public
-``nijenhuis``, which builds a Fraction table. ``_packed_torsion`` packs each
-integer vector into one int (``linalg.pack``): O(n^3) big-int multiply-adds
+Both read the Nijenhuis torsion as integers: ``_packed_torsion`` packs each
+integer vector into one int (``linalg.pack``), O(n^3) big-int multiply-adds
 in all, and one unpack per basis pair. It starts from the packed Leibniz
 defect of ``algebra._leibniz_defects``, which ``derivations.is_derivation``
 tests against 0 by itself. ``check_kahler`` tests each packed pair against 0
@@ -70,7 +69,6 @@ from .linalg import (
     int_apply,
     int_matrix,
     int_mul,
-    is_zero_vector,
     nullspace,
     pack,
     positive_definite,
@@ -99,18 +97,6 @@ class KahlerStructure(Record):
 class SasakianStructure(Record):
     _fields = ("reeb", "alpha", "phi", "metric")
     algebra: LieAlgebra | None = None
-
-
-class NijenhuisTable(Record):
-    """Antisymmetric table of torsion values N(e_i, e_j)."""
-
-    _fields = ("dim", "entries")
-
-    def value(self, i: int, j: int) -> Vector:
-        return self.entries[i][j]
-
-    def is_zero(self) -> bool:
-        return all(is_zero_vector(v) for row in self.entries for v in row)
 
 
 def _bind(structure, g: LieAlgebra):
@@ -193,27 +179,6 @@ def check_contact(g: LieAlgebra, alpha: KForm) -> tuple[CheckReport, ContactStru
         ),
     )
     return report, ContactStructure(alpha, reeb)
-
-
-def nijenhuis(g: LieAlgebra, a: Matrix) -> NijenhuisTable:
-    """Torsion N_A(x,y) = A^2[x,y] + [Ax,Ay] - A[x,Ay] - A[Ax,y].
-
-    When A^2 = -Id this is the classical Nijenhuis tensor of an almost
-    complex structure (leading term -[x,y]).
-
-    Runs on integers over da^2*D, da the common denominator of A and D that
-    of the structure constants: every pair of ``_packed_torsion`` unpacked.
-    """
-    _check_square(a, g.dim)
-    n = g.dim
-    ai, da = int_matrix(a)
-    width, _, torsion = _packed_torsion(g, ai)
-    den = da * da * g._integer_terms[0]
-    table = [[(ZERO,) * n] * n for _ in range(n)]
-    for (i, j), packed in torsion.items():
-        table[i][j] = vector_over(unpack(packed, n, width), den)
-        table[j][i] = tuple(-x for x in table[i][j])
-    return NijenhuisTable(n, tuple(tuple(row) for row in table))
 
 
 def _packed_torsion(

@@ -15,8 +15,8 @@ is its first failure in basis order (``_first_mismatch``,
 ``_first_nonzero_pair``).
 
 The conditions and maps run on integers: a map is its integer matrix over one
-denominator (``linalg.int_matrix``), a bracket the integer core of
-``algebra.bracket``. phi o D = 0, alpha o D = alpha, [D, J] = 0, J^2 = -Id and
+denominator (``linalg.int_matrix``), a bracket D times the bracket of
+integer vectors (``algebra._bracket_ints``). phi o D = 0, alpha o D = alpha, [D, J] = 0, J^2 = -Id and
 [ad(xi), Phi] = 0 are integer products; a condition "two maps agree on a
 basis" forms the integer difference of the maps once and tests each basis
 vector as one product, and a pairing condition tests each basis pair as one.

@@ -4,9 +4,12 @@ These are the straightforward Fraction-arithmetic versions of bracket,
 jacobi_residual, check_jacobi and nijenhuis that the integer
 structure-constant kernels in lieforge.algebra and lieforge.structures
 replaced, and adjoint, the matrix of ad(x) from bracket, which the tests use
-to build inner derivations. They are slow but obviously correct; tests/test_algebra.py and
-tests/test_structures.py check that the fast paths return exactly the same
-values, witnesses included.
+to build inner derivations. bracket expands bilinearly, x_i y_j [e_i, e_j]
+for every pair of nonzero coordinates, and nijenhuis returns every pair's
+torsion as a NijenhuisTable. They are slow but obviously correct;
+tests/test_algebra.py and tests/test_structures.py check that the fast paths
+(algebra._bracket_ints, algebra._jacobi_failures, structures._packed_torsion)
+return exactly the same values, witnesses included.
 
 jacobi_residual_ints is the plain integer loop over the cached D*c that the
 packed Jacobi kernel replaced: one multiply-add per coefficient.
@@ -17,6 +20,8 @@ triple's from one call of it.
 dense_tensor and integer_terms are the dense structure-constant path that
 the bracket table replaced: the full antisymmetric tensor filled from the
 sparse i < j data, and the n^3 scan of it that clears the denominators.
+dense_c is that tensor for an algebra, c[i][j] = [e_i, e_j], which the tests
+compare algebras by and the other oracles read structure constants from.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from lieforge.linalg import (
     fmt_basis_tuple,
     fmt_vector,
     is_zero_vector,
-    mat_mul,
     mat_vec,
     scalar,
     transpose,
@@ -43,8 +47,21 @@ from lieforge.linalg import (
     vec_sub,
     zero_vector,
 )
-from lieforge.report import CheckReport, DimensionMismatch, fail, ok
-from lieforge.structures import NijenhuisTable
+from lieforge.report import CheckReport, DimensionMismatch, Record, fail, ok
+
+from linalg_oracle import mat_mul
+
+
+class NijenhuisTable(Record):
+    """Antisymmetric table of torsion values N(e_i, e_j)."""
+
+    _fields = ("dim", "entries")
+
+    def value(self, i: int, j: int) -> Vector:
+        return self.entries[i][j]
+
+    def is_zero(self) -> bool:
+        return all(is_zero_vector(v) for row in self.entries for v in row)
 
 
 def dense_tensor(dim: int, brackets) -> tuple[tuple[Vector, ...], ...]:
@@ -56,6 +73,11 @@ def dense_tensor(dim: int, brackets) -> tuple[tuple[Vector, ...], ...]:
             table[i][j][k] = v
             table[j][i][k] = -v
     return tuple(tuple(tuple(row) for row in plane) for plane in table)
+
+
+def dense_c(g: LieAlgebra) -> tuple[tuple[Vector, ...], ...]:
+    """The dense antisymmetric tensor of g: c[i][j] is the vector [e_i, e_j]."""
+    return dense_tensor(g.dim, g.brackets)
 
 
 def integer_terms(c: tuple[tuple[Vector, ...], ...]) -> tuple[int, tuple, int]:
@@ -70,18 +92,20 @@ def integer_terms(c: tuple[tuple[Vector, ...], ...]) -> tuple[int, tuple, int]:
 
 
 def bracket(g: LieAlgebra, x: Vector, y: Vector) -> Vector:
-    """[x, y] by bilinear expansion through the structure constants."""
+    """[x, y] by bilinear expansion through the structure constants: x_i y_j [e_i, e_j] summed
+    over the nonzero coordinates, i != j, with [e_i, e_j] read off the bracket table and
+    negated when i > j."""
     if len(x) != g.dim or len(y) != g.dim:
         raise DimensionMismatch("vector length does not match algebra dimension")
-    out = zero_vector(g.dim)
+    table = dict(g.brackets)
+    out = [ZERO] * g.dim
     for i, xi in enumerate(x):
-        if xi == 0:
-            continue
         for j, yj in enumerate(y):
-            if yj == 0 or i == j:
-                continue
-            out = vec_add(out, vec_scale(xi * yj, g.c[i][j]))
-    return out
+            if xi and yj and i != j:
+                f = xi * yj if i < j else -xi * yj
+                for k, c in table.get((min(i, j), max(i, j)), ()):
+                    out[k] += f * c
+    return tuple(out)
 
 
 def adjoint(g: LieAlgebra, x: Vector) -> Matrix:
@@ -91,9 +115,10 @@ def adjoint(g: LieAlgebra, x: Vector) -> Matrix:
 
 def jacobi_residual(g: LieAlgebra, i: int, j: int, k: int) -> Vector:
     """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]."""
-    r = bracket(g, g.c[i][j], g.basis_vector(k))
-    r = vec_add(r, bracket(g, g.c[j][k], g.basis_vector(i)))
-    return vec_add(r, bracket(g, g.c[k][i], g.basis_vector(j)))
+    e = g.basis_vector
+    r = bracket(g, bracket(g, e(i), e(j)), e(k))
+    r = vec_add(r, bracket(g, bracket(g, e(j), e(k)), e(i)))
+    return vec_add(r, bracket(g, bracket(g, e(k), e(i)), e(j)))
 
 
 def packed_jacobi_residual(g: LieAlgebra, i: int, j: int, k: int) -> Vector:
@@ -151,7 +176,7 @@ def nijenhuis(g: LieAlgebra, a: Matrix) -> NijenhuisTable:
         table[i][i] = (ZERO,) * n
     for i in range(n):
         for j in range(i + 1, n):
-            value = mat_vec(a2, g.c[i][j])
+            value = mat_vec(a2, bracket(g, g.basis_vector(i), g.basis_vector(j)))
             value = tuple(x + y for x, y in zip(value, bracket(g, images[i], images[j])))
             value = vec_sub(value, mat_vec(a, bracket(g, g.basis_vector(i), images[j])))
             value = vec_sub(value, mat_vec(a, bracket(g, images[i], g.basis_vector(j))))

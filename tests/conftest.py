@@ -13,8 +13,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import lieforge as lf
-from lieforge.forms import KForm, ce_differential
-from lieforge.linalg import identity, nullspace, rref
+from lieforge.forms import KForm
+from lieforge.linalg import column, identity, nullspace, rref, transpose
 
 SCALARS = [Fraction(n) for n in (-2, -1, 0, 1, 2)] + [Fraction(1, 2), Fraction(-1, 2)]
 NONZERO = [s for s in SCALARS if s != 0]
@@ -57,12 +57,33 @@ def random_matrix(rng: random.Random, dim: int):
     return tuple(tuple(random_scalar(rng) for _ in range(dim)) for _ in range(dim))
 
 
+def d_two_form(g: lf.LieAlgebra, theta: KForm) -> dict[tuple[int, int, int], Fraction]:
+    """The nonzero d(theta)(e_i, e_j, e_k), i < j < k, by the definition
+    -theta([e_i, e_j], e_k) + theta([e_i, e_k], e_j) - theta([e_j, e_k], e_i), read off the bracket table."""
+    b = theta.as_matrix()
+    table = dict(g.brackets)
+
+    def term(i: int, j: int, k: int) -> Fraction:  # theta([e_i, e_j], e_k), i < j
+        return sum((x * b[m][k] for m, x in table.get((i, j), ())), Fraction(0))
+
+    out = {}
+    for i, j, k in combinations(range(g.dim), 3):
+        value = term(i, k, j) - term(i, j, k) - term(j, k, i)
+        if value:
+            out[(i, j, k)] = value
+    return out
+
+
+def closed_rows(g: lf.LieAlgebra, forms: list[KForm]) -> list[tuple[Fraction, ...]]:
+    """One row per triple i < j < k: d(form)(e_i, e_j, e_k) for each form."""
+    differentials = [d_two_form(g, f) for f in forms]
+    return [tuple(d.get(t, Fraction(0)) for d in differentials) for t in combinations(range(g.dim), 3)]
+
+
 def cocycle_basis(g: lf.LieAlgebra) -> list[KForm]:
     """Basis of the closed 2-forms on g."""
     pairs = pair_basis(g.dim)
-    differentials = [ce_differential(g, KForm.from_coeffs(g.dim, 2, {p: 1})) for p in pairs]
-    triples = list(combinations(range(g.dim), 3))
-    rows = [tuple(d.coeff(t) for d in differentials) for t in triples]
+    rows = closed_rows(g, [KForm.from_coeffs(g.dim, 2, {p: 1}) for p in pairs])
     basis = nullspace(rows, len(pairs))
     return [
         KForm.from_coeffs(g.dim, 2, {p: v for p, v in zip(pairs, vec) if v != 0}) for vec in basis
@@ -132,21 +153,14 @@ def random_complex_structure(rng: random.Random, dim: int):
         j0[2 * k + 1][2 * k] = Fraction(1)
     j0 = tuple(tuple(r) for r in j0)
     p = random_invertible(rng, dim)
-    from lieforge.linalg import mat_mul
-
-    return mat_mul(p, mat_mul(j0, mat_inverse(p)))
+    return _mat_mul(p, _mat_mul(j0, mat_inverse(p)))
 
 
 def invariant_closed_two_forms(g: lf.LieAlgebra, j) -> list[KForm]:
     """Basis of {omega : d(omega) = 0, omega(J.,J.) = omega}."""
-    from lieforge.linalg import column
-
     pairs = pair_basis(g.dim)
     base_forms = [KForm.from_coeffs(g.dim, 2, {p: 1}) for p in pairs]
-    rows = []
-    differentials = [ce_differential(g, f) for f in base_forms]
-    for t in combinations(range(g.dim), 3):
-        rows.append(tuple(d.coeff(t) for d in differentials))
+    rows = closed_rows(g, base_forms)
     for a, b in pairs:
         ja, jb = column(j, a), column(j, b)
         rows.append(
@@ -162,29 +176,38 @@ def invariant_closed_two_forms(g: lf.LieAlgebra, j) -> list[KForm]:
 
 
 def conjugate_algebra(g: lf.LieAlgebra, p, pinv) -> lf.LieAlgebra:
-    """Structure constants in the basis e'_i = P e_i."""
-    from lieforge.algebra import bracket
-    from lieforge.linalg import column, mat_vec
-
+    """Structure constants in the basis e'_i = P e_i: [e'_i, e'_j] = P^-1 [P e_i, P e_j], the inner
+    bracket summed over the bracket table of g and P^-1 applied to its nonzero coordinates."""
+    n = g.dim
+    cols = transpose(p)
     brackets = {}
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            v = mat_vec(pinv, bracket(g, column(p, i), column(p, j)))
-            entries = {k: val for k, val in enumerate(v) if val}
+    for i in range(n):
+        for j in range(i + 1, n):
+            x, y = cols[i], cols[j]
+            v: dict[int, Fraction] = {}
+            for (a, b), entries in g.brackets:
+                f = x[a] * y[b] - x[b] * y[a]
+                if f:
+                    for k, c in entries:
+                        v[k] = v.get(k, Fraction(0)) + f * c
+            image = [sum((row[k] * c for k, c in v.items()), Fraction(0)) for row in pinv]
+            entries = {k: val for k, val in enumerate(image) if val}
             if entries:
                 brackets[(i, j)] = entries
-    return lf.LieAlgebra.from_brackets(g.dim, brackets)
+    return lf.LieAlgebra.from_brackets(n, brackets)
+
+
+def _mat_mul(a, b):
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)) for row in a)
 
 
 def conjugate_map(m, p, pinv):
-    from lieforge.linalg import mat_mul
-
-    return mat_mul(pinv, mat_mul(m, p))
+    return _mat_mul(pinv, _mat_mul(m, p))
 
 
 def conjugate_one_form(alpha: KForm, p) -> KForm:
     """alpha'(x) = alpha(P x), so coords transform by P transpose."""
-    from lieforge.linalg import mat_vec, transpose
+    from lieforge.linalg import mat_vec
 
     coords = tuple(alpha.coeff((i,)) for i in range(alpha.dim))
     return KForm.one_form(alpha.dim, mat_vec(transpose(p), coords))
@@ -192,8 +215,6 @@ def conjugate_one_form(alpha: KForm, p) -> KForm:
 
 def conjugate_two_form(omega: KForm, p) -> KForm:
     """omega'(x, y) = omega(P x, P y)."""
-    from lieforge.linalg import column
-
     entries = {}
     for a in range(omega.dim):
         for b in range(a + 1, omega.dim):

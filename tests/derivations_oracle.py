@@ -29,10 +29,11 @@ def is_derivation(g: LieAlgebra, d: Matrix) -> CheckReport:
     """Leibniz rule D[e_i,e_j] = [De_i,e_j] + [e_i,De_j] on all pairs."""
     if len(d) != g.dim:
         raise DimensionMismatch("map does not match algebra dimension")
+    c = algebra_oracle.dense_c(g)
     failures = []
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            lhs = mat_vec(d, g.c[i][j])
+            lhs = mat_vec(d, c[i][j])
             di = tuple(d[r][i] for r in range(g.dim))
             dj = tuple(d[r][j] for r in range(g.dim))
             rhs = tuple(
@@ -56,6 +57,7 @@ def is_derivation(g: LieAlgebra, d: Matrix) -> CheckReport:
 
 def _leibniz_rows(g: LieAlgebra) -> tuple[list[Vector], list[Fraction]]:
     n = g.dim
+    c = algebra_oracle.dense_c(g)
     rows: list[Vector] = []
     rhs: list[Fraction] = []
     for p in range(n):
@@ -64,13 +66,13 @@ def _leibniz_rows(g: LieAlgebra) -> tuple[list[Vector], list[Fraction]]:
                 row = [ZERO] * (n * n)
                 # D([e_p,e_q])_k = sum_m c[p][q][m] D[k][m]
                 for m in range(n):
-                    row[k * n + m] += g.c[p][q][m]
+                    row[k * n + m] += c[p][q][m]
                 # -[D e_p, e_q]_k = -sum_i D[i][p] c[i][q][k]
                 for i in range(n):
-                    row[i * n + p] -= g.c[i][q][k]
+                    row[i * n + p] -= c[i][q][k]
                 # -[e_p, D e_q]_k = -sum_j D[j][q] c[p][j][k]
                 for j in range(n):
-                    row[j * n + q] -= g.c[p][j][k]
+                    row[j * n + q] -= c[p][j][k]
                 rows.append(tuple(row))
                 rhs.append(ZERO)
     return rows, rhs

@@ -17,6 +17,10 @@ structures_oracle uses it, so it stays independent of sub_pfaffians.
 
 fmt_vector is the formatter that lieforge.linalg.fmt_vector replaced: it
 compares each coefficient with 0, 1 and -1 instead of reading its text.
+
+mat_mul is the Fraction matrix product, row times column, that the integer
+products of lieforge (linalg.int_mul) replaced; the oracles and tests form
+their matrix identities with it.
 """
 
 from __future__ import annotations
@@ -25,6 +29,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from lieforge.linalg import ONE, ZERO, Matrix, Vector, clear_denominators, identity, is_zero_vector, zero_vector
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in zip(*b)) for row in a)
 
 
 def rref(rows: Sequence[Vector]) -> tuple[Matrix, tuple[int, ...]]:

@@ -6,10 +6,18 @@ check_sasakian that the integer paths in lieforge.structures and
 lieforge.forms replaced, and kahler_metric and sasakian_metric, the metrics
 that a passing check_kahler and check_sasakian return:
 d(alpha) comes from the general-degree ``ce_differential`` each time it is
-needed, the matrix identities run through ``mat_mul`` and the torsion
-through the Fraction Nijenhuis expansion of algebra_oracle. They are slow
-but obviously correct; tests/test_structures.py checks that the fast paths
-return exactly the same reports, witnesses, notes and structures.
+needed, the matrix identities run through ``linalg_oracle.mat_mul`` and the
+torsion through the Fraction Nijenhuis expansion of algebra_oracle. They are
+slow but obviously correct; tests/test_structures.py checks that the fast
+paths return exactly the same reports, witnesses, notes and structures.
+
+ce_differential is the Chevalley-Eilenberg differential in every degree,
+(dw)(e_i0..e_ik) = sum_{a<b} (-1)^{a+b} w([e_ia, e_ib], e_i0..^a..^b..e_ik),
+each term read off the dense tensor (``algebra_oracle.dense_c``) and the
+form's value on a tuple of basis vectors in any order (``value_on_basis``,
+the sign of the sorting permutation from ``sort_index_tuple``). The integer
+kernels it stands for are forms._dalpha in degree 1 and forms._d_two_form
+in degree 2; tests/test_forms.py pins both to it.
 
 nijenhuis_ints is the plain integer loop over the cached D*c that the packed
 torsion kernel (structures._packed_torsion) replaced, O(n^4) multiply-adds
@@ -45,18 +53,11 @@ the metric and each ``metric_row_*`` note on its own.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 from lieforge.algebra import LieAlgebra, Subspace
-from lieforge.forms import (
-    KForm,
-    TopContactResult,
-    apply_one_form,
-    ce_differential,
-    one_form_coords,
-    radical,
-    sort_index_tuple,
-)
+from lieforge.forms import KForm, TopContactResult, apply_one_form, one_form_coords, radical
 from lieforge.linalg import (
     Matrix,
     Vector,
@@ -69,7 +70,6 @@ from lieforge.linalg import (
     identity,
     int_matrix,
     is_zero_vector,
-    mat_mul,
     mat_vec,
     nullspace,
     solve_affine,
@@ -90,7 +90,7 @@ from lieforge.structures import (
 )
 
 import algebra_oracle
-from linalg_oracle import pfaffian, positive_definite
+from linalg_oracle import mat_mul, pfaffian, positive_definite
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -109,14 +109,63 @@ def outer(v: Vector, w: Vector) -> Matrix:
     return tuple(tuple(v[i] * w[j] for j in range(len(w))) for i in range(len(v)))
 
 
+def sort_index_tuple(idxs: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(sign of the sorting permutation, sorted tuple); (0, ()) on repeated indices."""
+    if len(set(idxs)) != len(idxs):
+        return 0, ()
+    combined = list(idxs)
+    sign = 1
+    # insertion sort; count inversions
+    for i in range(1, len(combined)):
+        j = i
+        while j > 0 and combined[j - 1] > combined[j]:
+            combined[j - 1], combined[j] = combined[j], combined[j - 1]
+            sign = -sign
+            j -= 1
+    return sign, tuple(combined)
+
+
+def value_on_basis(form: KForm, idxs: tuple[int, ...]) -> Fraction:
+    """Evaluation on a tuple of basis vectors, any order, 0 on repeats."""
+    if len(idxs) != form.degree:
+        raise DimensionMismatch("wrong number of arguments")
+    sign, key = sort_index_tuple(idxs)
+    return sign * form.coeff(key) if sign else ZERO
+
+
+def ce_differential(g: LieAlgebra, form: KForm) -> KForm:
+    """Chevalley-Eilenberg differential, d(phi)(x,y) = -phi([x,y]) in degree 1."""
+    if form.dim != g.dim:
+        raise DimensionMismatch("expected a form on the algebra")
+    k = form.degree
+    if k >= g.dim:
+        return KForm.zero(g.dim, k + 1)
+    c = algebra_oracle.dense_c(g)
+    table: dict[tuple[int, ...], Fraction] = {}
+    for idxs in combinations(range(g.dim), k + 1):
+        total = ZERO
+        for a in range(k + 1):
+            for b in range(a + 1, k + 1):
+                w = c[idxs[a]][idxs[b]]
+                rest = idxs[:a] + idxs[a + 1 : b] + idxs[b + 1 :]
+                sign = -1 if (a + b) % 2 else 1
+                for m, wm in enumerate(w):
+                    if wm != 0:
+                        total += sign * wm * value_on_basis(form, (m,) + rest)
+        if total != 0:
+            table[idxs] = total
+    return KForm.from_coeffs(g.dim, k + 1, table)
+
+
 def kirillov_form(g: LieAlgebra, phi: KForm) -> KForm:
     """B_phi(x, y) = phi([x, y]); equals -d(phi)."""
     if phi.degree != 1 or phi.dim != g.dim:
         raise DimensionMismatch("expected a 1-form on the algebra")
+    c = algebra_oracle.dense_c(g)
     entries = {}
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            entries[(i, j)] = apply_one_form(phi, g.c[i][j])
+            entries[(i, j)] = apply_one_form(phi, c[i][j])
     return KForm.from_coeffs(g.dim, 2, entries)
 
 

@@ -94,7 +94,7 @@ def test_commute_constraint():
     j = matrix([[0, -1, 0], [1, 0, 0], [0, 0, 0]])
     particular, basis = derivation_space(H3, [Leibniz(), Commute(j)])
     for m in basis:
-        from lieforge.linalg import mat_mul
+        from linalg_oracle import mat_mul
 
         assert mat_mul(m, j) == mat_mul(j, m)
 
@@ -140,6 +140,13 @@ def test_sends_refuses_float_entries():
     for v, w in [((0, 0, 1.0), (0, 0, 1)), ((0, 0, 1), (0.5, 0, 0))]:
         with pytest.raises(TypeError):
             derivation_space(H3, [Leibniz(), Sends(v, w)])
+
+
+def test_is_derivation_refuses_float_maps():
+    # diag(0.5, 0.5, 1) passed as the grading derivation of h3, read through its integer ratios
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        is_derivation(H3, ((0.5, 0, 0), (0, 0.5, 0), (0, 0, 1)))
+    assert is_derivation(H3, diagonal(["1/2", "1/2", 1])).overall
 
 
 def test_commute_refuses_float_entries():

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from lieforge import (
     KForm,
     LieAlgebra,
-    bracket,
     builtin,
     center,
     central_extension,
@@ -19,14 +18,15 @@ from lieforge import (
     reversed_double_extension,
 )
 from lieforge.algebra import _cyclic_failures
-from lieforge.forms import ce_differential
 from lieforge.linalg import diagonal, identity, int_matrix, matrix, pack, slot_width, vector, zero_matrix
 from lieforge.report import DimensionMismatch, PreconditionError
 from lieforge.structures import check_kahler
 
 import structures_oracle
+from algebra_oracle import bracket, dense_c
 from conftest import random_jacobi_algebra, random_matrix, random_two_form
 from strategies import BIG_RATIONALS, RATIONALS, antisymmetric_algebras, lie_or_not, rational_vectors
+from structures_oracle import ce_differential, value_on_basis
 
 H3 = builtin("h3").algebra
 D4 = builtin("d4half").algebra
@@ -35,8 +35,6 @@ E3 = KForm.basis_one_form(3, 2)
 
 
 def test_is_cocycle_examples():
-    from lieforge import ce_differential
-
     omega = ce_differential(D4, KForm.basis_one_form(4, 2)).neg()
     assert is_cocycle(D4, omega).overall
     assert is_cocycle(H3, KForm.two_form(3, {(0, 1): 1})).overall
@@ -48,7 +46,7 @@ def test_is_cocycle_examples():
 
 def test_central_extension_of_plane_is_heisenberg():
     ext = central_extension(LieAlgebra.abelian(2), KForm.two_form(2, {(0, 1): 1}))
-    assert ext.algebra.c == H3.c
+    assert dense_c(ext.algebra) == dense_c(H3)
     assert ext.central_index == 2
 
 
@@ -69,7 +67,7 @@ def test_central_extension_rejects_non_cocycle():
 
 def test_derivation_extension_builds_d4half():
     ext = derivation_extension(H3, diagonal(["1/2", "1/2", 1]))
-    assert ext.algebra.c == D4.c
+    assert dense_c(ext.algebra) == dense_c(D4)
     assert ext.derivation_index == 3
 
 
@@ -110,7 +108,7 @@ def test_extensions_pick_a_label_the_algebra_does_not_have():
 
 def test_derivation_extension_by_zero():
     ext = derivation_extension(LieAlgebra.abelian(2), zero_matrix(2))
-    assert ext.algebra.c == LieAlgebra.abelian(3).c
+    assert dense_c(ext.algebra) == dense_c(LieAlgebra.abelian(3))
 
 
 def test_double_extension_composes():
@@ -118,7 +116,7 @@ def test_double_extension_composes():
     d = diagonal(["1/2", "1/2", 1, 1])
     ext = double_extension(H3, theta, d)
     step = derivation_extension(central_extension(H3, theta).algebra, d)
-    assert ext.algebra.c == step.algebra.c
+    assert dense_c(ext.algebra) == dense_c(step.algebra)
     assert ext.central_index == 3 and ext.derivation_index == 4
     assert check_jacobi(ext.algebra).overall
 
@@ -133,7 +131,7 @@ def test_double_extension_trivial_pair():
 
 def test_reversed_double_extension_g5():
     ext = reversed_double_extension(H3, E3, diagonal(["1/2", "1/2", 1]))
-    assert ext.algebra.c == G5.c
+    assert dense_c(ext.algebra) == dense_c(G5)
     assert ext.derivation_index == 3
     assert ext.central_index == 4
 
@@ -239,4 +237,4 @@ def test_cocycle_kernel_on_any_triple(case):
     failing = dict(_cyclic_failures(g, q, width, product(range(n), repeat=3)))
     d_theta = ce_differential(g, theta)
     for idxs in product(range(n), repeat=3):
-        assert Fraction(-failing.get(idxs, 0), d * dt) == d_theta.value_on_basis(idxs)
+        assert Fraction(-failing.get(idxs, 0), d * dt) == value_on_basis(d_theta, idxs)

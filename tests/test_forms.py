@@ -8,18 +8,19 @@ from lieforge import (
     KForm,
     LieAlgebra,
     builtin,
-    ce_differential,
     check_contact,
     kirillov_form,
     radical,
 )
 from lieforge.algebra import Subspace
-from lieforge.forms import _dalpha, _top_contact, evaluation_sign, sort_index_tuple
-from lieforge.linalg import vector
+from lieforge.forms import _d_two_form, _dalpha, _top_contact, evaluation_sign
+from lieforge.linalg import int_matrix, vector
 
+from algebra_oracle import bracket
 from conftest import (
     conjugate_algebra,
     conjugate_one_form,
+    d_two_form,
     heisenberg_plus_abelian,
     mat_inverse,
     random_invertible,
@@ -29,7 +30,7 @@ from conftest import (
     shuffle_wedge_eval,
 )
 from strategies import BIG_RATIONALS, antisymmetric_algebras, rational_vectors
-from structures_oracle import wedge, wedge_power
+from structures_oracle import ce_differential, sort_index_tuple, value_on_basis, wedge, wedge_power
 
 H3 = builtin("h3").algebra
 D4 = builtin("d4half").algebra
@@ -248,15 +249,15 @@ def test_sort_index_tuple_signs_permutations_and_zeroes_repeats():
     for repeated in [(1, 1), (0, 2, 0), (2, 1, 2, 3)]:
         assert sort_index_tuple(repeated) == (0, ())
     omega = KForm.two_form(3, {(0, 1): 2, (1, 2): -1})
-    assert omega.value_on_basis((0, 1)) == 2 and omega.value_on_basis((1, 0)) == -2
-    assert omega.value_on_basis((2, 1)) == 1
-    assert omega.value_on_basis((1, 1)) == 0 and omega.value_on_basis((0, 0)) == 0
+    assert value_on_basis(omega, (0, 1)) == 2 and value_on_basis(omega, (1, 0)) == -2
+    assert value_on_basis(omega, (2, 1)) == 1
+    assert value_on_basis(omega, (1, 1)) == 0 and value_on_basis(omega, (0, 0)) == 0
     rng = random.Random(17)
     for _ in range(30):
         form = random_kform(rng, 5, 3)
         idxs = tuple(rng.randrange(5) for _ in range(3))
         vectors = [vector([int(i == k) for i in range(5)]) for k in idxs]
-        assert form.value_on_basis(idxs) == form.evaluate(vectors)
+        assert value_on_basis(form, idxs) == form.evaluate(vectors)
 
 
 def test_kform_evaluation_is_alternating():
@@ -321,12 +322,23 @@ def test_dalpha_matches_ce_differential(data):
     assert tuple(tuple(Fraction(x, den) for x in row) for row in da) == expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_d_two_form_matches_ce_differential(data):
+    # the integer kernel of is_cocycle and check_kahler, and the test helper that draws cocycles,
+    # on any antisymmetric table, Lie or not, and 2-forms over mixed denominators
+    g = data.draw(antisymmetric_algebras(values=BIG_RATIONALS))
+    pairs = [(a, b) for a in range(g.dim) for b in range(a + 1, g.dim)]
+    theta = KForm.two_form(g.dim, dict(zip(pairs, data.draw(rational_vectors(len(pairs), BIG_RATIONALS)))))
+    expected = ce_differential(g, theta).coeffs
+    assert tuple(_d_two_form(g, *int_matrix(theta.as_matrix()))) == expected
+    assert tuple(sorted(d_two_form(g, theta).items())) == expected
+
+
 def test_differential_matches_pointwise_definition():
     # (dw)(x0..xk) = sum_{i<j} (-1)^(i+j) w([xi,xj], x0..^i..^j..xk)
     # evaluated on arbitrary vectors, independent of the coefficient path
     from itertools import combinations
-
-    from lieforge import bracket
 
     rng = random.Random(99)
     for _ in range(25):

@@ -120,16 +120,16 @@ def test_no_module_loads_dataclasses_or_inspect():
 
 # Every public name of the package, by home module.
 PUBLIC = {
-    "algebra": "LieAlgebra Subspace bracket center check_jacobi",
+    "algebra": "LieAlgebra Subspace center check_jacobi",
     "catalog": "BUILTINS Builtin builtin",
     "derivations": "Commute FormEigen Leibniz Sends derivation_space is_derivation",
     "extensions": "ExtensionResult central_extension derivation_extension double_extension is_cocycle "
     "lift_one_form reversed_double_extension",
-    "forms": "KForm ce_differential evaluation_sign kirillov_form radical",
+    "forms": "KForm evaluation_sign kirillov_form radical",
     "linalg": "Matrix Scalar Vector matrix scalar vector",
     "report": "CheckItem CheckReport DimensionMismatch LieforgeError PreconditionError",
-    "structures": "ContactStructure FrobeniusStructure KahlerStructure NijenhuisTable SasakianStructure "
-    "check_contact check_frobenius check_kahler check_sasakian nijenhuis principal_element",
+    "structures": "ContactStructure FrobeniusStructure KahlerStructure SasakianStructure check_contact "
+    "check_frobenius check_kahler check_sasakian principal_element",
     "theorems": "DoubleExtensionParams contact_ideal_restriction extend_complex_structure "
     "frobenius_kahler_to_sasakian kahler_extension_obstruction kahler_to_sasakian_central "
     "sasakian_double_extension sasakian_double_extension_conditions sasakian_reduction "
@@ -198,6 +198,22 @@ print(helpers.mat_inverse(((1, 2, 3), (2, 4, 6), (0, 0, 1))))
         f"(({f}(1, 2), {f}(-1, 2), {f}(0, 1)), ({f}(0, 1), {f}(1, 1), {f}(0, 1)), ({f}(-1, 2), {f}(1, 2), {f}(1, 1)))",
         "None",
     ]
+
+
+def test_benchmark_builds_its_dense_inputs_from_conftest(tmp_path):
+    # bench/workloads.load_helpers loads tests/conftest.py by file path, in an interpreter with only
+    # src/ and bench/ on the path; dense_heisenberg checks P (P^-1 z) = z itself, so an edit to conftest
+    # that breaks the dense workloads' inputs fails here, and not only in the benchmark
+    code = f"""
+import random, sys
+sys.path[:0] = [{str(SRC)!r}, {str(SRC.with_name("bench"))!r}]
+import workloads
+d = workloads.dense_heisenberg(workloads.load_helpers(), random.Random(1), 3)
+print(d.dim, d.algebra.dim, len(d.reeb))
+"""
+    done = subprocess.run([sys.executable, "-I", "-B", "-c", code], cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["7", "7", "7"]
 
 
 # --- no dead imports -----------------------------------------------------------

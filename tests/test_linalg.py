@@ -13,7 +13,6 @@ from lieforge.forms import KForm
 from lieforge.linalg import (
     det,
     fmt_vector,
-    mat_mul,
     mat_vec,
     matrix,
     nullspace,
@@ -45,6 +44,25 @@ def test_scalar_rejects_floats_and_bools():
         scalar(0.5)
     with pytest.raises(TypeError):
         scalar(True)
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, 0.0, "1/2", None])
+def test_solvers_refuse_inexact_entries(bad):
+    # a float has an integer ratio too, so it reached the eliminations as its binary expansion:
+    # nullspace([[0.1, 1]], 2) gave (1, -3602879701896397/36028797018963968)
+    for call in (
+        lambda: nullspace([(bad, 1)], 2),
+        lambda: rref([(1, 2), (bad, 1)]),
+        lambda: solve_affine([(bad, 1)], [1]),
+        lambda: solve_affine([(1, 0), (0, 1)], [1, bad]),
+        lambda: solve_affine([(1, 0), (0, 1)], [0, bad]),  # a homogeneous system is no way round
+        lambda: det(((1, 1), (bad, 1))),
+        lambda: positive_definite(((1, 0), (0, bad))),
+        lambda: lf.Subspace(2, ((1, 0),)).contains((bad, 0)),
+    ):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            call()
+    assert nullspace([(Fraction(1, 10), 1)], 2) == ((1, Fraction(-1, 10)),)
 
 
 def test_rref_simple():
@@ -327,7 +345,7 @@ def test_subspace_contains_matches_in_span_oracle(data):
         v = tuple(data.draw(ENTRIES) for _ in range(ncols))
     if rows and data.draw(st.booleans()):  # the same span in a random basis
         p = random_invertible(random.Random(data.draw(st.integers(0, 10**6))), len(rows))
-        rows = mat_mul(p, rows)
+        rows = oracle.mat_mul(p, rows)
     assert lf.Subspace.from_vectors(ncols, rows).contains(v) == oracle.in_span(rows, v)
 
 

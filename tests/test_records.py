@@ -23,7 +23,6 @@ from lieforge import (
     KForm,
     Leibniz,
     LieAlgebra,
-    NijenhuisTable,
     SasakianStructure,
     Sends,
     Subspace,
@@ -33,7 +32,6 @@ from lieforge import (
     check_contact,
     check_sasakian,
     derivation_extension,
-    nijenhuis,
     sasakian_double_extension,
 )
 from lieforge.cli import _SOURCES, _Source
@@ -62,7 +60,6 @@ FIELDS = {
     FrobeniusStructure: ("phi", "principal"),
     KahlerStructure: ("j", "omega", "metric"),
     SasakianStructure: ("reeb", "alpha", "phi", "metric"),
-    NijenhuisTable: ("dim", "entries"),
     DoubleExtensionParams: ("a", "b", "c", "u"),
 }
 
@@ -109,7 +106,6 @@ def samples():
         D4.frobenius(),
         D4.kahler(),
         s,
-        nijenhuis(D4.algebra, D4.kahler_data[0]),
         params,
     ]
 
@@ -173,8 +169,8 @@ def test_a_bound_structure_equals_and_prints_like_its_hand_built_copy(structure,
 def test_cached_values_live_beside_the_fields():
     g = LieAlgebra(3, {(0, 1): {2: 1}})
     fresh = LieAlgebra(3, {(0, 1): {2: 1}})
-    assert g.c[0][1] == (0, 0, 1) and g.c[1][0] == (0, 0, -1)
-    assert "c" in vars(g)
+    assert g._integer_terms == (1, (((), ((2, 1),), ()), (((2, -1),), (), ()), ((), (), ())), 1)
+    assert "_integer_terms" in vars(g)
     assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
     form = KForm.from_coeffs(3, 2, {(0, 1): 3, (1, 2): "1/2"})
     assert form.coeff((0, 1)) == 3 and form.coeff((0, 2)) == 0 and form.coeff((1, 2)) == Fraction(1, 2)

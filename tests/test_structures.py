@@ -16,7 +16,6 @@ from lieforge import (
     check_kahler,
     check_sasakian,
     kirillov_form,
-    nijenhuis,
     principal_element,
 )
 from lieforge.forms import _dalpha, _top_contact, one_form_coords
@@ -135,38 +134,48 @@ def test_contact_scaling_invariance(lam):
     assert structure.reeb == vec_scale(1 / lam, H3.algebra.basis_vector(2))
 
 
+def nijenhuis(g, a):
+    """N_A(e_i, e_j) for every pair i < j: each pair of ``_packed_torsion`` unpacked, over its denominator."""
+    ai, da = int_matrix(a)
+    width, _, torsion = _packed_torsion(g, ai)
+    den = da * da * g._integer_terms[0]
+    return {pair: vector_over(unpack(t, g.dim, width), den) for pair, t in torsion.items()}
+
+
 def test_nijenhuis_abelian_vanishes():
     g = LieAlgebra.abelian(4)
     rng = random.Random(0)
     m = tuple(tuple(Fraction(rng.randint(-2, 2)) for _ in range(4)) for _ in range(4))
-    assert nijenhuis(g, m).is_zero()
+    torsion = nijenhuis(g, m)
+    assert len(torsion) == 6 and not any(any(v) for v in torsion.values())
 
 
 def test_nijenhuis_d4half_j_integrable():
-    assert nijenhuis(D4.algebra, D4.kahler_data[0]).is_zero()
+    assert not any(any(v) for v in nijenhuis(D4.algebra, D4.kahler_data[0]).values())
 
 
 def test_nijenhuis_h3_rotation():
     phi = H3.sasakian_data[2]
-    table = nijenhuis(H3.algebra, phi)
+    torsion = nijenhuis(H3.algebra, phi)
     # N(e1,e2) = e3: the pair [Phi e1, Phi e2] = [e2, -e1] survives
-    assert table.value(0, 1) == H3.algebra.basis_vector(2)
-    assert table.value(0, 2) == (Fraction(0),) * 3
+    assert torsion[(0, 1)] == H3.algebra.basis_vector(2)
+    assert torsion[(0, 2)] == (Fraction(0),) * 3
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_nijenhuis_matches_oracle(data):
-    # rational maps with mixed denominators, on Lie and non-Lie tensors
+    # rational maps with mixed denominators, A^2 = -Id almost never, on Lie and non-Lie tensors
     g = data.draw(lie_or_not())
     a = tuple(tuple(data.draw(RATIONALS) for _ in range(g.dim)) for _ in range(g.dim))
     assert_nijenhuis_matches_oracle(g, a)
 
 
 def assert_nijenhuis_matches_oracle(g, a):
-    """The Fraction table against the Fraction expansion, and the packed integer kernel,
-    unpacked, against the plain integer loop, numerator by numerator."""
-    assert nijenhuis(g, a) == oracle.nijenhuis(g, a)
+    """The packed integer kernel, every pair unpacked, against the Fraction expansion, and against
+    the plain integer loop, numerator by numerator."""
+    table = oracle.nijenhuis(g, a)
+    assert nijenhuis(g, a) == {(i, j): table.value(i, j) for i in range(g.dim) for j in range(i + 1, g.dim)}
     ai, _ = int_matrix(a)
     width, _, torsion = _packed_torsion(g, ai)
     ints, _ = structures_oracle.nijenhuis_ints(g, ai, 1)
@@ -214,6 +223,20 @@ def test_nijenhuis_slot_width_boundary(s, t):
     torsion, _ = structures_oracle.nijenhuis_ints(g, *int_matrix(a))
     assert max(map(abs, torsion[(1, 2)])) == 132 * big // 3 >= 2 ** (slot_width(64 * big) - 2)
     assert_nijenhuis_matches_oracle(g, a)
+
+
+def test_checks_refuse_float_inputs():
+    # Phi written as floats passed check_sasakian, which returned a structure whose phi held floats
+    reeb, alpha, phi = H3.sasakian_data
+    j, omega = D4.kahler_data
+    as_floats = lambda m: tuple(tuple(map(float, row)) for row in m)
+    for call in (
+        lambda: check_sasakian(H3.algebra, reeb, alpha, as_floats(phi)),
+        lambda: check_sasakian(H3.algebra, tuple(map(float, reeb)), alpha, phi),
+        lambda: check_kahler(D4.algebra, as_floats(j), omega),
+    ):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            call()
 
 
 def test_kahler_d4half_identity_metric():
@@ -459,21 +482,15 @@ def test_one_dalpha_per_check(case, monkeypatch):
     import lieforge.forms
 
     calls = []
-    dalpha, differential = lieforge.forms._dalpha, lieforge.forms.ce_differential
+    dalpha = lieforge.forms._dalpha
 
     def counted(*args):
         calls.append(args)
         return dalpha(*args)
 
-    def forbidden(*args):
-        raise AssertionError("ce_differential called")
-
     for name, module in list(sys.modules.items()):
-        if name.startswith("lieforge"):
-            if getattr(module, "_dalpha", None) is dalpha:
-                monkeypatch.setattr(module, "_dalpha", counted)
-            if getattr(module, "ce_differential", None) is differential:
-                monkeypatch.setattr(module, "ce_differential", forbidden)
+        if name.startswith("lieforge") and getattr(module, "_dalpha", None) is dalpha:
+            monkeypatch.setattr(module, "_dalpha", counted)
     ONE_DALPHA[case]()
     assert len(calls) == 1
 

@@ -24,7 +24,7 @@ algebras, reports, structures and refusals.
 Every condition here is tested in Fractions, vector by vector: a commutator as the four ``mat_vec`` calls
 of ``commute_mismatch``, a pairing as ``KForm.evaluate`` on each basis pair, [D, J] = 0 and J^2 = -Id as
 ``mat_mul`` products, and the brackets and projections of the reduction and of the contact ideal as
-``bracket``, ``apply_one_form`` and ``mat_vec``, where lieforge tests integer products and makes
+the Fraction ``algebra_oracle.bracket``, ``apply_one_form`` and ``mat_vec``, where lieforge tests integer products and makes
 Fractions only for outputs and witnesses.
 """
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from lieforge.algebra import LieAlgebra, Subspace, bracket, center
+from lieforge.algebra import LieAlgebra, Subspace, center
 from lieforge.extensions import ExtensionResult, derivation_extension, double_extension
 from lieforge.forms import KForm, apply_one_form, kirillov_form, one_form_coords, radical
 from lieforge.linalg import (
@@ -46,7 +46,6 @@ from lieforge.linalg import (
     int_matrix,
     is_square,
     is_zero_vector,
-    mat_mul,
     mat_vec,
     transpose,
     vec_add,
@@ -73,8 +72,8 @@ from lieforge.theorems import (
     kernel_basis,
 )
 
-from algebra_oracle import adjoint
-from linalg_oracle import solve_unique
+from algebra_oracle import adjoint, bracket, dense_c
+from linalg_oracle import mat_mul, solve_unique
 from structures_oracle import nijenhuis_ints
 
 ONE = Fraction(1)
@@ -213,7 +212,7 @@ def contact_ideal_restriction(
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for ia in range(m):
         for ib in range(ia + 1, m):
-            _, rest = split(g.c[keep[ia]][keep[ib]])
+            _, rest = split(bracket(g, g.basis_vector(keep[ia]), g.basis_vector(keep[ib])))
             entries = {kk: c for kk, c in enumerate(rest) if c != 0}
             if entries:
                 brackets[(ia, ib)] = entries
@@ -278,17 +277,18 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
     if (ext.central_index, ext.derivation_index) != (n, n + 1):
         raise PreconditionError("expected the result of a double extension")
     child = ext.algebra
+    c = dense_c(child)
     zi, si = ext.central_index, ext.derivation_index
     base = LieAlgebra(
         n,
-        {(i, j2): dict(enumerate(child.c[i][j2][:n])) for i in range(n) for j2 in range(i + 1, n)},
+        {(i, j2): dict(enumerate(c[i][j2][:n])) for i in range(n) for j2 in range(i + 1, n)},
         child.labels[:n],
     )
     if not is_square(j, n):
         raise DimensionMismatch("complex structure must act on the base")
     j2 = mat_mul(j, j)
     base_torsion, _ = nijenhuis_ints(base, *int_matrix(j))
-    theta = KForm.two_form(n, {(a, b): child.c[a][b][zi] for a in range(n) for b in range(a + 1, n)})
+    theta = KForm.two_form(n, {(a, b): c[a][b][zi] for a in range(n) for b in range(a + 1, n)})
     pre = (
         passed(
             "base_complex_square",
@@ -304,7 +304,7 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
     jbar_cols = [embed_vector(column(j, k), child.dim) for k in range(n)]
     jbar = transpose(jbar_cols + [child.basis_vector(si), vec_scale(-ONE, child.basis_vector(zi))])
     # the slot action on rows and columns 0..n: the central extension, as the slot comes last
-    d = tuple(tuple(child.c[si][x][k] for x in range(n + 1)) for k in range(n + 1))
+    d = tuple(tuple(c[si][x][k] for x in range(n + 1)) for k in range(n + 1))
     torsion, dt = nijenhuis_ints(child, *int_matrix(jbar))
     tw = next((pair for pair, v in torsion.items() if any(v)), None)
     cw = _first_mismatch(
