@@ -92,6 +92,7 @@ class LieAlgebra(Record):
 
     @classmethod
     def from_brackets(cls, dim: int, brackets: Brackets, labels: Sequence[str] | None = None) -> "LieAlgebra":
+        """The constructor under its former name; kept for ``bench/workloads.dense_heisenberg``, which calls it."""
         return cls(dim, brackets, labels)
 
     @classmethod
@@ -260,12 +261,6 @@ class Subspace(Record):
     def from_vectors(cls, ambient_dim: int, vectors: Sequence[Vector]) -> "Subspace":
         _check_width(vectors, ambient_dim)
         return cls(ambient_dim, rref(vectors)[0])
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        from .linalg import identity
-
-        return cls(ambient_dim, identity(ambient_dim))
 
     @property
     def dim(self) -> int:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .algebra import LieAlgebra
 from .forms import KForm
-from .linalg import Matrix, matrix
+from .linalg import matrix
 from .report import PreconditionError, Record, require
 from .structures import (
     FrobeniusStructure,
@@ -54,15 +54,9 @@ class Builtin(Record):
         require(f"builtin {self.name} fails its {kind} check", report)
         return structure
 
-    def named_map(self, name: str) -> Matrix:
-        for label, m in self.maps:
-            if label == name:
-                return m
-        raise KeyError(f"builtin {self.name} has no map named {name!r}")
-
 
 def _h3() -> Builtin:
-    g = LieAlgebra.from_brackets(3, {(0, 1): {2: 1}})
+    g = LieAlgebra(3, {(0, 1): {2: 1}})
     phi = matrix([[0, -1, 0], [1, 0, 0], [0, 0, 0]])
     return Builtin(
         "h3",
@@ -72,7 +66,7 @@ def _h3() -> Builtin:
 
 
 def _d4half() -> Builtin:
-    g = LieAlgebra.from_brackets(
+    g = LieAlgebra(
         4,
         {
             (0, 1): {2: 1},
@@ -94,7 +88,7 @@ def _d4half() -> Builtin:
 
 
 def _g0() -> Builtin:
-    g = LieAlgebra.from_brackets(
+    g = LieAlgebra(
         5,
         {
             (0, 1): {2: 1},
@@ -119,7 +113,7 @@ def _g0() -> Builtin:
 
 
 def _g5() -> Builtin:
-    g = LieAlgebra.from_brackets(
+    g = LieAlgebra(
         5,
         {
             (0, 1): {2: 1, 4: 1},

@@ -6,9 +6,10 @@ flattening, so results are canonical. Each constraint refuses data of the
 wrong shape or inexact entries (through ``linalg.scalar``: a float raises
 TypeError, a "p/q" string is read exactly), and builds its own integer rows
 (``rows(g)``): the Leibniz equations from the algebra's cached integer
-structure constants, the others scaled, with their right-hand sides, by the
-common denominators of their data. The elimination makes every row
-primitive, so their scale does not matter. ``is_derivation`` tests the
+structure constants, ``FormEigen`` from the numerators its form caches
+(``forms.KForm._ints``), the others scaled, with their right-hand sides, by
+the common denominators of their maps and vectors. The elimination makes
+every row primitive, so their scale does not matter. ``is_derivation`` tests the
 Leibniz rule on the packed integer defect that the Nijenhuis torsion kernel
 also starts from (``algebra._leibniz_defects``).
 """
@@ -16,7 +17,7 @@ also starts from (``algebra._leibniz_defects``).
 from __future__ import annotations
 
 from .algebra import LieAlgebra, _leibniz_defects
-from .forms import _check_form, one_form_coords
+from .forms import _check_form
 from .linalg import (
     Matrix,
     Vector,
@@ -113,11 +114,11 @@ class FormEigen(Record):
     _fields = ("phi", "factor")
 
     def rows(self, g: LieAlgebra) -> tuple[list[list[int]], list[int]]:
-        """dc*q times the equations (phi o D)_j = factor*phi_j, phi = c/dc and factor = p/q, as integer
-        rows: c_i*q at D[i][j], right-hand side p*c_j."""
+        """dc*q times the equations (phi o D)_j = factor*phi_j, phi = c/dc (``KForm._ints``) and
+        factor = p/q, as integer rows: c_i*q at D[i][j], right-hand side p*c_j."""
         _check_form(self.phi, g.dim, 1)
         n = g.dim
-        c, _ = clear_denominators(one_form_coords(self.phi))
+        c, _ = self.phi._ints
         p, q = scalar(self.factor).as_integer_ratio()
         rows = [[0] * (n * n) for _ in range(n)]
         for j, row in enumerate(rows):

@@ -3,6 +3,11 @@
 Basis ordering in all outputs: parent basis first with unchanged indices,
 then the new elements in construction order. The embedding is therefore
 the identity on indices, which keeps golden outputs stable.
+
+The cocycle test, the radical test and the Kirillov form of the reversed
+extension read the numerators of their forms off the forms
+(``forms.KForm._ints``, cached), so a 2-form that several of them, or a
+construction after them, read is cleared of denominators once.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 from .algebra import LieAlgebra
 from .derivations import is_derivation
 from .forms import KForm, _check_form, _d_two_form, kirillov_form, radical
-from .linalg import Matrix, _check_square, fmt_vector, int_matrix, is_zero_matrix
+from .linalg import Matrix, _check_square, fmt_vector, is_zero_matrix
 from .report import CheckReport, Record, fail, ok, refusal, require
 
 
@@ -35,15 +40,15 @@ def _adjoin(g: LieAlgebra, new: dict[tuple[int, int], dict[int, object]]) -> Lie
 
 
 def is_cocycle(g: LieAlgebra, theta: KForm) -> CheckReport:
-    """d(theta) = 0 under the Chevalley-Eilenberg differential, on the integer skew matrix of
-    theta (``forms._d_two_form``): one failing item per nonzero coefficient of d(theta)."""
+    """d(theta) = 0 under the Chevalley-Eilenberg differential, on the integer skew matrix that
+    theta carries (``forms._d_two_form``): one failing item per nonzero coefficient of d(theta)."""
     _check_form(theta, g.dim, 2)
     failures = tuple(
         fail(
             "cocycle(" + ",".join(g.labels[i] for i in idxs) + ")",
             f"d(theta) = {value}",
         )
-        for idxs, value in _d_two_form(g, *int_matrix(theta.as_matrix()))
+        for idxs, value in _d_two_form(g, theta)
     )
     return CheckReport(failures or (ok("cocycle_d_theta_zero"),))
 

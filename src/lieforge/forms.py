@@ -16,6 +16,12 @@ skew matrix [[0, alpha], [-alpha^T, d alpha]], read off the sub-Pfaffians
 of d(alpha) (``linalg.sub_pfaffians``, O(n^3)), which also give the Reeb
 vector.
 
+A form carries its numerators over one denominator, the least common
+denominator of its coefficients, as a cached property (``KForm._ints``):
+the integer kernels below, the structure checks, the constructions and the
+derivation constraints take the form and read them there, so each form is
+cleared of denominators once, however many of them read it.
+
 d(alpha) of a 1-form is built once per check, as an integer skew matrix
 over one denominator (``_dalpha``); the Kirillov form B_phi = -d(phi) of
 ``kirillov_form`` and the structure checks read it there (``_kirillov``).
@@ -28,7 +34,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from .algebra import LieAlgebra, Subspace, _cyclic_failures
@@ -37,7 +44,6 @@ from .linalg import (
     Vector,
     ZERO,
     _check_width,
-    clear_denominators,
     det,
     fmt_vector,
     nullspace,
@@ -106,6 +112,20 @@ class KForm(Record):
     def _table(self) -> dict[tuple[int, ...], Fraction]:
         return dict(self.coeffs)
 
+    @cached_property
+    def _ints(self) -> tuple[tuple, int]:
+        """The form as integers over d, the least common denominator of its coefficients: (a, d)
+        with a_i = d*alpha(e_i) for a 1-form, (rows, d) with rows the skew matrix d*``as_matrix()``
+        for a 2-form. Every integer kernel reads a form's numerators here."""
+        d = lcm(*(v.denominator for _, v in self.coeffs))
+        num = {idxs: v.numerator * (d // v.denominator) for idxs, v in self.coeffs}.get
+        n = range(self.dim)
+        if self.degree == 1:
+            return tuple([num((i,), 0) for i in n]), d
+        _check_form(self, self.dim, 2)
+        # entry (i, j) is the coefficient of (i, j), or minus that of (j, i)
+        return tuple(tuple([num((i, j), 0) - num((j, i), 0) for j in n]) for i in n), d
+
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -171,15 +191,15 @@ def evaluation_sign(degree: int, convention: str) -> int:
     raise ValueError(f"unknown convention {convention!r}")
 
 
-def _dalpha(g: LieAlgebra, coords: Sequence[Fraction]) -> tuple[list[list[int]], int]:
-    """d(alpha) of the 1-form with these coordinates as (A, den), d(alpha) = A/den.
+def _dalpha(g: LieAlgebra, alpha: KForm) -> tuple[list[list[int]], int]:
+    """d(alpha) of the 1-form alpha as (A, den), d(alpha) = A/den.
 
-    With a = da*alpha, da the least common denominator of alpha, and the
-    integers D*c of the algebra, A[i][j] = -sum_k a_k D c_ijk and den = D*da: one
-    sum per pair i < j, negated below the diagonal.
+    With alpha = a/da (``KForm._ints``) and the integers D*c of the algebra,
+    A[i][j] = -sum_k a_k D c_ijk and den = D*da: one sum per pair i < j, negated
+    below the diagonal.
     """
     d, terms, _ = g._integer_terms
-    a, da = clear_denominators(coords)
+    a, da = alpha._ints
     n = g.dim
     out = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -193,30 +213,29 @@ def _dalpha(g: LieAlgebra, coords: Sequence[Fraction]) -> tuple[list[list[int]],
 
 def one_form_coords(alpha: KForm) -> Vector:
     _check_form(alpha, alpha.dim, 1)
-    return tuple(alpha.coeff((i,)) for i in range(alpha.dim))
+    return tuple([alpha.coeff((i,)) for i in range(alpha.dim)])
 
 
 def apply_one_form(alpha: KForm, v: Vector) -> Fraction:
     return sum((c * x for c, x in zip(one_form_coords(alpha), v, strict=True)), ZERO)
 
 
-def _kirillov(g: LieAlgebra, phi: KForm) -> tuple[Vector, list[list[int]], int, KForm]:
-    """(coords, da, den, B): phi's coordinates, d(phi) = da/den (``_dalpha``) and B_phi = -d(phi)."""
+def _kirillov(g: LieAlgebra, phi: KForm) -> tuple[list[list[int]], int, KForm]:
+    """(da, den, B): d(phi) = da/den (``_dalpha``) and B_phi = -d(phi)."""
     _check_form(phi, g.dim, 1)
-    coords = one_form_coords(phi)
-    da, den = _dalpha(g, coords)
+    da, den = _dalpha(g, phi)
     coeffs = {(i, j): Fraction(-x, den) for i, row in enumerate(da) for j, x in enumerate(row) if i < j}
-    return coords, da, den, KForm.from_coeffs(g.dim, 2, coeffs)
+    return da, den, KForm.from_coeffs(g.dim, 2, coeffs)
 
 
 def kirillov_form(g: LieAlgebra, phi: KForm) -> KForm:
     """B_phi(x, y) = phi([x, y]); equals -d(phi)."""
-    return _kirillov(g, phi)[3]
+    return _kirillov(g, phi)[2]
 
 
-def _d_two_form(g: LieAlgebra, t: list[list[int]], dt: int) -> list[tuple[tuple[int, int, int], Fraction]]:
+def _d_two_form(g: LieAlgebra, theta: KForm) -> list[tuple[tuple[int, int, int], Fraction]]:
     """The nonzero coefficients ((i, j, k), d(theta)(e_i, e_j, e_k)), i < j < k in increasing
-    order, of the 2-form theta = t/dt given as an integer skew matrix.
+    order, of the 2-form theta = t/dt, t its integer skew matrix (``KForm._ints``).
 
     d(theta)(e_i, e_j, e_k) is minus the cyclic sum of theta([e_i, e_j], e_k). With C = D*c
     and q[m] row m of t packed (``linalg.pack``), slot k of S_ij = sum over m of C_ij^m q[m]
@@ -226,6 +245,7 @@ def _d_two_form(g: LieAlgebra, t: list[list[int]], dt: int) -> list[tuple[tuple[
     """
     n = g.dim
     d, _, big = g._integer_terms
+    t, dt = theta._ints
     width = slot_width(n * big * max((abs(x) for row in t for x in row), default=0))
     q = [pack(enumerate(row), width) for row in t]
     return [(idxs, Fraction(-s, d * dt)) for idxs, s in _cyclic_failures(g, q, width, combinations(range(n), 3))]
@@ -234,7 +254,7 @@ def _d_two_form(g: LieAlgebra, t: list[list[int]], dt: int) -> list[tuple[tuple[
 def radical(g: LieAlgebra, form: KForm) -> Subspace:
     """{x : B(x, y) = 0 for all y} of a degree-2 form, as a nullspace."""
     _check_form(form, g.dim, 2)
-    return Subspace(g.dim, nullspace(form.as_matrix(), g.dim))  # B is skew: Ker B^T = Ker B
+    return Subspace(g.dim, nullspace(form._ints[0], g.dim))  # B is skew: Ker B^T = Ker B
 
 
 class TopContactResult(Record):
@@ -242,7 +262,7 @@ class TopContactResult(Record):
     _defaults = {"reason": None}
 
 
-def _top_contact(coords: Vector, da: list[list[int]], den: int) -> tuple[TopContactResult, Vector | None]:
+def _top_contact(alpha: KForm, da: list[list[int]], den: int) -> tuple[TopContactResult, Vector | None]:
     """The contact test of odd dimension 2n+1 on d(alpha) = da/den, and the Reeb vector if it passes.
 
     With a new index 0 in front, the 2-form e^0 ^ alpha + d alpha has (n+1)-st power
@@ -251,10 +271,13 @@ def _top_contact(coords: Vector, da: list[list[int]], den: int) -> tuple[TopCont
     With w = sub_pfaffians(da) and b = den*alpha, Pf([[0, b], [-b^T, da]]) = w . b, so the top
     coefficient is n! (w . b) / den^(n+1). If it is nonzero, da w = 0 and alpha(w) = (w . b)/den
     != 0, so xi = w/alpha(w) solves the Reeb system d(alpha)(xi, .) = 0, alpha(xi) = 1.
+    With alpha = a/d (``KForm._ints``), b = (den/d)*a.
     """
     w = sub_pfaffians(da)
-    wb = sum(x * int(y * den) for x, y in zip(w, coords))
-    coeff = Fraction(factorial(len(coords) // 2) * wb, den ** (len(coords) // 2 + 1))
+    a, d = alpha._ints
+    wb = sum(map(mul, w, a)) * (den // d)
+    n = alpha.dim // 2
+    coeff = Fraction(factorial(n) * wb, den ** (n + 1))
     if not wb:
         return TopContactResult(False, coeff, "top coefficient is 0"), None
     return TopContactResult(True, coeff), vector_over([x * den for x in w], wb)

@@ -92,7 +92,7 @@ def scalar(value: ScalarLike) -> Fraction:
 
 
 def vector(items: Iterable[ScalarLike]) -> Vector:
-    return tuple(scalar(x) for x in items)
+    return tuple([scalar(x) for x in items])
 
 
 def matrix(rows: Iterable[Iterable[ScalarLike]]) -> Matrix:

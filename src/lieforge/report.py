@@ -75,9 +75,6 @@ class CheckReport(Record):
                 return it
         raise KeyError(name)
 
-    def failures(self) -> tuple[CheckItem, ...]:
-        return tuple(it for it in self.items if not it.passed)
-
     def with_notes(self, *extra: tuple[str, str]) -> "CheckReport":
         return CheckReport(self.items, self.notes + tuple(extra))
 

@@ -7,11 +7,14 @@ Both are recomputed from the supplied data and verified axiom by axiom, an
 axiom that other items imply decided from them; positive definiteness is
 decided exactly through leading principal minors.
 
-The contact and Sasakian checks compute d(alpha) once per call, as integers
-over one denominator (``forms._dalpha``), and test every identity on integer
-products cross-multiplied by their denominators; ``check_kahler`` tests J^2,
-omega(J., J.), d(omega) (``forms._d_two_form``) and the metric on the
-integer matrices of J and omega (``linalg.int_matrix``) the same way.
+The checks read a form's numerators off the form itself (``KForm._ints``,
+cached), and a map's or a vector's through ``linalg.int_matrix`` and
+``linalg.clear_denominators``. The contact and Sasakian checks compute
+d(alpha) once per call, as integers over one denominator (``forms._dalpha``),
+and test every identity on integer products cross-multiplied by their
+denominators; ``check_kahler`` tests J^2, omega(J., J.), d(omega)
+(``forms._d_two_form``) and the metric on the integer matrices of J and
+omega the same way.
 Fractions are made only for the results, the notes and the witness of an item
 that fails (``report.first_failure``). The contact check and a passing
 Frobenius check read the Reeb vector, its certificate and the principal
@@ -54,7 +57,7 @@ from math import gcd
 from operator import mul
 
 from .algebra import LieAlgebra, _leibniz_defects
-from .forms import KForm, _check_form, _d_two_form, _dalpha, _kirillov, _top_contact, one_form_coords
+from .forms import KForm, _check_form, _d_two_form, _dalpha, _kirillov, _top_contact
 from .linalg import (
     Matrix,
     Vector,
@@ -106,23 +109,25 @@ def _bind(structure, g: LieAlgebra):
 
 def principal_element(g: LieAlgebra, phi: KForm) -> Vector:
     """The unique x with phi(ad(x) y) = phi(y) for all y."""
-    x_p = _principal(*_kirillov(g, phi)[:3])
+    x_p = _principal(phi, *_kirillov(g, phi)[:2])
     if x_p is None:
         raise PreconditionError("principal element needs a nondegenerate Kirillov form")
     return x_p
 
 
-def _principal(coords: Vector, da: list[list[int]], den: int) -> Vector | None:
+def _principal(phi: KForm, da: list[list[int]], den: int) -> Vector | None:
     """The x with B_phi(x, y) = phi(y) for all y, B_phi = -da/den, or None where B_phi is degenerate.
 
-    In even dimension n, with b = den*phi, A = [[-da, b], [-b^T, 0]] has sub-Pfaffians w with
-    A w = 0 and w_n = Pf(-da), nonzero exactly when B_phi is nondegenerate; then
-    -da w_<n = -b w_n, so x = w_<n / w_n. In odd dimension B_phi is always degenerate.
+    In even dimension n, with b = den*phi = (den/d)*a for phi = a/d (``KForm._ints``),
+    A = [[-da, b], [-b^T, 0]] has sub-Pfaffians w with A w = 0 and w_n = Pf(-da), nonzero exactly
+    when B_phi is nondegenerate; then -da w_<n = -b w_n, so x = w_<n / w_n. In odd dimension B_phi
+    is always degenerate.
     """
-    n = len(coords)
+    n = phi.dim
     if n % 2:
         return None
-    b = [int(x * den) for x in coords]
+    a, d = phi._ints
+    b = [x * (den // d) for x in a]
     w = sub_pfaffians([[-x for x in row] + [y] for row, y in zip(da, b)] + [[-y for y in b] + [0]])
     return vector_over(w[:n], w[n]) if w[n] else None
 
@@ -132,8 +137,8 @@ def check_frobenius(
 ) -> tuple[CheckReport, FrobeniusStructure | None]:
     """Even dimension and nondegenerate Kirillov form; computes the principal element. A caller
     that also needs B_phi = -d(phi) passes phi's ``forms._kirillov`` tuple, built once."""
-    coords, da, den, b = kirillov or _kirillov(g, phi)
-    x_p = _principal(coords, da, den)
+    da, den, b = kirillov or _kirillov(g, phi)
+    x_p = _principal(phi, da, den)
     report = CheckReport(
         (
             passed("even_dimension", g.dim % 2 == 0, f"dim = {g.dim}"),
@@ -165,8 +170,7 @@ def check_contact(g: LieAlgebra, alpha: KForm) -> tuple[CheckReport, ContactStru
     items = [passed("odd_dimension", g.dim % 2 == 1, f"dim = {g.dim}")]
     if not items[0].passed:
         return CheckReport(tuple(items)), None
-    coords = one_form_coords(alpha)
-    top, reeb = _top_contact(coords, *_dalpha(g, coords))
+    top, reeb = _top_contact(alpha, *_dalpha(g, alpha))
     items.append(passed("contact_top_form_nonzero", top.holds, top.reason or ""))
     if not top.holds:
         return CheckReport(tuple(items)), None
@@ -267,13 +271,13 @@ def check_kahler(g: LieAlgebra, j: Matrix, omega: KForm) -> tuple[CheckReport, K
     _check_square(j, n)
     _check_form(omega, n, 2)
     ji, dj = int_matrix(j)
-    om, do = int_matrix(omega.as_matrix())
+    om, do = omega._ints
     s = dj * dj
     packed = _packed_torsion(g, ji, lambda n, a, c: 4 * n * n * a * a * c + n * a * a + s)
     width, a_col, _ = packed
     wrong = _square_mismatch(ji, a_col, width, 1, [-s << width * k for k in range(n)])
     bad = _first_torsion(g, packed, dj)
-    domega = KForm(n, 3, tuple(_d_two_form(g, om, do)))
+    domega = KForm(n, 3, tuple(_d_two_form(g, omega)))
     metric = int_mul(om, ji)
     metric_items, rows, notes = _metric_checks(g, metric, do * dj, "omega(x, Jy) is not symmetric")
     bad_inv = None
@@ -334,11 +338,10 @@ def check_sasakian(
     _check_form(alpha, n, 1)
     _check_width((reeb,), n)
     _check_square(phi, n)
-    coords = one_form_coords(alpha)
-    a, dal = clear_denominators(coords)
+    a, dal = alpha._ints
     r, dr = clear_denominators(reeb)
     p, dp = int_matrix(phi)
-    da, den = _dalpha(g, coords)
+    da, den = _dalpha(g, alpha)
     pairing = Fraction(sum(x * y for x, y in zip(a, r)), dal * dr)
     # N_Phi(e_i, e_j) over dt = dp^2*D against -d(alpha)(e_i, e_j) xi over den*dr: with
     # u = den*dr/h and v = dt/h, h their gcd, the packed N*u + d(alpha)_ij*v*xi is 0 for each

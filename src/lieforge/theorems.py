@@ -14,9 +14,12 @@ of one failing item that names the condition and its witness
 is its first failure in basis order (``_first_mismatch``,
 ``_first_nonzero_pair``).
 
-The conditions and maps run on integers: a map is its integer matrix over one
-denominator (``linalg.int_matrix``), a bracket D times the bracket of
-integer vectors (``algebra._bracket_ints``). phi o D = 0, alpha o D = alpha, [D, J] = 0, J^2 = -Id and
+The conditions and maps run on integers: a form is the integer vector or
+skew matrix over one denominator that it carries (``forms.KForm._ints``,
+cached, so a form read by several conditions and checks is cleared of
+denominators once), a map its integer matrix over one denominator
+(``linalg.int_matrix``), a bracket D times the bracket of integer vectors
+(``algebra._bracket_ints``). phi o D = 0, alpha o D = alpha, [D, J] = 0, J^2 = -Id and
 [ad(xi), Phi] = 0 are integer products; a condition "two maps agree on a
 basis" forms the integer difference of the maps once and tests each basis
 vector as one product, and a pairing condition tests each basis pair as one.
@@ -69,6 +72,7 @@ from .extensions import (
     central_extension,
     derivation_extension,
     double_extension,
+    lift_one_form,
 )
 from .forms import KForm, _check_form, _kirillov, apply_one_form, kirillov_form, one_form_coords, radical
 from .linalg import (
@@ -124,12 +128,13 @@ def extend_map_by_zero(m: Matrix, dim: int) -> Matrix:
 def kernel_basis(g: LieAlgebra, alpha: KForm) -> tuple[Vector, ...]:
     """The canonical basis of Ker(alpha) that ``linalg.nullspace`` gives for the row a of alpha,
     with no elimination: e_f - (a_f/a_l) e_l for f < l and e_f for f > l, in increasing f, with
-    l the last index where a_l != 0 (every e_f when alpha = 0)."""
-    a = one_form_coords(alpha)
+    l the last index where a_l != 0 (every e_f when alpha = 0), read off alpha's numerators."""
+    _check_form(alpha, g.dim, 1)
+    a, _ = alpha._ints
     l = max((f for f, x in enumerate(a) if x), default=-1)
     basis = [list(g.basis_vector(f)) for f in range(g.dim) if f != l]
     for f, v in zip(range(l), basis):  # the rows of f < l come first
-        v[l] = -a[f] / a[l]
+        v[l] = Fraction(-a[f], a[l])
     return tuple(map(tuple, basis))
 
 
@@ -153,7 +158,7 @@ def _verify_frobenius_kahler_input(g: LieAlgebra, f: FrobeniusStructure, k: Kahl
             witness = f"solved {fmt_vector(frob.principal, g.labels)}"
             raise refusal("supplied principal element is wrong", "principal_element", witness)
     _verify_kahler_input(g, k)
-    if k.omega != kirillov[3]:
+    if k.omega != kirillov[2]:
         raise refusal("symplectic form must equal -d(phi)", "exact_symplectic_coherence", "omega != -d(phi)")
 
 
@@ -245,7 +250,7 @@ def sasakian_reduction(g: LieAlgebra, s: SasakianStructure) -> tuple[LieAlgebra,
     flat, db = clear_denominators([x for v in kernel_basis(g, s.alpha) for x in v])
     basis = [flat[r * n : (r + 1) * n] for r in range(m)]  # db times the basis of Ker(alpha)
     pivots = [next(i for i, x in enumerate(v) if x) for v in basis]
-    a, da = clear_denominators(one_form_coords(s.alpha))
+    a, da = s.alpha._ints
     xi, dx = clear_denominators(s.reeb)
     den = g._integer_terms[0] * db * db * da  # of alpha([x_p, x_q]) = t/den
     # v - alpha(v) xi and Phi x lie in Ker(alpha) on the checked s (alpha(xi) = 1, alpha o Phi = 0)
@@ -260,7 +265,7 @@ def sasakian_reduction(g: LieAlgebra, s: SasakianStructure) -> tuple[LieAlgebra,
             if entries:
                 brackets[(p, q)] = entries
             omega_entries[(p, q)] = Fraction(t, den)
-    h = LieAlgebra.from_brackets(m, brackets)
+    h = LieAlgebra(m, brackets)
     phi, dp = int_matrix(s.phi)
     j = tuple(vector_over(int_apply(basis, phi[c]), dp * db) for c in pivots)
     omega = KForm.two_form(m, omega_entries)
@@ -295,7 +300,7 @@ def kahler_extension_obstruction(g: LieAlgebra, s: SasakianStructure, theta: KFo
     _verify_sasakian_input(g, s)
     _check_form(theta, g.dim, 2)
     basis = kernel_basis(g, s.alpha)
-    (t, dt), (p, dp) = int_matrix(theta.as_matrix()), int_matrix(s.phi)
+    (t, dt), (p, dp) = theta._ints, int_matrix(s.phi)
     ptp = int_mul(transpose(p), int_mul(t, p))  # theta(x, y) + theta(Phi x, Phi y) is the form T + Phi^T T Phi
     invariance = _first_nonzero_pair(basis, ([[x * dp * dp + y for x, y in zip(*r)] for r in zip(t, ptp)], dt * dp**2))
     pairing = _phi_pairing_failure(basis, (t, dt), (p, dp))
@@ -418,7 +423,7 @@ def _double_extension(
     n = g.dim
     coords = one_form_coords(s.alpha)
     alpha = KForm.one_form(child.dim, coords + (ONE, ZERO))
-    a_ints, _ = clear_denominators(one_form_coords(alpha))
+    a_ints, _ = alpha._ints
     ad_slot, _ = _int_adjoint(child, child.basis_vector(n + 1))  # D on the extension
     alpha_d = int_apply(zip(*ad_slot), a_ints)  # the row alpha o D, over a positive denominator
     if not alpha_d[n]:
@@ -453,7 +458,7 @@ def sasakian_double_extension_conditions(
     p, dp = int_matrix(s.phi)
     item1 = first_failure(
         "cocycle_phi_pairing",
-        _phi_pairing_failure(basis, int_matrix(theta.as_matrix()), (p, dp)),
+        _phi_pairing_failure(basis, theta._ints, (p, dp)),
         lambda w: f"theta(Phi x,y)+theta(x,Phi y) = {fmt_scalar(w[2])} on kernel pair ({w[0]},{w[1]})",
     )
     rad = radical(g, theta)
@@ -524,15 +529,14 @@ def frobenius_kahler_to_sasakian(
     """
     _verify_frobenius_kahler_input(g, f, k)
     ext = derivation_extension(g, d)  # refuses a D that breaks the Leibniz rule
-    coords = one_form_coords(f.phi)
-    (c, dc), (di, _), (ji, dj) = clear_denominators(coords), int_matrix(d), int_matrix(k.j)
+    (c, dc), (di, _), (ji, dj) = f.phi._ints, int_matrix(d), int_matrix(k.j)
     bad = next((j for j, x in enumerate(int_apply(zip(*di), c)) if x), None)  # the row phi o D
     if bad is not None:
         raise refusal("phi o D must vanish", "phi_d_vanishes", f"phi(D {g.labels[bad]}) != 0")
     if int_mul(di, ji) != int_mul(ji, di):
         raise refusal("D must commute with J", "d_commutes_with_j", "D o J != J o D")
     child = ext.algebra
-    alpha = KForm.one_form(child.dim, coords + (ONE,))
+    alpha = KForm.from_coeffs(child.dim, 1, {**f.phi._table, (g.dim,): ONE})  # phi plus the slot's dual
     phi_j = vector_over(int_apply(zip(*ji), c), dc * dj)  # the row phi o J
     phi = tuple((*row, ZERO) for row in k.j) + ((*(-x for x in phi_j), ZERO),)  # [[J, 0], [-phi o J, 0]]
     rep, structure = check_sasakian(child, child.basis_vector(ext.derivation_index), alpha, phi)
@@ -549,8 +553,7 @@ def sasakian_to_frobenius_kahler(
     """
     _verify_sasakian_input(g, s)
     ext = derivation_extension(g, d)  # refuses a D that breaks the Leibniz rule
-    coords = one_form_coords(s.alpha)
-    (a, _), (di, dd) = clear_denominators(coords), int_matrix(d)
+    (a, da), (di, dd) = s.alpha._ints, int_matrix(d)
     bad = next((j for j, (x, y) in enumerate(zip(int_apply(zip(*di), a), a)) if x != y * dd), None)  # alpha o D, alpha
     if bad is not None:
         label = g.labels[bad]
@@ -562,11 +565,12 @@ def sasakian_to_frobenius_kahler(
         raise refusal("Phi and D must commute on Ker(alpha)", "phi_d_commute_on_kernel", witness)
     child = ext.algebra
     slot = child.basis_vector(ext.derivation_index)
-    phi_lift = KForm.one_form(child.dim, coords + (ZERO,))
-    j = tuple((*row, x) for row, x in zip(s.phi, s.reeb)) + ((*(-x for x in coords), ZERO),)  # [[Phi, xi], [-alpha, 0]]
+    phi_lift = lift_one_form(s.alpha, child.dim)
+    # J = [[Phi, xi], [-alpha, 0]]
+    j = tuple((*row, x) for row, x in zip(s.phi, s.reeb)) + ((*vector_over([-x for x in a], da), ZERO),)
     kirillov = _kirillov(child, phi_lift)
     rep_f, frob = check_frobenius(child, phi_lift, kirillov)
-    rep_k, kahler = check_kahler(child, j, kirillov[3])  # omega = -d(phi_lift)
+    rep_k, kahler = check_kahler(child, j, kirillov[2])  # omega = -d(phi_lift)
     items = rep_f.prefixed("frobenius:") + rep_k.prefixed("kahler:")
     principal = None if frob is None else frob.principal
     items += (
@@ -620,13 +624,13 @@ def contact_ideal_restriction(
             brackets.append(((a - (a > pivot), b - (b > pivot)), [(c - (c > pivot), x) for c, x in entries]))
     h = LieAlgebra(m, brackets, tuple(g.labels[i] for i in keep))
 
-    alpha_h = KForm.one_form(m, tuple(one_form_coords(f.phi)[i] for i in keep))
+    alpha_h = KForm.one_form(m, [f.phi.coeff((i,)) for i in keep])
     contact_rep, contact = check_contact(h, alpha_h)
     require("restricted form is not contact on the ideal", contact_rep)
     xi = contact.reeb
     items = list(contact_rep.prefixed("contact:"))
     # column i of J on the kernel part e_i - alpha_h(e_i) xi, in the coordinates of g over den
-    (a, da), (x, dx), (ji, dj) = clear_denominators(one_form_coords(alpha_h)), clear_denominators(xi), int_matrix(k.j)
+    (a, da), (x, dx), (ji, dj) = alpha_h._ints, clear_denominators(xi), int_matrix(k.j)
     den = dj * da * dx
     j_xi = [sum(row[c] * y for c, y in zip(keep, x)) for row in ji]
     images = [[da * dx * row[c] - ai * y for row, y in zip(ji, j_xi)] for c, ai in zip(keep, a)]

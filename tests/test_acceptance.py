@@ -301,7 +301,7 @@ def _transported_flat_kahler(rng: random.Random, dim: int):
     b = mat_mul(transpose(pinv), mat_mul(tuple(map(tuple, b0)), pinv))
     omega = KForm.two_form(dim, {(a, c): b[a][c] for a in range(dim) for c in range(a + 1, dim)})
     report, structure = lf.check_kahler(g, j, omega)
-    assert structure is not None, report.failures()
+    assert structure is not None, tuple(it for it in report.items if not it.passed)
     return g, structure
 
 

@@ -27,9 +27,7 @@ def test_d4half_canonical_structures():
     f = b.frobenius()
     assert f.principal == b.algebra.basis_vector(3)
     assert k.omega.coeff((0, 1)) == 1 and k.omega.coeff((2, 3)) == -1
-    assert b.named_map("E")[0][1] == 1
-    with pytest.raises(KeyError):
-        b.named_map("F")
+    assert dict(b.maps)["E"][0][1] == 1
 
 
 def test_g0_center_trivial():
@@ -66,6 +64,6 @@ def test_builtins_are_the_constructions_of_the_low_dimensional_examples():
     ext, report, sasakian = kahler_to_sasakian_central(d4.algebra, d4.kahler())
     assert report.overall and ext.algebra == g5.algebra
     assert (sasakian.reeb, sasakian.alpha, sasakian.phi) == g5.sasakian_data
-    ext, report, sasakian = frobenius_kahler_to_sasakian(d4.algebra, d4.frobenius(), d4.kahler(), d4.named_map("E"))
+    ext, report, sasakian = frobenius_kahler_to_sasakian(d4.algebra, d4.frobenius(), d4.kahler(), dict(d4.maps)["E"])
     assert report.overall and ext.algebra == g0.algebra
     assert (sasakian.reeb, sasakian.alpha, sasakian.phi) == g0.sasakian_data

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +14,8 @@ from lieforge import (
     radical,
 )
 from lieforge.algebra import Subspace
-from lieforge.forms import _d_two_form, _dalpha, _top_contact, evaluation_sign
-from lieforge.linalg import int_matrix, vector
+from lieforge.forms import _d_two_form, _dalpha, _top_contact, evaluation_sign, one_form_coords
+from lieforge.linalg import clear_denominators, identity, int_matrix, vector
 
 from algebra_oracle import bracket
 from conftest import (
@@ -41,8 +42,7 @@ E3_D4 = KForm.basis_one_form(4, 2)
 
 def top_contact_test(g, alpha):
     """The top-form test that check_contact runs, on an odd-dimensional g."""
-    coords = tuple(alpha.coeff((i,)) for i in range(g.dim))
-    return _top_contact(coords, *_dalpha(g, coords))[0]
+    return _top_contact(alpha, *_dalpha(g, alpha))[0]
 
 
 def test_differential_of_e3_on_h3():
@@ -80,7 +80,7 @@ def test_paper_convention_sign():
 def test_radical_examples():
     b = kirillov_form(H3, E3_H3)
     assert radical(H3, b) == Subspace.from_vectors(3, (H3.basis_vector(2),))
-    assert radical(H3, KForm.zero(3, 2)) == Subspace.full(3)
+    assert radical(H3, KForm.zero(3, 2)) == Subspace(3, identity(3))
     omega = ce_differential(D4, E3_D4).neg()
     assert radical(D4, omega).dim == 0
 
@@ -317,7 +317,7 @@ def test_dalpha_matches_ce_differential(data):
     # any antisymmetric table, Lie or not, and 1-forms over mixed denominators
     g = data.draw(antisymmetric_algebras(values=BIG_RATIONALS))
     coords = data.draw(rational_vectors(g.dim, BIG_RATIONALS))
-    da, den = _dalpha(g, coords)
+    da, den = _dalpha(g, KForm.one_form(g.dim, coords))
     expected = ce_differential(g, KForm.one_form(g.dim, coords)).as_matrix()
     assert tuple(tuple(Fraction(x, den) for x in row) for row in da) == expected
 
@@ -331,15 +331,31 @@ def test_d_two_form_matches_ce_differential(data):
     pairs = [(a, b) for a in range(g.dim) for b in range(a + 1, g.dim)]
     theta = KForm.two_form(g.dim, dict(zip(pairs, data.draw(rational_vectors(len(pairs), BIG_RATIONALS)))))
     expected = ce_differential(g, theta).coeffs
-    assert tuple(_d_two_form(g, *int_matrix(theta.as_matrix()))) == expected
+    assert tuple(_d_two_form(g, theta)) == expected
     assert tuple(sorted(d_two_form(g, theta).items())) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.sampled_from([1, 2]), st.data())
+def test_cached_integers_match_the_cleared_coordinates(dim, degree, data):
+    # the one integer reading of a form (KForm._ints) against clearing the denominators of its
+    # coordinates or of its matrix, on coefficients that mix ints and Fractions, and on zero forms
+    idxs = list(combinations(range(dim), degree))
+    mixed = st.one_of(st.integers(-(10**6), 10**6), BIG_RATIONALS)
+    values = data.draw(st.lists(mixed, min_size=len(idxs), max_size=len(idxs)))
+    for form in (KForm(dim, degree, tuple((i, v) for i, v in zip(idxs, values) if v)), KForm.zero(dim, degree)):
+        ints, d = form._ints
+        if degree == 1:
+            assert (list(ints), d) == clear_denominators(one_form_coords(form))
+        else:
+            assert ([list(row) for row in ints], d) == int_matrix(form.as_matrix())
+            ints = [x for row in ints for x in row]
+        assert all(type(x) is int for x in ints)
 
 
 def test_differential_matches_pointwise_definition():
     # (dw)(x0..xk) = sum_{i<j} (-1)^(i+j) w([xi,xj], x0..^i..^j..xk)
     # evaluated on arbitrary vectors, independent of the coefficient path
-    from itertools import combinations
-
     rng = random.Random(99)
     for _ in range(25):
         g = random_jacobi_algebra(rng, rng.randint(2, 5))

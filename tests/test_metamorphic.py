@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 import lieforge as lf
 from lieforge.forms import _dalpha, _top_contact
 from lieforge.linalg import det, mat_vec
-from lieforge.forms import one_form_coords
 
 from conftest import (
     conjugate_algebra,
@@ -61,8 +60,7 @@ def contact_cases(draw):
 
 def top_coefficient(g, alpha):
     """The top coefficient of alpha ^ (d alpha)^n, from the top-form test that check_contact runs."""
-    coords = one_form_coords(alpha)
-    return _top_contact(coords, *_dalpha(g, coords))[0].coefficient
+    return _top_contact(alpha, *_dalpha(g, alpha))[0].coefficient
 
 
 @settings(max_examples=60, deadline=None)

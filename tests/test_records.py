@@ -174,4 +174,10 @@ def test_cached_values_live_beside_the_fields():
     assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
     form = KForm.from_coeffs(3, 2, {(0, 1): 3, (1, 2): "1/2"})
     assert form.coeff((0, 1)) == 3 and form.coeff((0, 2)) == 0 and form.coeff((1, 2)) == Fraction(1, 2)
+    assert form._ints == (((0, 6, 0), (-6, 0, 1), (0, -1, 0)), 2)
+    assert "_table" in vars(form) and "_ints" in vars(form)
     assert form == KForm(3, 2, form.coeffs) and repr(form) == repr(KForm(3, 2, form.coeffs))
+    assert hash(form) == hash(KForm(3, 2, form.coeffs))
+    alpha = KForm(3, 1, (((0,), 1), ((2,), Fraction(-2, 3))))
+    assert alpha._ints == ((3, 0, -2), 3) and "_ints" in vars(alpha)
+    assert alpha == KForm.one_form(3, [1, 0, "-2/3"]) and repr(alpha) == repr(KForm(3, 1, alpha.coeffs))

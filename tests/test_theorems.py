@@ -10,8 +10,11 @@ from lieforge import (
     builtin,
     center,
     central_extension,
+    check_contact,
+    check_frobenius,
     check_kahler,
     check_sasakian,
+    is_cocycle,
     contact_ideal_restriction,
     double_extension,
     extend_complex_structure,
@@ -150,7 +153,7 @@ def test_extend_complex_structure_d4half_presentation():
 
 def test_extend_complex_structure_refuses_reversed_double_extension():
     # the reversed extension adjoins the slot first (index 4) and z last (index 5): J-bar's blocks do not apply
-    ext = reversed_double_extension(D4.algebra, KForm.basis_one_form(4, 2), D4.named_map("E"), check=False)
+    ext = reversed_double_extension(D4.algebra, KForm.basis_one_form(4, 2), dict(D4.maps)["E"], check=False)
     assert (ext.derivation_index, ext.central_index) == (4, 5)
     with pytest.raises(PreconditionError, match="expected the result of a double extension"):
         extend_complex_structure(ext, D4.kahler().j)
@@ -249,7 +252,7 @@ def test_double_extension_condition_three_failure_matches_direct_check():
 
 def test_fk_to_sasakian_produces_g0():
     ext, report, structure = frobenius_kahler_to_sasakian(
-        D4.algebra, D4.frobenius(), D4.kahler(), D4.named_map("E")
+        D4.algebra, D4.frobenius(), D4.kahler(), dict(D4.maps)["E"]
     )
     assert report.overall and structure is not None
     assert dense_c(ext.algebra) == dense_c(G0.algebra)
@@ -269,7 +272,7 @@ def test_fk_to_sasakian_rejects_bad_frobenius():
 @pytest.mark.parametrize(
     "construct",
     [
-        lambda f: frobenius_kahler_to_sasakian(D4.algebra, f, D4.kahler(), D4.named_map("E")),
+        lambda f: frobenius_kahler_to_sasakian(D4.algebra, f, D4.kahler(), dict(D4.maps)["E"]),
         lambda f: contact_ideal_restriction(D4.algebra, f, D4.kahler()),
     ],
     ids=["fk-to-sasakian", "contact-ideal"],
@@ -359,6 +362,69 @@ def test_constructions_build_each_kirillov_form_once(case, monkeypatch):
     report = construct(*structures)[1]
     assert report.overall
     assert len(calls) == expected
+
+
+def _fresh(x):
+    """x with every form a new KForm object, nothing cached on it: a form itself, or a copy of a
+    structure (unbound, so a construction checks it again on the same fresh forms)."""
+    if isinstance(x, KForm):
+        return KForm(x.dim, x.degree, x.coeffs)
+    return type(x)(*(_fresh(v) if isinstance(v, KForm) else v for v in (getattr(x, f) for f in x._fields)))
+
+
+E3 = H3.sasakian_data[1]
+# each check and construction, as (function, fresh inputs); the structures of the built-ins share their
+# forms across calls, so only fresh forms show how often one call clears a form of denominators
+ONE_READING = {
+    "contact": lambda: (check_contact, H3.algebra, _fresh(E3)),
+    "frobenius": lambda: (check_frobenius, D4.algebra, _fresh(D4.frobenius_form)),
+    "kahler": lambda: (check_kahler, D4.algebra, D4.kahler_data[0], _fresh(D4.kahler_data[1])),
+    "sasakian": lambda: (check_sasakian, H3.algebra, H3.sasakian_data[0], _fresh(E3), H3.sasakian_data[2]),
+    "cocycle": lambda: (is_cocycle, D4.algebra, _fresh(D4.kahler_data[1])),
+    "form-eigen": lambda: (derivation_space, H3.algebra, [Leibniz(), FormEigen(_fresh(E3), 1)]),
+    "reversed-double": lambda: (reversed_double_extension, H3.algebra, _fresh(E3), diagonal([1, 1, 2])),
+    "sasakian-reduction": lambda: (sasakian_reduction, G5.algebra, _fresh(G5.sasakian())),
+    "kahler-to-sasakian": lambda: (kahler_to_sasakian_central, D4.algebra, _fresh(D4.kahler())),
+    "kahler-obstruction": lambda: (
+        kahler_extension_obstruction, H3.algebra, _fresh(H3.sasakian()), KForm.two_form(3, {(0, 1): 1})
+    ),
+    "double-conditions": lambda: (
+        sasakian_double_extension_conditions,
+        H3.algebra,
+        _fresh(H3.sasakian()),
+        KForm.zero(3, 2),
+        diagonal([0, 0, 0, 1]),
+    ),
+    "sasakian-double": lambda: (
+        sasakian_double_extension, H3.algebra, _fresh(H3.sasakian()), KForm.zero(3, 2), diagonal([0, 0, 0, 1])
+    ),
+    "sasakian-to-fk": lambda: (
+        sasakian_to_frobenius_kahler, H3.algebra, _fresh(H3.sasakian()), diagonal(["1/2", "1/2", 1])
+    ),
+    "fk-to-sasakian": lambda: (
+        frobenius_kahler_to_sasakian, D4.algebra, _fresh(D4.frobenius()), _fresh(D4.kahler()), dict(D4.maps)["E"]
+    ),
+    "contact-ideal": lambda: (contact_ideal_restriction, D4.algebra, _fresh(D4.frobenius()), _fresh(D4.kahler())),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_READING))
+def test_each_form_is_cleared_of_denominators_once(case, monkeypatch):
+    from functools import cached_property
+
+    run, *inputs = ONE_READING[case]()  # built before the spy: checking a built-in reads its forms
+    reads = []
+    compute = KForm._ints.func
+
+    def counted(form):
+        reads.append(form)
+        return compute(form)
+
+    spy = cached_property(counted)
+    spy.__set_name__(KForm, "_ints")
+    monkeypatch.setattr(KForm, "_ints", spy)
+    run(*inputs)
+    assert reads and len(set(reads)) == len(reads), reads  # no form, nor an equal copy, is read twice
 
 
 def test_sasakian_to_fk_rejects_zero_map():
@@ -588,7 +654,7 @@ def test_derivation_extensions_match_oracle(name):
 
 @pytest.mark.parametrize(
     "d",
-    [D4.named_map("E"), zero_matrix(4), adjoint(D4.algebra, D4.algebra.basis_vector(3))],
+    [dict(D4.maps)["E"], zero_matrix(4), adjoint(D4.algebra, D4.algebra.basis_vector(3))],
     ids=["E", "zero", "ad-e4"],
 )
 def test_fk_to_sasakian_on_d4half_matches_oracle(d):
@@ -647,6 +713,61 @@ def test_kernel_basis_is_the_nullspace_of_its_row(case):
     coords = coords[:k] + [0] * (len(coords) - k)
     n = len(coords)
     assert kernel_basis(LieAlgebra.abelian(n), KForm.one_form(n, coords)) == nullspace([vector(coords)], n)
+
+
+MOVE = matrix([[1, 0, 0], [0, 1, 0], [1, 0, 1]])  # moves e3* of h3 to e1* + e3*
+
+
+def _moved_h3(int_form):
+    """(g, s, P^-1): h3 moved by MOVE with its checked Sasakian structure, alpha = e1* + e3* given by
+    int coefficients (which KForm accepts) or as Fractions."""
+    from conftest import conjugate_algebra, conjugate_map, conjugate_one_form, mat_inverse
+    from lieforge.linalg import mat_vec
+
+    pinv = mat_inverse(MOVE)
+    g = conjugate_algebra(H3.algebra, MOVE, pinv)
+    reeb, alpha, phi = H3.sasakian_data
+    alpha = conjugate_one_form(alpha, MOVE)
+    if int_form:
+        alpha = KForm(3, 1, tuple((i, int(v)) for i, v in alpha.coeffs))
+    return g, check_sasakian(g, mat_vec(pinv, reeb), alpha, conjugate_map(phi, MOVE, pinv))[1], pinv
+
+
+def _d4half_frobenius(int_form):
+    """d4half's Frobenius structure, unbound, with phi = e3* given by an int coefficient or as a Fraction."""
+    from lieforge.structures import FrobeniusStructure
+
+    phi = KForm(4, 1, (((2,), 1),)) if int_form else KForm.basis_one_form(4, 2)
+    return FrobeniusStructure(phi, D4.frobenius().principal)
+
+
+def _moved_d(g, s, pinv):
+    from conftest import conjugate_map
+
+    return sasakian_to_frobenius_kahler(g, s, conjugate_map(diagonal(["1/2", "1/2", 1]), MOVE, pinv))
+
+
+# the constructions that read Ker(alpha) (kernel_basis), and fk-to-sasakian, which lifts phi
+INT_TWINS = {
+    "sasakian-reduction": lambda i: sasakian_reduction(*_moved_h3(i)[:2]),
+    "kahler-obstruction": lambda i: kahler_extension_obstruction(*_moved_h3(i)[:2], KForm.two_form(3, {(0, 1): 1})),
+    "double-conditions": lambda i: sasakian_double_extension_conditions(
+        *_moved_h3(i)[:2], KForm.zero(3, 2), diagonal([0, 0, 0, 1])
+    ),
+    "sasakian-double": lambda i: sasakian_double_extension(*_moved_h3(i)[:2], KForm.zero(3, 2), diagonal([0, 0, 0, 1])),
+    "sasakian-to-fk": lambda i: _moved_d(*_moved_h3(i)),
+    "contact-ideal": lambda i: contact_ideal_restriction(D4.algebra, _d4half_frobenius(i), D4.kahler()),
+    "fk-to-sasakian": lambda i: frobenius_kahler_to_sasakian(
+        D4.algebra, _d4half_frobenius(i), D4.kahler(), dict(D4.maps)["E"]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INT_TWINS))
+def test_int_coefficient_forms_construct_like_their_fraction_twins(case):
+    # kernel_basis divided two ints of such a form into a float, which the checks then refused
+    assert all(type(v) is int for _, v in _moved_h3(True)[1].alpha.coeffs + _d4half_frobenius(True).phi.coeffs)
+    assert INT_TWINS[case](True) == INT_TWINS[case](False)
 
 
 # --- integer conditions against the Fraction paths they replaced ---------------
