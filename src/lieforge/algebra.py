@@ -17,6 +17,11 @@ pair one packed sum (``linalg.pack``), O(n^3) big-int multiply-adds in all,
 and per triple three block reads and a test against 0. A triple that passes
 is never unpacked. The packed Leibniz defect of an integer map
 (``_leibniz_defects``) serves the derivation test and the Nijenhuis torsion.
+
+``transform`` is the one exact change of basis e'_i = P e_i, for an algebra,
+a map, a 1-form or a 2-form: on integers over one denominator, with P^-1
+from one fraction-free elimination of [P | I] and one Fraction per output
+entry.
 """
 
 from __future__ import annotations
@@ -30,13 +35,20 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import (
+    Matrix,
     ScalarLike,
     Vector,
     ZERO,
     _check_exact,
+    _check_square,
     _check_width,
+    _inverse,
+    det,
     fmt_basis_tuple,
     fmt_vector,
+    int_apply,
+    int_matrix,
+    int_mul,
     nullspace,
     pack,
     rref,
@@ -135,6 +147,47 @@ def _bracket_ints(g: LieAlgebra, xs: Sequence[int], ys: Sequence[int]) -> list[i
                 for k, c in row[j]:
                     acc[k] += f * c
     return acc
+
+
+def transform(x, p: Matrix):
+    """x in the basis e'_i = P e_i, for P an invertible n x n matrix: a LieAlgebra gets the structure
+    constants P^-1 [Pe_i, Pe_j] and keeps its labels (de Graaf, *Lie Algebras: Theory and
+    Algorithms*, 2000), an n x n map M becomes P^-1 M P, a 1-form alpha becomes alpha o P and a
+    2-form omega becomes omega(P., P.), built by the form's own class.
+
+    With P = pi/dp (``int_matrix``) and pi^-1 = q/l (``linalg._inverse``, one elimination of
+    [pi | I]; a form needs only det(pi) != 0), everything is integers over one denominator: the
+    brackets of the columns of pi (``_bracket_ints``), and a map's or a form's numerators
+    (``KForm._ints``) times pi and q (``int_mul``); each output entry becomes a Fraction once.
+    A P of another size raises DimensionMismatch, a singular one LieforgeError, and a form of
+    another degree DimensionMismatch (``KForm._ints``).
+    """
+    if not isinstance(x, Record):  # a map
+        _check_square(x)
+    n = x.dim if isinstance(x, Record) else len(x)
+    _check_square(p, n)
+    pi, dp = int_matrix(p)
+    if isinstance(x, Record) and not isinstance(x, LieAlgebra):  # a KForm; forms imports this module
+        if not det(pi):
+            raise LieforgeError(f"the {n} x {n} matrix is singular")
+        a, da = x._ints
+        if x.degree == 1:  # coefficient i is alpha(P e_i)
+            coeffs = [((i,), Fraction(c, da * dp)) for i, c in enumerate(int_apply(zip(*pi), a)) if c]
+        else:  # P^T omega P
+            t = int_mul(zip(*pi), int_mul(a, pi))
+            coeffs = [((i, j), Fraction(t[i][j], da * dp * dp)) for i in range(n) for j in range(i + 1, n) if t[i][j]]
+        return type(x)(n, x.degree, tuple(coeffs))
+    q, l = _inverse(pi)  # P^-1 = dp*q/l
+    if not isinstance(x, LieAlgebra):
+        mi, dm = int_matrix(x)
+        return tuple(vector_over(row, l * dm) for row in int_mul(q, int_mul(mi, pi)))
+    den, cols = l * x._integer_terms[0] * dp, list(zip(*pi))  # [Pe_i, Pe_j] = _bracket_ints(pi e_i, pi e_j)/(D dp^2)
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            image = int_apply(q, _bracket_ints(x, cols[i], cols[j]))
+            table[(i, j)] = [(k, Fraction(c, den)) for k, c in enumerate(image) if c]
+    return LieAlgebra(n, table, x.labels)
 
 
 def _leibniz_defects(

@@ -55,6 +55,8 @@ elimination that the contact and Frobenius checks read off. There is no
 separate Pfaffian: Pf([[0, r], [-r^T, m']]) is sub_pfaffians(m') . r.
 int_matrix writes a map as integers over one denominator, and int_mul and
 int_apply are the integer products that the checks and constructions share.
+_inverse inverts an integer matrix over one denominator by one elimination
+of [m | I], for the basis changes of ``algebra.transform``.
 """
 
 from __future__ import annotations
@@ -62,11 +64,12 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
-from .report import DimensionMismatch
+from .report import DimensionMismatch, LieforgeError
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -117,10 +120,6 @@ def diagonal(entries: Sequence[ScalarLike]) -> Matrix:
     return tuple(tuple(d[i] if i == j else ZERO for j in range(n)) for i in range(n))
 
 
-def vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
 def vec_sub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
@@ -144,10 +143,6 @@ def is_square(m: Matrix, n: int) -> bool:
 
 def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
-
-
-def mat_vec(m: Matrix, v: Vector) -> Vector:
-    return tuple(sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in m)
 
 
 def column(m: Matrix, j: int) -> Vector:
@@ -541,6 +536,17 @@ def det(m: Matrix) -> Fraction:
     return Fraction(prod(row[c] * d for row, c, d in zip(work, pivots, den)), prod(num))
 
 
+def _inverse(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(q, l) with m^-1 = q/l for an invertible integer matrix m, l > 0, from one elimination of
+    [m | I]: row k of the reduced rows is m^-1's row k over its pivot. A singular m raises LieforgeError."""
+    n = len(m)
+    work, pivots, _, _ = _eliminate([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)])
+    if pivots != list(range(n)):
+        raise LieforgeError(f"the {n} x {n} matrix is singular")
+    l = lcm(*(row[k] for k, row in enumerate(work)))
+    return [[x * (l // row[k]) for x in row[n:]] for k, row in enumerate(work)], l
+
+
 def sub_pfaffians(a: Sequence[Sequence[int]]) -> list[int]:
     """The w with Pf([[0, u], [-u^T, a]]) = w . u for every u, for a an odd-sized integer skew
     matrix: w_j = (-1)^j Pf(a without row and column j), and a w = 0.
@@ -582,11 +588,12 @@ def sub_pfaffians(a: Sequence[Sequence[int]]) -> list[int]:
 def positive_definite(m: Matrix) -> tuple[bool, int | None]:
     """Sylvester's criterion; returns (ok, first failing minor size).
 
-    One Schur-complement sweep without row exchanges on m cleared to integers
-    (``int_matrix``). Step k divides the block of rows k.. by the gcd of the
-    entries it keeps (m's own content at k = 0), so the entries stay about
-    as wide as the minors, and then, with pivot p = a_kk > 0, makes each
-    trailing row i p*row_i - f*row_k. Every scale is positive, so while
+    One Schur-complement sweep without row exchanges on m as integers: rows of
+    ints as given (the metric checks build them so), any other m cleared of
+    denominators (``int_matrix``). Step k divides the block of rows k.. by
+    the gcd of the entries it keeps (m's own content at k = 0), so the
+    entries stay about as wide as the minors, and then, with pivot
+    p = a_kk > 0, makes each trailing row i p*row_i - f*row_k. Every scale is positive, so while
     minors 1..k are positive the pivot k+1 has the sign of minor k+1, and
     the first pivot that is not positive names the failing minor. A
     symmetric m keeps its trailing block symmetric, so only the upper
@@ -594,7 +601,7 @@ def positive_definite(m: Matrix) -> tuple[bool, int | None]:
     square m keeps row i from column k+1 on, with f = a_ik.
     """
     _check_square(m)
-    rows, _ = int_matrix(m)
+    rows = [list(row) for row in m] if all(map(int.__instancecheck__, chain.from_iterable(m))) else int_matrix(m)[0]
     upper = rows == [list(col) for col in zip(*rows)]
     rows = [row[i if upper else 0 :] for i, row in enumerate(rows)]  # symmetric: row i from its diagonal on
     for k in range(len(rows)):

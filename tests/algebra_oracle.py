@@ -22,6 +22,15 @@ the bracket table replaced: the full antisymmetric tensor filled from the
 sparse i < j data, and the n^3 scan of it that clears the denominators.
 dense_c is that tensor for an algebra, c[i][j] = [e_i, e_j], which the tests
 compare algebras by and the other oracles read structure constants from.
+
+conjugate_algebra, conjugate_map, conjugate_one_form, conjugate_two_form and
+mat_inverse are the Fraction basis changes to e'_i = P e_i that
+tests/conftest.py held before lieforge.algebra.transform replaced them: the
+inner bracket summed over the bracket table and P^-1 applied to its nonzero
+coordinates, P^-1 M P as two Fraction products, alpha o P as P^T times the
+coordinates, omega(P., P.) by evaluation, and P^-1 as the right half of the
+Fraction rref of [P | I]. tests/test_algebra.py checks that transform
+returns exactly what they return.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from itertools import product
 from math import lcm
 
 from lieforge.algebra import LieAlgebra, _jacobi_failures
+from lieforge.forms import KForm
 from lieforge.linalg import (
     Matrix,
     Vector,
@@ -38,18 +48,17 @@ from lieforge.linalg import (
     column,
     fmt_basis_tuple,
     fmt_vector,
+    identity,
     is_zero_vector,
-    mat_vec,
     scalar,
     transpose,
-    vec_add,
     vec_scale,
     vec_sub,
     zero_vector,
 )
 from lieforge.report import CheckReport, DimensionMismatch, Record, fail, ok
 
-from linalg_oracle import mat_mul
+from linalg_oracle import mat_mul, mat_vec, rref, vec_add
 
 
 class NijenhuisTable(Record):
@@ -183,3 +192,53 @@ def nijenhuis(g: LieAlgebra, a: Matrix) -> NijenhuisTable:
             table[i][j] = value
             table[j][i] = vec_scale(Fraction(-1), value)
     return NijenhuisTable(n, tuple(tuple(row) for row in table))
+
+
+def mat_inverse(m: Matrix) -> Matrix | None:
+    """m^-1, the right half of rref([m | I]), or None when m is singular."""
+    n = len(m)
+    rows, pivots = rref([tuple(row) + unit for row, unit in zip(m, identity(n))])
+    if pivots != tuple(range(n)):
+        return None
+    return tuple(row[n:] for row in rows)
+
+
+def conjugate_algebra(g: LieAlgebra, p: Matrix, pinv: Matrix) -> LieAlgebra:
+    """Structure constants in the basis e'_i = P e_i: [e'_i, e'_j] = P^-1 [P e_i, P e_j], the inner
+    bracket summed over the bracket table of g and P^-1 applied to its nonzero coordinates."""
+    n = g.dim
+    cols = transpose(p)
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            x, y = cols[i], cols[j]
+            v: dict[int, Fraction] = {}
+            for (a, b), entries in g.brackets:
+                f = x[a] * y[b] - x[b] * y[a]
+                if f:
+                    for k, c in entries:
+                        v[k] = v.get(k, ZERO) + f * c
+            image = [sum((row[k] * c for k, c in v.items()), ZERO) for row in pinv]
+            entries = {k: val for k, val in enumerate(image) if val}
+            if entries:
+                brackets[(i, j)] = entries
+    return LieAlgebra(n, brackets, g.labels)
+
+
+def conjugate_map(m: Matrix, p: Matrix, pinv: Matrix) -> Matrix:
+    return mat_mul(pinv, mat_mul(m, p))
+
+
+def conjugate_one_form(alpha: KForm, p: Matrix) -> KForm:
+    """alpha'(x) = alpha(P x), so coords transform by P transpose."""
+    coords = tuple(alpha.coeff((i,)) for i in range(alpha.dim))
+    return KForm.one_form(alpha.dim, mat_vec(transpose(p), coords))
+
+
+def conjugate_two_form(omega: KForm, p: Matrix) -> KForm:
+    """omega'(x, y) = omega(P x, P y)."""
+    entries = {}
+    for a in range(omega.dim):
+        for b in range(a + 1, omega.dim):
+            entries[(a, b)] = omega.evaluate((column(p, a), column(p, b)))
+    return KForm.two_form(omega.dim, entries)

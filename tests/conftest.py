@@ -4,6 +4,16 @@ Random Lie algebras are produced by iterated central and derivation
 extensions starting from abelian algebras, so every sample satisfies the
 Jacobi identity exactly. All sampling uses seeded random.Random for
 reproducibility.
+
+The conjugation helpers (conjugate_algebra, conjugate_map,
+conjugate_one_form, conjugate_two_form) move their input to the basis
+e'_i = P e_i through lieforge.algebra.transform, and mat_inverse inverts
+through the integer inverse that transform uses (linalg._inverse). The
+Fraction versions they replaced are tests/algebra_oracle.py's, which pin
+transform. conjugate_algebra and conjugate_map take P^-1 as ``pinv`` and do
+not read it: bench/workloads.dense_heisenberg calls them with it. The
+benchmark loads this file by its path, with only src/ on the path, so it
+imports lieforge alone.
 """
 
 from __future__ import annotations
@@ -13,8 +23,9 @@ from fractions import Fraction
 from itertools import combinations
 
 import lieforge as lf
+from lieforge.algebra import transform
 from lieforge.forms import KForm
-from lieforge.linalg import column, identity, nullspace, rref, transpose
+from lieforge.linalg import _inverse, column, int_matrix, nullspace, vector_over
 
 SCALARS = [Fraction(n) for n in (-2, -1, 0, 1, 2)] + [Fraction(1, 2), Fraction(-1, 2)]
 NONZERO = [s for s in SCALARS if s != 0]
@@ -123,16 +134,17 @@ def random_jacobi_algebra(rng: random.Random, dim: int) -> lf.LieAlgebra:
 
 def heisenberg_plus_abelian(k: int, r: int = 0) -> lf.LieAlgebra:
     """h_{2k+1} + R^r on (x_1..x_k, y_1..y_k, z, a_1..a_r), [x_i, y_i] = z."""
-    return lf.LieAlgebra.from_brackets(2 * k + 1 + r, {(i, k + i): {2 * k: 1} for i in range(k)})
+    return lf.LieAlgebra(2 * k + 1 + r, {(i, k + i): {2 * k: 1} for i in range(k)})
 
 
 def mat_inverse(m):
-    """m^-1, the right half of rref([m | I]), or None when m is singular."""
-    n = len(m)
-    rows, pivots = rref([tuple(row) + unit for row, unit in zip(m, identity(n))])
-    if pivots != tuple(range(n)):
+    """m^-1, or None when m is singular: m = mi/d is inverted as mi^-1 = q/l (linalg._inverse)."""
+    mi, d = int_matrix(m)
+    try:
+        q, l = _inverse(mi)
+    except lf.LieforgeError:
         return None
-    return tuple(row[n:] for row in rows)
+    return tuple(vector_over([d * x for x in row], l) for row in q)
 
 
 def random_invertible(rng: random.Random, dim: int):
@@ -153,7 +165,7 @@ def random_complex_structure(rng: random.Random, dim: int):
         j0[2 * k + 1][2 * k] = Fraction(1)
     j0 = tuple(tuple(r) for r in j0)
     p = random_invertible(rng, dim)
-    return _mat_mul(p, _mat_mul(j0, mat_inverse(p)))
+    return transform(j0, mat_inverse(p))  # P J0 P^-1
 
 
 def invariant_closed_two_forms(g: lf.LieAlgebra, j) -> list[KForm]:
@@ -176,50 +188,23 @@ def invariant_closed_two_forms(g: lf.LieAlgebra, j) -> list[KForm]:
 
 
 def conjugate_algebra(g: lf.LieAlgebra, p, pinv) -> lf.LieAlgebra:
-    """Structure constants in the basis e'_i = P e_i: [e'_i, e'_j] = P^-1 [P e_i, P e_j], the inner
-    bracket summed over the bracket table of g and P^-1 applied to its nonzero coordinates."""
-    n = g.dim
-    cols = transpose(p)
-    brackets = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            x, y = cols[i], cols[j]
-            v: dict[int, Fraction] = {}
-            for (a, b), entries in g.brackets:
-                f = x[a] * y[b] - x[b] * y[a]
-                if f:
-                    for k, c in entries:
-                        v[k] = v.get(k, Fraction(0)) + f * c
-            image = [sum((row[k] * c for k, c in v.items()), Fraction(0)) for row in pinv]
-            entries = {k: val for k, val in enumerate(image) if val}
-            if entries:
-                brackets[(i, j)] = entries
-    return lf.LieAlgebra.from_brackets(n, brackets)
-
-
-def _mat_mul(a, b):
-    return tuple(tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)) for row in a)
+    """Structure constants in the basis e'_i = P e_i: [e'_i, e'_j] = P^-1 [P e_i, P e_j]."""
+    return transform(g, p)
 
 
 def conjugate_map(m, p, pinv):
-    return _mat_mul(pinv, _mat_mul(m, p))
+    """P^-1 M P."""
+    return transform(m, p)
 
 
 def conjugate_one_form(alpha: KForm, p) -> KForm:
     """alpha'(x) = alpha(P x), so coords transform by P transpose."""
-    from lieforge.linalg import mat_vec
-
-    coords = tuple(alpha.coeff((i,)) for i in range(alpha.dim))
-    return KForm.one_form(alpha.dim, mat_vec(transpose(p), coords))
+    return transform(alpha, p)
 
 
 def conjugate_two_form(omega: KForm, p) -> KForm:
     """omega'(x, y) = omega(P x, P y)."""
-    entries = {}
-    for a in range(omega.dim):
-        for b in range(a + 1, omega.dim):
-            entries[(a, b)] = omega.evaluate((column(p, a), column(p, b)))
-    return KForm.two_form(omega.dim, entries)
+    return transform(omega, p)
 
 
 def shuffle_wedge_eval(a: KForm, b: KForm, vectors) -> Fraction:

@@ -21,8 +21,9 @@ import algebra_oracle
 import linalg_oracle
 from lieforge.algebra import LieAlgebra, Subspace
 from lieforge.derivations import Commute, Constraint, FormEigen, Leibniz, Sends
-from lieforge.linalg import ZERO, Matrix, Vector, fmt_basis_tuple, fmt_vector, mat_vec
+from lieforge.linalg import ZERO, Matrix, Vector, fmt_basis_tuple, fmt_vector
 from lieforge.report import CheckReport, DimensionMismatch, fail, ok
+from linalg_oracle import mat_vec
 
 
 def is_derivation(g: LieAlgebra, d: Matrix) -> CheckReport:

@@ -20,7 +20,9 @@ compares each coefficient with 0, 1 and -1 instead of reading its text.
 
 mat_mul is the Fraction matrix product, row times column, that the integer
 products of lieforge (linalg.int_mul) replaced; the oracles and tests form
-their matrix identities with it.
+their matrix identities with it, and their images and sums of vectors with
+mat_vec and vec_add, which left lieforge.linalg once no code there called
+them.
 """
 
 from __future__ import annotations
@@ -33,6 +35,14 @@ from lieforge.linalg import ONE, ZERO, Matrix, Vector, clear_denominators, ident
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in zip(*b)) for row in a)
+
+
+def mat_vec(m: Matrix, v: Vector) -> Vector:
+    return tuple(sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in m)
+
+
+def vec_add(a: Vector, b: Vector) -> Vector:
+    return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
 def rref(rows: Sequence[Vector]) -> tuple[Matrix, tuple[int, ...]]:

@@ -70,11 +70,9 @@ from lieforge.linalg import (
     identity,
     int_matrix,
     is_zero_vector,
-    mat_vec,
     nullspace,
     solve_affine,
     transpose,
-    vec_add,
     vec_scale,
     vec_sub,
     vector_over,
@@ -90,7 +88,7 @@ from lieforge.structures import (
 )
 
 import algebra_oracle
-from linalg_oracle import mat_mul, pfaffian, positive_definite
+from linalg_oracle import mat_mul, mat_vec, pfaffian, positive_definite, vec_add
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:

@@ -12,10 +12,10 @@ from lieforge import (
     center,
     check_jacobi,
 )
-from lieforge.algebra import _bracket_ints
+from lieforge.algebra import _bracket_ints, transform
 from lieforge.extensions import is_cocycle
 from lieforge.forms import KForm
-from lieforge.linalg import clear_denominators, identity, matrix, slot_width, vector, vector_over
+from lieforge.linalg import clear_denominators, det, identity, matrix, slot_width, vector, vector_over
 from lieforge.report import CheckReport, DimensionMismatch, LieforgeError, ok
 from lieforge.structures import check_kahler
 
@@ -39,6 +39,7 @@ from strategies import (
     conjugated_heisenberg_sasakian,
     dense_antisymmetric_algebras,
     lie_or_not,
+    rational_vectors,
 )
 
 H3 = builtin("h3").algebra
@@ -79,7 +80,7 @@ def test_check_jacobi_passes():
 
 
 def test_check_jacobi_failure_with_witness():
-    bad = LieAlgebra.from_brackets(3, {(0, 1): {2: 1}, (0, 2): {0: 1}})
+    bad = LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {0: 1}})
     report = check_jacobi(bad)
     assert not report.overall
     assert report.items[0].name == "jacobi(e1,e2,e3)"
@@ -148,10 +149,10 @@ def test_center_matches_oracle(g):
 
 
 def test_structure_constants_antisymmetric_completion():
-    g = LieAlgebra.from_brackets(2, {(0, 1): {0: "1/2"}})
+    g = LieAlgebra(2, {(0, 1): {0: "1/2"}})
     assert oracle.dense_c(g)[1][0][0] == Fraction(-1, 2)
     with pytest.raises(ValueError):
-        LieAlgebra.from_brackets(2, {(1, 0): {0: 1}})
+        LieAlgebra(2, {(1, 0): {0: 1}})
 
 
 def test_constructor_rejects_invalid_tables():
@@ -232,7 +233,7 @@ def test_dense_h13_views_match_oracle_without_fraction_negation(monkeypatch):
         return negate(x)
 
     monkeypatch.setattr(Fraction, "__neg__", counted)
-    h = LieAlgebra.from_brackets(13, brackets)
+    h = LieAlgebra(13, brackets)
     h._integer_terms
     assert h == g and len(negations) == 0
 
@@ -261,7 +262,7 @@ def test_jacobi_witnesses_reproduce_cyclic_sums():
                 entry = {k: v for k, v in entry.items() if v}
                 if entry:
                     table[(i, j)] = entry
-        g = LieAlgebra.from_brackets(dim, table)
+        g = LieAlgebra(dim, table)
         report = check_jacobi(g)
         if report.overall:
             continue
@@ -343,7 +344,7 @@ TIGHT_JACOBI = {
 # a negative scale flips the sign of each packed C_ij, i < j, and of its negation stored at (j, i)
 @pytest.mark.parametrize("scale", [Fraction(1), Fraction(-1), Fraction(-(2**130), 7), Fraction(3**90, 11)])
 def test_jacobi_slot_width_boundary(scale):
-    g = LieAlgebra.from_brackets(4, {p: {k: x * scale for k, x in v.items()} for p, v in TIGHT_JACOBI.items()})
+    g = LieAlgebra(4, {p: {k: x * scale for k, x in v.items()} for p, v in TIGHT_JACOBI.items()})
     big = scale.numerator**2
     acc, _ = oracle.jacobi_residual_ints(g, 1, 2, 3)
     assert max(map(abs, acc)) == 9 * big >= 2 ** (slot_width(12 * big) - 2)
@@ -365,7 +366,7 @@ def test_jacobi_slot_width_boundary(scale):
     ],
 )
 def test_cyclic_blocks_at_bound(n, m, t):
-    g = LieAlgebra.from_brackets(n, {(a, b): dict.fromkeys(range(n), m) for a in range(n) for b in range(a + 1, n)})
+    g = LieAlgebra(n, {(a, b): dict.fromkeys(range(n), m) for a in range(n) for b in range(a + 1, n)})
     theta = KForm.two_form(n, {(a, b): t for a in range(n) for b in range(a + 1, n)})
     c01 = oracle.dense_c(g)[0][1]
     assert oracle.bracket(g, c01, g.basis_vector(n - 1)) == ((n - 1) * m * m,) * n
@@ -376,3 +377,66 @@ def test_cyclic_blocks_at_bound(n, m, t):
     assert is_cocycle(g, theta) == structures_oracle.is_cocycle(g, theta)
     closed = check_kahler(g, identity(n), theta)[0].item("symplectic_closed")
     assert closed == structures_oracle.check_kahler(g, identity(n), theta)[0].item("symplectic_closed")
+
+
+# --- the basis change, algebra.transform ------------------------------------------
+
+
+@st.composite
+def invertible_matrices(draw, dim):
+    """An invertible dim x dim P, with integer entries or with RATIONALS."""
+    values = draw(st.sampled_from([st.integers(-3, 3), RATIONALS]))
+    rows = st.lists(rational_vectors(dim, values), min_size=dim, max_size=dim).map(tuple)
+    return draw(rows.filter(lambda p: det(p) != 0))
+
+
+@st.composite
+def transform_cases(draw):
+    """(g, M, alpha, omega, P, Q): an algebra (Lie or not, large constants or not), a map, a 1-form
+    and a 2-form of its dimension, and two invertible P and Q."""
+    g = draw(st.one_of(lie_or_not(), antisymmetric_algebras(values=BIG_RATIONALS)))
+    n = g.dim
+    m = tuple(draw(rational_vectors(n)) for _ in range(n))
+    alpha = KForm.one_form(n, draw(rational_vectors(n)))
+    omega = KForm.two_form(n, {(a, b): draw(RATIONALS) for a in range(n) for b in range(a + 1, n)})
+    return g, m, alpha, omega, draw(invertible_matrices(n)), draw(invertible_matrices(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(transform_cases())
+def test_transform_matches_fraction_oracle(case):
+    g, m, alpha, omega, p, _ = case
+    pinv = oracle.mat_inverse(p)
+    assert mat_inverse(p) == pinv
+    assert transform(g, p) == oracle.conjugate_algebra(g, p, pinv)
+    assert transform(m, p) == oracle.conjugate_map(m, p, pinv)
+    assert transform(alpha, p) == oracle.conjugate_one_form(alpha, p)
+    assert transform(omega, p) == oracle.conjugate_two_form(omega, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(transform_cases())
+def test_transform_composes_and_fixes_the_identity(case):
+    g, m, alpha, omega, p, q = case
+    pq = linalg_oracle.mat_mul(p, q)
+    for x in (g, m, alpha, omega):
+        assert transform(transform(x, p), q) == transform(x, pq)
+        assert transform(x, identity(len(p))) == x
+
+
+def test_transform_keeps_labels_and_refuses_bad_bases():
+    g = LieAlgebra(3, {(0, 1): {2: 1}}, ("x", "y", "z"))
+    swap = ((0, 1, 0), (1, 0, 0), (0, 0, 1))  # e'_1 = y, e'_2 = x: [e'_1, e'_2] = -z
+    assert transform(g, swap) == LieAlgebra(3, {(0, 1): {2: -1}}, ("x", "y", "z"))
+    alpha, omega = KForm.basis_one_form(3, 2), KForm.two_form(3, {(0, 1): 1})
+    for x in (g, identity(3), alpha, omega):
+        with pytest.raises(LieforgeError, match="singular"):
+            transform(x, ((1, 2, 0), (2, 4, 0), (0, 0, 1)))
+        with pytest.raises(DimensionMismatch):
+            transform(x, ((1, 0, 0), (0, 1, 0)))  # not square
+        with pytest.raises(DimensionMismatch):
+            transform(x, identity(2))  # square, of another size
+    with pytest.raises(DimensionMismatch):
+        transform(((1, 0), (0, 1), (0, 0)), identity(3))  # a map that is not square
+    with pytest.raises(DimensionMismatch):
+        transform(KForm.from_coeffs(3, 3, {(0, 1, 2): 1}), identity(3))  # neither a 1-form nor a 2-form

@@ -137,7 +137,7 @@ def test_reversed_double_extension_g5():
 
 
 def test_reversed_double_extension_zero_map_contact_case():
-    aff = LieAlgebra.from_brackets(2, {(0, 1): {1: 1}})
+    aff = LieAlgebra(2, {(0, 1): {1: 1}})
     ext = reversed_double_extension(aff, KForm.basis_one_form(2, 1), zero_matrix(2))
     assert ext.algebra.dim == 3
     assert ext.derivation_index is None

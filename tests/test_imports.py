@@ -181,14 +181,22 @@ def test_submodule_resolves_after_a_bare_import():
 
 def test_conftest_loads_by_file_path_with_only_src_on_the_path(tmp_path):
     # the dense benchmark workloads load tests/conftest.py this way for its conjugation helpers,
-    # so it may import lieforge alone, and only names that lieforge still has
+    # so it may import lieforge alone, and only names that lieforge still has; each helper moves
+    # its input to the basis e'_i = P e_i (the map is P^-1 J P for J e_1 = e_2, J e_2 = -e_1)
     code = f"""
 import importlib.util
 spec = importlib.util.spec_from_file_location("helpers", {str(Path(__file__).with_name("conftest.py"))!r})
 helpers = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(helpers)
-print(helpers.mat_inverse(((2, 1, 0), (0, 1, 0), (1, 0, 1))))
+import lieforge
+p = ((2, 1, 0), (0, 1, 0), (1, 0, 1))
+print(helpers.mat_inverse(p))
 print(helpers.mat_inverse(((1, 2, 3), (2, 4, 6), (0, 0, 1))))
+pinv = helpers.mat_inverse(p)
+print(helpers.conjugate_algebra(lieforge.LieAlgebra(3, {{(0, 1): {{2: 1}}}}), p, pinv).brackets)
+print(helpers.conjugate_map(((0, -1, 0), (1, 0, 0), (0, 0, 0)), p, pinv))
+print(helpers.conjugate_one_form(lieforge.KForm.basis_one_form(3, 2), p).coeffs)
+print(helpers.conjugate_two_form(lieforge.KForm.two_form(3, {{(0, 1): 1}}), p).coeffs)
 """
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
@@ -197,6 +205,10 @@ print(helpers.mat_inverse(((1, 2, 3), (2, 4, 6), (0, 0, 1))))
     assert done.stdout.splitlines() == [
         f"(({f}(1, 2), {f}(-1, 2), {f}(0, 1)), ({f}(0, 1), {f}(1, 1), {f}(0, 1)), ({f}(-1, 2), {f}(1, 2), {f}(1, 1)))",
         "None",
+        f"(((0, 1), ((2, {f}(2, 1)),)),)",  # [Pe_1, Pe_2] = 2 e_3 = 2 Pe_3
+        f"(({f}(-1, 1), {f}(-1, 1), {f}(0, 1)), ({f}(2, 1), {f}(1, 1), {f}(0, 1)), ({f}(1, 1), {f}(1, 1), {f}(0, 1)))",
+        f"(((0,), {f}(1, 1)), ((2,), {f}(1, 1)))",  # e_3* o P = e_1* + e_3*
+        f"(((0, 1), {f}(2, 1)),)",
     ]
 
 

@@ -13,7 +13,6 @@ from lieforge.forms import KForm
 from lieforge.linalg import (
     det,
     fmt_vector,
-    mat_vec,
     matrix,
     nullspace,
     pack,
@@ -28,6 +27,7 @@ from lieforge.linalg import (
 )
 
 from conftest import conjugate_algebra, conjugate_one_form, mat_inverse, random_invertible, random_matrix
+from linalg_oracle import mat_vec
 from strategies import conjugated_heisenberg_sasakian
 
 
@@ -454,7 +454,7 @@ def dense_h5(draw):
     """h5 ([x1,y1] = [x2,y2] = z) in a random integer basis, with z* there."""
     p = tuple(tuple(Fraction(draw(st.integers(-2, 2))) for _ in range(5)) for _ in range(5))
     assume(oracle.det(p) != 0)
-    h5 = lf.LieAlgebra.from_brackets(5, {(0, 2): {4: 1}, (1, 3): {4: 1}})
+    h5 = lf.LieAlgebra(5, {(0, 2): {4: 1}, (1, 3): {4: 1}})
     g = conjugate_algebra(h5, p, mat_inverse(p))
     return g, conjugate_one_form(KForm.basis_one_form(5, 4), p)
 

@@ -57,7 +57,7 @@ from strategies import (
 H3 = builtin("h3")
 D4 = builtin("d4half")
 G0 = builtin("g0")
-AFF = LieAlgebra.from_brackets(2, {(0, 1): {1: 1}}, ("x", "y"))
+AFF = LieAlgebra(2, {(0, 1): {1: 1}}, ("x", "y"))
 E3 = KForm.basis_one_form(3, 2)
 
 
@@ -217,7 +217,7 @@ TIGHT_MAP = ((-1, -1, 1, 1), (-1, 1, 1, 1), (1, 1, 1, -1), (1, 1, -1, -1))
 )
 def test_nijenhuis_slot_width_boundary(s, t):
     brackets = {p: {k: x * s for k, x in enumerate(v) if x} for p, v in TIGHT_TORSION.items()}
-    g = LieAlgebra.from_brackets(4, brackets)
+    g = LieAlgebra(4, brackets)
     a = tuple(tuple(x * t for x in row) for row in TIGHT_MAP)
     big = t.numerator**2 * abs(s.numerator)
     torsion, _ = structures_oracle.nijenhuis_ints(g, *int_matrix(a))
@@ -259,7 +259,7 @@ def test_kahler_heisenberg_sum_fails_at_closedness():
     # d(omega)(e1,e2,e4) = -omega(e3,e4) forces omega(e3,e4) = 0, which
     # degenerates the metric; with the d4half omega the failure is at
     # closedness while this J is genuinely integrable.
-    g = LieAlgebra.from_brackets(4, {(0, 1): {2: 1}})
+    g = LieAlgebra(4, {(0, 1): {2: 1}})
     j = D4.kahler_data[0]
     omega = D4.kahler_data[1]
     report, structure = check_kahler(g, j, omega)

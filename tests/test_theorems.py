@@ -520,7 +520,7 @@ def test_fk_to_sasakian_randomized_family_always_verifies():
 
 def test_double_extension_of_plane_by_zero_map_is_heisenberg_sum():
     ext = _plane_double_extension(zero_matrix(3))
-    expected = LieAlgebra.from_brackets(4, {(0, 1): {2: 1}})
+    expected = LieAlgebra(4, {(0, 1): {2: 1}})
     assert dense_c(ext.algebra) == dense_c(expected)
 
 
@@ -722,7 +722,7 @@ def _moved_h3(int_form):
     """(g, s, P^-1): h3 moved by MOVE with its checked Sasakian structure, alpha = e1* + e3* given by
     int coefficients (which KForm accepts) or as Fractions."""
     from conftest import conjugate_algebra, conjugate_map, conjugate_one_form, mat_inverse
-    from lieforge.linalg import mat_vec
+    from linalg_oracle import mat_vec
 
     pinv = mat_inverse(MOVE)
     g = conjugate_algebra(H3.algebra, MOVE, pinv)
@@ -843,7 +843,7 @@ def test_double_extension_conditions_with_both_sides_nonzero_match_oracle(seed):
     # so the two sides of the failing vector have different denominators
     from conftest import conjugate_algebra, conjugate_map, conjugate_one_form, conjugate_two_form, mat_inverse
     from conftest import random_invertible
-    from lieforge.linalg import mat_vec
+    from linalg_oracle import mat_vec
 
     (reeb, alpha, phi), g = G0.sasakian_data, G0.algebra
     theta, d = KForm.two_form(5, G0_THETA), matrix(G0_D)

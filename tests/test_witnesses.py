@@ -171,7 +171,7 @@ G5_D = matrix(
         [1, 3, 0, 0, "-1/2", "-3/2"],
     ]
 )
-R2R2 = LieAlgebra.from_brackets(4, {(0, 1): {1: 1}, (2, 3): {3: 1}})
+R2R2 = LieAlgebra(4, {(0, 1): {1: 1}, (2, 3): {3: 1}})
 
 
 def _r2r2_restriction():

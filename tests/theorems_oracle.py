@@ -46,9 +46,7 @@ from lieforge.linalg import (
     int_matrix,
     is_square,
     is_zero_vector,
-    mat_vec,
     transpose,
-    vec_add,
     vec_scale,
     vec_sub,
     vector_over,
@@ -73,7 +71,7 @@ from lieforge.theorems import (
 )
 
 from algebra_oracle import adjoint, bracket, dense_c
-from linalg_oracle import mat_mul, solve_unique
+from linalg_oracle import mat_mul, mat_vec, solve_unique, vec_add
 from structures_oracle import nijenhuis_ints
 
 ONE = Fraction(1)
@@ -178,7 +176,7 @@ def sasakian_reduction(g: LieAlgebra, s: SasakianStructure) -> tuple[LieAlgebra,
             if entries:
                 brackets[(a, b)] = entries
             omega_entries[(a, b)] = xi_part
-    h = LieAlgebra.from_brackets(m, brackets)
+    h = LieAlgebra(m, brackets)
     j = transpose([to_h(mat_vec(s.phi, basis[a])) for a in range(m)])
     omega = KForm.two_form(m, omega_entries)
     rep, structure = check_kahler(h, j, omega)
@@ -216,7 +214,7 @@ def contact_ideal_restriction(
             entries = {kk: c for kk, c in enumerate(rest) if c != 0}
             if entries:
                 brackets[(ia, ib)] = entries
-    h = LieAlgebra.from_brackets(m, brackets, tuple(g.labels[i] for i in keep))
+    h = LieAlgebra(m, brackets, tuple(g.labels[i] for i in keep))
 
     def to_g(v: Vector) -> Vector:
         out = [ZERO] * g.dim
