@@ -43,7 +43,6 @@ from .linalg import (
     _check_square,
     _check_width,
     _inverse,
-    det,
     fmt_basis_tuple,
     fmt_vector,
     int_apply,
@@ -156,9 +155,9 @@ def transform(x, p: Matrix):
     2-form omega becomes omega(P., P.), built by the form's own class.
 
     With P = pi/dp (``int_matrix``) and pi^-1 = q/l (``linalg._inverse``, one elimination of
-    [pi | I]; a form needs only det(pi) != 0), everything is integers over one denominator: the
-    brackets of the columns of pi (``_bracket_ints``), and a map's or a form's numerators
-    (``KForm._ints``) times pi and q (``int_mul``); each output entry becomes a Fraction once.
+    [pi | I]), everything is integers over one denominator: the brackets of the columns of pi
+    (``_bracket_ints``), and a map's or a form's numerators (``KForm._ints``) times pi and q
+    (``int_mul``); each output entry becomes a Fraction once.
     A P of another size raises DimensionMismatch, a singular one LieforgeError, and a form of
     another degree DimensionMismatch (``KForm._ints``).
     """
@@ -167,9 +166,8 @@ def transform(x, p: Matrix):
     n = x.dim if isinstance(x, Record) else len(x)
     _check_square(p, n)
     pi, dp = int_matrix(p)
+    q, l = _inverse(pi)  # P^-1 = dp*q/l; refuses a singular P for every kind of x
     if isinstance(x, Record) and not isinstance(x, LieAlgebra):  # a KForm; forms imports this module
-        if not det(pi):
-            raise LieforgeError(f"the {n} x {n} matrix is singular")
         a, da = x._ints
         if x.degree == 1:  # coefficient i is alpha(P e_i)
             coeffs = [((i,), Fraction(c, da * dp)) for i, c in enumerate(int_apply(zip(*pi), a)) if c]
@@ -177,7 +175,6 @@ def transform(x, p: Matrix):
             t = int_mul(zip(*pi), int_mul(a, pi))
             coeffs = [((i, j), Fraction(t[i][j], da * dp * dp)) for i in range(n) for j in range(i + 1, n) if t[i][j]]
         return type(x)(n, x.degree, tuple(coeffs))
-    q, l = _inverse(pi)  # P^-1 = dp*q/l
     if not isinstance(x, LieAlgebra):
         mi, dm = int_matrix(x)
         return tuple(vector_over(row, l * dm) for row in int_mul(q, int_mul(mi, pi)))

@@ -64,7 +64,6 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Callable, Iterable, Sequence
@@ -588,12 +587,11 @@ def sub_pfaffians(a: Sequence[Sequence[int]]) -> list[int]:
 def positive_definite(m: Matrix) -> tuple[bool, int | None]:
     """Sylvester's criterion; returns (ok, first failing minor size).
 
-    One Schur-complement sweep without row exchanges on m as integers: rows of
-    ints as given (the metric checks build them so), any other m cleared of
-    denominators (``int_matrix``). Step k divides the block of rows k.. by
-    the gcd of the entries it keeps (m's own content at k = 0), so the
-    entries stay about as wide as the minors, and then, with pivot
-    p = a_kk > 0, makes each trailing row i p*row_i - f*row_k. Every scale is positive, so while
+    One Schur-complement sweep without row exchanges on m cleared to integers
+    (``int_matrix``). Step k divides the block of rows k.. by the gcd of the
+    entries it keeps (m's own content at k = 0), so the entries stay about
+    as wide as the minors, and then, with pivot p = a_kk > 0, makes each
+    trailing row i p*row_i - f*row_k. Every scale is positive, so while
     minors 1..k are positive the pivot k+1 has the sign of minor k+1, and
     the first pivot that is not positive names the failing minor. A
     symmetric m keeps its trailing block symmetric, so only the upper
@@ -601,7 +599,7 @@ def positive_definite(m: Matrix) -> tuple[bool, int | None]:
     square m keeps row i from column k+1 on, with f = a_ik.
     """
     _check_square(m)
-    rows = [list(row) for row in m] if all(map(int.__instancecheck__, chain.from_iterable(m))) else int_matrix(m)[0]
+    rows, _ = int_matrix(m)
     upper = rows == [list(col) for col in zip(*rows)]
     rows = [row[i if upper else 0 :] for i, row in enumerate(rows)]  # symmetric: row i from its diagonal on
     for k in range(len(rows)):
