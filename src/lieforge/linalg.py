@@ -28,11 +28,12 @@ derivations, the centers of dimension 8 and up), on part of its rows
   when independent mod the prime p = 2^20 - 3 of the rows kept before them,
   and so independent over Q. Each row is first projected on a kernel vector
   z of the kept rows mod p, one dot product: a projection of 0 skips the
-  row, which then almost always lies in their span. The others are reduced
-  mod p, packed 64 bits a slot, against the kept rows; z is rebuilt only
-  when that reduction finds a dependent row. So the reduction, O(rank)
-  big-int steps, runs on the kept rows and about one more row after each,
-  and every other row costs one O(ncols) dot product (_independent_mod_p);
+  row, which then almost always lies in their span. Any other row lies
+  outside it and is kept: it is reduced mod p, packed 64 bits a slot,
+  against the kept rows, and z is moved back into their kernel at the new
+  pivot and the older ones. So the reduction, O(rank) big-int steps, runs
+  on the kept rows alone, and every other row costs one O(ncols) dot
+  product (_independent_mod_p);
 - the exact solve: it runs on the kept rows alone;
 - the check: every other row must annihilate the kernel of the kept rows,
   integer vectors packed one int per column (pack), so a row costs one
@@ -340,52 +341,54 @@ def _independent_mod_p(ints: Sequence[Sequence[int]], ncols: int) -> list[int]:
     The kept rows are held in echelon form mod p: each is reduced by the ones
     kept before it, scaled to 1 at its pivot, its first nonzero column, and
     packed by _pack64. So a kept row is 0 at the pivots of the rows kept
-    before it, and a kernel vector z of them all is back-substituted in
-    reverse order of keeping from fixed values (_probe) at the free columns.
+    before it, and z, their kernel vector with fixed values (_probe) at the
+    free columns, is determined at their pivots in reverse order of keeping.
 
     Each row is first projected on z, one dot product (Freivalds' check): a
     row in the span of the kept rows has projection 0 mod p and is skipped
-    in O(ncols) small-int steps. A row with a nonzero projection is reduced
-    by each kept row in turn, with one big-int multiply-add by p minus its
-    current entry at that pivot. Its slots stay below p + rank*p^2 < 2^64,
-    so only the entry at each pivot is reduced mod p on the way, and every
-    slot once at the end, to test the result against 0. z is refreshed
-    lazily, in O(rank*ncols) steps: a kept row leaves it stale, and only a
-    reduction that finds its row dependent rebuilds it. So the O(rank)
-    reduction runs on the kept rows and on about one dependent row after
-    each, not on every row; rebuilding z after every kept row costs more
-    than it saves on the sparse systems of g0 and g5.
+    in O(ncols) small-int steps. A row with a nonzero projection lies outside
+    their span, so it is kept: it is reduced by each kept row in turn, with
+    one big-int multiply-add by p minus its current entry at that pivot. Its
+    slots stay below p + rank*p^2 < 2^64, so only the entry at each pivot is
+    reduced mod p on the way, and every slot once at the end. z stays a
+    kernel vector of the kept rows: keeping a row with pivot c moves z at c,
+    by minus its projection over the reduced row's entry at c, and at the
+    older pivots, in reverse order of keeping, by a back-substitution over
+    each older row's entries at the pivots kept after it, which are stored
+    sparsely as the rows are kept. So only the kept rows are reduced, and
+    every other row costs one O(ncols) dot product.
 
     An independent row whose projection is 0 mod p, about one in p, is
     skipped too: it fails _unsatisfied and joins the elimination through the
     fallback, so the result stays exact.
     """
     p, size, mask = _PRIME, 8 * ncols, (1 << 64) - 1
-    probe = _probe(ncols, p)
-    z = probe
-    basis: list[tuple[int, int, list[int]]] = []  # (bit offset of the pivot's slot, packed row, row)
+    z = _probe(ncols, p)
+    # a kept row's pivot, the row packed and as a list, and its (pivot, entry) at the pivots kept after it
+    basis: list[tuple[int, int, list[int], list[tuple[int, int]]]] = []
     keep = []
     for i, row in enumerate(ints):
-        if not sum(map(mul, row, z)) % p:
+        s = sum(map(mul, row, z)) % p
+        if not s:
             continue
         v = _pack64([x % p for x in row])
-        for shift, packed, _ in basis:
-            f = (v >> shift & mask) % p
+        for b, packed, _, _ in basis:
+            f = (v >> 64 * b & mask) % p
             if f:
                 v += (p - f) * packed
-        slots = memoryview(v.to_bytes(size, sys.byteorder)).cast("Q")
-        if not any(map(p.__rmod__, slots)):
-            z = list(probe)
-            for shift, _, kept in reversed(basis):
-                c = shift // 64
-                z[c] = 0
-                z[c] = -sum(map(mul, kept, z)) % p
-            continue
-        res = [x % p for x in slots]
+        res = [x % p for x in memoryview(v.to_bytes(size, sys.byteorder)).cast("Q")]
         c = next(j for j, x in enumerate(res) if x)
         inv = pow(res[c], -1, p)
         res = [x * inv % p for x in res]
-        basis.append((64 * c, _pack64(res), res))
+        moved = {c: -s * inv % p}  # a kernel vector of the older rows, making the new row's projection 0
+        for b, _, kept, later in reversed(basis):
+            if kept[c]:
+                later.append((c, kept[c]))
+            if later:
+                moved[b] = -sum(x * moved.get(a, 0) for a, x in later) % p
+        for a, x in moved.items():
+            z[a] = (z[a] + x) % p
+        basis.append((c, _pack64(res), res, []))
         keep.append(i)
         if len(keep) == ncols:
             break

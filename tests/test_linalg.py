@@ -736,14 +736,53 @@ def selection_systems():
     return [([r[::-1] for r in Leibniz().rows(g)[0]], g.dim * g.dim) for g in algebras]
 
 
+def augmented_selection_systems():
+    """The Leibniz + FormEigen(alpha, 1) systems of conjugated h5 and h7 as solve_affine passes them
+    to the selection: the right-hand side appended, the columns not reversed, denominators cleared."""
+    systems = []
+    for m in (2, 3):
+        g, _, alpha, _ = conjugated_heisenberg_sasakian(m, 1)
+        rows, rhs = Leibniz().rows(g)
+        eigen_rows, eigen_rhs = FormEigen(alpha, Fraction(1)).rows(g)
+        augmented = [tuple(r) + (b,) for r, b in zip(rows + eigen_rows, rhs + eigen_rhs)]
+        systems.append(([linalg.clear_denominators(r)[0] for r in augmented], g.dim * g.dim + 1))
+    return systems
+
+
+def full_rank_system():
+    """20 random rows over 9 columns, of rank 9: the selection stops once it has kept 9 rows."""
+    rng = random.Random(9)
+    return [[rng.randint(-3, 3) for _ in range(9)] for _ in range(20)], 9
+
+
 def test_projected_selection_keeps_the_rows_of_the_echelon_selection():
-    for rows, ncols in selection_systems():
+    systems = selection_systems() + augmented_selection_systems() + [full_rank_system()]
+    for rows, ncols in systems:
         assert linalg._independent_mod_p(rows, ncols) == oracle.independent_mod_p(rows, ncols, linalg._PRIME)
+    rows, ncols = full_rank_system()
+    assert len(linalg._independent_mod_p(rows, ncols)) == ncols
+
+
+def test_the_selection_reduces_only_the_rows_it_keeps(monkeypatch):
+    # each kept row is packed twice, once reduced and once scaled to 1 at its pivot; a row the
+    # projection does not skip is always kept, so no other row is packed
+    packs = []
+    pack64 = linalg._pack64
+
+    def spy(entries):
+        packs.append(entries)
+        return pack64(entries)
+
+    monkeypatch.setattr(linalg, "_pack64", spy)
+    for rows, ncols in selection_systems():
+        packs.clear()
+        keep = linalg._independent_mod_p(rows, ncols)
+        assert len(packs) == 2 * len(keep)
 
 
 def test_an_independent_row_with_projection_0_comes_back_through_the_check(fallbacks):
-    # rows e_0..e_3 are kept, a repeat of e_0 refreshes the kernel vector z, which is then
-    # 0 at columns 0..3 and _probe at the rest; w = z_5 e_4 - z_4 e_5 is independent of the
+    # once rows e_0..e_3 are kept, the kernel vector z is 0 at columns 0..3 and _probe at the
+    # rest, and a repeat of e_0 projects to 0; w = z_5 e_4 - z_4 e_5 is independent of the
     # kept rows, mod p too, but w . z = 0, so the selection skips it and the check finds it
     ncols = 9
     z = linalg._probe(ncols, linalg._PRIME)
