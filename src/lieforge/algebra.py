@@ -50,7 +50,6 @@ from .linalg import (
     int_mul,
     nullspace,
     pack,
-    rref,
     scalar,
     slot_width,
     unpack,
@@ -306,11 +305,6 @@ class Subspace(Record):
     def __init__(self, ambient_dim: int, rows: tuple[Vector, ...]) -> None:
         _check_width(rows, ambient_dim)
         self.__dict__.update(ambient_dim=ambient_dim, rows=rows)
-
-    @classmethod
-    def from_vectors(cls, ambient_dim: int, vectors: Sequence[Vector]) -> "Subspace":
-        _check_width(vectors, ambient_dim)
-        return cls(ambient_dim, rref(vectors)[0])
 
     @property
     def dim(self) -> int:

@@ -44,7 +44,6 @@ from .linalg import (
     Vector,
     ZERO,
     _check_width,
-    det,
     fmt_vector,
     nullspace,
     pack,
@@ -115,8 +114,8 @@ class KForm(Record):
     @cached_property
     def _ints(self) -> tuple[tuple, int]:
         """The form as integers over d, the least common denominator of its coefficients: (a, d)
-        with a_i = d*alpha(e_i) for a 1-form, (rows, d) with rows the skew matrix d*``as_matrix()``
-        for a 2-form. Every integer kernel reads a form's numerators here."""
+        with a_i = d*alpha(e_i) for a 1-form, (rows, d) with rows[i][j] = d*omega(e_i, e_j), a skew
+        matrix, for a 2-form. Every integer kernel reads a form's numerators here."""
         d = lcm(*(v.denominator for _, v in self.coeffs))
         num = {idxs: v.numerator * (d // v.denominator) for idxs, v in self.coeffs}.get
         n = range(self.dim)
@@ -132,40 +131,11 @@ class KForm(Record):
     def coeff(self, idxs: tuple[int, ...]) -> Fraction:
         return self._table.get(idxs, ZERO)
 
-    def evaluate(self, vectors: Sequence[Vector]) -> Fraction:
-        """Determinant-convention evaluation on k vectors."""
-        if len(vectors) != self.degree:
-            raise DimensionMismatch("wrong number of arguments")
-        _check_width(vectors, self.dim)
-        if self.degree == 0:
-            return self._table.get((), ZERO)
-        total = ZERO
-        for idxs, value in self.coeffs:
-            minor = tuple(tuple(v[i] for v in vectors) for i in idxs)
-            total += value * det(minor)
-        return total
-
-    def as_matrix(self) -> tuple[Vector, ...]:
-        """Degree-2 form as the antisymmetric matrix B[i][j] = w(e_i, e_j)."""
-        _check_form(self, self.dim, 2)
-        m = [[ZERO] * self.dim for _ in range(self.dim)]
-        for (i, j), value in self.coeffs:
-            m[i][j] = value
-            m[j][i] = -value
-        return tuple(tuple(row) for row in m)
-
     def scale(self, factor: ScalarLike) -> "KForm":
         f = scalar(factor)
         if f == 0:
             return KForm.zero(self.dim, self.degree)
         return KForm(self.dim, self.degree, tuple((idxs, f * v) for idxs, v in self.coeffs))
-
-    def add(self, other: "KForm") -> "KForm":
-        _check_form(other, self.dim, self.degree)
-        table = dict(self.coeffs)
-        for idxs, value in other.coeffs:
-            table[idxs] = table.get(idxs, ZERO) + value
-        return KForm.from_coeffs(self.dim, self.degree, table)
 
     def neg(self) -> "KForm":
         return self.scale(-1)
@@ -257,13 +227,9 @@ def radical(g: LieAlgebra, form: KForm) -> Subspace:
     return Subspace(g.dim, nullspace(form._ints[0], g.dim))  # B is skew: Ker B^T = Ker B
 
 
-class TopContactResult(Record):
-    _fields = ("holds", "coefficient", "reason")
-    _defaults = {"reason": None}
-
-
-def _top_contact(alpha: KForm, da: list[list[int]], den: int) -> tuple[TopContactResult, Vector | None]:
-    """The contact test of odd dimension 2n+1 on d(alpha) = da/den, and the Reeb vector if it passes.
+def _top_contact(alpha: KForm, da: list[list[int]], den: int) -> tuple[Fraction, Vector | None]:
+    """The contact test of odd dimension 2n+1 on d(alpha) = da/den: (the top coefficient of
+    alpha ^ (d alpha)^n, the Reeb vector), the Reeb vector None exactly when the coefficient is 0.
 
     With a new index 0 in front, the 2-form e^0 ^ alpha + d alpha has (n+1)-st power
     (n+1) e^0 ^ alpha ^ (d alpha)^n, and that power is (n+1)! Pf(M) e^0 ^ ... ^ e^2n+1,
@@ -278,6 +244,4 @@ def _top_contact(alpha: KForm, da: list[list[int]], den: int) -> tuple[TopContac
     wb = sum(map(mul, w, a)) * (den // d)
     n = alpha.dim // 2
     coeff = Fraction(factorial(n) * wb, den ** (n + 1))
-    if not wb:
-        return TopContactResult(False, coeff, "top coefficient is 0"), None
-    return TopContactResult(True, coeff), vector_over([x * den for x in w], wb)
+    return coeff, (vector_over([x * den for x in w], wb) if wb else None)

@@ -9,16 +9,18 @@ inputs, so every value is safe to share across threads.
 
 Every elimination but positive_definite's runs in one fraction-free integer
 kernel, _eliminate, on primitive integer rows that become Fractions once, at
-the end; a row of plain ints has no denominators to clear. nullspace is one
-elimination with the columns reversed, whose free-variable basis is already
-the canonical (row-reduced) one, so a homogeneous solve_affine is a single
-elimination too. An inhomogeneous solve_affine runs only the forward pass on
-the augmented system and back-substitutes its last column, 0 at every free
-column: the canonical particular solution. Its canonical null basis is the
-nullspace of the rows that pass ran on, which span the row space.
-positive_definite reads every leading minor's sign from its own
-Schur-complement sweep without row exchanges, which keeps only the upper
-triangle of a symmetric matrix.
+the end; a row of plain ints has no denominators to clear. Its back pass
+serves nullspace and _inverse, and det reads the pivots of its forward pass.
+There is no separate rref: every reduced basis a verdict reads is a
+nullspace's. nullspace is one elimination with the columns reversed, whose
+free-variable basis is already the canonical (row-reduced) one, so a
+homogeneous solve_affine is a single elimination too. An inhomogeneous
+solve_affine runs only the forward pass on the augmented system and
+back-substitutes its last column, 0 at every free column: the canonical
+particular solution. Its canonical null basis is the nullspace of the rows
+that pass ran on, which span the row space. positive_definite reads every
+leading minor's sign from its own Schur-complement sweep without row
+exchanges, which keeps only the upper triangle of a symmetric matrix.
 
 nullspace and solve_affine reduce a tall system, one with at least 8
 columns and at least twice as many rows as columns (the Leibniz systems of
@@ -106,8 +108,8 @@ def zero_vector(n: int) -> Vector:
     return (ZERO,) * n
 
 
-def zero_matrix(n: int, m: int | None = None) -> Matrix:
-    return tuple((ZERO,) * (m if m is not None else n) for _ in range(n))
+def zero_matrix(n: int) -> Matrix:
+    return tuple((ZERO,) * n for _ in range(n))
 
 
 def identity(n: int) -> Matrix:
@@ -143,10 +145,6 @@ def is_square(m: Matrix, n: int) -> bool:
 
 def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
-
-
-def column(m: Matrix, j: int) -> Vector:
-    return tuple(row[j] for row in m)
 
 
 _EXACT_TYPES = frozenset((int, Fraction))
@@ -439,17 +437,6 @@ def _check_square(m: Matrix, n: int | None = None) -> None:
         raise DimensionMismatch(f"a matrix of {len(m)} rows that is not {'square' if n is None else f'{n} x {n}'}")
 
 
-def rref(rows: Sequence[Vector]) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    if rows:
-        _check_width(rows, len(rows[0]))
-    work, pivots, _, _ = _eliminate(rows)
-    red = tuple(
-        tuple(Fraction(x, row[c]) if x else ZERO for x in row) for row, c in zip(work, pivots)
-    )
-    return red, tuple(pivots)
-
-
 def nullspace(rows: Sequence[Vector], ncols: int) -> tuple[Vector, ...]:
     """Canonical (row-reduced) basis of {x : rows @ x = 0}, from one elimination.
 
@@ -530,7 +517,8 @@ def _affine(rows: Sequence[Sequence], ncols: int) -> tuple[tuple[Vector | None, 
 
 
 def det(m: Matrix) -> Fraction:
-    """Determinant: the product of the pivots of one forward elimination."""
+    """Determinant: the product of the pivots of one forward elimination. No verdict calls it; it is
+    kept for ``bench/workloads.dense_heisenberg``, which calls it."""
     _check_square(m)
     work, pivots, num, den = _eliminate(m, reduce=False)
     if len(pivots) < len(m):

@@ -170,16 +170,16 @@ def check_contact(g: LieAlgebra, alpha: KForm) -> tuple[CheckReport, ContactStru
     items = [passed("odd_dimension", g.dim % 2 == 1, f"dim = {g.dim}")]
     if not items[0].passed:
         return CheckReport(tuple(items)), None
-    top, reeb = _top_contact(alpha, *_dalpha(g, alpha))
-    items.append(passed("contact_top_form_nonzero", top.holds, top.reason or ""))
-    if not top.holds:
+    coefficient, reeb = _top_contact(alpha, *_dalpha(g, alpha))
+    items.append(passed("contact_top_form_nonzero", reeb is not None, "top coefficient is 0"))
+    if reeb is None:
         return CheckReport(tuple(items)), None
     items += [ok("reeb_unique"), ok("radical_spanned_by_reeb")]  # certified by w, see the docstring
     report = CheckReport(
         tuple(items),
         (
             ("reeb", fmt_vector(reeb, g.labels)),
-            ("top_coefficient", fmt_scalar(top.coefficient)),
+            ("top_coefficient", fmt_scalar(coefficient)),
         ),
     )
     return report, ContactStructure(alpha, reeb)

@@ -28,7 +28,10 @@ written-down basis of Ker(alpha) (``kernel_basis``) at its pivots; the
 contact-ideal restriction takes its brackets from the bracket table of g,
 reindexed to the ideal, and a vector there has an x_P component exactly where
 its pivot coordinate is nonzero. Fractions are
-made only for output entries and, on a failure, for its witness.
+made only for output entries and, on a failure, for its witness. The one map
+built in Fractions is Phi-bar of a double extension: after Phi u is formed on
+integers, its O(n^2) entries are Fraction products of Phi, Phi u, alpha and
+the solved parameters, once per call.
 
 Every map a construction builds is one block matrix on the extension, with
 the base first, then the central element z, then the derivation slot:

@@ -13,7 +13,8 @@ Fraction versions they replaced are tests/algebra_oracle.py's, which pin
 transform. conjugate_algebra and conjugate_map take P^-1 as ``pinv`` and do
 not read it: bench/workloads.dense_heisenberg calls them with it. The
 benchmark loads this file by its path, with only src/ on the path, so it
-imports lieforge alone.
+imports lieforge alone at module level; the helpers that read forms through
+tests/forms_oracle.py or linalg_oracle.py import them when they run.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import combinations
 import lieforge as lf
 from lieforge.algebra import transform
 from lieforge.forms import KForm
-from lieforge.linalg import _inverse, column, int_matrix, nullspace, vector_over
+from lieforge.linalg import _inverse, int_matrix, nullspace, vector_over
 
 SCALARS = [Fraction(n) for n in (-2, -1, 0, 1, 2)] + [Fraction(1, 2), Fraction(-1, 2)]
 NONZERO = [s for s in SCALARS if s != 0]
@@ -71,7 +72,9 @@ def random_matrix(rng: random.Random, dim: int):
 def d_two_form(g: lf.LieAlgebra, theta: KForm) -> dict[tuple[int, int, int], Fraction]:
     """The nonzero d(theta)(e_i, e_j, e_k), i < j < k, by the definition
     -theta([e_i, e_j], e_k) + theta([e_i, e_k], e_j) - theta([e_j, e_k], e_i), read off the bracket table."""
-    b = theta.as_matrix()
+    from forms_oracle import as_matrix
+
+    b = as_matrix(theta)
     table = dict(g.brackets)
 
     def term(i: int, j: int, k: int) -> Fraction:  # theta([e_i, e_j], e_k), i < j
@@ -102,9 +105,11 @@ def cocycle_basis(g: lf.LieAlgebra) -> list[KForm]:
 
 
 def random_cocycle(rng: random.Random, g: lf.LieAlgebra) -> KForm:
+    from forms_oracle import add
+
     theta = KForm.zero(g.dim, 2)
     for form in cocycle_basis(g):
-        theta = theta.add(form.scale(random_scalar(rng)))
+        theta = add(theta, form.scale(random_scalar(rng)))
     return theta
 
 
@@ -170,6 +175,9 @@ def random_complex_structure(rng: random.Random, dim: int):
 
 def invariant_closed_two_forms(g: lf.LieAlgebra, j) -> list[KForm]:
     """Basis of {omega : d(omega) = 0, omega(J.,J.) = omega}."""
+    from forms_oracle import evaluate
+    from linalg_oracle import column
+
     pairs = pair_basis(g.dim)
     base_forms = [KForm.from_coeffs(g.dim, 2, {p: 1}) for p in pairs]
     rows = closed_rows(g, base_forms)
@@ -177,7 +185,7 @@ def invariant_closed_two_forms(g: lf.LieAlgebra, j) -> list[KForm]:
         ja, jb = column(j, a), column(j, b)
         rows.append(
             tuple(
-                f.evaluate((ja, jb)) - f.evaluate((g.basis_vector(a), g.basis_vector(b)))
+                evaluate(f, (ja, jb)) - evaluate(f, (g.basis_vector(a), g.basis_vector(b)))
                 for f in base_forms
             )
         )
@@ -209,6 +217,8 @@ def conjugate_two_form(omega: KForm, p) -> KForm:
 
 def shuffle_wedge_eval(a: KForm, b: KForm, vectors) -> Fraction:
     """Independent wedge evaluation: the shuffle-sum definition."""
+    from forms_oracle import evaluate
+
     p, q = a.degree, b.degree
     assert len(vectors) == p + q
     total = Fraction(0)
@@ -216,9 +226,7 @@ def shuffle_wedge_eval(a: KForm, b: KForm, vectors) -> Fraction:
         right = tuple(i for i in range(p + q) if i not in left)
         perm = left + right
         sign = permutation_sign(perm)
-        total += sign * a.evaluate([vectors[i] for i in left]) * b.evaluate(
-            [vectors[i] for i in right]
-        )
+        total += sign * evaluate(a, [vectors[i] for i in left]) * evaluate(b, [vectors[i] for i in right])
     return total
 
 

@@ -21,8 +21,10 @@ compares each coefficient with 0, 1 and -1 instead of reading its text.
 mat_mul is the Fraction matrix product, row times column, that the integer
 products of lieforge (linalg.int_mul) replaced; the oracles and tests form
 their matrix identities with it, and their images and sums of vectors with
-mat_vec and vec_add, which left lieforge.linalg once no code there called
-them.
+mat_vec and vec_add, and read a map's columns with column, which left
+lieforge.linalg once no code there called them. rref left it too: the tests
+read the reduced rows of lieforge's elimination (linalg._eliminate) directly
+and compare them with the rref here.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
 
 def vec_add(a: Vector, b: Vector) -> Vector:
     return tuple(x + y for x, y in zip(a, b, strict=True))
+
+
+def column(m: Matrix, j: int) -> Vector:
+    return tuple(row[j] for row in m)
 
 
 def rref(rows: Sequence[Vector]) -> tuple[Matrix, tuple[int, ...]]:

@@ -27,6 +27,7 @@ from conftest import (
     random_invertible,
     random_jacobi_algebra,
 )
+from forms_oracle import add
 from linalg_oracle import mat_mul, mat_vec, vec_add
 from structures_oracle import ce_differential
 
@@ -315,7 +316,7 @@ def kahler_inputs(draw):
         j = random_complex_structure(rng, g.dim)
         omega = KForm.zero(g.dim, 2)
         for form in invariant_closed_two_forms(g, j):
-            omega = omega.add(form.scale(draw(RATIONALS)))
+            omega = add(omega, form.scale(draw(RATIONALS)))
         return g, j, omega
     g, j, omega = conjugated_d4half_kahler(draw(SEEDS))
     if kind == "negated":
@@ -326,7 +327,7 @@ def kahler_inputs(draw):
         pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
         omega = KForm.two_form(4, dict(zip(pairs, draw(rational_vectors(len(pairs))))))
     elif kind == "not-invariant":
-        omega = omega.add(ce_differential(g, KForm.one_form(4, draw(rational_vectors(4)))))
+        omega = add(omega, ce_differential(g, KForm.one_form(4, draw(rational_vectors(4)))))
     return g, j, omega
 
 

@@ -57,13 +57,12 @@ from itertools import combinations
 from math import factorial
 
 from lieforge.algebra import LieAlgebra, Subspace
-from lieforge.forms import KForm, TopContactResult, apply_one_form, one_form_coords, radical
+from lieforge.forms import KForm, apply_one_form, one_form_coords, radical
 from lieforge.linalg import (
     Matrix,
     Vector,
     ZERO,
     clear_denominators,
-    column,
     fmt_basis_tuple,
     fmt_scalar,
     fmt_vector,
@@ -88,7 +87,8 @@ from lieforge.structures import (
 )
 
 import algebra_oracle
-from linalg_oracle import mat_mul, mat_vec, pfaffian, positive_definite, vec_add
+from forms_oracle import as_matrix
+from linalg_oracle import column, mat_mul, mat_vec, pfaffian, positive_definite, vec_add
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -190,16 +190,14 @@ def wedge_power(a: KForm, n: int) -> KForm:
     return out
 
 
-def top_contact_test(g: LieAlgebra, alpha: KForm) -> TopContactResult:
-    """n! Pf([[0, alpha], [-alpha^T, d alpha]]) on the Fraction matrices."""
-    if g.dim % 2 == 0:
-        return TopContactResult(False, None, f"dimension {g.dim} is even")
+def top_contact_test(g: LieAlgebra, alpha: KForm) -> Fraction:
+    """The top coefficient of alpha ^ (d alpha)^n on an odd-dimensional g, dimension 2n+1:
+    n! Pf([[0, alpha], [-alpha^T, d alpha]]) on the Fraction matrices."""
     n = (g.dim - 1) // 2
     coords = one_form_coords(alpha)
-    da = ce_differential(g, alpha).as_matrix()
+    da = as_matrix(ce_differential(g, alpha))
     bordered = ((ZERO,) + coords,) + tuple((-x,) + row for x, row in zip(coords, da))
-    coeff = factorial(n) * pfaffian(bordered)
-    return TopContactResult(coeff != 0, coeff, None if coeff != 0 else "top coefficient is 0")
+    return factorial(n) * pfaffian(bordered)
 
 
 def check_contact(g: LieAlgebra, alpha: KForm) -> tuple[CheckReport, ContactStructure | None]:
@@ -209,10 +207,10 @@ def check_contact(g: LieAlgebra, alpha: KForm) -> tuple[CheckReport, ContactStru
     if not items[0].passed:
         return CheckReport(tuple(items)), None
     top = top_contact_test(g, alpha)
-    items.append(passed("contact_top_form_nonzero", top.holds, top.reason or ""))
-    if not top.holds:
+    items.append(passed("contact_top_form_nonzero", top != 0, "top coefficient is 0"))
+    if top == 0:
         return CheckReport(tuple(items)), None
-    da = ce_differential(g, alpha).as_matrix()
+    da = as_matrix(ce_differential(g, alpha))
     rows = [tuple(da[i][j] for i in range(g.dim)) for j in range(g.dim)]
     rows.append(one_form_coords(alpha))
     rhs = [ZERO] * g.dim + [Fraction(1)]
@@ -226,7 +224,7 @@ def check_contact(g: LieAlgebra, alpha: KForm) -> tuple[CheckReport, ContactStru
     items.append(
         passed(
             "radical_spanned_by_reeb",
-            rad == Subspace.from_vectors(g.dim, (reeb,)),
+            rad == algebra_oracle.span(g.dim, (reeb,)),
             f"radical is {rad.describe(g.labels)}",
         )
     )
@@ -234,7 +232,7 @@ def check_contact(g: LieAlgebra, alpha: KForm) -> tuple[CheckReport, ContactStru
         tuple(items),
         (
             ("reeb", fmt_vector(reeb, g.labels)),
-            ("top_coefficient", fmt_scalar(top.coefficient)),
+            ("top_coefficient", fmt_scalar(top)),
         ),
     )
     if not report.overall:
@@ -253,7 +251,7 @@ def check_frobenius(g: LieAlgebra, phi: KForm) -> tuple[CheckReport, FrobeniusSt
     report = CheckReport(tuple(items))
     if not report.overall:
         return report, None
-    m = b.as_matrix()
+    m = as_matrix(b)
     rows = [tuple(m[i][j] for i in range(g.dim)) for j in range(g.dim)]
     x_p, homogeneous = solve_affine(rows, one_form_coords(phi))
     assert x_p is not None and not homogeneous
@@ -279,17 +277,17 @@ def contact_radical_item(g: LieAlgebra, alpha: KForm) -> CheckItem | None:
     check_contact stops before that item (even dimension, top coefficient 0, no unique Reeb vector)."""
     if g.dim % 2 == 0:
         return None
-    if not top_contact_test(g, alpha).holds:
+    if top_contact_test(g, alpha) == 0:
         return None
     coords = one_form_coords(alpha)
-    da = ce_differential(g, alpha).as_matrix()
+    da = as_matrix(ce_differential(g, alpha))
     particular, homogeneous = solve_affine(da + (coords,), [0] * g.dim + [1])
     if particular is None or homogeneous:
         return None
     rad = Subspace(g.dim, nullspace(da, g.dim))
     return passed(
         "radical_spanned_by_reeb",
-        rad == Subspace.from_vectors(g.dim, (particular,)),
+        rad == algebra_oracle.span(g.dim, (particular,)),
         f"radical is {rad.describe(g.labels)}",
     )
 
@@ -299,7 +297,7 @@ def sasakian_torsion_item(g: LieAlgebra, reeb: Vector, alpha: KForm, phi: Matrix
     -d(alpha)(e_i, e_j) xi over their two denominators."""
     r, dr = clear_denominators(reeb)
     p, dp = int_matrix(phi)
-    da, den = int_matrix(ce_differential(g, alpha).as_matrix())
+    da, den = int_matrix(as_matrix(ce_differential(g, alpha)))
     torsion, dt = nijenhuis_ints(g, p, dp)
     expected = {(i, j): [-da[i][j] * y for y in r] for i, j in torsion}
     bad_pair = next((pair for pair, v in torsion.items() if not _same(v, dt, expected[pair], den * dr)), None)
@@ -346,7 +344,7 @@ def nijenhuis_ints(g: LieAlgebra, ai: list[list[int]], da: int) -> tuple[dict[tu
 
 def kahler_metric(g: LieAlgebra, j: Matrix, omega: KForm) -> Matrix:
     """Candidate metric g(x,y) = omega(x, Jy), one Fraction product."""
-    return mat_mul(omega.as_matrix(), j)
+    return mat_mul(as_matrix(omega), j)
 
 
 def check_kahler(g: LieAlgebra, j: Matrix, omega: KForm):
@@ -373,7 +371,7 @@ def check_kahler(g: LieAlgebra, j: Matrix, omega: KForm):
     items.append(passed("complex_integrable", bad_pair is None, witness))
     domega = ce_differential(g, omega)
     items.append(passed("symplectic_closed", domega.is_zero(), f"d(omega) = {domega.describe(g.labels)}"))
-    om = omega.as_matrix()
+    om = as_matrix(omega)
     invariant = mat_mul(transpose(j), mat_mul(om, j))
     bad_inv = next(
         ((a, b) for a in range(n) for b in range(a + 1, n) if invariant[a][b] != om[a][b]),
@@ -408,7 +406,7 @@ def check_kahler(g: LieAlgebra, j: Matrix, omega: KForm):
 
 def sasakian_metric(g: LieAlgebra, alpha: KForm, phi: Matrix) -> Matrix:
     """Candidate metric g(x,y) = -d(alpha)(x, Phi y) + alpha(x) alpha(y)."""
-    da = ce_differential(g, alpha).as_matrix()
+    da = as_matrix(ce_differential(g, alpha))
     coords = one_form_coords(alpha)
     return mat_add(mat_neg(mat_mul(da, phi)), outer(coords, coords))
 
@@ -434,7 +432,7 @@ def check_sasakian(g: LieAlgebra, reeb: Vector, alpha: KForm, phi: Matrix):
         f"expected {fmt_vector(column(expected, wrong), g.labels)}"
     )
     items.append(passed("phi_square_identity", wrong is None, witness))
-    da = ce_differential(g, alpha).as_matrix()
+    da = as_matrix(ce_differential(g, alpha))
     torsion = algebra_oracle.nijenhuis(g, phi)
     bad_pair = next(
         (

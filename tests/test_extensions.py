@@ -25,6 +25,7 @@ from lieforge.structures import check_kahler
 import structures_oracle
 from algebra_oracle import bracket, dense_c
 from conftest import random_jacobi_algebra, random_matrix, random_two_form
+from forms_oracle import as_matrix
 from strategies import BIG_RATIONALS, RATIONALS, antisymmetric_algebras, lie_or_not, rational_vectors
 from structures_oracle import ce_differential, value_on_basis
 
@@ -87,7 +88,7 @@ def test_unchecked_derivation_extension_rejects_ragged_map():
 
 
 @pytest.mark.parametrize(
-    "d", [zero_matrix(2), zero_matrix(7), zero_matrix(4, 3), RAGGED3], ids=["2x2", "7x7", "4x3", "ragged"]
+    "d", [zero_matrix(2), zero_matrix(7), matrix([[0, 0, 0]] * 4), RAGGED3], ids=["2x2", "7x7", "4x3", "ragged"]
 )
 @pytest.mark.parametrize("check", [True, False])
 def test_reversed_double_extension_rejects_misshapen_map(d, check):
@@ -231,7 +232,7 @@ def test_cocycle_kernel_on_any_triple(case):
     g, theta = case
     n = g.dim
     d, _, big = g._integer_terms
-    t, dt = int_matrix(theta.as_matrix())
+    t, dt = int_matrix(as_matrix(theta))
     width = slot_width(n * big * max(abs(x) for row in t for x in row))
     q = [pack(enumerate(row), width) for row in t]
     failing = dict(_cyclic_failures(g, q, width, product(range(n), repeat=3)))

@@ -228,7 +228,7 @@ print(d.dim, d.algebra.dim, len(d.reeb))
     assert done.stdout.split() == ["7", "7", "7"]
 
 
-# --- no dead imports -----------------------------------------------------------
+# --- no dead imports or definitions ---------------------------------------------
 
 
 def test_every_imported_name_is_used():
@@ -250,3 +250,51 @@ def test_every_imported_name_is_used():
                 used.add(node.value)
         unused += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
     assert unused == []
+
+
+# The definitions of src/lieforge that no code there reaches, each with what keeps it.
+UNREACHED_IN_SRC = {
+    "cli.entry": "the console script of pyproject.toml",
+    "algebra.LieAlgebra.from_brackets": "bench/workloads.dense_heisenberg calls it; ROADMAP item 2 deletes it",
+    "linalg.det": "bench/workloads.dense_heisenberg calls it; ROADMAP item 2 deletes it",
+    "algebra.transform": "tests/conftest.py calls it, and the benchmark loads that file; ROADMAP item 3.2",
+    "algebra.LieAlgebra.abelian": "public constructor sugar, with no arithmetic",
+}
+
+
+def test_every_definition_is_used():
+    """Each module-level function or class of src/lieforge is imported by another module, loaded by
+    name in its own, named by a ``"module.name"`` string (the command tables of the CLI) or listed in
+    ``lieforge.__all__``; each method's name is read somewhere in src, as an attribute or a plain
+    name. Dunders are Python's to call. The rest are exactly the names of UNREACHED_IN_SRC.
+
+    The check goes by name, so a method whose name is also read for something else escapes it:
+    a ``KForm.add`` would pass on the reads of ``set.add``."""
+    import ast
+
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted((SRC / "lieforge").glob("*.py"))}
+    imported, strings, attributes, loaded = set(), set(), set(), {}
+    for module, tree in trees.items():
+        loaded[module] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                strings.add(node.value)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded[module].add(node.id)
+    read = attributes.union(*loaded.values())
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("__"):
+                continue
+            name = node.name
+            if not (name in imported or name in loaded[module] or f"{module}.{name}" in strings or name in lieforge.__all__):
+                unused.append(f"{module}.{name}")
+            for method in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("__") and method.name not in read:
+                    unused.append(f"{module}.{name}.{method.name}")
+    assert sorted(unused) == sorted(UNREACHED_IN_SRC)

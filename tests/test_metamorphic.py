@@ -53,7 +53,7 @@ def contact_cases(draw):
 
 def top_coefficient(g, alpha):
     """The top coefficient of alpha ^ (d alpha)^n, from the top-form test that check_contact runs."""
-    return _top_contact(alpha, *_dalpha(g, alpha))[0].coefficient
+    return _top_contact(alpha, *_dalpha(g, alpha))[0]
 
 
 @settings(max_examples=60, deadline=None)

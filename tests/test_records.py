@@ -35,7 +35,6 @@ from lieforge import (
     sasakian_double_extension,
 )
 from lieforge.cli import _SOURCES, _Source
-from lieforge.forms import TopContactResult
 from lieforge.linalg import diagonal
 from lieforge.report import fail, ok
 
@@ -53,7 +52,6 @@ FIELDS = {
     Sends: ("v", "w"),
     ExtensionResult: ("algebra", "embedding", ("central_index", None), ("derivation_index", None)),
     KForm: ("dim", "degree", "coeffs"),
-    TopContactResult: ("holds", "coefficient", ("reason", None)),
     CheckItem: ("name", "passed", ("witness", None)),
     CheckReport: ("items", ("notes", ())),
     ContactStructure: ("alpha", "reeb"),
@@ -96,8 +94,6 @@ def samples():
         derivation_extension(H3.algebra, diagonal(["1/2", "1/2", 1])),
         alpha,
         KForm.zero(3, 2),
-        TopContactResult(True, Fraction(2)),
-        TopContactResult(False, Fraction(0), "top coefficient is 0"),
         ok("a"),
         fail("b", "witness"),
         report,
@@ -149,7 +145,6 @@ def test_defaults_match_the_dataclass():
         assert repr(cls(*short)) == repr(reference(cls)(*short))
     assert repr(Builtin("x", H3.algebra)) == repr(reference(Builtin)("x", H3.algebra))
     assert ExtensionResult(H3.algebra, (0, 1, 2)) == ExtensionResult(H3.algebra, (0, 1, 2), None, None)
-    assert repr(TopContactResult(True, None)) == "TopContactResult(holds=True, coefficient=None, reason=None)"
 
 
 @pytest.mark.parametrize(

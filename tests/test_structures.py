@@ -351,7 +351,9 @@ def test_contact_matches_oracle(case):
     assert_same_result(check_contact(g, alpha), structures_oracle.check_contact(g, alpha))
     assert kirillov_form(g, alpha) == structures_oracle.kirillov_form(g, alpha)
     if g.dim % 2:
-        assert _top_contact(alpha, *_dalpha(g, alpha))[0] == structures_oracle.top_contact_test(g, alpha)
+        coefficient, reeb = _top_contact(alpha, *_dalpha(g, alpha))
+        assert coefficient == structures_oracle.top_contact_test(g, alpha)
+        assert (reeb is None) == (coefficient == 0)
 
 
 @settings(max_examples=150, deadline=None)

@@ -35,6 +35,7 @@ from lieforge.theorems import _commute_mismatch, _phi_pairing_failure, kernel_ba
 
 import theorems_oracle
 from algebra_oracle import adjoint, dense_c
+from forms_oracle import add, as_matrix
 from linalg_oracle import mat_mul
 from strategies import (
     BIG_RATIONALS,
@@ -544,7 +545,7 @@ def test_double_extension_oracle_on_five_dimensional_base():
     for _ in range(60):
         theta = KForm.zero(5, 2)
         for f in forms:
-            theta = theta.add(f.scale(Fraction(rng.randint(-1, 1))))
+            theta = add(theta, f.scale(Fraction(rng.randint(-1, 1))))
         central = central_extension(G0.algebra, theta)
         particular, basis = derivation_space(central.algebra, [Leibniz()])
         d = [[Fraction(0)] * 6 for _ in range(6)]
@@ -815,10 +816,10 @@ def pairing_inputs(draw):
 @settings(max_examples=100, deadline=None)
 @given(pairing_inputs())
 def test_phi_pairing_failure_matches_fraction_pairs(case):
-    # the form T Phi - (T Phi)^T on integers, one product per pair; the witness as KForm.evaluate gives it
+    # the form T Phi - (T Phi)^T on integers, one product per pair; the witness as forms_oracle.evaluate gives it
     basis, theta, phi = case
     expected = theorems_oracle.phi_pairing_failure(basis, theta, phi)
-    assert _phi_pairing_failure(basis, int_matrix(theta.as_matrix()), int_matrix(phi)) == expected
+    assert _phi_pairing_failure(basis, int_matrix(as_matrix(theta)), int_matrix(phi)) == expected
 
 
 @pytest.mark.parametrize("name", ORACLE_CASES)

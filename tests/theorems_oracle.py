@@ -22,7 +22,7 @@ structures_oracle.nijenhuis_ints. tests/test_theorems.py checks that both return
 algebras, reports, structures and refusals.
 
 Every condition here is tested in Fractions, vector by vector: a commutator as the four ``mat_vec`` calls
-of ``commute_mismatch``, a pairing as ``KForm.evaluate`` on each basis pair, [D, J] = 0 and J^2 = -Id as
+of ``commute_mismatch``, a pairing as ``forms_oracle.evaluate`` on each basis pair, [D, J] = 0 and J^2 = -Id as
 ``mat_mul`` products, and the brackets and projections of the reduction and of the contact ideal as
 the Fraction ``algebra_oracle.bracket``, ``apply_one_form`` and ``mat_vec``, where lieforge tests integer products and makes
 Fractions only for outputs and witnesses.
@@ -32,14 +32,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from lieforge.algebra import LieAlgebra, Subspace, center
+from lieforge.algebra import LieAlgebra, center
 from lieforge.extensions import ExtensionResult, derivation_extension, double_extension
 from lieforge.forms import KForm, apply_one_form, kirillov_form, one_form_coords, radical
 from lieforge.linalg import (
     Matrix,
     Vector,
     ZERO,
-    column,
     fmt_basis_tuple,
     fmt_scalar,
     fmt_vector,
@@ -70,8 +69,9 @@ from lieforge.theorems import (
     kernel_basis,
 )
 
-from algebra_oracle import adjoint, bracket, dense_c
-from linalg_oracle import mat_mul, mat_vec, solve_unique, vec_add
+from algebra_oracle import adjoint, bracket, dense_c, span
+from forms_oracle import evaluate
+from linalg_oracle import column, mat_mul, mat_vec, solve_unique, vec_add
 from structures_oracle import nijenhuis_ints
 
 ONE = Fraction(1)
@@ -104,7 +104,7 @@ def _first_nonzero_pair(basis, value):
 def phi_pairing_failure(basis, theta, phi):
     """The first pair of ``_first_nonzero_pair`` for theta(Phi x, y) + theta(x, Phi y)."""
     return _first_nonzero_pair(
-        basis, lambda x, y: theta.evaluate((mat_vec(phi, x), y)) + theta.evaluate((x, mat_vec(phi, y)))
+        basis, lambda x, y: evaluate(theta, (mat_vec(phi, x), y)) + evaluate(theta, (x, mat_vec(phi, y)))
     )
 
 
@@ -114,10 +114,10 @@ def kahler_extension_obstruction(g: LieAlgebra, s: SasakianStructure, theta: KFo
         raise DimensionMismatch("expected a 2-form on the algebra")
     basis = kernel_basis(g, s.alpha)
     invariance = _first_nonzero_pair(
-        basis, lambda x, y: theta.evaluate((x, y)) + theta.evaluate((mat_vec(s.phi, x), mat_vec(s.phi, y)))
+        basis, lambda x, y: evaluate(theta, (x, y)) + evaluate(theta, (mat_vec(s.phi, x), mat_vec(s.phi, y)))
     )
     pairing = phi_pairing_failure(basis, theta, s.phi)
-    reeb_pair = _first_mismatch(basis, lambda x: theta.evaluate((x, s.reeb)), lambda x: 0)
+    reeb_pair = _first_mismatch(basis, lambda x: evaluate(theta, (x, s.reeb)), lambda x: 0)
     dxi = kirillov_form(g, s.alpha).neg()
     integrability_broken = invariance is not None or pairing is not None or reeb_pair is not None
     closedness_broken = not dxi.is_zero()
@@ -148,7 +148,7 @@ def sasakian_reduction(g: LieAlgebra, s: SasakianStructure) -> tuple[LieAlgebra,
     if g.dim == 1:
         raise refusal("the quotient by the Reeb vector is 0-dimensional", "quotient_dimension_positive", "dim = 1")
     z = center(g)
-    if z != Subspace.from_vectors(g.dim, (s.reeb,)):
+    if z != span(g.dim, (s.reeb,)):
         raise refusal(
             "center must be one-dimensional and spanned by the Reeb vector",
             "center_spanned_by_reeb",
