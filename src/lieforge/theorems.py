@@ -23,15 +23,18 @@ denominators once), a map its integer matrix over one denominator
 [ad(xi), Phi] = 0 are integer products; a condition "two maps agree on a
 basis" forms the integer difference of the maps once and tests each basis
 vector as one product, and a pairing condition tests each basis pair as one.
-The reduction reads its brackets, omega and J off integer brackets of the
-written-down basis of Ker(alpha) (``kernel_basis``) at its pivots; the
-contact-ideal restriction takes its brackets from the bracket table of g,
-reindexed to the ideal, and a vector there has an x_P component exactly where
-its pivot coordinate is nonzero. Fractions are
-made only for output entries and, on a failure, for its witness. The one map
-built in Fractions is Phi-bar of a double extension: after Phi u is formed on
-integers, its O(n^2) entries are Fraction products of Phi, Phi u, alpha and
-the solved parameters, once per call.
+A hypothesis is decided on the checked input with no elimination: the center
+of a Sasakian algebra is span(xi) exactly when ad(xi) = 0, and x lies in
+Rad(theta) exactly when T x = 0; only the refusal of the reduction computes
+the center, for its witness. Ker(alpha) is the nullspace of alpha's one row
+(``kernel_basis``); the reduction reads its brackets, omega and J off integer
+brackets of that reduced basis at its pivots; the contact-ideal restriction
+takes its brackets from the bracket table of g, reindexed to the ideal, and a
+vector there has an x_P component exactly where its pivot coordinate is
+nonzero. Fractions are made only for output entries and, on a failure, for its
+witness. The one map built in Fractions is Phi-bar of a double extension:
+after Phi u is formed on integers, its O(n^2) entries are Fraction products of
+Phi, Phi u, alpha and the solved parameters, once per call.
 
 Every map a construction builds is one block matrix on the extension, with
 the base first, then the central element z, then the derivation slot:
@@ -91,6 +94,7 @@ from .linalg import (
     int_matrix,
     int_mul,
     is_zero_vector,
+    nullspace,
     transpose,
     vec_scale,
     vec_sub,
@@ -129,16 +133,9 @@ def extend_map_by_zero(m: Matrix, dim: int) -> Matrix:
 
 
 def kernel_basis(g: LieAlgebra, alpha: KForm) -> tuple[Vector, ...]:
-    """The canonical basis of Ker(alpha) that ``linalg.nullspace`` gives for the row a of alpha,
-    with no elimination: e_f - (a_f/a_l) e_l for f < l and e_f for f > l, in increasing f, with
-    l the last index where a_l != 0 (every e_f when alpha = 0), read off alpha's numerators."""
+    """The reduced basis of Ker(alpha): the nullspace of alpha's row of numerators."""
     _check_form(alpha, g.dim, 1)
-    a, _ = alpha._ints
-    l = max((f for f, x in enumerate(a) if x), default=-1)
-    basis = [list(g.basis_vector(f)) for f in range(g.dim) if f != l]
-    for f, v in zip(range(l), basis):  # the rows of f < l come first
-        v[l] = Fraction(-a[f], a[l])
-    return tuple(map(tuple, basis))
+    return nullspace([alpha._ints[0]], g.dim)
 
 
 def _verify_sasakian_input(g: LieAlgebra, s: SasakianStructure) -> None:
@@ -242,12 +239,14 @@ def sasakian_reduction(g: LieAlgebra, s: SasakianStructure) -> tuple[LieAlgebra,
     _verify_sasakian_input(g, s)
     if g.dim == 1:
         raise refusal("the quotient by the Reeb vector is 0-dimensional", "quotient_dimension_positive", "dim = 1")
-    z = center(g)
-    if z.dim != 1 or not z.contains(s.reeb):  # the checked s has alpha(reeb) = 1, so reeb != 0
+    # a central z has d(alpha)(z, .) = -alpha([z, .]) = 0, and the radical of d(alpha) is span(xi) on the
+    # checked s (d(alpha) is the metric paired with Phi, which maps onto Ker(alpha); Blair, ch. 4 and 6):
+    # so the center is span(xi) when ad(xi) = 0, and {0} otherwise
+    if any(map(any, _int_adjoint(g, s.reeb)[0])):
         raise refusal(
             "center must be one-dimensional and spanned by the Reeb vector",
             "center_spanned_by_reeb",
-            f"center = {z.describe(g.labels)}",
+            f"center = {center(g).describe(g.labels)}",
         )
     n, m = g.dim, g.dim - 1  # the checked alpha is nonzero (alpha(xi) = 1)
     flat, db = clear_denominators([x for v in kernel_basis(g, s.alpha) for x in v])
@@ -366,9 +365,7 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
     )
     require("double extension does not satisfy the base hypotheses", CheckReport(pre))
 
-    zero = zero_vector(n)
-    jbar = tuple((*row, ZERO, ZERO) for row in j) + ((*zero, ZERO, -ONE), (*zero, ONE, ZERO))
-    ji, dj = int_matrix(jbar)
+    ji = [[*row, 0, 0] for row in ji] + [[0] * n + [0, -dj], [0] * n + [dj, 0]]  # J-bar over dj
     tw = _first_torsion(child, _packed_torsion(child, ji), dj)
     ad_slot = _int_adjoint(child, child.basis_vector(n + 1))  # D on the extension
     cw = _commute_mismatch(map(child.basis_vector, range(n)), (ji, dj), ad_slot)
@@ -464,9 +461,8 @@ def sasakian_double_extension_conditions(
         _phi_pairing_failure(basis, theta._ints, (p, dp)),
         lambda w: f"theta(Phi x,y)+theta(x,Phi y) = {fmt_scalar(w[2])} on kernel pair ({w[0]},{w[1]})",
     )
-    rad = radical(g, theta)
-    u_ok = rad.contains(params.u)
-    xi_ok = rad.contains(s.reeb)
+    t, _ = theta._ints  # x in Rad(theta) iff T x = 0
+    u_ok, xi_ok = (not any(int_apply(t, clear_denominators(x)[0])) for x in (params.u, s.reeb))
     witness = f"u in Rad(theta): {u_ok}, reeb in Rad(theta): {xi_ok}"
     item2 = passed("theta_radical_contains_u_and_reeb", u_ok and xi_ok, witness)
     # Phi-bar is Phi on Ker(alpha)

@@ -711,8 +711,9 @@ def test_construct_checks_each_structure_once(argv, expected, monkeypatch):
 # call of linalg._eliminate or of the sweep of linalg.positive_definite. Each matrix is eliminated
 # once, and the contact and Frobenius checks eliminate nothing: check_contact reads its Pfaffian
 # and Reeb vector, and a passing check_frobenius its principal element, off one skew elimination
-# (sub_pfaffians); theorems.kernel_basis writes Ker(alpha) down; sasakian_reduction tests the
-# center and reads coordinates against reduced bases. 25 and 9 in all.
+# (sub_pfaffians); theorems.kernel_basis eliminates the one row of alpha; sasakian_reduction tests
+# the center as ad(xi) = 0 and reads coordinates against reduced bases, and the double extension's
+# conditions test Rad(theta) as products with theta's matrix. 27 and 9 in all.
 ELIMINATIONS = {
     "check jacobi --builtin h3": (0, 0),
     "check cocycle --builtin h3 --two-form e1^e2": (0, 0),
@@ -727,11 +728,11 @@ ELIMINATIONS = {
     "extend double --builtin h3 --two-form 0 --map diag:0,0,0 --dz 0,0,0:1": (0, 0),
     "extend reversed --builtin h3 --form e3 --map diag:1/2,1/2,1": (1, 0),
     "construct fk-to-sasakian --builtin d4half --map E": (2, 1),
-    "construct sasakian-to-fk --builtin h3 --map diag:1/2,1/2,1": (2, 1),
+    "construct sasakian-to-fk --builtin h3 --map diag:1/2,1/2,1": (3, 1),
     "construct kahler-to-sasakian --builtin d4half": (2, 0),
     "construct sasakian-reduction --builtin g5": (3, 0),
     "construct sasakian-double --builtin h3 --two-form 0 --map diag:0,0,0,1": (2, 1),
-    "construct contact-ideal --builtin d4half": (2, 2),
+    "construct contact-ideal --builtin d4half": (3, 2),
     "solve derivations --builtin h3": (1, 0),
     "solve derivations --builtin h3 --fix alpha∘D=alpha:e3": (2, 0),
     "solve reeb --builtin h3 --form e3": (0, 1),

@@ -100,6 +100,82 @@ def test_parse_error_offsets_count_utf8_bytes(head, bad):
     assert f"(byte {len(head.encode('utf-8'))}," in str(err.value)
 
 
+# The command that reads each kind of file, its path as PATH.
+FAULT_COMMANDS = {
+    "algebra": ["check", "jacobi", "--algebra", "PATH"],
+    "sasakian": ["check", "sasakian", "--builtin", "h3", "--structure", "PATH"],
+    "two_form": ["check", "cocycle", "--builtin", "h3", "--two-form", "@PATH"],
+}
+ALGEBRA = "lieforge/1 algebra\n"  # 19 bytes
+SASAKIAN = "lieforge/1 structure\nkind sasakian\n"  # 35 bytes
+H3_XI_ALPHA = "xi = 0 0 1\nalpha = 0 0 1\n"
+
+# case -> (file kind, file text, its error line); the line of a fault starts at the byte it names
+FILE_FAULTS = {
+    "empty document": ("algebra", "# a comment only\n", "empty document (byte 0, field 'header')"),
+    "dim must be positive": ("algebra", ALGEBRA + "dim 0\n", "dim must be positive (byte 19, field 'dim')"),
+    "bracket needs =": ("algebra", ALGEBRA + "dim 3\nbracket 1 2 3:1\n", "bracket needs '=' (byte 25, field 'bracket')"),
+    "bracket needs two indices": (
+        "algebra",
+        ALGEBRA + "dim 3\nbracket 1 = 3:1\n",
+        "bracket needs two indices (byte 25, field 'bracket')",
+    ),
+    "bad coefficient": (
+        "algebra",
+        ALGEBRA + "dim 3\nbracket 1 2 = 3\n",
+        "bad coefficient '3', expected k:value (byte 25, field 'bracket')",
+    ),
+    "target index out of range": (
+        "algebra",
+        ALGEBRA + "dim 3\nbracket 1 2 = 4:1\n",
+        "target index 4 out of range (byte 25, field 'bracket')",
+    ),
+    "unknown algebra field": ("algebra", ALGEBRA + "dim 3\nlabels a b c\n", "unknown field 'labels' (byte 25, field 'labels')"),
+    "missing dim": ("algebra", ALGEBRA + "basis a b c\n", "missing dim (byte 0, field 'dim')"),
+    "missing kind": ("sasakian", "lieforge/1 structure\n", "missing kind (byte 0, field 'kind')"),
+    "unknown structure field": (
+        "sasakian",
+        SASAKIAN + "eta = 0 0 1\n",
+        "unknown field 'eta' for kind sasakian (byte 35, field 'eta')",
+    ),
+    "bad line": ("sasakian", SASAKIAN + "xi 0 0 1\n", "bad line 'xi 0 0 1' (byte 35, field 'xi')"),
+    "map needs rows": (
+        "sasakian",
+        SASAKIAN + H3_XI_ALPHA + "phi row 1 = 0 -1 0\nphi row 2 = 1 0 0\n",
+        "map 'phi' needs rows 1..3 (byte 0, field 'phi')",
+    ),
+    "map row needs =": (
+        "sasakian",
+        SASAKIAN + H3_XI_ALPHA + "phi row 1 0 -1 0\n",
+        "map row needs 'row I = entries' (byte 60, field 'row')",
+    ),
+    "two-form entry needs =": (
+        "two_form",
+        "lieforge/1 structure\nkind two_form\nentry 1 2 1\n",
+        "two-form entry needs 'entry I J = value' (byte 35, field 'entry')",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_FAULTS))
+def test_file_fault_exits_2_naming_its_byte(case, tmp_path, capsys):
+    kind, text, error = FILE_FAULTS[case]
+    path = tmp_path / "input.lf"
+    path.write_bytes(text.encode("utf-8"))
+    assert cli.main([a.replace("PATH", str(path)) for a in FAULT_COMMANDS[kind]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: {error}"]
+
+
+def test_named_map_of_another_dimension_is_a_usage_error(capsys):
+    # d4half's E acts on d4half, not on the 5-dimensional central extension that a double extension's map acts on
+    assert cli.main(["extend", "double", "--builtin", "d4half", "--two-form", "0", "--map", "E"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: named map 'E' has wrong dimension in --map"]
+
+
 def test_parse_structure_kinds():
     (form,) = parse_structure("lieforge/1 structure\nkind form\nvalues 0 0 1\n", "form", 3)
     assert form == KForm.basis_one_form(3, 2)

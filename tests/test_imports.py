@@ -259,16 +259,19 @@ UNREACHED_IN_SRC = {
     "linalg.det": "bench/workloads.dense_heisenberg calls it; ROADMAP item 2 deletes it",
     "algebra.transform": "tests/conftest.py calls it, and the benchmark loads that file; ROADMAP item 3.2",
     "algebra.LieAlgebra.abelian": "public constructor sugar, with no arithmetic",
+    "algebra.Subspace.contains": "the span test the tests read; no verdict runs it",
+    "report.CheckReport.item": "a public accessor the tests read, by the item's name",
 }
 
 
 def test_every_definition_is_used():
     """Each module-level function or class of src/lieforge is imported by another module, loaded by
     name in its own, named by a ``"module.name"`` string (the command tables of the CLI) or listed in
-    ``lieforge.__all__``; each method's name is read somewhere in src, as an attribute or a plain
-    name. Dunders are Python's to call. The rest are exactly the names of UNREACHED_IN_SRC.
+    ``lieforge.__all__``; each method's name is read somewhere in src as an attribute, or loaded
+    as a plain name in its own class body (``Record._frozen`` is bound to ``__setattr__`` there).
+    Dunders are Python's to call. The rest are exactly the names of UNREACHED_IN_SRC.
 
-    The check goes by name, so a method whose name is also read for something else escapes it:
+    The check goes by name, so a method whose name is also read as another attribute escapes it:
     a ``KForm.add`` would pass on the reads of ``set.add``."""
     import ast
 
@@ -281,11 +284,10 @@ def test_every_definition_is_used():
                 imported.update(alias.name for alias in node.names)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 strings.add(node.value)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 attributes.add(node.attr)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded[module].add(node.id)
-    read = attributes.union(*loaded.values())
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -294,7 +296,16 @@ def test_every_definition_is_used():
             name = node.name
             if not (name in imported or name in loaded[module] or f"{module}.{name}" in strings or name in lieforge.__all__):
                 unused.append(f"{module}.{name}")
-            for method in node.body if isinstance(node, ast.ClassDef) else ():
-                if isinstance(method, ast.FunctionDef) and not method.name.startswith("__") and method.name not in read:
-                    unused.append(f"{module}.{name}.{method.name}")
+            body = node.body if isinstance(node, ast.ClassDef) else ()
+            in_body = {
+                n.id
+                for stmt in body
+                if not isinstance(stmt, ast.FunctionDef)
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            for method in body:
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("__"):
+                    if method.name not in attributes | in_body:
+                        unused.append(f"{module}.{name}.{method.name}")
     assert sorted(unused) == sorted(UNREACHED_IN_SRC)

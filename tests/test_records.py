@@ -35,8 +35,9 @@ from lieforge import (
     sasakian_double_extension,
 )
 from lieforge.cli import _SOURCES, _Source
-from lieforge.linalg import diagonal
-from lieforge.report import fail, ok
+from lieforge.linalg import diagonal, solve_affine
+from lieforge.report import DimensionMismatch, fail, ok
+from lieforge.theorems import embed_vector
 
 H3, D4, G5 = builtin("h3"), builtin("d4half"), builtin("g5")
 
@@ -176,3 +177,34 @@ def test_cached_values_live_beside_the_fields():
     alpha = KForm(3, 1, (((0,), 1), ((2,), Fraction(-2, 3))))
     assert alpha._ints == ((3, 0, -2), 3) and "_ints" in vars(alpha)
     assert alpha == KForm.one_form(3, [1, 0, "-2/3"]) and repr(alpha) == repr(KForm(3, 1, alpha.coeffs))
+
+
+# case -> (call, the exception it raises, its message): the argument checks of the records and kernels
+REFUSED_ARGUMENTS = {
+    "kform negative degree": (lambda: KForm(3, -1, ()), ValueError, "degree must be non-negative"),
+    "kform tuple length": (
+        lambda: KForm(3, 2, (((0,), Fraction(1)),)),
+        ValueError,
+        "coefficient tuple (0,) has wrong length",
+    ),
+    "failed item without witness": (lambda: CheckItem("x", False), ValueError, "failed item 'x' needs a witness"),
+    "report item not found": (lambda: CheckReport((ok("x"),)).item("y"), KeyError, "'y'"),
+    "solve_affine rhs count": (
+        lambda: solve_affine([(1, 0)], [1, 2]),
+        DimensionMismatch,
+        "2 right-hand sides for 1 equations",
+    ),
+    "embed into smaller space": (
+        lambda: embed_vector((1, 2, 3), 2),
+        DimensionMismatch,
+        "cannot embed into a smaller space",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_ARGUMENTS))
+def test_refused_argument_raises_its_message(case):
+    call, error, message = REFUSED_ARGUMENTS[case]
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

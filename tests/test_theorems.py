@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lieforge import (
     KForm,
@@ -595,11 +595,61 @@ def outcome(call, *args):
         return type(exc), str(exc), getattr(exc, "report", None)
 
 
+def _g0_moved(seed):
+    """g0 with its checked Sasakian structure, in its own basis (seed None) or in the random basis P of the
+    seed, moved by algebra.transform (xi becomes P^-1 xi): a center of {0} in both."""
+    from conftest import mat_inverse, random_invertible
+    from lieforge.algebra import transform
+    from linalg_oracle import mat_vec
+
+    (reeb, alpha, phi), g = G0.sasakian_data, G0.algebra
+    if seed is not None:
+        p = random_invertible(random.Random(seed), 5)
+        g, reeb, alpha, phi = transform(g, p), mat_vec(mat_inverse(p), reeb), transform(alpha, p), transform(phi, p)
+    return g, check_sasakian(g, reeb, alpha, phi)[1]
+
+
 @settings(max_examples=60, deadline=None)
 @given(sasakian_reduction_inputs())
+@example(_g0_moved(None))
+@example(_g0_moved(1))
+@example(_g0_moved(2))
 def test_sasakian_reduction_matches_oracle(case):
-    # coordinates read off the pivots of the reduced basis of Ker(alpha), not solved for
+    # coordinates read off the pivots of the reduced basis of Ker(alpha), not solved for; the g0 examples are
+    # refused by ad(xi) != 0, and the oracle eliminates the center for the same witness
     assert outcome(sasakian_reduction, *case) == outcome(theorems_oracle.sasakian_reduction, *case)
+
+
+def _refuse_call(name):
+    def call(*args):
+        raise AssertionError(f"{name} called")
+
+    return call
+
+
+@pytest.mark.parametrize("name", ["h3", "g5"])
+def test_passing_reduction_eliminates_no_center(monkeypatch, name):
+    # the center is tested as ad(xi) = 0; only a refusal computes it, for its witness
+    import lieforge.algebra
+    import lieforge.theorems
+
+    for module in (lieforge.algebra, lieforge.theorems):
+        monkeypatch.setattr(module, "center", _refuse_call("center"))
+    b = builtin(name)
+    assert sasakian_reduction(b.algebra, b.sasakian())[1].overall
+
+
+@pytest.mark.parametrize("theta", [{}, {(0, 2): 1}], ids=["zero", "e1^e3"])
+def test_double_extension_conditions_eliminate_no_radical(monkeypatch, theta):
+    # u and xi in Rad(theta) are the products T u = 0 and T xi = 0 with theta's skew matrix
+    import lieforge.forms
+    import lieforge.theorems
+
+    for module in (lieforge.forms, lieforge.theorems):
+        monkeypatch.setattr(module, "radical", _refuse_call("radical"))
+    d = diagonal([1, 1, 2, 3] if theta else [0, 0, 0, 1])
+    report = sasakian_double_extension_conditions(H3.algebra, H3.sasakian(), KForm.two_form(3, theta), d)
+    assert report.item("theta_radical_contains_u_and_reeb").passed == (not theta)
 
 
 @settings(max_examples=60, deadline=None)

@@ -29,6 +29,7 @@ from lieforge import (
     sasakian_reduction,
     sasakian_to_frobenius_kahler,
 )
+from lieforge.cli import run
 from lieforge.linalg import diagonal, matrix, zero_matrix
 from lieforge.report import CheckItem, PreconditionError
 from lieforge.structures import FrobeniusStructure, SasakianStructure
@@ -224,6 +225,12 @@ FAILING_ITEMS = {
     "torsion_vanishes": (_plane_double_extension_report, "torsion_vanishes"),
     "derivation_commutes_with_j": (_plane_double_extension_report, "derivation_commutes_with_j"),
     "phi_well_defined": (_r2r2_restriction, "phi_well_defined"),
+    "theta_radical_contains_u_and_reeb": (lambda: _conditions(H3, H3_THETA, H3_D), "theta_radical_contains_u_and_reeb"),
+    # theta = e1^e3: the solved u is nonzero and in Rad(theta) = span{e2}, xi = e3 is not
+    "theta_radical_contains_u": (
+        lambda: _conditions(H3, KForm.two_form(3, {(0, 2): 1}), diagonal([1, 1, 2, 3])),
+        "theta_radical_contains_u_and_reeb",
+    ),
     "metric_reproduces_dalpha": (_h3_moved_reeb, "metric_reproduces_dalpha"),
     "metric_phi_isometry": (_g0_conjugated_phi, "metric_phi_isometry"),
     "sasakian_metric_positive_definite": (_h3_unsymmetric_metric, "metric_positive_definite"),
@@ -237,10 +244,20 @@ WITNESSES = {
     "torsion_vanishes": "N(e1,e3) = 2*e2",
     "derivation_commutes_with_j": "Jbar(D e1) = e2, D(J e1) = -e2",
     "phi_well_defined": "J(kernel part of e4) has x_P component 1",
+    "theta_radical_contains_u_and_reeb": "u in Rad(theta): False, reeb in Rad(theta): False",
+    "theta_radical_contains_u": "u in Rad(theta): True, reeb in Rad(theta): False",
     "metric_reproduces_dalpha": "g(x, Phi y) != d(alpha)(x,y)",
     "metric_phi_isometry": "g(Phi x, Phi y) != g(x,y) - alpha(x)alpha(y)",
     "sasakian_metric_positive_definite": "leading 2x2 minor is not positive",
     "kahler_metric_positive_definite": "leading 3x3 minor is not positive",
+}
+
+# name -> (argv, report lines): refusals of REFUSALS as the CLI reports them, with exit 1
+CLI_REFUSED = {
+    "center_spanned_by_reeb": (
+        ["construct", "sasakian-reduction", "--builtin", "g0"],
+        ["command construct sasakian-reduction", "item fail center_spanned_by_reeb | center = {0}", "overall fail"],
+    ),
 }
 
 # name -> call returning the obstruction report
@@ -287,6 +304,14 @@ def test_refusal_names_one_failing_item(case):
     assert str(err.value) == message
     assert err.value.report.items == (CheckItem(name, False, witness),)
     assert err.value.report.notes == ()
+
+
+@pytest.mark.parametrize("case", sorted(CLI_REFUSED))
+def test_cli_refusal_names_one_failing_item(case):
+    argv, lines = CLI_REFUSED[case]
+    out, code = run(argv)
+    assert code == 1
+    assert out.splitlines() == ["lieforge/1 report", *lines]
 
 
 @pytest.mark.parametrize("case", sorted(FAILING_ITEMS))
