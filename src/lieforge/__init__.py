@@ -22,7 +22,7 @@ _EXPORTS = {
     "linalg": "Matrix Scalar Vector matrix scalar vector",
     "report": "CheckItem CheckReport DimensionMismatch LieforgeError PreconditionError",
     "structures": "ContactStructure FrobeniusStructure KahlerStructure SasakianStructure check_contact "
-    "check_frobenius check_kahler check_sasakian principal_element",
+    "check_frobenius check_kahler check_sasakian",
     "theorems": "DoubleExtensionParams contact_ideal_restriction extend_complex_structure "
     "frobenius_kahler_to_sasakian kahler_extension_obstruction kahler_to_sasakian_central "
     "sasakian_double_extension sasakian_double_extension_conditions sasakian_reduction "

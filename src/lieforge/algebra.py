@@ -39,7 +39,6 @@ from .linalg import (
     ScalarLike,
     Vector,
     ZERO,
-    _check_exact,
     _check_square,
     _check_width,
     _inverse,
@@ -298,7 +297,8 @@ def check_jacobi(g: LieAlgebra) -> CheckReport:
 
 
 class Subspace(Record):
-    """Canonical subspace: reduced-echelon basis rows, pivots increasing, each of ambient_dim entries."""
+    """A subspace as basis rows of ambient_dim entries. The constructor checks their widths only;
+    ``center`` and ``radical`` return the reduced-echelon basis, pivots increasing, which is unique."""
 
     _fields = ("ambient_dim", "rows")
 
@@ -309,18 +309,6 @@ class Subspace(Record):
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def contains(self, v: Vector) -> bool:
-        """Is v in the span? The rows are reduced: v is iff it is the sum of its pivot entries times its rows."""
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch(f"vector of length {len(v)} in a space of dimension {self.ambient_dim}")
-        _check_exact(v)
-        rest = list(v)
-        for row in self.rows:
-            f = rest[next(j for j, x in enumerate(row) if x)]
-            if f:
-                rest = [x - f * y for x, y in zip(rest, row)]
-        return not any(rest)
 
     def describe(self, labels: Sequence[str]) -> str:
         if not self.rows:

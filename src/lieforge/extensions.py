@@ -1,8 +1,8 @@
 """Central, derivation, double, and reversed double extensions.
 
 Basis ordering in all outputs: parent basis first with unchanged indices,
-then the new elements in construction order. The embedding is therefore
-the identity on indices, which keeps golden outputs stable.
+then the new elements in construction order. So the parent is the first
+``ExtensionResult.parent_dim`` basis vectors, and golden outputs stay stable.
 
 The cocycle test, the radical test and the Kirillov form of the reversed
 extension read the numerators of their forms off the forms
@@ -20,12 +20,8 @@ from .report import CheckReport, Record, fail, ok, refusal, require
 
 
 class ExtensionResult(Record):
-    _fields = ("algebra", "embedding", "central_index", "derivation_index")
+    _fields = ("algebra", "parent_dim", "central_index", "derivation_index")
     _defaults = {"central_index": None, "derivation_index": None}
-
-    @property
-    def parent_dim(self) -> int:
-        return len(self.embedding)
 
 
 def _adjoin(g: LieAlgebra, new: dict[tuple[int, int], dict[int, object]]) -> LieAlgebra:
@@ -60,7 +56,7 @@ def central_extension(g: LieAlgebra, theta: KForm, *, check: bool = True) -> Ext
         require("theta is not a 2-cocycle", is_cocycle(g, theta))
     n = g.dim
     child = _adjoin(g, {pair: {n: value} for pair, value in theta.coeffs})
-    return ExtensionResult(child, tuple(range(n)), central_index=n)
+    return ExtensionResult(child, n, central_index=n)
 
 
 def derivation_extension(g: LieAlgebra, d: Matrix, *, check: bool = True) -> ExtensionResult:
@@ -71,7 +67,7 @@ def derivation_extension(g: LieAlgebra, d: Matrix, *, check: bool = True) -> Ext
     n = g.dim
     # [e_i, slot] = -D(e_i)
     child = _adjoin(g, {(i, n): {k: -d[k][i] for k in range(n) if d[k][i] != 0} for i in range(n)})
-    return ExtensionResult(child, tuple(range(n)), derivation_index=n)
+    return ExtensionResult(child, n, derivation_index=n)
 
 
 def double_extension(g: LieAlgebra, theta: KForm, d: Matrix, *, check: bool = True) -> ExtensionResult:
@@ -81,12 +77,7 @@ def double_extension(g: LieAlgebra, theta: KForm, d: Matrix, *, check: bool = Tr
     """
     central = central_extension(g, theta, check=check)
     outer = derivation_extension(central.algebra, d, check=check)
-    return ExtensionResult(
-        outer.algebra,
-        tuple(range(g.dim)),
-        central_index=central.central_index,
-        derivation_index=outer.derivation_index,
-    )
+    return ExtensionResult(outer.algebra, g.dim, central.central_index, outer.derivation_index)
 
 
 def lift_one_form(alpha: KForm, new_dim: int) -> KForm:
@@ -103,7 +94,7 @@ def reversed_double_extension(g: LieAlgebra, alpha: KForm, d: Matrix, *, check: 
     _check_form(alpha, g.dim, 1)
     _check_square(d, g.dim)
     if is_zero_matrix(d):
-        base = ExtensionResult(g, tuple(range(g.dim)))
+        base = ExtensionResult(g, g.dim)
         lifted = alpha
     else:
         base = derivation_extension(g, d, check=check)
@@ -115,9 +106,4 @@ def reversed_double_extension(g: LieAlgebra, alpha: KForm, d: Matrix, *, check: 
             witness = f"radical contains {fmt_vector(rad.rows[0], base.algebra.labels)}"
             raise refusal("-d(alpha) is degenerate on the extension", "exact_form_nondegenerate", witness)
     central = central_extension(base.algebra, omega, check=check)
-    return ExtensionResult(
-        central.algebra,
-        tuple(range(g.dim)),
-        central_index=central.central_index,
-        derivation_index=base.derivation_index,
-    )
+    return ExtensionResult(central.algebra, g.dim, central.central_index, base.derivation_index)

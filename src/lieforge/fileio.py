@@ -29,8 +29,10 @@ basis label is a parse error. ``parse_structure`` reads a file of the kind
 its caller expects at the algebra's dimension and returns typed values, so a
 wrong kind, a vector or row of the wrong length and an index past the
 dimension are refused at their line. File faults (``ParseError``) carry the
-byte offset of the offending line; only a missing key or map row, which has
-no line, reports byte 0. A fault in an inline value names its flag instead.
+byte offset of the offending line. A fault with no line of its own is put at
+the line it belongs to: a map with missing rows at that map's first row line,
+a missing key at the ``kind`` line, and a missing ``kind`` at byte 0. A fault
+in an inline value names its flag instead.
 """
 
 from __future__ import annotations
@@ -181,11 +183,12 @@ def parse_structure(text: str, kind: str, dim: int) -> tuple[Vector | KForm | Ma
     body = _expect_header(text, "structure")
     if not body:
         raise ParseError("missing kind", 0, "kind")
-    offset, first = body[0]
+    kind_at, first = body[0]
     if first.split() != ["kind", kind]:
-        raise ParseError(f"expected a structure file of kind {kind}", offset, "kind")
+        raise ParseError(f"expected a structure file of kind {kind}", kind_at, "kind")
     keys = STRUCTURE_KEYS[kind]
     given: dict[str, dict | Vector] = {}  # map rows and two-form entries by index, vectors
+    first_at: dict[str, int] = {}  # the offset of each key's first line
     for offset, line in body[1:]:
         tokens = line.split()
         if "values" in keys:  # the one object's lines: 'values v..', 'row I = ..', 'entry I J = v'
@@ -195,6 +198,7 @@ def parse_structure(text: str, kind: str, dim: int) -> tuple[Vector | KForm | Ma
         value_kind = keys.get(name)
         if value_kind is None:
             raise ParseError(f"unknown field {name!r} for kind {kind}", offset, name)
+        first_at.setdefault(name, offset)
         if value_kind == "map" and marker == "row":
             _parse_map_row(given.setdefault(name, {}), rest, offset, dim)
         elif value_kind == "two_form" and marker == "entry":
@@ -211,10 +215,10 @@ def parse_structure(text: str, kind: str, dim: int) -> tuple[Vector | KForm | Ma
         if value_kind == "two_form":  # absent entries are 0
             values.append(KForm.two_form(dim, value or {}))
         elif value is None:
-            raise ParseError(f"missing {name!r} for kind {kind}", 0, name)
+            raise ParseError(f"missing {name!r} for kind {kind}", kind_at, name)
         elif value_kind == "map":
             if len(value) != dim:
-                raise ParseError(f"map {name!r} needs rows 1..{dim}", 0, name)
+                raise ParseError(f"map {name!r} needs rows 1..{dim}", first_at[name], name)
             values.append(tuple(value[i] for i in range(dim)))
         else:
             values.append(KForm.one_form(dim, value) if value_kind == "form" else value)

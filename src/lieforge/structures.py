@@ -80,7 +80,7 @@ from .linalg import (
     unpack,
     vector_over,
 )
-from .report import CheckItem, CheckReport, PreconditionError, Record, first_failure, ok, passed
+from .report import CheckItem, CheckReport, Record, first_failure, ok, passed
 
 
 class ContactStructure(Record):
@@ -105,14 +105,6 @@ class SasakianStructure(Record):
 def _bind(structure, g: LieAlgebra):
     structure.__dict__["algebra"] = g  # over the class default None; assignment is refused
     return structure
-
-
-def principal_element(g: LieAlgebra, phi: KForm) -> Vector:
-    """The unique x with phi(ad(x) y) = phi(y) for all y."""
-    x_p = _principal(phi, *_kirillov(g, phi)[:2])
-    if x_p is None:
-        raise PreconditionError("principal element needs a nondegenerate Kirillov form")
-    return x_p
 
 
 def _principal(phi: KForm, da: list[list[int]], den: int) -> Vector | None:

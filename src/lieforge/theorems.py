@@ -101,7 +101,7 @@ from .linalg import (
     vector_over,
     zero_vector,
 )
-from .report import CheckReport, DimensionMismatch, PreconditionError, Record, first_failure, passed, refusal, require
+from .report import CheckReport, PreconditionError, Record, first_failure, passed, refusal, require
 from .structures import (
     FrobeniusStructure,
     KahlerStructure,
@@ -116,20 +116,6 @@ from .structures import (
 
 ONE = Fraction(1)
 IntMap = tuple[Sequence[Sequence[int]], int]  # (m, d): the map m/d
-
-
-def embed_vector(v: Vector, dim: int) -> Vector:
-    if len(v) > dim:
-        raise DimensionMismatch("cannot embed into a smaller space")
-    return v + zero_vector(dim - len(v))
-
-
-def extend_map_by_zero(m: Matrix, dim: int) -> Matrix:
-    """Block-extend a map by zero on the appended directions."""
-    n = len(m)
-    return tuple(
-        tuple(m[i][j] if i < n and j < n else ZERO for j in range(dim)) for i in range(dim)
-    )
 
 
 def kernel_basis(g: LieAlgebra, alpha: KForm) -> tuple[Vector, ...]:
@@ -286,7 +272,7 @@ def kahler_to_sasakian_central(
     zi = ext.central_index
     alpha = KForm.basis_one_form(child.dim, zi)
     reeb = child.basis_vector(zi)
-    phi = extend_map_by_zero(k.j, child.dim)
+    phi = tuple((*row, ZERO) for row in k.j) + (zero_vector(child.dim),)
     rep, structure = check_sasakian(child, reeb, alpha, phi)
     require("central extension failed the Sasakian axioms", rep)
     return ext, rep, structure
@@ -470,7 +456,7 @@ def sasakian_double_extension_conditions(
     ad_slot = _int_adjoint(child, child.basis_vector(ext.derivation_index))  # D on the extension
     item3 = first_failure(
         "derivation_commutes_with_phi",
-        _commute_mismatch((embed_vector(x, child.dim) for x in basis), ad_slot, (pb, dpb)),
+        _commute_mismatch(((*x, ZERO, ZERO) for x in basis), ad_slot, (pb, dpb)),
         lambda w: f"D(Phi x) = {fmt_vector(w[1], child.labels)}, Phi(D x) = {fmt_vector(w[2], child.labels)} "
         f"on kernel vector {w[0]}",
     )

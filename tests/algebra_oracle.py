@@ -34,7 +34,10 @@ returns exactly what they return.
 
 span is the canonical Subspace of some vectors, its rows their Fraction
 rref: Subspace.from_vectors, which left lieforge.algebra once no verdict
-called it.
+called it. center is the nullspace of all n^2 Fraction rows of the dense
+tensor, zero rows included, by the Gauss-Jordan elimination of
+linalg_oracle, where lieforge.algebra.center eliminates the nonzero integer
+rows with its own kernel.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from lieforge.linalg import (
 from lieforge.report import CheckReport, DimensionMismatch, Record, fail, ok
 
 from forms_oracle import evaluate
-from linalg_oracle import column, mat_mul, mat_vec, rref, vec_add
+from linalg_oracle import column, mat_mul, mat_vec, nullspace, rref, vec_add
 
 
 class NijenhuisTable(Record):
@@ -251,3 +254,10 @@ def conjugate_two_form(omega: KForm, p: Matrix) -> KForm:
 def span(ambient_dim: int, vectors) -> Subspace:
     """The canonical subspace spanned by vectors of ambient_dim entries: their nonzero rref rows."""
     return Subspace(ambient_dim, rref(vectors)[0])
+
+
+def center(g: LieAlgebra) -> Subspace:
+    """The center as the nullspace of all n^2 Fraction rows (j, k) -> [c_ijk]_i, zero rows included."""
+    n, c = g.dim, dense_c(g)
+    rows = [tuple(c[i][j][k] for i in range(n)) for j in range(n) for k in range(n)]
+    return Subspace(n, nullspace(rows, n))

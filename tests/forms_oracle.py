@@ -7,6 +7,10 @@ form's numerators over one denominator (``KForm._ints``) instead. The other
 oracles and the tests evaluate forms, read 2-forms as matrices and sum
 forms with them. evaluate takes its minors' determinants from
 linalg_oracle.det, so it does not run lieforge's elimination.
+
+radical is the nullspace of a 2-form's Fraction matrix by the Gauss-Jordan
+elimination of linalg_oracle, where lieforge.forms.radical eliminates the
+form's integer numerators with lieforge's kernel.
 """
 
 from __future__ import annotations
@@ -14,11 +18,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from lieforge.algebra import LieAlgebra, Subspace
 from lieforge.forms import KForm, _check_form
 from lieforge.linalg import ZERO, Matrix, Vector, _check_width
 from lieforge.report import DimensionMismatch
 
-from linalg_oracle import det
+from linalg_oracle import det, nullspace
 
 
 def evaluate(form: KForm, vectors: Sequence[Vector]) -> Fraction:
@@ -52,3 +57,8 @@ def add(a: KForm, b: KForm) -> KForm:
     for idxs, value in b.coeffs:
         table[idxs] = table.get(idxs, ZERO) + value
     return KForm.from_coeffs(a.dim, a.degree, table)
+
+
+def radical(g: LieAlgebra, form: KForm) -> Subspace:
+    """{x : form(x, y) = 0 for all y}: the canonical nullspace of the form's antisymmetric matrix."""
+    return Subspace(g.dim, nullspace(as_matrix(form), g.dim))

@@ -28,7 +28,10 @@ then for the principal element. check_contact takes the bordered Pfaffian
 from the plain skew elimination of linalg_oracle.pfaffian, then solves the
 Reeb system and tests its uniqueness by Gauss-Jordan elimination. Neither
 goes through linalg.sub_pfaffians, from which lieforge.structures reads
-the Pfaffian, the Reeb vector and the principal element.
+the Pfaffian, the Reeb vector and the principal element. Every radical,
+nullspace and solve here is the Fraction Gauss-Jordan elimination of
+linalg_oracle (forms_oracle.radical for a radical), never lieforge's
+integer kernel.
 
 wedge and wedge_power expand alpha ^ (d alpha)^n term by term, the
 definition that the Pfaffian of the contact test (forms._top_contact) and
@@ -57,7 +60,7 @@ from itertools import combinations
 from math import factorial
 
 from lieforge.algebra import LieAlgebra, Subspace
-from lieforge.forms import KForm, apply_one_form, one_form_coords, radical
+from lieforge.forms import KForm, apply_one_form, one_form_coords
 from lieforge.linalg import (
     Matrix,
     Vector,
@@ -69,8 +72,6 @@ from lieforge.linalg import (
     identity,
     int_matrix,
     is_zero_vector,
-    nullspace,
-    solve_affine,
     transpose,
     vec_scale,
     vec_sub,
@@ -87,8 +88,8 @@ from lieforge.structures import (
 )
 
 import algebra_oracle
-from forms_oracle import as_matrix
-from linalg_oracle import column, mat_mul, mat_vec, pfaffian, positive_definite, vec_add
+from forms_oracle import as_matrix, radical
+from linalg_oracle import column, mat_mul, mat_vec, nullspace, pfaffian, positive_definite, solve_affine, vec_add
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:

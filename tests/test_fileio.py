@@ -142,8 +142,9 @@ FILE_FAULTS = {
     "map needs rows": (
         "sasakian",
         SASAKIAN + H3_XI_ALPHA + "phi row 1 = 0 -1 0\nphi row 2 = 1 0 0\n",
-        "map 'phi' needs rows 1..3 (byte 0, field 'phi')",
+        "map 'phi' needs rows 1..3 (byte 60, field 'phi')",
     ),
+    "missing key": ("sasakian", SASAKIAN + H3_XI_ALPHA, "missing 'phi' for kind sasakian (byte 21, field 'phi')"),
     "map row needs =": (
         "sasakian",
         SASAKIAN + H3_XI_ALPHA + "phi row 1 0 -1 0\n",

@@ -18,6 +18,7 @@ from lieforge.forms import _d_two_form, _dalpha, _top_contact, evaluation_sign, 
 from lieforge.linalg import clear_denominators, identity, int_matrix, vector
 
 from algebra_oracle import bracket
+import forms_oracle
 from forms_oracle import as_matrix, evaluate
 from conftest import (
     conjugate_algebra,
@@ -95,6 +96,7 @@ def test_radical_rank_nullity():
         g = random_jacobi_algebra(rng, rng.randint(2, 6))
         b = random_two_form(rng, g.dim)
         rad = radical(g, b)
+        assert rad == forms_oracle.radical(g, b)
         _, pivots = rref(as_matrix(b))
         assert len(pivots) + rad.dim == g.dim
         for v in rad.rows:

@@ -129,7 +129,7 @@ PUBLIC = {
     "linalg": "Matrix Scalar Vector matrix scalar vector",
     "report": "CheckItem CheckReport DimensionMismatch LieforgeError PreconditionError",
     "structures": "ContactStructure FrobeniusStructure KahlerStructure SasakianStructure check_contact "
-    "check_frobenius check_kahler check_sasakian principal_element",
+    "check_frobenius check_kahler check_sasakian",
     "theorems": "DoubleExtensionParams contact_ideal_restriction extend_complex_structure "
     "frobenius_kahler_to_sasakian kahler_extension_obstruction kahler_to_sasakian_central "
     "sasakian_double_extension sasakian_double_extension_conditions sasakian_reduction "
@@ -259,7 +259,6 @@ UNREACHED_IN_SRC = {
     "linalg.det": "bench/workloads.dense_heisenberg calls it; ROADMAP item 2 deletes it",
     "algebra.transform": "tests/conftest.py calls it, and the benchmark loads that file; ROADMAP item 3.2",
     "algebra.LieAlgebra.abelian": "public constructor sugar, with no arithmetic",
-    "algebra.Subspace.contains": "the span test the tests read; no verdict runs it",
     "report.CheckReport.item": "a public accessor the tests read, by the item's name",
 }
 

@@ -25,7 +25,7 @@ from lieforge.linalg import (
     vector,
 )
 
-from conftest import conjugate_algebra, conjugate_one_form, mat_inverse, random_invertible, random_matrix
+from conftest import conjugate_algebra, conjugate_one_form, mat_inverse, random_matrix
 from linalg_oracle import mat_vec
 from strategies import conjugated_heisenberg_sasakian
 
@@ -63,7 +63,6 @@ def test_solvers_refuse_inexact_entries(bad):
         lambda: solve_affine([(1, 0), (0, 1)], [0, bad]),  # a homogeneous system is no way round
         lambda: det(((1, 1), (bad, 1))),
         lambda: positive_definite(((1, 0), (0, bad))),
-        lambda: lf.Subspace(2, ((1, 0),)).contains((bad, 0)),
     ):
         with pytest.raises(TypeError, match="not an exact scalar"):
             call()
@@ -333,23 +332,6 @@ def test_solvers_match_oracle(data):
     rows = data.draw(matrices())
     rhs = with_rhs(rows, data.draw)
     assert solve_affine(rows, rhs) == oracle.solve_affine(rows, rhs)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_subspace_contains_matches_in_span_oracle(data):
-    # Subspace.contains reduces v against the reduced rows; the oracle solves for coefficients
-    rows = data.draw(matrices())
-    ncols = len(rows[0]) if rows else data.draw(st.integers(0, 4))
-    if rows and data.draw(st.booleans()):
-        coeffs = [data.draw(SMALL) for _ in rows]
-        v = tuple(sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0)) for j in range(ncols))
-    else:
-        v = tuple(data.draw(ENTRIES) for _ in range(ncols))
-    if rows and data.draw(st.booleans()):  # the same span in a random basis
-        p = random_invertible(random.Random(data.draw(st.integers(0, 10**6))), len(rows))
-        rows = oracle.mat_mul(p, rows)
-    assert lf.Subspace(ncols, reduced(rows)[0]).contains(v) == oracle.in_span(rows, v)
 
 
 @settings(max_examples=200, deadline=None)

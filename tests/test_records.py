@@ -37,7 +37,6 @@ from lieforge import (
 from lieforge.cli import _SOURCES, _Source
 from lieforge.linalg import diagonal, solve_affine
 from lieforge.report import DimensionMismatch, fail, ok
-from lieforge.theorems import embed_vector
 
 H3, D4, G5 = builtin("h3"), builtin("d4half"), builtin("g5")
 
@@ -51,7 +50,7 @@ FIELDS = {
     FormEigen: ("phi", "factor"),
     Commute: ("a", ("on", None)),
     Sends: ("v", "w"),
-    ExtensionResult: ("algebra", "embedding", ("central_index", None), ("derivation_index", None)),
+    ExtensionResult: ("algebra", "parent_dim", ("central_index", None), ("derivation_index", None)),
     KForm: ("dim", "degree", "coeffs"),
     CheckItem: ("name", "passed", ("witness", None)),
     CheckReport: ("items", ("notes", ())),
@@ -145,7 +144,7 @@ def test_defaults_match_the_dataclass():
     for cls, short in [(Commute, (s.phi,)), (CheckItem, ("a", True)), (CheckReport, ((ok("a"),),))]:
         assert repr(cls(*short)) == repr(reference(cls)(*short))
     assert repr(Builtin("x", H3.algebra)) == repr(reference(Builtin)("x", H3.algebra))
-    assert ExtensionResult(H3.algebra, (0, 1, 2)) == ExtensionResult(H3.algebra, (0, 1, 2), None, None)
+    assert ExtensionResult(H3.algebra, 3) == ExtensionResult(H3.algebra, 3, None, None)
 
 
 @pytest.mark.parametrize(
@@ -193,11 +192,6 @@ REFUSED_ARGUMENTS = {
         lambda: solve_affine([(1, 0)], [1, 2]),
         DimensionMismatch,
         "2 right-hand sides for 1 equations",
-    ),
-    "embed into smaller space": (
-        lambda: embed_vector((1, 2, 3), 2),
-        DimensionMismatch,
-        "cannot embed into a smaller space",
     ),
 }
 

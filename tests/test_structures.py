@@ -16,7 +16,6 @@ from lieforge import (
     check_kahler,
     check_sasakian,
     kirillov_form,
-    principal_element,
 )
 from lieforge.forms import _dalpha, _top_contact
 from lieforge.linalg import (
@@ -30,7 +29,7 @@ from lieforge.linalg import (
     vector_over,
     zero_matrix,
 )
-from lieforge.report import DimensionMismatch, PreconditionError, passed
+from lieforge.report import CheckItem, DimensionMismatch, passed
 from lieforge.structures import _metric_checks, _packed_torsion
 
 import algebra_oracle as oracle
@@ -91,12 +90,14 @@ def test_frobenius_aff1():
 def test_principal_element_scaling_invariance():
     ystar = KForm.basis_one_form(2, 1)
     for lam in (Fraction(2), Fraction(-1, 3), Fraction(5)):
-        assert principal_element(AFF, ystar.scale(lam)) == principal_element(AFF, ystar)
+        assert check_frobenius(AFF, ystar.scale(lam))[1].principal == check_frobenius(AFF, ystar)[1].principal
 
 
 def test_principal_element_degenerate_rejected():
-    with pytest.raises(PreconditionError):
-        principal_element(LieAlgebra.abelian(2), KForm.basis_one_form(2, 0))
+    # abelian R^2 has d(phi) = 0: no principal element, and the check fails at its radical
+    report, structure = check_frobenius(LieAlgebra.abelian(2), KForm.basis_one_form(2, 0))
+    assert structure is None
+    assert report.item("kirillov_nondegenerate") == CheckItem("kirillov_nondegenerate", False, "radical contains e1")
 
 
 def test_contact_h3():
@@ -363,11 +364,6 @@ def test_frobenius_matches_oracle(case):
     g, phi = case
     got, want = check_frobenius(g, phi), structures_oracle.check_frobenius(g, phi)
     assert_same_result(got, want)
-    if want[1] is None:
-        with pytest.raises(PreconditionError):
-            principal_element(g, phi)
-    else:
-        assert principal_element(g, phi) == want[1].principal
 
 
 @settings(max_examples=150, deadline=None)

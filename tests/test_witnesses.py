@@ -30,12 +30,13 @@ from lieforge import (
     sasakian_to_frobenius_kahler,
 )
 from lieforge.cli import run
-from lieforge.linalg import diagonal, matrix, zero_matrix
+from lieforge.linalg import diagonal, identity, matrix, zero_matrix
 from lieforge.report import CheckItem, PreconditionError
 from lieforge.structures import FrobeniusStructure, SasakianStructure
 
 from algebra_oracle import adjoint
 from conftest import conjugate_algebra, conjugate_map, conjugate_one_form, conjugate_two_form, mat_inverse
+import theorems_oracle
 from strategies import conjugated_phi, moved_reeb
 
 H3 = builtin("h3")
@@ -217,6 +218,28 @@ def _d4half_unsymmetric_metric():
     return check_kahler(D4.algebra, j, D4.kahler_data[1])[0]
 
 
+R2 = LieAlgebra.abelian(2)
+H3_PLUS_R = LieAlgebra(4, {(0, 1): {2: 1}})
+ROTATION = matrix([[0, -1], [1, 0]])
+
+# failing item -> (double extension, J) that fails that base hypothesis of extend_complex_structure alone
+BASE_HYPOTHESES = {
+    "cocycle_nondegenerate": lambda: (double_extension(R2, KForm.zero(2, 2), zero_matrix(3)), ROTATION),
+    "base_complex_square": lambda: (double_extension(R2, KForm.two_form(2, {(0, 1): 1}), zero_matrix(3)), identity(2)),
+    # h3 + R with J e1 = e3, J e2 = e4: N_J(e1, e2) = -e3
+    "base_complex_integrable": lambda: (
+        double_extension(H3_PLUS_R, KForm.two_form(4, {(0, 2): 1, (1, 3): 1}), zero_matrix(5)),
+        matrix([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]),
+    ),
+}
+
+# the three base hypotheses in the order of the refusal's report, with their witnesses
+BASE_WITNESSES = {
+    "base_complex_square": "J^2 != -Id on the base",
+    "base_complex_integrable": "N_J != 0 on the base",
+    "cocycle_nondegenerate": "the extension cocycle is degenerate on the base",
+}
+
 # name -> (call returning a report, failing item)
 FAILING_ITEMS = {
     "cocycle_phi_pairing": (lambda: _conditions(G5, G5_THETA, G5_D), "cocycle_phi_pairing"),
@@ -304,6 +327,24 @@ def test_refusal_names_one_failing_item(case):
     assert str(err.value) == message
     assert err.value.report.items == (CheckItem(name, False, witness),)
     assert err.value.report.notes == ()
+
+
+@pytest.mark.parametrize("case", sorted(BASE_HYPOTHESES))
+def test_base_hypothesis_refusal_names_its_failing_item(case):
+    # the refusal reports all three hypotheses, and only the one of the case fails; the oracle refuses alike
+    ext, j = BASE_HYPOTHESES[case]()
+    errors = []
+    for call in (extend_complex_structure, theorems_oracle.extend_complex_structure):
+        with pytest.raises(PreconditionError) as err:
+            call(ext, j)
+        errors.append((str(err.value), err.value.report))
+    message, report = errors[0]
+    assert message == "double extension does not satisfy the base hypotheses"
+    assert report.items == tuple(
+        CheckItem(name, name != case, None if name != case else witness) for name, witness in BASE_WITNESSES.items()
+    )
+    assert report.notes == ()
+    assert errors[1] == errors[0]
 
 
 @pytest.mark.parametrize("case", sorted(CLI_REFUSED))

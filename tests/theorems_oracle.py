@@ -26,15 +26,20 @@ of ``commute_mismatch``, a pairing as ``forms_oracle.evaluate`` on each basis pa
 ``mat_mul`` products, and the brackets and projections of the reduction and of the contact ideal as
 the Fraction ``algebra_oracle.bracket``, ``apply_one_form`` and ``mat_vec``, where lieforge tests integer products and makes
 Fractions only for outputs and witnesses.
+
+The linear algebra is the oracles' own, not the lieforge kernels under test: a kernel basis is the
+Gauss-Jordan ``linalg_oracle.nullspace`` of alpha's row, a radical ``forms_oracle.radical``, a center
+``algebra_oracle.center``, a solve ``linalg_oracle.solve_unique`` and a span test ``linalg_oracle.in_span``.
+A vector is padded with Fraction zeros by ``pad``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from lieforge.algebra import LieAlgebra, center
+from lieforge.algebra import LieAlgebra
 from lieforge.extensions import ExtensionResult, derivation_extension, double_extension
-from lieforge.forms import KForm, apply_one_form, kirillov_form, one_form_coords, radical
+from lieforge.forms import KForm, apply_one_form, kirillov_form, one_form_coords
 from lieforge.linalg import (
     Matrix,
     Vector,
@@ -65,16 +70,24 @@ from lieforge.theorems import (
     DoubleExtensionParams,
     _verify_frobenius_kahler_input,
     _verify_sasakian_input,
-    embed_vector,
-    kernel_basis,
 )
 
-from algebra_oracle import adjoint, bracket, dense_c, span
-from forms_oracle import evaluate
-from linalg_oracle import column, mat_mul, mat_vec, solve_unique, vec_add
+from algebra_oracle import adjoint, bracket, center, dense_c, span
+from forms_oracle import evaluate, radical
+from linalg_oracle import column, in_span, mat_mul, mat_vec, nullspace, solve_unique, vec_add
 from structures_oracle import nijenhuis_ints
 
 ONE = Fraction(1)
+
+
+def pad(v: Vector, dim: int) -> Vector:
+    """v followed by Fraction zeros up to dim entries."""
+    return tuple(v) + (ZERO,) * (dim - len(v))
+
+
+def kernel_basis(g: LieAlgebra, alpha: KForm) -> tuple[Vector, ...]:
+    """The canonical basis of Ker(alpha): the Gauss-Jordan nullspace of alpha's Fraction row."""
+    return nullspace([one_form_coords(alpha)], g.dim)
 
 
 def _first_mismatch(items, lhs, rhs):
@@ -299,7 +312,7 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
         ),
     )
     require("double extension does not satisfy the base hypotheses", CheckReport(pre))
-    jbar_cols = [embed_vector(column(j, k), child.dim) for k in range(n)]
+    jbar_cols = [pad(column(j, k), child.dim) for k in range(n)]
     jbar = transpose(jbar_cols + [child.basis_vector(si), vec_scale(-ONE, child.basis_vector(zi))])
     # the slot action on rows and columns 0..n: the central extension, as the slot comes last
     d = tuple(tuple(c[si][x][k] for x in range(n + 1)) for k in range(n + 1))
@@ -307,8 +320,8 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
     tw = next((pair for pair, v in torsion.items() if any(v)), None)
     cw = _first_mismatch(
         range(n),
-        lambda x: mat_vec(jbar, embed_vector(column(d, x), child.dim)),
-        lambda x: embed_vector(mat_vec(d, embed_vector(column(j, x), n + 1)), child.dim),
+        lambda x: mat_vec(jbar, pad(column(d, x), child.dim)),
+        lambda x: pad(mat_vec(d, pad(column(j, x), n + 1)), child.dim),
     )
     torsion_ok, commute_ok = tw is None, cw is None
     torsion_witness = (
@@ -344,7 +357,7 @@ def _build_double_extension(
     child = ext.algebra
     zi = ext.central_index
     alpha = KForm.one_form(child.dim, one_form_coords(s.alpha) + (ONE, ZERO))
-    if apply_one_form(alpha, embed_vector(column(d, zi), child.dim)) == 0:
+    if apply_one_form(alpha, pad(column(d, zi), child.dim)) == 0:
         raise refusal("alpha(D(z)) must be nonzero", "contact_pairing_nonzero", "alpha(D(z)) = 0")
     contact_rep, contact = check_contact(child, alpha)
     require("extension is not contact for alpha = lifted alpha + z*", contact_rep)
@@ -364,27 +377,27 @@ def _double_extension_setup(
     a = apply_one_form(s.alpha, reeb[:n])
     u = vec_sub(reeb[:n], vec_scale(a, s.reeb))
     if c is None:
-        factor = apply_one_form(alpha, embed_vector(column(d, ext.central_index), child.dim))
-        factor -= apply_one_form(alpha, embed_vector(mat_vec(d, embed_vector(s.reeb, n + 1)), child.dim))
+        factor = apply_one_form(alpha, pad(column(d, ext.central_index), child.dim))
+        factor -= apply_one_form(alpha, pad(mat_vec(d, pad(s.reeb, n + 1)), child.dim))
         c = ONE if factor >= 0 else -ONE
     params = DoubleExtensionParams(a=a, b=b, c=Fraction(c), u=u)
     delta = params.a * params.d - params.b * params.c
     if delta == 0:
         raise refusal("the scale c of w = c xi + d z must be nonzero", "params_delta_nonzero", "delta = ad - bc = 0")
-    claimed = embed_vector(params.u, child.dim)
-    claimed = vec_add(claimed, vec_scale(params.a, embed_vector(s.reeb, child.dim)))
+    claimed = pad(params.u, child.dim)
+    claimed = vec_add(claimed, vec_scale(params.a, pad(s.reeb, child.dim)))
     claimed = vec_add(claimed, vec_scale(params.b, child.basis_vector(ext.central_index)))
     assert claimed == reeb and apply_one_form(s.alpha, params.u) == 0 and a + b == 1
-    phi_u = embed_vector(mat_vec(s.phi, params.u), child.dim)
+    phi_u = pad(mat_vec(s.phi, params.u), child.dim)
     slot = child.basis_vector(ext.derivation_index)
     z_vec = child.basis_vector(ext.central_index)
-    xi_bar = embed_vector(s.reeb, child.dim)
+    xi_bar = pad(s.reeb, child.dim)
     phi_xibar = vec_scale(-ONE / delta, vec_add(vec_scale(params.b, slot), vec_scale(params.d, phi_u)))
     phi_z = vec_scale(ONE / delta, vec_add(vec_scale(params.a, slot), vec_scale(params.c, phi_u)))
     phi_slot = vec_sub(vec_scale(-params.c, xi_bar), vec_scale(params.d, z_vec))
     cols = []
     for i in range(n):
-        base_img = embed_vector(column(s.phi, i), child.dim)
+        base_img = pad(column(s.phi, i), child.dim)
         ai = apply_one_form(s.alpha, g.basis_vector(i))
         cols.append(vec_add(base_img, vec_scale(ai, phi_xibar)))
     cols.append(phi_z)
@@ -410,9 +423,9 @@ def sasakian_double_extension_conditions(
         else f"theta(Phi x,y)+theta(x,Phi y) = {fmt_scalar(w1[2])} on kernel pair ({w1[0]},{w1[1]})"
     )
     item1 = passed("cocycle_phi_pairing", w1 is None, witness1)
-    rad = radical(g, theta)
-    u_ok = rad.contains(params.u)
-    xi_ok = rad.contains(s.reeb)
+    rad = radical(g, theta).rows
+    u_ok = in_span(rad, params.u)
+    xi_ok = in_span(rad, s.reeb)
     item2 = passed(
         "theta_radical_contains_u_and_reeb",
         u_ok and xi_ok,
@@ -420,8 +433,8 @@ def sasakian_double_extension_conditions(
     )
     w3 = _first_mismatch(
         basis,
-        lambda x: embed_vector(mat_vec(d, embed_vector(phi_bar(x), n + 1)), child.dim),
-        lambda x: mat_vec(phi, embed_vector(mat_vec(d, embed_vector(x, n + 1)), child.dim)),
+        lambda x: pad(mat_vec(d, pad(phi_bar(x), n + 1)), child.dim),
+        lambda x: mat_vec(phi, pad(mat_vec(d, pad(x, n + 1)), child.dim)),
     )
     witness3 = (
         ""
@@ -450,7 +463,7 @@ def sasakian_double_extension_conditions(
         return t
 
     w_vec = vec_add(
-        vec_scale(params.c, embed_vector(s.reeb, child.dim)),
+        vec_scale(params.c, pad(s.reeb, child.dim)),
         vec_scale(params.d, child.basis_vector(ext.central_index)),
     )
     m_w = torsion(w_vec, reeb)
@@ -494,7 +507,7 @@ def frobenius_kahler_to_sasakian(
     cols = []
     for i in range(g.dim):
         jx = column(k.j, i)
-        cols.append(vec_sub(embed_vector(jx, child.dim), vec_scale(apply_one_form(f.phi, jx), xi)))
+        cols.append(vec_sub(pad(jx, child.dim), vec_scale(apply_one_form(f.phi, jx), xi)))
     cols.append(zero_vector(child.dim))
     rep, structure = check_sasakian(child, xi, alpha, transpose(cols))
     return ext, rep, structure
@@ -520,9 +533,9 @@ def sasakian_to_frobenius_kahler(
     phi_lift = KForm.one_form(child.dim, coords + (ZERO,))
     cols = []
     for i in range(g.dim):
-        img = embed_vector(column(s.phi, i), child.dim)
+        img = pad(column(s.phi, i), child.dim)
         cols.append(vec_sub(img, vec_scale(coords[i], slot)))
-    cols.append(embed_vector(s.reeb, child.dim))
+    cols.append(pad(s.reeb, child.dim))
     j = transpose(cols)
     rep_f, frob = check_frobenius(child, phi_lift)
     omega = kirillov_form(child, phi_lift)
