@@ -17,11 +17,6 @@ pair one packed sum (``linalg.pack``), O(n^3) big-int multiply-adds in all,
 and per triple three block reads and a test against 0. A triple that passes
 is never unpacked. The packed Leibniz defect of an integer map
 (``_leibniz_defects``) serves the derivation test and the Nijenhuis torsion.
-
-``transform`` is the one exact change of basis e'_i = P e_i, for an algebra,
-a map, a 1-form or a 2-form: on integers over one denominator, with P^-1
-from one fraction-free elimination of [P | I] and one Fraction per output
-entry.
 """
 
 from __future__ import annotations
@@ -35,18 +30,13 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import (
-    Matrix,
     ScalarLike,
     Vector,
     ZERO,
-    _check_square,
+    _check_exact,
     _check_width,
-    _inverse,
     fmt_basis_tuple,
     fmt_vector,
-    int_apply,
-    int_matrix,
-    int_mul,
     nullspace,
     pack,
     scalar,
@@ -144,45 +134,6 @@ def _bracket_ints(g: LieAlgebra, xs: Sequence[int], ys: Sequence[int]) -> list[i
                 for k, c in row[j]:
                     acc[k] += f * c
     return acc
-
-
-def transform(x, p: Matrix):
-    """x in the basis e'_i = P e_i, for P an invertible n x n matrix: a LieAlgebra gets the structure
-    constants P^-1 [Pe_i, Pe_j] and keeps its labels (de Graaf, *Lie Algebras: Theory and
-    Algorithms*, 2000), an n x n map M becomes P^-1 M P, a 1-form alpha becomes alpha o P and a
-    2-form omega becomes omega(P., P.), built by the form's own class.
-
-    With P = pi/dp (``int_matrix``) and pi^-1 = q/l (``linalg._inverse``, one elimination of
-    [pi | I]), everything is integers over one denominator: the brackets of the columns of pi
-    (``_bracket_ints``), and a map's or a form's numerators (``KForm._ints``) times pi and q
-    (``int_mul``); each output entry becomes a Fraction once.
-    A P of another size raises DimensionMismatch, a singular one LieforgeError, and a form of
-    another degree DimensionMismatch (``KForm._ints``).
-    """
-    if not isinstance(x, Record):  # a map
-        _check_square(x)
-    n = x.dim if isinstance(x, Record) else len(x)
-    _check_square(p, n)
-    pi, dp = int_matrix(p)
-    q, l = _inverse(pi)  # P^-1 = dp*q/l; refuses a singular P for every kind of x
-    if isinstance(x, Record) and not isinstance(x, LieAlgebra):  # a KForm; forms imports this module
-        a, da = x._ints
-        if x.degree == 1:  # coefficient i is alpha(P e_i)
-            coeffs = [((i,), Fraction(c, da * dp)) for i, c in enumerate(int_apply(zip(*pi), a)) if c]
-        else:  # P^T omega P
-            t = int_mul(zip(*pi), int_mul(a, pi))
-            coeffs = [((i, j), Fraction(t[i][j], da * dp * dp)) for i in range(n) for j in range(i + 1, n) if t[i][j]]
-        return type(x)(n, x.degree, tuple(coeffs))
-    if not isinstance(x, LieAlgebra):
-        mi, dm = int_matrix(x)
-        return tuple(vector_over(row, l * dm) for row in int_mul(q, int_mul(mi, pi)))
-    den, cols = l * x._integer_terms[0] * dp, list(zip(*pi))  # [Pe_i, Pe_j] = _bracket_ints(pi e_i, pi e_j)/(D dp^2)
-    table = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            image = int_apply(q, _bracket_ints(x, cols[i], cols[j]))
-            table[(i, j)] = [(k, Fraction(c, den)) for k, c in enumerate(image) if c]
-    return LieAlgebra(n, table, x.labels)
 
 
 def _leibniz_defects(
@@ -297,13 +248,22 @@ def check_jacobi(g: LieAlgebra) -> CheckReport:
 
 
 class Subspace(Record):
-    """A subspace as basis rows of ambient_dim entries. The constructor checks their widths only;
-    ``center`` and ``radical`` return the reduced-echelon basis, pivots increasing, which is unique."""
+    """A subspace as its reduced row-echelon basis, rows of ambient_dim entries, which is unique: so
+    two subspaces are equal exactly when their rows are, and ``dim`` counts independent rows.
+    The constructor refuses a row of another width (DimensionMismatch), an entry that is neither an
+    int nor a Fraction (TypeError) and the first row that breaks the form with the rows above it
+    (ValueError): each row's first nonzero entry is 1, those columns increase, and every other row
+    is 0 in them."""
 
     _fields = ("ambient_dim", "rows")
 
     def __init__(self, ambient_dim: int, rows: tuple[Vector, ...]) -> None:
         _check_width(rows, ambient_dim)
+        _check_exact([x for row in rows for x in row])
+        for k, row in enumerate(rows):  # row k - 1 has its leading 1 left of c when it is not 0 before c
+            c = next((c for c, x in enumerate(row) if x), None)
+            if c is None or row[c] != 1 or any(r[c] for r in rows[:k]) or (k and not any(rows[k - 1][:c])):
+                raise ValueError(f"subspace row {k + 1} breaks the reduced row-echelon form")
         self.__dict__.update(ambient_dim=ambient_dim, rows=rows)
 
     @property
@@ -326,5 +286,4 @@ def center(g: LieAlgebra) -> Subspace:
         for j in range(n):
             for k, c in terms[i][j]:
                 rows.setdefault((j, k), [0] * n)[i] = c
-    basis = nullspace(list(rows.values()), n)
-    return Subspace(n, basis)
+    return Subspace(n, nullspace(list(rows.values()), n))

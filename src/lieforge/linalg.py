@@ -10,7 +10,7 @@ inputs, so every value is safe to share across threads.
 Every elimination but positive_definite's runs in one fraction-free integer
 kernel, _eliminate, on primitive integer rows that become Fractions once, at
 the end; a row of plain ints has no denominators to clear. Its back pass
-serves nullspace and _inverse, and det reads the pivots of its forward pass.
+serves nullspace, and det reads the pivots of its forward pass.
 There is no separate rref: every reduced basis a verdict reads is a
 nullspace's. nullspace is one elimination with the columns reversed, whose
 free-variable basis is already the canonical (row-reduced) one, so a
@@ -58,8 +58,6 @@ elimination that the contact and Frobenius checks read off. There is no
 separate Pfaffian: Pf([[0, r], [-r^T, m']]) is sub_pfaffians(m') . r.
 int_matrix writes a map as integers over one denominator, and int_mul and
 int_apply are the integer products that the checks and constructions share.
-_inverse inverts an integer matrix over one denominator by one elimination
-of [m | I], for the basis changes of ``algebra.transform``.
 """
 
 from __future__ import annotations
@@ -71,7 +69,7 @@ from math import gcd, lcm, prod
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
-from .report import DimensionMismatch, LieforgeError
+from .report import DimensionMismatch
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -524,17 +522,6 @@ def det(m: Matrix) -> Fraction:
     if len(pivots) < len(m):
         return ZERO
     return Fraction(prod(row[c] * d for row, c, d in zip(work, pivots, den)), prod(num))
-
-
-def _inverse(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """(q, l) with m^-1 = q/l for an invertible integer matrix m, l > 0, from one elimination of
-    [m | I]: row k of the reduced rows is m^-1's row k over its pivot. A singular m raises LieforgeError."""
-    n = len(m)
-    work, pivots, _, _ = _eliminate([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)])
-    if pivots != list(range(n)):
-        raise LieforgeError(f"the {n} x {n} matrix is singular")
-    l = lcm(*(row[k] for k, row in enumerate(work)))
-    return [[x * (l // row[k]) for x in row[n:]] for k, row in enumerate(work)], l
 
 
 def sub_pfaffians(a: Sequence[Sequence[int]]) -> list[int]:

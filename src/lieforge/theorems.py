@@ -283,7 +283,12 @@ def kahler_extension_obstruction(g: LieAlgebra, s: SasakianStructure, theta: KFo
 
     Evaluates the integrability constraints forced on the candidate
     extension and the closedness obstruction d(xi*) = 0; the verdict
-    passes when at least one of them rules the extension out.
+    passes when at least one of them rules the extension out. On a checked
+    Sasakian structure of dimension 3 or more d(alpha) != 0, since otherwise
+    the metric -d(alpha)(., Phi .) + alpha (x) alpha would have rank 1: there
+    the closedness obstruction always holds, the verdict always passes and the
+    integrability constraints choose only the ``no_go_route`` note. It can fail
+    only in dimension 1.
     """
     _verify_sasakian_input(g, s)
     _check_form(theta, g.dim, 2)

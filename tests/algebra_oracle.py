@@ -24,13 +24,13 @@ dense_c is that tensor for an algebra, c[i][j] = [e_i, e_j], which the tests
 compare algebras by and the other oracles read structure constants from.
 
 conjugate_algebra, conjugate_map, conjugate_one_form, conjugate_two_form and
-mat_inverse are the Fraction basis changes to e'_i = P e_i that
-tests/conftest.py held before lieforge.algebra.transform replaced them: the
-inner bracket summed over the bracket table and P^-1 applied to its nonzero
-coordinates, P^-1 M P as two Fraction products, alpha o P as P^T times the
-coordinates, omega(P., P.) by evaluation, and P^-1 as the right half of the
-Fraction rref of [P | I]. tests/test_algebra.py checks that transform
-returns exactly what they return.
+mat_inverse are the Fraction basis changes to e'_i = P e_i that the integer
+helpers of tests/conftest.py, of the same names, replaced: the inner bracket
+summed over the bracket table and P^-1 applied to its nonzero coordinates,
+P^-1 M P as two Fraction products, alpha o P as P^T times the coordinates,
+omega(P., P.) by evaluation, and P^-1 as the right half of the Fraction rref
+of [P | I]. tests/test_algebra.py checks that those helpers return exactly
+what these return.
 
 span is the canonical Subspace of some vectors, its rows their Fraction
 rref: Subspace.from_vectors, which left lieforge.algebra once no verdict

@@ -7,14 +7,18 @@ reproducibility.
 
 The conjugation helpers (conjugate_algebra, conjugate_map,
 conjugate_one_form, conjugate_two_form) move their input to the basis
-e'_i = P e_i through lieforge.algebra.transform, and mat_inverse inverts
-through the integer inverse that transform uses (linalg._inverse). The
-Fraction versions they replaced are tests/algebra_oracle.py's, which pin
-transform. conjugate_algebra and conjugate_map take P^-1 as ``pinv`` and do
-not read it: bench/workloads.dense_heisenberg calls them with it. The
-benchmark loads this file by its path, with only src/ on the path, so it
-imports lieforge alone at module level; the helpers that read forms through
-tests/forms_oracle.py or linalg_oracle.py import them when they run.
+e'_i = P e_i on integers over one denominator (lieforge.linalg.int_matrix,
+int_mul and int_apply, a form's KForm._ints, an algebra's brackets through
+lieforge.algebra._bracket_ints), with one Fraction per output entry.
+conjugate_algebra and conjugate_map read P^-1 from their ``pinv``, and the
+form helpers invert nothing: every caller's P has passed linalg.det or
+mat_inverse, which inverts by one elimination of [m | I]
+(lieforge.linalg._eliminate). The Fraction versions they replaced are
+tests/algebra_oracle.py's, and tests/test_algebra.py checks that both return
+the same. bench/workloads.dense_heisenberg builds its dense inputs with
+them: the benchmark loads this file by its path, with only src/ on the path,
+so it imports lieforge alone at module level; the helpers that read forms
+through tests/forms_oracle.py or linalg_oracle.py import them when they run.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ from fractions import Fraction
 from itertools import combinations
 
 import lieforge as lf
-from lieforge.algebra import transform
+from lieforge.algebra import _bracket_ints
 from lieforge.forms import KForm
-from lieforge.linalg import _inverse, int_matrix, nullspace, vector_over
+from lieforge.linalg import _eliminate, int_apply, int_matrix, int_mul, nullspace, vector_over
 
 SCALARS = [Fraction(n) for n in (-2, -1, 0, 1, 2)] + [Fraction(1, 2), Fraction(-1, 2)]
 NONZERO = [s for s in SCALARS if s != 0]
@@ -143,13 +147,14 @@ def heisenberg_plus_abelian(k: int, r: int = 0) -> lf.LieAlgebra:
 
 
 def mat_inverse(m):
-    """m^-1, or None when m is singular: m = mi/d is inverted as mi^-1 = q/l (linalg._inverse)."""
+    """m^-1, or None when m is singular: with m = mi/d, row k of the reduced [mi | I]
+    (linalg._eliminate) is row k of mi^-1 over the row's entry at column k."""
     mi, d = int_matrix(m)
-    try:
-        q, l = _inverse(mi)
-    except lf.LieforgeError:
+    n = len(mi)
+    work, pivots, _, _ = _eliminate([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(mi)])
+    if pivots != list(range(n)):
         return None
-    return tuple(vector_over([d * x for x in row], l) for row in q)
+    return tuple(vector_over([d * x for x in row[n:]], row[k]) for k, row in enumerate(work))
 
 
 def random_invertible(rng: random.Random, dim: int):
@@ -170,7 +175,7 @@ def random_complex_structure(rng: random.Random, dim: int):
         j0[2 * k + 1][2 * k] = Fraction(1)
     j0 = tuple(tuple(r) for r in j0)
     p = random_invertible(rng, dim)
-    return transform(j0, mat_inverse(p))  # P J0 P^-1
+    return conjugate_map(j0, mat_inverse(p), p)  # P J0 P^-1
 
 
 def invariant_closed_two_forms(g: lf.LieAlgebra, j) -> list[KForm]:
@@ -196,23 +201,39 @@ def invariant_closed_two_forms(g: lf.LieAlgebra, j) -> list[KForm]:
 
 
 def conjugate_algebra(g: lf.LieAlgebra, p, pinv) -> lf.LieAlgebra:
-    """Structure constants in the basis e'_i = P e_i: [e'_i, e'_j] = P^-1 [P e_i, P e_j]."""
-    return transform(g, p)
+    """Structure constants in the basis e'_i = P e_i: [e'_i, e'_j] = P^-1 [P e_i, P e_j], labels kept.
+    With P = pi/dp, P^-1 = qi/dq and D the algebra's denominator, _bracket_ints of columns i and j
+    of pi is D dp^2 [P e_i, P e_j]."""
+    n = g.dim
+    (pi, dp), (qi, dq) = int_matrix(p), int_matrix(pinv)
+    den, cols = dq * g._integer_terms[0] * dp * dp, list(zip(*pi))
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            image = int_apply(qi, _bracket_ints(g, cols[i], cols[j]))
+            table[(i, j)] = [(k, Fraction(c, den)) for k, c in enumerate(image) if c]
+    return lf.LieAlgebra(n, table, g.labels)
 
 
 def conjugate_map(m, p, pinv):
     """P^-1 M P."""
-    return transform(m, p)
+    (mi, dm), (pi, dp), (qi, dq) = int_matrix(m), int_matrix(p), int_matrix(pinv)
+    return tuple(vector_over(row, dq * dm * dp) for row in int_mul(qi, int_mul(mi, pi)))
 
 
 def conjugate_one_form(alpha: KForm, p) -> KForm:
-    """alpha'(x) = alpha(P x), so coords transform by P transpose."""
-    return transform(alpha, p)
+    """alpha'(x) = alpha(P x): coefficient i is alpha(P e_i), so coords transform by P transpose."""
+    (a, da), (pi, dp) = alpha._ints, int_matrix(p)
+    coeffs = [((i,), Fraction(c, da * dp)) for i, c in enumerate(int_apply(zip(*pi), a)) if c]
+    return KForm(alpha.dim, 1, tuple(coeffs))
 
 
 def conjugate_two_form(omega: KForm, p) -> KForm:
-    """omega'(x, y) = omega(P x, P y)."""
-    return transform(omega, p)
+    """omega'(x, y) = omega(P x, P y): the skew matrix P^T omega P."""
+    (a, da), (pi, dp), n = omega._ints, int_matrix(p), omega.dim
+    t = int_mul(zip(*pi), int_mul(a, pi))
+    coeffs = [((i, j), Fraction(t[i][j], da * dp * dp)) for i in range(n) for j in range(i + 1, n) if t[i][j]]
+    return KForm(n, 2, tuple(coeffs))
 
 
 def shuffle_wedge_eval(a: KForm, b: KForm, vectors) -> Fraction:

@@ -12,7 +12,7 @@ from lieforge import (
     center,
     check_jacobi,
 )
-from lieforge.algebra import _bracket_ints, transform
+from lieforge.algebra import _bracket_ints
 from lieforge.extensions import is_cocycle
 from lieforge.forms import KForm
 from lieforge.linalg import clear_denominators, det, identity, matrix, slot_width, vector, vector_over
@@ -26,6 +26,9 @@ from forms_oracle import evaluate
 import structures_oracle
 from conftest import (
     conjugate_algebra,
+    conjugate_map,
+    conjugate_one_form,
+    conjugate_two_form,
     heisenberg_plus_abelian,
     mat_inverse,
     random_invertible,
@@ -106,12 +109,31 @@ def test_center_examples():
 
 
 def test_a_subspace_refuses_rows_of_another_width():
-    # the constructor checks the width of every row, and nothing else about them
+    # the constructor checks the width of every row first, then their entries and their form
     with pytest.raises(DimensionMismatch):
         Subspace(3, identity(2))
     with pytest.raises(DimensionMismatch):
         Subspace(2, (vector([1, 0]), vector([0, 1, 0])))
     assert Subspace(3, ()).dim == 0 and Subspace(2, identity(2)).dim == 2
+
+
+def test_a_subspace_refuses_a_basis_out_of_reduced_form():
+    # a dependent basis would count 2 for a line, and another basis of the plane would compare unequal
+    with pytest.raises(ValueError, match="row 2 "):
+        Subspace(2, ((1, 0), (2, 0)))
+    with pytest.raises(ValueError, match="row 2 "):
+        Subspace(2, ((1, 1), (1, 0)))
+    with pytest.raises(ValueError, match="row 2 "):
+        Subspace(2, ((1, 1), (0, 1)))  # row 1 is not 0 at the pivot of row 2
+    with pytest.raises(ValueError, match="row 1 "):
+        Subspace(2, ((2, 0),))  # a first nonzero entry that is not 1
+    with pytest.raises(ValueError, match="row 1 "):
+        Subspace(2, ((0, 0),))
+    with pytest.raises(ValueError, match="row 2 "):
+        Subspace(3, ((0, 1, 0), (1, 0, 0)))  # pivots out of order
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        Subspace(2, ((1.0, 0),))
+    assert Subspace(3, ((1, 2, 0), (0, 0, 1))).dim == 2
 
 
 @st.composite
@@ -363,7 +385,7 @@ def test_cyclic_blocks_at_bound(n, m, t):
     assert closed == structures_oracle.check_kahler(g, identity(n), theta)[0].item("symplectic_closed")
 
 
-# --- the basis change, algebra.transform ------------------------------------------
+# --- the basis change, the conjugation helpers of tests/conftest.py ----------------
 
 
 @st.composite
@@ -375,7 +397,7 @@ def invertible_matrices(draw, dim):
 
 
 @st.composite
-def transform_cases(draw):
+def basis_change_cases(draw):
     """(g, M, alpha, omega, P, Q): an algebra (Lie or not, large constants or not), a map, a 1-form
     and a 2-form of its dimension, and two invertible P and Q."""
     g = draw(st.one_of(lie_or_not(), antisymmetric_algebras(values=BIG_RATIONALS)))
@@ -387,40 +409,32 @@ def transform_cases(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(transform_cases())
-def test_transform_matches_fraction_oracle(case):
+@given(basis_change_cases())
+def test_conjugation_helpers_match_fraction_oracle(case):
     g, m, alpha, omega, p, _ = case
     pinv = oracle.mat_inverse(p)
     assert mat_inverse(p) == pinv
-    assert transform(g, p) == oracle.conjugate_algebra(g, p, pinv)
-    assert transform(m, p) == oracle.conjugate_map(m, p, pinv)
-    assert transform(alpha, p) == oracle.conjugate_one_form(alpha, p)
-    assert transform(omega, p) == oracle.conjugate_two_form(omega, p)
+    assert conjugate_algebra(g, p, pinv) == oracle.conjugate_algebra(g, p, pinv)
+    assert conjugate_map(m, p, pinv) == oracle.conjugate_map(m, p, pinv)
+    assert conjugate_one_form(alpha, p) == oracle.conjugate_one_form(alpha, p)
+    assert conjugate_two_form(omega, p) == oracle.conjugate_two_form(omega, p)
 
 
 @settings(max_examples=40, deadline=None)
-@given(transform_cases())
-def test_transform_composes_and_fixes_the_identity(case):
+@given(basis_change_cases())
+def test_conjugation_helpers_compose_and_fix_the_identity(case):
     g, m, alpha, omega, p, q = case
-    pq = linalg_oracle.mat_mul(p, q)
-    for x in (g, m, alpha, omega):
-        assert transform(transform(x, p), q) == transform(x, pq)
-        assert transform(x, identity(len(p))) == x
+    pq, one = linalg_oracle.mat_mul(p, q), identity(len(p))
+    pinv, qinv, pqinv = mat_inverse(p), mat_inverse(q), mat_inverse(pq)
+    for x, conjugate in ((g, conjugate_algebra), (m, conjugate_map)):
+        assert conjugate(conjugate(x, p, pinv), q, qinv) == conjugate(x, pq, pqinv)
+        assert conjugate(x, one, one) == x
+    for x, conjugate in ((alpha, conjugate_one_form), (omega, conjugate_two_form)):
+        assert conjugate(conjugate(x, p), q) == conjugate(x, pq)
+        assert conjugate(x, one) == x
 
 
-def test_transform_keeps_labels_and_refuses_bad_bases():
+def test_conjugate_algebra_keeps_labels():
     g = LieAlgebra(3, {(0, 1): {2: 1}}, ("x", "y", "z"))
     swap = ((0, 1, 0), (1, 0, 0), (0, 0, 1))  # e'_1 = y, e'_2 = x: [e'_1, e'_2] = -z
-    assert transform(g, swap) == LieAlgebra(3, {(0, 1): {2: -1}}, ("x", "y", "z"))
-    alpha, omega = KForm.basis_one_form(3, 2), KForm.two_form(3, {(0, 1): 1})
-    for x in (g, identity(3), alpha, omega):
-        with pytest.raises(LieforgeError, match="singular"):
-            transform(x, ((1, 2, 0), (2, 4, 0), (0, 0, 1)))
-        with pytest.raises(DimensionMismatch):
-            transform(x, ((1, 0, 0), (0, 1, 0)))  # not square
-        with pytest.raises(DimensionMismatch):
-            transform(x, identity(2))  # square, of another size
-    with pytest.raises(DimensionMismatch):
-        transform(((1, 0), (0, 1), (0, 0)), identity(3))  # a map that is not square
-    with pytest.raises(DimensionMismatch):
-        transform(KForm.from_coeffs(3, 3, {(0, 1, 2): 1}), identity(3))  # neither a 1-form nor a 2-form
+    assert conjugate_algebra(g, swap, swap) == LieAlgebra(3, {(0, 1): {2: -1}}, ("x", "y", "z"))

@@ -152,8 +152,8 @@ def test_is_derivation_refuses_float_maps():
 def test_commute_refuses_float_entries():
     with pytest.raises(TypeError):
         derivation_space(H3, [Leibniz(), Commute(((1.0, 0, 0), (0, 1, 0), (0, 0, 1)))])
-    on = Subspace(3, ((0.5, 1, 0),))
     with pytest.raises(TypeError):
+        on = Subspace(3, ((0.5, 1, 0),))
         derivation_space(H3, [Leibniz(), Commute(identity(3), on)])
 
 

@@ -257,7 +257,6 @@ UNREACHED_IN_SRC = {
     "cli.entry": "the console script of pyproject.toml",
     "algebra.LieAlgebra.from_brackets": "bench/workloads.dense_heisenberg calls it; ROADMAP item 2 deletes it",
     "linalg.det": "bench/workloads.dense_heisenberg calls it; ROADMAP item 2 deletes it",
-    "algebra.transform": "tests/conftest.py calls it, and the benchmark loads that file; ROADMAP item 3.2",
     "algebra.LieAlgebra.abelian": "public constructor sugar, with no arithmetic",
     "report.CheckReport.item": "a public accessor the tests read, by the item's name",
 }

@@ -1,13 +1,13 @@
 """Metamorphic suite: verdicts and witnesses under a random rational change of basis.
 
 A random invertible P with rational entries moves an algebra to the basis
-e'_i = P e_i (lieforge.algebra.transform). There a vector v has coordinates
-P^-1 v, a 1-form alpha becomes alpha o P, a 2-form omega becomes
-omega(P., P.) and a map A becomes P^-1 A P. Every check item is a statement
-about the algebra, not the basis, so each verdict must stay the same; the
-Reeb vector and the principal element must move to P^-1 times the old one,
-and the top coefficient of alpha ^ (d alpha)^n, the top form evaluated on
-P e_1, ..., P e_N, must scale by det P.
+e'_i = P e_i (the conjugation helpers of tests/conftest.py). There a vector
+v has coordinates P^-1 v, a 1-form alpha becomes alpha o P, a 2-form omega
+becomes omega(P., P.) and a map A becomes P^-1 A P. Every check item is a
+statement about the algebra, not the basis, so each verdict must stay the
+same; the Reeb vector and the principal element must move to P^-1 times the
+old one, and the top coefficient of alpha ^ (d alpha)^n, the top form
+evaluated on P e_1, ..., P e_N, must scale by det P.
 """
 
 import random
@@ -15,11 +15,19 @@ import random
 from hypothesis import given, settings, strategies as st
 
 import lieforge as lf
-from lieforge.algebra import transform
 from lieforge.forms import _dalpha, _top_contact
 from lieforge.linalg import det
 
-from conftest import mat_inverse, random_invertible, random_jacobi_algebra, random_one_form
+from conftest import (
+    conjugate_algebra,
+    conjugate_map,
+    conjugate_one_form,
+    conjugate_two_form,
+    mat_inverse,
+    random_invertible,
+    random_jacobi_algebra,
+    random_one_form,
+)
 from linalg_oracle import mat_vec
 from strategies import SEEDS, heisenberg_sasakian, lie_or_not
 from structures_oracle import mat_neg
@@ -38,7 +46,7 @@ def passes(report):
 @given(lie_or_not(), SEEDS)
 def test_jacobi_verdict_is_basis_free(g, seed):
     p, pinv = basis_change(seed, g.dim)
-    assert lf.check_jacobi(transform(g, p)).overall == lf.check_jacobi(g).overall
+    assert lf.check_jacobi(conjugate_algebra(g, p, pinv)).overall == lf.check_jacobi(g).overall
 
 
 @st.composite
@@ -61,7 +69,7 @@ def top_coefficient(g, alpha):
 def test_contact_verdict_reeb_and_top_coefficient_transform(case, seed):
     g, alpha = case
     p, pinv = basis_change(seed, g.dim)
-    moved, moved_alpha = transform(g, p), transform(alpha, p)
+    moved, moved_alpha = conjugate_algebra(g, p, pinv), conjugate_one_form(alpha, p)
     report, structure = lf.check_contact(g, alpha)
     moved_report, moved_structure = lf.check_contact(moved, moved_alpha)
     assert passes(moved_report) == passes(report)
@@ -83,7 +91,7 @@ def test_sasakian_verdict_is_basis_free(name, broken, seed):
     p, pinv = basis_change(seed, g.dim)
     report, _ = lf.check_sasakian(g, reeb, alpha, phi)
     moved_report, _ = lf.check_sasakian(
-        transform(g, p), mat_vec(pinv, reeb), transform(alpha, p), transform(phi, p)
+        conjugate_algebra(g, p, pinv), mat_vec(pinv, reeb), conjugate_one_form(alpha, p), conjugate_map(phi, p, pinv)
     )
     assert report.overall != broken
     assert passes(moved_report) == passes(report)
@@ -95,11 +103,11 @@ def test_frobenius_and_kahler_verdicts_are_basis_free(seed):
     d4 = lf.builtin("d4half")
     g, (j, omega), phi = d4.algebra, d4.kahler_data, d4.frobenius_form
     p, pinv = basis_change(seed, g.dim)
-    moved = transform(g, p)
+    moved = conjugate_algebra(g, p, pinv)
     report, structure = lf.check_frobenius(g, phi)
-    moved_report, moved_structure = lf.check_frobenius(moved, transform(phi, p))
+    moved_report, moved_structure = lf.check_frobenius(moved, conjugate_one_form(phi, p))
     assert passes(moved_report) == passes(report)
     assert moved_structure.principal == mat_vec(pinv, structure.principal)
     report, _ = lf.check_kahler(g, j, omega)
-    moved_report, _ = lf.check_kahler(moved, transform(j, p), transform(omega, p))
+    moved_report, _ = lf.check_kahler(moved, conjugate_map(j, p, pinv), conjugate_two_form(omega, p))
     assert report.overall and passes(moved_report) == passes(report)

@@ -187,6 +187,11 @@ REFUSED_ARGUMENTS = {
         "coefficient tuple (0,) has wrong length",
     ),
     "failed item without witness": (lambda: CheckItem("x", False), ValueError, "failed item 'x' needs a witness"),
+    "record field without a value": (
+        lambda: ExtensionResult(H3.algebra),  # parent_dim has no default
+        TypeError,
+        "ExtensionResult takes the fields (algebra, parent_dim, central_index, derivation_index)",
+    ),
     "report item not found": (lambda: CheckReport((ok("x"),)).item("y"), KeyError, "'y'"),
     "solve_affine rhs count": (
         lambda: solve_affine([(1, 0)], [1, 2]),

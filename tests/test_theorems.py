@@ -119,6 +119,24 @@ def test_obstruction_g0():
     assert dict(report.notes)["no_go_route"] == "closedness"
 
 
+def test_obstruction_holds_above_dimension_one():
+    # d(alpha) = 0 would leave the metric -d(alpha)(., Phi .) + alpha (x) alpha of rank 1, so from dimension 3
+    # on the closedness route always holds: theta = 0 takes it, and any theta that breaks a constraint the
+    # integrability route; only R, with alpha = e1*, xi = e1 and Phi = 0, gets no route
+    from conftest import cocycle_basis, random_two_form
+
+    rng = random.Random(3)
+    for b in (H3, G0, G5):
+        g, s = b.algebra, b.sasakian()
+        thetas = cocycle_basis(g) + [random_two_form(rng, g.dim) for _ in range(20)]
+        for theta, route in [(KForm.zero(g.dim, 2), "closedness")] + [(theta, "integrability") for theta in thetas]:
+            report = kahler_extension_obstruction(g, s, theta)
+            assert report.overall and dict(report.notes)["no_go_route"] == route
+    line, (reeb, alpha, phi) = LieAlgebra.abelian(1), ((1,), KForm.basis_one_form(1, 0), ((0,),))
+    report = kahler_extension_obstruction(line, check_sasakian(line, reeb, alpha, phi)[1], KForm.zero(1, 2))
+    assert not report.overall and dict(report.notes)["no_go_route"] == "none"
+
+
 # --- lifted complex structures on double extensions -----------------------
 
 
@@ -597,15 +615,16 @@ def outcome(call, *args):
 
 def _g0_moved(seed):
     """g0 with its checked Sasakian structure, in its own basis (seed None) or in the random basis P of the
-    seed, moved by algebra.transform (xi becomes P^-1 xi): a center of {0} in both."""
-    from conftest import mat_inverse, random_invertible
-    from lieforge.algebra import transform
+    seed, moved by the conjugation helpers of conftest (xi becomes P^-1 xi): a center of {0} in both."""
+    from conftest import conjugate_algebra, conjugate_map, conjugate_one_form, mat_inverse, random_invertible
     from linalg_oracle import mat_vec
 
     (reeb, alpha, phi), g = G0.sasakian_data, G0.algebra
     if seed is not None:
         p = random_invertible(random.Random(seed), 5)
-        g, reeb, alpha, phi = transform(g, p), mat_vec(mat_inverse(p), reeb), transform(alpha, p), transform(phi, p)
+        pinv = mat_inverse(p)
+        g, reeb, alpha = conjugate_algebra(g, p, pinv), mat_vec(pinv, reeb), conjugate_one_form(alpha, p)
+        phi = conjugate_map(phi, p, pinv)
     return g, check_sasakian(g, reeb, alpha, phi)[1]
 
 
