@@ -35,9 +35,9 @@ from .linalg import (
     ZERO,
     _check_exact,
     _check_width,
+    _solve,
     fmt_basis_tuple,
     fmt_vector,
-    nullspace,
     pack,
     scalar,
     slot_width,
@@ -277,13 +277,13 @@ class Subspace(Record):
 
 
 def center(g: LieAlgebra) -> Subspace:
-    """Nullspace of the stacked adjoint maps: row (j, k) is [C_ijk]_i, C = D*c,
-    for the pairs (j, k) where it is not zero."""
+    """Nullspace of the stacked adjoint maps: row (j, k) is [C_ijk]_i, C = D*c, then its right-hand
+    side 0, for the pairs (j, k) where it is not zero; the new rows go to ``linalg._solve`` unchecked."""
     n = g.dim
     _, terms, _ = g._integer_terms
     rows: dict[tuple[int, int], list[int]] = {}
     for i in range(n):
         for j in range(n):
             for k, c in terms[i][j]:
-                rows.setdefault((j, k), [0] * n)[i] = c
-    return Subspace(n, nullspace(list(rows.values()), n))
+                rows.setdefault((j, k), [0] * (n + 1))[i] = c
+    return Subspace(n, _solve(list(rows.values()), n)[1])

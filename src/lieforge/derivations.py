@@ -9,9 +9,12 @@ TypeError, a "p/q" string is read exactly), and builds its own integer rows
 structure constants, ``FormEigen`` from the numerators its form caches
 (``forms.KForm._ints``), the others scaled, with their right-hand sides, by
 the common denominators of their maps and vectors. The elimination makes
-every row primitive, so their scale does not matter. ``is_derivation`` tests the
-Leibniz rule on the packed integer defect that the Nijenhuis torsion kernel
-also starts from (``algebra._leibniz_defects``).
+every row primitive, so their scale does not matter. Each ``rows(g)`` call
+returns new integer lists, so ``derivation_space`` appends each right-hand
+side in place and hands the rows to ``linalg._solve`` with no second check
+and no copy. ``is_derivation`` tests the Leibniz rule on the packed integer
+defect that the Nijenhuis torsion kernel also starts from
+(``algebra._leibniz_defects``).
 """
 
 from __future__ import annotations
@@ -23,19 +26,17 @@ from .linalg import (
     Vector,
     _check_square,
     _check_width,
+    _solve,
     clear_denominators,
     fmt_basis_tuple,
     fmt_vector,
     int_apply,
     int_matrix,
     matrix,
-    nullspace,
     scalar,
-    solve_affine,
     unpack,
     vector,
     vector_over,
-    zero_vector,
 )
 from .report import CheckReport, Record, fail, ok
 
@@ -189,15 +190,12 @@ def derivation_space(
     """
     n = g.dim
     rows: list[list[int]] = []
-    rhs: list[int] = []
     for con in constraints:
         r, b = con.rows(g)
+        for row, x in zip(r, b):
+            row.append(x)
         rows.extend(r)
-        rhs.extend(b)
-    if rows:
-        particular, homogeneous = solve_affine(rows, rhs)
-    else:
-        particular, homogeneous = zero_vector(n * n), nullspace([], n * n)
+    particular, homogeneous = _solve(rows, n * n)
     basis_maps = tuple(_unflatten(g, v) for v in homogeneous)
     if particular is None:
         return None, basis_maps

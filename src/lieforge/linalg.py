@@ -4,29 +4,34 @@ Scalars are fractions.Fraction (canonical reduced form, positive
 denominator); floats are rejected at the boundary, by scalar and by
 clear_denominators, through which every integer kernel reads its entries.
 Vectors are tuples of Fractions, matrices are tuples of row tuples; the
-eliminations also take rows of plain integers. Nothing here mutates its
-inputs, so every value is safe to share across threads.
+eliminations also take rows of plain integers. No public function mutates
+its inputs, so every value is safe to share across threads.
 
 Every elimination but positive_definite's runs in one fraction-free integer
 kernel, _eliminate, on primitive integer rows that become Fractions once, at
 the end; a row of plain ints has no denominators to clear. Its back pass
-serves nullspace, and det reads the pivots of its forward pass.
+serves the null bases, and det reads the pivots of its forward pass.
 There is no separate rref: every reduced basis a verdict reads is a
-nullspace's. nullspace is one elimination with the columns reversed, whose
-free-variable basis is already the canonical (row-reduced) one, so a
-homogeneous solve_affine is a single elimination too. An inhomogeneous
-solve_affine runs only the forward pass on the augmented system and
-back-substitutes its last column, 0 at every free column: the canonical
-particular solution. Its canonical null basis is the nullspace of the rows
-that pass ran on, which span the row space. positive_definite reads every
-leading minor's sign from its own Schur-complement sweep without row
-exchanges, which keeps only the upper triangle of a symmetric matrix.
+nullspace's. The systems are solved by one function, _solve, on augmented
+integer rows. solve_affine checks the widths and entries of the rows it is
+given and clears each, with its right-hand side, into one new integer row,
+which _solve consumes; nullspace is the null basis of a homogeneous
+solve_affine. The library's own integer systems (the Leibniz rows of
+derivations, the center's adjoint rows) are built as new lists and handed
+to _solve directly, with no second check and no copy. A homogeneous system
+is one elimination with the columns reversed, whose free-variable basis is
+already the canonical (row-reduced) one. An inhomogeneous one runs only the
+forward pass on the augmented system and back-substitutes its last column,
+0 at every free column: the canonical particular solution. Its canonical
+null basis is the nullspace of the rows that pass ran on, which span the
+row space. positive_definite reads every leading minor's sign from its own
+Schur-complement sweep without row exchanges, which keeps only the upper
+triangle of a symmetric matrix.
 
-nullspace and solve_affine reduce a tall system, one with at least 8
-columns and at least twice as many rows as columns (the Leibniz systems of
-derivations, the centers of dimension 8 and up), on part of its rows
-(_row_reduce):
-- selection: the rows, cleared of denominators once, are kept in order
+_solve reduces a tall system, one with at least 8 columns and at least
+twice as many rows as columns (the Leibniz systems of derivations, the
+centers of dimension 8 and up), on part of its rows (_row_reduce):
+- selection: the integer rows are kept in order
   when independent mod the prime p = 2^20 - 3 of the rows kept before them,
   and so independent over Q. Each row is first projected on a kernel vector
   z of the kept rows mod p, one dot product: a projection of 0 skips the
@@ -39,8 +44,9 @@ derivations, the centers of dimension 8 and up), on part of its rows
 - the exact solve: it runs on the kept rows alone;
 - the check: every other row must annihilate the kernel of the kept rows,
   integer vectors packed one int per column (pack), so a row costs one
-  big-int multiply-add per nonzero entry; for solve_affine that kernel is
-  the null basis padded with 0, plus (x, -1) for the particular solution x;
+  big-int multiply-add per nonzero entry; for an inhomogeneous system that
+  kernel is the null basis padded with 0, plus (x, -1) for the particular
+  solution x;
 - the fallback: the rows that fail join the kept rows and the exact solve
   runs again, so the result is exact whatever the prime or the projection.
 Once the check passes, the kept rows span the row space of all rows, and
@@ -288,24 +294,23 @@ def _eliminate(rows: Sequence[Vector], reduce: bool = True) -> tuple[list[list[i
     return work, pivots, num, den
 
 
-def _row_reduce(rows: Sequence[Sequence[Fraction | int]], solve: Callable[[list], tuple]):
-    """The result of solve(rows), from as few of the rows as it can; solve returns (result, kernel),
-    kernel the callable that _unsatisfied reads, called only for a tall system.
+def _row_reduce(rows: Sequence[list[int]], solve: Callable[[list], tuple]):
+    """The result of solve(rows), from as few of the integer rows as it can; solve returns (result,
+    kernel), kernel the callable that _unsatisfied reads, called only for a tall system.
 
     A system with fewer than 8 columns or fewer rows than twice its columns is solved whole: the
     selection saves no more than it costs there (measured on the center and Leibniz systems of
-    dimension 5 to 9). A taller one is cleared of denominators once and solved on the rows
-    _independent_mod_p keeps, then again with the rows the check (_unsatisfied) fails, until it
-    passes: the kept rows then span the row space of all rows, so the result is the whole system's.
+    dimension 5 to 9). A taller one is solved on the rows _independent_mod_p keeps, then again with
+    the rows the check (_unsatisfied) fails, until it passes: the kept rows then span the row space
+    of all rows, so the result is the whole system's.
     """
     ncols = len(rows[0])
     if len(rows) < 2 * ncols or ncols < 8:
         return solve(rows)[0]
-    ints = [clear_denominators(row)[0] for row in rows]
-    keep = _independent_mod_p(ints, ncols)
+    keep = _independent_mod_p(rows, ncols)
     while True:
-        result, kernel = solve([ints[i] for i in keep])
-        failing = _unsatisfied(ints, keep, kernel)
+        result, kernel = solve([rows[i] for i in keep])
+        failing = _unsatisfied(rows, keep, kernel)
         if not failing:
             return result
         keep = sorted(keep + failing)
@@ -436,21 +441,11 @@ def _check_square(m: Matrix, n: int | None = None) -> None:
 
 
 def nullspace(rows: Sequence[Vector], ncols: int) -> tuple[Vector, ...]:
-    """Canonical (row-reduced) basis of {x : rows @ x = 0}, from one elimination.
-
-    The elimination (_row_reduce: of the kept rows alone when the system is
-    tall) runs with the columns reversed. Its pivots P' are the
-    complement of the pivot columns of RREF(ker rows): column j is a kernel
-    pivot iff it is independent of the columns right of it, i.e. not in P'.
-    Row k of the reduced system only involves columns up to its pivot p_k,
-    so the basis vector of a free column f has 1 at f, -row_k[f]/row_k[p_k]
-    at each p_k > f and 0 elsewhere: it is already the RREF basis, which is
-    unique.
-    """
-    _check_width(rows, ncols)
-    if not rows:
-        return identity(ncols)
-    return _row_reduce([row[::-1] for row in rows], lambda kept: _null_basis(kept, ncols))
+    """Canonical (row-reduced) basis of {x : rows @ x = 0}: the null basis of the homogeneous
+    solve_affine, which checks every other row against the width of the first, the identity for
+    no rows."""
+    _check_width(rows[:1], ncols)
+    return solve_affine(rows, [0] * len(rows))[1] if rows else identity(ncols)
 
 
 def _null_basis(rows: Sequence[Sequence], ncols: int) -> tuple[tuple[Vector, ...], Callable[[], tuple]]:
@@ -470,29 +465,45 @@ def _null_basis(rows: Sequence[Sequence], ncols: int) -> tuple[tuple[Vector, ...
 
 
 def solve_affine(rows: Sequence[Vector], rhs: Sequence[Fraction]) -> tuple[Vector | None, tuple[Vector, ...]]:
-    """Solve rows @ x = rhs; returns (particular or None, nullspace basis).
-
-    A homogeneous system is one nullspace elimination with the zero vector.
-    Otherwise the augmented system (_row_reduce) gets only the forward pass of
-    _eliminate, whose pivots are those of its RREF; the particular solution, 0
-    at every free column and so canonical, is back-substituted from the last
-    column over one integer denominator. The rows that pass ran on span the
-    augmented row space: the null basis is the nullspace of their first ncols.
-    """
+    """Solve rows @ x = rhs; returns (particular or None, nullspace basis): _solve on one copy of
+    each augmented row, cleared of denominators, once the widths and entries are checked."""
     if not rows:
         return (), ()
     ncols = len(rows[0])
     _check_width(rows, ncols)
     if len(rhs) != len(rows):
         raise DimensionMismatch(f"{len(rhs)} right-hand sides for {len(rows)} equations")
-    _check_exact(rhs)
-    if not any(rhs):
-        return zero_vector(ncols), nullspace(rows, ncols)
-    return _row_reduce([tuple(r) + (b,) for r, b in zip(rows, rhs)], lambda kept: _affine(kept, ncols))
+    return _solve([clear_denominators([*r, b])[0] for r, b in zip(rows, rhs)], ncols)
+
+
+def _solve(rows: list[list[int]], ncols: int) -> tuple[Vector | None, tuple[Vector, ...]]:
+    """(particular or None, nullspace basis) of the integer system whose augmented rows [a | b] are
+    given, each of width ncols + 1; the rows get no check, and _solve may change them in place.
+
+    A homogeneous system is one elimination of its rows, the last column dropped and the others
+    reversed in place, and the zero vector. Its pivots P' are the complement of the pivot columns
+    of RREF(ker rows): column j is a kernel pivot iff it is independent of the columns right of
+    it, i.e. not in P'. Row k of the reduced system only involves columns up to its pivot p_k, so
+    the basis vector of a free column f has 1 at f, -row_k[f]/row_k[p_k] at each p_k > f and 0
+    elsewhere: it is already the RREF basis, which is unique.
+    Otherwise the augmented rows get only the forward pass of _eliminate, whose pivots are those
+    of its RREF; the particular solution, 0 at every free column and so canonical, is
+    back-substituted from the last column over one integer denominator. The rows that pass ran on
+    span the augmented row space: the null basis is the nullspace of their first ncols.
+    Both eliminations run through _row_reduce, on the kept rows alone when the system is tall.
+    """
+    if not rows:
+        return zero_vector(ncols), identity(ncols)
+    if any(row[ncols] for row in rows):
+        return _row_reduce(rows, lambda kept: _affine(kept, ncols))
+    for row in rows:
+        row.pop()
+        row.reverse()
+    return zero_vector(ncols), _row_reduce(rows, lambda kept: _null_basis(kept, ncols))
 
 
 def _affine(rows: Sequence[Sequence], ncols: int) -> tuple[tuple[Vector | None, tuple[Vector, ...]], Callable]:
-    """((particular x or None, nullspace basis), kernel) of augmented rows, for solve_affine."""
+    """((particular x or None, nullspace basis), kernel) of augmented rows, for _solve."""
     work, pivots, _, _ = _eliminate(rows, reduce=False)
     basis, null = _null_basis([row[:ncols][::-1] for row in rows], ncols)
     x, d = [0] * ncols, 1

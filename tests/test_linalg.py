@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import derivations_oracle
 import lieforge as lf
 import linalg_oracle as oracle
 from lieforge import linalg
-from lieforge.derivations import FormEigen, Leibniz
+from lieforge.derivations import FormEigen, Leibniz, derivation_space
 from lieforge.forms import KForm
 from lieforge.linalg import (
     det,
@@ -833,3 +834,64 @@ def test_inconsistent_systems_match_oracle(prime, tall, data):
         got = solve_affine(rows, rhs)
     assert got[0] is None
     assert got == oracle.solve_affine(rows, rhs)
+
+
+# --- rows handed over: the library's own systems reach linalg._solve unchecked and uncopied ---
+#
+# derivation_space and center build new integer rows and hand them to _solve, which may drop
+# their last column and reverse them in place; nullspace and solve_affine clear a copy first.
+
+
+def dense_h5_eigen_system():
+    """The Leibniz + FormEigen(alpha, 1) rows and right-hand sides of conjugated h5 at seed 1:
+    55 rows over 25 columns, tall for the homogeneous and for the augmented system."""
+    g, _, alpha, _ = conjugated_heisenberg_sasakian(2, 1)
+    rows, rhs = Leibniz().rows(g)
+    eigen_rows, eigen_rhs = FormEigen(alpha, 1).rows(g)
+    return rows + eigen_rows, rhs + eigen_rhs
+
+
+def test_derivation_space_answers_alike_on_repeated_calls():
+    g, _, alpha, _ = conjugated_heisenberg_sasakian(2, 1)
+    for constraints in ([Leibniz()], [Leibniz(), FormEigen(alpha, 1)]):
+        assert derivation_space(g, constraints) == derivation_space(g, constraints)
+
+
+def test_constraint_rows_are_new_lists_on_every_call():
+    # derivation_space appends to and reverses the rows it is handed; a constraint that handed out
+    # the same lists twice would answer the second call with the first call's consumed rows
+    g, _, alpha, _ = conjugated_heisenberg_sasakian(2, 1)
+    for constraint in (Leibniz(), FormEigen(alpha, 1)):
+        before = copy.deepcopy(constraint.rows(g))
+        derivation_space(g, [constraint])
+        assert constraint.rows(g) == before
+
+
+@pytest.mark.parametrize("tall", [True, False])
+def test_public_solvers_leave_their_arguments_unchanged(tall, selections):
+    if tall:
+        rows, rhs = dense_h5_eigen_system()
+    else:
+        rows, rhs = [[1, Fraction(1, 2), 0], [2, 1, 3]], [Fraction(1, 3), 1]
+    ncols = len(rows[0])
+    zeros = [0] * len(rows)
+    for call in (
+        lambda: nullspace(rows, ncols),
+        lambda: solve_affine(rows, rhs),
+        lambda: solve_affine(rows, zeros),
+    ):
+        before = copy.deepcopy((rows, rhs, zeros))
+        call()
+        assert (rows, rhs, zeros) == before
+    assert selections == ([ncols, ncols + 1, ncols] if tall else [])
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_derivation_space_takes_the_fallback_through_solve(prime, monkeypatch, fallbacks):
+    # at seed 1 the dense h5 systems lose rank mod 2 and mod 3, so each check adds rows back
+    g, _, alpha, _ = conjugated_heisenberg_sasakian(2, 1)
+    monkeypatch.setattr(linalg, "_PRIME", prime)
+    for constraints in ([Leibniz()], [Leibniz(), FormEigen(alpha, 1)]):
+        seen = len(fallbacks)
+        assert derivation_space(g, constraints) == derivations_oracle.derivation_space(g, constraints)
+        assert len(fallbacks) > seen
