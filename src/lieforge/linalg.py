@@ -1,16 +1,22 @@
 """Exact rational linear algebra on immutable tuples.
 
 Scalars are fractions.Fraction (canonical reduced form, positive
-denominator); floats are rejected at the boundary, by scalar and by
-clear_denominators, through which every integer kernel reads its entries.
-Vectors are tuples of Fractions, matrices are tuples of row tuples; the
-eliminations also take rows of plain integers. No public function mutates
-its inputs, so every value is safe to share across threads.
+denominator); floats and bools are rejected at the boundary, by scalar and
+by clear_denominators, through which every integer kernel reads its
+entries. Vectors are tuples of Fractions, matrices are tuples of row tuples.
+No public function mutates its inputs, so every value is safe to share
+across threads.
 
-Every elimination but positive_definite's runs in one fraction-free integer
-kernel, _eliminate, on primitive integer rows that become Fractions once, at
-the end; a row of plain ints has no denominators to clear. Its back pass
-serves the null bases, and det reads the pivots of its forward pass.
+Each integer kernel has one job:
+- _eliminate, the fraction-free elimination of integer rows: the solves;
+- sub_pfaffians, the fraction-free skew elimination: the contact and
+  Frobenius checks, and det;
+- the Sylvester sweep of positive_definite: the metrics;
+- _independent_mod_p: the selection of a tall system's rows.
+
+_eliminate copies its integer rows and makes them primitive; the solves
+turn them into Fractions once, at the end. Its back pass serves the null
+bases, and an inhomogeneous solve reads its forward pass.
 There is no separate rref: every reduced basis a verdict reads is a
 nullspace's. The systems are solved by one function, _solve, on augmented
 integer rows. solve_affine checks the widths and entries of the rows it is
@@ -61,7 +67,8 @@ combination of many vectors is a few big-int multiply-adds. The structure
 constant kernels in algebra and structures size the slots from a bound they
 compute from their own inputs; so does sub_pfaffians, the fraction-free skew
 elimination that the contact and Frobenius checks read off. There is no
-separate Pfaffian: Pf([[0, r], [-r^T, m']]) is sub_pfaffians(m') . r.
+separate Pfaffian: Pf([[0, r], [-r^T, m']]) is sub_pfaffians(m') . r, and
+det reads det(a) = (-1)^(n(n-1)/2) Pf([[0, a], [-a^T, 0]]) that way.
 int_matrix writes a map as integers over one denominator, and int_mul and
 int_apply are the integer products that the checks and constructions share.
 """
@@ -71,7 +78,7 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -155,19 +162,21 @@ _EXACT_TYPES = frozenset((int, Fraction))
 
 
 def _check_exact(v: Sequence) -> None:
-    """Refuses, with the TypeError of ``scalar``, an entry of v that is neither an int nor a Fraction;
-    only a vector with an entry of another type (a subclass of int included) is tested entry by entry."""
+    """Refuses, with the TypeError of ``scalar``, an entry of v that is neither an int nor a Fraction,
+    a bool included; only a vector with an entry of another type (a subclass of int included) is
+    tested entry by entry."""
     if _EXACT_TYPES.issuperset(map(type, v)):
         return
     for x in v:
-        if not isinstance(x, (int, Fraction)):
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
             raise TypeError(f"not an exact scalar: {x!r}")
 
 
 def clear_denominators(v: Sequence[Fraction | int]) -> tuple[list[int], int]:
     """(ints, d) with v == ints / d, d the least common denominator of v; ints is a new list.
-    An entry that is neither an int nor a Fraction is refused: a float has an integer ratio too."""
-    if all(map(int.__instancecheck__, v)):
+    An entry that is neither an int nor a Fraction is refused, a float (which has an integer ratio
+    too) and a bool included; a vector of exact ints alone is copied as it is."""
+    if {int}.issuperset(map(type, v)):
         return list(v), 1
     _check_exact(v)
     ratios = [x.as_integer_ratio() for x in v]
@@ -234,24 +243,20 @@ def unpack(p: int, n: int, width: int) -> list[int]:
     return out
 
 
-def _eliminate(rows: Sequence[Vector], reduce: bool = True) -> tuple[list[list[int]], list[int], list[int], list[int]]:
-    """Fraction-free Gaussian elimination on primitive integer rows: a forward pass, then, if reduce,
-    a back pass to the reduced echelon form.
+def _eliminate(rows: Sequence[Sequence[int]], reduce: bool = True) -> tuple[list[list[int]], list[int]]:
+    """(work, pivots): fraction-free Gaussian elimination of integer rows, each copied and made
+    primitive, so the caller's rows are never changed; a forward pass, then, if reduce, a back pass
+    to the reduced echelon form. Its one job is the solves (_null_basis, _affine).
 
     Forward, per column the row with the smallest usable pivot p moves up, and clear makes each row
-    below with entry f there (p/g*row - f/g*pivot_row) / content, g = gcd(p, f). Then pivot row k of
-    work is num[k]/den[k] times the row Fraction elimination with the same exchanges (signs folded
-    into num) would hold. The back pass clears above each pivot from the last one up, when its row
-    is 0 at every later pivot: an update touches only that row's pivot and free columns.
-    positive_definite, which reads leading minors and so must not exchange rows, runs its own sweep.
+    below with entry f there (p/g*row - f/g*pivot_row) / content, g = gcd(p, f). The back pass
+    clears above each pivot from the last one up, when its row is 0 at every later pivot: an update
+    touches only that row's pivot and free columns.
     """
-    work, num, den = [], [], []
+    work = []
     for row in rows:
-        ints, d = clear_denominators(row)
-        g = gcd(*ints) or 1
-        work.append([x // g for x in ints] if g > 1 else ints)
-        num.append(d)
-        den.append(g)
+        g = gcd(*row)
+        work.append([x // g for x in row] if g > 1 else list(row))
     nrows, ncols = len(work), len(work[0]) if work else 0
     pivots: list[int] = []
 
@@ -271,8 +276,6 @@ def _eliminate(rows: Sequence[Vector], reduce: bool = True) -> tuple[list[list[i
                 row[j] -= b * y
             g = gcd(*row)
             work[i] = [x // g for x in row] if g > 1 else row
-            num[i] *= a
-            den[i] *= g or 1
 
     for c in range(ncols):
         r = len(pivots)
@@ -282,16 +285,13 @@ def _eliminate(rows: Sequence[Vector], reduce: bool = True) -> tuple[list[list[i
         if not usable:
             continue
         pr = min(usable, key=lambda i: abs(work[i][c]))
-        if pr != r:
-            work[r], work[pr] = work[pr], work[r]
-            num[r], num[pr] = -num[pr], num[r]
-            den[r], den[pr] = den[pr], den[r]
+        work[r], work[pr] = work[pr], work[r]
         pivots.append(c)
         clear(r, c, range(r + 1, nrows))
     if reduce:
         for r in range(len(pivots) - 1, 0, -1):
             clear(r, pivots[r], range(r))
-    return work, pivots, num, den
+    return work, pivots
 
 
 def _row_reduce(rows: Sequence[list[int]], solve: Callable[[list], tuple]):
@@ -450,7 +450,7 @@ def nullspace(rows: Sequence[Vector], ncols: int) -> tuple[Vector, ...]:
 
 def _null_basis(rows: Sequence[Sequence], ncols: int) -> tuple[tuple[Vector, ...], Callable[[], tuple]]:
     """(the nullspace basis, its _kernel in the reversed coordinates) of rows given with their columns reversed."""
-    work, pivots, _, _ = _eliminate(rows)
+    work, pivots = _eliminate(rows)
     last = ncols - 1
     reduced = [(row, row[c], last - c) for row, c in zip(work, pivots)]
     basis = []
@@ -504,7 +504,7 @@ def _solve(rows: list[list[int]], ncols: int) -> tuple[Vector | None, tuple[Vect
 
 def _affine(rows: Sequence[Sequence], ncols: int) -> tuple[tuple[Vector | None, tuple[Vector, ...]], Callable]:
     """((particular x or None, nullspace basis), kernel) of augmented rows, for _solve."""
-    work, pivots, _, _ = _eliminate(rows, reduce=False)
+    work, pivots = _eliminate(rows, reduce=False)
     basis, null = _null_basis([row[:ncols][::-1] for row in rows], ncols)
     x, d = [0] * ncols, 1
     if ncols in pivots:  # no solution: the kernel is the null basis padded with 0
@@ -526,13 +526,18 @@ def _affine(rows: Sequence[Sequence], ncols: int) -> tuple[tuple[Vector | None, 
 
 
 def det(m: Matrix) -> Fraction:
-    """Determinant: the product of the pivots of one forward elimination. No verdict calls it; it is
-    kept for ``bench/workloads.dense_heisenberg``, which calls it."""
+    """Determinant, read off the Pfaffian kernel: with m = a/d (``int_matrix``), det(a) is
+    (-1)^(n(n-1)/2) Pf([[0, a], [-a^T, 0]]), and that Pfaffian is ``sub_pfaffians`` of the block
+    without its first row and column, dotted with the rest of its first row. No verdict calls it;
+    it is kept for ``bench/workloads.dense_heisenberg``, which calls it."""
     _check_square(m)
-    work, pivots, num, den = _eliminate(m, reduce=False)
-    if len(pivots) < len(m):
-        return ZERO
-    return Fraction(prod(row[c] * d for row, c, d in zip(work, pivots, den)), prod(num))
+    a, d = int_matrix(m)
+    n = len(a)
+    if not n:
+        return ONE
+    block = [[0] * n + row for row in a] + [[-x for x in col] + [0] * n for col in zip(*a)]
+    pf = sum(map(mul, sub_pfaffians([row[1:] for row in block[1:]]), block[0][1:]))
+    return Fraction(pf if n % 4 < 2 else -pf, d**n)
 
 
 def sub_pfaffians(a: Sequence[Sequence[int]]) -> list[int]:

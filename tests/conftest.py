@@ -151,7 +151,7 @@ def mat_inverse(m):
     (linalg._eliminate) is row k of mi^-1 over the row's entry at column k."""
     mi, d = int_matrix(m)
     n = len(mi)
-    work, pivots, _, _ = _eliminate([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(mi)])
+    work, pivots = _eliminate([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(mi)])
     if pivots != list(range(n)):
         return None
     return tuple(vector_over([d * x for x in row[n:]], row[k]) for k, row in enumerate(work))

@@ -133,6 +133,8 @@ def test_a_subspace_refuses_a_basis_out_of_reduced_form():
         Subspace(3, ((0, 1, 0), (1, 0, 0)))  # pivots out of order
     with pytest.raises(TypeError, match="not an exact scalar"):
         Subspace(2, ((1.0, 0),))
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        Subspace(2, ((True, False),))
     assert Subspace(3, ((1, 2, 0), (0, 0, 1))).dim == 2
 
 

@@ -255,8 +255,8 @@ def test_every_imported_name_is_used():
 # The definitions of src/lieforge that no code there reaches, each with what keeps it.
 UNREACHED_IN_SRC = {
     "cli.entry": "the console script of pyproject.toml",
-    "algebra.LieAlgebra.from_brackets": "bench/workloads.dense_heisenberg calls it; ROADMAP item 2 deletes it",
-    "linalg.det": "bench/workloads.dense_heisenberg calls it; ROADMAP item 2 deletes it",
+    "algebra.LieAlgebra.from_brackets": "bench/workloads.dense_heisenberg calls it; ROADMAP item 7 deletes it",
+    "linalg.det": "bench/workloads.dense_heisenberg calls it; ROADMAP item 7 deletes it",
     "algebra.LieAlgebra.abelian": "public constructor sugar, with no arithmetic",
     "report.CheckReport.item": "a public accessor the tests read, by the item's name",
 }

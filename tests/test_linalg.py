@@ -32,9 +32,10 @@ from strategies import conjugated_heisenberg_sasakian
 
 
 def reduced(rows):
-    """(nonzero rows, pivot columns) of the reduced echelon form, read off _eliminate's two passes:
-    each reduced row over its entry at its pivot. nullspace and _inverse read the same rows."""
-    work, pivots, _, _ = linalg._eliminate(rows)
+    """(nonzero rows, pivot columns) of the reduced echelon form, read off _eliminate's two passes on
+    the rows cleared of denominators: each reduced row over its entry at its pivot. nullspace and
+    conftest.mat_inverse read the same rows."""
+    work, pivots = linalg._eliminate([linalg.clear_denominators(row)[0] for row in rows])
     return tuple(tuple(Fraction(x, row[c]) for x in row) for row, c in zip(work, pivots)), tuple(pivots)
 
 
@@ -53,7 +54,7 @@ def test_scalar_rejects_floats_and_bools():
         scalar(True)
 
 
-@pytest.mark.parametrize("bad", [0.1, 1.0, 0.0, "1/2", None])
+@pytest.mark.parametrize("bad", [0.1, 1.0, 0.0, "1/2", None, True])
 def test_solvers_refuse_inexact_entries(bad):
     # a float has an integer ratio too, so it reached the eliminations as its binary expansion:
     # nullspace([[0.1, 1]], 2) gave (1, -3602879701896397/36028797018963968)
@@ -221,6 +222,8 @@ EDGE_CASES = [
     matrix([[0, "-7/3", 5, 0]]),
     matrix([[-2, 1], [1, "-1/999999"]]),
     matrix([["1/1000000", "-999999/1000000"], ["-3/7", "2/5"]]),
+    matrix([[0, 0, 0], [1, 2, 3], [4, 5, 6]]),  # singular, with a zero first row
+    matrix([[0, 1, 2], [1, 0, 3], [4, -3, 8]]),  # det -2, after a row exchange
 ]
 
 
@@ -301,7 +304,8 @@ def test_both_passes_match_the_oracle_on_rank_deficient_rows(rows):
     for system in (rows, exchanged):
         red, pivots = oracle.rref(system)
         assert reduced(system) == (red, pivots)
-        assert tuple(linalg._eliminate(system, reduce=False)[1]) == pivots
+        ints = [linalg.clear_denominators(row)[0] for row in system]
+        assert tuple(linalg._eliminate(ints, reduce=False)[1]) == pivots
 
 
 def test_nullspace_rejects_rows_of_the_wrong_width():
@@ -875,14 +879,16 @@ def test_public_solvers_leave_their_arguments_unchanged(tall, selections):
         rows, rhs = [[1, Fraction(1, 2), 0], [2, 1, 3]], [Fraction(1, 3), 1]
     ncols = len(rows[0])
     zeros = [0] * len(rows)
+    square = [row[:2] for row in rows[:2]]
     for call in (
         lambda: nullspace(rows, ncols),
         lambda: solve_affine(rows, rhs),
         lambda: solve_affine(rows, zeros),
+        lambda: det(square),
     ):
-        before = copy.deepcopy((rows, rhs, zeros))
+        before = copy.deepcopy((rows, rhs, zeros, square))
         call()
-        assert (rows, rhs, zeros) == before
+        assert (rows, rhs, zeros, square) == before
     assert selections == ([ncols, ncols + 1, ncols] if tall else [])
 
 

@@ -234,6 +234,7 @@ def test_checks_refuse_float_inputs():
     for call in (
         lambda: check_sasakian(H3.algebra, reeb, alpha, as_floats(phi)),
         lambda: check_sasakian(H3.algebra, tuple(map(float, reeb)), alpha, phi),
+        lambda: check_sasakian(H3.algebra, tuple(map(bool, reeb)), alpha, phi),
         lambda: check_kahler(D4.algebra, as_floats(j), omega),
     ):
         with pytest.raises(TypeError, match="not an exact scalar"):
