@@ -11,6 +11,7 @@ from functools import cache
 from hypothesis import strategies as st
 
 import lieforge as lf
+from lieforge.derivations import Leibniz, derivation_space
 from lieforge.forms import KForm
 from lieforge.linalg import diagonal, identity, nullspace, vec_scale, vec_sub
 
@@ -331,6 +332,44 @@ def kahler_inputs(draw):
     return g, j, omega
 
 
+R4_J = lf.matrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+
+
+@cache
+def _central_derivations(g, theta):
+    """A basis of the derivations of the central extension of g by theta."""
+    return derivation_space(lf.central_extension(g, theta).algebra, [Leibniz()])[1]
+
+
+@st.composite
+def lifted_complex_structures(draw):
+    """(double extension, J) for extend_complex_structure with a J-invariant cocycle: abelian R^4 with
+    J e1 = e2, J e3 = e4 and theta = (theta0 + theta0(J., J.)) / 2 for an integer theta0 (degenerate for
+    some draws), or d4half with its Kahler pair (J, omega) and theta = omega. D is 0, one basis map of
+    the derivations of the central extension by theta, or a combination of them with coefficients in
+    {-1, 0, 1}."""
+    if draw(st.booleans()):
+        g, j = lf.LieAlgebra.abelian(4), R4_J
+        pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+        theta0 = KForm.two_form(4, dict(zip(pairs, draw(st.lists(st.integers(-2, 2), min_size=6, max_size=6)))))
+        theta = add(theta0, conjugate_two_form(theta0, j)).scale(Fraction(1, 2))
+    else:
+        d4 = lf.builtin("d4half")
+        g, (j, theta) = d4.algebra, d4.kahler_data
+    basis = _central_derivations(g, theta)
+    kind = draw(st.sampled_from(["zero", "basis", "combination"]))
+    if kind == "zero":
+        coeffs = [0] * len(basis)
+    elif kind == "basis":
+        k = draw(st.integers(0, len(basis) - 1))
+        coeffs = [int(i == k) for i in range(len(basis))]
+    else:
+        coeffs = draw(st.lists(st.integers(-1, 1), min_size=len(basis), max_size=len(basis)))
+    n = g.dim + 1
+    d = tuple(tuple(sum(c * m[r][col] for c, m in zip(coeffs, basis)) for col in range(n)) for r in range(n))
+    return lf.double_extension(g, theta, d), j
+
+
 @st.composite
 def solved_derivations(draw):
     """(g, d), d a drawn combination of the basis derivation_space returns: on a random Lie algebra
@@ -387,6 +426,15 @@ def _moved(draw, n, pivot):
     return p, mat_inverse(p)
 
 
+def _tilted(draw):
+    """(P, P^-1) for aff(R) + aff(R) with x_P = e1 + e3: the basis e1 (e3 when s = 0), t e1 - s e3, e2, e4,
+    whose complement of x_P's pivot is the ideal Ker(s e1* + t e3*). J maps its kernel into it only for s = t,
+    and there both contact-ideal criteria fail."""
+    s, t = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(lambda c: sum(c) != 0))
+    p = tuple(zip(*lf.matrix([[1, 0, 0, 0] if s else [0, 0, 1, 0], [t, 0, -s, 0], [0, 1, 0, 0], [0, 0, 0, 1]])))
+    return p, mat_inverse(p)
+
+
 R2R2 = lf.LieAlgebra(4, {(0, 1): {1: 1}, (2, 3): {3: 1}})
 
 
@@ -404,9 +452,9 @@ def _frobenius_kahler(draw):
 def frobenius_kahler_inputs(draw):
     """(g, f, k) from check_frobenius and check_kahler: a _frobenius_kahler pair in a basis that keeps
     the complement of the principal element's pivot (it stays an ideal), or in any random basis (the
-    complement is mostly not an ideal)."""
+    complement is mostly not an ideal), or aff(R) + aff(R) in a _tilted basis (each of its ideals)."""
     g, phi, j, pivot = _frobenius_kahler(draw)
-    p, pinv = _moved(draw, g.dim, pivot)
+    p, pinv = _tilted(draw) if g is R2R2 and draw(st.booleans()) else _moved(draw, g.dim, pivot)
     g = conjugate_algebra(g, p, pinv)
     f = lf.check_frobenius(g, conjugate_one_form(phi, p))[1]
     k = lf.check_kahler(g, conjugate_map(j, p, pinv), lf.kirillov_form(g, f.phi))[1]

@@ -176,12 +176,29 @@ G5_D = matrix(
 R2R2 = LieAlgebra(4, {(0, 1): {1: 1}, (2, 3): {3: 1}})
 
 
+R2R2_J = matrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+
+
 def _r2r2_restriction():
     """aff(R) + aff(R) with phi = e2* + e4*: J(e2 - e4) = e3 - e1 leaves the contact ideal."""
     phi = KForm.one_form(4, [0, 1, 0, 1])
     f = check_frobenius(R2R2, phi)[1]
-    k = check_kahler(R2R2, matrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]), kirillov_form(R2R2, phi))[1]
+    k = check_kahler(R2R2, R2R2_J, kirillov_form(R2R2, phi))[1]
     return contact_ideal_restriction(R2R2, f, k)[1]
+
+
+def _r2r2_tilted_restriction():
+    """aff(R) + aff(R) with phi = e2* + e4* in the basis e1, e1 - e3, e2, e4: the contact ideal is
+    span(e1 - e3, e2, e4), J maps its kernel into it, and ad(x_P) = diag(0, 1) does not commute with J on
+    the kernel span(e1 - e3, e2 - e4), so the restriction returns no structure."""
+    p = matrix([[1, 1, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0], [0, 0, 0, 1]])
+    pinv = mat_inverse(p)
+    g = conjugate_algebra(R2R2, p, pinv)
+    f = check_frobenius(g, conjugate_one_form(KForm.one_form(4, [0, 1, 0, 1]), p))[1]
+    k = check_kahler(g, conjugate_map(R2R2_J, p, pinv), kirillov_form(g, f.phi))[1]
+    _, report, structure = contact_ideal_restriction(g, f, k)
+    assert structure is None
+    return report
 
 
 def _plane_double_extension_report():
@@ -221,6 +238,8 @@ def _d4half_unsymmetric_metric():
 R2 = LieAlgebra.abelian(2)
 H3_PLUS_R = LieAlgebra(4, {(0, 1): {2: 1}})
 ROTATION = matrix([[0, -1], [1, 0]])
+R4_THETA = KForm.two_form(4, {(0, 1): 1, (0, 2): 1, (2, 3): 1})
+R4_J = matrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
 
 # failing item -> (double extension, J) that fails that base hypothesis of extend_complex_structure alone
 BASE_HYPOTHESES = {
@@ -231,13 +250,20 @@ BASE_HYPOTHESES = {
         double_extension(H3_PLUS_R, KForm.two_form(4, {(0, 2): 1, (1, 3): 1}), zero_matrix(5)),
         matrix([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]),
     ),
+    # abelian R^4 with J e1 = e2, J e3 = e4 and theta = e1^e2 + e1^e3 + e3^e4: theta(Je1, Je3) = 0 != theta(e1, e3);
+    # without this hypothesis the lift by D = 0 has N(e1, e3) = -e5 although D commutes with J-bar
+    "cocycle_j_invariant": lambda: (
+        double_extension(LieAlgebra.abelian(4), R4_THETA, zero_matrix(5)),
+        R4_J,
+    ),
 }
 
-# the three base hypotheses in the order of the refusal's report, with their witnesses
+# the four base hypotheses in the order of the refusal's report, with their witnesses
 BASE_WITNESSES = {
     "base_complex_square": "J^2 != -Id on the base",
     "base_complex_integrable": "N_J != 0 on the base",
     "cocycle_nondegenerate": "the extension cocycle is degenerate on the base",
+    "cocycle_j_invariant": "theta(Jx, Jy) != theta(x, y) on the base",
 }
 
 # name -> (call returning a report, failing item)
@@ -248,6 +274,8 @@ FAILING_ITEMS = {
     "torsion_vanishes": (_plane_double_extension_report, "torsion_vanishes"),
     "derivation_commutes_with_j": (_plane_double_extension_report, "derivation_commutes_with_j"),
     "phi_well_defined": (_r2r2_restriction, "phi_well_defined"),
+    "principal_adjoint_commutes_on_kernel": (_r2r2_tilted_restriction, "principal_adjoint_commutes_on_kernel"),
+    "reeb_adjoint_commutes_with_phi": (_r2r2_tilted_restriction, "reeb_adjoint_commutes_with_phi"),
     "theta_radical_contains_u_and_reeb": (lambda: _conditions(H3, H3_THETA, H3_D), "theta_radical_contains_u_and_reeb"),
     # theta = e1^e3: the solved u is nonzero and in Rad(theta) = span{e2}, xi = e3 is not
     "theta_radical_contains_u": (
@@ -267,6 +295,8 @@ WITNESSES = {
     "torsion_vanishes": "N(e1,e3) = 2*e2",
     "derivation_commutes_with_j": "Jbar(D e1) = e2, D(J e1) = -e2",
     "phi_well_defined": "J(kernel part of e4) has x_P component 1",
+    "principal_adjoint_commutes_on_kernel": "[ad(x_P), Phi] != 0 on Ker(restricted alpha)",
+    "reeb_adjoint_commutes_with_phi": "[ad(xi), Phi] != 0 on the ideal",
     "theta_radical_contains_u_and_reeb": "u in Rad(theta): False, reeb in Rad(theta): False",
     "theta_radical_contains_u": "u in Rad(theta): True, reeb in Rad(theta): False",
     "metric_reproduces_dalpha": "g(x, Phi y) != d(alpha)(x,y)",
@@ -331,7 +361,7 @@ def test_refusal_names_one_failing_item(case):
 
 @pytest.mark.parametrize("case", sorted(BASE_HYPOTHESES))
 def test_base_hypothesis_refusal_names_its_failing_item(case):
-    # the refusal reports all three hypotheses, and only the one of the case fails; the oracle refuses alike
+    # the refusal reports all four hypotheses, and only the one of the case fails; the oracle refuses alike
     ext, j = BASE_HYPOTHESES[case]()
     errors = []
     for call in (extend_complex_structure, theorems_oracle.extend_complex_structure):
