@@ -137,16 +137,18 @@ def _bracket_ints(g: LieAlgebra, xs: Sequence[int], ys: Sequence[int]) -> list[i
 
 
 def _leibniz_defects(
-    g: LieAlgebra, ai: list[list[int]], bound: Callable[[int, int, int], int]
-) -> tuple[int, list[tuple[int, ...]], list[int], list[list[int]], dict[tuple[int, int], int]]:
-    """The Leibniz defects of the integer map A = ai, packed: (width, cols, a_col, left, defect).
+    g: LieAlgebra, ai: list[list[int]], bound: Callable[[int, int, int], int], index: Sequence[int]
+) -> tuple[int, list[tuple[int, ...]], list[int], list[list[int]], dict[int, list[int]], dict[tuple[int, int], int]]:
+    """The Leibniz defects of the integer map A = ai on the pairs of the sorted indices ``index``,
+    packed: (width, cols, a_col, c_rb, left, defect).
 
     With C = D*c from ``LieAlgebra._integer_terms``, cols[j] is column j of
-    A, a_col[j] that column packed, left[i][b] = sum_r A_ri C_rb = -sum_r C_br A_ri is
-    D*[Ae_i, e_b], and defect[(i, j)], i < j in row-major order, is
+    A, a_col[j] that column packed, c_rb[r][b] the packed C_rb, left[i][b] =
+    sum_r A_ri C_rb = -sum_r C_br A_ri, for i in index, is D*[Ae_i, e_b], and
+    defect[(i, j)], i < j in index in row-major order, is
     A C_ij - left[i][j] + left[j][i]: D times the Leibniz defect
     A[e_i,e_j] - [Ae_i,e_j] - [e_i,Ae_j], or da*D times that of ai/da. Every
-    vector is one packed int (``linalg.pack``), built by O(n^3) big-int
+    vector is one packed int (``linalg.pack``), built by O(n^2 |index|) big-int
     multiply-adds in all, at width slot_width(bound(n, a, c)) for a and c the
     largest |ai| and |C|: the caller's bound covers every coordinate of what it
     unpacks or tests against 0. Each antisymmetric pair of structure vectors
@@ -159,13 +161,12 @@ def _leibniz_defects(
     cols = list(zip(*ai))
     a_col = [pack(enumerate(col), width) for col in cols]
     c_rb = _packed_pairs(terms, width)
-    left = [[-sum(map(mul, row, col)) for row in c_rb] for col in cols]
+    left = {i: [-sum(map(mul, row, cols[i])) for row in c_rb] for i in index}
     defect = {
         (i, j): sum(y * a_col[k] for k, y in terms[i][j]) - left[i][j] + left[j][i]
-        for i in range(n)
-        for j in range(i + 1, n)
+        for i, j in combinations(index, 2)
     }
-    return width, cols, a_col, left, defect
+    return width, cols, a_col, c_rb, left, defect
 
 
 def _packed_pairs(terms: Sequence[Sequence[Sequence[tuple[int, int]]]], width: int) -> list[list[int]]:

@@ -58,7 +58,7 @@ def is_derivation(g: LieAlgebra, d: Matrix) -> CheckReport:
     ai, da = int_matrix(d)
     lcd, terms, _ = g._integer_terms
     den = lcd * da
-    width, _, a_col, left, defect = _leibniz_defects(g, ai, lambda n, a, c: 3 * n * a * c)
+    width, _, a_col, _, left, defect = _leibniz_defects(g, ai, lambda n, a, c: 3 * n * a * c, range(n))
     failures = []
     for (i, j), inner in defect.items():
         if inner:

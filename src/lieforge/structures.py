@@ -22,15 +22,24 @@ element off one skew elimination (``linalg.sub_pfaffians``, see
 ``check_contact`` and ``_principal``), with no Gauss-Jordan solve.
 
 Both read the Nijenhuis torsion as integers: ``_packed_torsion`` packs each
-integer vector into one int (``linalg.pack``), O(n^3) big-int multiply-adds
-in all, and one unpack per basis pair. It starts from the packed Leibniz
-defect of ``algebra._leibniz_defects``, which ``derivations.is_derivation``
-tests against 0 by itself. ``check_kahler`` tests each packed pair against 0
-(``_first_torsion``), ``check_sasakian`` compares it with -d(alpha) (x) xi;
-both unpack only a failing pair and test J^2 or Phi^2 on the packed columns
-of the map (``_square_mismatch``). Metric identities that other items imply
-skip their O(n^3) products, as each check derives: with J^2 = -Id,
-omega(J., J.) = omega is the symmetry of omega J; with alpha o Phi = 0 and
+integer vector into one int (``linalg.pack``) and evaluates the pairs of an
+index set, O(n^2) big-int multiply-adds per index and one unpack per pair. It
+starts from the packed Leibniz defect of ``algebra._leibniz_defects``, which
+``derivations.is_derivation`` tests against 0 by itself on all indices. Both
+checks decide the torsion on a half basis: the m = floor(n/2) indices S of
+``_half_basis``, with {e_S, J e_S}, or {e_S, Phi e_S, xi}, a basis certified
+mod ``linalg._PRIME``. J^2 = -Id gives N_J(Jx, y) = -J N_J(x, y); the
+Sasakian form of this identity (``check_sasakian``) needs Phi^2 = xi (x)
+alpha - Id, the metric's symmetry, which then gives d(alpha) xi = 0, and
+[ad xi, Phi] e_S = 0 (``_adjoint_moves``, O(n^2)). Where they hold, the
+m(m-1)/2 pairs inside S decide the item, against n(n-1)/2; where
+one fails, or a pair inside S does, all pairs are scanned, so a failing item
+names the first failing pair in basis order. ``check_kahler`` tests each
+packed pair against 0 (``_first_torsion``), ``check_sasakian`` compares it
+with -d(alpha) (x) xi; both unpack only a failing pair and test J^2 or Phi^2
+on the packed columns of the map (``_square_mismatch``). Metric identities
+that other items imply skip their O(n^3) products, as each check derives:
+with J^2 = -Id, omega(J., J.) = omega is the symmetry of omega J; with alpha o Phi = 0 and
 Phi^2 = xi (x) alpha - Id, g(., Phi .) = d(alpha) is d(alpha) xi = 0, and
 then g(Phi., Phi.) = g - alpha (x) alpha is the symmetry of g. The two
 checks share their metric items and ``metric_row_*`` notes
@@ -51,7 +60,7 @@ binding is the only hidden field: a construction that needs the Kirillov form
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -62,6 +71,7 @@ from .linalg import (
     Matrix,
     Vector,
     ZERO,
+    _PRIME,
     _check_square,
     _check_width,
     clear_denominators,
@@ -178,10 +188,14 @@ def check_contact(g: LieAlgebra, alpha: KForm) -> tuple[CheckReport, ContactStru
 
 
 def _packed_torsion(
-    g: LieAlgebra, ai: list[list[int]], bound: Callable[[int, int, int], int] = lambda n, a, c: 4 * n * n * a * a * c
-) -> tuple[int, list[int], dict[tuple[int, int], int]]:
-    """The torsion of the map A = ai/da, packed: (width, a_col, N), with a_col the packed columns
-    of ai (``algebra._leibniz_defects``) and N[(i, j)], i < j, da^2*D times N(e_i, e_j).
+    g: LieAlgebra,
+    ai: list[list[int]],
+    index: Sequence[int],
+    bound: Callable[[int, int, int], int] = lambda n, a, c: 4 * n * n * a * a * c,
+) -> tuple[int, list[tuple[int, ...]], list[int], list[list[int]], dict[tuple[int, int], int]]:
+    """The torsion of the map A = ai/da on the pairs of the sorted indices ``index``, packed:
+    (width, cols, a_col, c_rb, N), with cols, a_col and c_rb those of ``algebra._leibniz_defects``
+    and N[(i, j)], i < j in index, da^2*D times N(e_i, e_j).
 
     With inner, left and cols the packed Leibniz defect, L[i][b] and the
     columns of ``_leibniz_defects``, N(e_i, e_j) = A(inner) + sum_b A_bj L[i][b]:
@@ -191,22 +205,79 @@ def _packed_torsion(
     bound(n, a, c) must cover 4*n^2*a^2*c, the default, which also bounds inner's 3*n*a*c.
     """
     n = g.dim
-    width, cols, a_col, left, defect = _leibniz_defects(g, ai, bound)
+    width, cols, a_col, c_rb, left, defect = _leibniz_defects(g, ai, bound, index)
     torsion = {}
     for (i, j), inner in defect.items():
         total = sum(map(mul, unpack(inner, n, width), a_col))
         torsion[(i, j)] = total + sum(map(mul, cols[j], left[i]))
-    return width, a_col, torsion
+    return width, cols, a_col, c_rb, torsion
+
+
+def _half_basis(ai: list[list[int]], start: Sequence[int] | None = None) -> Sequence[int]:
+    """Indices S, in basis order, such that e_i and A e_i for i in S, with ``start`` where given,
+    form a basis; range(n) where none is certified. A = ai is an integer map, start an integer vector.
+
+    Greedy: e_k joins S when it lies outside V, the span of start and of e_i, A e_i for the i in
+    S before k. At step k, V holds e_0..e_(k-1), so V is kept modulo them, as rows in echelon
+    form mod ``linalg._PRIME``, each over the coordinates from its lead on, 1 at the lead: e_k is
+    outside V when no row leads at k, or when the rest of the row that does is independent of
+    the others. This eliminates [A e_S | start] on the coordinates outside S. Every e_k ends in
+    V, so the 2|S| (+1) vectors span F_p^n; where they number n, their integer determinant is
+    nonzero mod p, so nonzero, and they are a basis over Q. Where A^2 = -Id, or A^2 = xi (x)
+    alpha - Id with start = xi (so A xi is a multiple of xi), V is A-invariant, and A e_k =
+    v + t e_k with v in V would put (1 + t^2) e_k in V: over Q each e_k outside V adds two
+    dimensions, so the scan finds S unless p divides one of its minors.
+    """
+    p, n = _PRIME, len(ai)
+    rows: dict[int, list[int]] = {}
+
+    def independent(v: Sequence[int], k: int) -> bool:
+        """Whether v, coordinates k.. of a vector, is independent of the rows mod p; kept if so."""
+        for c in range(k, n):
+            x = v[c - k] % p
+            if x:
+                row = rows.get(c)
+                if row is None:
+                    inv = pow(x, -1, p)
+                    rows[c] = [y * inv % p for y in v[c - k :]]
+                    return True
+                v, k = [y - x * z for y, z in zip(v[c - k :], row)], c
+        return False
+
+    target = n - (start is not None)
+    if start is not None:
+        independent(start, 0)
+    half = []
+    for k, col in enumerate(zip(*ai)):
+        if 2 * len(half) == target:  # all n vectors are in: a basis when V, of dimension k + len(rows), is F_p^n
+            return half if k + len(rows) == n else range(n)
+        row = rows.pop(k, None)
+        if row is None or independent(row[1:], k + 1):
+            half.append(k)
+            independent(col[k + 1 :], k + 1)
+    return half if 2 * len(half) == target else range(n)
 
 
 def _first_torsion(g: LieAlgebra, packed: tuple, da: int) -> tuple[tuple[int, int], Vector] | None:
     """The first pair with a nonzero torsion vector and that vector, or None: each pair of the
     ``_packed_torsion`` of a map over da is tested against 0, and only the failing one unpacked."""
-    width, _, torsion = packed
+    width, *_, torsion = packed
     pair = next((pair for pair, t in torsion.items() if t), None)
     if pair is None:
         return None
     return pair, vector_over(unpack(torsion[pair], g.dim, width), da * da * g._integer_terms[0])
+
+
+def _adjoint_moves(packed: tuple, r: Sequence[int], index: Sequence[int]) -> bool:
+    """Whether [ad xi, A] e_y != 0 for some y in index, xi = r/dr, on the ``_packed_torsion`` of the
+    map A = ai/da: with X[b] = -sum_k C_bk r_k, packed, D*dr times [xi, e_b], sum_b A_by X[b] and
+    sum_k X[y]_k a_col[k] are D*dr*da times [xi, A e_y] and A[xi, e_y]. With a, c and r the largest
+    |ai|, |C| and |r_k|, X has coordinates of at most n*c*r and each difference 2*n^2*a*c*r, which
+    the width must hold. O(n^2) big-int multiply-adds and one unpack per index."""
+    width, cols, a_col, c_rb, _ = packed
+    n = len(cols)
+    adjoint = [-sum(map(mul, row, r)) for row in c_rb]
+    return any(sum(map(mul, cols[y], adjoint)) != sum(map(mul, unpack(adjoint[y], n, width), a_col)) for y in index)
 
 
 def _square_mismatch(
@@ -258,6 +329,12 @@ def check_kahler(g: LieAlgebra, j: Matrix, omega: KForm) -> tuple[CheckReport, K
     the signs of the leading minors). omega is skew, so omega J is symmetric
     exactly when omega J = -J^T omega, which for J^2 = -Id is, times J on the
     right, J^T omega J = omega: J^T (om J) is formed only where either fails.
+
+    The torsion is decided on a half basis: J^2 = -Id, so J^3 = -J, makes
+    N_J(Jx, y) = -J N_J(x, y). So N_J vanishes on the basis {e_S, J e_S} of
+    ``_half_basis`` once it vanishes on the m(m-1)/2 pairs inside S, m = n/2.
+    Where J^2 = -Id or a pair inside S fails, all pairs are scanned, so the
+    witness is the first failing pair in basis order.
     """
     n = g.dim
     _check_square(j, n)
@@ -265,10 +342,14 @@ def check_kahler(g: LieAlgebra, j: Matrix, omega: KForm) -> tuple[CheckReport, K
     ji, dj = int_matrix(j)
     om, do = omega._ints
     s = dj * dj
-    packed = _packed_torsion(g, ji, lambda n, a, c: 4 * n * n * a * a * c + n * a * a + s)
-    width, a_col, _ = packed
+    bound = lambda n, a, c: 4 * n * n * a * a * c + n * a * a + s
+    index = _half_basis(ji)
+    packed = _packed_torsion(g, ji, index, bound)
+    width, _, a_col, _, _ = packed
     wrong = _square_mismatch(ji, a_col, width, 1, [-s << width * k for k in range(n)])
     bad = _first_torsion(g, packed, dj)
+    if len(index) < n and (wrong is not None or bad is not None):  # the first failing pair of all
+        bad = _first_torsion(g, _packed_torsion(g, ji, range(n), bound), dj)
     domega = KForm(n, 3, tuple(_d_two_form(g, omega)))
     metric = int_mul(om, ji)
     metric_items, rows, notes = _metric_checks(g, metric, do * dj, "omega(x, Jy) is not symmetric")
@@ -325,6 +406,38 @@ def check_sasakian(
     D = 0); with P1-P3, Phi^T G Phi = Phi^T D is the transpose of -D Phi =
     G - a a^T (D is skew), so the isometry holds exactly when G is symmetric.
     G Phi and Phi^T (G Phi) are formed only where P1, P2 or P3 fails.
+
+    The torsion is decided on a half basis. Write E = N_Phi + d(alpha) (x) xi
+    and K = [ad xi, Phi], and let S be the m = (n-1)/2 indices of
+    ``_half_basis``, with {e_S, Phi e_S, xi} a basis: xi != 0, and alpha != 0
+    as n is odd. Phi^3 from either side of P1 gives Phi xi = l xi and
+    alpha o Phi = l alpha for one scalar l, l^2 = alpha(xi) - 1. For any
+    antisymmetric bracket P1 then gives
+
+      (1) E(Phi x, y) = -Phi E(x, y) + alpha(x) K y
+                        + (d(alpha)(x, Phi y) + d(alpha)(Phi x, y)) xi:
+
+    with Phi^3 = l xi (x) alpha - Phi, N(Phi x, y) + Phi N(x, y) is
+    alpha(x) K y + (l alpha([x, y]) - alpha([x, Phi y])) xi, and
+    d(alpha)(x, y) = -alpha([x, y]). G is symmetric exactly when D Phi is,
+    that is when d(alpha)(Phi x, y) + d(alpha)(x, Phi y) = 0, and then P3
+    holds: x = xi gives d(alpha)(xi, (l + Phi) y) = 0, where l + Phi is
+    invertible for l != 0 (2l on xi, and (l + Phi)(l - Phi) = l^2 + 1 on
+    Ker(alpha)) and maps onto Ker(alpha), which misses xi, for l = 0. With
+    P3, N(xi, y) = Phi^2[xi, y] - Phi[xi, Phi y] + l K y and alpha([xi, y]) = 0
+    give
+
+      (2) E(xi, y) = (l - Phi) K y and (3) K Phi = -Phi K.
+
+    So where P1 and the symmetry hold and K e_i = 0 for i in S
+    (``_adjoint_moves``), K vanishes on the basis by (3) and K xi = 0, and
+    by (1), (2) and antisymmetry E vanishes on all its pairs once it vanishes
+    on the m(m-1)/2 pairs inside S. That costs the torsion's rows in S,
+    O(m n^2) big-int multiply-adds, and n^2 + 2mn more for K, against O(n^3)
+    for all n(n-1)/2 pairs. Where any of these fails, all pairs are scanned,
+    so the witness is the first failing pair in basis order. Conversely,
+    E(xi, .) = 0 forces K = 0: alpha(K y) = -d(alpha)(xi, Phi y) -
+    l alpha([xi, y]) = 0, and l - Phi is invertible on Ker(alpha).
     """
     n = g.dim
     _check_form(alpha, n, 1)
@@ -338,23 +451,33 @@ def check_sasakian(
     # N_Phi(e_i, e_j) over dt = dp^2*D against -d(alpha)(e_i, e_j) xi over den*dr: with
     # u = den*dr/h and v = dt/h, h their gcd, the packed N*u + d(alpha)_ij*v*xi is 0 for each
     # pair; s*Phi^2 e_k over s*dp^2 against (xi (x) alpha - Id) e_k = (a_k xi - s e_k) over s,
-    # s = dal*dr, is 0 packed on the same columns of Phi; the slots hold all four terms
+    # s = dal*dr, is 0 packed on the same columns of Phi; the slots hold all four terms and the
+    # [ad xi, Phi] test of ``_adjoint_moves``
     s = dal * dr
     dt = dp * dp * g._integer_terms[0]
     h = gcd(den * dr, dt)
     u, v = den * dr // h, dt // h
     r_max = max(map(abs, r))
     big = max(abs(x) for row in da for x in row) * v * r_max + dp * dp * (max(map(abs, a)) * r_max + s)
-    width, a_col, torsion = _packed_torsion(g, p, lambda n, a, c: (4 * n * c * u + s) * n * a * a + big)
+    bound = lambda n, a, c: (4 * n * c * u + s) * n * a * a + n * c * r_max * (2 * n * a + 1) + big
+    index = _half_basis(p, r)
+    packed = _packed_torsion(g, p, index, bound)
+    width, _, a_col, _, torsion = packed
     xi = pack(enumerate(r), width)
     wrong = _square_mismatch(p, a_col, width, s, [dp * dp * (x * xi - (s << width * k)) for k, x in enumerate(a)])
-    bad_pair = next(((i, j) for (i, j), t in torsion.items() if t * u + da[i][j] * v * xi), None)
+    failing = lambda torsion: next(((i, j) for (i, j), t in torsion.items() if t * u + da[i][j] * v * xi), None)
+    bad_pair = failing(torsion)
     # G = -d(alpha) Phi + alpha (x) alpha = (a a^T)(den/dal)dp - (da p)dal over dm = den*dal*dp
     dm, scale = den * dal * dp, den // dal * dp
     metric = [[x * y * scale - z * dal for y, z in zip(a, row)] for x, row in zip(a, int_mul(da, p))]
     metric_items, rational_metric, notes = _metric_checks(g, metric, dm, "derived metric is not symmetric")
     phi_reeb = int_apply(p, r)
     alpha_phi = int_apply(zip(*p), a)
+    if len(index) < n and (
+        wrong is not None or not metric_items[0].passed or bad_pair is not None or _adjoint_moves(packed, r, index)
+    ):  # the half basis decides no verdict: the first failing pair of all (see the docstring)
+        width, *_, torsion = _packed_torsion(g, p, range(n), bound)
+        bad_pair = failing(torsion)
     if wrong is None and not any(alpha_phi) and not any(int_apply(da, r)):
         # Phi^2 = xi (x) alpha - Id, alpha o Phi = 0 and d(alpha) xi = 0 decide both items (see the docstring)
         isometry, reproduces = metric_items[0].passed, True

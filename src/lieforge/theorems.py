@@ -107,7 +107,7 @@ from .structures import (
     FrobeniusStructure,
     KahlerStructure,
     SasakianStructure,
-    _first_torsion,
+    _half_basis,
     _packed_torsion,
     check_contact,
     check_frobenius,
@@ -362,7 +362,8 @@ def extend_complex_structure(ext: ExtensionResult, j: Matrix) -> CheckReport:
     _check_square(j, n)
     ji, dj = int_matrix(j)
     square = int_mul(ji, ji) == [[-dj * dj * (r == c) for c in range(n)] for r in range(n)]
-    integrable = _first_torsion(base, _packed_torsion(base, ji), dj) is None
+    # J^2 = -Id makes N_J(Jx, y) = -J N_J(x, y), so N_J = 0 is decided on a half basis (check_kahler)
+    integrable = not any(_packed_torsion(base, ji, _half_basis(ji) if square else range(n))[-1].values())
     theta = KForm.two_form(n, {pair: x for pair, xs in base_table for k, x in xs if k == n})
     nondegenerate = radical(base, theta).dim == 0
     t = theta._ints[0]

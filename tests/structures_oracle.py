@@ -47,6 +47,12 @@ coordinate by coordinate, as check_sasakian did before its packed test.
 Both read d(alpha) from ``ce_differential`` too, not from the integer
 ``forms._dalpha`` of the fast paths, so a fault there shows.
 
+full_scan runs a check of lieforge itself with no half basis certified
+(``structures._half_basis`` patched to return every index, in ``structures``
+and ``theorems``), so check_kahler, check_sasakian and extend_complex_structure
+scan the torsion on every basis pair, the path their half-basis verdict
+stands for.
+
 The metric items of check_kahler and check_sasakian decide positive
 definiteness with linalg_oracle.positive_definite, a determinant per leading
 minor, not with the sweep of linalg.positive_definite, and build each row of
@@ -58,6 +64,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
+from unittest.mock import patch
+
+import lieforge.structures
+import lieforge.theorems
 
 from lieforge.algebra import LieAlgebra, Subspace
 from lieforge.forms import KForm, apply_one_form, one_form_coords
@@ -480,3 +490,10 @@ def check_sasakian(g: LieAlgebra, reeb: Vector, alpha: KForm, phi: Matrix):
     if not report.overall:
         return report, None
     return report, _bind(SasakianStructure(reeb, alpha, phi, metric), g)
+
+
+def full_scan(call, *args):
+    """call(*args) with no half basis certified, so that every torsion pair is scanned."""
+    every = lambda ai, start=None: range(len(ai))
+    with patch.object(lieforge.structures, "_half_basis", every), patch.object(lieforge.theorems, "_half_basis", every):
+        return call(*args)

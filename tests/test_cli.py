@@ -15,6 +15,7 @@ from lieforge.cli import run
 from lieforge.fileio import parse_algebra
 
 import cli_oracle
+import structures_oracle
 from algebra_oracle import dense_c
 from conftest import conjugate_algebra, conjugate_one_form, mat_inverse, random_invertible
 from strategies import R2R2, conjugated_heisenberg_sasakian
@@ -35,6 +36,38 @@ def test_check_sasakian_builtin_h3():
     out, code = invoke("check", "sasakian", "--builtin", "h3")
     assert code == 0
     assert "overall pass" in out
+
+
+# h7 on x1..x3, y1..y3, z with its standard Sasakian structure, as the CI console-script step writes it
+H7_ALGEBRA = "lieforge/1 algebra\ndim 7\nbasis x1 x2 x3 y1 y2 y3 z\nbracket 1 4 = 7:1\nbracket 2 5 = 7:1\nbracket 3 6 = 7:1\n"
+H7_SASAKIAN = (
+    "lieforge/1 structure\nkind sasakian\nxi = 0 0 0 0 0 0 1\nalpha = 0 0 0 0 0 0 1\n"
+    "phi row 1 = 0 0 0 -1 0 0 0\nphi row 2 = 0 0 0 0 -1 0 0\nphi row 3 = 0 0 0 0 0 -1 0\n"
+    "phi row 4 = 1 0 0 0 0 0 0\nphi row 5 = 0 1 0 0 0 0 0\nphi row 6 = 0 0 1 0 0 0 0\nphi row 7 = 0 0 0 0 0 0 0\n"
+)
+
+
+def test_check_sasakian_on_heisenberg_files(tmp_path):
+    # h7 passes; with [x1, x2] = y1 added, still a Lie algebra, only the torsion fails, and its witness is the
+    # first failing pair of the scan of every pair, the Fraction oracle's
+    changed = H7_ALGEBRA.replace("bracket 1 4", "bracket 1 2 = 4:1\nbracket 1 4")
+    structure = tmp_path / "s.lf"
+    structure.write_text(H7_SASAKIAN, encoding="utf-8")
+    outputs = []
+    for name, text in (("h7", H7_ALGEBRA), ("changed", changed)):
+        path = tmp_path / f"{name}.lf"
+        path.write_text(text, encoding="utf-8")
+        outputs.append(invoke("check", "sasakian", "--algebra", str(path), "--structure", str(structure)))
+    (out, code), (bad, bad_code) = outputs
+    assert code == 0 and out.splitlines()[-1] == "overall pass"
+    witness = "N_Phi(x1,x2) = -y1, expected 0"
+    assert bad_code == 1
+    assert [line for line in bad.splitlines() if line.startswith("item fail")] == [f"item fail nijenhuis_torsion | {witness}"]
+    g = parse_algebra(changed)
+    reeb, alpha = g.basis_vector(6), lf.KForm.basis_one_form(7, 6)
+    phi = lf.linalg.matrix([[int(x) for x in line.split("=")[1].split()] for line in H7_SASAKIAN.splitlines()[4:]])
+    assert structures_oracle.sasakian_torsion_item(g, reeb, alpha, phi).witness == witness
+    assert structures_oracle.full_scan(lf.check_sasakian, g, reeb, alpha, phi)[0].item("nijenhuis_torsion").witness == witness
 
 
 def test_check_contact_reports_reeb():

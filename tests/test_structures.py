@@ -19,6 +19,8 @@ from lieforge import (
 )
 from lieforge.forms import _dalpha, _top_contact
 from lieforge.linalg import (
+    _PRIME,
+    clear_denominators,
     fmt_dual,
     identity,
     int_matrix,
@@ -30,7 +32,7 @@ from lieforge.linalg import (
     zero_matrix,
 )
 from lieforge.report import CheckItem, DimensionMismatch, passed
-from lieforge.structures import _metric_checks, _packed_torsion
+from lieforge.structures import _half_basis, _metric_checks, _packed_torsion
 
 import algebra_oracle as oracle
 import linalg_oracle
@@ -138,7 +140,7 @@ def test_contact_scaling_invariance(lam):
 def nijenhuis(g, a):
     """N_A(e_i, e_j) for every pair i < j: each pair of ``_packed_torsion`` unpacked, over its denominator."""
     ai, da = int_matrix(a)
-    width, _, torsion = _packed_torsion(g, ai)
+    width, *_, torsion = _packed_torsion(g, ai, range(g.dim))
     den = da * da * g._integer_terms[0]
     return {pair: vector_over(unpack(t, g.dim, width), den) for pair, t in torsion.items()}
 
@@ -178,7 +180,7 @@ def assert_nijenhuis_matches_oracle(g, a):
     table = oracle.nijenhuis(g, a)
     assert nijenhuis(g, a) == {(i, j): table.value(i, j) for i in range(g.dim) for j in range(i + 1, g.dim)}
     ai, _ = int_matrix(a)
-    width, _, torsion = _packed_torsion(g, ai)
+    width, *_, torsion = _packed_torsion(g, ai, range(g.dim))
     ints, _ = structures_oracle.nijenhuis_ints(g, ai, 1)
     assert {pair: unpack(t, g.dim, width) for pair, t in torsion.items()} == ints
 
@@ -373,6 +375,7 @@ def test_sasakian_matches_oracle(case):
     g, reeb, alpha, phi = case
     got = check_sasakian(g, reeb, alpha, phi)
     assert_same_result(got, structures_oracle.check_sasakian(g, reeb, alpha, phi))
+    assert_same_result(got, structures_oracle.full_scan(check_sasakian, g, reeb, alpha, phi))
     assert got[1] is None or got[1].algebra is g
     assert got[1] is None or got[1].metric == structures_oracle.sasakian_metric(g, alpha, phi)
 
@@ -380,9 +383,12 @@ def test_sasakian_matches_oracle(case):
 @settings(max_examples=50, deadline=None)
 @given(near_sasakian_inputs())
 def test_sasakian_near_misses_match_oracle(case):
-    # a moved Reeb vector or a conjugated Phi: the premises of the metric identities hold in part
+    # a moved Reeb vector or a conjugated Phi: the premises of the metric identities and of the half basis
+    # hold in part
     g, reeb, alpha, phi = case
-    assert_same_result(check_sasakian(g, reeb, alpha, phi), structures_oracle.check_sasakian(g, reeb, alpha, phi))
+    got = check_sasakian(g, reeb, alpha, phi)
+    assert_same_result(got, structures_oracle.check_sasakian(g, reeb, alpha, phi))
+    assert_same_result(got, structures_oracle.full_scan(check_sasakian, g, reeb, alpha, phi))
 
 
 @settings(max_examples=100, deadline=None)
@@ -391,6 +397,7 @@ def test_sasakian_large_entries_match_oracle(case):
     g, reeb, alpha, phi = case
     got = check_sasakian(g, reeb, alpha, phi)
     assert_same_result(got, structures_oracle.check_sasakian(g, reeb, alpha, phi))
+    assert_same_result(got, structures_oracle.full_scan(check_sasakian, g, reeb, alpha, phi))
 
 
 @st.composite
@@ -439,6 +446,7 @@ def test_kahler_large_entries_match_fraction_torsion(case):
     g, j, omega = case
     got = check_kahler(g, j, omega)
     assert_same_result(got, structures_oracle.check_kahler(g, j, omega))
+    assert_same_result(got, structures_oracle.full_scan(check_kahler, g, j, omega))
     assert got[1] is None or got[1].metric == structures_oracle.kahler_metric(g, j, omega)
 
 
@@ -448,6 +456,7 @@ def test_kahler_matches_oracle(case):
     g, j, omega = case
     got = check_kahler(g, j, omega)
     assert_same_result(got, structures_oracle.check_kahler(g, j, omega))
+    assert_same_result(got, structures_oracle.full_scan(check_kahler, g, j, omega))
     assert got[1] is None or got[1].algebra is g
     assert got[1] is None or got[1].metric == structures_oracle.kahler_metric(g, j, omega)
 
@@ -459,6 +468,124 @@ def test_kahler_d4half_in_a_random_basis_passes(seed):
     got = check_kahler(g, j, omega)
     assert got[0].overall
     assert_same_result(got, structures_oracle.check_kahler(g, j, omega))
+
+
+# --- the torsion items on a half basis against the scan of every pair ----------
+
+
+def half_basis(reeb, phi):
+    """The half basis check_sasakian takes for (xi, Phi)."""
+    return _half_basis(int_matrix(phi)[0], clear_denominators(reeb)[0])
+
+
+@pytest.mark.parametrize("m, seed", [(3, 1), (4, 2), (5, 3), (6, 4)])
+def test_dense_heisenberg_passes_on_a_half_basis(m, seed):
+    # conjugated h7..h13: the half basis has m indices, and the report is that of the full scan and the oracle
+    g, reeb, alpha, phi = conjugated_heisenberg_sasakian(m, seed)
+    assert len(half_basis(reeb, phi)) == m
+    got = check_sasakian(g, reeb, alpha, phi)
+    assert got[0].overall
+    assert_same_result(got, structures_oracle.full_scan(check_sasakian, g, reeb, alpha, phi))
+    assert got[0].item("nijenhuis_torsion") == structures_oracle.sasakian_torsion_item(g, reeb, alpha, phi)
+
+
+def test_builtin_half_bases_pair_each_vector_with_its_image():
+    # g0 and g5 pair e1 with Phi e1 = e2 and e3 with e4, so the greedy half basis is e1, e3, not e1, e2
+    assert {name: half_basis(*builtin(name).sasakian_data[::2]) for name in ("h3", "g0", "g5")} == {
+        "h3": [0],
+        "g0": [0, 2],
+        "g5": [0, 2],
+    }
+    assert _half_basis(int_matrix(D4.kahler_data[0])[0]) == [0, 2]
+
+
+@pytest.mark.parametrize(
+    "phi, reeb",
+    [
+        (((0, 0, 0), (0, 0, 0), (0, 0, 0)), (0, 0, 1)),
+        # Phi e1 = xi: e1, Phi e1 and xi span a plane
+        (((0, 0, 0), (0, 0, 0), (1, 0, 0)), (0, 0, 1)),
+        # h3's Phi with xi = p e3: e1, Phi e1 = e2 and xi are a basis over Q, but the minor is 0 mod p
+        (((0, -1, 0), (1, 0, 0), (0, 0, 0)), (0, 0, _PRIME)),
+    ],
+    ids=["zero", "image-is-reeb", "singular-mod-p"],
+)
+def test_half_basis_refuses_a_singular_minor(phi, reeb):
+    assert _half_basis([list(row) for row in phi], reeb) == range(3)
+
+
+# sl(2) as [e1, e2] = e3, [e3, e1] = e1, [e3, e2] = -e2 with h3's xi = e3, alpha = e3* and Phi: a contact
+# metric structure, its metric the identity, that is not K-contact, as [ad xi, Phi] e1 = -2 e2
+SL2 = LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {0: -1}, (1, 2): {1: 1}})
+# h5 on (x1, x2, y1, y2, z) with Phi x1 = -y2, Phi x2 = y1, Phi y1 = -x2, Phi y2 = x1: Phi^2 = xi (x) alpha - Id,
+# Phi xi = 0 and d(alpha) xi = 0 hold, xi = z is central and the torsion vanishes on (x1, x2), the one pair
+# of the half basis, but the metric is not symmetric and N_Phi(x1, y1) = -z
+H5 = LieAlgebra(5, {(0, 2): {4: 1}, (1, 3): {4: 1}}, ("x1", "x2", "y1", "y2", "z"))
+H5_ANTI = matrix([[0, 0, 0, 1, 0], [0, 0, -1, 0, 0], [0, 1, 0, 0, 0], [-1, 0, 0, 0, 0], [0] * 5])
+# g0 with [e1, e3] = e1 added, an antisymmetric tensor that is not Lie: only the torsion fails, at (e1, e3),
+# while the pair (e1, e2) and [ad xi, Phi] on e1, e2 pass: e1 and e2 = Phi e1, the first two vectors, span
+# no half basis
+G0_TILTED = LieAlgebra(5, [*G0.algebra.brackets[:1], ((0, 2), ((0, 1),)), *G0.algebra.brackets[1:]])
+HALF_BASIS_CASES = {
+    "sl2-not-k-contact": (SL2, *H3.sasakian_data, [0], ["nijenhuis_torsion"], "N_Phi(e1,e3) = 2*e1, expected 0"),
+    # h3 with Phi = 2 J: Phi xi = 0, the metric is symmetric and xi central, but Phi^2 = -4 Id on Ker(alpha)
+    "h3-doubled-phi": (
+        H3.algebra,
+        *H3.sasakian_data[:2],
+        matrix([[0, -2, 0], [2, 0, 0], [0, 0, 0]]),
+        [0],
+        ["phi_square_identity", "nijenhuis_torsion", "metric_phi_isometry", "metric_reproduces_dalpha"],
+        "N_Phi(e1,e2) = 4*e3, expected e3",
+    ),
+    "h5-metric-not-symmetric": (
+        H5,
+        H5.basis_vector(4),
+        KForm.basis_one_form(5, 4),
+        H5_ANTI,
+        [0, 1],
+        ["nijenhuis_torsion", "metric_symmetric", "metric_positive_definite", "metric_phi_isometry"],
+        "N_Phi(x1,y1) = -z, expected z",
+    ),
+    "g0-tilted": (G0_TILTED, *G0.sasakian_data, [0, 2], ["nijenhuis_torsion"], "N_Phi(e1,e3) = -e1, expected 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HALF_BASIS_CASES))
+def test_torsion_fails_beyond_the_half_basis(case):
+    # each input passes the torsion test on the pairs inside a half basis and fails it elsewhere: on sl(2)
+    # only [ad xi, Phi] shows it (its half basis holds no pair), on h3 and h5 only Phi^2 = xi (x) alpha - Id
+    # and the metric's symmetry, which (1) of check_sasakian needs, and on the tilted g0 only a half basis
+    # that spans
+    g, reeb, alpha, phi, expected_half, failing, witness = HALF_BASIS_CASES[case]
+    assert half_basis(reeb, phi) == expected_half
+    report, structure = check_sasakian(g, reeb, alpha, phi)
+    assert structure is None
+    assert [item.name for item in report.items if not item.passed] == failing
+    assert report.item("nijenhuis_torsion") == CheckItem("nijenhuis_torsion", False, witness)
+    assert report.item("nijenhuis_torsion") == structures_oracle.sasakian_torsion_item(g, reeb, alpha, phi)
+
+
+@pytest.mark.parametrize("g, passes", [(H3.algebra, True), (SL2, False)], ids=["h3", "sl2"])
+def test_half_basis_decides_the_torsion_where_phi_moves_xi(g, passes):
+    # Phi xi = xi with alpha = 2 e3*: Phi^2 = xi (x) alpha - Id and the metric's symmetry still hold (l = 1 in the
+    # proof of check_sasakian), so the half basis e1 decides the torsion item, on h3 that it passes and on sl(2)
+    # through [ad xi, Phi] that it fails, while phi_kills_reeb fails on both
+    reeb, alpha, phi = g.basis_vector(2), E3.scale(Fraction(2)), matrix([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
+    assert half_basis(reeb, phi) == [0]
+    report, _ = check_sasakian(g, reeb, alpha, phi)
+    assert report.item("metric_symmetric").passed and not report.item("phi_kills_reeb").passed
+    assert report.item("nijenhuis_torsion").passed == passes
+    assert report.item("nijenhuis_torsion") == structures_oracle.sasakian_torsion_item(g, reeb, alpha, phi)
+
+
+def test_kahler_torsion_is_scanned_where_j_squared_fails():
+    # on d4half, J e1 = -e2, J e2 = 0, J e3 = -e4, J e4 = e3: J^2 != -Id, and N_J vanishes on (e1, e3), the pair
+    # of its half basis e1, e3, but not on every pair, so complex_integrable fails, at the oracle's pair
+    j, omega = matrix([[0, 0, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]), D4.kahler_data[1]
+    assert _half_basis(int_matrix(j)[0]) == [0, 2]
+    got = check_kahler(D4.algebra, j, omega)
+    assert not got[0].item("complex_square_identity").passed and not got[0].item("complex_integrable").passed
+    assert_same_result(got, structures_oracle.check_kahler(D4.algebra, j, omega))
 
 
 DENSE_H7 = conjugated_heisenberg_sasakian(3, 1)

@@ -162,6 +162,20 @@ def test_extend_complex_structure_both_sides_fail_together():
     assert [item.name for item in report.items] == ["torsion_vanishes", "derivation_commutes_with_j"]
 
 
+def test_base_integrability_is_scanned_where_j_squared_fails():
+    # on d4half, J e1 = -e2, J e2 = 0, J e3 = -e4, J e4 = e3 fails J^2 = -Id; N_J vanishes on (e1, e3), the one
+    # pair of its half basis e1, e3, but not on every pair, so the refusal names both hypotheses, as the oracle's
+    ext = double_extension(D4.algebra, D4.kahler_data[1], zero_matrix(5))
+    j = matrix([[0, 0, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    reports = []
+    for call in (extend_complex_structure, theorems_oracle.extend_complex_structure):
+        with pytest.raises(PreconditionError) as err:
+            call(ext, j)
+        reports.append(err.value.report)
+    assert reports[0] == reports[1]
+    assert [item.name for item in reports[0].items if not item.passed][:2] == ["base_complex_square", "base_complex_integrable"]
+
+
 def test_extend_complex_structure_d4half_presentation():
     j = matrix([[0, -1], [1, 0]])
     d = diagonal(["1/2", "1/2", 1])

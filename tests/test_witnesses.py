@@ -36,6 +36,7 @@ from lieforge.structures import FrobeniusStructure, SasakianStructure
 
 from algebra_oracle import adjoint
 from conftest import conjugate_algebra, conjugate_map, conjugate_one_form, conjugate_two_form, mat_inverse
+import structures_oracle
 import theorems_oracle
 from strategies import conjugated_phi, moved_reeb
 
@@ -391,6 +392,13 @@ def test_failing_item_witness(case):
     item = call().item(name)
     assert not item.passed
     assert item.witness == WITNESSES[case]
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_ITEMS))
+def test_failing_item_report_is_that_of_the_full_torsion_scan(case):
+    # every report of the table, the torsion items decided on a half basis, equals the one that scans every pair
+    call, _ = FAILING_ITEMS[case]
+    assert call() == structures_oracle.full_scan(call)
 
 
 @pytest.mark.parametrize("case", sorted(NOTES))
